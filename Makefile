@@ -1,7 +1,7 @@
 GO ?= go
 CBSCHECK := bin/cbscheck
 
-.PHONY: all build test race lint cbscheck fuzz-smoke chaos-smoke sweep-smoke serve-smoke serve-chaos net-smoke net-chaos negf-smoke bench bench-smoke fleet-bench negf-bench
+.PHONY: all build test race lint cbscheck fuzz-smoke chaos-smoke sweep-smoke serve-smoke serve-chaos net-smoke net-chaos negf-smoke bench-smoke
 
 all: build test
 
@@ -112,40 +112,9 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzCSRBuild -fuzztime=30s ./internal/sparse
 	$(GO) test -run=NONE -fuzz=FuzzLUSolve -fuzztime=30s ./internal/zlinalg
 
-# bench reruns the tracked Fig. 4a-style benchmark trio — {AoS, SoA,
-# SoA+mixed} over the blocked stencil and a full contour solve — at the
-# recorded size and rewrites the current PR's snapshot at the repo root
-# (schema cbs-bench/v1; BENCH_PR6.json started the trajectory, BENCH_PR8.json
-# is the latest point). The 1.5x floor is the acceptance bar for the SoA
-# stencil against the in-run AoS baseline.
-bench:
-	$(GO) run ./cmd/serialperf -bench-json BENCH_PR8.json -bench-al-n 10 -assert-speedup 1.5
-
-# bench-smoke is the CI gate: a reduced-size run of the same trio that must
-# keep the SoA stencil at least on par with AoS (catching kernel-dispatch
-# regressions without the noise sensitivity of the full bar), plus a schema
-# check of the committed snapshot.
+# bench-smoke is the CI gate on the one benchmark (bench/, BENCHMARK.json):
+# all five workloads at tiny sizes with a one-second timed part each, every
+# operation gated against its correctness oracle. It checks code paths, not
+# performance; `bash bench/run.sh --workload <name>` is the measured run.
 bench-smoke:
-	$(GO) run ./cmd/serialperf -bench-json /tmp/cbs_bench_smoke.json -bench-al-n 6 -assert-speedup 1.0
-	$(GO) run ./cmd/serialperf -bench-verify BENCH_PR6.json
-	$(GO) run ./cmd/serialperf -bench-verify BENCH_PR8.json
-	$(GO) run ./cmd/fleetbench -verify BENCH_PR9.json
-	$(GO) run ./cmd/negfbench -ne 16
-	$(GO) run ./cmd/negfbench -verify BENCH_PR10.json
-
-# fleet-bench reruns the tracked distributed-sweep benchmark — the same
-# small Al(100) sweep single-process and over 2/4 local cbsw worker
-# processes via loopback TCP, with bit-identity enforced against the
-# single-process run — and rewrites the current PR's snapshot (schema
-# cbs-fleetbench/v1, BENCH_PR9.json).
-fleet-bench:
-	$(GO) build -o bin/cbsw ./cmd/cbsw
-	$(GO) run ./cmd/fleetbench -json BENCH_PR9.json
-
-# negf-bench reruns the tracked CBS→NEGF transport benchmark — the same
-# in-band tight-binding grid as a plain CBS sweep and through the full
-# transmission pipeline, with the quantization gate enforced — and
-# rewrites the current PR's snapshot (schema cbs-negfbench/v1,
-# BENCH_PR10.json).
-negf-bench:
-	$(GO) run ./cmd/negfbench -json BENCH_PR10.json
+	$(GO) run ./bench -workload all -smoke -seconds 1

@@ -60,7 +60,7 @@ func alFixture(b *testing.B) fixture {
 
 func cnt66Fixture(b *testing.B) fixture {
 	// Sized so that the OBM baseline's O(N^3) pencil also finishes on the
-	// 1-core CI host; the paper-scale grids are exercised by cmd/serialperf.
+	// 2-core CI host; the paper-scale grids are exercised by cmd/serialperf.
 	return getFixture(b, "cnt66", func() (*cbs.Model, error) {
 		st, err := cbs.CNT(6, 6, units.AngstromToBohr(3.0))
 		if err != nil {

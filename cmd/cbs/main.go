@@ -85,8 +85,6 @@ func main() {
 	mid := flag.Int("mid", 1, "middle-layer workers (quadrature points)")
 	ndm := flag.Int("ndm", 1, "bottom-layer domains")
 	balance := flag.Bool("balance", false, "enable the majority early-stop rule")
-	kernels := flag.String("kernels", "soa", "blocked kernel layout: soa | aos")
-	precision := flag.String("precision", "complex128", "linear-solve arithmetic: complex128 | mixed (float32 inner BiCG + iterative refinement; requires -kernels soa and -ndm 1)")
 	scfFlag := flag.Bool("scf", false, "run a small SCF before the CBS")
 	diagPath := flag.String("diagnostics", "", "write per-energy solve diagnostics to this JSON file")
 	timeout := flag.Duration("timeout", 0, "overall wall-clock budget (0 = none); expiry cancels like Ctrl-C")
@@ -148,8 +146,6 @@ func main() {
 	opts.Nrh = *nrh
 	opts.LambdaMin = *lmin
 	opts.LoadBalanceStop = *balance
-	opts.Kernels = *kernels
-	opts.Precision = *precision
 	opts.Parallel = cbs.Parallel{Top: *top, Mid: *mid, Ndm: *ndm}
 	// Fault injection is env-gated (CBS_CHAOS, CBS_CHAOS_SEED, ...): nil in
 	// normal operation, a deterministic injector under the chaos-smoke CI.

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -9,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"cbs/internal/jobs"
 )
 
 // TestKillRestartAcceptance is the crash-safety acceptance run: a server
@@ -79,14 +82,40 @@ func TestKillRestartAcceptance(t *testing.T) {
 	postJSON(t, ts1.URL+"/v1/sweep", `{"energies_ev": [-0.3, -0.25]}`, &queuedSweep)
 	postJSON(t, ts1.URL+"/v1/solve", `{"energy_ev": -0.4}`, &queuedSolve)
 
+	// Job 5 is queued with a spec as a pre-removal server journaled it: its
+	// option overlay still asks for the retired mixed-precision solve.
+	legacyID, err := s1.mgr.Submit(jobs.Submission{
+		Kind:        jobs.KindSolve,
+		Fingerprint: "0123456789abcdef",
+		Spec:        []byte(`{"type":"solve","energy_hartree":-0.3,"options":{"precision":"mixed"}}`),
+		Task: func(context.Context, func(int, int)) (jobs.Outcome, error) {
+			return jobs.Outcome{}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	s1.mgr.Kill() // SIGKILL: no drain, no terminal records, contexts die
 	ts1.Close()
 
 	// Successor on the same checkpoint dir, physics unblocked.
 	fb2 := &fakeBackend{}
-	_, ts2 := newTestServer(t, fb2, func(cfg *serverConfig) {
+	s2, ts2 := newTestServer(t, fb2, func(cfg *serverConfig) {
 		cfg.checkpointDir = dir
 	})
+
+	// The legacy spec is not re-run at full precision under the journaled
+	// mixed fingerprint: it fails typed, naming the retired option.
+	legacy, err := s2.mgr.Get(legacyID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if legacy.State != jobs.StateFailed || !errors.Is(legacy.Err, jobs.ErrLostToRestart) ||
+		!strings.Contains(legacy.Err.Error(), "precision") {
+		t.Errorf("job with a retired option re-adopted as %s / %v, want failed / ErrLostToRestart naming precision",
+			legacy.State, legacy.Err)
+	}
 
 	// Every pre-crash ID resolves; unfinished jobs run to done.
 	finished := getJob(t, ts2.URL, doneSub.ID)

@@ -4,11 +4,13 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"expvar"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net"
@@ -228,7 +230,6 @@ type optionsJSON struct {
 	Seed        *int64   `json:"seed,omitempty"`
 	AutoExpand  *bool    `json:"auto_expand,omitempty"`
 	MaxExpand   *int     `json:"max_expand,omitempty"`
-	Precision   *string  `json:"precision,omitempty"`
 }
 
 // apply overlays the request options on the server defaults.
@@ -271,11 +272,6 @@ func (oj *optionsJSON) apply(base core.Options) core.Options {
 	}
 	if oj.MaxExpand != nil {
 		base.MaxExpand = *oj.MaxExpand
-	}
-	if oj.Precision != nil {
-		// "complex128" or "mixed"; core.Solve validates and rejects unknown
-		// values (and mixed's SoA/Ndm=1 requirements) as a bad request.
-		base.Precision = *oj.Precision
 	}
 	return base
 }
@@ -463,6 +459,16 @@ type jobJSON struct {
 }
 
 // --- handlers ---
+
+// decodeStrict decodes one JSON value into v and rejects any field v does
+// not declare: a misspelt or retired option fails the request (the error
+// names the field) instead of silently running under the defaults, and a
+// journaled spec from an older server that carries one is not re-adopted.
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
+}
 
 // writeJSON sends v with status code.
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -673,7 +679,7 @@ func (s *server) transportTask(spec negf.Spec, opts core.Options, fp string) job
 // changed physics under the old ID.
 func (s *server) rebuildTask(rj jobs.ReplayedJob) (jobs.Task, error) {
 	var spec jobSpec
-	if err := json.Unmarshal(rj.Spec, &spec); err != nil {
+	if err := decodeStrict(bytes.NewReader(rj.Spec), &spec); err != nil {
 		return nil, fmt.Errorf("unreadable job spec: %w", err)
 	}
 	opts := spec.Options.apply(s.cfg.defaults)
@@ -701,7 +707,7 @@ func (s *server) rebuildTask(rj jobs.ReplayedJob) (jobs.Task, error) {
 
 func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	var req solveRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeStrict(r.Body, &req); err != nil {
 		writeError(w, fmt.Errorf("bad request body: %w", err))
 		return
 	}
@@ -741,7 +747,7 @@ func (s *server) sweepEnergies(req sweepRequest) ([]float64, error) {
 
 func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req sweepRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeStrict(r.Body, &req); err != nil {
 		writeError(w, fmt.Errorf("bad request body: %w", err))
 		return
 	}
@@ -763,7 +769,7 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 // kmax_im filter is presentation-time and costs nothing to change.
 func (s *server) handleBands(w http.ResponseWriter, r *http.Request) {
 	var req bandsRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeStrict(r.Body, &req); err != nil {
 		writeError(w, fmt.Errorf("bad request body: %w", err))
 		return
 	}
@@ -792,7 +798,7 @@ func (s *server) handleBands(w http.ResponseWriter, r *http.Request) {
 // with /v1/solve and repeated transport submissions.
 func (s *server) handleTransport(w http.ResponseWriter, r *http.Request) {
 	var req transportRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeStrict(r.Body, &req); err != nil {
 		writeError(w, fmt.Errorf("bad request body: %w", err))
 		return
 	}

@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -186,6 +188,29 @@ func TestTransportRequestValidation(t *testing.T) {
 	resp = postJSON(t, ts2.URL+"/v1/transport", `{"energies_ev": [0], "cells": 1}`, nil)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("no transport backend: HTTP %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestUnknownRequestFieldRejected: every POST endpoint answers 400 naming
+// the field when a body carries one the request schema does not declare — a
+// retired option (precision) or a misspelt one must not silently run under
+// the defaults — and submits nothing.
+func TestUnknownRequestFieldRejected(t *testing.T) {
+	s, ts := newTBServer(t)
+	for _, tc := range []struct{ path, body, field string }{
+		{"/v1/solve", `{"energy_ev": 0.25, "options": {"precision": "mixed"}}`, "precision"},
+		{"/v1/sweep", `{"energies_ev": [0], "options": {"kernels": "aos"}}`, "kernels"},
+		{"/v1/bands", `{"energies_ev": [0], "kmax": 1}`, "kmax"},
+		{"/v1/transport", `{"energies_ev": [0], "cells": 2, "options": {"precision": "mixed"}}`, "precision"},
+	} {
+		var body errorResponse
+		resp := postJSON(t, ts.URL+tc.path, tc.body, &body)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body.Error, strconv.Quote(tc.field)) {
+			t.Errorf("%s %s: HTTP %d %q, want 400 naming %q", tc.path, tc.body, resp.StatusCode, body.Error, tc.field)
+		}
+	}
+	if n := s.mgr.Metrics().Submitted; n != 0 {
+		t.Errorf("%d jobs were submitted from rejected bodies", n)
 	}
 }
 

@@ -34,29 +34,7 @@ func main() {
 	cntNz := flag.Int("cnt-nz", 8, "axial grid for the (6,6) CNT (paper: 12)")
 	conv := flag.String("conv", "", "write Fig. 5 residual histories to this TSV file")
 	skipOBM := flag.Bool("skip-obm", false, "skip the baseline (for quick checks)")
-	mode := flag.String("mode", "soa", "kernel mode for the QEP/SS runs: aos | soa | mixed")
-	benchJSON := flag.String("bench-json", "", "run the {aos,soa,mixed} benchmark suite and write a cbs-bench/v1 snapshot to this file")
-	benchAlN := flag.Int("bench-al-n", 8, "Al(100) grid points per direction for -bench-json")
-	assertSpeedup := flag.Float64("assert-speedup", 0, "with -bench-json: fail unless stencil SoA speedup vs in-run AoS is at least this (CI tripwire)")
-	benchVerify := flag.String("bench-verify", "", "parse an existing BENCH_*.json against the cbs-bench/v1 schema and exit")
 	flag.Parse()
-
-	if *benchVerify != "" {
-		if err := verifyBenchFile(*benchVerify); err != nil {
-			log.Fatalf("%s: %v", *benchVerify, err)
-		}
-		fmt.Printf("%s: valid %s snapshot\n", *benchVerify, benchSchema)
-		return
-	}
-	if *benchJSON != "" {
-		runBench(*benchJSON, *benchAlN, *assertSpeedup)
-		return
-	}
-
-	kernels, precision, err := modeOpts(*mode)
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	systems := []system{
 		build("Al(100)", mustAl(), *alN, *alN, *alN),
@@ -64,11 +42,9 @@ func main() {
 	}
 
 	for _, s := range systems {
-		fmt.Printf("==================== %s (N = %d, kernels %s) ====================\n", s.name, s.model.N(), *mode)
+		fmt.Printf("==================== %s (N = %d) ====================\n", s.name, s.model.N())
 		opts := cbs.DefaultOptions()
 		opts.Nrh = 16
-		opts.Kernels = kernels
-		opts.Precision = precision
 		opts.TrackHistories = *conv != ""
 
 		// ---- QEP/SS: Table 1 breakdown + Fig. 4a runtime ----------------

@@ -65,7 +65,6 @@ var siteNameRe = regexp.MustCompile(`^[a-z][a-z0-9]*(?:[.-][a-z0-9]+)*$`)
 var methodConfigFields = map[string][]string{
 	"Breakdown":       {"Breakdown", "RestartBreakdown"},
 	"FallbackFail":    {"FallbackFail"},
-	"RefineFail":      {"RefineFail"},
 	"PointFault":      {"PointFault"},
 	"CorruptHalo":     {"Halo"},
 	"EnergyFault":     {"EnergyFault"},
@@ -88,7 +87,6 @@ var methodConfigFields = map[string][]string{
 var methodEnvKeys = map[string]string{
 	"Breakdown":       "CBS_CHAOS_BREAKDOWN",
 	"FallbackFail":    "CBS_CHAOS_FALLBACK",
-	"RefineFail":      "CBS_CHAOS_REFINE",
 	"PointFault":      "CBS_CHAOS_POINT",
 	"CorruptHalo":     "CBS_CHAOS_HALO",
 	"EnergyFault":     "CBS_CHAOS_ENERGY",

@@ -9,7 +9,6 @@ import "os"
 type Config struct {
 	Breakdown        float64
 	RestartBreakdown float64
-	RefineFail       float64
 	EnergyFault      float64
 	CheckpointFault  float64
 	TornRecord       float64
@@ -37,7 +36,6 @@ func FromEnv() *Injector {
 	return New(Config{
 		Breakdown:        rate("CBS_CHAOS_BREAKDOWN"),
 		RestartBreakdown: rate("CBS_CHAOS_RESTART_BREAKDOWN"),
-		RefineFail:       rate("CBS_CHAOS_REFINE"),
 		EnergyFault:      rate("CBS_CHAOS_ENERGY"),
 		CheckpointFault:  rate("CBS_CHAOS_CKPT"),
 		TornRecord:       rate("CBS_CHAOS_TORN"),
@@ -50,9 +48,6 @@ func (in *Injector) Seed() uint64 { return in.seed }
 
 // Breakdown draws an iterative-solver breakdown fault.
 func (in *Injector) Breakdown(k int) bool { return in != nil && in.cfg.Breakdown > 0 && k >= 0 }
-
-// RefineFail draws a refinement-stage fault.
-func (in *Injector) RefineFail(k int) bool { return in != nil && in.cfg.RefineFail > 0 && k >= 0 }
 
 // EnergyFault draws a per-energy fault.
 func (in *Injector) EnergyFault(i int) bool { return in != nil && in.cfg.EnergyFault > 0 && i >= 0 }

@@ -31,12 +31,12 @@ func Tear(in *chaos.Injector, i int) bool {
 	return in.TornRecord(i) // want `chaos site name "Bad_Name" does not match the grammar`
 }
 
-// Refine registers the same name twice in one package.
-func Refine(in *chaos.Injector) bool {
+// Restart registers the same name twice in one package.
+func Restart(in *chaos.Injector) bool {
 	//cbs:chaossite user.dup
-	a := in.RefineFail(1)
+	a := in.Breakdown(1)
 	//cbs:chaossite user.dup
-	b := in.RefineFail(2) // want `chaos site "user\.dup" is already registered at`
+	b := in.Breakdown(2) // want `chaos site "user\.dup" is already registered at`
 	return a || b
 }
 

@@ -3,10 +3,10 @@ package chaosuser
 import "cbs/internal/analysis/chaossite/testdata/src/chaos"
 
 // seedMatrix mirrors the chaos-smoke seed matrices: Config rates cover
-// Breakdown (and its restart variant), RefineFail and TornRecord.
+// Breakdown (and its restart variant) and TornRecord.
 var seedMatrix = []chaos.Config{
 	{Breakdown: 0.5, RestartBreakdown: 0.5},
-	{RefineFail: 1, TornRecord: 0.25},
+	{TornRecord: 0.25},
 }
 
 // chaosEnv covers EnergyFault through its seed-matrix env key.

@@ -8,10 +8,9 @@
 //     append): rebinding a plane breaks the shared-shape contract and any
 //     aliasing the owner relies on. Element writes (b.Re[i] = x) are the
 //     whole point and stay free.
-//   - soa.Pack/Unpack/Convert/AccumConvert calls inside //cbs:hotpath
-//     functions: the pack shims are API-boundary conversions; a kernel
-//     that converts per call is paying the AoS cost plus a copy, which
-//     defeats the layout.
+//   - soa.Pack/Unpack calls inside //cbs:hotpath functions: the pack
+//     shims are API-boundary conversions; a kernel that converts per call
+//     is paying the AoS cost plus a copy, which defeats the layout.
 //   - complex(...) reconstruction from indexed .Re/.Im planes inside
 //     //cbs:hotpath functions: element-wise re-materialization of
 //     complex128 values inside a kernel is AoS arithmetic in disguise.
@@ -31,10 +30,8 @@ const soaPkgPath = "cbs/internal/soa"
 
 // shimFuncs are the boundary conversions banned inside hot-path kernels.
 var shimFuncs = map[string]bool{
-	"Pack":         true,
-	"Unpack":       true,
-	"Convert":      true,
-	"AccumConvert": true,
+	"Pack":   true,
+	"Unpack": true,
 }
 
 // Analyzer is the soalayout analysis.

@@ -26,10 +26,10 @@ func headerAppend(b *soa.Block[float64], x float64) {
 
 // pointerLiteral takes the address of a literal directly — the pointer
 // spelling must not slip past the composite-literal rule.
-func pointerLiteral(n int) *soa.Block[float32] {
-	return &soa.Block[float32]{ // want `soa\.Block composite literal`
-		Re: make([]float32, n),
-		Im: make([]float32, n),
+func pointerLiteral(n int) *soa.Block[float64] {
+	return &soa.Block[float64]{ // want `soa\.Block composite literal`
+		Re: make([]float64, n),
+		Im: make([]float64, n),
 	}
 }
 
@@ -57,15 +57,6 @@ func hotShim(b *soa.Block[float64], scratch []complex128) {
 		scratch[i] *= 2
 	}
 	soa.Pack(b, scratch) // want `soa\.Pack inside a hot-path kernel`
-}
-
-// hotConvert downcasts between precisions inside a kernel — the mixed-
-// precision conversion shims are boundary operations like Pack/Unpack.
-//
-//cbs:hotpath
-func hotConvert(dst *soa.Block[float32], src *soa.Block[float64]) {
-	soa.Convert(dst, src)      // want `soa\.Convert inside a hot-path kernel`
-	soa.AccumConvert(src, dst) // want `soa\.AccumConvert inside a hot-path kernel`
 }
 
 // hotReconstruct re-materializes complex elements from the planes inside a

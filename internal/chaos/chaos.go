@@ -65,14 +65,6 @@ type Config struct {
 	// only a prefix of the record reaches the file and no newline follows.
 	TornRecord float64
 
-	// RefineFail is the probability that one (point, column) of a
-	// mixed-precision solve has its iterative-refinement corrections
-	// suppressed: the inner float32 solve runs but the column's update is
-	// discarded every step, so refinement stagnates and the column ends
-	// RefineFailed. Enough affected columns at one point force the
-	// mixed->full precision escalation rung of the sweep ladder.
-	RefineFail float64
-
 	// JobFault is the probability that a job picked up by a serving-layer
 	// worker (internal/jobs) fails hard before its task runs: the job must
 	// end Failed with a typed injected error while the server keeps
@@ -177,7 +169,6 @@ func (in *Injector) Seed() int64 {
 //	CBS_CHAOS_ENERGY=<p>         sweep energy hard-fault rate (default 0)
 //	CBS_CHAOS_CKPT=<p>           checkpoint write-fault rate (default 0)
 //	CBS_CHAOS_TORN=<p>           torn journal-record rate (default 0)
-//	CBS_CHAOS_REFINE=<p>         mixed-precision refinement-failure rate (default 0)
 //	CBS_CHAOS_JOB=<p>            serving-layer job hard-fault rate (default 0)
 //	CBS_CHAOS_CACHE=<p>          forced result-cache miss rate (default 0)
 //	CBS_CHAOS_JOBLOG=<p>         torn/failed job-log append rate (default 0)
@@ -219,7 +210,6 @@ func FromEnv() *Injector {
 		EnergyFault:      rate("CBS_CHAOS_ENERGY", 0),
 		CheckpointFault:  rate("CBS_CHAOS_CKPT", 0),
 		TornRecord:       rate("CBS_CHAOS_TORN", 0),
-		RefineFail:       rate("CBS_CHAOS_REFINE", 0),
 		JobFault:         rate("CBS_CHAOS_JOB", 0),
 		CacheFault:       rate("CBS_CHAOS_CACHE", 0),
 		JobLogFault:      rate("CBS_CHAOS_JOBLOG", 0),
@@ -282,7 +272,6 @@ const (
 	kindTorn      = 0x746e // "tn"
 	kindJob       = 0x6a62 // "jb"
 	kindCache     = 0x6361 // "ca"
-	kindRefine    = 0x7266 // "rf"
 	kindJobLog    = 0x6a6c // "jl"
 	kindAdopt     = 0x6164 // "ad"
 	kindNEGF      = 0x6e67 // "ng"
@@ -319,16 +308,6 @@ func (in *Injector) FallbackFail(point, col int) bool {
 		return false
 	}
 	return in.hit(in.cfg.FallbackFail, kindFallback, point, col, 0)
-}
-
-// RefineFail reports whether the mixed-precision refinement of (point, col)
-// should have its corrections suppressed (every step of that column, so the
-// refinement budget is exhausted deterministically).
-func (in *Injector) RefineFail(point, col int) bool {
-	if in == nil || !in.colTargeted(col) {
-		return false
-	}
-	return in.hit(in.cfg.RefineFail, kindRefine, point, col, 0)
 }
 
 // PointFault returns a typed injected error when the worker picking up

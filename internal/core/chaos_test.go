@@ -12,6 +12,7 @@ import (
 	"cbs/internal/chaos"
 	"cbs/internal/contour"
 	"cbs/internal/qep"
+	"cbs/internal/tb"
 )
 
 // chaosSeed reads the chaos-smoke seed matrix (CBS_CHAOS_SEED, default 1),
@@ -220,23 +221,34 @@ func TestChaosGracefulDegradation(t *testing.T) {
 
 // TestChaosPointFaultCancels: an injected hard fault at one quadrature
 // point must cancel the whole solve with a typed error under every parallel
-// configuration — in bounded time, with no worker left running (the test
-// binary's exit checks that via the race/leak-free wait in solveAll).
+// configuration and on both layouts of the blocked point loop (FD planes,
+// tight-binding interleaved) — in bounded time, with no worker left running
+// (the test binary's exit checks that via the race/leak-free wait in
+// solveAll).
 func TestChaosPointFaultCancels(t *testing.T) {
-	q := chaosProblem(t)
-	for _, cfg := range []Parallel{
-		{Top: 2, Mid: 2, Ndm: 1},
-		{Top: 1, Mid: 2, Ndm: 2},
+	fd := chaosProblem(t)
+	slab, err := tb.NewSlab(tb.SlabConfig{Nx: 6, Ny: 6, Hopping: -1, A: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		q    *qep.Problem
+		par  Parallel
+	}{
+		{"fd", fd, Parallel{Top: 2, Mid: 2, Ndm: 1}},
+		{"fd-dist", fd, Parallel{Top: 1, Mid: 2, Ndm: 2}},
+		{"tb", qep.NewBackend(slab, -4.5), Parallel{Top: 2, Mid: 2, Ndm: 1}},
 	} {
 		opts := chaosOptions()
-		opts.Parallel = cfg
+		opts.Parallel = tc.par
 		opts.Chaos = chaos.New(chaosSeed(), chaos.Config{
 			PointFault: 1,
 			Points:     []int{3},
 		})
-		_, err := Solve(q, opts)
+		_, err := Solve(tc.q, opts)
 		if !errors.Is(err, chaos.ErrInjected) {
-			t.Errorf("%+v: err = %v, want chaos.ErrInjected", cfg, err)
+			t.Errorf("%s %+v: err = %v, want chaos.ErrInjected", tc.name, tc.par, err)
 		}
 	}
 }

@@ -23,8 +23,6 @@ type PointDiag struct {
 	Fallbacks    int     `json:"fallbacks,omitempty"`
 	Dropped      int     `json:"dropped,omitempty"`
 	MaxResidual  float64 `json:"max_residual"`
-	Refines      int     `json:"refines,omitempty"`       // mixed precision only
-	RefineFailed int     `json:"refine_failed,omitempty"` // mixed precision only
 }
 
 // Diagnostics summarizes the health of one contour solve: how hard the
@@ -39,10 +37,6 @@ type Diagnostics struct {
 	Breakdowns int `json:"breakdowns"` // first-pass Krylov breakdowns
 	Restarts   int `json:"restarts"`   // perturbed BiCG restarts attempted
 	Fallbacks  int `json:"fallbacks"`  // escalations to restarted GMRES
-
-	// Mixed-precision totals (Precision "mixed" only; omitted otherwise).
-	RefineSteps  int `json:"refine_steps,omitempty"`  // iterative-refinement solves
-	RefineFailed int `json:"refine_failed,omitempty"` // columns that exhausted the budget
 
 	// Graceful degradation: contributions dropped after the full ladder
 	// failed, and the per-column quadrature-weight renormalization factors
@@ -81,14 +75,10 @@ func (res *Result) finalizeDiagnostics(opts Options) {
 			Fallbacks:    ps.Fallbacks,
 			Dropped:      ps.Dropped,
 			MaxResidual:  ps.MaxResidual,
-			Refines:      ps.Refines,
-			RefineFailed: ps.RefineFailed,
 		}
 		d.Breakdowns += ps.Breakdowns
 		d.Restarts += ps.Restarts
 		d.Fallbacks += ps.Fallbacks
-		d.RefineSteps += ps.Refines
-		d.RefineFailed += ps.RefineFailed
 		if ps.MaxResidual > d.ResidualBudget {
 			d.ResidualBudget = ps.MaxResidual
 		}

@@ -21,17 +21,18 @@ func MemoryEstimate(q *qep.Problem, opts Options) int64 {
 	b += 2 * nmm * n * nrh * 16 // moment accumulator
 	b += n * nrh * 16           // probe block V
 	b += 3 * m * m * 16         // Hankel pair + SVD work
-	// Blocked BiCG state: each (top, mid) worker owns the solution blocks
-	// x, xd plus the shared linsolve.Workspace with the six Krylov block
-	// vectors (r, rd, p, pd, q, qd) -- 8 blocks of n x nb complex entries,
-	// allocated once and reused across all quadrature points (the fused
-	// blocked apply needs no scratch vectors, and the per-solve allocations
-	// of the scalar path are gone). Each top block also shares one
-	// interleaved right-hand-side block across its mid workers.
+	// Blocked BiCG state: each (top, mid) worker owns one blockWorker, and
+	// each top block shares its interleaved right-hand-side block (plus, on
+	// the FD grid, the planar copy the plane solver reads) across its mid
+	// workers.
 	top := int64(opts.Parallel.Top)
 	nbBlk := (nrh + top - 1) / top // columns per top block
-	workers := top * int64(opts.Parallel.Mid)
-	b += workers * 8 * n * nbBlk * 16
-	b += top * n * nbBlk * 16
+	planes := q.Op != nil && opts.Parallel.Ndm == 1
+	b += top * int64(opts.Parallel.Mid) * blockWorkerBytes(n, nbBlk, planes)
+	rhs := n * nbBlk * 16
+	if planes {
+		rhs *= 2
+	}
+	b += top * rhs
 	return b
 }

@@ -18,6 +18,7 @@ import (
 	"cbs/internal/chaos"
 	"cbs/internal/contour"
 	"cbs/internal/dist"
+	"cbs/internal/hamiltonian"
 	"cbs/internal/linsolve"
 	"cbs/internal/qep"
 	"cbs/internal/soa"
@@ -70,21 +71,6 @@ type Options struct {
 	// right-hand side at every quadrature point (Fig. 5 data).
 	TrackHistories bool
 
-	// Kernels selects the blocked hot-path layout: "soa" (default; the
-	// split-complex planar kernels, bit-identical to AoS at float64) or
-	// "aos" (the interleaved []complex128 kernels, kept as the measured
-	// baseline of the bench trajectory). The Ndm > 1 distributed bottom
-	// layer always uses the per-column AoS path regardless.
-	Kernels string
-
-	// Precision selects the linear-solve arithmetic: "complex128"
-	// (default) or "mixed" — float32 split-plane inner BiCG with float64
-	// dot/norm accumulation plus iterative refinement back to complex128
-	// residual targets (see internal/linsolve.BlockBiCGDualMixed). Moment
-	// accumulation always stays complex128. Mixed requires the SoA
-	// kernels and the single-domain blocked path (Ndm = 1).
-	Precision string
-
 	Seed     int64 // probe block seed (deterministic runs)
 	Parallel Parallel
 
@@ -101,31 +87,6 @@ type Options struct {
 	// corruption); nil in production. See internal/chaos and the
 	// chaos-smoke CI job.
 	Chaos *chaos.Injector
-}
-
-// Kernel-layout and precision values for Options.Kernels / Options.Precision.
-const (
-	KernelsAoS = "aos"
-	KernelsSoA = "soa"
-
-	PrecisionComplex128 = "complex128"
-	PrecisionMixed      = "mixed"
-)
-
-// kernels returns the effective kernel layout ("" defaults to SoA).
-func (o Options) kernels() string {
-	if o.Kernels == "" {
-		return KernelsSoA
-	}
-	return o.Kernels
-}
-
-// precision returns the effective precision ("" defaults to complex128).
-func (o Options) precision() string {
-	if o.Precision == "" {
-		return PrecisionComplex128
-	}
-	return o.Precision
 }
 
 // DefaultOptions returns the paper's parameter set.
@@ -172,10 +133,6 @@ type PointStats struct {
 	Fallbacks   int     // escalations to restarted GMRES
 	Dropped     int     // columns dropped from the quadrature after the ladder
 	MaxResidual float64 // worst final relative residual among kept columns
-
-	// Mixed-precision activity (Precision "mixed" only).
-	Refines      int // iterative-refinement steps summed over columns
-	RefineFailed int // columns whose refinement budget ran out
 }
 
 // Result is the outcome of one CBS solve at a fixed energy.
@@ -244,27 +201,6 @@ func solveOnce(ctx context.Context, q *qep.Problem, opts Options) (*Result, erro
 	}
 	if opts.Nrh*opts.Nmm > q.Dim() {
 		return nil, fmt.Errorf("%w: Nrh*Nmm = %d > dimension %d", ErrSubspaceTooLarge, opts.Nrh*opts.Nmm, q.Dim())
-	}
-	switch opts.Kernels {
-	case "", KernelsAoS, KernelsSoA:
-	default:
-		return nil, fmt.Errorf("%w: unknown Kernels %q", ErrBadOptions, opts.Kernels)
-	}
-	switch opts.Precision {
-	case "", PrecisionComplex128, PrecisionMixed:
-	default:
-		return nil, fmt.Errorf("%w: unknown Precision %q", ErrBadOptions, opts.Precision)
-	}
-	if opts.precision() == PrecisionMixed {
-		if opts.kernels() == KernelsAoS {
-			return nil, fmt.Errorf("%w: Precision \"mixed\" requires the SoA kernels", ErrBadOptions)
-		}
-		if opts.Parallel.Ndm > 1 {
-			return nil, fmt.Errorf("%w: Precision \"mixed\" requires the single-domain blocked path (Ndm = 1)", ErrBadOptions)
-		}
-		if q.Op == nil {
-			return nil, fmt.Errorf("%w: Precision \"mixed\" requires the FD-grid backend (this backend has no SoA tables)", ErrBadOptions)
-		}
 	}
 	tSetup := time.Now()
 	ring, err := contour.NewRing(opts.LambdaMin, opts.Nint)
@@ -341,13 +277,12 @@ func probeBlock(n, nrh int, seed int64) *zlinalg.Matrix {
 //
 // Each middle-layer worker pulls one quadrature point from the shared queue
 // and drives its top-block's whole column block through the blocked solver
-// (BlockBiCGDual over an n x nb interleaved block, nb = columns of the top
-// block), so the operator tables stream through memory once per BiCG
-// iteration for all nb right-hand sides. Per-point statistics are
-// accumulated worker-locally and merged under the global mutex once per
-// (worker, point) instead of once per column; the moment accumulator is
-// likewise fed one interleaved block per point. The Ndm > 1 bottom layer
-// keeps the per-column distributed path.
+// (solvePoints over an n x nb block, nb = columns of the top block), so the
+// operator tables stream through memory once per BiCG iteration for all nb
+// right-hand sides. Per-point statistics are accumulated worker-locally and
+// merged under the global mutex once per (worker, point) instead of once
+// per column; the moment accumulator is likewise fed one interleaved block
+// per point. The Ndm > 1 bottom layer keeps the per-column distributed path.
 func solveAll(ctx context.Context, q *qep.Problem, ring *contour.Ring, v *zlinalg.Matrix, acc *ssm.Accumulator, distSolver *dist.Solver, opts Options, res *Result) error {
 	n := q.Dim()
 	nint := opts.Nint
@@ -391,14 +326,10 @@ func solveAll(ctx context.Context, q *qep.Problem, ring *contour.Ring, v *zlinal
 		go func(c0, c1 int) {
 			defer topWG.Done()
 			nb := c1 - c0
-			// The SoA planes are an FD-grid specialization (the coefficient
-			// tables live on the concrete operator); every other backend
-			// takes the portable interleaved AoS path, which is bit-identical.
-			useSoA := distSolver == nil && opts.kernels() == KernelsSoA && q.Op != nil
 			// The block's right-hand sides, shared read-only by this block's
-			// workers: interleaved row-major for the blocked solver, plain
-			// columns for the distributed per-column path; the SoA path packs
-			// the interleaved block into split planes once per top block.
+			// workers: interleaved row-major (plus, on an FD-grid backend, the
+			// same block packed once into split planes) for the blocked solver,
+			// plain columns for the distributed per-column path.
 			var b []complex128
 			var bSoA *soa.Block[float64]
 			var bcols [][]complex128
@@ -408,7 +339,7 @@ func solveAll(ctx context.Context, q *qep.Problem, ring *contour.Ring, v *zlinal
 					row := v.Data[i*v.Cols : i*v.Cols+v.Cols]
 					copy(b[i*nb:i*nb+nb], row[c0:c1])
 				}
-				if useSoA {
+				if q.Op != nil {
 					bSoA = soa.NewBlock[float64](n, nb)
 					soa.Pack(bSoA, b)
 				}
@@ -429,89 +360,14 @@ func solveAll(ctx context.Context, q *qep.Problem, ring *contour.Ring, v *zlinal
 				midWG.Add(1)
 				go func() {
 					defer midWG.Done()
+					var err error
 					if distSolver != nil {
-						err := solvePointsDist(cctx, q, ring, points, bcols, acc, distSolver, groups, c0, opts, res, &mu, droppedByCol, &droppedPairs)
-						if err != nil {
-							setErr(err)
-						}
-						return
+						err = solvePointsDist(cctx, q, ring, points, bcols, acc, distSolver, groups, c0, opts, res, &mu, droppedByCol, &droppedPairs)
+					} else {
+						err = solvePoints(cctx, q, ring, points, b, bSoA, acc, groups[c0:c1], c0, opts, res, &mu, droppedByCol, &droppedPairs)
 					}
-					if useSoA {
-						err := solvePointsSoA(cctx, q, ring, points, b, bSoA, acc, groups[c0:c1], c0, opts, res, &mu, droppedByCol, &droppedPairs)
-						if err != nil {
-							setErr(err)
-						}
-						return
-					}
-					// Per-worker blocked solve state, reused across points:
-					// the solution blocks, the shared Krylov workspace and
-					// the recovery-ladder column scratch make the
-					// steady-state loop allocation-free.
-					x := make([]complex128, n*nb)
-					xd := make([]complex128, n*nb)
-					ws := linsolve.NewWorkspace(n, nb)
-					bcol := make([]complex128, n)
-					xcol := make([]complex128, n)
-					xdcol := make([]complex128, n)
-					colGroups := groups[c0:c1]
-					for j := range points {
-						if cctx.Err() != nil {
-							return
-						}
-						//cbs:chaossite solver.point-par
-						if injErr := opts.Chaos.PointFault(j); injErr != nil {
-							setErr(fmt.Errorf("core: fatal fault at quadrature point %d: %w", j, injErr))
-							return
-						}
-						zOut := ring.Outer[j].Z
-						wOut := ring.Outer[j].W
-						zIn := ring.Inner[j].Z
-						wIn := ring.Inner[j].W
-						for i := range x {
-							x[i] = 0
-							xd[i] = 0
-						}
-						apply := func(vv, out []complex128, nbv int) { q.ApplyBlock(zOut, vv, out, nbv) }
-						applyD := func(vv, out []complex128, nbv int) { q.ApplyDaggerBlock(zOut, vv, out, nbv) }
-						lopts := linsolve.Options{
-							Tol:       opts.BiCGTol,
-							MaxIter:   opts.MaxIter,
-							History:   opts.TrackHistories && c0 == 0,
-							Chaos:     opts.Chaos,
-							ChaosSite: chaos.Site{Point: j, Col: c0},
-						}
-						rs := linsolve.BlockBiCGDual(apply, applyD, b, b, x, xd, nb, lopts, colGroups, ws)
-						// Recovery ladder for failed columns, before the
-						// moment accumulation: dropped columns are zeroed in
-						// place so the accumulator never sees them.
-						var local PointStats
-						dropped, recMV := recoverBlockColumns(q, zOut, b, x, xd, nb, j, c0, colGroups, rs, opts, &local, bcol, xcol, xdcol)
-						// Accumulate: primal -> outer node, dual -> the
-						// paired inner node (P(zOut)^dagger = P(zIn)).
-						acc.AddInterleaved(zOut, wOut, c0, nb, x)
-						acc.AddInterleaved(zIn, wIn, c0, nb, xd)
-						matVecs := recMV
-						for _, r := range rs {
-							local.Iterations += r.Iterations
-							if r.Converged {
-								local.Converged++
-							}
-							if r.StoppedEarly {
-								local.StoppedEarly++
-							}
-							matVecs += r.MatVecApplied
-						}
-						mu.Lock()
-						mergePointStats(&res.Points[j], &local)
-						if lopts.History && res.Points[j].History == nil {
-							res.Points[j].History = rs[0].History
-						}
-						for _, c := range dropped {
-							droppedByCol[c]++
-							droppedPairs = append(droppedPairs, DroppedPair{Point: j, Col: c})
-						}
-						res.MatVecs += matVecs
-						mu.Unlock()
+					if err != nil {
+						setErr(err)
 					}
 				}()
 			}
@@ -545,6 +401,145 @@ func solveAll(ctx context.Context, q *qep.Problem, ring *contour.Ring, v *zlinal
 	return nil
 }
 
+// blockWorker is one middle-layer worker's blocked solve state, allocated
+// once and reused across its quadrature points so the steady-state loop is
+// allocation-free: the interleaved solution blocks that feed the recovery
+// ladder and the moment accumulator, the ladder's column scratch, and the
+// Krylov state of the worker's layout. The layout is observed, not
+// configured: an FD-grid backend (bSoA != nil) iterates on split-complex
+// float64 planes against the operator's coefficient tables and unpacks the
+// solutions once per point; every other backend iterates on the interleaved
+// blocks directly. The two produce identical bits. MemoryEstimate counts
+// exactly these buffers (blockWorkerBytes).
+type blockWorker struct {
+	q                 *qep.Problem
+	b                 []complex128        // the top block's interleaved right-hand sides
+	bSoA              *soa.Block[float64] // the same block in planes; nil off the FD grid
+	x, xd             []complex128
+	bcol, xcol, xdcol []complex128
+
+	ws *linsolve.Workspace // interleaved layout
+
+	t64     *hamiltonian.SoATables[float64] // plane layout
+	xb, xdb *soa.Block[float64]
+	wsSoA   *linsolve.WorkspaceSoA[float64]
+}
+
+func newBlockWorker(q *qep.Problem, b []complex128, bSoA *soa.Block[float64], nb int) blockWorker {
+	n := q.Dim()
+	w := blockWorker{
+		q: q, b: b, bSoA: bSoA,
+		x: make([]complex128, n*nb), xd: make([]complex128, n*nb),
+		bcol: make([]complex128, n), xcol: make([]complex128, n), xdcol: make([]complex128, n),
+	}
+	if bSoA != nil {
+		w.t64 = q.Op.SoA64()
+		w.xb = soa.NewBlock[float64](n, nb)
+		w.xdb = soa.NewBlock[float64](n, nb)
+		w.wsSoA = linsolve.NewWorkspaceSoA[float64](n, nb)
+	} else {
+		w.ws = linsolve.NewWorkspace(n, nb)
+	}
+	return w
+}
+
+// blockWorkerBytes is the resident size of one blockWorker's n-scaled
+// buffers: x, xd and six Krylov blocks, the three column scratch vectors,
+// and on the plane layout the two plane solution blocks.
+func blockWorkerBytes(n, nb int64, planes bool) int64 {
+	blocks := int64(8)
+	if planes {
+		blocks = 10
+	}
+	return (blocks*n*nb + 3*n) * 16
+}
+
+// solve runs the dual block solve P(z) X = B, P(z)^dagger Xd = B from a zero
+// guess and leaves the interleaved solutions in w.x and w.xd.
+func (w *blockWorker) solve(z complex128, lopts linsolve.Options, groups []*linsolve.GroupStop) []linsolve.Result {
+	if w.bSoA == nil {
+		for i := range w.x {
+			w.x[i] = 0
+			w.xd[i] = 0
+		}
+		apply := func(v, out []complex128, nb int) { w.q.ApplyBlock(z, v, out, nb) }
+		applyD := func(v, out []complex128, nb int) { w.q.ApplyDaggerBlock(z, v, out, nb) }
+		return linsolve.BlockBiCGDual(apply, applyD, w.b, w.b, w.x, w.xd, len(groups), lopts, groups, w.ws)
+	}
+	w.xb.Zero()
+	w.xdb.Zero()
+	apply := func(v, out *soa.Block[float64]) { qep.ApplyBlockSoA(w.q, w.t64, z, v, out) }
+	applyD := func(v, out *soa.Block[float64]) { qep.ApplyDaggerBlockSoA(w.q, w.t64, z, v, out) }
+	rs := linsolve.BlockBiCGDualSoA(apply, applyD, w.bSoA, w.bSoA, w.xb, w.xdb, lopts, groups, w.wsSoA)
+	soa.Unpack(w.x, w.xb)
+	soa.Unpack(w.xd, w.xdb)
+	return rs
+}
+
+// solvePoints drains the point queue with the blocked solver (Ndm = 1), for
+// every backend: one dual block solve per point, the recovery ladder on its
+// failed columns, one accumulator feed and one locked statistics merge per
+// point.
+func solvePoints(ctx context.Context, q *qep.Problem, ring *contour.Ring, points <-chan int, b []complex128, bSoA *soa.Block[float64], acc *ssm.Accumulator, colGroups []*linsolve.GroupStop, c0 int, opts Options, res *Result, mu *sync.Mutex, droppedByCol []int, droppedPairs *[]DroppedPair) error {
+	nb := len(colGroups)
+	w := newBlockWorker(q, b, bSoA, nb)
+	for j := range points {
+		if ctx.Err() != nil {
+			// Canceled by another worker's fatal error (which reports it)
+			// or by the caller (which solveAll reports).
+			return nil
+		}
+		//cbs:chaossite solver.point-par
+		if injErr := opts.Chaos.PointFault(j); injErr != nil {
+			return fmt.Errorf("core: fatal fault at quadrature point %d: %w", j, injErr)
+		}
+		zOut := ring.Outer[j].Z
+		wOut := ring.Outer[j].W
+		zIn := ring.Inner[j].Z
+		wIn := ring.Inner[j].W
+		lopts := linsolve.Options{
+			Tol:       opts.BiCGTol,
+			MaxIter:   opts.MaxIter,
+			History:   opts.TrackHistories && c0 == 0,
+			Chaos:     opts.Chaos,
+			ChaosSite: chaos.Site{Point: j, Col: c0},
+		}
+		rs := w.solve(zOut, lopts, colGroups)
+		// Recovery ladder for failed columns, before the moment
+		// accumulation: dropped columns are zeroed in place so the
+		// accumulator never sees them.
+		var local PointStats
+		dropped, recMV := recoverBlockColumns(q, zOut, b, w.x, w.xd, nb, j, c0, colGroups, rs, opts, &local, w.bcol, w.xcol, w.xdcol)
+		// Accumulate: primal -> outer node, dual -> the paired inner node
+		// (P(zOut)^dagger = P(zIn)).
+		acc.AddInterleaved(zOut, wOut, c0, nb, w.x)
+		acc.AddInterleaved(zIn, wIn, c0, nb, w.xd)
+		matVecs := recMV
+		for _, r := range rs {
+			local.Iterations += r.Iterations
+			if r.Converged {
+				local.Converged++
+			}
+			if r.StoppedEarly {
+				local.StoppedEarly++
+			}
+			matVecs += r.MatVecApplied
+		}
+		mu.Lock()
+		mergePointStats(&res.Points[j], &local)
+		if lopts.History && res.Points[j].History == nil {
+			res.Points[j].History = rs[0].History
+		}
+		for _, c := range dropped {
+			droppedByCol[c]++
+			*droppedPairs = append(*droppedPairs, DroppedPair{Point: j, Col: c})
+		}
+		res.MatVecs += matVecs
+		mu.Unlock()
+	}
+	return nil
+}
+
 // mergePointStats folds a worker-local per-point record into the shared
 // one; the caller holds the global mutex.
 func mergePointStats(ps, local *PointStats) {
@@ -555,8 +550,6 @@ func mergePointStats(ps, local *PointStats) {
 	ps.Restarts += local.Restarts
 	ps.Fallbacks += local.Fallbacks
 	ps.Dropped += local.Dropped
-	ps.Refines += local.Refines
-	ps.RefineFailed += local.RefineFailed
 	if local.MaxResidual > ps.MaxResidual {
 		ps.MaxResidual = local.MaxResidual
 	}

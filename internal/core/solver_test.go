@@ -10,6 +10,9 @@ import (
 	"cbs/internal/hamiltonian"
 	"cbs/internal/lattice"
 	"cbs/internal/qep"
+	"cbs/internal/soa"
+	"cbs/internal/ssm"
+	"cbs/internal/tb"
 )
 
 // smallAl builds the test system: bulk Al(100) on a coarse grid.
@@ -285,6 +288,57 @@ func TestMemoryEstimateScalesLinearly(t *testing.T) {
 	ratio := float64(m16) / float64(m8)
 	if ratio < 1.5 || ratio > 2.5 {
 		t.Errorf("memory estimate ratio %g for doubled N, want about 2 (O(MN))", ratio)
+	}
+}
+
+// TestMemoryEstimateCountsAllocatedBuffers pins MemoryEstimate (the Fig. 4(b)
+// input) to what a solve really allocates, on both layouts of the blocked
+// point loop: the capacities of one worker's buffers and of one top block's
+// right-hand sides are summed and scaled by the worker and block counts.
+func TestMemoryEstimateCountsAllocatedBuffers(t *testing.T) {
+	slab, err := tb.NewSlab(tb.SlabConfig{Nx: 8, Ny: 8, Hopping: -1, A: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		q    *qep.Problem
+	}{
+		{"fd", qep.New(smallAl(t, 8), 0)},
+		{"tb", qep.NewBackend(slab, 0)},
+	} {
+		q := tc.q
+		opts := testOptions()
+		opts.Parallel = Parallel{Top: 2, Mid: 2}
+		n, nb := q.Dim(), opts.Nrh/opts.Parallel.Top
+		b := make([]complex128, n*nb)
+		var bSoA *soa.Block[float64]
+		if q.Op != nil {
+			bSoA = soa.NewBlock[float64](n, nb)
+		}
+		w := newBlockWorker(q, b, bSoA, nb)
+		worker := int64(cap(w.x)+cap(w.xd)+cap(w.bcol)+cap(w.xcol)+cap(w.xdcol)) * 16
+		rhs := int64(cap(b)) * 16
+		if bSoA != nil {
+			worker += w.xb.MemoryBytes() + w.xdb.MemoryBytes() + w.wsSoA.MemoryBytes()
+			rhs += bSoA.MemoryBytes()
+		} else {
+			worker += w.ws.MemoryBytes()
+		}
+		acc, err := ssm.NewAccumulator(n, opts.Nrh, opts.Nmm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := int64(opts.Nrh * opts.Nmm)
+		want := q.B.MemoryBytes() + acc.MemoryBytesUsed() +
+			int64(cap(probeBlock(n, opts.Nrh, opts.Seed).Data))*16 + 3*m*m*16 +
+			4*worker + 2*rhs
+		got := MemoryEstimate(q, opts)
+		// The estimate leaves out only the O(nb) per-column recurrence
+		// scalars of the four workspaces.
+		if slack := 4 * int64(nb) * 200; got > want || want-got > slack {
+			t.Errorf("%s: MemoryEstimate = %d bytes, allocated buffers sum to %d (allowed shortfall %d)", tc.name, got, want, slack)
+		}
 	}
 }
 

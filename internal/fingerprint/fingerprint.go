@@ -40,15 +40,6 @@ func Key(operatorDesc string, es []float64, opts core.Options) string {
 		opts.Nint, opts.Nmm, opts.Nrh, opts.Delta, opts.LambdaMin,
 		opts.BiCGTol, opts.MaxIter, opts.ResidualTol, opts.LoadBalanceStop,
 		opts.Seed, opts.AutoExpand, opts.MaxExpand)
-	// Append-only extension (preserves every pre-existing digest): the
-	// precision is hashed only when it departs from the full-precision
-	// default, because mixed arithmetic changes the numbers. The kernel
-	// layout (Options.Kernels) is deliberately NOT hashed — the SoA float64
-	// path is bit-identical to AoS, so layout, like the parallel shape, is
-	// scheduling rather than identity.
-	if p := opts.Precision; p != "" && p != core.PrecisionComplex128 {
-		fmt.Fprintf(&sb, " precision=%s", p)
-	}
 	sb.WriteByte(0)
 	for _, e := range es {
 		fmt.Fprintf(&sb, "%.17g,", e)

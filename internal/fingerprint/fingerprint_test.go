@@ -100,7 +100,6 @@ func TestFieldSensitivity(t *testing.T) {
 		{"Seed", Key(desc, es, with(base, func(o *core.Options) { o.Seed = 2 }))},
 		{"AutoExpand", Key(desc, es, with(base, func(o *core.Options) { o.AutoExpand = true }))},
 		{"MaxExpand", Key(desc, es, with(base, func(o *core.Options) { o.MaxExpand = 3 }))},
-		{"Precision mixed", Key(desc, es, with(base, func(o *core.Options) { o.Precision = core.PrecisionMixed }))},
 	}
 	seen := map[string]string{ref: "base"}
 	for _, m := range mutants {
@@ -119,22 +118,6 @@ func TestFieldSensitivity(t *testing.T) {
 	par.Parallel = core.Parallel{Top: 4, Mid: 2, Ndm: 2}
 	if Key(desc, es, par) != ref {
 		t.Error("Parallel layout leaked into the fingerprint")
-	}
-	// The kernel layout is scheduling, not identity: both layouts produce
-	// bit-identical float64 results, so neither may perturb the digest.
-	for _, k := range []string{core.KernelsAoS, core.KernelsSoA} {
-		kv := base
-		kv.Kernels = k
-		if Key(desc, es, kv) != ref {
-			t.Errorf("Kernels %q leaked into the fingerprint", k)
-		}
-	}
-	// Explicit full precision is the default spelled out; it must not fork
-	// identity from the empty string (append-only extension contract).
-	pv := base
-	pv.Precision = core.PrecisionComplex128
-	if Key(desc, es, pv) != ref {
-		t.Error("explicit default Precision changed the fingerprint")
 	}
 }
 

@@ -20,10 +20,9 @@ package hamiltonian
 //     4-wide unrolled scalar code at roughly half the per-element overhead
 //     of the complex128 loops.
 //
-// The kernels are generic over the plane element type: float64 is the
-// production layout, float32 the mixed-precision inner-solve layout
-// (coefficient tables are rounded once at construction, arithmetic then
-// stays in F throughout — see SoATables).
+// The kernels are generic over the plane element type F (soa.Float, i.e.
+// float64): the coefficient tables are converted once at construction and
+// arithmetic then stays in F throughout — see SoATables.
 
 import (
 	"sync"
@@ -83,20 +82,11 @@ func (op *Operator) SoA64() *SoATables[float64] {
 	return op.soa64
 }
 
-// SoA32 returns the float32 coefficient tables (mixed-precision inner
-// solves), built once on first use.
-func (op *Operator) SoA32() *SoATables[float32] {
-	op.soa32Once.Do(func() { op.soa32 = NewSoATables[float32](op) })
-	return op.soa32
-}
-
-// soaCache carries the lazily built per-precision tables; it is embedded in
-// Operator so every solve layer shares one conversion.
+// soaCache carries the lazily built tables; it is embedded in Operator so
+// every solve layer shares one conversion.
 type soaCache struct {
 	soa64     *SoATables[float64]
 	soa64Once sync.Once
-	soa32     *SoATables[float32]
-	soa32Once sync.Once
 }
 
 // checkBlockShape is the shared shape guard of the SoA entry points.
@@ -479,8 +469,8 @@ func accumProjectorSoA[F soa.Float](oRe, oIm []F, idx []int32, val []F, sumsRe, 
 // (assert-guarded `any(x).([]float64)` compiles to a type check, no
 // boxing); the kernels use no FMA and round per lane exactly like the
 // scalar bodies, so the dispatch is bit-neutral. The generic bodies remain
-// the float32 and non-AVX2 paths, 4-wide unrolled to trim loop and
-// bounds-check overhead.
+// the non-AVX2 path, 4-wide unrolled to trim loop and bounds-check
+// overhead.
 
 // scalePair performs dstRe[i] = c*srcRe[i]; dstIm[i] = c*srcIm[i] — the
 // diagonal term's overwrite of both planes.

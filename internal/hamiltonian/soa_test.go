@@ -101,61 +101,15 @@ func TestSoAKernelsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSoAFloat32Close: the float32 tables must agree with float64 to
-// single-precision accuracy (the mixed-precision inner solve depends on the
-// kernels being the same arithmetic at lower precision, not a different
-// algorithm).
-func TestSoAFloat32Close(t *testing.T) {
-	op := alCellDims(t, 10, 6, 10, 4)
-	n := op.N()
-	nb := 8
-	v := randBlock(n, nb, 42)
-	want := make([]complex128, n*nb)
-	op.ApplyShiftedH0Block(0.37, v, want, nb)
-
-	vb := soa.NewBlock[float32](n, nb)
-	ob := soa.NewBlock[float32](n, nb)
-	soa.Pack(vb, v)
-	op.SoA32().ApplyShiftedH0Block(0.37, vb, ob)
-	got := make([]complex128, n*nb)
-	soa.Unpack(got, ob)
-
-	var maxAbs float64
-	for i := range want {
-		if a := cAbs(want[i]); a > maxAbs {
-			maxAbs = a
-		}
-	}
-	for i := range want {
-		if d := cAbs(got[i] - want[i]); d > 1e-5*maxAbs {
-			t.Fatalf("element %d: float32 deviation %g exceeds 1e-5 of block max %g", i, d, maxAbs)
-		}
-	}
-}
-
-func cAbs(z complex128) float64 {
-	re, im := real(z), imag(z)
-	if re < 0 {
-		re = -re
-	}
-	if im < 0 {
-		im = -im
-	}
-	return re + im
-}
-
 // TestSoAApplyZeroAlloc extends the blocked zero-allocation pins to the SoA
-// kernels (both precisions), including widths beyond blockStackCols.
+// kernels, including widths beyond blockStackCols.
 func TestSoAApplyZeroAlloc(t *testing.T) {
 	op := alCellDims(t, 10, 6, 10, 4)
 	n := op.N()
 	for _, nb := range []int{4, blockStackCols + 16} {
 		v64 := soa.NewBlock[float64](n, nb)
 		o64 := soa.NewBlock[float64](n, nb)
-		v32 := soa.NewBlock[float32](n, nb)
-		o32 := soa.NewBlock[float32](n, nb)
 		t64 := op.SoA64()
-		t32 := op.SoA32()
 		kernels := []struct {
 			name string
 			fn   func()
@@ -163,8 +117,6 @@ func TestSoAApplyZeroAlloc(t *testing.T) {
 			{"ApplyShiftedH0Block64", func() { t64.ApplyShiftedH0Block(0.5, v64, o64) }},
 			{"AccumHpBlock64", func() { t64.AccumHpBlock(0.3, -0.2, v64, o64) }},
 			{"AccumHmBlock64", func() { t64.AccumHmBlock(-0.1, 0.4, v64, o64) }},
-			{"ApplyShiftedH0Block32", func() { t32.ApplyShiftedH0Block(0.5, v32, o32) }},
-			{"AccumHpBlock32", func() { t32.AccumHpBlock(0.3, -0.2, v32, o32) }},
 		}
 		for _, k := range kernels {
 			if allocs := testing.AllocsPerRun(5, k.fn); allocs != 0 {

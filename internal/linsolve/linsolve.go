@@ -61,13 +61,6 @@ type Result struct {
 	DualResidual  float64 // final dual relative residual (BiCGDual only)
 	History       []float64
 	MatVecApplied int // number of operator applications (primal + dual)
-
-	// Mixed-precision bookkeeping (BlockBiCGDualMixed only): refinement
-	// steps taken, and whether refinement exhausted its budget without
-	// reaching the target residual (the column then needs full-precision
-	// recovery).
-	RefineSteps  int
-	RefineFailed bool
 }
 
 // defaultMaxIter bounds iterations when Options.MaxIter is zero.

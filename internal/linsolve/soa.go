@@ -13,17 +13,17 @@ type BlockApplySoA[F soa.Float] func(v, out *soa.Block[F])
 // WorkspaceSoA is the split-complex counterpart of Workspace: the Krylov
 // block vectors live as float planes, the per-column recurrence scalars
 // stay complex128 (they are O(nb) bookkeeping, not bandwidth), and a pair
-// of precision-F scalar scratch arrays carries the per-iteration alpha/beta
-// conversions so the plane update kernels never convert in their inner
-// loops. One workspace per worker is reused across all quadrature points;
-// the steady-state solve allocates nothing.
+// of plane-typed scalar scratch arrays carries the per-iteration alpha/beta
+// splits so the plane update kernels never re-box in their inner loops. One
+// workspace per worker is reused across all quadrature points; the
+// steady-state solve allocates nothing.
 type WorkspaceSoA[F soa.Float] struct {
 	n, nb int
 
 	r, rd, p, pd, q, qd *soa.Block[F]
 
 	rho, alpha, beta, dots []complex128
-	alRe, alIm             []F // alpha split per column (exact at F=float64)
+	alRe, alIm             []F // alpha split per column
 	beRe, beIm             []F // beta split per column
 	nrmB, nrmBD, rel, relD []float64
 	nrm2, nrm2d            []float64
@@ -79,20 +79,11 @@ func (w *WorkspaceSoA[F]) Reserve(n, nb int) {
 
 // MemoryBytes reports the workspace's resident bytes.
 func (w *WorkspaceSoA[F]) MemoryBytes() int64 {
-	blocks := w.r.MemoryBytes() * 6
-	var f F
-	fsize := int64(8)
-	if _, ok := any(f).(float32); ok {
-		fsize = 4
-	}
-	return blocks + int64(cap(w.rho))*(4*16+4*fsize+6*8+1)
+	return w.r.MemoryBytes()*6 + int64(cap(w.rho))*(4*16+4*8+6*8+1)
 }
 
-// blockDotsSoA computes dots[c] = <x_c, y_c> on split planes. The products
-// and the accumulation run in float64 regardless of F: at F = float64 this
-// reproduces blockDots bit-for-bit (the sign-flip of the conjugate is
-// exact), and at F = float32 it implements the mixed-precision contract
-// that dot products accumulate in double.
+// blockDotsSoA computes dots[c] = <x_c, y_c> on split planes, reproducing
+// blockDots bit-for-bit (the sign-flip of the conjugate is exact).
 //
 //cbs:hotpath
 func blockDotsSoA[F soa.Float](dots []complex128, x, y *soa.Block[F]) {
@@ -117,8 +108,8 @@ func blockDotsSoA[F soa.Float](dots []complex128, x, y *soa.Block[F]) {
 	}
 }
 
-// blockNormsSoA computes nrm[c] = ||x_c|| on split planes with float64
-// accumulation (bit-identical to blockNorms at F = float64).
+// blockNormsSoA computes nrm[c] = ||x_c|| on split planes (bit-identical
+// to blockNorms).
 //
 //cbs:hotpath
 func blockNormsSoA[F soa.Float](nrm []float64, x *soa.Block[F]) {
@@ -143,11 +134,9 @@ func blockNormsSoA[F soa.Float](nrm []float64, x *soa.Block[F]) {
 
 // BlockBiCGDualSoA is BlockBiCGDual on split-complex planes: the same
 // algorithm, masking, group-stop, chaos-injection and breakdown behaviour,
-// with the block vectors stored as soa.Block planes. At F = float64 every
-// result (solution bits, residuals, iteration counts) is identical to the
-// AoS solver; at F = float32 the recurrence scalars are still derived from
-// float64-accumulated dots, and only the plane arithmetic rounds to single
-// precision. The returned slice aliases ws.results; ws may be nil.
+// with the block vectors stored as soa.Block planes. Every result
+// (solution bits, residuals, iteration counts) is identical to the AoS
+// solver. The returned slice aliases ws.results; ws may be nil.
 func BlockBiCGDualSoA[F soa.Float](a, ad BlockApplySoA[F], b, bd, x, xd *soa.Block[F], opts Options, groups []*GroupStop, ws *WorkspaceSoA[F]) []Result {
 	n, nb := b.N(), b.NB()
 	if nb < 1 {
@@ -337,8 +326,8 @@ func subPlanes[F soa.Float](dst, a, b []F) {
 	}
 }
 
-// splitScalars converts per-column complex scalars to precision-F pairs
-// once per iteration (identity at F = float64).
+// splitScalars splits per-column complex scalars into (re, im) pairs once
+// per iteration.
 func splitScalars[F soa.Float](re, im []F, z []complex128) {
 	for c := range z {
 		re[c] = F(real(z[c]))
@@ -349,8 +338,8 @@ func splitScalars[F soa.Float](re, im []F, z []complex128) {
 // updateSolutionsSoA is the fused alpha-step on split planes. Per element
 // the real/imag update sequence reproduces the complex multiply-accumulate
 // of updateSolutions operation by operation (the conjugate's sign flip is
-// folded algebraically, which is exact), so at F = float64 the iterates
-// are bit-identical. alpha = 0 freezes a column exactly as in the AoS path.
+// folded algebraically, which is exact), so the iterates are
+// bit-identical. alpha = 0 freezes a column exactly as in the AoS path.
 //
 //cbs:hotpath
 func updateSolutionsSoA[F soa.Float](x, xd, r, rd, p, pd, q, qd *soa.Block[F], alRe, alIm []F) {
@@ -399,26 +388,6 @@ func updateDirectionsSoA[F soa.Float](p, pd, r, rd *soa.Block[F], beRe, beIm []F
 			pdr, pdi := pd.Re[j], pd.Im[j]
 			pd.Re[j] = rd.Re[j] + (br*pdr + bi*pdi)
 			pd.Im[j] = rd.Im[j] + (br*pdi - bi*pdr)
-		}
-	}
-}
-
-// residualNormsSoA computes rel[c] = ||(b - A x)_c|| / nrmB[c] given the
-// residual block already formed in r (shared by the mixed-precision
-// refinement loop).
-func residualNormsSoA[F soa.Float](rel []float64, r *soa.Block[F], nrmB []float64) {
-	blockNormsSoA(rel, r)
-	for c := range rel {
-		rel[c] /= nrmB[c]
-	}
-}
-
-// normsFloorOne replaces zero norms by one (the relative-residual guard
-// shared with the AoS path).
-func normsFloorOne(nrm []float64) {
-	for c := range nrm {
-		if nrm[c] == 0 {
-			nrm[c] = 1
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"cbs/internal/chaos"
 	"cbs/internal/soa"
 )
 
@@ -120,105 +119,12 @@ func TestBlockBiCGDualSoAParity(t *testing.T) {
 	}
 }
 
-// TestBlockBiCGDualMixedConverges: the mixed solver must reach the
-// refinement target on a well-conditioned system, beat the float32 noise
-// floor by orders of magnitude, and report its refinement bookkeeping.
-func TestBlockBiCGDualMixedConverges(t *testing.T) {
-	n := 120
-	nb := 4
-	op := newTestOp(n, 5)
-	op32 := &testOp32{op: op}
-	rng := rand.New(rand.NewSource(60))
-	b := soa.NewBlock[float64](n, nb)
-	for i := range b.Re {
-		b.Re[i] = rng.Float64()*2 - 1
-		b.Im[i] = rng.Float64()*2 - 1
-	}
-	x := soa.NewBlock[float64](n, nb)
-	xd := soa.NewBlock[float64](n, nb)
-	opts := Options{Tol: 1e-10, MaxIter: 500}
-	rs := BlockBiCGDualMixed(op.applySoA(false), op.applySoA(true), op32.apply(false), op32.apply(true), b, b, x, xd, opts, nil, nil)
-	for c, r := range rs {
-		if !r.Converged || r.RefineFailed {
-			t.Fatalf("col %d: mixed solve did not converge: %+v", c, r)
-		}
-		if r.Residual > MixedFinalTol || r.DualResidual > MixedFinalTol {
-			t.Fatalf("col %d: residual %g / %g above target %g", c, r.Residual, r.DualResidual, MixedFinalTol)
-		}
-		if r.RefineSteps < 1 {
-			t.Fatalf("col %d: expected at least one refinement step, got %d", c, r.RefineSteps)
-		}
-	}
-}
-
-// TestBlockBiCGDualMixedChaosRefine: a chaos-targeted column must end
-// RefineFailed (its corrections are suppressed) while untargeted columns
-// still converge.
-func TestBlockBiCGDualMixedChaosRefine(t *testing.T) {
-	n := 120
-	nb := 4
-	op := newTestOp(n, 5)
-	op32 := &testOp32{op: op}
-	rng := rand.New(rand.NewSource(61))
-	b := soa.NewBlock[float64](n, nb)
-	for i := range b.Re {
-		b.Re[i] = rng.Float64()*2 - 1
-		b.Im[i] = rng.Float64()*2 - 1
-	}
-	x := soa.NewBlock[float64](n, nb)
-	xd := soa.NewBlock[float64](n, nb)
-	inj := chaos.New(1, chaos.Config{RefineFail: 1, Columns: []int{2}})
-	opts := Options{Tol: 1e-10, MaxIter: 500, Chaos: inj, ChaosSite: chaos.Site{Point: 0, Col: 0}}
-	rs := BlockBiCGDualMixed(op.applySoA(false), op.applySoA(true), op32.apply(false), op32.apply(true), b, b, x, xd, opts, nil, nil)
-	for c, r := range rs {
-		if c == 2 {
-			if !r.RefineFailed || r.Converged {
-				t.Fatalf("col 2: expected RefineFailed under chaos, got %+v", r)
-			}
-			continue
-		}
-		if !r.Converged {
-			t.Fatalf("col %d: untargeted column failed: %+v", c, r)
-		}
-	}
-}
-
-// testOp32 is the float32 instantiation of testOp (same arithmetic rounded
-// to single precision).
-type testOp32 struct{ op *testOp }
-
-func (t *testOp32) apply(dagger bool) BlockApplySoA[float32] {
-	return func(v, out *soa.Block[float32]) {
-		n := len(t.op.dRe)
-		nb := v.NB()
-		c := float32(t.op.c)
-		for i := 0; i < n; i++ {
-			dr := float32(t.op.dRe[i])
-			di := float32(t.op.dIm[i])
-			if dagger {
-				di = -di
-			}
-			ip := (i + 1) % n
-			im := (i - 1 + n) % n
-			for k := 0; k < nb; k++ {
-				j := i*nb + k
-				vr, vi := v.Re[j], v.Im[j]
-				pr := v.Re[ip*nb+k] + v.Re[im*nb+k]
-				pi := v.Im[ip*nb+k] + v.Im[im*nb+k]
-				out.Re[j] = (dr*vr - di*vi) + c*pr
-				out.Im[j] = (dr*vi + di*vr) + c*pi
-			}
-		}
-	}
-}
-
 // TestSoASolverZeroAlloc pins the steady-state zero-allocation contract of
-// the SoA and mixed solvers with preallocated workspaces.
+// the SoA solver with a preallocated workspace.
 func TestSoASolverZeroAlloc(t *testing.T) {
 	n := 64
 	nb := 4
 	op := newTestOp(n, 9)
-	op32 := &testOp32{op: op}
 	b := soa.NewBlock[float64](n, nb)
 	rng := rand.New(rand.NewSource(70))
 	for i := range b.Re {
@@ -228,9 +134,7 @@ func TestSoASolverZeroAlloc(t *testing.T) {
 	x := soa.NewBlock[float64](n, nb)
 	xd := soa.NewBlock[float64](n, nb)
 	a, ad := op.applySoA(false), op.applySoA(true)
-	a32, ad32 := op32.apply(false), op32.apply(true)
 	ws := NewWorkspaceSoA[float64](n, nb)
-	mws := NewMixedWorkspace(n, nb)
 	opts := Options{Tol: 1e-10, MaxIter: 300}
 
 	if allocs := testing.AllocsPerRun(5, func() {
@@ -239,12 +143,5 @@ func TestSoASolverZeroAlloc(t *testing.T) {
 		BlockBiCGDualSoA(a, ad, b, b, x, xd, opts, nil, ws)
 	}); allocs != 0 {
 		t.Errorf("BlockBiCGDualSoA allocates %.0f times per solve, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(5, func() {
-		x.Zero()
-		xd.Zero()
-		BlockBiCGDualMixed(a, ad, a32, ad32, b, b, x, xd, opts, nil, mws)
-	}); allocs != 0 {
-		t.Errorf("BlockBiCGDualMixed allocates %.0f times per solve, want 0", allocs)
 	}
 }

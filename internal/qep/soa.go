@@ -3,10 +3,8 @@ package qep
 // Split-complex (SoA) application of P(z): the planar counterpart of
 // ApplyBlock/ApplyDaggerBlock. The contour coefficients -z and -1/z are the
 // only complex scalars in the operator; they are split into (re, im) pairs
-// at this boundary and everything below runs on float planes. At
-// F = float64 the result is bit-identical to the AoS path; at F = float32
-// the same arithmetic runs in single precision (the mixed-precision inner
-// solve).
+// at this boundary and everything below runs on float planes; the result
+// is bit-identical to the AoS path.
 
 import (
 	"math/cmplx"
@@ -16,7 +14,7 @@ import (
 )
 
 // ApplyBlockSoA computes out = P(z) V on split planes using the operator's
-// precision-F coefficient tables.
+// coefficient tables.
 //
 //cbs:hotpath
 func ApplyBlockSoA[F soa.Float](p *Problem, t *hamiltonian.SoATables[F], z complex128, v, out *soa.Block[F]) {

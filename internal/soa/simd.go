@@ -6,9 +6,7 @@ package soa
 // only buys the fused single-sweep structure and unit-stride streaming; the
 // multiplicative win the planar layout exists for comes from these
 // hand-written AVX2 kernels, dispatched at runtime (HasAVX2) with the
-// scalar bodies below as the portable fallback. The float32 planes of the
-// mixed-precision inner solve stay on the generic scalar path in the
-// callers.
+// scalar bodies below as the portable fallback.
 //
 // Bit-exactness contract: every asm kernel performs, per element, exactly
 // the multiplies and adds of its scalar body in the same order. VMULPD /

@@ -8,17 +8,17 @@
 // same-shape passes over the two planes, which the compiler turns into
 // straight-line float code with half the register pressure per lane.
 //
-// The planes are generic over float64 (the bit-exact production layout) and
-// float32 (the mixed-precision inner-solve layout); pack/unpack shims
-// convert at the []complex128 API boundary only. Kernels elsewhere must not
-// re-box plane elements into complex values inside hot loops and must not
+// The planes hold float64, so plane arithmetic is bit-identical to the
+// interleaved complex128 arithmetic; pack/unpack shims convert at the
+// []complex128 API boundary only. Kernels elsewhere must not re-box plane
+// elements into complex values inside hot loops and must not
 // re-slice the planes independently — both invariants are policed by the
 // soalayout vet analyzer.
 package soa
 
 // Float is the element type of a split-complex plane.
 type Float interface {
-	~float32 | ~float64
+	~float64
 }
 
 // Block is an n x nb split-complex block: Re[i*nb+k] and Im[i*nb+k] hold
@@ -84,12 +84,7 @@ func (b *Block[F]) Zero() {
 
 // MemoryBytes reports the resident bytes of both planes.
 func (b *Block[F]) MemoryBytes() int64 {
-	var f F
-	size := int64(8)
-	if _, ok := any(f).(float32); ok {
-		size = 4
-	}
-	return int64(cap(b.Re)+cap(b.Im)) * size
+	return int64(cap(b.Re)+cap(b.Im)) * 8
 }
 
 // Pack splits a row-major []complex128 block into the planes of dst
@@ -114,35 +109,5 @@ func Unpack[F Float](dst []complex128, src *Block[F]) {
 	re, im := src.Re, src.Im
 	for i := range dst {
 		dst[i] = complex(float64(re[i]), float64(im[i]))
-	}
-}
-
-// Convert copies src into dst element-wise with a float conversion: the
-// demote (float64 -> float32 rounds to nearest) and promote (exact) shims
-// of the mixed-precision refinement loop. Shapes must match.
-func Convert[D, S Float](dst *Block[D], src *Block[S]) {
-	if dst.Len() != src.Len() {
-		panic("soa: Convert length mismatch")
-	}
-	dre, dim := dst.Re, dst.Im
-	sre, sim := src.Re, src.Im
-	for i := range dre {
-		dre[i] = D(sre[i])
-		dim[i] = D(sim[i])
-	}
-}
-
-// AccumConvert accumulates dst += src element-wise with a float conversion:
-// the correction step x += d of iterative refinement, promoting the
-// float32 update into the float64 iterate. Shapes must match.
-func AccumConvert[D, S Float](dst *Block[D], src *Block[S]) {
-	if dst.Len() != src.Len() {
-		panic("soa: AccumConvert length mismatch")
-	}
-	dre, dim := dst.Re, dst.Im
-	sre, sim := src.Re, src.Im
-	for i := range dre {
-		dre[i] += D(sre[i])
-		dim[i] += D(sim[i])
 	}
 }

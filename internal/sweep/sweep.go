@@ -19,14 +19,9 @@
 //   - contour.ErrTooManyDropped: graceful degradation discarded too many
 //     quadrature nodes — retry with doubled Nint so the surviving rule
 //     still resolves the contour.
-//   - linsolve.ErrNoConvergence: the Krylov solves stagnated. Under
-//     Precision "mixed" the first rung is terminal precision escalation —
-//     retry the energy at full complex128 arithmetic (refinement
-//     stagnation is a conditioning property the float32 inner solver
-//     cannot iterate around, and full precision is not a degradation).
-//     Otherwise retry on a looser-then-restored tolerance ladder (BiCGTol
-//     x100 per rung); a success bought with a loosened tolerance is
-//     reported Degraded.
+//   - linsolve.ErrNoConvergence: the Krylov solves stagnated — retry on a
+//     looser-then-restored tolerance ladder (BiCGTol x100 per rung); a
+//     success bought with a loosened tolerance is reported Degraded.
 //   - linsolve.ErrBreakdown surfacing past core's own recovery ladder:
 //     retry with a reseeded probe block (a breakdown is a property of the
 //     Krylov sequence, which the probe seeds).
@@ -442,16 +437,6 @@ func runEnergy(ctx context.Context, solve SolveFunc, i int, e float64, base core
 			er.Escalations = append(er.Escalations, fmt.Sprintf("nint %d->%d (too many dropped)", aopts.Nint, 2*aopts.Nint))
 			aopts.Nint *= 2
 		case errors.Is(err, linsolve.ErrNoConvergence):
-			if aopts.Precision == core.PrecisionMixed {
-				// Terminal precision rung: mixed-precision refinement
-				// stagnated (float32 inner solves cannot represent this
-				// energy's conditioning), so escalate to full complex128
-				// arithmetic before touching the tolerance ladder. Not a
-				// degradation — full precision is strictly more accurate.
-				er.Escalations = append(er.Escalations, "precision mixed->complex128 (no convergence)")
-				aopts.Precision = core.PrecisionComplex128
-				break
-			}
 			er.Escalations = append(er.Escalations, fmt.Sprintf("tol %.1e->%.1e (no convergence)", aopts.BiCGTol, 100*aopts.BiCGTol))
 			aopts.BiCGTol *= 100
 			tolLoosened = true

@@ -104,64 +104,6 @@ func TestSweepToleranceLadder(t *testing.T) {
 	}
 }
 
-// TestSweepPrecisionEscalation: under Precision "mixed",
-// linsolve.ErrNoConvergence must first escalate to full complex128
-// arithmetic — and a success at full precision is a clean OK, not
-// Degraded, because no accuracy was given up. The tolerance ladder only
-// engages if full precision stagnates too.
-func TestSweepPrecisionEscalation(t *testing.T) {
-	base := testOptions()
-	base.Precision = core.PrecisionMixed
-	solve := func(ctx context.Context, e float64, opts core.Options) (*core.Result, error) {
-		if opts.Precision == core.PrecisionMixed {
-			return nil, fmt.Errorf("refinement stagnated: %w", linsolve.ErrNoConvergence)
-		}
-		if opts.BiCGTol != base.BiCGTol {
-			return nil, fmt.Errorf("tolerance was loosened to %g before precision escalation", opts.BiCGTol)
-		}
-		return okResult(e, opts), nil
-	}
-	report, err := Run(context.Background(), solve, testEnergies(1), base, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	er := report.Results[0]
-	if er.Status != StatusOK {
-		t.Errorf("status = %s, want ok (full precision is not a degradation)", er.Status)
-	}
-	if er.Attempts != 2 || len(er.Escalations) != 1 {
-		t.Fatalf("attempts = %d, escalations = %v; want 2 attempts, 1 rung", er.Attempts, er.Escalations)
-	}
-	if er.Escalations[0] != "precision mixed->complex128 (no convergence)" {
-		t.Errorf("escalation = %q", er.Escalations[0])
-	}
-}
-
-// TestSweepPrecisionThenToleranceLadder: when full precision also
-// stagnates, the tolerance ladder takes over on the rungs after the
-// precision escalation, and the result is Degraded as usual.
-func TestSweepPrecisionThenToleranceLadder(t *testing.T) {
-	base := testOptions()
-	base.Precision = core.PrecisionMixed
-	solve := func(ctx context.Context, e float64, opts core.Options) (*core.Result, error) {
-		if opts.Precision == core.PrecisionMixed || opts.BiCGTol <= base.BiCGTol {
-			return nil, fmt.Errorf("stagnated: %w", linsolve.ErrNoConvergence)
-		}
-		return okResult(e, opts), nil
-	}
-	report, err := Run(context.Background(), solve, testEnergies(1), base, Config{MaxAttempts: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	er := report.Results[0]
-	if er.Status != StatusDegraded {
-		t.Errorf("status = %s, want degraded (tolerance was loosened)", er.Status)
-	}
-	if er.Attempts != 3 || len(er.Escalations) != 2 {
-		t.Fatalf("attempts = %d, escalations = %v; want 3 attempts, 2 rungs", er.Attempts, er.Escalations)
-	}
-}
-
 // TestSweepQuadratureEscalation: contour.ErrTooManyDropped must double Nint
 // on the retry; succeeding with more quadrature points is a clean OK (no
 // accuracy was given up).
