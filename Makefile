@@ -1,15 +1,25 @@
 GO ?= go
 CBSCHECK := bin/cbscheck
 
-.PHONY: all build test race lint cbscheck fuzz-smoke chaos-smoke sweep-smoke serve-smoke serve-chaos net-smoke net-chaos negf-smoke bench-smoke
+.PHONY: all build test test-noavx2 race lint cbscheck fuzz-smoke chaos-smoke sweep-smoke serve-smoke serve-chaos net-smoke net-chaos negf-smoke bench-smoke
 
 all: build test
 
 build:
 	$(GO) build ./...
 
-test:
+test: test-noavx2
 	$(GO) test ./...
+
+# test-noavx2 runs the packages on top of the soa asm kernels with the
+# CBS_NO_AVX2 kill switch set, so the scalar arm of every dispatch (the only
+# arm off amd64) passes the same bit-identity and parity tests on an AVX2
+# host. The switch is read at package init, before the test log that keys
+# the result cache sees it, so -count=1 keeps a cached AVX2 run from
+# answering.
+test-noavx2:
+	CBS_NO_AVX2=1 $(GO) test -count=1 ./internal/soa ./internal/hamiltonian ./internal/sparse \
+		./internal/qep ./internal/linsolve ./internal/core
 
 race:
 	$(GO) test -race -short ./...

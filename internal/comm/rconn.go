@@ -15,6 +15,7 @@
 package comm
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -32,12 +33,14 @@ type TCPOptions struct {
 	ConnectTimeout time.Duration
 	// IOTimeout bounds one frame read or write. While a receiver is owed
 	// data, each expiry NAKs the expected sequence (recovering lost data
-	// or lost NAKs) and counts against RetryBudget, so
-	// IOTimeout*RetryBudget is the failure-detection horizon and must
-	// exceed the longest compute gap between messages. An idle link never
-	// counts expiries.
+	// or lost NAKs) and counts against RetryBudget unless the peer
+	// answers: with the owed frames, or with an ack when it has not
+	// produced them yet. IOTimeout*RetryBudget is therefore the horizon
+	// for a link that carries nothing in either direction; a live peer
+	// that is merely silent (computing, or itself waiting on another
+	// link) never exhausts it. An idle link never counts expiries.
 	IOTimeout time.Duration
-	// RetryBudget is the number of consecutive failed recovery steps
+	// RetryBudget is the number of consecutive unanswered recovery steps
 	// (reconnect attempts, read timeouts, corrupt-frame resets) tolerated
 	// while data is owed before the link surfaces a typed failure.
 	RetryBudget int
@@ -105,7 +108,8 @@ type RConn struct {
 	dst  byte
 	inj  *chaos.Injector
 	conn net.Conn
-	gen  int // bumped on every (re)install, so the pump spots replacements
+	br   *bufio.Reader // the pump's reader over conn (see readFrame)
+	gen  int           // bumped on every (re)install, so the pump spots replacements
 
 	closed bool
 	fail   error // sticky typed failure; every call returns it once set
@@ -259,11 +263,18 @@ func (r *RConn) pump() {
 	starve := 0   // consecutive failed steps while data was owed
 	corrupt := 0  // consecutive corrupt-frame resets
 	attempts := 0 // consecutive reconnect attempts (backoff shape)
+	// wake is when the current wait for the peer's next frame gives up (and,
+	// if data is owed, Naks). Only a timeout or a data frame starts a new
+	// wait: were every frame to restart it, a peer that is itself waiting
+	// on us would push our Nak out with each of its own, one IOTimeout
+	// apart, and a frame lost in our direction would never be asked for.
+	var wake time.Time
 	for {
 		if r.closed || r.fail != nil {
 			return
 		}
 		if r.conn == nil {
+			wake = time.Time{}
 			if r.dial == nil && !r.demandLocked() {
 				// Passive and idle: wait for Attach, Close, or a receiver.
 				r.cond.Wait()
@@ -322,10 +333,12 @@ func (r *RConn) pump() {
 			}
 			continue
 		}
-		c, gen := r.conn, r.gen
-		c.SetReadDeadline(time.Now().Add(r.opts.IOTimeout))
+		if wake.IsZero() {
+			wake = time.Now().Add(r.opts.IOTimeout)
+		}
+		c, br, gen := r.conn, r.br, r.gen
 		r.mu.Unlock()
-		f, err := wire.Read(c, r.opts.MaxFrame)
+		f, err := readFrame(c, br, wake, r.opts)
 		r.mu.Lock()
 		if r.closed {
 			return
@@ -349,6 +362,7 @@ func (r *RConn) pump() {
 				c.Close()
 				r.conn = nil
 			case isTimeout(err):
+				wake = time.Time{}
 				if r.demandLocked() {
 					starve++
 					if starve >= r.opts.RetryBudget {
@@ -376,6 +390,7 @@ func (r *RConn) pump() {
 		starve, corrupt, attempts = 0, 0, 0 // any intact frame is progress
 		switch f.Kind {
 		case wire.KindData:
+			wake = time.Time{}
 			switch {
 			case f.Seq < r.recvSeq:
 				// Duplicate of a delivered frame: drop.
@@ -401,7 +416,11 @@ func (r *RConn) pump() {
 				}
 			}
 		case wire.KindNak:
-			if err := r.retransmitLocked(f.Seq); err != nil {
+			if f.Seq >= r.sendSeq {
+				// Nothing owed yet: say so, or the asker would count our
+				// silence as a dead link.
+				r.controlLocked(wire.KindAck, r.sendSeq)
+			} else if err := r.retransmitLocked(f.Seq); err != nil {
 				if errors.Is(err, ErrPeerLost) {
 					r.failLocked(err)
 					return
@@ -414,10 +433,31 @@ func (r *RConn) pump() {
 		case wire.KindLost:
 			r.failLocked(fmt.Errorf("%w: peer %d reports frames lost beyond recovery", ErrPeerLost, r.dst))
 			return
-		case wire.KindHello:
-			// Stale handshake remnant after a reset: ignore.
+		case wire.KindHello, wire.KindAck:
+			// A stale handshake remnant after a reset, or the peer's
+			// "nothing to send yet": the frame itself was the news.
 		}
 	}
+}
+
+// readFrame waits until wake for a frame to start and then reads it whole
+// under a fresh IOTimeout. Only the wait may report a timeout, and it
+// consumes nothing. A deadline firing after part of a frame was consumed
+// would leave the stream mid-frame and the next read would parse a CRC
+// trailer as a length; equal IOTimeouts phase-lock the two pumps, so a Nak
+// sent on one end's expiry lands right on the other's. A stall inside a
+// frame is therefore a broken conn, healed by the reconnect handshake.
+func readFrame(c net.Conn, br *bufio.Reader, wake time.Time, opts TCPOptions) (wire.Frame, error) {
+	c.SetReadDeadline(wake)
+	if _, err := br.Peek(1); err != nil {
+		return wire.Frame{}, err
+	}
+	c.SetReadDeadline(time.Now().Add(opts.IOTimeout))
+	f, err := wire.Read(br, opts.MaxFrame)
+	if isTimeout(err) {
+		err = fmt.Errorf("%w: frame stalled past the read deadline", errConnBroken)
+	}
+	return f, err
 }
 
 // handshakeLocked resynchronizes a fresh dialer-side conn: exchange hellos
@@ -505,6 +545,7 @@ func (r *RConn) installLocked(c net.Conn, peerExpected uint64) error {
 		r.conn.Close()
 	}
 	r.conn = c
+	r.br = bufio.NewReader(c)
 	r.gen++
 	r.held = nil // any holdback belonged to the dead conn
 	r.cond.Broadcast()
@@ -630,11 +671,17 @@ func (r *RConn) rawWriteLocked(f wire.Frame) error {
 // nakLocked asks the peer (best effort) to retransmit from our expected
 // sequence.
 func (r *RConn) nakLocked() {
+	r.controlLocked(wire.KindNak, r.recvSeq)
+}
+
+// controlLocked writes one payload-free link-control frame, best effort: a
+// lost Nak or Ack is re-asked for on the next read timeout.
+func (r *RConn) controlLocked(kind byte, seq uint64) {
 	if r.conn == nil {
 		return
 	}
 	r.conn.SetWriteDeadline(time.Now().Add(r.opts.IOTimeout))
-	wire.Write(r.conn, wire.Frame{Kind: wire.KindNak, Src: r.src, Dst: r.dst, Seq: r.recvSeq})
+	wire.Write(r.conn, wire.Frame{Kind: kind, Src: r.src, Dst: r.dst, Seq: seq})
 }
 
 // retransmitLocked replays the outbox from seq. A request behind the window

@@ -419,6 +419,119 @@ func TestTCPPartitionBudget(t *testing.T) {
 	}
 }
 
+// TestTCPSilentPeerIsNotPartition is the other side of the budget: a peer
+// whose link is up but which has nothing to send yet — it is computing, or
+// itself waiting on a third rank — answers every Nak with an ack, so a
+// receiver may wait on it far past IOTimeout*RetryBudget without the link
+// being declared partitioned.
+func TestTCPSilentPeerIsNotPartition(t *testing.T) {
+	opts := testTCPOptions()
+	opts.IOTimeout = 20 * time.Millisecond
+	opts.RetryBudget = 3
+	w, err := NewTCPWorld(2, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	c0, _ := w.Comm(0)
+	c1, _ := w.Comm(1)
+	// Warm the link so the wait below starts on an installed conn.
+	if err := c1.Send(0, []complex128{1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c0.Recv(1); err != nil {
+		t.Fatal(err)
+	}
+	sent := make(chan error, 1)
+	go func() {
+		time.Sleep(10 * opts.IOTimeout * time.Duration(opts.RetryBudget))
+		sent <- c0.Send(1, []complex128{2})
+	}()
+	got, err := c1.Recv(0)
+	if err != nil {
+		t.Fatalf("recv from a silent but live peer: %v", err)
+	}
+	if len(got) != 1 || got[0] != 2 {
+		t.Fatalf("recv got %v", got)
+	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTCPNakNotStarvedByPeerNaks: two ends wait on each other, the frame one
+// of them is owed was lost, and the other — with the shorter IOTimeout —
+// Naks every expiry for a reply that cannot be produced before the lost
+// frame arrives. Those Naks are link control, not the data the first end
+// waits for: they must not keep restarting its wait, or it never asks for
+// the lost frame and both ends wait forever.
+func TestTCPNakNotStarvedByPeerNaks(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	slow, fast := testTCPOptions(), testTCPOptions()
+	slow.IOTimeout, fast.IOTimeout = 60*time.Millisecond, 20*time.Millisecond
+	owed := AcceptLink(0, 1, slow) // will be owed the lost frame
+	defer owed.Close()
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			_, expected, err := AcceptHello(c, slow.ConnectTimeout, 1<<20)
+			if err != nil {
+				c.Close()
+				continue
+			}
+			owed.Attach(c, expected)
+		}
+	}()
+	asker := DialLink(1, 0, ln.Addr().String(), fast)
+	defer asker.Close()
+
+	// Warm the link, then lose one frame on the wire.
+	if err := asker.Send(ChApp, []byte("warm")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := owed.Recv(ChApp); err != nil {
+		t.Fatal(err)
+	}
+	asker.SetChaos(chaos.New(1, chaos.Config{NetDrop: 1}))
+	if err := asker.Send(ChApp, []byte("lost")); err != nil {
+		t.Fatal(err)
+	}
+	asker.SetChaos(nil)
+
+	done := make(chan error, 2)
+	go func() {
+		if _, err := owed.Recv(ChApp); err != nil {
+			done <- fmt.Errorf("owed end: %w", err)
+			return
+		}
+		done <- owed.Send(ChApp, []byte("reply"))
+	}()
+	go func() {
+		_, err := asker.Recv(ChApp)
+		if err != nil {
+			err = fmt.Errorf("asking end: %w", err)
+		}
+		done <- err
+	}()
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("the lost frame was never asked for: both ends still waiting")
+		}
+	}
+}
+
 // TestTCPGarbageHello: a stranger writing garbage at a rank's listener must
 // not disturb the world — the conn is dropped and real traffic proceeds.
 func TestTCPGarbageHello(t *testing.T) {

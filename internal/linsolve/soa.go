@@ -11,20 +11,23 @@ import (
 type BlockApplySoA[F soa.Float] func(v, out *soa.Block[F])
 
 // WorkspaceSoA is the split-complex counterpart of Workspace: the Krylov
-// block vectors live as float planes, the per-column recurrence scalars
-// stay complex128 (they are O(nb) bookkeeping, not bandwidth), and a pair
-// of plane-typed scalar scratch arrays carries the per-iteration alpha/beta
-// splits so the plane update kernels never re-box in their inner loops. One
-// workspace per worker is reused across all quadrature points; the
-// steady-state solve allocates nothing.
+// block vectors live as float planes and the per-column recurrence scalars
+// stay complex128. Each iteration splits them once into plane-typed
+// per-column coefficient arrays (alpha and beta with their conjugate and
+// negated parts) and lane masks, which is all the soa column-lane kernels
+// need to run the updates with one vector lane per column. One workspace
+// per worker is reused across all quadrature points; the steady-state
+// solve allocates nothing.
 type WorkspaceSoA[F soa.Float] struct {
 	n, nb int
 
 	r, rd, p, pd, q, qd *soa.Block[F]
 
 	rho, alpha, beta, dots []complex128
-	alRe, alIm             []F // alpha split per column
-	beRe, beIm             []F // beta split per column
+	coRe, coIm             []F      // alpha or beta split per column
+	negRe, negIm           []F      // the same parts negated
+	dRe, dIm               []F      // column-dot accumulators
+	live                   []uint64 // lane masks: all-ones = update the column
 	nrmB, nrmBD, rel, relD []float64
 	nrm2, nrm2d            []float64
 	active                 []bool
@@ -62,10 +65,11 @@ func (w *WorkspaceSoA[F]) Reserve(n, nb int) {
 		w.alpha = make([]complex128, nb)
 		w.beta = make([]complex128, nb)
 		w.dots = make([]complex128, nb)
-		w.alRe = make([]F, nb)
-		w.alIm = make([]F, nb)
-		w.beRe = make([]F, nb)
-		w.beIm = make([]F, nb)
+		co := make([]F, 6*nb) // one backing array for the six per-column planes
+		w.coRe, w.coIm = co[0*nb:1*nb:1*nb], co[1*nb:2*nb:2*nb]
+		w.negRe, w.negIm = co[2*nb:3*nb:3*nb], co[3*nb:4*nb:4*nb]
+		w.dRe, w.dIm = co[4*nb:5*nb:5*nb], co[5*nb:6*nb:6*nb]
+		w.live = make([]uint64, nb)
 		w.nrmB = make([]float64, nb)
 		w.nrmBD = make([]float64, nb)
 		w.rel = make([]float64, nb)
@@ -77,58 +81,35 @@ func (w *WorkspaceSoA[F]) Reserve(n, nb int) {
 	}
 }
 
-// MemoryBytes reports the workspace's resident bytes.
+// MemoryBytes reports the workspace's resident bytes: the six Krylov blocks
+// and, per column, four complex scalars, the six coefficient/dot planes, the
+// lane mask, six float64 norms and the active flag.
 func (w *WorkspaceSoA[F]) MemoryBytes() int64 {
-	return w.r.MemoryBytes()*6 + int64(cap(w.rho))*(4*16+4*8+6*8+1)
+	return w.r.MemoryBytes()*6 + int64(cap(w.rho))*(4*16+6*8+8+6*8+1)
 }
 
 // blockDotsSoA computes dots[c] = <x_c, y_c> on split planes, reproducing
 // blockDots bit-for-bit (the sign-flip of the conjugate is exact).
 //
 //cbs:hotpath
-func blockDotsSoA[F soa.Float](dots []complex128, x, y *soa.Block[F]) {
+func (w *WorkspaceSoA[F]) blockDotsSoA(dots []complex128, x, y *soa.Block[F]) {
+	dRe, dIm := w.dRe[:w.nb], w.dIm[:w.nb]
+	soa.DotCols(dRe, dIm, x, y)
 	for c := range dots {
-		dots[c] = 0
-	}
-	nb := x.NB()
-	n := x.N()
-	for i := 0; i < n; i++ {
-		o := i * nb
-		xr := x.Re[o : o+nb]
-		xi := x.Im[o:][:nb]
-		yr := y.Re[o:][:nb]
-		yi := y.Im[o:][:nb]
-		for c := range dots {
-			ar, ai := float64(xr[c]), float64(xi[c])
-			br, bi := float64(yr[c]), float64(yi[c])
-			re := ar*br + ai*bi
-			im := ar*bi - ai*br
-			dots[c] += complex(re, im)
-		}
+		dots[c] = complex(float64(dRe[c]), float64(dIm[c]))
 	}
 }
 
 // blockNormsSoA computes nrm[c] = ||x_c|| on split planes (bit-identical
-// to blockNorms).
+// to blockNorms): the real part of <x_c, x_c> is the same row-ordered sum
+// of re*re + im*im.
 //
 //cbs:hotpath
-func blockNormsSoA[F soa.Float](nrm []float64, x *soa.Block[F]) {
+func (w *WorkspaceSoA[F]) blockNormsSoA(nrm []float64, x *soa.Block[F]) {
+	dRe, dIm := w.dRe[:w.nb], w.dIm[:w.nb]
+	soa.DotCols(dRe, dIm, x, x)
 	for c := range nrm {
-		nrm[c] = 0
-	}
-	nb := x.NB()
-	n := x.N()
-	for i := 0; i < n; i++ {
-		o := i * nb
-		xr := x.Re[o : o+nb]
-		xi := x.Im[o:][:nb]
-		for c := range nrm {
-			re, im := float64(xr[c]), float64(xi[c])
-			nrm[c] += re*re + im*im
-		}
-	}
-	for c := range nrm {
-		nrm[c] = math.Sqrt(nrm[c])
+		nrm[c] = math.Sqrt(float64(dRe[c]))
 	}
 }
 
@@ -161,8 +142,6 @@ func BlockBiCGDualSoA[F soa.Float](a, ad BlockApplySoA[F], b, bd, x, xd *soa.Blo
 	p, pd := ws.p, ws.pd
 	q, qd := ws.q, ws.qd
 	rho, alpha, beta, dots := ws.rho[:nb], ws.alpha[:nb], ws.beta[:nb], ws.dots[:nb]
-	alRe, alIm := ws.alRe[:nb], ws.alIm[:nb]
-	beRe, beIm := ws.beRe[:nb], ws.beIm[:nb]
 	nrmB, nrmBD := ws.nrmB[:nb], ws.nrmBD[:nb]
 	rel, relD := ws.rel[:nb], ws.relD[:nb]
 	nrm2, nrm2d := ws.nrm2[:nb], ws.nrm2d[:nb]
@@ -192,8 +171,8 @@ func BlockBiCGDualSoA[F soa.Float](a, ad BlockApplySoA[F], b, bd, x, xd *soa.Blo
 	copy(pd.Re, rd.Re)
 	copy(pd.Im, rd.Im)
 
-	blockNormsSoA(nrmB, b)
-	blockNormsSoA(nrmBD, bd)
+	ws.blockNormsSoA(nrmB, b)
+	ws.blockNormsSoA(nrmBD, bd)
 	for c := range nrmB {
 		if nrmB[c] == 0 {
 			nrmB[c] = 1
@@ -202,7 +181,7 @@ func BlockBiCGDualSoA[F soa.Float](a, ad BlockApplySoA[F], b, bd, x, xd *soa.Blo
 			nrmBD[c] = 1
 		}
 	}
-	blockDotsSoA(rho, rd, r)
+	ws.blockDotsSoA(rho, rd, r)
 	if opts.Chaos != nil {
 		// Injected per-column Lanczos breakdowns (deterministic per
 		// (point, column, attempt) site; see internal/chaos).
@@ -215,8 +194,8 @@ func BlockBiCGDualSoA[F soa.Float](a, ad BlockApplySoA[F], b, bd, x, xd *soa.Blo
 			}
 		}
 	}
-	blockNormsSoA(rel, r)
-	blockNormsSoA(relD, rd)
+	ws.blockNormsSoA(rel, r)
+	ws.blockNormsSoA(relD, rd)
 	for c := range rel {
 		rel[c] /= nrmB[c]
 		relD[c] /= nrmBD[c]
@@ -257,7 +236,7 @@ func BlockBiCGDualSoA[F soa.Float](a, ad BlockApplySoA[F], b, bd, x, xd *soa.Blo
 		}
 		a(p, q)
 		ad(pd, qd)
-		blockDotsSoA(dots, pd, q)
+		ws.blockDotsSoA(dots, pd, q)
 		for c := 0; c < nb; c++ {
 			alpha[c] = 0
 			if !active[c] {
@@ -275,9 +254,8 @@ func BlockBiCGDualSoA[F soa.Float](a, ad BlockApplySoA[F], b, bd, x, xd *soa.Blo
 		if remaining == 0 {
 			break
 		}
-		splitScalars(alRe, alIm, alpha)
-		updateSolutionsSoA(x, xd, r, rd, p, pd, q, qd, alRe, alIm)
-		blockDotsSoA(dots, rd, r)
+		ws.updateSolutionsSoA(x, xd, alpha)
+		ws.blockDotsSoA(dots, rd, r)
 		for c := 0; c < nb; c++ {
 			beta[c] = 0
 			if !active[c] {
@@ -286,10 +264,9 @@ func BlockBiCGDualSoA[F soa.Float](a, ad BlockApplySoA[F], b, bd, x, xd *soa.Blo
 			beta[c] = dots[c] / rho[c]
 			rho[c] = dots[c]
 		}
-		splitScalars(beRe, beIm, beta)
-		updateDirectionsSoA(p, pd, r, rd, beRe, beIm, active)
-		blockNormsSoA(nrm2, r)
-		blockNormsSoA(nrm2d, rd)
+		ws.updateDirectionsSoA(beta, active)
+		ws.blockNormsSoA(nrm2, r)
+		ws.blockNormsSoA(nrm2d, rd)
 		for c := 0; c < nb; c++ {
 			if !active[c] {
 				continue
@@ -326,68 +303,60 @@ func subPlanes[F soa.Float](dst, a, b []F) {
 	}
 }
 
-// splitScalars splits per-column complex scalars into (re, im) pairs once
-// per iteration.
-func splitScalars[F soa.Float](re, im []F, z []complex128) {
-	for c := range z {
-		re[c] = F(real(z[c]))
-		im[c] = F(imag(z[c]))
-	}
-}
-
-// updateSolutionsSoA is the fused alpha-step on split planes. Per element
-// the real/imag update sequence reproduces the complex multiply-accumulate
-// of updateSolutions operation by operation (the conjugate's sign flip is
-// folded algebraically, which is exact), so the iterates are
-// bit-identical. alpha = 0 freezes a column exactly as in the AoS path.
+// splitCoefs splits the per-column scalars z into the workspace's (re, im)
+// coefficient arrays and their negations, once per update step.
 //
 //cbs:hotpath
-func updateSolutionsSoA[F soa.Float](x, xd, r, rd, p, pd, q, qd *soa.Block[F], alRe, alIm []F) {
-	n, nb := x.N(), x.NB()
-	for i := 0; i < n; i++ {
-		o := i * nb
-		for c := range alRe {
-			ar, ai := alRe[c], alIm[c]
-			if ar == 0 && ai == 0 {
-				continue
-			}
-			j := o + c
-			pr, pi := p.Re[j], p.Im[j]
-			x.Re[j] += ar*pr - ai*pi
-			x.Im[j] += ar*pi + ai*pr
-			pdr, pdi := pd.Re[j], pd.Im[j]
-			xd.Re[j] += ar*pdr + ai*pdi
-			xd.Im[j] += ar*pdi - ai*pdr
-			qr, qi := q.Re[j], q.Im[j]
-			r.Re[j] -= ar*qr - ai*qi
-			r.Im[j] -= ar*qi + ai*qr
-			qdr, qdi := qd.Re[j], qd.Im[j]
-			rd.Re[j] -= ar*qdr + ai*qdi
-			rd.Im[j] -= ar*qdi - ai*qdr
-		}
+func (w *WorkspaceSoA[F]) splitCoefs(z []complex128) (re, im, negRe, negIm []F, live []uint64) {
+	nb := len(z)
+	re, im, negRe, negIm = w.coRe[:nb], w.coIm[:nb], w.negRe[:nb], w.negIm[:nb]
+	for c, v := range z {
+		re[c], im[c] = F(real(v)), F(imag(v))
+		negRe[c], negIm[c] = -re[c], -im[c]
 	}
+	return re, im, negRe, negIm, w.live[:nb]
 }
 
-// updateDirectionsSoA is the fused beta-step on split planes: p = r + beta*p
-// and its dual with conj(beta), skipping frozen columns.
+// lane is one column's mask for the soa column-lane kernels: all-ones
+// updates the column, zero leaves it bit-unchanged.
 //
 //cbs:hotpath
-func updateDirectionsSoA[F soa.Float](p, pd, r, rd *soa.Block[F], beRe, beIm []F, active []bool) {
-	n, nb := p.N(), p.NB()
-	for i := 0; i < n; i++ {
-		o := i * nb
-		for c := range beRe {
-			if !active[c] {
-				continue
-			}
-			br, bi := beRe[c], beIm[c]
-			j := o + c
-			pr, pi := p.Re[j], p.Im[j]
-			p.Re[j] = r.Re[j] + (br*pr - bi*pi)
-			p.Im[j] = r.Im[j] + (br*pi + bi*pr)
-			pdr, pdi := pd.Re[j], pd.Im[j]
-			pd.Re[j] = rd.Re[j] + (br*pdr + bi*pdi)
-			pd.Im[j] = rd.Im[j] + (br*pdi - bi*pdr)
-		}
+func lane(on bool) uint64 {
+	if on {
+		return ^uint64(0)
 	}
+	return 0
+}
+
+// updateSolutionsSoA is the alpha-step on split planes: x += alpha*p,
+// xd += conj(alpha)*pd, r -= alpha*q, rd -= conj(alpha)*qd, each one masked
+// column-lane pass with the conjugation and the subtraction folded into the
+// coefficient's signs (exact; see the soa column-lane kernels). Per element
+// the multiplies and adds are those of updateSolutions in the same order,
+// so the iterates are bit-identical. alpha = 0 freezes a column exactly as
+// in the AoS path: its lane is masked off and nothing is stored to it.
+//
+//cbs:hotpath
+func (w *WorkspaceSoA[F]) updateSolutionsSoA(x, xd *soa.Block[F], alpha []complex128) {
+	re, im, negRe, negIm, live := w.splitCoefs(alpha)
+	for c, al := range alpha {
+		live[c] = lane(al != 0)
+	}
+	soa.AxpyCols(x, w.p, re, im, live)
+	soa.AxpyCols(xd, w.pd, re, negIm, live)
+	soa.AxpyCols(w.r, w.q, negRe, negIm, live)
+	soa.AxpyCols(w.rd, w.qd, negRe, im, live)
+}
+
+// updateDirectionsSoA is the beta-step on split planes: p = r + beta*p and
+// its dual with conj(beta), frozen columns masked off.
+//
+//cbs:hotpath
+func (w *WorkspaceSoA[F]) updateDirectionsSoA(beta []complex128, active []bool) {
+	re, im, _, negIm, live := w.splitCoefs(beta)
+	for c, on := range active {
+		live[c] = lane(on)
+	}
+	soa.XpayCols(w.p, w.r, re, im, live)
+	soa.XpayCols(w.pd, w.rd, re, negIm, live)
 }

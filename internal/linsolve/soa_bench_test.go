@@ -1,0 +1,61 @@
+package linsolve
+
+import (
+	"fmt"
+	"testing"
+
+	"cbs/internal/contour"
+	"cbs/internal/hamiltonian"
+	"cbs/internal/lattice"
+	"cbs/internal/qep"
+	"cbs/internal/soa"
+)
+
+// BenchmarkBlockBiCGDualSoA is the layer benchmark behind the harness's
+// linsolve.ns_per_iter_col: one blocked dual solve of P(z) X = V on the
+// Al(100) 10x10x10 FD operator (n = 1000) at the first outer quadrature
+// point of the paper's ring, at the sweep's block width (4) and the paper's
+// (16), reusing one workspace. ns/iter-col is wall time per Krylov
+// iteration per column; CBS_NO_AVX2=1 times the scalar arm.
+func BenchmarkBlockBiCGDualSoA(b *testing.B) {
+	st, err := lattice.AlBulk100(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	op, err := hamiltonian.Build(st, hamiltonian.Config{Nx: 10, Ny: 10, Nz: 10, Nf: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const eAl = 0.14051708327506812 // Fermi level of this grid (bench/testdata/refs.json)
+	ring, err := contour.NewRing(0.5, 32)
+	if err != nil {
+		b.Fatal(err)
+	}
+	z := ring.Outer[0].Z
+	p, t := qep.New(op, eAl), op.SoA64()
+	apply := func(v, out *soa.Block[float64]) { qep.ApplyBlockSoA(p, t, z, v, out) }
+	applyD := func(v, out *soa.Block[float64]) { qep.ApplyDaggerBlockSoA(p, t, z, v, out) }
+	n := op.N()
+	for _, nb := range []int{4, 16} {
+		b.Run(fmt.Sprintf("nb=%d", nb), func(b *testing.B) {
+			v := randomSoABlock(n, nb, 1)
+			x, xd := soa.NewBlock[float64](n, nb), soa.NewBlock[float64](n, nb)
+			ws := NewWorkspaceSoA[float64](n, nb)
+			opts := Options{Tol: 1e-10}
+			iterCols := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				x.Zero()
+				xd.Zero()
+				for _, r := range BlockBiCGDualSoA(apply, applyD, v, v, x, xd, opts, nil, ws) {
+					if !r.Converged {
+						b.Fatalf("column did not converge: %+v", r)
+					}
+					iterCols += r.Iterations
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(iterCols), "ns/iter-col")
+		})
+	}
+}

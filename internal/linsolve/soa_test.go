@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"cbs/internal/chaos"
 	"cbs/internal/soa"
 )
 
@@ -70,41 +71,81 @@ func (t *testOp) applySoA(dagger bool) BlockApplySoA[float64] {
 	}
 }
 
-// TestBlockBiCGDualSoAParity: at float64 the SoA solver must reproduce the
-// AoS solver bit-for-bit — solutions, residuals, iteration counts and
-// convergence flags.
+// TestBlockBiCGDualSoAParity: the SoA solver on the column-lane kernels must
+// reproduce the AoS solver by exact equality — solutions, residuals,
+// iteration and matvec counts, flags, history — on every block width the
+// kernels distinguish (whole vectors, scalar-lane tails, both) and random
+// n, with one column broken down by the chaos injector at the start (frozen
+// at its initial guess) and one stopped mid-solve by its group's majority
+// (frozen with live data) while the rest run to convergence.
 func TestBlockBiCGDualSoAParity(t *testing.T) {
-	n := 120
-	op := newTestOp(n, 3)
-	for _, nb := range []int{1, 4, 7} {
+	sizes := rand.New(rand.NewSource(5))
+	for _, nb := range []int{1, 2, 3, 4, 5, 7, 8, 16, 17} {
+		n := 20 + sizes.Intn(180)
+		op := newTestOp(n, int64(3+nb))
 		rng := rand.New(rand.NewSource(int64(50 + nb)))
 		b := make([]complex128, n*nb)
 		for i := range b {
 			b[i] = complex(rng.Float64()*2-1, rng.Float64()*2-1)
 		}
+		opts := Options{Tol: 1e-12, LooseTol: 1e-4, MaxIter: 500, History: true}
+		broken, stopped := -1, -1
+		if nb >= 2 {
+			broken = nb - 1
+			opts.Chaos = chaos.New(1, chaos.Config{Breakdown: 1, Columns: []int{broken}})
+		}
+		if nb >= 3 {
+			stopped = 1
+		}
+		// Each solver gets its own group controllers: they count.
+		newGroups := func() []*GroupStop {
+			groups := make([]*GroupStop, nb)
+			for c := range groups {
+				groups[c] = NewGroupStop(4, true)
+			}
+			if stopped >= 0 {
+				for k := 0; k < 3; k++ {
+					groups[stopped].MarkConverged()
+				}
+			}
+			return groups
+		}
+
 		x := make([]complex128, n*nb)
 		xd := make([]complex128, n*nb)
-		opts := Options{Tol: 1e-12, MaxIter: 500, History: true}
-		rs := BlockBiCGDual(op.applyAoS(false), op.applyAoS(true), b, b, x, xd, nb, opts, nil, nil)
+		rs := BlockBiCGDual(op.applyAoS(false), op.applyAoS(true), b, b, x, xd, nb, opts, newGroups(), nil)
 
 		bb := soa.NewBlock[float64](n, nb)
 		soa.Pack(bb, b)
 		xs := soa.NewBlock[float64](n, nb)
 		xds := soa.NewBlock[float64](n, nb)
-		srs := BlockBiCGDualSoA(op.applySoA(false), op.applySoA(true), bb, bb, xs, xds, opts, nil, nil)
+		srs := BlockBiCGDualSoA(op.applySoA(false), op.applySoA(true), bb, bb, xs, xds, opts, newGroups(), nil)
 
 		for c := range rs {
-			if rs[c].Iterations != srs[c].Iterations || rs[c].Converged != srs[c].Converged ||
-				rs[c].Residual != srs[c].Residual || rs[c].DualResidual != srs[c].DualResidual {
-				t.Fatalf("nb=%d col %d: result mismatch: aos %+v, soa %+v", nb, c, rs[c], srs[c])
+			want, got := rs[c], srs[c]
+			if c == broken && !(got.Breakdown && got.Iterations == 0) {
+				t.Errorf("nb=%d: column %d did not break down at the start: %+v", nb, c, got)
 			}
-		}
-		if len(rs[0].History) != len(srs[0].History) {
-			t.Fatalf("nb=%d: history length mismatch %d vs %d", nb, len(rs[0].History), len(srs[0].History))
-		}
-		for i := range rs[0].History {
-			if rs[0].History[i] != srs[0].History[i] {
-				t.Fatalf("nb=%d: history[%d] differs: %g vs %g", nb, i, rs[0].History[i], srs[0].History[i])
+			if c == stopped && !(got.StoppedEarly && got.Iterations > 0) {
+				t.Errorf("nb=%d: column %d was not group-stopped mid-solve: %+v", nb, c, got)
+			}
+			if c != broken && c != stopped && !got.Converged {
+				t.Errorf("nb=%d: column %d did not converge: %+v", nb, c, got)
+			}
+			wh, gh := want.History, got.History
+			want.History, got.History = nil, nil
+			if want.Iterations != got.Iterations || want.MatVecApplied != got.MatVecApplied ||
+				want.Converged != got.Converged || want.StoppedEarly != got.StoppedEarly || want.Breakdown != got.Breakdown ||
+				want.Residual != got.Residual || want.DualResidual != got.DualResidual {
+				t.Fatalf("nb=%d n=%d col %d: result mismatch: aos %+v, soa %+v", nb, n, c, want, got)
+			}
+			if len(wh) != len(gh) {
+				t.Fatalf("nb=%d: history length mismatch %d vs %d", nb, len(wh), len(gh))
+			}
+			for i := range wh {
+				if wh[i] != gh[i] {
+					t.Fatalf("nb=%d: history[%d] differs: %g vs %g", nb, i, wh[i], gh[i])
+				}
 			}
 		}
 		gx := make([]complex128, n*nb)
@@ -113,35 +154,59 @@ func TestBlockBiCGDualSoAParity(t *testing.T) {
 		soa.Unpack(gxd, xds)
 		for i := range x {
 			if x[i] != gx[i] || xd[i] != gxd[i] {
-				t.Fatalf("nb=%d: solution element %d differs: aos (%v,%v), soa (%v,%v)", nb, i, x[i], xd[i], gx[i], gxd[i])
+				t.Fatalf("nb=%d n=%d: solution element %d differs: aos (%v,%v), soa (%v,%v)", nb, n, i, x[i], xd[i], gx[i], gxd[i])
 			}
 		}
 	}
 }
 
 // TestSoASolverZeroAlloc pins the steady-state zero-allocation contract of
-// the SoA solver with a preallocated workspace.
+// the SoA solver with a reused workspace, on a whole-vector width and on
+// one with a scalar-lane tail.
 func TestSoASolverZeroAlloc(t *testing.T) {
-	n := 64
-	nb := 4
-	op := newTestOp(n, 9)
+	for _, nb := range []int{4, 7} {
+		n := 64
+		op := newTestOp(n, 9)
+		b := randomSoABlock(n, nb, 70)
+		x := soa.NewBlock[float64](n, nb)
+		xd := soa.NewBlock[float64](n, nb)
+		a, ad := op.applySoA(false), op.applySoA(true)
+		ws := NewWorkspaceSoA[float64](n, nb)
+		opts := Options{Tol: 1e-10, MaxIter: 300}
+
+		if allocs := testing.AllocsPerRun(5, func() {
+			x.Zero()
+			xd.Zero()
+			BlockBiCGDualSoA(a, ad, b, b, x, xd, opts, nil, ws)
+		}); allocs != 0 {
+			t.Errorf("nb=%d: BlockBiCGDualSoA allocates %.0f times per solve, want 0", nb, allocs)
+		}
+	}
+}
+
+func randomSoABlock(n, nb int, seed int64) *soa.Block[float64] {
 	b := soa.NewBlock[float64](n, nb)
-	rng := rand.New(rand.NewSource(70))
+	rng := rand.New(rand.NewSource(seed))
 	for i := range b.Re {
 		b.Re[i] = rng.Float64()*2 - 1
 		b.Im[i] = rng.Float64()*2 - 1
 	}
-	x := soa.NewBlock[float64](n, nb)
-	xd := soa.NewBlock[float64](n, nb)
-	a, ad := op.applySoA(false), op.applySoA(true)
-	ws := NewWorkspaceSoA[float64](n, nb)
-	opts := Options{Tol: 1e-10, MaxIter: 300}
+	return b
+}
 
-	if allocs := testing.AllocsPerRun(5, func() {
-		x.Zero()
-		xd.Zero()
-		BlockBiCGDualSoA(a, ad, b, b, x, xd, opts, nil, ws)
-	}); allocs != 0 {
-		t.Errorf("BlockBiCGDualSoA allocates %.0f times per solve, want 0", allocs)
+// TestWorkspaceSoAMemoryBytes: the reported size is the sum of what Reserve
+// allocates, the per-column coefficient, dot and lane-mask scratch included.
+func TestWorkspaceSoAMemoryBytes(t *testing.T) {
+	w := NewWorkspaceSoA[float64](10, 5)
+	want := int64(0)
+	for _, b := range []*soa.Block[float64]{w.r, w.rd, w.p, w.pd, w.q, w.qd} {
+		want += b.MemoryBytes()
+	}
+	want += int64(cap(w.rho)+cap(w.alpha)+cap(w.beta)+cap(w.dots)) * 16
+	want += int64(cap(w.coRe)+cap(w.coIm)+cap(w.negRe)+cap(w.negIm)+cap(w.dRe)+cap(w.dIm)+cap(w.live)) * 8
+	want += int64(cap(w.nrmB)+cap(w.nrmBD)+cap(w.rel)+cap(w.relD)+cap(w.nrm2)+cap(w.nrm2d)) * 8
+	want += int64(cap(w.active))
+	if got := w.MemoryBytes(); got != want {
+		t.Errorf("MemoryBytes = %d, allocated buffers sum to %d", got, want)
 	}
 }

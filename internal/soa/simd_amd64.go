@@ -66,3 +66,15 @@ func fusePair4AVX2(dst, p1, m1, p2, m2, p3, m3, p4, m4 []float64, c1, c2, c3, c4
 //cbs:hotpath
 //go:noescape
 func fuseSingle8AVX2(dst, s1, s2, s3, s4, s5, s6, s7, s8 []float64, c1, c2, c3, c4 float64)
+
+//cbs:hotpath
+//go:noescape
+func axpyColsAVX2(dstRe, dstIm, srcRe, srcIm, aRe, aIm []float64, mask []uint64)
+
+//cbs:hotpath
+//go:noescape
+func xpayColsAVX2(pRe, pIm, rRe, rIm, bRe, bIm []float64, mask []uint64)
+
+//cbs:hotpath
+//go:noescape
+func dotColsAVX2(dRe, dIm, xRe, xIm, yRe, yIm []float64)

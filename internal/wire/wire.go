@@ -42,6 +42,11 @@ const (
 	// KindLost answers a Nak for a sequence the outbox no longer holds:
 	// the link cannot be healed and both ends must surface ErrPeerLost.
 	KindLost byte = 4
+	// KindAck answers a Nak for a sequence the sender has not produced
+	// yet: there is nothing to retransmit, and Frame.Seq (the sender's
+	// next send sequence) says so. It carries no data; any intact frame
+	// proves the link alive, which is all the asker needs to know.
+	KindAck byte = 5
 )
 
 const (

@@ -16,6 +16,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		{Kind: KindData, Src: 0, Dst: 255, Seq: 1, Payload: []byte("halo slab")},
 		{Kind: KindNak, Src: 7, Dst: 7, Seq: math.MaxUint64, Payload: []byte{0}},
 		{Kind: KindLost, Src: 255, Dst: 0, Seq: 1 << 40, Payload: bytes.Repeat([]byte{0xAB}, 4096)},
+		{Kind: KindAck, Src: 2, Dst: 1, Seq: 12, Payload: nil},
 	}
 	var buf bytes.Buffer
 	for _, f := range frames {
