@@ -1,12 +1,19 @@
 GO ?= go
 CBSCHECK := bin/cbscheck
 
-.PHONY: all build test test-noavx2 race lint cbscheck fuzz-smoke chaos-smoke sweep-smoke serve-smoke serve-chaos net-smoke net-chaos negf-smoke bench-smoke
+.PHONY: all build loc test test-noavx2 race lint cbscheck fuzz-smoke chaos-smoke sweep-smoke serve-smoke serve-chaos net-smoke net-chaos negf-smoke bench-smoke
 
 all: build test
 
 build:
 	$(GO) build ./...
+
+# loc prints the non-test Go lines of every package outside bench/ and their
+# total: the table a simplicity PR reports before and after.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' \
+		-exec wc -l {} + | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%6d %s\n", n[d], d; printf "%6d total\n", t }' | sort -k2
 
 test: test-noavx2
 	$(GO) test ./...
@@ -18,7 +25,7 @@ test: test-noavx2
 # the result cache sees it, so -count=1 keeps a cached AVX2 run from
 # answering.
 test-noavx2:
-	CBS_NO_AVX2=1 $(GO) test -count=1 ./internal/soa ./internal/hamiltonian ./internal/sparse \
+	CBS_NO_AVX2=1 $(GO) test -count=1 ./internal/soa ./internal/hamiltonian \
 		./internal/qep ./internal/linsolve ./internal/core
 
 race:

@@ -87,8 +87,6 @@ type (
 	// SweepStatus is the typed per-energy status (OK, Degraded, Failed,
 	// Skipped).
 	SweepStatus = sweep.Status
-	// ScanError wraps a scan failure with the offending energy.
-	ScanError = core.ScanError
 	// FleetCoordinatorConfig tunes the coordinator end of a distributed
 	// multi-process sweep: listen address, worker admission, failure
 	// detection, and the checkpoint journal (see internal/fleet).
@@ -289,23 +287,6 @@ func (m *Model) SolveCBSContext(ctx context.Context, e float64, opts Options) (*
 	return core.SolveContext(ctx, qep.NewBackend(m.B, e), opts)
 }
 
-// ScanCBS runs SolveCBS over a list of energies (hartree). On failure the
-// completed prefix is returned alongside a *ScanError naming the offending
-// energy — callers should surface the partial results, not discard them.
-// For restartable production sweeps use SweepCBS instead.
-func (m *Model) ScanCBS(es []float64, opts Options) ([]*Result, error) {
-	return core.EnergyScan(qep.NewBackend(m.B, 0), es, opts)
-}
-
-// ScanCBSParallel runs the energy scan with concurrent energies -- the
-// outermost trivially-parallel level of the paper's application section.
-// The first failure cancels the remaining queued and in-flight energies;
-// completed results come back alongside the *ScanError (nil holes for
-// energies that never finished).
-func (m *Model) ScanCBSParallel(es []float64, opts Options, workers int) ([]*Result, error) {
-	return core.EnergyScanParallel(qep.NewBackend(m.B, 0), es, opts, workers)
-}
-
 // OperatorDesc identifies this model's operator for the sweep journal
 // fingerprint: for FD-grid models the structure, grid and cell length; for
 // other backends their Descriptor. Backends keep descriptor namespaces
@@ -341,10 +322,7 @@ func (m *Model) SweepCBS(ctx context.Context, es []float64, opts Options, cfg Sw
 	if cfg.OperatorDesc == "" {
 		cfg.OperatorDesc = m.OperatorDesc()
 	}
-	solve := func(ctx context.Context, e float64, o Options) (*Result, error) {
-		return core.SolveContext(ctx, qep.NewBackend(m.B, e), o)
-	}
-	return sweep.Run(ctx, solve, es, opts, cfg)
+	return sweep.Run(ctx, m.SolveCBSContext, es, opts, cfg)
 }
 
 // CoordinateFleet runs a durable sweep across OS processes: it listens on
@@ -370,10 +348,7 @@ func (m *Model) ServeFleet(ctx context.Context, cfg FleetWorkerConfig) error {
 	if cfg.OperatorDesc == "" {
 		cfg.OperatorDesc = m.OperatorDesc()
 	}
-	solve := func(ctx context.Context, e float64, o Options) (*Result, error) {
-		return core.SolveContext(ctx, qep.NewBackend(m.B, e), o)
-	}
-	return fleet.Work(ctx, solve, cfg)
+	return fleet.Work(ctx, m.SolveCBSContext, cfg)
 }
 
 // SolveOBM runs the transfer-matrix baseline at energy e (hartree).
@@ -443,10 +418,7 @@ func (m *Model) TransportCBS(ctx context.Context, spec TransportSpec, opts Optio
 	if cfg.OperatorDesc == "" {
 		cfg.OperatorDesc = m.OperatorDesc()
 	}
-	solve := func(ctx context.Context, e float64, o Options) (*Result, error) {
-		return core.SolveContext(ctx, qep.NewBackend(m.B, e), o)
-	}
-	return negf.TransmissionSweep(ctx, m.B, solve, spec, opts, cfg)
+	return negf.TransmissionSweep(ctx, m.B, m.SolveCBSContext, spec, opts, cfg)
 }
 
 // TransportFingerprint is the identity key of a transport run: the sweep

@@ -63,28 +63,6 @@ func TestPublicAPIPipeline(t *testing.T) {
 	}
 }
 
-func TestPublicAPIScan(t *testing.T) {
-	st, err := cbs.AlBulk100(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model, err := cbs.NewModel(st, cbs.GridConfig{Nx: 6, Ny: 6, Nz: 8, Nf: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := cbs.DefaultOptions()
-	opts.Nint = 4
-	opts.Nmm = 2
-	opts.Nrh = 4
-	rs, err := model.ScanCBS([]float64{0.0, 0.2}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) != 2 || rs[0].Energy != 0.0 || rs[1].Energy != 0.2 {
-		t.Fatalf("scan results wrong: %d", len(rs))
-	}
-}
-
 func TestPublicAPIStructures(t *testing.T) {
 	tube, err := cbs.CNT(8, 0, 6)
 	if err != nil {

@@ -34,27 +34,12 @@ import (
 
 	"cbs"
 	"cbs/internal/chaos"
+	"cbs/internal/modelflags"
 	"cbs/internal/units"
 )
 
 func main() {
-	sys := flag.String("system", "al", "system: al | cnt | bundle7 | crystalline | bncnt | tb-chain | tb-slab")
-	n := flag.Int("n", 8, "CNT chiral index n")
-	m := flag.Int("m", 0, "CNT chiral index m")
-	cells := flag.Int("cells", 1, "cells stacked along z (supercell)")
-	bnPairs := flag.Int("bn-pairs", 0, "BN dopant pairs (bncnt)")
-	seed := flag.Int64("seed", 2017, "doping seed")
-
-	nxy := flag.Int("nxy", 16, "transverse grid points")
-	nz := flag.Int("nz", 10, "axial grid points per cell")
-	nf := flag.Int("nf", 4, "finite-difference half-width")
-
-	tbSites := flag.Int("tb-sites", 4, "tb-chain: sites per principal layer (supercell)")
-	tbNx := flag.Int("tb-nx", 2, "tb-slab: transverse sites along x")
-	tbNy := flag.Int("tb-ny", 2, "tb-slab: transverse sites along y")
-	tbOnsite := flag.Float64("tb-onsite", 0, "tight-binding onsite energy eps (hartree)")
-	tbHop := flag.Float64("tb-hop", -1, "tight-binding nearest-neighbor hopping t (hartree)")
-	tbA := flag.Float64("tb-a", 1, "tight-binding lattice constant a (bohr)")
+	buildModel := modelflags.Register(flag.CommandLine, "seed")
 
 	transportFlag := flag.Bool("transport", false, "run the CBS->NEGF transport pipeline over the energy window: T(E) instead of complex bands")
 	devCells := flag.Int("device-cells", 2, "transport: device length in principal layers")
@@ -102,28 +87,13 @@ func main() {
 		defer cancel()
 	}
 
-	var (
-		model *cbs.Model
-		err   error
-	)
-	switch *sys {
-	case "tb-chain":
-		model, err = cbs.NewTBChain(cbs.TBChainConfig{
-			Sites: *tbSites, Onsite: *tbOnsite, Hopping: *tbHop, A: *tbA,
-		})
-	case "tb-slab":
-		model, err = cbs.NewTBSlab(cbs.TBSlabConfig{
-			Nx: *tbNx, Ny: *tbNy, Onsite: *tbOnsite, Hopping: *tbHop, A: *tbA,
-		})
-	default:
-		st := buildSystem(*sys, *n, *m, *cells, *bnPairs, *seed)
-		model, err = cbs.NewModel(st, cbs.GridConfig{Nx: *nxy, Ny: *nxy, Nz: *nz * *cells, Nf: *nf})
-		if err == nil {
-			fmt.Fprintf(os.Stderr, "%s: %d atoms\n", st.Name, st.NumAtoms())
-		}
-	}
+	model, err := buildModel()
 	if err != nil {
 		log.Fatal(err)
+	}
+	if model.Op != nil {
+		st := model.Op.Structure
+		fmt.Fprintf(os.Stderr, "%s: %d atoms\n", st.Name, st.NumAtoms())
 	}
 	fmt.Fprintf(os.Stderr, "%s: N = %d\n", model.OperatorDesc(), model.N())
 	if *scfFlag {
@@ -412,52 +382,5 @@ func runTransport(ctx context.Context, model *cbs.Model, energies []float64, opt
 	fmt.Fprintf(os.Stderr, "transport: %d/%d energies ok\n", len(curve.Points)-failed, len(curve.Points))
 	if failed > 0 {
 		os.Exit(1)
-	}
-}
-
-func buildSystem(sys string, n, m, cells, bnPairs int, seed int64) *cbs.Structure {
-	vac := units.AngstromToBohr(3.5)
-	fail := func(err error) *cbs.Structure {
-		if err != nil {
-			log.Fatal(err)
-		}
-		return nil
-	}
-	switch sys {
-	case "al":
-		st, err := cbs.AlBulk100(cells)
-		fail(err)
-		return st
-	case "cnt":
-		st, err := cbs.CNT(n, m, vac)
-		fail(err)
-		if cells > 1 {
-			st, err = cbs.Repeat(st, cells)
-			fail(err)
-		}
-		return st
-	case "bundle7":
-		tube, err := cbs.CNT(n, m, vac)
-		fail(err)
-		st, err := cbs.Bundle7(tube, vac)
-		fail(err)
-		return st
-	case "crystalline":
-		tube, err := cbs.CNT(n, m, vac)
-		fail(err)
-		st, err := cbs.CrystallineBundle(tube)
-		fail(err)
-		return st
-	case "bncnt":
-		tube, err := cbs.CNT(n, m, vac)
-		fail(err)
-		super, err := cbs.Repeat(tube, cells)
-		fail(err)
-		st, err := cbs.BNDope(super, bnPairs, seed)
-		fail(err)
-		return st
-	default:
-		log.Fatalf("unknown system %q", sys)
-		return nil
 	}
 }

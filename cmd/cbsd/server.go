@@ -237,43 +237,26 @@ func (oj *optionsJSON) apply(base core.Options) core.Options {
 	if oj == nil {
 		return base
 	}
-	if oj.Nint != nil {
-		base.Nint = *oj.Nint
-	}
-	if oj.Nmm != nil {
-		base.Nmm = *oj.Nmm
-	}
-	if oj.Nrh != nil {
-		base.Nrh = *oj.Nrh
-	}
-	if oj.Delta != nil {
-		base.Delta = *oj.Delta
-	}
-	if oj.LambdaMin != nil {
-		base.LambdaMin = *oj.LambdaMin
-	}
-	if oj.BiCGTol != nil {
-		base.BiCGTol = *oj.BiCGTol
-	}
-	if oj.MaxIter != nil {
-		base.MaxIter = *oj.MaxIter
-	}
-	if oj.ResidualTol != nil {
-		base.ResidualTol = *oj.ResidualTol
-	}
-	if oj.Balance != nil {
-		base.LoadBalanceStop = *oj.Balance
-	}
-	if oj.Seed != nil {
-		base.Seed = *oj.Seed
-	}
-	if oj.AutoExpand != nil {
-		base.AutoExpand = *oj.AutoExpand
-	}
-	if oj.MaxExpand != nil {
-		base.MaxExpand = *oj.MaxExpand
-	}
+	overlay(&base.Nint, oj.Nint)
+	overlay(&base.Nmm, oj.Nmm)
+	overlay(&base.Nrh, oj.Nrh)
+	overlay(&base.Delta, oj.Delta)
+	overlay(&base.LambdaMin, oj.LambdaMin)
+	overlay(&base.BiCGTol, oj.BiCGTol)
+	overlay(&base.MaxIter, oj.MaxIter)
+	overlay(&base.ResidualTol, oj.ResidualTol)
+	overlay(&base.LoadBalanceStop, oj.Balance)
+	overlay(&base.Seed, oj.Seed)
+	overlay(&base.AutoExpand, oj.AutoExpand)
+	overlay(&base.MaxExpand, oj.MaxExpand)
 	return base
+}
+
+// overlay sets *dst to the request's value when the request carries one.
+func overlay[T any](dst, src *T) {
+	if src != nil {
+		*dst = *src
+	}
 }
 
 // solveRequest is POST /v1/solve: one energy, in eV relative to EF or
@@ -284,14 +267,19 @@ type solveRequest struct {
 	Options       *optionsJSON `json:"options,omitempty"`
 }
 
-// sweepRequest is POST /v1/sweep: an explicit energy list or a uniform
-// window, both in eV relative to EF.
+// energyWindow is the energy half of every multi-energy request: an
+// explicit list or a uniform window, both in eV relative to EF.
+type energyWindow struct {
+	EnergiesEV []float64 `json:"energies_ev,omitempty"`
+	EminEV     *float64  `json:"emin_ev,omitempty"`
+	EmaxEV     *float64  `json:"emax_ev,omitempty"`
+	NE         int       `json:"ne,omitempty"`
+}
+
+// sweepRequest is POST /v1/sweep.
 type sweepRequest struct {
-	EnergiesEV []float64    `json:"energies_ev,omitempty"`
-	EminEV     *float64     `json:"emin_ev,omitempty"`
-	EmaxEV     *float64     `json:"emax_ev,omitempty"`
-	NE         int          `json:"ne,omitempty"`
-	Options    *optionsJSON `json:"options,omitempty"`
+	energyWindow
+	Options *optionsJSON `json:"options,omitempty"`
 }
 
 // bandsRequest is POST /v1/bands: a batch complex-band-structure request —
@@ -301,12 +289,9 @@ type sweepRequest struct {
 // it is presentation-only and does not change the computation or its
 // fingerprint.
 type bandsRequest struct {
-	EnergiesEV []float64    `json:"energies_ev,omitempty"`
-	EminEV     *float64     `json:"emin_ev,omitempty"`
-	EmaxEV     *float64     `json:"emax_ev,omitempty"`
-	NE         int          `json:"ne,omitempty"`
-	KmaxIm     float64      `json:"kmax_im,omitempty"`
-	Options    *optionsJSON `json:"options,omitempty"`
+	energyWindow
+	KmaxIm  float64      `json:"kmax_im,omitempty"`
+	Options *optionsJSON `json:"options,omitempty"`
 }
 
 // transportRequest is POST /v1/transport: a T(E) curve through a device —
@@ -316,10 +301,7 @@ type bandsRequest struct {
 // present, additionally integrates the Landauer I-V at those biases
 // (presentation-time: it does not change the computation's fingerprint).
 type transportRequest struct {
-	EnergiesEV     []float64    `json:"energies_ev,omitempty"`
-	EminEV         *float64     `json:"emin_ev,omitempty"`
-	EmaxEV         *float64     `json:"emax_ev,omitempty"`
-	NE             int          `json:"ne,omitempty"`
+	energyWindow
 	Cells          int          `json:"cells,omitempty"`
 	BarrierHartree []float64    `json:"barrier_hartree,omitempty"`
 	Eta            float64      `json:"eta,omitempty"`
@@ -470,6 +452,32 @@ func decodeStrict(r io.Reader, v any) error {
 	return dec.Decode(v)
 }
 
+// Request bounds. Both are far above any real request (the paper's scans are
+// 200 energies; a full-size explicit list is a few hundred kB) and exist so
+// that no request body can make the server allocate without limit.
+const (
+	maxBodyBytes = 1 << 20 // POST body size
+	maxEnergies  = 10000   // energies of one sweep, bands or transport job
+)
+
+// decodeRequest strictly decodes a POST body of at most maxBodyBytes into v,
+// answering the 4xx itself when it cannot.
+func decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := decodeStrict(http.MaxBytesReader(w, r.Body, maxBodyBytes), v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{
+			Error: fmt.Sprintf("request body exceeds the limit of %d bytes", maxBodyBytes),
+		})
+	default:
+		writeError(w, fmt.Errorf("bad request body: %w", err))
+	}
+	return false
+}
+
 // writeJSON sends v with status code.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -582,92 +590,82 @@ func (s *server) submit(w http.ResponseWriter, r *http.Request, kind jobs.Kind, 
 	})
 }
 
-// solveTask builds the task of a single-energy solve: a cache-and-
-// singleflight wrapped backend call.
+// cachedSolve is the one backend solve of the server: wrapped in the
+// fingerprint-keyed result cache with singleflight, and timed on a miss
+// (hits never touch the solve timers).
+func (s *server) cachedSolve(ctx context.Context, e float64, opts core.Options, fp string) (*core.Result, rescache.Outcome, error) {
+	return s.cache.Do(ctx, fp, func(ctx context.Context) (*core.Result, error) {
+		t0 := time.Now()
+		res, err := s.cfg.backend.solve(ctx, e, opts)
+		s.solveCount.Add(1)
+		s.solveNanos.Add(int64(time.Since(t0)))
+		return res, err
+	})
+}
+
+// solveTask builds the task of a single-energy solve.
 func (s *server) solveTask(e float64, opts core.Options, fp string) jobs.Task {
 	return func(ctx context.Context, _ func(int, int)) (jobs.Outcome, error) {
-		res, outcome, err := s.cache.Do(ctx, fp, func(ctx context.Context) (*core.Result, error) {
-			t0 := time.Now()
-			res, err := s.cfg.backend.solve(ctx, e, opts)
-			s.solveCount.Add(1)
-			s.solveNanos.Add(int64(time.Since(t0)))
-			return res, err
-		})
+		res, outcome, err := s.cachedSolve(ctx, e, opts, fp)
 		return jobs.Outcome{Result: res, CacheOutcome: outcome}, err
 	}
 }
 
-// sweepTask builds the task of a sweep (or bands) job. fp keys the
-// checkpoint journal; for a re-adopted job it is the journaled
+// sweepConfig is the sweep-engine configuration of a multi-energy job of n
+// energies: per-energy progress ticks and, with a checkpoint directory, a
+// journal keyed by the job's fingerprint — resubmitting the same job after
+// a crash or restart resumes instead of re-solving (Resume creates the file
+// if it does not exist). For a re-adopted job fp is the journaled
 // fingerprint, so a drifted server fails the resume (typed
 // ErrFingerprintMismatch) instead of passing off different physics under
 // an old job ID.
+func (s *server) sweepConfig(fp string, n int, progress func(int, int)) sweep.Config {
+	var done atomic.Int64
+	scfg := sweep.Config{
+		Workers:      s.cfg.sweepWorkers,
+		OperatorDesc: s.cfg.backend.desc,
+		Chaos:        s.cfg.chaos,
+		OnEnergy:     func(sweep.EnergyResult) { progress(int(done.Add(1)), n) },
+	}
+	if s.cfg.checkpointDir != "" {
+		scfg.CheckpointPath = filepath.Join(s.cfg.checkpointDir, fp+".journal")
+		scfg.Resume = true
+	}
+	return scfg
+}
+
+// sweepTask builds the task of a sweep (or bands) job.
 func (s *server) sweepTask(es []float64, opts core.Options, fp string) jobs.Task {
 	return func(ctx context.Context, progress func(int, int)) (jobs.Outcome, error) {
-		var done atomic.Int64
-		scfg := sweep.Config{
-			Workers:      s.cfg.sweepWorkers,
-			OperatorDesc: s.cfg.backend.desc,
-			Chaos:        s.cfg.chaos,
-			OnEnergy: func(er sweep.EnergyResult) {
-				progress(int(done.Add(1)), len(es))
-				// Cross-pollinate the solve cache: a sweep energy is a
-				// one-element sweep by fingerprint construction, so a
-				// later POST /v1/solve at this energy is a cache hit.
-				if er.Result != nil {
-					s.cache.Put(fingerprint.Solve(s.cfg.backend.desc, er.Energy, opts), er.Result)
-				}
-			},
-		}
-		if s.cfg.checkpointDir != "" {
-			// Journal keyed by the sweep's own fingerprint: resubmitting
-			// the same sweep after a crash or restart resumes instead of
-			// re-solving (Resume creates the file if it does not exist).
-			scfg.CheckpointPath = filepath.Join(s.cfg.checkpointDir, fp+".journal")
-			scfg.Resume = true
+		scfg := s.sweepConfig(fp, len(es), progress)
+		tick := scfg.OnEnergy
+		scfg.OnEnergy = func(er sweep.EnergyResult) {
+			tick(er)
+			// Cross-pollinate the solve cache: a sweep energy is a
+			// one-element sweep by fingerprint construction, so a
+			// later POST /v1/solve at this energy is a cache hit.
+			if er.Result != nil {
+				s.cache.Put(fingerprint.Solve(s.cfg.backend.desc, er.Energy, opts), er.Result)
+			}
 		}
 		report, err := s.cfg.backend.sweep(ctx, es, opts, scfg)
 		return jobs.Outcome{Report: report}, err
 	}
 }
 
-// cachedSolve wraps the backend solve in the fingerprint-keyed result
-// cache with singleflight: the per-energy unit of a transport sweep is a
-// one-element sweep by fingerprint construction, so a repeated transport
-// request — or a plain /v1/solve at one of its energies — costs no new
-// solves. Only cache misses touch the solve timers.
-func (s *server) cachedSolve(ctx context.Context, e float64, o core.Options) (*core.Result, error) {
-	res, _, err := s.cache.Do(ctx, fingerprint.Solve(s.cfg.backend.desc, e, o), func(ctx context.Context) (*core.Result, error) {
-		t0 := time.Now()
-		res, err := s.cfg.backend.solve(ctx, e, o)
-		s.solveCount.Add(1)
-		s.solveNanos.Add(int64(time.Since(t0)))
-		return res, err
-	})
-	return res, err
-}
-
 // transportTask builds the task of a transport job: the CBS sweep runs
-// through the cache-wrapped solve, then the NEGF post-processing turns
-// each energy into T(E). fp keys the checkpoint journal exactly like a
-// sweep job's.
+// through the cache-wrapped solve — its per-energy unit is a one-element
+// sweep by fingerprint construction, so a repeated transport request, or a
+// plain /v1/solve at one of its energies, costs no new solves — then the
+// NEGF post-processing turns each energy into T(E).
 func (s *server) transportTask(spec negf.Spec, opts core.Options, fp string) jobs.Task {
 	return func(ctx context.Context, progress func(int, int)) (jobs.Outcome, error) {
-		var done atomic.Int64
 		spec.Chaos = s.cfg.chaos
-		scfg := sweep.Config{
-			Workers:      s.cfg.sweepWorkers,
-			OperatorDesc: s.cfg.backend.desc,
-			Chaos:        s.cfg.chaos,
-			OnEnergy: func(er sweep.EnergyResult) {
-				progress(int(done.Add(1)), len(spec.Energies))
-			},
+		solve := func(ctx context.Context, e float64, o core.Options) (*core.Result, error) {
+			res, _, err := s.cachedSolve(ctx, e, o, fingerprint.Solve(s.cfg.backend.desc, e, o))
+			return res, err
 		}
-		if s.cfg.checkpointDir != "" {
-			scfg.CheckpointPath = filepath.Join(s.cfg.checkpointDir, fp+".journal")
-			scfg.Resume = true
-		}
-		curve, err := s.cfg.backend.transport(ctx, s.cachedSolve, spec, opts, scfg)
+		curve, err := s.cfg.backend.transport(ctx, solve, spec, opts, s.sweepConfig(fp, len(spec.Energies), progress))
 		return jobs.Outcome{Curve: curve}, err
 	}
 }
@@ -707,8 +705,7 @@ func (s *server) rebuildTask(rj jobs.ReplayedJob) (jobs.Task, error) {
 
 func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	var req solveRequest
-	if err := decodeStrict(r.Body, &req); err != nil {
-		writeError(w, fmt.Errorf("bad request body: %w", err))
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	e, err := s.resolveEnergy(req)
@@ -722,8 +719,12 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	s.submit(w, r, jobs.KindSolve, fp, spec, s.solveTask(e, opts, fp))
 }
 
-// sweepEnergies expands a sweep request to its hartree energy list.
-func (s *server) sweepEnergies(req sweepRequest) ([]float64, error) {
+// sweepEnergies expands an energy window to its hartree energy list, at
+// most maxEnergies long.
+func (s *server) sweepEnergies(req energyWindow) ([]float64, error) {
+	if n := max(len(req.EnergiesEV), req.NE); n > maxEnergies {
+		return nil, fmt.Errorf("%d energies exceed the limit of %d per request", n, maxEnergies)
+	}
 	if len(req.EnergiesEV) > 0 {
 		es := make([]float64, len(req.EnergiesEV))
 		for i, ev := range req.EnergiesEV {
@@ -747,19 +748,9 @@ func (s *server) sweepEnergies(req sweepRequest) ([]float64, error) {
 
 func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req sweepRequest
-	if err := decodeStrict(r.Body, &req); err != nil {
-		writeError(w, fmt.Errorf("bad request body: %w", err))
-		return
+	if decodeRequest(w, r, &req) {
+		s.submitSweep(w, r, jobs.KindSweep, req.energyWindow, jobSpec{Type: "sweep", Options: req.Options})
 	}
-	es, err := s.sweepEnergies(req)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	opts := req.Options.apply(s.cfg.defaults)
-	fp := fingerprint.Key(s.cfg.backend.desc, es, opts)
-	spec := jobSpec{Type: "sweep", EnergiesHartree: es, Options: req.Options}
-	s.submit(w, r, jobs.KindSweep, fp, spec, s.sweepTask(es, opts, fp))
 }
 
 // handleBands is the batch endpoint: one request sweeps an energy window
@@ -769,25 +760,28 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 // kmax_im filter is presentation-time and costs nothing to change.
 func (s *server) handleBands(w http.ResponseWriter, r *http.Request) {
 	var req bandsRequest
-	if err := decodeStrict(r.Body, &req); err != nil {
-		writeError(w, fmt.Errorf("bad request body: %w", err))
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	if req.KmaxIm < 0 {
 		writeError(w, errors.New("kmax_im must be >= 0"))
 		return
 	}
-	es, err := s.sweepEnergies(sweepRequest{
-		EnergiesEV: req.EnergiesEV, EminEV: req.EminEV, EmaxEV: req.EmaxEV, NE: req.NE,
-	})
+	s.submitSweep(w, r, jobs.KindBands, req.energyWindow, jobSpec{Type: "bands", KmaxIm: req.KmaxIm, Options: req.Options})
+}
+
+// submitSweep expands the window and submits the sweep task of a sweep or
+// bands job; spec arrives with everything but its energies.
+func (s *server) submitSweep(w http.ResponseWriter, r *http.Request, kind jobs.Kind, win energyWindow, spec jobSpec) {
+	es, err := s.sweepEnergies(win)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	opts := req.Options.apply(s.cfg.defaults)
+	opts := spec.Options.apply(s.cfg.defaults)
 	fp := fingerprint.Key(s.cfg.backend.desc, es, opts)
-	spec := jobSpec{Type: "bands", EnergiesHartree: es, KmaxIm: req.KmaxIm, Options: req.Options}
-	s.submit(w, r, jobs.KindBands, fp, spec, s.sweepTask(es, opts, fp))
+	spec.EnergiesHartree = es
+	s.submit(w, r, kind, fp, spec, s.sweepTask(es, opts, fp))
 }
 
 // handleTransport is the CBS -> NEGF endpoint: one request sweeps an
@@ -798,17 +792,14 @@ func (s *server) handleBands(w http.ResponseWriter, r *http.Request) {
 // with /v1/solve and repeated transport submissions.
 func (s *server) handleTransport(w http.ResponseWriter, r *http.Request) {
 	var req transportRequest
-	if err := decodeStrict(r.Body, &req); err != nil {
-		writeError(w, fmt.Errorf("bad request body: %w", err))
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	if s.cfg.backend.transport == nil {
 		writeError(w, errors.New("this server has no transport backend"))
 		return
 	}
-	es, err := s.sweepEnergies(sweepRequest{
-		EnergiesEV: req.EnergiesEV, EminEV: req.EminEV, EmaxEV: req.EmaxEV, NE: req.NE,
-	})
+	es, err := s.sweepEnergies(req.energyWindow)
 	if err != nil {
 		writeError(w, err)
 		return

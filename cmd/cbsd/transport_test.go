@@ -214,6 +214,44 @@ func TestUnknownRequestFieldRejected(t *testing.T) {
 	}
 }
 
+// TestRequestBoundsRejected: no POST body can make the server allocate
+// without limit — a window or list beyond maxEnergies and a body beyond
+// maxBodyBytes are each refused with a 4xx naming the limit, on every
+// route, and submit nothing.
+func TestRequestBoundsRejected(t *testing.T) {
+	s, ts := newTBServer(t)
+	hugeNE := `{"emin_ev": 0, "emax_ev": 1, "ne": 2000000000}`
+	longList := `{"energies_ev": [0` + strings.Repeat(",0", maxEnergies) + `]}`
+	bigBody := `{"energies_ev": [` + strings.Repeat("0.000000000000,", maxBodyBytes/15) + `0]}`
+	energies, bytes := strconv.Itoa(maxEnergies), strconv.Itoa(maxBodyBytes)
+	for _, tc := range []struct {
+		path, body string
+		code       int
+		limit      string
+	}{
+		{"/v1/sweep", hugeNE, http.StatusBadRequest, energies},
+		{"/v1/bands", hugeNE, http.StatusBadRequest, energies},
+		{"/v1/transport", hugeNE, http.StatusBadRequest, energies},
+		{"/v1/sweep", longList, http.StatusBadRequest, energies},
+		{"/v1/bands", longList, http.StatusBadRequest, energies},
+		{"/v1/transport", longList, http.StatusBadRequest, energies},
+		{"/v1/solve", bigBody, http.StatusRequestEntityTooLarge, bytes},
+		{"/v1/sweep", bigBody, http.StatusRequestEntityTooLarge, bytes},
+		{"/v1/bands", bigBody, http.StatusRequestEntityTooLarge, bytes},
+		{"/v1/transport", bigBody, http.StatusRequestEntityTooLarge, bytes},
+	} {
+		var body errorResponse
+		resp := postJSON(t, ts.URL+tc.path, tc.body, &body)
+		if resp.StatusCode != tc.code || !strings.Contains(body.Error, tc.limit) {
+			t.Errorf("%s (%d-byte body): HTTP %d %q, want %d naming the limit %s",
+				tc.path, len(tc.body), resp.StatusCode, body.Error, tc.code, tc.limit)
+		}
+	}
+	if n := s.mgr.Metrics().Submitted; n != 0 {
+		t.Errorf("%d jobs were submitted from rejected bodies", n)
+	}
+}
+
 // TestTransportJobRestartResume: a transport job killed mid-flight is
 // re-adopted from the job log on restart and finishes with the same
 // fingerprint-keyed identity (the journaled spec rebuilds the NEGF task).

@@ -28,22 +28,14 @@ import (
 	"cbs"
 	"cbs/internal/chaos"
 	"cbs/internal/comm"
-	"cbs/internal/units"
+	"cbs/internal/modelflags"
 )
 
 func main() {
 	coordinator := flag.String("coordinator", "", "coordinator address (host:port) — required")
 	name := flag.String("name", "", "stable worker name for the rendezvous hash (default: hostname-pid)")
 
-	sys := flag.String("system", "al", "system: al | cnt | bundle7 | crystalline | bncnt (must match the coordinator)")
-	n := flag.Int("n", 8, "CNT chiral index n")
-	m := flag.Int("m", 0, "CNT chiral index m")
-	cells := flag.Int("cells", 1, "cells stacked along z (supercell)")
-	bnPairs := flag.Int("bn-pairs", 0, "BN dopant pairs (bncnt)")
-	seed := flag.Int64("seed", 2017, "doping seed")
-	nxy := flag.Int("nxy", 16, "transverse grid points")
-	nz := flag.Int("nz", 10, "axial grid points per cell")
-	nf := flag.Int("nf", 4, "finite-difference half-width")
+	buildModel := modelflags.Register(flag.CommandLine, "seed") // must match the coordinator's
 
 	retries := flag.Int("retries", 3, "failed solve attempts per assigned energy")
 	top := flag.Int("top", 1, "top-layer workers (right-hand sides)")
@@ -72,12 +64,11 @@ func main() {
 	// digest is checked at registration, and each assignment's solve
 	// fingerprint (operator + energy + options) is re-derived here before
 	// the solve runs.
-	st := buildSystem(*sys, *n, *m, *cells, *bnPairs, *seed)
-	model, err := cbs.NewModel(st, cbs.GridConfig{Nx: *nxy, Ny: *nxy, Nz: *nz * *cells, Nf: *nf})
+	model, err := buildModel()
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "%s: %s, %d atoms, N = %d grid points\n", *name, st.Name, st.NumAtoms(), model.N())
+	fmt.Fprintf(os.Stderr, "%s: %s, N = %d\n", *name, model.OperatorDesc(), model.N())
 
 	cfg := cbs.FleetWorkerConfig{
 		Addr:  *coordinator,
@@ -100,52 +91,5 @@ func main() {
 		fmt.Fprintf(os.Stderr, "%s: interrupted\n", *name)
 	default:
 		log.Fatalf("%s: %v", *name, err)
-	}
-}
-
-// buildSystem constructs the worker's structure (mirrors cmd/cbs).
-func buildSystem(sys string, n, m, cells, bnPairs int, seed int64) *cbs.Structure {
-	vac := units.AngstromToBohr(3.5)
-	fail := func(err error) {
-		if err != nil {
-			log.Fatal(err)
-		}
-	}
-	switch sys {
-	case "al":
-		st, err := cbs.AlBulk100(cells)
-		fail(err)
-		return st
-	case "cnt":
-		st, err := cbs.CNT(n, m, vac)
-		fail(err)
-		if cells > 1 {
-			st, err = cbs.Repeat(st, cells)
-			fail(err)
-		}
-		return st
-	case "bundle7":
-		tube, err := cbs.CNT(n, m, vac)
-		fail(err)
-		st, err := cbs.Bundle7(tube, vac)
-		fail(err)
-		return st
-	case "crystalline":
-		tube, err := cbs.CNT(n, m, vac)
-		fail(err)
-		st, err := cbs.CrystallineBundle(tube)
-		fail(err)
-		return st
-	case "bncnt":
-		tube, err := cbs.CNT(n, m, vac)
-		fail(err)
-		super, err := cbs.Repeat(tube, cells)
-		fail(err)
-		st, err := cbs.BNDope(super, bnPairs, seed)
-		fail(err)
-		return st
-	default:
-		log.Fatalf("unknown system %q", sys)
-		return nil
 	}
 }

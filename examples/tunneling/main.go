@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -44,12 +45,15 @@ func main() {
 		f := float64(i) / float64(*nE-1)
 		energies = append(energies, ef+units.EVToHartree(-*window+2**window*f))
 	}
-	results, err := model.ScanCBS(energies, opts)
+	report, err := model.SweepCBS(context.Background(), energies, opts, cbs.SweepConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	for _, f := range report.Failures() {
+		log.Printf("E-EF = %.3f eV failed: %v", units.HartreeToEV(f.Energy-ef), f.Err)
+	}
 
-	profile := cbs.DecayProfile(results)
+	profile := cbs.DecayProfile(report.Completed())
 	fmt.Printf("\n%-12s %-10s %-14s %s\n", "E-EF (eV)", "#open", "beta (1/A)", "T(d=10A)")
 	d10 := units.AngstromToBohr(10)
 	for _, p := range profile {

@@ -1,5 +1,5 @@
 // Package ctxflow enforces the cancellation-plumbing discipline that PR 3
-// threaded through the solve stack (Solve -> solveAll -> solvePointsDist ->
+// threaded through the solve stack (Solve -> solveAll -> solvePoints ->
 // dist.SolveDual): once a context enters a call chain it must flow to the
 // leaf, because the first fatal fault cancels all workers through it and a
 // dropped context silently detaches a subtree from that signal.
@@ -20,7 +20,7 @@
 //     but calls a context-less function F when the same package also
 //     exports (or declares) a context-accepting sibling FContext. The
 //     sibling convention is how this codebase names its plumbed variants
-//     (Solve/SolveContext, EnergyScan/EnergyScanContext), so calling the
+//     (Solve/SolveContext, SolveCBS/SolveCBSContext), so calling the
 //     bare form from a plumbed frame is always a dropped cancellation.
 //
 //   - //cbs:cancellable contract violations: a function annotated as a

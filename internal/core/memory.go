@@ -21,14 +21,15 @@ func MemoryEstimate(q *qep.Problem, opts Options) int64 {
 	b += 2 * nmm * n * nrh * 16 // moment accumulator
 	b += n * nrh * 16           // probe block V
 	b += 3 * m * m * 16         // Hankel pair + SVD work
-	// Blocked BiCG state: each (top, mid) worker owns one blockWorker, and
-	// each top block shares its interleaved right-hand-side block (plus, on
-	// the FD grid, the planar copy the plane solver reads) across its mid
+	// Point-loop state: each (top, mid) worker owns one blockWorker, and each
+	// top block shares its interleaved right-hand-side block (plus, on the
+	// plane layout, the planar copy the plane solver reads) across its mid
 	// workers.
 	top := int64(opts.Parallel.Top)
 	nbBlk := (nrh + top - 1) / top // columns per top block
-	planes := q.Op != nil && opts.Parallel.Ndm == 1
-	b += top * int64(opts.Parallel.Mid) * blockWorkerBytes(n, nbBlk, planes)
+	distributed := opts.Parallel.Ndm > 1
+	planes := q.Op != nil && !distributed
+	b += top * int64(opts.Parallel.Mid) * blockWorkerBytes(n, nbBlk, planes, distributed)
 	rhs := n * nbBlk * 16
 	if planes {
 		rhs *= 2

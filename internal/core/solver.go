@@ -276,13 +276,13 @@ func probeBlock(n, nrh int, seed int64) *zlinalg.Matrix {
 // BiCG solves by the dual trick) under the top/middle/bottom hierarchy.
 //
 // Each middle-layer worker pulls one quadrature point from the shared queue
-// and drives its top-block's whole column block through the blocked solver
+// and drives its top-block's whole column block through its blockWorker
 // (solvePoints over an n x nb block, nb = columns of the top block), so the
 // operator tables stream through memory once per BiCG iteration for all nb
 // right-hand sides. Per-point statistics are accumulated worker-locally and
 // merged under the global mutex once per (worker, point) instead of once
 // per column; the moment accumulator is likewise fed one interleaved block
-// per point. The Ndm > 1 bottom layer keeps the per-column distributed path.
+// per point.
 func solveAll(ctx context.Context, q *qep.Problem, ring *contour.Ring, v *zlinalg.Matrix, acc *ssm.Accumulator, distSolver *dist.Solver, opts Options, res *Result) error {
 	n := q.Dim()
 	nint := opts.Nint
@@ -303,51 +303,33 @@ func solveAll(ctx context.Context, q *qep.Problem, ring *contour.Ring, v *zlinal
 
 	// Top layer: split the Nrh columns into contiguous blocks.
 	blocks := splitRange(opts.Nrh, par.Top)
-	var (
-		mu       sync.Mutex // guards res fields, the drop ledger, firstErr
-		firstErr error
-		topWG    sync.WaitGroup
-	)
-	// Graceful-degradation ledger: contributions dropped by the recovery
-	// ladder, per column (for weight renormalization) and as (point,
-	// column) pairs (for diagnostics). Guarded by mu.
-	droppedByCol := make([]int, opts.Nrh)
-	var droppedPairs []DroppedPair
+	sh := &pointMerge{res: res, droppedByCol: make([]int, opts.Nrh)}
 	setErr := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
+		sh.mu.Lock()
+		if sh.firstErr == nil {
+			sh.firstErr = err
 		}
-		mu.Unlock()
+		sh.mu.Unlock()
 		cancel()
 	}
+	var topWG sync.WaitGroup
 	for _, blk := range blocks {
 		topWG.Add(1)
 		go func(c0, c1 int) {
 			defer topWG.Done()
 			nb := c1 - c0
 			// The block's right-hand sides, shared read-only by this block's
-			// workers: interleaved row-major (plus, on an FD-grid backend, the
-			// same block packed once into split planes) for the blocked solver,
-			// plain columns for the distributed per-column path.
-			var b []complex128
+			// workers: interleaved row-major, plus the same block packed once
+			// into split planes where the plane layout iterates on it.
+			b := make([]complex128, n*nb)
+			for i := 0; i < n; i++ {
+				row := v.Data[i*v.Cols : i*v.Cols+v.Cols]
+				copy(b[i*nb:i*nb+nb], row[c0:c1])
+			}
 			var bSoA *soa.Block[float64]
-			var bcols [][]complex128
-			if distSolver == nil {
-				b = make([]complex128, n*nb)
-				for i := 0; i < n; i++ {
-					row := v.Data[i*v.Cols : i*v.Cols+v.Cols]
-					copy(b[i*nb:i*nb+nb], row[c0:c1])
-				}
-				if q.Op != nil {
-					bSoA = soa.NewBlock[float64](n, nb)
-					soa.Pack(bSoA, b)
-				}
-			} else {
-				bcols = make([][]complex128, nb)
-				for c := range bcols {
-					bcols[c] = v.Col(c0 + c)
-				}
+			if q.Op != nil && distSolver == nil {
+				bSoA = soa.NewBlock[float64](n, nb)
+				soa.Pack(bSoA, b)
 			}
 			// Middle layer: quadrature points from a shared queue.
 			points := make(chan int, nint)
@@ -360,13 +342,8 @@ func solveAll(ctx context.Context, q *qep.Problem, ring *contour.Ring, v *zlinal
 				midWG.Add(1)
 				go func() {
 					defer midWG.Done()
-					var err error
-					if distSolver != nil {
-						err = solvePointsDist(cctx, q, ring, points, bcols, acc, distSolver, groups, c0, opts, res, &mu, droppedByCol, &droppedPairs)
-					} else {
-						err = solvePoints(cctx, q, ring, points, b, bSoA, acc, groups[c0:c1], c0, opts, res, &mu, droppedByCol, &droppedPairs)
-					}
-					if err != nil {
+					bw := newBlockWorker(q, b, bSoA, distSolver, nb)
+					if err := solvePoints(cctx, bw, ring, points, acc, groups[c0:c1], c0, opts, sh); err != nil {
 						setErr(err)
 					}
 				}()
@@ -375,8 +352,8 @@ func solveAll(ctx context.Context, q *qep.Problem, ring *contour.Ring, v *zlinal
 		}(blk[0], blk[1])
 	}
 	topWG.Wait()
-	if firstErr != nil {
-		return firstErr
+	if sh.firstErr != nil {
+		return sh.firstErr
 	}
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("core: solve canceled: %w", err)
@@ -385,111 +362,168 @@ func solveAll(ctx context.Context, q *qep.Problem, ring *contour.Ring, v *zlinal
 	// quadrature weights (a uniform column scaling, because the moments are
 	// weight-linear). A column that lost more than half its nodes is beyond
 	// recovery and fails the solve (contour.ErrTooManyDropped).
-	if len(droppedPairs) > 0 {
+	if len(sh.droppedPairs) > 0 {
 		factors := make([]float64, opts.Nrh)
 		for c := range factors {
-			f, err := contour.RenormFactor(nint, droppedByCol[c])
+			f, err := contour.RenormFactor(nint, sh.droppedByCol[c])
 			if err != nil {
 				return fmt.Errorf("core: probe column %d: %w", c, err)
 			}
 			factors[c] = f
 		}
 		acc.ScaleColumns(factors)
-		res.Diagnostics.DroppedPairs = droppedPairs
+		res.Diagnostics.DroppedPairs = sh.droppedPairs
 		res.Diagnostics.RenormFactors = factors
 	}
 	return nil
 }
 
-// blockWorker is one middle-layer worker's blocked solve state, allocated
-// once and reused across its quadrature points so the steady-state loop is
+// pointMerge is what the point-loop workers share: the result they merge
+// into once per (worker, point), the first fatal error, and the
+// graceful-degradation ledger of contributions dropped by the recovery
+// ladder, per column (for weight renormalization) and as (point, column)
+// pairs (for diagnostics). mu guards all of it.
+type pointMerge struct {
+	mu           sync.Mutex
+	res          *Result
+	firstErr     error
+	droppedByCol []int
+	droppedPairs []DroppedPair
+}
+
+// blockWorker is one middle-layer worker's solve state, allocated once and
+// reused across its quadrature points so the steady-state loop is
 // allocation-free: the interleaved solution blocks that feed the recovery
-// ladder and the moment accumulator, the ladder's column scratch, and the
-// Krylov state of the worker's layout. The layout is observed, not
-// configured: an FD-grid backend (bSoA != nil) iterates on split-complex
-// float64 planes against the operator's coefficient tables and unpacks the
-// solutions once per point; every other backend iterates on the interleaved
-// blocks directly. The two produce identical bits. MemoryEstimate counts
-// exactly these buffers (blockWorkerBytes).
+// ladder and the moment accumulator, the column scratch, and the Krylov
+// state of the worker's layout. The layout is observed, not configured:
+// with Ndm > 1 the block's columns go one by one through the domain-
+// decomposed solver; otherwise an FD-grid backend (bSoA != nil) iterates on
+// split-complex float64 planes against the operator's coefficient tables
+// and unpacks the solutions once per point, and every other backend
+// iterates on the interleaved blocks directly. The last two produce
+// identical bits. MemoryEstimate counts exactly these buffers
+// (blockWorkerBytes).
 type blockWorker struct {
 	q                 *qep.Problem
+	z                 complex128          // the point being solved; the applies read it
 	b                 []complex128        // the top block's interleaved right-hand sides
-	bSoA              *soa.Block[float64] // the same block in planes; nil off the FD grid
+	bSoA              *soa.Block[float64] // the same block in planes; nil off the plane layout
 	x, xd             []complex128
 	bcol, xcol, xdcol []complex128
 
-	ws *linsolve.Workspace // interleaved layout
+	ws            *linsolve.Workspace // interleaved layout
+	apply, applyD linsolve.BlockApply
 
-	t64     *hamiltonian.SoATables[float64] // plane layout
-	xb, xdb *soa.Block[float64]
-	wsSoA   *linsolve.WorkspaceSoA[float64]
+	t64                 *hamiltonian.SoATables[float64] // plane layout
+	xb, xdb             *soa.Block[float64]
+	wsSoA               *linsolve.WorkspaceSoA[float64]
+	applySoA, applyDSoA linsolve.BlockApplySoA[float64]
+
+	dist *dist.Solver // distributed layout
+	rs   []linsolve.Result
 }
 
-func newBlockWorker(q *qep.Problem, b []complex128, bSoA *soa.Block[float64], nb int) blockWorker {
+func newBlockWorker(q *qep.Problem, b []complex128, bSoA *soa.Block[float64], distSolver *dist.Solver, nb int) *blockWorker {
 	n := q.Dim()
-	w := blockWorker{
-		q: q, b: b, bSoA: bSoA,
+	w := &blockWorker{
+		q: q, b: b, bSoA: bSoA, dist: distSolver,
 		x: make([]complex128, n*nb), xd: make([]complex128, n*nb),
 		bcol: make([]complex128, n), xcol: make([]complex128, n), xdcol: make([]complex128, n),
 	}
-	if bSoA != nil {
+	switch {
+	case distSolver != nil:
+		w.rs = make([]linsolve.Result, nb)
+	case bSoA != nil:
 		w.t64 = q.Op.SoA64()
 		w.xb = soa.NewBlock[float64](n, nb)
 		w.xdb = soa.NewBlock[float64](n, nb)
 		w.wsSoA = linsolve.NewWorkspaceSoA[float64](n, nb)
-	} else {
+		w.applySoA = func(v, out *soa.Block[float64]) { qep.ApplyBlockSoA(w.q, w.t64, w.z, v, out) }
+		w.applyDSoA = func(v, out *soa.Block[float64]) { qep.ApplyDaggerBlockSoA(w.q, w.t64, w.z, v, out) }
+	default:
 		w.ws = linsolve.NewWorkspace(n, nb)
+		w.apply = func(v, out []complex128, nb int) { w.q.ApplyBlock(w.z, v, out, nb) }
+		w.applyD = func(v, out []complex128, nb int) { w.q.ApplyDaggerBlock(w.z, v, out, nb) }
 	}
 	return w
 }
 
 // blockWorkerBytes is the resident size of one blockWorker's n-scaled
-// buffers: x, xd and six Krylov blocks, the three column scratch vectors,
-// and on the plane layout the two plane solution blocks.
-func blockWorkerBytes(n, nb int64, planes bool) int64 {
+// buffers: x, xd and the three column scratch vectors on every layout, plus
+// six Krylov blocks on the interleaved layout and those six with the two
+// plane solution blocks on the plane layout. The distributed layout's
+// Krylov vectors are per-solve rank-local slices of one column.
+func blockWorkerBytes(n, nb int64, planes, distributed bool) int64 {
 	blocks := int64(8)
-	if planes {
+	switch {
+	case distributed:
+		blocks = 2
+	case planes:
 		blocks = 10
 	}
 	return (blocks*n*nb + 3*n) * 16
 }
 
 // solve runs the dual block solve P(z) X = B, P(z)^dagger Xd = B from a zero
-// guess and leaves the interleaved solutions in w.x and w.xd.
-func (w *blockWorker) solve(z complex128, lopts linsolve.Options, groups []*linsolve.GroupStop) []linsolve.Result {
-	if w.bSoA == nil {
+// guess and leaves the interleaved solutions in w.x and w.xd. commBytes is
+// the distributed layout's bottom-layer traffic; err is fatal to the
+// contour (a transport failure or a cancellation inside a distributed
+// solve), never a per-column solver outcome.
+func (w *blockWorker) solve(ctx context.Context, z complex128, lopts linsolve.Options, groups []*linsolve.GroupStop) (rs []linsolve.Result, commBytes int64, err error) {
+	w.z = z
+	switch {
+	case w.dist != nil:
+		n, nb := len(w.bcol), len(groups)
+		for c := 0; c < nb; c++ {
+			for i := 0; i < n; i++ {
+				w.bcol[i] = w.b[i*nb+c]
+			}
+			lo := lopts
+			lo.Group = groups[c]
+			lo.History = lopts.History && c == 0
+			lo.ChaosSite.Col += c
+			var stats dist.Stats
+			w.rs[c], stats, err = w.dist.SolveDual(ctx, z, w.bcol, w.bcol, w.xcol, w.xdcol, lo)
+			if err != nil {
+				return nil, commBytes, err
+			}
+			commBytes += stats.Bytes
+			for i := 0; i < n; i++ {
+				w.x[i*nb+c] = w.xcol[i]
+				w.xd[i*nb+c] = w.xdcol[i]
+			}
+		}
+		return w.rs, commBytes, nil
+	case w.bSoA != nil:
+		w.xb.Zero()
+		w.xdb.Zero()
+		rs = linsolve.BlockBiCGDualSoA(w.applySoA, w.applyDSoA, w.bSoA, w.bSoA, w.xb, w.xdb, lopts, groups, w.wsSoA)
+		soa.Unpack(w.x, w.xb)
+		soa.Unpack(w.xd, w.xdb)
+		return rs, 0, nil
+	default:
 		for i := range w.x {
 			w.x[i] = 0
 			w.xd[i] = 0
 		}
-		apply := func(v, out []complex128, nb int) { w.q.ApplyBlock(z, v, out, nb) }
-		applyD := func(v, out []complex128, nb int) { w.q.ApplyDaggerBlock(z, v, out, nb) }
-		return linsolve.BlockBiCGDual(apply, applyD, w.b, w.b, w.x, w.xd, len(groups), lopts, groups, w.ws)
+		return linsolve.BlockBiCGDual(w.apply, w.applyD, w.b, w.b, w.x, w.xd, len(groups), lopts, groups, w.ws), 0, nil
 	}
-	w.xb.Zero()
-	w.xdb.Zero()
-	apply := func(v, out *soa.Block[float64]) { qep.ApplyBlockSoA(w.q, w.t64, z, v, out) }
-	applyD := func(v, out *soa.Block[float64]) { qep.ApplyDaggerBlockSoA(w.q, w.t64, z, v, out) }
-	rs := linsolve.BlockBiCGDualSoA(apply, applyD, w.bSoA, w.bSoA, w.xb, w.xdb, lopts, groups, w.wsSoA)
-	soa.Unpack(w.x, w.xb)
-	soa.Unpack(w.xd, w.xdb)
-	return rs
 }
 
-// solvePoints drains the point queue with the blocked solver (Ndm = 1), for
-// every backend: one dual block solve per point, the recovery ladder on its
-// failed columns, one accumulator feed and one locked statistics merge per
-// point.
-func solvePoints(ctx context.Context, q *qep.Problem, ring *contour.Ring, points <-chan int, b []complex128, bSoA *soa.Block[float64], acc *ssm.Accumulator, colGroups []*linsolve.GroupStop, c0 int, opts Options, res *Result, mu *sync.Mutex, droppedByCol []int, droppedPairs *[]DroppedPair) error {
+// solvePoints is the one quadrature-point loop: it drains the point queue
+// with the worker's layout — one dual block solve per point, the recovery
+// ladder on its failed columns (local-serial on every layout: recovery is
+// rare, and a breakdown is a property of the Krylov sequence, not of the
+// decomposition), one accumulator feed and one locked merge per point.
+func solvePoints(ctx context.Context, w *blockWorker, ring *contour.Ring, points <-chan int, acc *ssm.Accumulator, colGroups []*linsolve.GroupStop, c0 int, opts Options, sh *pointMerge) error {
 	nb := len(colGroups)
-	w := newBlockWorker(q, b, bSoA, nb)
 	for j := range points {
 		if ctx.Err() != nil {
 			// Canceled by another worker's fatal error (which reports it)
 			// or by the caller (which solveAll reports).
 			return nil
 		}
-		//cbs:chaossite solver.point-par
+		//cbs:chaossite solver.point
 		if injErr := opts.Chaos.PointFault(j); injErr != nil {
 			return fmt.Errorf("core: fatal fault at quadrature point %d: %w", j, injErr)
 		}
@@ -504,12 +538,15 @@ func solvePoints(ctx context.Context, q *qep.Problem, ring *contour.Ring, points
 			Chaos:     opts.Chaos,
 			ChaosSite: chaos.Site{Point: j, Col: c0},
 		}
-		rs := w.solve(zOut, lopts, colGroups)
+		rs, commBytes, err := w.solve(ctx, zOut, lopts, colGroups)
+		if err != nil {
+			return err
+		}
 		// Recovery ladder for failed columns, before the moment
 		// accumulation: dropped columns are zeroed in place so the
 		// accumulator never sees them.
 		var local PointStats
-		dropped, recMV := recoverBlockColumns(q, zOut, b, w.x, w.xd, nb, j, c0, colGroups, rs, opts, &local, w.bcol, w.xcol, w.xdcol)
+		dropped, recMV := recoverBlockColumns(w.q, zOut, w.b, w.x, w.xd, nb, j, c0, colGroups, rs, opts, &local, w.bcol, w.xcol, w.xdcol)
 		// Accumulate: primal -> outer node, dual -> the paired inner node
 		// (P(zOut)^dagger = P(zIn)).
 		acc.AddInterleaved(zOut, wOut, c0, nb, w.x)
@@ -525,17 +562,18 @@ func solvePoints(ctx context.Context, q *qep.Problem, ring *contour.Ring, points
 			}
 			matVecs += r.MatVecApplied
 		}
-		mu.Lock()
-		mergePointStats(&res.Points[j], &local)
-		if lopts.History && res.Points[j].History == nil {
-			res.Points[j].History = rs[0].History
+		if lopts.History {
+			local.History = rs[0].History
 		}
+		sh.mu.Lock()
+		mergePointStats(&sh.res.Points[j], &local)
 		for _, c := range dropped {
-			droppedByCol[c]++
-			*droppedPairs = append(*droppedPairs, DroppedPair{Point: j, Col: c})
+			sh.droppedByCol[c]++
+			sh.droppedPairs = append(sh.droppedPairs, DroppedPair{Point: j, Col: c})
 		}
-		res.MatVecs += matVecs
-		mu.Unlock()
+		sh.res.MatVecs += matVecs
+		sh.res.CommBytes += commBytes
+		sh.mu.Unlock()
 	}
 	return nil
 }
@@ -556,112 +594,6 @@ func mergePointStats(ps, local *PointStats) {
 	if local.History != nil && ps.History == nil {
 		ps.History = local.History
 	}
-}
-
-// solvePointsDist drains the point queue with the per-column distributed
-// bottom layer (Ndm > 1). Statistics are accumulated locally and merged
-// into the shared result once per point, not once per column. A failed
-// column runs the same recovery ladder as the blocked path; the recovery
-// solves themselves are local-serial (recovery is rare, and a breakdown is
-// a property of the Krylov sequence, not of the decomposition).
-func solvePointsDist(ctx context.Context, q *qep.Problem, ring *contour.Ring, points <-chan int, bcols [][]complex128, acc *ssm.Accumulator, distSolver *dist.Solver, groups []*linsolve.GroupStop, c0 int, opts Options, res *Result, mu *sync.Mutex, droppedByCol []int, droppedPairs *[]DroppedPair) error {
-	n := q.Dim()
-	nb := len(bcols)
-	x := make([]complex128, n)
-	xd := make([]complex128, n)
-	// Worker-local interleaved solution blocks: columns are gathered here
-	// as they are solved and merged into the shared accumulator once per
-	// quadrature point (one lock acquisition), never once per column.
-	xBlk := make([]complex128, n*nb)
-	xdBlk := make([]complex128, n*nb)
-	for j := range points {
-		if ctx.Err() != nil {
-			// Canceled by another worker's fatal error (which reports it)
-			// or by the caller (which solveAll reports).
-			return nil
-		}
-		//cbs:chaossite solver.point
-		if injErr := opts.Chaos.PointFault(j); injErr != nil {
-			return fmt.Errorf("core: fatal fault at quadrature point %d: %w", j, injErr)
-		}
-		zOut := ring.Outer[j].Z
-		wOut := ring.Outer[j].W
-		zIn := ring.Inner[j].Z
-		wIn := ring.Inner[j].W
-		var local PointStats
-		var localDropped []int
-		var matVecs int
-		var commBytes int64
-		for c := range bcols {
-			b := bcols[c]
-			lopts := linsolve.Options{
-				Tol:       opts.BiCGTol,
-				MaxIter:   opts.MaxIter,
-				Group:     groups[c0+c],
-				History:   opts.TrackHistories && c0+c == 0,
-				Chaos:     opts.Chaos,
-				ChaosSite: chaos.Site{Point: j, Col: c0 + c},
-			}
-			r, stats, err := distSolver.SolveDual(ctx, zOut, b, b, x, xd, lopts)
-			if err != nil {
-				return err
-			}
-			commBytes += stats.Bytes
-			local.Iterations += r.Iterations
-			matVecs += r.MatVecApplied
-			if r.Breakdown {
-				local.Breakdowns++
-			}
-			kept := true
-			switch {
-			case r.Converged:
-				local.Converged++
-			case r.StoppedEarly:
-				local.StoppedEarly++
-			default:
-				out := recoverColumn(q, zOut, b, x, xd, j, c0+c, groups[c0+c], r, opts)
-				local.Restarts += out.restarts
-				local.Fallbacks += out.fallbacks
-				local.Iterations += out.iterations
-				matVecs += out.matVecs
-				if out.dropped {
-					kept = false
-					local.Dropped++
-					localDropped = append(localDropped, c0+c)
-					for i := range x {
-						x[i] = 0
-						xd[i] = 0
-					}
-				} else {
-					local.Converged++
-					r.Residual = out.residual
-				}
-			}
-			if kept && r.Residual > local.MaxResidual {
-				local.MaxResidual = r.Residual
-			}
-			for i := 0; i < n; i++ {
-				xBlk[i*nb+c] = x[i]
-				xdBlk[i*nb+c] = xd[i]
-			}
-			if lopts.History && local.History == nil {
-				local.History = r.History
-			}
-		}
-		// Primal block -> outer node, dual block -> the paired inner node.
-		acc.AddInterleaved(zOut, wOut, c0, nb, xBlk)
-		acc.AddInterleaved(zIn, wIn, c0, nb, xdBlk)
-		mu.Lock()
-		mergePointStats(&res.Points[j], &local)
-		for _, dc := range localDropped {
-			droppedByCol[dc]++
-			*droppedPairs = append(*droppedPairs, DroppedPair{Point: j, Col: dc})
-		}
-		res.MatVecs += matVecs
-		res.CommBytes += commBytes
-		mu.Unlock()
-	}
-	return nil
 }
 
 // splitRange divides [0,n) into at most p contiguous non-empty blocks.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"cbs/internal/bandstructure"
+	"cbs/internal/dist"
 	"cbs/internal/hamiltonian"
 	"cbs/internal/lattice"
 	"cbs/internal/qep"
@@ -292,7 +293,7 @@ func TestMemoryEstimateScalesLinearly(t *testing.T) {
 }
 
 // TestMemoryEstimateCountsAllocatedBuffers pins MemoryEstimate (the Fig. 4(b)
-// input) to what a solve really allocates, on both layouts of the blocked
+// input) to what a solve really allocates, on all three layouts of the
 // point loop: the capacities of one worker's buffers and of one top block's
 // right-hand sides are summed and scaled by the worker and block counts.
 func TestMemoryEstimateCountsAllocatedBuffers(t *testing.T) {
@@ -303,26 +304,35 @@ func TestMemoryEstimateCountsAllocatedBuffers(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		q    *qep.Problem
+		ndm  int
 	}{
-		{"fd", qep.New(smallAl(t, 8), 0)},
-		{"tb", qep.NewBackend(slab, 0)},
+		{"fd", qep.New(smallAl(t, 8), 0), 1},
+		{"fd-dist", qep.New(smallAl(t, 8), 0), 2},
+		{"tb", qep.NewBackend(slab, 0), 1},
 	} {
 		q := tc.q
 		opts := testOptions()
-		opts.Parallel = Parallel{Top: 2, Mid: 2}
+		opts.Parallel = Parallel{Top: 2, Mid: 2, Ndm: tc.ndm}
 		n, nb := q.Dim(), opts.Nrh/opts.Parallel.Top
 		b := make([]complex128, n*nb)
 		var bSoA *soa.Block[float64]
-		if q.Op != nil {
+		var distSolver *dist.Solver
+		if tc.ndm > 1 {
+			if distSolver, err = dist.NewSolver(q, tc.ndm); err != nil {
+				t.Fatal(err)
+			}
+		} else if q.Op != nil {
 			bSoA = soa.NewBlock[float64](n, nb)
 		}
-		w := newBlockWorker(q, b, bSoA, nb)
+		w := newBlockWorker(q, b, bSoA, distSolver, nb)
 		worker := int64(cap(w.x)+cap(w.xd)+cap(w.bcol)+cap(w.xcol)+cap(w.xdcol)) * 16
 		rhs := int64(cap(b)) * 16
-		if bSoA != nil {
+		switch {
+		case distSolver != nil:
+		case bSoA != nil:
 			worker += w.xb.MemoryBytes() + w.xdb.MemoryBytes() + w.wsSoA.MemoryBytes()
 			rhs += bSoA.MemoryBytes()
-		} else {
+		default:
 			worker += w.ws.MemoryBytes()
 		}
 		acc, err := ssm.NewAccumulator(n, opts.Nrh, opts.Nmm)
@@ -339,25 +349,6 @@ func TestMemoryEstimateCountsAllocatedBuffers(t *testing.T) {
 		if slack := 4 * int64(nb) * 200; got > want || want-got > slack {
 			t.Errorf("%s: MemoryEstimate = %d bytes, allocated buffers sum to %d (allowed shortfall %d)", tc.name, got, want, slack)
 		}
-	}
-}
-
-func TestEnergyScan(t *testing.T) {
-	op := smallAl(t, 8)
-	q := qep.New(op, 0)
-	opts := testOptions()
-	opts.Nint = 4
-	opts.Nmm = 2
-	opts.Nrh = 4
-	rs, err := EnergyScan(q, []float64{0.0, 0.1}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) != 2 {
-		t.Fatalf("scan returned %d results", len(rs))
-	}
-	if rs[0].Energy != 0.0 || rs[1].Energy != 0.1 {
-		t.Error("scan energies not recorded")
 	}
 }
 
@@ -394,41 +385,5 @@ func TestAutoExpandOnSaturation(t *testing.T) {
 	}
 	if res2.Expanded != 1 {
 		t.Errorf("non-expanding solve changed Nrh to %d", res2.Expanded)
-	}
-}
-
-// TestEnergyScanParallelMatchesSequential: the concurrent scan must return
-// the same results in the same order.
-func TestEnergyScanParallelMatchesSequential(t *testing.T) {
-	op := smallAl(t, 8)
-	q := qep.New(op, 0)
-	opts := testOptions()
-	opts.Nint = 4
-	opts.Nmm = 2
-	opts.Nrh = 4
-	es := []float64{-0.1, 0.0, 0.1, 0.2}
-	seq, err := EnergyScan(q, es, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := EnergyScanParallel(q, es, opts, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(par) != len(seq) {
-		t.Fatalf("length mismatch: %d vs %d", len(par), len(seq))
-	}
-	for i := range seq {
-		if par[i].Energy != seq[i].Energy {
-			t.Errorf("scan order differs at %d", i)
-		}
-		if len(par[i].Pairs) != len(seq[i].Pairs) {
-			t.Errorf("E=%g: %d vs %d states", es[i], len(par[i].Pairs), len(seq[i].Pairs))
-		}
-	}
-	// Degenerate worker counts fall back to the sequential path.
-	one, err := EnergyScanParallel(q, es[:1], opts, 8)
-	if err != nil || len(one) != 1 {
-		t.Fatal("single-energy fallback failed")
 	}
 }

@@ -23,16 +23,16 @@ type WorkspaceSoA[F soa.Float] struct {
 
 	r, rd, p, pd, q, qd *soa.Block[F]
 
-	rho, alpha, beta, dots []complex128
-	coRe, coIm             []F      // alpha or beta split per column
-	negRe, negIm           []F      // the same parts negated
-	dRe, dIm               []F      // column-dot accumulators
-	live                   []uint64 // lane masks: all-ones = update the column
-	nrmB, nrmBD, rel, relD []float64
-	nrm2, nrm2d            []float64
-	active                 []bool
+	// The operands of the solve in progress.
+	a, ad        BlockApplySoA[F]
+	b, bd, x, xd *soa.Block[F]
 
-	results []Result
+	coRe, coIm   []F      // alpha or beta split per column
+	negRe, negIm []F      // the same parts negated
+	dRe, dIm     []F      // column-dot accumulators
+	live         []uint64 // lane masks: all-ones = update the column
+
+	dualRecurrence
 }
 
 // NewWorkspaceSoA allocates a split-complex workspace for n x nb solves.
@@ -60,32 +60,21 @@ func (w *WorkspaceSoA[F]) Reserve(n, nb int) {
 		w.q.Reserve(n, nb)
 		w.qd.Reserve(n, nb)
 	}
-	if cap(w.rho) < nb {
-		w.rho = make([]complex128, nb)
-		w.alpha = make([]complex128, nb)
-		w.beta = make([]complex128, nb)
-		w.dots = make([]complex128, nb)
+	if cap(w.live) < nb {
 		co := make([]F, 6*nb) // one backing array for the six per-column planes
 		w.coRe, w.coIm = co[0*nb:1*nb:1*nb], co[1*nb:2*nb:2*nb]
 		w.negRe, w.negIm = co[2*nb:3*nb:3*nb], co[3*nb:4*nb:4*nb]
 		w.dRe, w.dIm = co[4*nb:5*nb:5*nb], co[5*nb:6*nb:6*nb]
 		w.live = make([]uint64, nb)
-		w.nrmB = make([]float64, nb)
-		w.nrmBD = make([]float64, nb)
-		w.rel = make([]float64, nb)
-		w.relD = make([]float64, nb)
-		w.nrm2 = make([]float64, nb)
-		w.nrm2d = make([]float64, nb)
-		w.active = make([]bool, nb)
-		w.results = make([]Result, nb)
 	}
+	w.reserve(nb)
 }
 
-// MemoryBytes reports the workspace's resident bytes: the six Krylov blocks
-// and, per column, four complex scalars, the six coefficient/dot planes, the
-// lane mask, six float64 norms and the active flag.
+// MemoryBytes reports the workspace's resident bytes: the six Krylov blocks,
+// the per-column recurrence state and, per column, the six coefficient/dot
+// planes and the lane mask.
 func (w *WorkspaceSoA[F]) MemoryBytes() int64 {
-	return w.r.MemoryBytes()*6 + int64(cap(w.rho))*(4*16+6*8+8+6*8+1)
+	return w.r.MemoryBytes()*6 + w.memoryBytes() + int64(cap(w.live))*(6*8+8)
 }
 
 // blockDotsSoA computes dots[c] = <x_c, y_c> on split planes, reproducing
@@ -114,10 +103,10 @@ func (w *WorkspaceSoA[F]) blockNormsSoA(nrm []float64, x *soa.Block[F]) {
 }
 
 // BlockBiCGDualSoA is BlockBiCGDual on split-complex planes: the same
-// algorithm, masking, group-stop, chaos-injection and breakdown behaviour,
-// with the block vectors stored as soa.Block planes. Every result
-// (solution bits, residuals, iteration counts) is identical to the AoS
-// solver. The returned slice aliases ws.results; ws may be nil.
+// recurrence (dualRecurrence.run) with the block vectors stored as
+// soa.Block planes. Every result (solution bits, residuals, iteration
+// counts) is identical to the interleaved solver. The returned slice
+// aliases the workspace; ws may be nil.
 func BlockBiCGDualSoA[F soa.Float](a, ad BlockApplySoA[F], b, bd, x, xd *soa.Block[F], opts Options, groups []*GroupStop, ws *WorkspaceSoA[F]) []Result {
 	n, nb := b.N(), b.NB()
 	if nb < 1 {
@@ -129,168 +118,43 @@ func BlockBiCGDualSoA[F soa.Float](a, ad BlockApplySoA[F], b, bd, x, xd *soa.Blo
 	if groups != nil && len(groups) != nb {
 		panic("linsolve: BlockBiCGDualSoA groups length mismatch")
 	}
-	maxIter := opts.MaxIter
-	if maxIter <= 0 {
-		maxIter = defaultMaxIter(n)
-	}
 	if ws == nil {
 		ws = NewWorkspaceSoA[F](n, nb)
 	} else {
 		ws.Reserve(n, nb)
 	}
-	r, rd := ws.r, ws.rd
-	p, pd := ws.p, ws.pd
-	q, qd := ws.q, ws.qd
-	rho, alpha, beta, dots := ws.rho[:nb], ws.alpha[:nb], ws.beta[:nb], ws.dots[:nb]
-	nrmB, nrmBD := ws.nrmB[:nb], ws.nrmBD[:nb]
-	rel, relD := ws.rel[:nb], ws.relD[:nb]
-	nrm2, nrm2d := ws.nrm2[:nb], ws.nrm2d[:nb]
-	active := ws.active[:nb]
-	results := ws.results[:nb]
-
-	group := func(c int) *GroupStop {
-		if groups == nil {
-			return nil
-		}
-		return groups[c]
-	}
-
-	// r = b - A x, rd = bd - A^dagger xd.
-	a(x, q)
-	ad(xd, qd)
-	for c := range results {
-		results[c] = Result{MatVecApplied: 2}
-		active[c] = true
-	}
-	subPlanes(r.Re, b.Re, q.Re)
-	subPlanes(r.Im, b.Im, q.Im)
-	subPlanes(rd.Re, bd.Re, qd.Re)
-	subPlanes(rd.Im, bd.Im, qd.Im)
-	copy(p.Re, r.Re)
-	copy(p.Im, r.Im)
-	copy(pd.Re, rd.Re)
-	copy(pd.Im, rd.Im)
-
-	ws.blockNormsSoA(nrmB, b)
-	ws.blockNormsSoA(nrmBD, bd)
-	for c := range nrmB {
-		if nrmB[c] == 0 {
-			nrmB[c] = 1
-		}
-		if nrmBD[c] == 0 {
-			nrmBD[c] = 1
-		}
-	}
-	ws.blockDotsSoA(rho, rd, r)
-	if opts.Chaos != nil {
-		// Injected per-column Lanczos breakdowns (deterministic per
-		// (point, column, attempt) site; see internal/chaos).
-		for c := range rho {
-			s := opts.ChaosSite
-			s.Col += c
-			//cbs:chaossite bicg.soa-breakdown
-			if opts.Chaos.Breakdown(s) {
-				rho[c] = 0
-			}
-		}
-	}
-	ws.blockNormsSoA(rel, r)
-	ws.blockNormsSoA(relD, rd)
-	for c := range rel {
-		rel[c] /= nrmB[c]
-		relD[c] /= nrmBD[c]
-	}
-	if opts.History {
-		results[0].History = append(results[0].History, rel[0])
-	}
-
-	remaining := nb
-	for iter := 0; iter < maxIter && remaining > 0; iter++ {
-		for c := 0; c < nb; c++ {
-			if !active[c] {
-				continue
-			}
-			if rel[c] <= opts.Tol && relD[c] <= opts.Tol {
-				results[c].Converged = true
-				if g := group(c); g != nil {
-					g.MarkConverged()
-				}
-				active[c] = false
-				remaining--
-				continue
-			}
-			if g := group(c); g != nil && rel[c] <= opts.looseTol() && relD[c] <= opts.looseTol() && g.ShouldStop() {
-				results[c].StoppedEarly = true
-				active[c] = false
-				remaining--
-				continue
-			}
-			if cabs2(rho[c]) < breakdownTol {
-				results[c].Breakdown = true
-				active[c] = false
-				remaining--
-			}
-		}
-		if remaining == 0 {
-			break
-		}
-		a(p, q)
-		ad(pd, qd)
-		ws.blockDotsSoA(dots, pd, q)
-		for c := 0; c < nb; c++ {
-			alpha[c] = 0
-			if !active[c] {
-				continue
-			}
-			results[c].MatVecApplied += 2
-			if cabs2(dots[c]) < breakdownTol {
-				results[c].Breakdown = true
-				active[c] = false
-				remaining--
-				continue
-			}
-			alpha[c] = rho[c] / dots[c]
-		}
-		if remaining == 0 {
-			break
-		}
-		ws.updateSolutionsSoA(x, xd, alpha)
-		ws.blockDotsSoA(dots, rd, r)
-		for c := 0; c < nb; c++ {
-			beta[c] = 0
-			if !active[c] {
-				continue
-			}
-			beta[c] = dots[c] / rho[c]
-			rho[c] = dots[c]
-		}
-		ws.updateDirectionsSoA(beta, active)
-		ws.blockNormsSoA(nrm2, r)
-		ws.blockNormsSoA(nrm2d, rd)
-		for c := 0; c < nb; c++ {
-			if !active[c] {
-				continue
-			}
-			rel[c] = nrm2[c] / nrmB[c]
-			relD[c] = nrm2d[c] / nrmBD[c]
-			results[c].Iterations++
-		}
-		if opts.History && active[0] {
-			results[0].History = append(results[0].History, rel[0])
-		}
-	}
-	for c := 0; c < nb; c++ {
-		if active[c] && rel[c] <= opts.Tol && relD[c] <= opts.Tol {
-			results[c].Converged = true
-			if g := group(c); g != nil {
-				g.MarkConverged()
-			}
-		}
-		results[c].Residual = rel[c]
-		results[c].DualResidual = relD[c]
-	}
-	return results
+	ws.a, ws.ad, ws.b, ws.bd, ws.x, ws.xd = a, ad, b, bd, x, xd
+	return ws.run(ws, n, nb, opts, groups)
 }
+
+func (w *WorkspaceSoA[F]) start(nrmB, nrmBD []float64) {
+	w.a(w.x, w.q)
+	w.ad(w.xd, w.qd)
+	subPlanes(w.r.Re, w.b.Re, w.q.Re)
+	subPlanes(w.r.Im, w.b.Im, w.q.Im)
+	subPlanes(w.rd.Re, w.bd.Re, w.qd.Re)
+	subPlanes(w.rd.Im, w.bd.Im, w.qd.Im)
+	copy(w.p.Re, w.r.Re)
+	copy(w.p.Im, w.r.Im)
+	copy(w.pd.Re, w.rd.Re)
+	copy(w.pd.Im, w.rd.Im)
+	w.blockNormsSoA(nrmB, w.b)
+	w.blockNormsSoA(nrmBD, w.bd)
+}
+
+func (w *WorkspaceSoA[F]) apply() {
+	w.a(w.p, w.q)
+	w.ad(w.pd, w.qd)
+}
+
+func (w *WorkspaceSoA[F]) residualNorms(nrm, nrmD []float64) {
+	w.blockNormsSoA(nrm, w.r)
+	w.blockNormsSoA(nrmD, w.rd)
+}
+
+func (w *WorkspaceSoA[F]) residualDots(dots []complex128) { w.blockDotsSoA(dots, w.rd, w.r) }
+
+func (w *WorkspaceSoA[F]) directionDots(dots []complex128) { w.blockDotsSoA(dots, w.pd, w.q) }
 
 // subPlanes computes dst = a - b over one plane.
 //
@@ -328,7 +192,7 @@ func lane(on bool) uint64 {
 	return 0
 }
 
-// updateSolutionsSoA is the alpha-step on split planes: x += alpha*p,
+// alphaStep is the alpha-step on split planes: x += alpha*p,
 // xd += conj(alpha)*pd, r -= alpha*q, rd -= conj(alpha)*qd, each one masked
 // column-lane pass with the conjugation and the subtraction folded into the
 // coefficient's signs (exact; see the soa column-lane kernels). Per element
@@ -337,22 +201,22 @@ func lane(on bool) uint64 {
 // in the AoS path: its lane is masked off and nothing is stored to it.
 //
 //cbs:hotpath
-func (w *WorkspaceSoA[F]) updateSolutionsSoA(x, xd *soa.Block[F], alpha []complex128) {
+func (w *WorkspaceSoA[F]) alphaStep(alpha []complex128) {
 	re, im, negRe, negIm, live := w.splitCoefs(alpha)
 	for c, al := range alpha {
 		live[c] = lane(al != 0)
 	}
-	soa.AxpyCols(x, w.p, re, im, live)
-	soa.AxpyCols(xd, w.pd, re, negIm, live)
+	soa.AxpyCols(w.x, w.p, re, im, live)
+	soa.AxpyCols(w.xd, w.pd, re, negIm, live)
 	soa.AxpyCols(w.r, w.q, negRe, negIm, live)
 	soa.AxpyCols(w.rd, w.qd, negRe, im, live)
 }
 
-// updateDirectionsSoA is the beta-step on split planes: p = r + beta*p and
+// betaStep is the beta-step on split planes: p = r + beta*p and
 // its dual with conj(beta), frozen columns masked off.
 //
 //cbs:hotpath
-func (w *WorkspaceSoA[F]) updateDirectionsSoA(beta []complex128, active []bool) {
+func (w *WorkspaceSoA[F]) betaStep(beta []complex128, active []bool) {
 	re, im, _, negIm, live := w.splitCoefs(beta)
 	for c, on := range active {
 		live[c] = lane(on)

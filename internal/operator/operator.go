@@ -12,10 +12,11 @@
 // Two implementations exist: the FD-grid Kohn-Sham operator
 // (internal/hamiltonian, the paper's workload) and the nearest-neighbor
 // tight-binding operator (internal/tb, closed-form dispersions for
-// property tests and cheap interactive transport serving). The solver's
-// FD-only fast paths (split-complex SoA kernels, the Ndm > 1 domain
-// decomposition) type-assert the concrete *hamiltonian.Operator and fall
-// back to the portable blocked path for every other backend.
+// property tests and cheap interactive transport serving). The solver has
+// one quadrature-point loop for both; a worker observes which it was handed
+// and picks its block-solve layout once (split-complex planes or the Ndm > 1
+// domain decomposition for a *hamiltonian.Operator, interleaved blocks for
+// every other backend).
 package operator
 
 // Backend is a matrix-free z-periodic operator in the QEP block form
