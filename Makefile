@@ -89,18 +89,19 @@ serve-chaos:
 serve-smoke:
 	$(GO) test -count=1 -tags servesmoke -run TestServeSmoke ./cmd/cbsd
 
-# net-smoke exercises the transport stack end to end under -race: wire
-# framing, the reliable link layer (reconnect, backoff, NAK retransmit),
-# channel/TCP parity in dist, and the fleet suite — including the real
-# SIGKILL multi-process kill-and-reshard acceptance test.
+# net-smoke exercises both message layers end to end under -race: wire
+# framing, the reliable link (reconnect, backoff, NAK retransmit, ack) on a
+# two-ended RConn pair, the channel rank world and the SPMD solver on it in
+# dist, and the fleet suite — lying and silent workers, and the real SIGKILL
+# multi-process kill-and-reshard acceptance test.
 net-smoke:
 	$(GO) test -race -count=1 ./internal/wire ./internal/comm ./internal/dist ./internal/fleet
 
-# net-chaos is the network-fault matrix: the fleet kill-and-reshard
-# acceptance and the comm/dist suites with the net.* chaos sites (drop,
-# delay, reorder, dup, partition, conn) armed across deterministic seeds.
-# The suites arm explicit per-site rates in-test and read the seed from
-# CBS_CHAOS_SEED, so each matrix entry faults a different pattern of
+# net-chaos is the network-fault matrix: the comm link suite and the fleet
+# kill-and-reshard acceptance with the net.* chaos sites (drop, delay,
+# reorder, dup, partition, conn) armed. The suites arm explicit per-site
+# rates in-test; the link suite runs its own seeds (1/7/42), the fleet
+# reads CBS_CHAOS_SEED, so each matrix entry faults a different pattern of
 # writes and dials; -count=2 defeats the test cache.
 net-chaos:
 	for seed in 1 2 3; do \
@@ -128,6 +129,8 @@ negf-smoke:
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzCSRBuild -fuzztime=30s ./internal/sparse
 	$(GO) test -run=NONE -fuzz=FuzzLUSolve -fuzztime=30s ./internal/zlinalg
+	$(GO) test -run=NONE -fuzz=FuzzWireRead -fuzztime=30s ./internal/wire
+	$(GO) test -run=NONE -fuzz=FuzzFleetMsg -fuzztime=30s ./internal/fleet
 
 # bench-smoke is the CI gate on the one benchmark (bench/, BENCHMARK.json):
 # all five workloads at tiny sizes with a one-second timed part each, every

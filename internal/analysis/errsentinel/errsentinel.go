@@ -24,7 +24,7 @@
 //
 // must test errors.Is against every exported sentinel of each named
 // imported package. internal/sweep's retry ladder carries the annotation
-// for core, linsolve and contour, so adding a sentinel to any of those
+// for core, contour and comm, so adding a sentinel to any of those
 // packages breaks the build until the ladder classifies it (or the rung is
 // explicitly waived where the annotation sits).
 package errsentinel

@@ -39,24 +39,6 @@ func Bands(op *hamiltonian.Operator, ks []float64, nbands int) ([][]float64, err
 	return out, nil
 }
 
-// BandsWithVectors also returns the eigenvectors at each k.
-func BandsWithVectors(op *hamiltonian.Operator, ks []float64) ([][]float64, []*zlinalg.Matrix, error) {
-	a := op.G.Lz()
-	vals := make([][]float64, len(ks))
-	vecs := make([]*zlinalg.Matrix, len(ks))
-	for i, k := range ks {
-		lam := qep.LambdaFromK(complex(k, 0), a)
-		h := op.BlochMatrix(lam)
-		ev, evec, err := zlinalg.EigHermitian(h)
-		if err != nil {
-			return nil, nil, err
-		}
-		vals[i] = ev
-		vecs[i] = evec
-	}
-	return vals, vecs, nil
-}
-
 // UniformK returns nk wave vectors spanning the first Brillouin zone
 // [0, pi/a] (time-reversal symmetric half).
 func UniformK(op *hamiltonian.Operator, nk int) []float64 {

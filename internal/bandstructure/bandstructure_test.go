@@ -128,15 +128,3 @@ func TestUniformK(t *testing.T) {
 		t.Error("single-point grid should be Gamma")
 	}
 }
-
-func TestBandsWithVectorsEigenpairs(t *testing.T) {
-	op := smallAl(t)
-	ks := []float64{0.2}
-	vals, vecs, err := BandsWithVectors(op, ks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vecs[0].Rows != op.N() || len(vals[0]) != op.N() {
-		t.Fatal("shape mismatch")
-	}
-}

@@ -1,11 +1,15 @@
 // Package comm is the message-passing layer modelled on the MPI subset the
 // paper's code uses for its bottom parallel layer: point-to-point sends
 // between ranks (halo exchange of z-slab boundaries) and allreduce (BiCG
-// inner products, nonlocal projector coefficients). This file is the
-// reference fabric — ranks are goroutines, channels carry the messages —
-// behind the Transport interface (transport.go); tcp.go carries the same
-// protocol across OS processes. Traffic statistics are recorded so
-// experiments can report communication volume.
+// inner products, nonlocal projector coefficients). Ranks are goroutines
+// of one process and channels carry the messages (the DESIGN §2
+// substitution for MPI): a World is the only rank fabric, and internal/dist
+// holds it by concrete type. Traffic statistics are recorded so experiments
+// can report communication volume.
+//
+// The package's second half (rconn.go) is unrelated to ranks: the reliable
+// framed link over TCP that carries the fleet's coordinator/worker protocol
+// across OS processes.
 package comm
 
 import (
@@ -17,19 +21,16 @@ import (
 )
 
 // World is a fixed-size group of ranks sharing the in-process channel
-// fabric. It implements RankWorld.
+// fabric.
 type World struct {
 	size int
 	// p2p[src*size+dst] carries messages from src to dst.
 	p2p []chan []complex128
 
 	// allreduce state: a two-phase (gather + broadcast) reducer that sums
-	// in rank order so the result bits match the TCP fabric's.
+	// in rank order so the result bits do not depend on arrival order.
 	reduceIn  chan reduceMsg
 	reduceOut []chan reduceResult
-
-	barrierIn  chan struct{}
-	barrierOut []chan struct{}
 
 	// statistics
 	messages atomic.Int64
@@ -66,24 +67,20 @@ func NewWorld(size int) (*World, error) {
 		return nil, fmt.Errorf("comm: world size %d < 1", size)
 	}
 	w := &World{
-		size:       size,
-		p2p:        make([]chan []complex128, size*size),
-		reduceIn:   make(chan reduceMsg, size),
-		reduceOut:  make([]chan reduceResult, size),
-		barrierIn:  make(chan struct{}, size),
-		barrierOut: make([]chan struct{}, size),
-		sendSeq:    make([]atomic.Int64, size*size),
-		stop:       make(chan struct{}),
+		size:      size,
+		p2p:       make([]chan []complex128, size*size),
+		reduceIn:  make(chan reduceMsg, size),
+		reduceOut: make([]chan reduceResult, size),
+		sendSeq:   make([]atomic.Int64, size*size),
+		stop:      make(chan struct{}),
 	}
 	for i := range w.p2p {
 		w.p2p[i] = make(chan []complex128, chanDepth)
 	}
 	for i := range w.reduceOut {
 		w.reduceOut[i] = make(chan reduceResult, 1)
-		w.barrierOut[i] = make(chan struct{}, 1)
 	}
 	go w.reducer()
-	go w.barrierKeeper()
 	return w, nil
 }
 
@@ -95,8 +92,8 @@ func NewWorld(size int) (*World, error) {
 // tests observe realistic volumes.
 func (w *World) SetChaos(inj *chaos.Injector) { w.inj = inj }
 
-// Close shuts down the world's coordinators; ranks blocked in collectives
-// return ErrClosed.
+// Close shuts down the world's reducer; ranks blocked in communication
+// calls return ErrClosed.
 func (w *World) Close() error {
 	w.stopOnce.Do(func() { close(w.stop) })
 	return nil
@@ -112,11 +109,11 @@ func (w *World) Messages() int64 { return w.messages.Load() }
 func (w *World) Bytes() int64 { return w.bytes.Load() }
 
 // reducer gathers one contribution per rank, then sums them in rank order
-// — the same fold the TCP fabric's rank-0 star uses, so both fabrics
-// produce bit-identical sums — and broadcasts the result. A length
+// — whatever order they arrived in, so the non-associative float sums are
+// the same bits on every run — and broadcasts the result. A length
 // mismatch across the contributions fails the whole round with
-// ErrShapeMismatch on every rank: a remote peer must never be able to
-// panic a worker (this was a panic once; see the regression tests).
+// ErrShapeMismatch on every rank: one rank's bug must never be able to
+// panic the process (this was a panic once; see the regression tests).
 func (w *World) reducer() {
 	slots := make([][]complex128, w.size)
 	for {
@@ -165,34 +162,17 @@ func (w *World) reducer() {
 	}
 }
 
-func (w *World) barrierKeeper() {
-	for {
-		for got := 0; got < w.size; got++ {
-			select {
-			case <-w.barrierIn:
-			case <-w.stop:
-				return
-			}
-		}
-		for r := 0; r < w.size; r++ {
-			select {
-			case w.barrierOut[r] <- struct{}{}:
-			case <-w.stop:
-				return
-			}
-		}
-	}
-}
-
 // Comm returns the endpoint of one rank.
-func (w *World) Comm(rank int) (Transport, error) {
+func (w *World) Comm(rank int) (*Communicator, error) {
 	if rank < 0 || rank >= w.size {
 		return nil, fmt.Errorf("comm: rank %d out of range [0,%d)", rank, w.size)
 	}
 	return &Communicator{w: w, rank: rank}, nil
 }
 
-// Communicator is one rank's endpoint in a channel World.
+// Communicator is one rank's endpoint in a World: the MPI subset the
+// paper's bottom layer uses. All methods are called from the rank's own
+// goroutine (SPMD discipline: one in-flight call per rank).
 type Communicator struct {
 	w    *World
 	rank int
@@ -263,29 +243,5 @@ func (c *Communicator) AllreduceSum(data []complex128) ([]complex128, error) {
 		return res.data, res.err
 	case <-c.w.stop:
 		return nil, ErrClosed
-	}
-}
-
-// AllreduceSumScalar is AllreduceSum for a single value.
-func (c *Communicator) AllreduceSumScalar(v complex128) (complex128, error) {
-	out, err := c.AllreduceSum([]complex128{v})
-	if err != nil {
-		return 0, err
-	}
-	return out[0], nil
-}
-
-// Barrier blocks until every rank has reached it.
-func (c *Communicator) Barrier() error {
-	select {
-	case c.w.barrierIn <- struct{}{}:
-	case <-c.w.stop:
-		return ErrClosed
-	}
-	select {
-	case <-c.w.barrierOut[c.rank]:
-		return nil
-	case <-c.w.stop:
-		return ErrClosed
 	}
 }

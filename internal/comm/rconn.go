@@ -1,5 +1,5 @@
-// rconn.go is the reliable link under the TCP fabric: wire-framed messages
-// with per-link sequence numbers over a replaceable net.Conn. Each end runs
+// rconn.go is the reliable link under the fleet: wire-framed messages with
+// per-link sequence numbers over a replaceable net.Conn. Each end runs
 // a pump goroutine that always reads its side of the conn, so link control
 // (NAK-driven retransmission, resequencing, reconnection) happens even
 // while the application is busy elsewhere. The link heals everything short
@@ -11,7 +11,8 @@
 // What it cannot heal it names: a peer asking for frames the outbox evicted
 // is ErrPeerLost; a link that starves a waiting receiver past the retry
 // budget is ErrPartition; corruption that persists across resets is
-// ErrFrameCorrupt. The sweep escalation ladder classifies all three.
+// ErrFrameCorrupt. The fleet answers all three the same way: the worker is
+// declared dead and its energies are re-dispatched.
 package comm
 
 import (
@@ -26,8 +27,8 @@ import (
 	"cbs/internal/wire"
 )
 
-// TCPOptions tunes the reliable links and the TCP worlds built from them.
-// The zero value means "use defaults" (see WithDefaults).
+// TCPOptions tunes a reliable link. The zero value means "use defaults"
+// (see WithDefaults).
 type TCPOptions struct {
 	// ConnectTimeout bounds one dial attempt and one handshake exchange.
 	ConnectTimeout time.Duration
@@ -116,7 +117,7 @@ type RConn struct {
 
 	sendSeq uint64   // next data sequence to assign
 	outBase uint64   // sequence of outbox[0]
-	outbox  [][]byte // channel-tagged payloads awaiting possible retransmit
+	outbox  [][]byte // payloads awaiting possible retransmit
 
 	recvSeq uint64            // next data sequence to deliver
 	pending map[uint64][]byte // out-of-order frames waiting for the gap
@@ -134,41 +135,30 @@ type RConn struct {
 	pumpDone chan struct{}
 }
 
-// newDialerRConn builds the end that owns reconnection: dial is invoked,
-// with backoff, whenever the link needs a conn.
-func newDialerRConn(src, dst byte, opts TCPOptions, dial func() (net.Conn, error)) *RConn {
-	r := newRConn(src, dst, opts)
-	r.dial = dial
-	go r.pump()
-	return r
-}
-
-// newAcceptorRConn builds the passive end: replacements arrive via Attach.
-func newAcceptorRConn(src, dst byte, opts TCPOptions) *RConn {
-	r := newRConn(src, dst, opts)
-	go r.pump()
-	return r
-}
-
 // WildcardID is the link identity an end dials with before it has been
 // assigned one: a fleet worker's first hello carries it, and the
 // coordinator's welcome replaces it via SetLocalID.
 const WildcardID byte = 0xFF
 
-// DialLink opens the dialing end of a standalone reliable link to addr. The
-// link owns reconnection: every conn loss redials addr with backoff, and
-// the resynchronizing handshake replays whatever the peer has not seen.
+// DialLink opens the dialing end of a reliable link to addr. This end owns
+// reconnection: every conn loss redials addr with backoff, and the
+// resynchronizing handshake replays whatever the peer has not seen.
 func DialLink(src, dst byte, addr string, opts TCPOptions) *RConn {
-	o := opts.WithDefaults()
-	return newDialerRConn(src, dst, o, func() (net.Conn, error) {
-		return net.DialTimeout("tcp", addr, o.ConnectTimeout)
-	})
+	r := newRConn(src, dst, opts)
+	r.dial = func() (net.Conn, error) {
+		return net.DialTimeout("tcp", addr, r.opts.ConnectTimeout)
+	}
+	go r.pump()
+	return r
 }
 
-// AcceptLink builds the passive end of a standalone reliable link: conns
-// arrive via Attach after the owner routes them by AcceptHello identity.
+// AcceptLink builds the passive end of a reliable link: conns (the first one
+// and every replacement) arrive via Attach after the owner routes them by
+// AcceptHello identity.
 func AcceptLink(src, dst byte, opts TCPOptions) *RConn {
-	return newAcceptorRConn(src, dst, opts)
+	r := newRConn(src, dst, opts)
+	go r.pump()
+	return r
 }
 
 func newRConn(src, dst byte, opts TCPOptions) *RConn {
@@ -282,8 +272,8 @@ func (r *RConn) pump() {
 			}
 			wait := r.backoff(attempts)
 			if r.dial != nil && !r.demandLocked() && attempts >= r.opts.RetryBudget {
-				// Idle with the budget spent: keep a slow redial heartbeat
-				// so late-starting peers (multi-process joins) are found.
+				// Idle with the budget spent: keep redialing slowly so a
+				// peer that comes back late is still found.
 				wait = r.opts.BackoffMax
 			}
 			r.sleepLocked(wait)
@@ -561,12 +551,12 @@ func (r *RConn) installLocked(c net.Conn, peerExpected uint64) error {
 	return nil
 }
 
-// Send appends one channel-tagged payload to the link. The payload lands in
-// the retransmit outbox before the first write attempt, so delivery
+// Send appends one payload to the link (the slice is copied). The payload
+// lands in the retransmit outbox before the first write attempt, so delivery
 // survives any reconnect; a Send onto a dead conn returns nil and the
 // resynchronizing handshake carries the frame later (buffered-send
-// semantics, like the channel fabric's).
-func (r *RConn) Send(ch byte, body []byte) error {
+// semantics).
+func (r *RConn) Send(body []byte) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
@@ -575,9 +565,7 @@ func (r *RConn) Send(ch byte, body []byte) error {
 	if r.fail != nil {
 		return r.fail
 	}
-	payload := make([]byte, 1+len(body))
-	payload[0] = ch
-	copy(payload[1:], body)
+	payload := append([]byte(nil), body...)
 	seq := r.sendSeq
 	r.sendSeq++
 	r.outbox = append(r.outbox, payload)
@@ -706,25 +694,12 @@ func (r *RConn) retransmitLocked(from uint64) error {
 	return nil
 }
 
-// Recv returns the next in-order payload, which must carry the channel tag
-// ch (the lockstep protocols never interleave channels on one link).
-func (r *RConn) Recv(ch byte) ([]byte, error) {
-	tag, body, err := r.RecvAny()
-	if err != nil {
-		return nil, err
-	}
-	if tag != ch {
-		return nil, fmt.Errorf("comm: link %d<-%d: expected channel %d, got %d", r.src, r.dst, ch, tag)
-	}
-	return body, nil
-}
-
-// RecvAny returns the next in-order payload and its channel tag. It blocks
-// until the pump sequences one; failure surfaces typed — ErrPartition after
-// the retry budget starves, ErrFrameCorrupt after persistent corruption,
-// ErrPeerLost when recovery is impossible, ErrClosed after Close. Payloads
-// sequenced before a failure are still delivered first.
-func (r *RConn) RecvAny() (byte, []byte, error) {
+// Recv returns the next in-order payload. It blocks until the pump sequences
+// one; failure surfaces typed — ErrPartition after the retry budget starves,
+// ErrFrameCorrupt after persistent corruption, ErrPeerLost when recovery is
+// impossible, ErrClosed after Close. Payloads sequenced before a failure are
+// still delivered first.
+func (r *RConn) Recv() ([]byte, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for {
@@ -732,16 +707,13 @@ func (r *RConn) RecvAny() (byte, []byte, error) {
 			p := r.inbox[0]
 			r.inbox[0] = nil
 			r.inbox = r.inbox[1:]
-			if len(p) == 0 {
-				return 0, nil, fmt.Errorf("comm: link %d<-%d: empty data frame", r.src, r.dst)
-			}
-			return p[0], p[1:], nil
+			return p, nil
 		}
 		if r.closed {
-			return 0, nil, ErrClosed
+			return nil, ErrClosed
 		}
 		if r.fail != nil {
-			return 0, nil, r.fail
+			return nil, r.fail
 		}
 		r.waiters++
 		r.cond.Broadcast() // the pump reassesses demand

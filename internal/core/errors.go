@@ -3,10 +3,10 @@ package core
 import "errors"
 
 // Typed sentinels of the solver layer, matchable with errors.Is. Errors
-// from the lower layers (linsolve.ErrBreakdown, linsolve.ErrNoConvergence,
-// contour.ErrTooManyDropped, ssm.ErrRankDeficient, chaos.ErrInjected,
-// context.Canceled) are wrapped, not translated, so callers can match the
-// original cause through a core error.
+// from the lower layers (contour.ErrTooManyDropped, ssm.ErrRankDeficient,
+// comm.ErrShapeMismatch, chaos.ErrInjected, context.Canceled) are wrapped,
+// not translated. A column's Krylov breakdown or stagnation is not among
+// them: this package's ladder owns it and only its overflow leaves Solve.
 var (
 	// ErrBadOptions is an invalid solver parameterization (non-positive
 	// Nint/Nmm/Nrh, bad contour radii).

@@ -467,7 +467,7 @@ func blockWorkerBytes(n, nb int64, planes, distributed bool) int64 {
 // solve runs the dual block solve P(z) X = B, P(z)^dagger Xd = B from a zero
 // guess and leaves the interleaved solutions in w.x and w.xd. commBytes is
 // the distributed layout's bottom-layer traffic; err is fatal to the
-// contour (a transport failure or a cancellation inside a distributed
+// contour (a rank world failure or a cancellation inside a distributed
 // solve), never a per-column solver outcome.
 func (w *blockWorker) solve(ctx context.Context, z complex128, lopts linsolve.Options, groups []*linsolve.GroupStop) (rs []linsolve.Result, commBytes int64, err error) {
 	w.z = z

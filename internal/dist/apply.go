@@ -34,9 +34,9 @@ func newApplyCtx(s *Solver, rank int) *applyCtx {
 
 // apply computes out = P(z) v for the local slab, exchanging halos with the
 // ring neighbours (Bloch twist z at the cell seam) and allreducing the
-// nonlocal projector coefficients. A transport failure aborts the
+// nonlocal projector coefficients. A communication failure aborts the
 // application; out is unspecified then.
-func (a *applyCtx) apply(c comm.Transport, z complex128, v, out []complex128) error {
+func (a *applyCtx) apply(c *comm.Communicator, z complex128, v, out []complex128) error {
 	s := a.s
 	op := s.Q.Op
 	g := op.G
@@ -166,7 +166,7 @@ func (a *applyCtx) apply(c comm.Transport, z complex128, v, out []complex128) er
 
 // applyDagger computes out = P(z)^dagger v = P(1/conj(z)) v; zd must be
 // 1/conj(z).
-func (a *applyCtx) applyDagger(c comm.Transport, zd complex128, v, out []complex128) error {
+func (a *applyCtx) applyDagger(c *comm.Communicator, zd complex128, v, out []complex128) error {
 	return a.apply(c, zd, v, out)
 }
 

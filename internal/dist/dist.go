@@ -1,14 +1,13 @@
 // Package dist implements the bottom layer of the paper's hierarchical
 // parallelism: the BiCG solve of one quadrature-point system P(z) Y = V is
 // domain-decomposed into z-slabs, one SPMD rank per domain, communicating
-// through a comm.Transport exactly as the MPI code does -- ring halo
+// through a comm.Communicator exactly as the MPI code does -- ring halo
 // exchange of the stencil boundary planes with a Bloch phase twist at the
 // cell seam, and allreduce for the BiCG inner products and the nonlocal
 // projector coefficients (the global communication the paper identifies as
-// the large-scale bottleneck). The fabric behind the Transport is
-// pluggable: the in-process channel world by default, TCP sockets via
-// comm.TCPFabric — the SPMD body is identical and the results are
-// bit-identical (both fabrics reduce in rank order).
+// the large-scale bottleneck). Ranks are goroutines of one process on a
+// comm.World (channels stand in for MPI, DESIGN §2); the reduction sums in
+// rank order, so a solve's bits do not depend on scheduling.
 package dist
 
 import (
@@ -28,12 +27,11 @@ import (
 
 // Solver holds the per-domain precomputation for one QEP.
 type Solver struct {
-	Q      *qep.Problem
-	Ndm    int
-	slabs  []grid.Slab
-	ranks  []*rankState
-	inj    *chaos.Injector
-	fabric comm.Fabric
+	Q     *qep.Problem
+	Ndm   int
+	slabs []grid.Slab
+	ranks []*rankState
+	inj   *chaos.Injector
 }
 
 // SetChaos installs a deterministic fault injector (nil disables it). Every
@@ -41,25 +39,6 @@ type Solver struct {
 // become corruptible test subjects. Not safe to change concurrently with a
 // running solve.
 func (s *Solver) SetChaos(inj *chaos.Injector) { s.inj = inj }
-
-// SetFabric selects the communication fabric of subsequent solves (nil
-// restores the in-process channel default). Not safe to change
-// concurrently with a running solve.
-func (s *Solver) SetFabric(f comm.Fabric) { s.fabric = f }
-
-// newWorld builds one solve's rank world on the configured fabric.
-func (s *Solver) newWorld() (comm.RankWorld, error) {
-	fab := s.fabric
-	if fab == nil {
-		fab = comm.ChannelFabric{}
-	}
-	world, err := fab.NewWorld(s.Ndm)
-	if err != nil {
-		return nil, err
-	}
-	world.SetChaos(s.inj)
-	return world, nil
-}
 
 // rankState is the static per-rank data.
 type rankState struct {
@@ -156,10 +135,9 @@ func groupErr(errs []error) error {
 // iteration loop at the same step (no rank is left blocked in a
 // collective). On cancellation the returned error wraps ctx.Err().
 //
-// Fault propagation: a rank whose transport fails (ErrShapeMismatch,
-// ErrPeerLost, ErrPartition, a corrupt frame past the link's recovery
-// budget) closes the world, so every other rank unblocks with ErrClosed;
-// the originating error is the one returned.
+// Fault propagation: a rank whose communication call fails
+// (ErrShapeMismatch) closes the world, so every other rank unblocks with
+// ErrClosed; the originating error is the one returned.
 func (s *Solver) SolveDual(ctx context.Context, z complex128, b, bd, x, xd []complex128, opts linsolve.Options) (linsolve.Result, Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -171,11 +149,12 @@ func (s *Solver) SolveDual(ctx context.Context, z complex128, b, bd, x, xd []com
 	if err := ctx.Err(); err != nil {
 		return linsolve.Result{}, Stats{}, fmt.Errorf("dist: solve not started: %w", err)
 	}
-	world, err := s.newWorld()
+	world, err := comm.NewWorld(s.Ndm)
 	if err != nil {
 		return linsolve.Result{}, Stats{}, err
 	}
 	defer world.Close()
+	world.SetChaos(s.inj)
 	results := make([]linsolve.Result, s.Ndm)
 	errs := make([]error, s.Ndm)
 	var wg sync.WaitGroup
@@ -209,11 +188,12 @@ func (s *Solver) ApplyOnce(z complex128, v []complex128) ([]complex128, error) {
 	if len(v) != n {
 		return nil, fmt.Errorf("dist: ApplyOnce length mismatch")
 	}
-	world, err := s.newWorld()
+	world, err := comm.NewWorld(s.Ndm)
 	if err != nil {
 		return nil, err
 	}
 	defer world.Close()
+	world.SetChaos(s.inj)
 	out := make([]complex128, n)
 	errs := make([]error, s.Ndm)
 	var wg sync.WaitGroup
@@ -252,9 +232,9 @@ const (
 
 // rankSolve is the SPMD body executed by every rank. Solver-outcome errors
 // (cancellation) are reported only by rank 0 — the ranks agree on the
-// outcome and rank 0 speaks for the group; transport errors are reported
-// by whichever rank observed them.
-func (s *Solver) rankSolve(ctx context.Context, c comm.Transport, rank int, z complex128, b, bd, x, xd []complex128, opts linsolve.Options) (linsolve.Result, error) {
+// outcome and rank 0 speaks for the group; communication errors are
+// reported by whichever rank observed them.
+func (s *Solver) rankSolve(ctx context.Context, c *comm.Communicator, rank int, z complex128, b, bd, x, xd []complex128, opts linsolve.Options) (linsolve.Result, error) {
 	rs := s.ranks[rank]
 	n := rs.n
 	res := linsolve.Result{}

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"cbs/internal/chaos"
-	"cbs/internal/comm"
 	"cbs/internal/hamiltonian"
 	"cbs/internal/lattice"
 	"cbs/internal/linsolve"
@@ -322,121 +321,6 @@ func TestHaloChaosCorruption(t *testing.T) {
 	for i := range clean {
 		if cmplx.Abs(clean[i]-want[i]) > 1e-11 {
 			t.Fatalf("clean apply deviates at %d after chaos removal", i)
-		}
-	}
-}
-
-// distTCPOptions keeps the fabric's recovery cycles fast for tests.
-func distTCPOptions() comm.TCPOptions {
-	return comm.TCPOptions{
-		ConnectTimeout: 500 * time.Millisecond,
-		IOTimeout:      50 * time.Millisecond,
-		RetryBudget:    20,
-		BackoffBase:    time.Millisecond,
-		BackoffMax:     10 * time.Millisecond,
-	}
-}
-
-// TestTCPFabricParity pins the tentpole invariant at the solver level: the
-// same dual solve over the channel fabric and over real loopback sockets
-// must agree bit for bit — solution vectors, iteration count, residual.
-func TestTCPFabricParity(t *testing.T) {
-	q := testProblem(t)
-	n := q.Dim()
-	rng := rand.New(rand.NewSource(7))
-	b := randVec(rng, n)
-	bd := randVec(rng, n)
-	z := complex(1.1, 1.0)
-	opts := linsolve.Options{Tol: 1e-10, MaxIter: 4000}
-
-	run := func(f comm.Fabric) ([]complex128, []complex128, linsolve.Result) {
-		s, err := NewSolver(q, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if f != nil {
-			s.SetFabric(f)
-		}
-		x := make([]complex128, n)
-		xd := make([]complex128, n)
-		res, stats, err := s.SolveDual(context.Background(), z, b, bd, x, xd, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Converged {
-			t.Fatalf("no convergence after %d iterations", res.Iterations)
-		}
-		if stats.Messages == 0 {
-			t.Fatal("no traffic recorded on a 2-domain solve")
-		}
-		return x, xd, res
-	}
-
-	chanX, chanXd, chanRes := run(nil) // default channel fabric
-	tcpX, tcpXd, tcpRes := run(comm.TCPFabric{Opts: distTCPOptions()})
-
-	if chanRes.Iterations != tcpRes.Iterations {
-		t.Errorf("iteration counts differ: channel %d, tcp %d", chanRes.Iterations, tcpRes.Iterations)
-	}
-	if chanRes.Residual != tcpRes.Residual {
-		t.Errorf("residuals differ: channel %g, tcp %g", chanRes.Residual, tcpRes.Residual)
-	}
-	for i := range chanX {
-		if chanX[i] != tcpX[i] || chanXd[i] != tcpXd[i] {
-			t.Fatalf("solutions diverge at %d: channel (%v, %v), tcp (%v, %v)",
-				i, chanX[i], chanXd[i], tcpX[i], tcpXd[i])
-		}
-	}
-}
-
-// TestTCPFabricChaosSolve arms the network fault sites under a full dual
-// solve: the reliable links must make drops, duplication, reordering,
-// partitions and failed dials invisible, so the solve converges to exactly
-// the clean run's bits.
-func TestTCPFabricChaosSolve(t *testing.T) {
-	q := testProblem(t)
-	n := q.Dim()
-	rng := rand.New(rand.NewSource(8))
-	b := randVec(rng, n)
-	bd := randVec(rng, n)
-	z := complex(1.1, 1.0)
-	opts := linsolve.Options{Tol: 1e-8, MaxIter: 4000}
-
-	run := func(inj *chaos.Injector) ([]complex128, linsolve.Result) {
-		s, err := NewSolver(q, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.SetFabric(comm.TCPFabric{Opts: distTCPOptions()})
-		s.SetChaos(inj)
-		x := make([]complex128, n)
-		xd := make([]complex128, n)
-		res, _, err := s.SolveDual(context.Background(), z, b, bd, x, xd, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Converged {
-			t.Fatalf("no convergence after %d iterations", res.Iterations)
-		}
-		return x, res
-	}
-
-	cleanX, cleanRes := run(nil)
-	inj := chaos.New(13, chaos.Config{
-		NetDrop:      0.002,
-		NetDelay:     0.002,
-		NetReorder:   0.002,
-		NetDup:       0.005,
-		NetPartition: 0.0005,
-		NetConn:      0.1,
-	})
-	chaosX, chaosRes := run(inj)
-	if cleanRes.Iterations != chaosRes.Iterations {
-		t.Errorf("iteration counts differ under chaos: %d vs %d", cleanRes.Iterations, chaosRes.Iterations)
-	}
-	for i := range cleanX {
-		if cleanX[i] != chaosX[i] {
-			t.Fatalf("chaos run diverged at %d: %v != %v", i, cleanX[i], chaosX[i])
 		}
 	}
 }

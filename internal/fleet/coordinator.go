@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"time"
@@ -28,11 +29,10 @@ type CoordinatorConfig struct {
 	// not re-raise the gate — survivors keep the sweep moving.
 	MinWorkers int
 	// TCP tunes the reliable links; IOTimeout*RetryBudget is the worker
-	// failure-detection horizon.
+	// failure-detection horizon: a worker whose link answers nothing for
+	// that long is declared dead, one that is merely busy never is (its
+	// link acks the coordinator's Naks while the solve runs).
 	TCP comm.TCPOptions
-	// Heartbeat is the keepalive interval toward each worker (default
-	// derived from TCP so heartbeats outpace the starvation budget).
-	Heartbeat time.Duration
 
 	// OperatorDesc identifies the physics; it feeds every assignment's
 	// solve fingerprint and the journal fingerprint.
@@ -59,18 +59,11 @@ type remote struct {
 	name     string
 	rc       *comm.RConn
 	assigned map[int]bool // outstanding energy indices
-	hbStop   chan struct{}
-	hbOnce   sync.Once
-}
-
-func (w *remote) stopHeartbeat() {
-	w.hbOnce.Do(func() { close(w.hbStop) })
 }
 
 // coordinator is the mutable state of one Coordinate call.
 type coordinator struct {
 	cfg      CoordinatorConfig
-	hb       time.Duration
 	opDigest string
 	es       []float64
 	opts     core.Options // shipped to workers; Chaos stripped
@@ -82,9 +75,8 @@ type coordinator struct {
 	seen       int  // registrations ever
 	nextID     byte
 	workers    map[byte]*remote
-	assignedTo []int // worker id per energy, -1 if unowned
-	done       []bool
-	results    []sweep.EnergyResult
+	assignedTo []int         // worker id per energy, -1 if unowned
+	report     *sweep.Report // an energy is done once its Status leaves Skipped
 	journal    *sweep.Journal
 	remaining  int
 	err        error // first fatal error (checkpoint failure)
@@ -110,7 +102,6 @@ func Coordinate(ctx context.Context, es []float64, opts core.Options, cfg Coordi
 
 	co := &coordinator{
 		cfg:        cfg,
-		hb:         heartbeatFor(cfg.Heartbeat, cfg.TCP),
 		opDigest:   fingerprint.Operator(cfg.OperatorDesc),
 		es:         es,
 		opts:       shipped,
@@ -118,9 +109,7 @@ func Coordinate(ctx context.Context, es []float64, opts core.Options, cfg Coordi
 		nextID:     1,
 		workers:    make(map[byte]*remote),
 		assignedTo: make([]int, len(es)),
-		done:       make([]bool, len(es)),
-		results:    make([]sweep.EnergyResult, len(es)),
-		remaining:  len(es),
+		report:     sweep.NewReport(es),
 		finished:   make(chan struct{}),
 	}
 	for i, e := range es {
@@ -140,34 +129,23 @@ func Coordinate(ctx context.Context, es []float64, opts core.Options, cfg Coordi
 			co.journal, err = sweep.Create(cfg.CheckpointPath, fp)
 		}
 		if err != nil {
-			return co.report(), err
+			return co.tally(), err
 		}
 		defer co.journal.Close()
-		for _, rec := range recs {
-			if rec.Index < 0 || rec.Index >= len(es) || co.done[rec.Index] {
-				continue
-			}
-			if rec.Status == sweep.StatusFailed && cfg.RetryFailed {
-				continue
-			}
-			er := rec.Restore()
-			er.Attempts = 0
-			er.FromJournal = true
-			co.done[rec.Index] = true
-			co.results[rec.Index] = er
-			co.remaining--
-			if cfg.OnEnergy != nil {
-				cfg.OnEnergy(er)
-			}
+		co.report.Restore(recs, cfg.RetryFailed, cfg.OnEnergy)
+	}
+	for i := range es {
+		if !co.doneLocked(i) {
+			co.remaining++
 		}
 	}
 	if co.remaining == 0 {
-		return co.report(), nil
+		return co.tally(), nil
 	}
 
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
-		return co.report(), err
+		return co.tally(), err
 	}
 	if cfg.OnListen != nil {
 		cfg.OnListen(ln.Addr().String())
@@ -199,7 +177,6 @@ func Coordinate(ctx context.Context, es []float64, opts core.Options, cfg Coordi
 	co.mu.Unlock()
 	ln.Close()
 	for _, w := range pending {
-		w.stopHeartbeat()
 		w.rc.Close()
 	}
 	for _, w := range ws {
@@ -207,8 +184,9 @@ func Coordinate(ctx context.Context, es []float64, opts core.Options, cfg Coordi
 	}
 	// Drain: let workers read the done frame and hang up on their own —
 	// their serve loops retire them as the links die — before force-closing
-	// whatever is left. Without the pause, closing a link with worker
-	// heartbeats still in flight can reset the conn under the done frame.
+	// whatever is left. Without the pause, closing a link with a worker
+	// frame still unread (a Nak, a late result) can reset the conn under
+	// the done frame.
 	o := cfg.TCP.WithDefaults()
 	drain := o.IOTimeout * time.Duration(o.RetryBudget) * 2
 	if drain > 2*time.Second {
@@ -225,12 +203,11 @@ func Coordinate(ctx context.Context, es []float64, opts core.Options, cfg Coordi
 		time.Sleep(5 * time.Millisecond)
 	}
 	for _, w := range ws {
-		w.stopHeartbeat()
 		w.rc.Close()
 	}
 	co.wg.Wait()
 
-	report := co.report()
+	report := co.tally()
 	if ferr != nil {
 		return report, ferr
 	}
@@ -240,33 +217,18 @@ func Coordinate(ctx context.Context, es []float64, opts core.Options, cfg Coordi
 	return report, nil
 }
 
-// report assembles the final sweep report; energies without a terminal
-// result are Skipped.
-func (co *coordinator) report() *sweep.Report {
+// tally seals the report: energies without a terminal result are still
+// Skipped, exactly as sweep.Run reports them.
+func (co *coordinator) tally() *sweep.Report {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	rep := &sweep.Report{Results: co.results}
-	for i := range co.results {
-		if !co.done[i] {
-			co.results[i] = sweep.EnergyResult{Index: i, Energy: co.es[i], Status: sweep.StatusSkipped}
-		}
-		er := &co.results[i]
-		switch er.Status {
-		case sweep.StatusOK:
-			rep.OK++
-		case sweep.StatusDegraded:
-			rep.Degraded++
-		case sweep.StatusFailed:
-			rep.Failed++
-		case sweep.StatusSkipped:
-			rep.Skipped++
-		}
-		if er.FromJournal {
-			rep.Restored++
-		}
-		rep.Attempts += er.Attempts
-	}
-	return rep
+	co.report.Tally()
+	return co.report
+}
+
+// doneLocked reports whether energy i has its terminal result.
+func (co *coordinator) doneLocked(i int) bool {
+	return co.report.Results[i].Status != sweep.StatusSkipped
 }
 
 // fatal records the first sweep-fatal error and ends the sweep.
@@ -337,7 +299,7 @@ func (co *coordinator) admit(c net.Conn) {
 	}
 	rc := comm.AcceptLink(0, id, co.cfg.TCP)
 	rc.SetChaos(co.cfg.Chaos)
-	w := &remote{id: id, rc: rc, assigned: make(map[int]bool), hbStop: make(chan struct{})}
+	w := &remote{id: id, rc: rc, assigned: make(map[int]bool)}
 	co.workers[id] = w
 	co.mu.Unlock()
 
@@ -369,14 +331,10 @@ func (co *coordinator) admit(c net.Conn) {
 	co.dispatchLocked()
 	co.mu.Unlock()
 
-	co.wg.Add(2)
+	co.wg.Add(1)
 	go func() {
 		defer co.wg.Done()
 		co.serve(w)
-	}()
-	go func() {
-		defer co.wg.Done()
-		co.heartbeat(w)
 	}()
 }
 
@@ -404,7 +362,7 @@ func (co *coordinator) dispatchLocked() {
 		return
 	}
 	for i := range co.es {
-		if co.done[i] || co.assignedTo[i] >= 0 {
+		if co.doneLocked(i) || co.assignedTo[i] >= 0 {
 			continue
 		}
 		var best *remote
@@ -430,7 +388,11 @@ func (co *coordinator) dispatchLocked() {
 	}
 }
 
-// serve consumes one worker's messages until its link dies.
+// serve consumes one worker's messages until its link dies or the worker
+// breaks the protocol. While it blocks in Recv the link Naks the worker once
+// per IOTimeout; the worker's link answers (with an ack while it has nothing
+// to send), so a worker busy in a long solve stays alive here and one that
+// answers nothing for IOTimeout*RetryBudget fails the link typed.
 func (co *coordinator) serve(w *remote) {
 	for {
 		m, err := recvMsg(w.rc)
@@ -438,34 +400,53 @@ func (co *coordinator) serve(w *remote) {
 			co.drop(w)
 			return
 		}
-		switch m.Type {
-		case msgHeartbeat:
-			// Any intact frame feeds the link's failure detector; nothing
-			// to do at this layer.
-		case msgResult:
-			co.onResult(w, m)
+		// Message types this build does not know (an older peer's
+		// keepalives) are ignored.
+		if m.Type == msgResult && !co.onResult(w, m) {
+			co.drop(w) // its energies, this one included, return to the pool
+			return
 		}
 	}
 }
 
-// onResult records one assignment's terminal outcome. Results for already
-// -completed energies (a worker presumed dead finishing late, after its
-// energy was re-dispatched and solved elsewhere) are dropped: first writer
-// wins, and determinism holds because every solve of an energy computes
-// the same physics.
-func (co *coordinator) onResult(w *remote, m msg) {
+// validResult reports whether a result message is one this sweep could have
+// asked for: a record for the energy it claims to answer — same index, the
+// very float64 that was assigned (JSON round-trips float64 exactly) — in a
+// terminal status. Anything else is a protocol violation: journaling it
+// would let a resume serve one energy's physics as another's.
+func (co *coordinator) validResult(m msg) bool {
 	if m.Record == nil || m.Index < 0 || m.Index >= len(co.es) {
-		return
+		return false
+	}
+	rec := m.Record
+	if rec.Index != m.Index || math.Float64bits(rec.Energy) != math.Float64bits(co.es[m.Index]) {
+		return false
+	}
+	switch rec.Status {
+	case sweep.StatusOK, sweep.StatusDegraded, sweep.StatusFailed:
+		return true
+	}
+	return false
+}
+
+// onResult records one assignment's terminal outcome and reports whether the
+// message was acceptable (see validResult). Results for already-completed
+// energies (a worker presumed dead finishing late, after its energy was
+// re-dispatched and solved elsewhere) are dropped: first writer wins, and
+// determinism holds because every solve of an energy computes the same
+// physics.
+func (co *coordinator) onResult(w *remote, m msg) bool {
+	if !co.validResult(m) {
+		return false
 	}
 	co.mu.Lock()
 	delete(w.assigned, m.Index)
-	if co.done[m.Index] {
+	if co.doneLocked(m.Index) {
 		co.mu.Unlock()
-		return
+		return true
 	}
 	er := m.Record.Restore()
-	co.done[m.Index] = true
-	co.results[m.Index] = er
+	co.report.Results[m.Index] = er
 	co.remaining--
 	rem := co.remaining
 	var jerr error
@@ -481,11 +462,12 @@ func (co *coordinator) onResult(w *remote, m msg) {
 		// A checkpoint failure is sweep-fatal, exactly as in sweep.Run:
 		// results the journal cannot record would be lost to a resume.
 		co.fatal(fmt.Errorf("fleet: checkpoint failed: %w", jerr))
-		return
+		return true
 	}
 	if rem == 0 {
 		co.finish()
 	}
+	return true
 }
 
 // drop declares a worker dead: its link is torn down, its identity is
@@ -504,23 +486,7 @@ func (co *coordinator) drop(w *remote) {
 	w.assigned = make(map[int]bool)
 	co.dispatchLocked()
 	co.mu.Unlock()
-	w.stopHeartbeat()
 	w.rc.Close()
-}
-
-// heartbeat keeps one worker's receive side fed while it waits for
-// assignments, so an idle-but-healthy link never starves.
-func (co *coordinator) heartbeat(w *remote) {
-	t := time.NewTicker(co.hb)
-	defer t.Stop()
-	for {
-		select {
-		case <-w.hbStop:
-			return
-		case <-t.C:
-			sendMsg(w.rc, msg{Type: msgHeartbeat})
-		}
-	}
 }
 
 func sendMsg(rc *comm.RConn, m msg) error {
@@ -528,15 +494,20 @@ func sendMsg(rc *comm.RConn, m msg) error {
 	if err != nil {
 		return err
 	}
-	return rc.Send(comm.ChApp, b)
+	return rc.Send(b)
 }
 
 func recvMsg(rc *comm.RConn) (msg, error) {
-	var m msg
-	body, err := rc.Recv(comm.ChApp)
+	body, err := rc.Recv()
 	if err != nil {
-		return m, err
+		return msg{}, err
 	}
+	return decodeMsg(body)
+}
+
+// decodeMsg parses one link payload from the peer.
+func decodeMsg(body []byte) (msg, error) {
+	var m msg
 	if err := json.Unmarshal(body, &m); err != nil {
 		return m, fmt.Errorf("fleet: malformed message: %w", err)
 	}

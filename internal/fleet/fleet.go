@@ -4,10 +4,10 @@
 // the same escalation ladder a single-process sweep applies
 // (sweep.SolveOne).
 //
-// The protocol is deliberately small — six JSON message types on the
-// application channel of one reliable link per worker:
+// The protocol is deliberately small — five JSON message types on one
+// reliable link per worker:
 //
-//	worker → coordinator:  register, heartbeat, result
+//	worker → coordinator:  register, result
 //	coordinator → worker:  welcome, assign, done
 //
 // Sharding is rendezvous hashing of each energy's solve fingerprint
@@ -18,11 +18,18 @@
 // (already-completed energies keep their first result).
 //
 // Failure model: the reliable link already heals everything transient
-// (drops, duplicates, reorders, resets, reconnects). What the fleet layer
-// handles is link death — a worker whose link fails typed (ErrPartition
-// after the starvation budget, ErrPeerLost, persistent ErrFrameCorrupt) is
-// declared dead, its outstanding energies return to the pool, and the
-// rendezvous hash re-dispatches them over the survivors. A worker that was
+// (drops, duplicates, reorders, resets, reconnects), and it alone tells a
+// dead peer from a silent one — a blocked receiver Naks once per IOTimeout,
+// a live peer's link answers even when the process above it has nothing to
+// say (a worker deep in a long solve, a coordinator with nothing to
+// assign), so only IOTimeout*RetryBudget of answering nothing fails a link.
+// The fleet has no keepalive of its own. What this layer handles is link
+// death — a worker whose link fails typed (ErrPartition after the
+// starvation budget, ErrPeerLost, persistent ErrFrameCorrupt) is declared
+// dead, its outstanding energies return to the pool, and the rendezvous
+// hash re-dispatches them over the survivors. A worker that breaks the
+// protocol (a result that does not answer the energy it names) is dropped
+// the same way. A worker that was
 // only presumed dead and later completes is harmless: results for already
 // -recorded energies are dropped, and its stale link identity is refused
 // so the process fails fast and can rejoin fresh. Worker-side, every
@@ -32,25 +39,21 @@
 package fleet
 
 import (
-	"time"
-
-	"cbs/internal/comm"
 	"cbs/internal/core"
 	"cbs/internal/sweep"
 )
 
 // Message types of the fleet application protocol.
 const (
-	msgRegister  = "register"  // worker's first frame: name + operator digest
-	msgWelcome   = "welcome"   // coordinator's reply: slot id + solve options
-	msgAssign    = "assign"    // one energy, with its solve fingerprint
-	msgResult    = "result"    // terminal outcome of one assignment
-	msgHeartbeat = "heartbeat" // keeps the link's failure detector fed
-	msgDone      = "done"      // sweep complete; worker may exit
+	msgRegister = "register" // worker's first frame: name + operator digest
+	msgWelcome  = "welcome"  // coordinator's reply: slot id + solve options
+	msgAssign   = "assign"   // one energy, with its solve fingerprint
+	msgResult   = "result"   // terminal outcome of one assignment
+	msgDone     = "done"     // sweep complete; worker may exit
 )
 
 // msg is the single wire message of the fleet protocol; Type selects which
-// fields are meaningful. It rides JSON-encoded on comm.ChApp.
+// fields are meaningful. It rides JSON-encoded, one message per link payload.
 type msg struct {
 	Type string `json:"type"`
 
@@ -65,26 +68,6 @@ type msg struct {
 	Energy float64       `json:"energy,omitempty"`
 	Key    string        `json:"key,omitempty"` // fingerprint.Solve of this assignment
 	Record *sweep.Record `json:"record,omitempty"`
-}
-
-// Defaults shared by both ends.
-const (
-	defaultHeartbeat = 500 * time.Millisecond
-)
-
-// heartbeatFor returns the heartbeat interval to use: the configured one,
-// or a quarter of the link's failure-detection horizon capped at the
-// default, so heartbeats always outpace the starvation budget.
-func heartbeatFor(interval time.Duration, tcp comm.TCPOptions) time.Duration {
-	if interval > 0 {
-		return interval
-	}
-	if tcp.IOTimeout > 0 && tcp.RetryBudget > 0 {
-		if h := tcp.IOTimeout * time.Duration(tcp.RetryBudget) / 4; h < defaultHeartbeat {
-			return h
-		}
-	}
-	return defaultHeartbeat
 }
 
 // rendezvous scores one (energy key, worker name) pair with FNV-1a; each

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
+	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -18,7 +20,9 @@ import (
 	"cbs/internal/chaos"
 	"cbs/internal/comm"
 	"cbs/internal/core"
+	"cbs/internal/fingerprint"
 	"cbs/internal/sweep"
+	"cbs/internal/wire"
 )
 
 const testOperator = "fleet-test-op: Al(100) stand-in"
@@ -534,4 +538,442 @@ func TestFleetProcessKillAndReshard(t *testing.T) {
 			t.Errorf("surviving worker %d exited with %v", i+1, err)
 		}
 	}
+}
+
+// --- protocol hardening ------------------------------------------------------
+
+// rawRegister is a hand-rolled worker's front half: a bare link to the
+// coordinator, the register/welcome exchange, and nothing else — whatever the
+// caller does with the link afterwards is the misbehaviour under test.
+func rawRegister(t *testing.T, addr, name string) *comm.RConn {
+	t.Helper()
+	rc := comm.DialLink(comm.WildcardID, 0, addr, fleetTCP())
+	if err := sendMsg(rc, msg{Type: msgRegister, Name: name, Operator: fingerprint.Operator(testOperator)}); err != nil {
+		t.Fatalf("%s: register: %v", name, err)
+	}
+	welcome, err := recvMsg(rc)
+	if err != nil || welcome.Type != msgWelcome {
+		t.Fatalf("%s: welcome: %+v, %v", name, welcome, err)
+	}
+	rc.SetLocalID(welcome.ID)
+	return rc
+}
+
+// goodRecord is the record an honest worker would ship for energy i.
+func goodRecord(es []float64, i int, opts core.Options) *sweep.Record {
+	rec := sweep.RecordOf(sweep.EnergyResult{
+		Index: i, Energy: es[i], Status: sweep.StatusOK, Attempts: 1, Result: fleetResult(es[i], opts),
+	})
+	return &rec
+}
+
+// resultLie is one result message a buggy worker could answer assignment a
+// with: it names an energy the sweep has but carries a record that is not
+// that energy's terminal outcome.
+type resultLie struct {
+	name  string
+	forge func(a msg) msg
+}
+
+func resultLies(es []float64, opts core.Options) []resultLie {
+	other := func(i int) int { return (i + 1) % len(es) }
+	return []resultLie{
+		{"record of another energy", func(a msg) msg {
+			return msg{Type: msgResult, Index: a.Index, Record: goodRecord(es, other(a.Index), opts)}
+		}},
+		{"record index rewritten", func(a msg) msg {
+			rec := goodRecord(es, a.Index, opts)
+			rec.Index = other(a.Index)
+			return msg{Type: msgResult, Index: a.Index, Record: rec}
+		}},
+		{"energy one ulp off", func(a msg) msg {
+			rec := goodRecord(es, a.Index, opts)
+			rec.Energy = math.Nextafter(rec.Energy, 1)
+			return msg{Type: msgResult, Index: a.Index, Record: rec}
+		}},
+		{"non-terminal status", func(a msg) msg {
+			rec := goodRecord(es, a.Index, opts)
+			rec.Status = sweep.StatusSkipped
+			return msg{Type: msgResult, Index: a.Index, Record: rec}
+		}},
+		{"unknown status", func(a msg) msg {
+			rec := goodRecord(es, a.Index, opts)
+			rec.Status = "fine"
+			return msg{Type: msgResult, Index: a.Index, Record: rec}
+		}},
+		{"no record", func(a msg) msg {
+			return msg{Type: msgResult, Index: a.Index}
+		}},
+		{"index out of range", func(a msg) msg {
+			return msg{Type: msgResult, Index: len(es), Record: goodRecord(es, a.Index, opts)}
+		}},
+	}
+}
+
+// TestFleetLyingWorkerRejected: a worker that answers an assignment with a
+// record for a different energy (or a non-terminal one) is a protocol
+// violation — it is dropped, nothing of what it sent reaches the report or
+// the journal, and its energies return to the pool for an honest worker.
+// Unchecked, energy j's physics would be journaled under index i and a
+// resume would serve it.
+func TestFleetLyingWorkerRejected(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	es := fleetEnergies(4)
+	opts := fleetOptions()
+	path := filepath.Join(t.TempDir(), "fleet.journal")
+
+	var seen atomic.Int32
+	addr, join := startCoordinator(ctx, es, opts, CoordinatorConfig{
+		Addr:           "127.0.0.1:0",
+		TCP:            fleetTCP(),
+		OperatorDesc:   testOperator,
+		CheckpointPath: path,
+		OnEnergy:       func(sweep.EnergyResult) { seen.Add(1) },
+	})
+
+	for k, lie := range resultLies(es, opts) {
+		rc := rawRegister(t, addr, fmt.Sprintf("liar%d", k))
+		assign, err := recvMsg(rc)
+		if err != nil || assign.Type != msgAssign {
+			t.Fatalf("%s: expected an assignment, got %+v, %v", lie.name, assign, err)
+		}
+		if err := sendMsg(rc, lie.forge(assign)); err != nil {
+			t.Fatalf("%s: send: %v", lie.name, err)
+		}
+		// The coordinator hangs up and retires the identity: after the
+		// assignments already queued on the link, Recv must fail typed.
+		dead := make(chan error, 1)
+		go func() {
+			for {
+				if _, err := recvMsg(rc); err != nil {
+					dead <- err
+					return
+				}
+			}
+		}()
+		select {
+		case err := <-dead:
+			if !errors.Is(err, comm.ErrPartition) && !errors.Is(err, comm.ErrPeerLost) {
+				t.Errorf("%s: liar's link ended with %v, want a typed link failure", lie.name, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: the coordinator kept the lying worker", lie.name)
+		}
+		rc.Close()
+		if n := seen.Load(); n != 0 {
+			t.Fatalf("%s: %d energies reached a terminal state from a lying worker", lie.name, n)
+		}
+	}
+
+	if err := Work(ctx, fleetSolve(0), WorkerConfig{
+		Addr: addr, Name: "honest", OperatorDesc: testOperator, TCP: fleetTCP(),
+	}); err != nil {
+		t.Fatalf("honest worker: %v", err)
+	}
+	rep, err := join()
+	if err != nil {
+		t.Fatalf("coordinate: %v", err)
+	}
+	want := golden(t, es, opts)
+	assertGolden(t, rep, want)
+
+	recs, err := sweep.Load(path, sweep.Fingerprint(testOperator, es, opts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != len(es) {
+		t.Fatalf("journal holds %d records, want exactly one per energy (%d)", len(recs), len(es))
+	}
+	for _, rec := range recs {
+		if rec.Index < 0 || rec.Index >= len(es) || rec.Energy != es[rec.Index] {
+			t.Fatalf("journal record %d carries energy %g", rec.Index, rec.Energy)
+		}
+		gb, _ := json.Marshal(rec.Result)
+		wb, _ := json.Marshal(sweep.EncodeResult(want.Results[rec.Index].Result))
+		if !bytes.Equal(gb, wb) {
+			t.Errorf("journal record %d is not that energy's result", rec.Index)
+		}
+	}
+}
+
+// TestFleetSilentWorkerSurvives pins the link as the fleet's only liveness
+// mechanism. A worker whose every solve outlasts the failure horizon
+// (IOTimeout*RetryBudget) several times over, sending nothing at the
+// application level meanwhile, is neither dropped nor has its energies
+// re-dispatched: its link acks the coordinator's Naks on its own. A peer
+// that has stopped answering at the link level — a SIGSTOPped process: the
+// conn stays open, nothing ever comes back — is still declared dead within
+// the horizon and its energies move to the survivor.
+func TestFleetSilentWorkerSurvives(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	es := fleetEnergies(4)
+	opts := fleetOptions()
+	tcp := fleetTCP()
+	tcp.IOTimeout, tcp.RetryBudget = 40*time.Millisecond, 5
+	horizon := tcp.IOTimeout * time.Duration(tcp.RetryBudget)
+
+	addr, join := startCoordinator(ctx, es, opts, CoordinatorConfig{
+		Addr:         "127.0.0.1:0",
+		MinWorkers:   2,
+		TCP:          tcp,
+		OperatorDesc: testOperator,
+	})
+
+	// The frozen peer speaks raw frames over a bare conn so that nothing
+	// (no link pump) answers for it once it stops: hello, register, read
+	// until its first assignment, then silence with the conn left open.
+	frozen, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer frozen.Close()
+	register, _ := json.Marshal(msg{Type: msgRegister, Name: "frozen", Operator: fingerprint.Operator(testOperator)})
+	wire.Write(frozen, wire.Frame{Kind: wire.KindHello, Src: comm.WildcardID, Dst: 0})
+	wire.Write(frozen, wire.Frame{Kind: wire.KindData, Src: comm.WildcardID, Dst: 0, Seq: 0, Payload: register})
+
+	solves := make([]atomic.Int32, len(es))
+	slow := func(ctx context.Context, e float64, o core.Options) (*core.Result, error) {
+		for i := range es {
+			if es[i] == e {
+				solves[i].Add(1)
+			}
+		}
+		select {
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-time.After(3 * horizon):
+		}
+		return fleetResult(e, o), nil
+	}
+	busyErr := make(chan error, 1)
+	go func() {
+		busyErr <- Work(ctx, slow, WorkerConfig{Addr: addr, Name: "busy", OperatorDesc: testOperator, TCP: tcp})
+	}()
+
+	frozen.SetReadDeadline(time.Now().Add(10 * time.Second))
+	for assigned := false; !assigned; {
+		f, err := wire.Read(frozen, 1<<20)
+		if err != nil {
+			t.Fatalf("frozen peer never saw an assignment: %v", err)
+		}
+		if f.Kind == wire.KindData {
+			m, _ := decodeMsg(f.Payload)
+			assigned = m.Type == msgAssign
+		}
+	}
+
+	rep, err := join()
+	if err != nil {
+		t.Fatalf("coordinate: %v", err)
+	}
+	if err := <-busyErr; err != nil {
+		t.Errorf("the silent-but-live worker was cut off: %v", err)
+	}
+	if rep.OK != len(es) {
+		t.Fatalf("report: OK=%d Skipped=%d Failed=%d, want all %d OK (the frozen peer's energies must move)", rep.OK, rep.Skipped, rep.Failed, len(es))
+	}
+	for i := range solves {
+		if n := solves[i].Load(); n != 1 {
+			t.Errorf("energy %d solved %d times on the live worker, want 1 (no re-dispatch of a busy worker's energies)", i, n)
+		}
+	}
+	assertGolden(t, rep, golden(t, es, opts))
+}
+
+// TestResumeLastRecordWinsInBothEngines feeds one hand-written journal
+// through sweep.Run and through Coordinate: the restore is one function in
+// package sweep, so the two engines must agree on every journal shape — in
+// particular on the Failed-then-OK pair a RetryFailed run leaves behind:
+// the last record wins (OK), and OnEnergy fires once for that energy, not
+// once per record.
+func TestResumeLastRecordWinsInBothEngines(t *testing.T) {
+	es := fleetEnergies(3)
+	opts := fleetOptions()
+	ok := func(i int) sweep.Record { return *goodRecord(es, i, opts) }
+	failed := func(i int) sweep.Record {
+		return sweep.Record{Index: i, Energy: es[i], Status: sweep.StatusFailed, Attempts: 3, Error: "transient machine trouble"}
+	}
+	cases := []struct {
+		name        string
+		journal     []sweep.Record
+		retryFailed bool
+		restored    int          // energies served from the journal
+		status1     sweep.Status // energy 1's terminal status
+		fromJournal bool         // ... and whether it was restored
+	}{
+		{"failed then ok", []sweep.Record{ok(0), failed(1), ok(1), ok(2)}, false, 3, sweep.StatusOK, true},
+		{"failed then ok, retrying failures", []sweep.Record{ok(0), failed(1), ok(1), ok(2)}, true, 3, sweep.StatusOK, true},
+		{"failed only", []sweep.Record{ok(0), failed(1), ok(2)}, false, 3, sweep.StatusFailed, true},
+		{"failed only, retrying failures", []sweep.Record{ok(0), failed(1), ok(2)}, true, 2, sweep.StatusOK, false},
+		{"stale index ignored", []sweep.Record{ok(0), ok(1), ok(2), {Index: 7, Energy: 1, Status: sweep.StatusOK}}, false, 3, sweep.StatusOK, true},
+	}
+	engines := []struct {
+		name string
+		run  func(ctx context.Context, path string, retryFailed bool, onEnergy func(sweep.EnergyResult)) (*sweep.Report, error)
+	}{
+		{"sweep.Run", func(ctx context.Context, path string, retryFailed bool, onEnergy func(sweep.EnergyResult)) (*sweep.Report, error) {
+			return sweep.Run(ctx, fleetSolve(0), es, opts, sweep.Config{
+				CheckpointPath: path, Resume: true, RetryFailed: retryFailed, OperatorDesc: testOperator, OnEnergy: onEnergy,
+			})
+		}},
+		{"fleet.Coordinate", func(ctx context.Context, path string, retryFailed bool, onEnergy func(sweep.EnergyResult)) (*sweep.Report, error) {
+			var (
+				wg   sync.WaitGroup
+				werr error
+			)
+			rep, err := Coordinate(ctx, es, opts, CoordinatorConfig{
+				Addr: "127.0.0.1:0", TCP: fleetTCP(), OperatorDesc: testOperator,
+				CheckpointPath: path, Resume: true, RetryFailed: retryFailed, OnEnergy: onEnergy,
+				// A listener is only opened when something is left to solve.
+				OnListen: func(addr string) {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						werr = Work(ctx, fleetSolve(0), WorkerConfig{Addr: addr, Name: "w", OperatorDesc: testOperator, TCP: fleetTCP()})
+					}()
+				},
+			})
+			wg.Wait()
+			if err == nil {
+				err = werr
+			}
+			return rep, err
+		}},
+	}
+	for _, tc := range cases {
+		for _, eng := range engines {
+			t.Run(tc.name+"/"+eng.name, func(t *testing.T) {
+				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+				defer cancel()
+				path := filepath.Join(t.TempDir(), "sweep.journal")
+				j, err := sweep.Create(path, sweep.Fingerprint(testOperator, es, opts))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, rec := range tc.journal {
+					if err := j.Append(rec); err != nil {
+						t.Fatal(err)
+					}
+				}
+				j.Close()
+
+				var mu sync.Mutex
+				restoredCalls := make(map[int]int)
+				calls := 0
+				rep, err := eng.run(ctx, path, tc.retryFailed, func(er sweep.EnergyResult) {
+					mu.Lock()
+					defer mu.Unlock()
+					calls++
+					if er.FromJournal {
+						restoredCalls[er.Index]++
+					}
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep.Restored != tc.restored || rep.OK+rep.Degraded+rep.Failed != len(es) || rep.Skipped != 0 {
+					t.Errorf("report %+v: want %d restored, every energy terminal", rep, tc.restored)
+				}
+				if got := rep.Results[1]; got.Status != tc.status1 || got.FromJournal != tc.fromJournal {
+					t.Errorf("energy 1: status %q fromJournal %v, want %q %v", got.Status, got.FromJournal, tc.status1, tc.fromJournal)
+				}
+				if calls != len(es) {
+					t.Errorf("OnEnergy fired %d times for %d energies", calls, len(es))
+				}
+				for i, n := range restoredCalls {
+					if n != 1 {
+						t.Errorf("OnEnergy fired %d times for restored energy %d", n, i)
+					}
+				}
+				if len(restoredCalls) != tc.restored {
+					t.Errorf("OnEnergy saw %d restored energies, want %d", len(restoredCalls), tc.restored)
+				}
+			})
+		}
+	}
+}
+
+// FuzzFleetMsg drives arbitrary link payloads through the coordinator's
+// receive path — the JSON decode and onResult with its validation — which is
+// everything a registered worker's bytes can reach. It must never panic,
+// and a record reaches the report and the journal only if it is the terminal
+// outcome of the very energy the message names.
+func FuzzFleetMsg(f *testing.F) {
+	es := fleetEnergies(3)
+	opts := fleetOptions()
+	seed := func(m msg) {
+		b, err := json.Marshal(m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	seed(msg{Type: msgRegister, Name: "w1", Operator: fingerprint.Operator(testOperator)})
+	seed(msg{Type: msgWelcome, ID: 3, Operator: fingerprint.Operator(testOperator), Opts: &opts})
+	seed(msg{Type: msgAssign, Index: 1, Energy: es[1], Key: "k"})
+	seed(msg{Type: msgDone})
+	for i := range es {
+		seed(msg{Type: msgResult, Index: i, Record: goodRecord(es, i, opts)})
+	}
+	seed(msg{Type: msgResult, Index: 1, Record: &sweep.Record{Index: 1, Energy: es[1], Status: sweep.StatusFailed, Attempts: 3, Error: "boom"}})
+	for _, lie := range resultLies(es, opts) {
+		seed(lie.forge(msg{Index: 1}))
+	}
+	f.Add([]byte(`{"type":"heartbeat"}`)) // an older peer's keepalive
+	f.Add([]byte(`{"type":"result","index":-1,"record":{"index":-1}}`))
+	f.Add([]byte(`{"type":"result","index":1,"record":{"index":1,"energy":-0.25,"status":"ok","result":{"pairs":[{"psi":[1]}]}}}`))
+	f.Add([]byte(`not json`))
+
+	path := filepath.Join(f.TempDir(), "fuzz.journal")
+	journal, err := sweep.Create(path, "fuzz")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { journal.Close() })
+	size := func(t *testing.T) int64 {
+		st, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Size()
+	}
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		m, err := decodeMsg(body)
+		if err != nil || m.Type != msgResult {
+			return // serve ignores everything but results
+		}
+		co := &coordinator{
+			es:         es,
+			workers:    make(map[byte]*remote),
+			assignedTo: []int{1, 1, 1},
+			report:     sweep.NewReport(es),
+			journal:    journal,
+			remaining:  len(es),
+			finished:   make(chan struct{}),
+		}
+		w := &remote{id: 1, assigned: map[int]bool{0: true, 1: true, 2: true}}
+		before := size(t)
+		accepted := co.onResult(w, m)
+
+		// The oracle, written out independently of validResult.
+		honest := m.Record != nil && m.Index >= 0 && m.Index < len(es) &&
+			m.Record.Index == m.Index &&
+			math.Float64bits(m.Record.Energy) == math.Float64bits(es[m.Index]) &&
+			(m.Record.Status == sweep.StatusOK || m.Record.Status == sweep.StatusDegraded || m.Record.Status == sweep.StatusFailed)
+		if accepted != honest {
+			t.Fatalf("onResult accepted=%v, oracle says %v: %s", accepted, honest, body)
+		}
+		grew := size(t) > before
+		if grew != honest {
+			t.Fatalf("journal grew=%v for a message the oracle rates %v: %s", grew, honest, body)
+		}
+		for i, er := range co.report.Results {
+			if done := er.Status != sweep.StatusSkipped; done != (honest && i == m.Index) {
+				t.Fatalf("energy %d done=%v after %s", i, done, body)
+			}
+		}
+	})
 }

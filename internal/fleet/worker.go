@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"cbs/internal/chaos"
 	"cbs/internal/comm"
@@ -24,12 +23,10 @@ type WorkerConfig struct {
 	// OperatorDesc must describe the same physics as the coordinator's;
 	// registration and every assignment are verified against it.
 	OperatorDesc string
-	// TCP tunes the link to the coordinator.
+	// TCP tunes the link to the coordinator. A solve may outlast
+	// IOTimeout*RetryBudget by any factor: the link acks the coordinator's
+	// Naks on its own while this worker computes.
 	TCP comm.TCPOptions
-	// Heartbeat is the keepalive interval toward the coordinator (default
-	// derived from TCP). It must outpace the coordinator's failure
-	// detector even during the longest single solve.
-	Heartbeat time.Duration
 	// Sweep supplies the escalation-ladder knobs (MaxAttempts, Backoff,
 	// MaxNrhDoublings, Chaos for injected solve faults). Journal and
 	// worker-pool fields are ignored: the coordinator owns those.
@@ -95,31 +92,14 @@ func Work(ctx context.Context, solve sweep.SolveFunc, cfg WorkerConfig) error {
 		opts.Parallel = cfg.Parallel
 	}
 
-	hbStop := make(chan struct{})
-	defer close(hbStop)
-	go func() {
-		t := time.NewTicker(heartbeatFor(cfg.Heartbeat, cfg.TCP))
-		defer t.Stop()
-		for {
-			select {
-			case <-hbStop:
-				return
-			case <-t.C:
-				sendMsg(rc, msg{Type: msgHeartbeat})
-			}
-		}
-	}()
-
 	for {
 		m, err := recvMsg(rc)
 		if err != nil {
 			return workerErr(ctx, cfg.Name, "assignment stream", err)
 		}
-		switch m.Type {
+		switch m.Type { // unknown types (an older peer's keepalives) are ignored
 		case msgDone:
 			return nil
-		case msgHeartbeat:
-			// Coordinator keepalive: the link already counted it.
 		case msgAssign:
 			var rec sweep.Record
 			if want := fingerprint.Solve(cfg.OperatorDesc, m.Energy, opts); want != m.Key {

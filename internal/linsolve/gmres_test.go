@@ -1,7 +1,6 @@
 package linsolve
 
 import (
-	"errors"
 	"math/rand"
 	"testing"
 
@@ -90,8 +89,8 @@ func TestGMRESIterationCap(t *testing.T) {
 	if res.Iterations > 4 {
 		t.Errorf("iterations %d exceed cap", res.Iterations)
 	}
-	if err := res.Err(); !errors.Is(err, ErrNoConvergence) {
-		t.Errorf("capped GMRES Err() = %v, want ErrNoConvergence", err)
+	if res.Breakdown || res.StoppedEarly {
+		t.Errorf("capped GMRES must end as plain non-convergence, got %+v", res)
 	}
 }
 
@@ -121,25 +120,6 @@ func TestGMRESDualSolvesBothSystems(t *testing.T) {
 	}
 }
 
-// TestResultErrTaxonomy: Result.Err must expose the typed sentinels.
-func TestResultErrTaxonomy(t *testing.T) {
-	if err := (Result{Converged: true}).Err(); err != nil {
-		t.Errorf("converged solve has error %v", err)
-	}
-	if err := (Result{StoppedEarly: true}).Err(); err != nil {
-		t.Errorf("majority-stopped solve has error %v", err)
-	}
-	if err := (Result{Breakdown: true}).Err(); !errors.Is(err, ErrBreakdown) {
-		t.Errorf("breakdown Err() = %v, want ErrBreakdown", err)
-	}
-	if err := (Result{}).Err(); !errors.Is(err, ErrNoConvergence) {
-		t.Errorf("stagnated Err() = %v, want ErrNoConvergence", err)
-	}
-	if errors.Is((Result{Breakdown: true}).Err(), ErrNoConvergence) {
-		t.Error("breakdown must not match ErrNoConvergence")
-	}
-}
-
 // TestInjectedBreakdownBiCGDual: a chaos injector targeting this site must
 // force an immediate breakdown; the same solve with attempt=1 (restart
 // rate 0) must heal.
@@ -159,8 +139,8 @@ func TestInjectedBreakdownBiCGDual(t *testing.T) {
 	if res.Iterations != 0 {
 		t.Errorf("breakdown after %d iterations, want 0", res.Iterations)
 	}
-	if err := res.Err(); !errors.Is(err, ErrBreakdown) {
-		t.Errorf("Err() = %v", err)
+	if res.Converged || res.StoppedEarly {
+		t.Errorf("a broken-down solve must not also report success: %+v", res)
 	}
 	// The restart attempt draws a fresh decision (RestartBreakdown = 0):
 	// the same systems now solve cleanly.
@@ -257,7 +237,7 @@ func TestGroupStopStragglerUnderInjectedNonConvergence(t *testing.T) {
 				}
 				continue
 			}
-			if r.Err() != nil {
+			if !r.Converged && !r.StoppedEarly {
 				t.Fatalf("point %d column %d: healthy column failed: %+v", j, c, r)
 			}
 		}
@@ -294,7 +274,7 @@ func TestGroupStopStragglerUnderInjectedNonConvergence(t *testing.T) {
 	if res.StoppedEarly {
 		t.Error("exactly half converged must not stop the straggler (strictly-over-half rule)")
 	}
-	if err := res.Err(); !errors.Is(err, ErrNoConvergence) {
-		t.Errorf("held straggler Err() = %v, want ErrNoConvergence", err)
+	if res.Converged || res.Breakdown {
+		t.Errorf("held straggler must leave via MaxIter as plain non-convergence, got %+v", res)
 	}
 }

@@ -19,16 +19,18 @@
 //   - contour.ErrTooManyDropped: graceful degradation discarded too many
 //     quadrature nodes — retry with doubled Nint so the surviving rule
 //     still resolves the contour.
-//   - linsolve.ErrNoConvergence: the Krylov solves stagnated — retry on a
-//     looser-then-restored tolerance ladder (BiCGTol x100 per rung); a
-//     success bought with a loosened tolerance is reported Degraded.
-//   - linsolve.ErrBreakdown surfacing past core's own recovery ladder:
-//     retry with a reseeded probe block (a breakdown is a property of the
-//     Krylov sequence, which the probe seeds).
-//   - core.ErrBadOptions / first-attempt core.ErrSubspaceTooLarge: the
-//     parameterization itself is wrong — terminal, no retry.
+//   - core.ErrBadOptions / contour.ErrBadParams / first-attempt
+//     core.ErrSubspaceTooLarge / comm.ErrShapeMismatch: the parameterization
+//     itself is wrong — terminal, no retry.
 //   - anything else (including injected chaos faults): plain retry under
 //     deterministic exponential backoff until MaxAttempts is spent.
+//
+// What is not on this ladder is owned elsewhere (DESIGN §8): a column's
+// Krylov breakdown or stagnation never leaves core.Solve as an error —
+// core's own ladder (restart, GMRES, drop the pair) consumes it and only
+// the overflow reaches this one, as contour.ErrTooManyDropped; a dead
+// worker link is the fleet's to re-dispatch; frame loss, reordering and
+// corruption are healed inside comm.RConn.
 package sweep
 
 import (
@@ -42,7 +44,6 @@ import (
 	"cbs/internal/comm"
 	"cbs/internal/contour"
 	"cbs/internal/core"
-	"cbs/internal/linsolve"
 )
 
 // Status is the terminal state of one sweep energy.
@@ -52,9 +53,9 @@ const (
 	// StatusOK is a clean solve within the caller's parameters.
 	StatusOK Status = "ok"
 	// StatusDegraded is a completed solve that lost something on the way:
-	// quadrature contributions dropped and renormalized, a tolerance rung
-	// loosened, or a rank-saturated subspace accepted at the Nrh cap. The
-	// result is usable; its diagnostics say what was given up.
+	// quadrature contributions dropped and renormalized, or a
+	// rank-saturated subspace accepted at the Nrh cap. The result is
+	// usable; its diagnostics say what was given up.
 	StatusDegraded Status = "degraded"
 	// StatusFailed is an energy whose retry budget is spent: the terminal
 	// error is recorded and the rest of the sweep is unaffected.
@@ -88,6 +89,65 @@ type Report struct {
 	Skipped  int
 	Restored int // energies restored from the journal
 	Attempts int // solve attempts across the sweep (excluding restores)
+}
+
+// NewReport returns the report of a sweep nothing has happened to yet: every
+// energy Skipped. Run and fleet.Coordinate both start from it, restore the
+// journal into it, fill it as energies finish and Tally it once at the end.
+func NewReport(es []float64) *Report {
+	r := &Report{Results: make([]EnergyResult, len(es))}
+	for i, e := range es {
+		r.Results[i] = EnergyResult{Index: i, Energy: e, Status: StatusSkipped}
+	}
+	return r
+}
+
+// Restore replays a resumed journal into the report: for each energy the
+// last intact record wins (a RetryFailed run appends an OK record after the
+// Failed one it re-solved), records whose index is outside the energy list
+// are ignored, and with retryFailed a last record that is Failed is left
+// out so the energy is solved again. A restored energy carries Attempts 0
+// and FromJournal; onEnergy, when non-nil, observes each exactly once.
+func (r *Report) Restore(recs []Record, retryFailed bool, onEnergy func(EnergyResult)) {
+	last := make([]*Record, len(r.Results)) // per energy, its last record
+	for k := range recs {
+		if i := recs[k].Index; i >= 0 && i < len(last) {
+			last[i] = &recs[k]
+		}
+	}
+	for i, rec := range last {
+		if rec == nil || (retryFailed && rec.Status == StatusFailed) {
+			continue
+		}
+		er := rec.Restore()
+		er.Attempts = 0 // restored, not re-solved
+		er.FromJournal = true
+		r.Results[i] = er
+		if onEnergy != nil {
+			onEnergy(er)
+		}
+	}
+}
+
+// Tally recomputes the report's counts from its Results.
+func (r *Report) Tally() {
+	r.OK, r.Degraded, r.Failed, r.Skipped, r.Restored, r.Attempts = 0, 0, 0, 0, 0, 0
+	for _, er := range r.Results {
+		switch er.Status {
+		case StatusOK:
+			r.OK++
+		case StatusDegraded:
+			r.Degraded++
+		case StatusFailed:
+			r.Failed++
+		default:
+			r.Skipped++
+		}
+		if er.FromJournal {
+			r.Restored++
+		}
+		r.Attempts += er.Attempts
+	}
 }
 
 // Completed returns the solve results of every OK and Degraded energy, in
@@ -191,10 +251,7 @@ func Run(ctx context.Context, solve SolveFunc, es []float64, opts core.Options, 
 		ctx = context.Background()
 	}
 	cfg = cfg.normalize()
-	report := &Report{Results: make([]EnergyResult, len(es))}
-	for i, e := range es {
-		report.Results[i] = EnergyResult{Index: i, Energy: e, Status: StatusSkipped}
-	}
+	report := NewReport(es)
 
 	var journal *Journal
 	if cfg.CheckpointPath != "" {
@@ -213,21 +270,7 @@ func Run(ctx context.Context, solve SolveFunc, es []float64, opts core.Options, 
 		}
 		defer journal.Close()
 		journal.SetChaos(cfg.Chaos)
-		for _, rec := range recs {
-			if rec.Index < 0 || rec.Index >= len(es) {
-				continue // stale index from a truncated energy list: ignore
-			}
-			if cfg.RetryFailed && rec.Status == StatusFailed {
-				continue
-			}
-			er := rec.Restore()
-			er.Attempts = 0 // restored, not re-solved
-			er.FromJournal = true
-			report.Results[rec.Index] = er
-			if cfg.OnEnergy != nil {
-				cfg.OnEnergy(er)
-			}
-		}
+		report.Restore(recs, cfg.RetryFailed, cfg.OnEnergy)
 	}
 
 	// The work list: every energy without a restored record.
@@ -284,22 +327,7 @@ func Run(ctx context.Context, solve SolveFunc, es []float64, opts core.Options, 
 	}
 	wg.Wait()
 
-	for _, er := range report.Results {
-		switch er.Status {
-		case StatusOK:
-			report.OK++
-		case StatusDegraded:
-			report.Degraded++
-		case StatusFailed:
-			report.Failed++
-		default:
-			report.Skipped++
-		}
-		if er.FromJournal {
-			report.Restored++
-		}
-		report.Attempts += er.Attempts
-	}
+	report.Tally()
 	if ckptErr != nil {
 		return report, ckptErr
 	}
@@ -351,7 +379,7 @@ func (rec Record) Restore() EnergyResult {
 // must be mapped to a retry, an escalation, or a terminal failure here.
 //
 //cbs:cancellable
-//cbs:errladder core linsolve contour comm
+//cbs:errladder core contour comm
 func runEnergy(ctx context.Context, solve SolveFunc, i int, e float64, base core.Options, cfg Config) EnergyResult {
 	er := EnergyResult{Index: i, Energy: e}
 	aopts := base
@@ -361,7 +389,6 @@ func runEnergy(ctx context.Context, solve SolveFunc, i int, e float64, base core
 	var (
 		saturated    *core.Result // best rank-saturated result so far
 		nrhDoublings int
-		tolLoosened  bool
 		failures     int
 		lastErr      error
 	)
@@ -369,7 +396,7 @@ func runEnergy(ctx context.Context, solve SolveFunc, i int, e float64, base core
 	// accepted as-is (possibly missing annulus states).
 	finish := func(res *core.Result, sat bool) EnergyResult {
 		er.Result = res
-		if res.Diagnostics.Degraded || tolLoosened || sat {
+		if res.Diagnostics.Degraded || sat {
 			er.Status = StatusDegraded
 		} else {
 			er.Status = StatusOK
@@ -436,28 +463,23 @@ func runEnergy(ctx context.Context, solve SolveFunc, i int, e float64, base core
 		case errors.Is(err, contour.ErrTooManyDropped):
 			er.Escalations = append(er.Escalations, fmt.Sprintf("nint %d->%d (too many dropped)", aopts.Nint, 2*aopts.Nint))
 			aopts.Nint *= 2
-		case errors.Is(err, linsolve.ErrNoConvergence):
-			er.Escalations = append(er.Escalations, fmt.Sprintf("tol %.1e->%.1e (no convergence)", aopts.BiCGTol, 100*aopts.BiCGTol))
-			aopts.BiCGTol *= 100
-			tolLoosened = true
-		case errors.Is(err, linsolve.ErrBreakdown):
-			er.Escalations = append(er.Escalations, fmt.Sprintf("probe reseed %d (breakdown)", er.Attempts))
-			aopts.Seed = base.Seed + int64(er.Attempts)*1_000_003
 		case errors.Is(err, comm.ErrShapeMismatch):
-			// The ranks of a distributed fabric disagreed about the
-			// problem shape. The decomposition is deterministic, so a
-			// retry reproduces the same disagreement: terminal.
+			// The ranks of an Ndm > 1 solve disagreed about the problem
+			// shape. The decomposition is deterministic, so a retry
+			// reproduces the same disagreement: terminal.
 			return fail(err)
-		case errors.Is(err, comm.ErrPeerLost),
+		case errors.Is(err, comm.ErrClosed),
+			errors.Is(err, comm.ErrPeerLost),
 			errors.Is(err, comm.ErrPartition),
-			errors.Is(err, comm.ErrFrameCorrupt),
-			errors.Is(err, comm.ErrClosed):
-			// Transport failures. The rank world is rebuilt from scratch
-			// on every attempt, so a lost peer, a partitioned or
-			// persistently corrupt link, or a world torn down under us
-			// are all plain retries here; process-level re-dispatch (a
-			// fleet coordinator moving the energy to a surviving worker)
-			// happens above this ladder, not in it.
+			errors.Is(err, comm.ErrFrameCorrupt):
+			// Of comm's sentinels only ErrShapeMismatch (above) and
+			// ErrClosed — a rank world torn down under a blocked rank —
+			// can come out of a solve: ranks are goroutines on channels.
+			// The other three are failures of the fleet's TCP link, which
+			// the coordinator answers by re-dispatching the energy and a
+			// solve never sees; they are named here only because the
+			// errladder check wants every comm sentinel classified. The
+			// rank world is rebuilt on every attempt: plain retry.
 			er.Escalations = append(er.Escalations, fmt.Sprintf("fabric rebuilt, attempt %d (transport failure)", er.Attempts))
 		default:
 			// Unclassified (chaos faults, operator errors): plain retry.

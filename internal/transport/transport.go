@@ -125,26 +125,3 @@ func BranchPoints(profile []Point) []float64 {
 	}
 	return out
 }
-
-// GapEdges returns the lowest and highest energies of the evanescent-only
-// window around the given energy (a band-gap detector on the scan grid).
-// ok is false when e lies in a region with open channels.
-func GapEdges(profile []Point, e float64) (lo, hi float64, ok bool) {
-	idx := -1
-	for i, p := range profile {
-		if p.E <= e {
-			idx = i
-		}
-	}
-	if idx < 0 || profile[idx].NPropagate > 0 {
-		return 0, 0, false
-	}
-	lo, hi = profile[idx].E, profile[idx].E
-	for i := idx; i >= 0 && profile[i].NPropagate == 0; i-- {
-		lo = profile[i].E
-	}
-	for i := idx; i < len(profile) && profile[i].NPropagate == 0; i++ {
-		hi = profile[i].E
-	}
-	return lo, hi, true
-}

@@ -107,29 +107,6 @@ func TestComplexBandGapAndBranchPoints(t *testing.T) {
 	}
 }
 
-func TestGapEdges(t *testing.T) {
-	var results []*core.Result
-	for i := 0; i <= 10; i++ {
-		e := float64(i) * 0.1
-		if e > 0.25 && e < 0.75 {
-			results = append(results, synth(e, complex(0, 0.3)))
-		} else {
-			results = append(results, synth(e, complex(0.5, 0)))
-		}
-	}
-	prof := DecayProfile(results)
-	lo, hi, ok := GapEdges(prof, 0.5)
-	if !ok {
-		t.Fatal("gap not found at E=0.5")
-	}
-	if math.Abs(lo-0.3) > 1e-12 || math.Abs(hi-0.7) > 1e-12 {
-		t.Errorf("gap edges [%g, %g], want [0.3, 0.7]", lo, hi)
-	}
-	if _, _, ok := GapEdges(prof, 0.1); ok {
-		t.Error("metallic energy must not report a gap")
-	}
-}
-
 func TestNoGapSystems(t *testing.T) {
 	prof := DecayProfile([]*core.Result{synth(0, complex(0.3, 0))})
 	if _, _, ok := ComplexBandGap(prof); ok {

@@ -1,11 +1,12 @@
-// Package wire is the binary framing of the TCP transports: the network
-// sibling of internal/journal's CRC-framed JSONL. A frame is
+// Package wire is the binary framing of the reliable TCP link (comm.RConn)
+// under the fleet: the network sibling of internal/journal's CRC-framed
+// JSONL. A frame is
 //
 //	[4]  uint32 LE  payload length
 //	[1]  kind
 //	[1]  src        link-local identity of the sender
 //	[1]  dst        link-local identity of the receiver
-//	[1]  flags      (reserved, zero)
+//	[1]  flags      (reserved: written zero, anything else is corrupt)
 //	[8]  uint64 LE  per-link sequence number
 //	[n]  payload
 //	[4]  uint32 LE  CRC-32C over header+payload
@@ -25,7 +26,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 )
 
 // Frame kinds of the reliable links. Application protocols ride inside
@@ -97,8 +97,9 @@ func Write(w io.Writer, f Frame) error {
 
 // Read decodes the next frame from r. maxPayload bounds the length field
 // before any allocation, so a corrupt length cannot balloon memory; frames
-// failing the bound or the CRC return ErrFrameCorrupt. Transport errors
-// from r (timeouts, closed conns) pass through unwrapped.
+// failing the bound, the CRC or the reserved-zero flags byte return
+// ErrFrameCorrupt, so every accepted frame is exactly what Append writes.
+// Transport errors from r (timeouts, closed conns) pass through unwrapped.
 func Read(r io.Reader, maxPayload int) (Frame, error) {
 	var hdr [headerLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -117,6 +118,9 @@ func Read(r io.Reader, maxPayload int) (Frame, error) {
 	if binary.LittleEndian.Uint32(body[n:]) != crc {
 		return Frame{}, fmt.Errorf("%w: crc mismatch", ErrFrameCorrupt)
 	}
+	if hdr[7] != 0 {
+		return Frame{}, fmt.Errorf("%w: reserved flags byte %#x", ErrFrameCorrupt, hdr[7])
+	}
 	return Frame{
 		Kind:    hdr[4],
 		Src:     hdr[5],
@@ -124,31 +128,4 @@ func Read(r io.Reader, maxPayload int) (Frame, error) {
 		Seq:     binary.LittleEndian.Uint64(hdr[8:16]),
 		Payload: body[:n:n],
 	}, nil
-}
-
-// AppendComplex serializes v as little-endian float64 (re, im) pairs; the
-// exact IEEE bits round-trip, so a value sent over the wire compares
-// bit-identical to one passed through a channel.
-func AppendComplex(buf []byte, v []complex128) []byte {
-	for _, z := range v {
-		var b [16]byte
-		binary.LittleEndian.PutUint64(b[0:8], math.Float64bits(real(z)))
-		binary.LittleEndian.PutUint64(b[8:16], math.Float64bits(imag(z)))
-		buf = append(buf, b[:]...)
-	}
-	return buf
-}
-
-// DecodeComplex parses an AppendComplex payload.
-func DecodeComplex(b []byte) ([]complex128, error) {
-	if len(b)%16 != 0 {
-		return nil, fmt.Errorf("%w: complex payload length %d not a multiple of 16", ErrFrameCorrupt, len(b))
-	}
-	out := make([]complex128, len(b)/16)
-	for i := range out {
-		re := math.Float64frombits(binary.LittleEndian.Uint64(b[16*i:]))
-		im := math.Float64frombits(binary.LittleEndian.Uint64(b[16*i+8:]))
-		out[i] = complex(re, im)
-	}
-	return out, nil
 }

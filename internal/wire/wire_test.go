@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
@@ -90,34 +91,42 @@ func TestFrameTruncation(t *testing.T) {
 	}
 }
 
-// TestComplexCodec: IEEE-754 bits round-trip exactly, including zeros,
-// negative zero, denormals, infinities, and NaN payloads — the transport
-// must be bit-transparent for the halo exchange to stay deterministic.
-func TestComplexCodec(t *testing.T) {
-	vals := []complex128{
-		0,
-		complex(math.Copysign(0, -1), 0),
-		complex(1.5, -2.25),
-		complex(math.SmallestNonzeroFloat64, math.MaxFloat64),
-		complex(math.Inf(1), math.Inf(-1)),
-		complex(math.NaN(), 42),
+// FuzzWireRead feeds arbitrary bytes to the frame decoder, the first code
+// to touch anything a TCP peer sends: it must never panic, must refuse a
+// length above maxPayload before reading (let alone allocating) the body,
+// and must accept only byte strings Append itself would have produced.
+func FuzzWireRead(f *testing.F) {
+	const maxPayload = 1 << 12
+	for _, fr := range []Frame{
+		{Kind: KindHello, Src: 255, Dst: 0, Seq: 0},
+		{Kind: KindData, Src: 3, Dst: 0, Seq: 17, Payload: []byte(`{"type":"result","index":2}`)},
+		{Kind: KindNak, Src: 0, Dst: 3, Seq: 18},
+		{Kind: KindAck, Src: 3, Dst: 0, Seq: 18},
+		{Kind: KindLost, Src: 0, Dst: 3, Seq: 1},
+	} {
+		f.Add(Append(nil, fr))
 	}
-	buf := AppendComplex(nil, vals)
-	got, err := DecodeComplex(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(vals) {
-		t.Fatalf("decoded %d values, want %d", len(got), len(vals))
-	}
-	for i := range vals {
-		gr, gi := math.Float64bits(real(got[i])), math.Float64bits(imag(got[i]))
-		wr, wi := math.Float64bits(real(vals[i])), math.Float64bits(imag(vals[i]))
-		if gr != wr || gi != wi {
-			t.Errorf("value %d: bits (%x,%x), want (%x,%x)", i, gr, gi, wr, wi)
+	two := Append(Append(nil, Frame{Kind: KindData, Seq: 1, Payload: []byte("a")}), Frame{Kind: KindData, Seq: 2})
+	f.Add(two)
+	f.Add(two[:len(two)-3])
+	f.Add([]byte("not a frame not a frame not a frame"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		fr, err := Read(r, maxPayload)
+		consumed := len(data) - r.Len()
+		if err != nil {
+			if len(data) >= headerLen && binary.LittleEndian.Uint32(data) > maxPayload {
+				if !errors.Is(err, ErrFrameCorrupt) || consumed != headerLen {
+					t.Fatalf("oversized length field: err %v after %d bytes, want ErrFrameCorrupt at the header", err, consumed)
+				}
+			}
+			return
 		}
-	}
-	if _, err := DecodeComplex(buf[:len(buf)-1]); !errors.Is(err, ErrFrameCorrupt) {
-		t.Errorf("ragged complex payload: got %v, want ErrFrameCorrupt", err)
-	}
+		if len(fr.Payload) > maxPayload {
+			t.Fatalf("accepted a %d-byte payload past the %d limit", len(fr.Payload), maxPayload)
+		}
+		if again := Append(nil, fr); !bytes.Equal(again, data[:consumed]) {
+			t.Fatalf("accepted frame does not re-encode to the bytes consumed:\n in  %x\n out %x", data[:consumed], again)
+		}
+	})
 }

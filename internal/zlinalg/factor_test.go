@@ -25,19 +25,6 @@ func TestLUSolveResidual(t *testing.T) {
 	}
 }
 
-func TestLUDet(t *testing.T) {
-	a := FromRows([][]complex128{
-		{2, 0, 0},
-		{1, 3i, 0},
-		{4, 5, -1},
-	})
-	f, err := FactorLU(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkClose(t, "det", f.Det(), 2*3i*-1, 1e-13)
-}
-
 func TestLUInverse(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	a := randMatrix(rng, 8, 8)

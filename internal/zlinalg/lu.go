@@ -12,9 +12,8 @@ var ErrSingular = errors.New("zlinalg: matrix is singular to working precision")
 // LU holds an LU factorization with partial pivoting: P*A = L*U, where L is
 // unit lower triangular and U upper triangular, both packed into LU.
 type LU struct {
-	lu   *Matrix
-	piv  []int // row i of the factor came from row piv[i] of A
-	sign int   // parity of the permutation, for Det
+	lu  *Matrix
+	piv []int // row i of the factor came from row piv[i] of A
 }
 
 // FactorLU computes the LU factorization with partial pivoting of the square
@@ -29,7 +28,6 @@ func FactorLU(a *Matrix) (*LU, error) {
 	for i := range piv {
 		piv[i] = i
 	}
-	sign := 1
 	for k := 0; k < n; k++ {
 		// Pivot search.
 		p := k
@@ -48,7 +46,6 @@ func FactorLU(a *Matrix) (*LU, error) {
 				rk[j], rp[j] = rp[j], rk[j]
 			}
 			piv[k], piv[p] = piv[p], piv[k]
-			sign = -sign
 		}
 		pivot := lu.At(k, k)
 		for i := k + 1; i < n; i++ {
@@ -63,7 +60,7 @@ func FactorLU(a *Matrix) (*LU, error) {
 			}
 		}
 	}
-	return &LU{lu: lu, piv: piv, sign: sign}, nil
+	return &LU{lu: lu, piv: piv}, nil
 }
 
 // SolveVec solves A*x = b for a single right-hand side.
@@ -104,16 +101,6 @@ func (f *LU) Solve(b *Matrix) *Matrix {
 		x.SetCol(j, f.SolveVec(b.Col(j)))
 	}
 	return x
-}
-
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() complex128 {
-	d := complex(float64(f.sign), 0)
-	n := f.lu.Rows
-	for i := 0; i < n; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
 }
 
 // Inverse returns A^{-1} from the factorization.

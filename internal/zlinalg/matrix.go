@@ -124,18 +124,6 @@ func (m *Matrix) ConjTranspose() *Matrix {
 	return t
 }
 
-// Transpose returns the plain (non-conjugated) transpose of m.
-func (m *Matrix) Transpose() *Matrix {
-	t := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		ri := m.Row(i)
-		for j := 0; j < m.Cols; j++ {
-			t.Data[j*t.Cols+i] = ri[j]
-		}
-	}
-	return t
-}
-
 // Add returns a + b.
 func Add(a, b *Matrix) *Matrix {
 	checkSameShape(a, b)
@@ -203,16 +191,6 @@ func MulVec(a *Matrix, x []complex128) []complex128 {
 		y[i] = s
 	}
 	return y
-}
-
-// FrobeniusNorm returns the Frobenius norm of m.
-func (m *Matrix) FrobeniusNorm() float64 {
-	var s float64
-	for _, v := range m.Data {
-		re, im := real(v), imag(v)
-		s += re*re + im*im
-	}
-	return math.Sqrt(s)
 }
 
 // MaxAbs returns the largest entry magnitude of m.

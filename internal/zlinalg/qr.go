@@ -113,10 +113,10 @@ func (f *QR) Q() *Matrix {
 	return q
 }
 
-// ApplyQT overwrites x (length m) with Q†*x.
-func (f *QR) ApplyQT(x []complex128) {
+// applyQT overwrites x (length m) with Q†*x.
+func (f *QR) applyQT(x []complex128) {
 	if len(x) != f.m {
-		panic("zlinalg: ApplyQT length mismatch")
+		panic("zlinalg: applyQT length mismatch")
 	}
 	for k := 0; k < f.n; k++ {
 		if f.tau[k] == 0 {
@@ -138,7 +138,7 @@ func (f *QR) ApplyQT(x []complex128) {
 func (f *QR) SolveVec(b []complex128) ([]complex128, error) {
 	y := make([]complex128, f.m)
 	copy(y, b)
-	f.ApplyQT(y)
+	f.applyQT(y)
 	x := make([]complex128, f.n)
 	for i := f.n - 1; i >= 0; i-- {
 		s := y[i]
