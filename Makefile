@@ -1,7 +1,7 @@
 GO ?= go
 CBSCHECK := bin/cbscheck
 
-.PHONY: all build loc test test-noavx2 race lint cbscheck fuzz-smoke chaos-smoke sweep-smoke serve-smoke serve-chaos net-smoke net-chaos negf-smoke bench-smoke
+.PHONY: all build loc test test-noavx2 race lint cbscheck fuzz-smoke chaos-smoke sweep-smoke serve-smoke serve-chaos net-smoke net-chaos negf-smoke bench-smoke layer-bench-smoke
 
 all: build test
 
@@ -131,6 +131,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzLUSolve -fuzztime=30s ./internal/zlinalg
 	$(GO) test -run=NONE -fuzz=FuzzWireRead -fuzztime=30s ./internal/wire
 	$(GO) test -run=NONE -fuzz=FuzzFleetMsg -fuzztime=30s ./internal/fleet
+	$(GO) test -run=NONE -fuzz=FuzzStencilRow -fuzztime=30s ./internal/soa
 
 # bench-smoke is the CI gate on the one benchmark (bench/, BENCHMARK.json):
 # all five workloads at tiny sizes with a one-second timed part each, every
@@ -138,3 +139,11 @@ fuzz-smoke:
 # performance; `bash bench/run.sh --workload <name>` is the measured run.
 bench-smoke:
 	$(GO) run ./bench -workload all -smoke -seconds 1
+
+# layer-bench-smoke runs the two layer benchmarks under bench/'s
+# qep.pz_block_ns_per_col and linsolve.ns_per_iter_col once each, on both
+# arms of the kernel dispatch, so they cannot rot; the timings of a single
+# iteration mean nothing.
+layer-bench-smoke:
+	$(GO) test -run=NONE -bench='ApplyBlockSoA|BlockBiCGDualSoA' -benchtime=1x ./internal/linsolve
+	CBS_NO_AVX2=1 $(GO) test -run=NONE -bench='ApplyBlockSoA|BlockBiCGDualSoA' -benchtime=1x ./internal/linsolve

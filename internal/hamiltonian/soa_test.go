@@ -49,24 +49,36 @@ func expectBitIdentical(t *testing.T, name string, nb int, got, want []complex12
 }
 
 // TestSoAKernelsBitIdentical: the float64 SoA kernels must reproduce the
-// AoS blocked kernels bit-for-bit, across grids exercising both the fused
-// nf==4 fast paths (interior x segments, fused y quads, interior z planes)
-// and every generic/boundary fallback (nx < 2nf, nf != 4, boundary z).
+// AoS blocked kernels bit-for-bit on whichever arm of the kernel dispatch
+// this run has (make test-noavx2 runs the other). The grids cover the bench
+// grid, axes that wrap more than once under the stencil (Nx, Ny < Nf),
+// Nz = Nf where every in-cell z neighbour of some plane is absent, and
+// every half-width from 1 to 6; the widths cover the sweep's single vector
+// (4), the paper's 16, the lane tails around them, and one column past the
+// projector reduction's stack chunk.
 func TestSoAKernelsBitIdentical(t *testing.T) {
 	cases := []struct {
 		name string
 		op   *Operator
+		nbs  []int
 	}{
-		{"fused-10x6x10-nf4", alCellDims(t, 10, 6, 10, 4)},
-		{"generic-x-6x6x6-nf4", alCellDims(t, 6, 6, 6, 4)},
-		{"generic-nf3-9x6x8", alCellDims(t, 9, 6, 8, 3)},
+		{"bench-10x10x10-nf4", alCellDims(t, 10, 10, 10, 4), []int{1, 3, 4, 5, 7, 8, 16, 17, blockStackCols + 1}},
+		{"10x6x10-nf4", alCellDims(t, 10, 6, 10, 4), []int{1, 3, 8, 16}},
+		{"short-x-6x6x6-nf4", alCellDims(t, 6, 6, 6, 4), []int{1, 3, 8, 16}},
+		{"multiwrap-3x5x4-nf4", alCellDims(t, 3, 5, 4, 4), []int{1, 4, 5, 17}},
+		{"multiwrap-2x3x6-nf6", alCellDims(t, 2, 3, 6, 6), []int{1, 4, 7}},
+		{"nf1-5x4x6", alCellDims(t, 5, 4, 6, 1), []int{4, 5}},
+		{"nf2-5x4x6", alCellDims(t, 5, 4, 6, 2), []int{4, 5}},
+		{"nf3-9x6x8", alCellDims(t, 9, 6, 8, 3), []int{1, 3, 4, 8, 16}},
+		{"nf5-7x6x8", alCellDims(t, 7, 6, 8, 5), []int{4, 7}},
+		{"nf6-7x6x8", alCellDims(t, 7, 6, 8, 6), []int{4, 17}},
 	}
 	shift := 0.37
 	coefP := complex(0.3, -0.8)
 	coefM := complex(-0.45, 0.15)
 	for _, tc := range cases {
 		n := tc.op.N()
-		for _, nb := range []int{1, 3, 8, 16} {
+		for _, nb := range tc.nbs {
 			v := randBlock(n, nb, int64(300+nb))
 			prior := randBlock(n, nb, int64(900+nb))
 

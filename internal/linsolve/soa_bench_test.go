@@ -11,13 +11,10 @@ import (
 	"cbs/internal/soa"
 )
 
-// BenchmarkBlockBiCGDualSoA is the layer benchmark behind the harness's
-// linsolve.ns_per_iter_col: one blocked dual solve of P(z) X = V on the
-// Al(100) 10x10x10 FD operator (n = 1000) at the first outer quadrature
-// point of the paper's ring, at the sweep's block width (4) and the paper's
-// (16), reusing one workspace. ns/iter-col is wall time per Krylov
-// iteration per column; CBS_NO_AVX2=1 times the scalar arm.
-func BenchmarkBlockBiCGDualSoA(b *testing.B) {
+// benchAlPz builds the fixture of the two layer benchmarks below: the
+// Al(100) 10x10x10 FD operator (n = 1000) with P(z) and its adjoint at the
+// first outer quadrature point of the paper's ring.
+func benchAlPz(b *testing.B) (n int, apply, applyD func(v, out *soa.Block[float64])) {
 	st, err := lattice.AlBulk100(1)
 	if err != nil {
 		b.Fatal(err)
@@ -33,9 +30,39 @@ func BenchmarkBlockBiCGDualSoA(b *testing.B) {
 	}
 	z := ring.Outer[0].Z
 	p, t := qep.New(op, eAl), op.SoA64()
-	apply := func(v, out *soa.Block[float64]) { qep.ApplyBlockSoA(p, t, z, v, out) }
-	applyD := func(v, out *soa.Block[float64]) { qep.ApplyDaggerBlockSoA(p, t, z, v, out) }
-	n := op.N()
+	apply = func(v, out *soa.Block[float64]) { qep.ApplyBlockSoA(p, t, z, v, out) }
+	applyD = func(v, out *soa.Block[float64]) { qep.ApplyDaggerBlockSoA(p, t, z, v, out) }
+	return op.N(), apply, applyD
+}
+
+// BenchmarkApplyBlockSoA is the layer benchmark behind the harness's
+// qep.pz_block_ns_per_col: one P(z) block apply on split planes (row
+// stencil kernel, cell couplings, projector gather/scatter) at the sweep's
+// block width (4) and the paper's (16). ns/col is wall time per apply per
+// column; CBS_NO_AVX2=1 times the scalar arm.
+func BenchmarkApplyBlockSoA(b *testing.B) {
+	n, apply, _ := benchAlPz(b)
+	for _, nb := range []int{4, 16} {
+		b.Run(fmt.Sprintf("nb=%d", nb), func(b *testing.B) {
+			v := randomSoABlock(n, nb, 1)
+			out := soa.NewBlock[float64](n, nb)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				apply(v, out)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nb), "ns/col")
+		})
+	}
+}
+
+// BenchmarkBlockBiCGDualSoA is the layer benchmark behind the harness's
+// linsolve.ns_per_iter_col: one blocked dual solve of P(z) X = V on the
+// same operator and quadrature point, at the same two block widths,
+// reusing one workspace. ns/iter-col is wall time per Krylov iteration per
+// column; CBS_NO_AVX2=1 times the scalar arm.
+func BenchmarkBlockBiCGDualSoA(b *testing.B) {
+	n, apply, applyD := benchAlPz(b)
 	for _, nb := range []int{4, 16} {
 		b.Run(fmt.Sprintf("nb=%d", nb), func(b *testing.B) {
 			v := randomSoABlock(n, nb, 1)

@@ -1,92 +1,49 @@
 package soa
 
-// Explicit SIMD leaf kernels for the float64 plane loops.
+// Explicit SIMD kernels for the float64 plane loops.
 //
 // The gc compiler does not autovectorize, so the split-complex layout alone
-// only buys the fused single-sweep structure and unit-stride streaming; the
-// multiplicative win the planar layout exists for comes from these
-// hand-written AVX2 kernels, dispatched at runtime (HasAVX2) with the
-// scalar bodies below as the portable fallback.
+// only buys unit-stride streaming over real planes; the multiplicative win
+// the planar layout exists for comes from hand-written AVX2 kernels,
+// dispatched at runtime (HasAVX2) with a scalar sibling of each as the
+// portable arm: the cell-coupling axpy and the column-lane Krylov kernels
+// in this file, the stencil row and the projector gather/scatter in
+// stencil.go.
 //
 // Bit-exactness contract: every asm kernel performs, per element, exactly
-// the multiplies and adds of its scalar body in the same order. VMULPD /
+// the multiplies and adds of its scalar sibling in the same order. VMULPD /
 // VADDPD round identically to the scalar instructions lane by lane, and no
 // FMA contraction is used anywhere (a fused multiply-add skips the
 // intermediate rounding and would break the SoA==AoS bitwise parity the
-// solver tests pin). Callers must guarantee every source slice is at least
-// as long as dst; the kernels index all slices by dst's length without
-// re-checking.
+// solver tests pin).
 
-// AxpyF64 performs dst[i] += c*src[i].
+// AxpyRows performs the complex axpy of whole block rows,
+// dst[d0+i, :] += (cr + i*ci) * src[s0+i, :] for i < rows: the cell
+// couplings of H+ and H-, where rows is one or more z planes.
 //
 //cbs:hotpath
-func AxpyF64(dst, src []float64, c float64) {
+func AxpyRows[F Float](dst, src *Block[F], d0, s0, rows int, cr, ci F) {
+	nb := dst.nb
+	if src.nb != nb || d0 < 0 || s0 < 0 || rows < 0 || d0+rows > dst.n || s0+rows > src.n {
+		panic("soa: AxpyRows shape mismatch")
+	}
+	dRe, dIm := dst.Re[d0*nb:(d0+rows)*nb], dst.Im[d0*nb:(d0+rows)*nb]
+	sRe, sIm := src.Re[s0*nb:(s0+rows)*nb], src.Im[s0*nb:(s0+rows)*nb]
 	if HasAVX2 {
-		axpyAVX2(dst, src, c)
-		return
+		if dr, ok := any(dRe).([]float64); ok {
+			axpyCplxAVX2(dr, any(dIm).([]float64), any(sRe).([]float64), any(sIm).([]float64),
+				float64(cr), float64(ci))
+			return
+		}
 	}
-	axpyScalar(dst, src, c)
+	axpyCplxScalar(dRe, dIm, sRe, sIm, cr, ci)
 }
 
-//cbs:hotpath
-func axpyScalar(dst, src []float64, c float64) {
-	src = src[:len(dst)]
-	for i := range dst {
-		dst[i] += c * src[i]
-	}
-}
-
-// AxpyPairF64 performs dstRe[i] += c*srcRe[i]; dstIm[i] += c*srcIm[i] —
-// the real-coefficient two-plane axpy of the nonlocal projector term.
+// axpyCplxScalar performs dstRe[i] += cr*srcRe[i] - ci*srcIm[i];
+// dstIm[i] += cr*srcIm[i] + ci*srcRe[i] over equally long planes.
 //
 //cbs:hotpath
-func AxpyPairF64(dstRe, dstIm, srcRe, srcIm []float64, c float64) {
-	if HasAVX2 {
-		axpyPairAVX2(dstRe, dstIm, srcRe, srcIm, c)
-		return
-	}
-	axpyScalar(dstRe, srcRe, c)
-	axpyScalar(dstIm, srcIm, c)
-}
-
-// ScalePairF64 performs dstRe[i] = c*srcRe[i]; dstIm[i] = c*srcIm[i] —
-// the diagonal term's overwrite-scale of both planes.
-//
-//cbs:hotpath
-func ScalePairF64(dstRe, dstIm, srcRe, srcIm []float64, c float64) {
-	if HasAVX2 {
-		scalePairAVX2(dstRe, dstIm, srcRe, srcIm, c)
-		return
-	}
-	scalePairScalar(dstRe, dstIm, srcRe, srcIm, c)
-}
-
-//cbs:hotpath
-func scalePairScalar(dstRe, dstIm, srcRe, srcIm []float64, c float64) {
-	n := len(dstRe)
-	dstIm = dstIm[:n]
-	srcRe = srcRe[:n]
-	srcIm = srcIm[:n]
-	for i := range dstRe {
-		dstRe[i] = c * srcRe[i]
-		dstIm[i] = c * srcIm[i]
-	}
-}
-
-// AxpyCplxF64 performs the split complex axpy
-// dstRe[i] += cr*srcRe[i] - ci*srcIm[i]; dstIm[i] += cr*srcIm[i] + ci*srcRe[i].
-//
-//cbs:hotpath
-func AxpyCplxF64(dstRe, dstIm, srcRe, srcIm []float64, cr, ci float64) {
-	if HasAVX2 {
-		axpyCplxAVX2(dstRe, dstIm, srcRe, srcIm, cr, ci)
-		return
-	}
-	axpyCplxScalar(dstRe, dstIm, srcRe, srcIm, cr, ci)
-}
-
-//cbs:hotpath
-func axpyCplxScalar(dstRe, dstIm, srcRe, srcIm []float64, cr, ci float64) {
+func axpyCplxScalar[F Float](dstRe, dstIm, srcRe, srcIm []F, cr, ci F) {
 	n := len(dstRe)
 	dstIm = dstIm[:n]
 	srcRe = srcRe[:n]
@@ -95,98 +52,6 @@ func axpyCplxScalar(dstRe, dstIm, srcRe, srcIm []float64, cr, ci float64) {
 		sr, si := srcRe[i], srcIm[i]
 		dstRe[i] += cr*sr - ci*si
 		dstIm[i] += cr*si + ci*sr
-	}
-}
-
-// AddPairScaledF64 performs dst[i] += c*(p[i]+m[i]) — one symmetric
-// stencil offset pair.
-//
-//cbs:hotpath
-func AddPairScaledF64(dst, p, m []float64, c float64) {
-	if HasAVX2 {
-		addPairScaledAVX2(dst, p, m, c)
-		return
-	}
-	addPairScaledScalar(dst, p, m, c)
-}
-
-//cbs:hotpath
-func addPairScaledScalar(dst, p, m []float64, c float64) {
-	n := len(dst)
-	p = p[:n]
-	m = m[:n]
-	for i := range dst {
-		dst[i] += c * (p[i] + m[i])
-	}
-}
-
-// FusePair4F64 fuses four pair-grouped offset sweeps: per element,
-// dst += c1*(p1+m1), then += c2*(p2+m2), then c3, then c4, in that order.
-//
-//cbs:hotpath
-func FusePair4F64(dst, p1, m1, p2, m2, p3, m3, p4, m4 []float64, c1, c2, c3, c4 float64) {
-	if HasAVX2 {
-		fusePair4AVX2(dst, p1, m1, p2, m2, p3, m3, p4, m4, c1, c2, c3, c4)
-		return
-	}
-	fusePair4Scalar(dst, p1, m1, p2, m2, p3, m3, p4, m4, c1, c2, c3, c4)
-}
-
-//cbs:hotpath
-func fusePair4Scalar(dst, p1, m1, p2, m2, p3, m3, p4, m4 []float64, c1, c2, c3, c4 float64) {
-	n := len(dst)
-	p1 = p1[:n]
-	m1 = m1[:n]
-	p2 = p2[:n]
-	m2 = m2[:n]
-	p3 = p3[:n]
-	m3 = m3[:n]
-	p4 = p4[:n]
-	m4 = m4[:n]
-	for i := range dst {
-		v := dst[i] + c1*(p1[i]+m1[i])
-		v += c2 * (p2[i] + m2[i])
-		v += c3 * (p3[i] + m3[i])
-		v += c4 * (p4[i] + m4[i])
-		dst[i] = v
-	}
-}
-
-// FuseSingle8F64 fuses eight single-plane scaled adds: per element,
-// dst += c1*s1, += c1*s2, += c2*s3, += c2*s4, ..., += c4*s8, in that order
-// (the z-tail pattern: +d and -d share a coefficient but stay separate
-// terms).
-//
-//cbs:hotpath
-func FuseSingle8F64(dst, s1, s2, s3, s4, s5, s6, s7, s8 []float64, c1, c2, c3, c4 float64) {
-	if HasAVX2 {
-		fuseSingle8AVX2(dst, s1, s2, s3, s4, s5, s6, s7, s8, c1, c2, c3, c4)
-		return
-	}
-	fuseSingle8Scalar(dst, s1, s2, s3, s4, s5, s6, s7, s8, c1, c2, c3, c4)
-}
-
-//cbs:hotpath
-func fuseSingle8Scalar(dst, s1, s2, s3, s4, s5, s6, s7, s8 []float64, c1, c2, c3, c4 float64) {
-	n := len(dst)
-	s1 = s1[:n]
-	s2 = s2[:n]
-	s3 = s3[:n]
-	s4 = s4[:n]
-	s5 = s5[:n]
-	s6 = s6[:n]
-	s7 = s7[:n]
-	s8 = s8[:n]
-	for i := range dst {
-		v := dst[i] + c1*s1[i]
-		v += c1 * s2[i]
-		v += c2 * s3[i]
-		v += c2 * s4[i]
-		v += c3 * s5[i]
-		v += c3 * s6[i]
-		v += c4 * s7[i]
-		v += c4 * s8[i]
-		dst[i] = v
 	}
 }
 

@@ -6,7 +6,7 @@ import "os"
 
 // HasAVX2 reports whether the AVX2 plane kernels are usable on this CPU
 // (AVX2 present, the OS saves YMM state, and the CBS_NO_AVX2 kill switch is
-// unset). Checked once at init; the leaf kernels branch on it per call.
+// unset). Checked once at init; the kernel entry points branch on it per call.
 var HasAVX2 = detectAVX2()
 
 func detectAVX2() bool {
@@ -35,21 +35,10 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 // xgetbv reads XCR0 (requires OSXSAVE).
 func xgetbv() (lo, hi uint32)
 
-// The AVX2 kernels; see simd_amd64.s. Each is the exact vector transcription
-// of its *Scalar sibling in simd.go: same per-element multiply/add order, no
-// FMA. Sources must be at least len(dst) long.
-
-//cbs:hotpath
-//go:noescape
-func axpyAVX2(dst, src []float64, c float64)
-
-//cbs:hotpath
-//go:noescape
-func axpyPairAVX2(dstRe, dstIm, srcRe, srcIm []float64, c float64)
-
-//cbs:hotpath
-//go:noescape
-func scalePairAVX2(dstRe, dstIm, srcRe, srcIm []float64, c float64)
+// The AVX2 kernels; see simd_amd64.s and stencil_amd64.s. Each is the exact
+// vector transcription of its *Scalar sibling: same per-element multiply/add
+// order, no FMA. Plane arguments must be equally long; the gather and the
+// scatter return the position of the first out-of-range sample, or -1.
 
 //cbs:hotpath
 //go:noescape
@@ -57,15 +46,15 @@ func axpyCplxAVX2(dstRe, dstIm, srcRe, srcIm []float64, cr, ci float64)
 
 //cbs:hotpath
 //go:noescape
-func addPairScaledAVX2(dst, p, m []float64, c float64)
+func stencilRowAVX2(s *Stencil, c *StencilCoef, vloc, vRe, vIm, oRe, oIm []float64, nb, iz, iy int)
 
 //cbs:hotpath
 //go:noescape
-func fusePair4AVX2(dst, p1, m1, p2, m2, p3, m3, p4, m4 []float64, c1, c2, c3, c4 float64)
+func gatherDotAVX2(sumsRe, sumsIm, vRe, vIm []float64, n, nb int, idx []int32, val []float64) int
 
 //cbs:hotpath
 //go:noescape
-func fuseSingle8AVX2(dst, s1, s2, s3, s4, s5, s6, s7, s8 []float64, c1, c2, c3, c4 float64)
+func scatterAxpyAVX2(oRe, oIm []float64, n, nb int, idx []int32, val, sumsRe, sumsIm []float64) int
 
 //cbs:hotpath
 //go:noescape

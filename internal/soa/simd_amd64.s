@@ -25,139 +25,6 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, hi+4(FP)
 	RET
 
-// func axpyAVX2(dst, src []float64, c float64)
-// dst[i] += c*src[i]
-TEXT ·axpyAVX2(SB), NOSPLIT, $0-56
-	MOVQ         dst_base+0(FP), DI
-	MOVQ         dst_len+8(FP), CX
-	MOVQ         src_base+24(FP), SI
-	VBROADCASTSD c+48(FP), Y12
-	XORQ         BX, BX
-	MOVQ         CX, DX
-	ANDQ         $-4, DX
-	CMPQ         BX, DX
-	JGE          axpytail
-
-axpyloop:
-	VMOVUPD (SI)(BX*8), Y0
-	VMULPD  Y12, Y0, Y0
-	VADDPD  (DI)(BX*8), Y0, Y0
-	VMOVUPD Y0, (DI)(BX*8)
-	ADDQ    $4, BX
-	CMPQ    BX, DX
-	JLT     axpyloop
-
-axpytail:
-	CMPQ BX, CX
-	JGE  axpydone
-
-axpytailloop:
-	VMOVSD (SI)(BX*8), X0
-	VMULSD X12, X0, X0
-	VADDSD (DI)(BX*8), X0, X0
-	VMOVSD X0, (DI)(BX*8)
-	INCQ   BX
-	CMPQ   BX, CX
-	JLT    axpytailloop
-
-axpydone:
-	VZEROUPPER
-	RET
-
-// func axpyPairAVX2(dstRe, dstIm, srcRe, srcIm []float64, c float64)
-// dstRe[i] += c*srcRe[i]; dstIm[i] += c*srcIm[i]
-TEXT ·axpyPairAVX2(SB), NOSPLIT, $0-104
-	MOVQ         dstRe_base+0(FP), DI
-	MOVQ         dstRe_len+8(FP), CX
-	MOVQ         dstIm_base+24(FP), SI
-	MOVQ         srcRe_base+48(FP), R8
-	MOVQ         srcIm_base+72(FP), R9
-	VBROADCASTSD c+96(FP), Y12
-	XORQ         BX, BX
-	MOVQ         CX, DX
-	ANDQ         $-4, DX
-	CMPQ         BX, DX
-	JGE          axptail
-
-axploop:
-	VMOVUPD (R8)(BX*8), Y0
-	VMULPD  Y12, Y0, Y0
-	VADDPD  (DI)(BX*8), Y0, Y0
-	VMOVUPD Y0, (DI)(BX*8)
-	VMOVUPD (R9)(BX*8), Y1
-	VMULPD  Y12, Y1, Y1
-	VADDPD  (SI)(BX*8), Y1, Y1
-	VMOVUPD Y1, (SI)(BX*8)
-	ADDQ    $4, BX
-	CMPQ    BX, DX
-	JLT     axploop
-
-axptail:
-	CMPQ BX, CX
-	JGE  axpdone
-
-axptailloop:
-	VMOVSD (R8)(BX*8), X0
-	VMULSD X12, X0, X0
-	VADDSD (DI)(BX*8), X0, X0
-	VMOVSD X0, (DI)(BX*8)
-	VMOVSD (R9)(BX*8), X1
-	VMULSD X12, X1, X1
-	VADDSD (SI)(BX*8), X1, X1
-	VMOVSD X1, (SI)(BX*8)
-	INCQ   BX
-	CMPQ   BX, CX
-	JLT    axptailloop
-
-axpdone:
-	VZEROUPPER
-	RET
-
-// func scalePairAVX2(dstRe, dstIm, srcRe, srcIm []float64, c float64)
-// dstRe[i] = c*srcRe[i]; dstIm[i] = c*srcIm[i]
-TEXT ·scalePairAVX2(SB), NOSPLIT, $0-104
-	MOVQ         dstRe_base+0(FP), DI
-	MOVQ         dstRe_len+8(FP), CX
-	MOVQ         dstIm_base+24(FP), SI
-	MOVQ         srcRe_base+48(FP), R8
-	MOVQ         srcIm_base+72(FP), R9
-	VBROADCASTSD c+96(FP), Y12
-	XORQ         BX, BX
-	MOVQ         CX, DX
-	ANDQ         $-4, DX
-	CMPQ         BX, DX
-	JGE          scptail
-
-scploop:
-	VMOVUPD (R8)(BX*8), Y0
-	VMULPD  Y12, Y0, Y0
-	VMOVUPD Y0, (DI)(BX*8)
-	VMOVUPD (R9)(BX*8), Y1
-	VMULPD  Y12, Y1, Y1
-	VMOVUPD Y1, (SI)(BX*8)
-	ADDQ    $4, BX
-	CMPQ    BX, DX
-	JLT     scploop
-
-scptail:
-	CMPQ BX, CX
-	JGE  scpdone
-
-scptailloop:
-	VMOVSD (R8)(BX*8), X0
-	VMULSD X12, X0, X0
-	VMOVSD X0, (DI)(BX*8)
-	VMOVSD (R9)(BX*8), X1
-	VMULSD X12, X1, X1
-	VMOVSD X1, (SI)(BX*8)
-	INCQ   BX
-	CMPQ   BX, CX
-	JLT    scptailloop
-
-scpdone:
-	VZEROUPPER
-	RET
-
 // func axpyCplxAVX2(dstRe, dstIm, srcRe, srcIm []float64, cr, ci float64)
 // dstRe[i] += cr*sr - ci*si; dstIm[i] += cr*si + ci*sr
 TEXT ·axpyCplxAVX2(SB), NOSPLIT, $0-112
@@ -213,218 +80,6 @@ axctailloop:
 	JLT    axctailloop
 
 axcdone:
-	VZEROUPPER
-	RET
-
-// func addPairScaledAVX2(dst, p, m []float64, c float64)
-// dst[i] += c*(p[i]+m[i])
-TEXT ·addPairScaledAVX2(SB), NOSPLIT, $0-80
-	MOVQ         dst_base+0(FP), DI
-	MOVQ         dst_len+8(FP), CX
-	MOVQ         p_base+24(FP), SI
-	MOVQ         m_base+48(FP), R8
-	VBROADCASTSD c+72(FP), Y12
-	XORQ         BX, BX
-	MOVQ         CX, DX
-	ANDQ         $-4, DX
-	CMPQ         BX, DX
-	JGE          apstail
-
-apsloop:
-	VMOVUPD (SI)(BX*8), Y0
-	VADDPD  (R8)(BX*8), Y0, Y0
-	VMULPD  Y12, Y0, Y0
-	VADDPD  (DI)(BX*8), Y0, Y0
-	VMOVUPD Y0, (DI)(BX*8)
-	ADDQ    $4, BX
-	CMPQ    BX, DX
-	JLT     apsloop
-
-apstail:
-	CMPQ BX, CX
-	JGE  apsdone
-
-apstailloop:
-	VMOVSD (SI)(BX*8), X0
-	VADDSD (R8)(BX*8), X0, X0
-	VMULSD X12, X0, X0
-	VADDSD (DI)(BX*8), X0, X0
-	VMOVSD X0, (DI)(BX*8)
-	INCQ   BX
-	CMPQ   BX, CX
-	JLT    apstailloop
-
-apsdone:
-	VZEROUPPER
-	RET
-
-// func fusePair4AVX2(dst, p1, m1, p2, m2, p3, m3, p4, m4 []float64, c1, c2, c3, c4 float64)
-// per element: dst += c1*(p1+m1), += c2*(p2+m2), += c3*(p3+m3), += c4*(p4+m4)
-TEXT ·fusePair4AVX2(SB), NOSPLIT, $0-248
-	MOVQ         dst_base+0(FP), DI
-	MOVQ         dst_len+8(FP), CX
-	MOVQ         p1_base+24(FP), SI
-	MOVQ         m1_base+48(FP), R8
-	MOVQ         p2_base+72(FP), R9
-	MOVQ         m2_base+96(FP), R10
-	MOVQ         p3_base+120(FP), R11
-	MOVQ         m3_base+144(FP), R12
-	MOVQ         p4_base+168(FP), R13
-	MOVQ         m4_base+192(FP), R15
-	VBROADCASTSD c1+216(FP), Y8
-	VBROADCASTSD c2+224(FP), Y9
-	VBROADCASTSD c3+232(FP), Y10
-	VBROADCASTSD c4+240(FP), Y11
-	XORQ         BX, BX
-	MOVQ         CX, DX
-	ANDQ         $-4, DX
-	CMPQ         BX, DX
-	JGE          fp4tail
-
-fp4loop:
-	VMOVUPD (DI)(BX*8), Y0
-	VMOVUPD (SI)(BX*8), Y1
-	VADDPD  (R8)(BX*8), Y1, Y1
-	VMULPD  Y8, Y1, Y1
-	VADDPD  Y1, Y0, Y0
-	VMOVUPD (R9)(BX*8), Y2
-	VADDPD  (R10)(BX*8), Y2, Y2
-	VMULPD  Y9, Y2, Y2
-	VADDPD  Y2, Y0, Y0
-	VMOVUPD (R11)(BX*8), Y3
-	VADDPD  (R12)(BX*8), Y3, Y3
-	VMULPD  Y10, Y3, Y3
-	VADDPD  Y3, Y0, Y0
-	VMOVUPD (R13)(BX*8), Y4
-	VADDPD  (R15)(BX*8), Y4, Y4
-	VMULPD  Y11, Y4, Y4
-	VADDPD  Y4, Y0, Y0
-	VMOVUPD Y0, (DI)(BX*8)
-	ADDQ    $4, BX
-	CMPQ    BX, DX
-	JLT     fp4loop
-
-fp4tail:
-	CMPQ BX, CX
-	JGE  fp4done
-
-fp4tailloop:
-	VMOVSD (DI)(BX*8), X0
-	VMOVSD (SI)(BX*8), X1
-	VADDSD (R8)(BX*8), X1, X1
-	VMULSD X8, X1, X1
-	VADDSD X1, X0, X0
-	VMOVSD (R9)(BX*8), X2
-	VADDSD (R10)(BX*8), X2, X2
-	VMULSD X9, X2, X2
-	VADDSD X2, X0, X0
-	VMOVSD (R11)(BX*8), X3
-	VADDSD (R12)(BX*8), X3, X3
-	VMULSD X10, X3, X3
-	VADDSD X3, X0, X0
-	VMOVSD (R13)(BX*8), X4
-	VADDSD (R15)(BX*8), X4, X4
-	VMULSD X11, X4, X4
-	VADDSD X4, X0, X0
-	VMOVSD X0, (DI)(BX*8)
-	INCQ   BX
-	CMPQ   BX, CX
-	JLT    fp4tailloop
-
-fp4done:
-	VZEROUPPER
-	RET
-
-// func fuseSingle8AVX2(dst, s1, s2, s3, s4, s5, s6, s7, s8 []float64, c1, c2, c3, c4 float64)
-// per element: dst += c1*s1, += c1*s2, += c2*s3, += c2*s4, += c3*s5, += c3*s6, += c4*s7, += c4*s8
-TEXT ·fuseSingle8AVX2(SB), NOSPLIT, $0-248
-	MOVQ         dst_base+0(FP), DI
-	MOVQ         dst_len+8(FP), CX
-	MOVQ         s1_base+24(FP), SI
-	MOVQ         s2_base+48(FP), R8
-	MOVQ         s3_base+72(FP), R9
-	MOVQ         s4_base+96(FP), R10
-	MOVQ         s5_base+120(FP), R11
-	MOVQ         s6_base+144(FP), R12
-	MOVQ         s7_base+168(FP), R13
-	MOVQ         s8_base+192(FP), R15
-	VBROADCASTSD c1+216(FP), Y8
-	VBROADCASTSD c2+224(FP), Y9
-	VBROADCASTSD c3+232(FP), Y10
-	VBROADCASTSD c4+240(FP), Y11
-	XORQ         BX, BX
-	MOVQ         CX, DX
-	ANDQ         $-4, DX
-	CMPQ         BX, DX
-	JGE          fs8tail
-
-fs8loop:
-	VMOVUPD (DI)(BX*8), Y0
-	VMOVUPD (SI)(BX*8), Y1
-	VMULPD  Y8, Y1, Y1
-	VADDPD  Y1, Y0, Y0
-	VMOVUPD (R8)(BX*8), Y1
-	VMULPD  Y8, Y1, Y1
-	VADDPD  Y1, Y0, Y0
-	VMOVUPD (R9)(BX*8), Y1
-	VMULPD  Y9, Y1, Y1
-	VADDPD  Y1, Y0, Y0
-	VMOVUPD (R10)(BX*8), Y1
-	VMULPD  Y9, Y1, Y1
-	VADDPD  Y1, Y0, Y0
-	VMOVUPD (R11)(BX*8), Y1
-	VMULPD  Y10, Y1, Y1
-	VADDPD  Y1, Y0, Y0
-	VMOVUPD (R12)(BX*8), Y1
-	VMULPD  Y10, Y1, Y1
-	VADDPD  Y1, Y0, Y0
-	VMOVUPD (R13)(BX*8), Y1
-	VMULPD  Y11, Y1, Y1
-	VADDPD  Y1, Y0, Y0
-	VMOVUPD (R15)(BX*8), Y1
-	VMULPD  Y11, Y1, Y1
-	VADDPD  Y1, Y0, Y0
-	VMOVUPD Y0, (DI)(BX*8)
-	ADDQ    $4, BX
-	CMPQ    BX, DX
-	JLT     fs8loop
-
-fs8tail:
-	CMPQ BX, CX
-	JGE  fs8done
-
-fs8tailloop:
-	VMOVSD (DI)(BX*8), X0
-	VMOVSD (SI)(BX*8), X1
-	VMULSD X8, X1, X1
-	VADDSD X1, X0, X0
-	VMOVSD (R8)(BX*8), X1
-	VMULSD X8, X1, X1
-	VADDSD X1, X0, X0
-	VMOVSD (R9)(BX*8), X1
-	VMULSD X9, X1, X1
-	VADDSD X1, X0, X0
-	VMOVSD (R10)(BX*8), X1
-	VMULSD X9, X1, X1
-	VADDSD X1, X0, X0
-	VMOVSD (R11)(BX*8), X1
-	VMULSD X10, X1, X1
-	VADDSD X1, X0, X0
-	VMOVSD (R12)(BX*8), X1
-	VMULSD X10, X1, X1
-	VADDSD X1, X0, X0
-	VMOVSD (R13)(BX*8), X1
-	VMULSD X11, X1, X1
-	VADDSD X1, X0, X0
-	VMOVSD (R15)(BX*8), X1
-	VMULSD X11, X1, X1
-	VADDSD X1, X0, X0
-	VMOVSD X0, (DI)(BX*8)
-	INCQ   BX
-	CMPQ   BX, CX
-	JLT    fs8tailloop
-
-fs8done:
 	VZEROUPPER
 	RET
 

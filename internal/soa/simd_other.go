@@ -15,37 +15,22 @@ func xgetbv() (lo, hi uint32) {
 }
 
 //cbs:hotpath
-func axpyAVX2(dst, src []float64, c float64) {
-	panic("soa: no AVX2 kernels on this architecture")
-}
-
-//cbs:hotpath
-func axpyPairAVX2(dstRe, dstIm, srcRe, srcIm []float64, c float64) {
-	panic("soa: no AVX2 kernels on this architecture")
-}
-
-//cbs:hotpath
-func scalePairAVX2(dstRe, dstIm, srcRe, srcIm []float64, c float64) {
-	panic("soa: no AVX2 kernels on this architecture")
-}
-
-//cbs:hotpath
 func axpyCplxAVX2(dstRe, dstIm, srcRe, srcIm []float64, cr, ci float64) {
 	panic("soa: no AVX2 kernels on this architecture")
 }
 
 //cbs:hotpath
-func addPairScaledAVX2(dst, p, m []float64, c float64) {
+func stencilRowAVX2(s *Stencil, c *StencilCoef, vloc, vRe, vIm, oRe, oIm []float64, nb, iz, iy int) {
 	panic("soa: no AVX2 kernels on this architecture")
 }
 
 //cbs:hotpath
-func fusePair4AVX2(dst, p1, m1, p2, m2, p3, m3, p4, m4 []float64, c1, c2, c3, c4 float64) {
+func gatherDotAVX2(sumsRe, sumsIm, vRe, vIm []float64, n, nb int, idx []int32, val []float64) int {
 	panic("soa: no AVX2 kernels on this architecture")
 }
 
 //cbs:hotpath
-func fuseSingle8AVX2(dst, s1, s2, s3, s4, s5, s6, s7, s8 []float64, c1, c2, c3, c4 float64) {
+func scatterAxpyAVX2(oRe, oIm []float64, n, nb int, idx []int32, val, sumsRe, sumsIm []float64) int {
 	panic("soa: no AVX2 kernels on this architecture")
 }
 

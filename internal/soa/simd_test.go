@@ -43,82 +43,39 @@ func TestSIMDKernelsBitIdentical(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(41))
 	for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 64, 129} {
-		src := make([][]float64, 9)
-		for i := range src {
-			src[i] = simdFill(rng, n)
-		}
-		c1, c2, c3, c4 := rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()
-		dst0 := simdFill(rng, n)
-
-		run := func(name string, scalar, vector func(d []float64)) {
-			t.Helper()
-			want := append([]float64(nil), dst0...)
-			got := append([]float64(nil), dst0...)
-			scalar(want)
-			vector(got)
-			eqBits(t, name, got, want)
-		}
-
-		run("axpy",
-			func(d []float64) { axpyScalar(d, src[0], c1) },
-			func(d []float64) { axpyAVX2(d, src[0], c1) })
-		run("addPairScaled",
-			func(d []float64) { addPairScaledScalar(d, src[0], src[1], c1) },
-			func(d []float64) { addPairScaledAVX2(d, src[0], src[1], c1) })
-		run("fusePair4",
-			func(d []float64) {
-				fusePair4Scalar(d, src[0], src[1], src[2], src[3], src[4], src[5], src[6], src[7], c1, c2, c3, c4)
-			},
-			func(d []float64) {
-				fusePair4AVX2(d, src[0], src[1], src[2], src[3], src[4], src[5], src[6], src[7], c1, c2, c3, c4)
-			})
-		run("fuseSingle8",
-			func(d []float64) {
-				fuseSingle8Scalar(d, src[0], src[1], src[2], src[3], src[4], src[5], src[6], src[7], c1, c2, c3, c4)
-			},
-			func(d []float64) {
-				fuseSingle8AVX2(d, src[0], src[1], src[2], src[3], src[4], src[5], src[6], src[7], c1, c2, c3, c4)
-			})
-
-		// Two-plane kernels: dst planes are independent copies.
-		dstIm0 := simdFill(rng, n)
-		run2 := func(name string, scalar, vector func(dRe, dIm []float64)) {
-			t.Helper()
-			wantRe := append([]float64(nil), dst0...)
-			wantIm := append([]float64(nil), dstIm0...)
-			gotRe := append([]float64(nil), dst0...)
-			gotIm := append([]float64(nil), dstIm0...)
-			scalar(wantRe, wantIm)
-			vector(gotRe, gotIm)
-			eqBits(t, name+"/re", gotRe, wantRe)
-			eqBits(t, name+"/im", gotIm, wantIm)
-		}
-		run2("axpyPair",
-			func(dRe, dIm []float64) { axpyScalar(dRe, src[0], c1); axpyScalar(dIm, src[1], c1) },
-			func(dRe, dIm []float64) { axpyPairAVX2(dRe, dIm, src[0], src[1], c1) })
-		run2("scalePair",
-			func(dRe, dIm []float64) { scalePairScalar(dRe, dIm, src[0], src[1], c1) },
-			func(dRe, dIm []float64) { scalePairAVX2(dRe, dIm, src[0], src[1], c1) })
-		run2("axpyCplx",
-			func(dRe, dIm []float64) { axpyCplxScalar(dRe, dIm, src[0], src[1], c1, c2) },
-			func(dRe, dIm []float64) { axpyCplxAVX2(dRe, dIm, src[0], src[1], c1, c2) })
+		srcRe, srcIm := simdFill(rng, n), simdFill(rng, n)
+		cr, ci := rng.NormFloat64(), rng.NormFloat64()
+		wantRe, wantIm := simdFill(rng, n), simdFill(rng, n)
+		gotRe := append([]float64(nil), wantRe...)
+		gotIm := append([]float64(nil), wantIm...)
+		axpyCplxScalar(wantRe, wantIm, srcRe, srcIm, cr, ci)
+		axpyCplxAVX2(gotRe, gotIm, srcRe, srcIm, cr, ci)
+		eqBits(t, "axpyCplx/re", gotRe, wantRe)
+		eqBits(t, "axpyCplx/im", gotIm, wantIm)
 	}
 }
 
+// TestAxpyRows: the row window lands where it should and nowhere else.
+func TestAxpyRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	const n, nb = 9, 5
+	src, dst0 := colsBlock(rng, n, nb), colsBlock(rng, n, nb)
+	got := cloneBlock(dst0)
+	AxpyRows(got, src, 4, 1, 3, 0.5, -0.25)
+	want := cloneBlock(dst0)
+	axpyCplxScalar(want.Re[4*nb:7*nb], want.Im[4*nb:7*nb], src.Re[1*nb:4*nb], src.Im[1*nb:4*nb], 0.5, -0.25)
+	eqBits(t, "AxpyRows/re", got.Re, want.Re)
+	eqBits(t, "AxpyRows/im", got.Im, want.Im)
+	expectPanic(t, "dst window", func() { AxpyRows(got, src, 7, 0, 3, 1, 0) })
+	expectPanic(t, "src window", func() { AxpyRows(got, src, 0, 7, 3, 1, 0) })
+	expectPanic(t, "negative row", func() { AxpyRows(got, src, -1, 0, 1, 1, 0) })
+	expectPanic(t, "block width", func() { AxpyRows(got, colsBlock(rng, n, nb+1), 0, 0, 1, 1, 0) })
+}
+
 func TestSIMDKernelsZeroAlloc(t *testing.T) {
-	n := 67 // vector body + tail
-	dst := simdFill(rand.New(rand.NewSource(9)), n)
-	dst2 := append([]float64(nil), dst...)
-	s := simdFill(rand.New(rand.NewSource(10)), n)
-	if a := testing.AllocsPerRun(10, func() {
-		AxpyF64(dst, s, 0.5)
-		AxpyPairF64(dst, dst2, s, s, 0.25)
-		ScalePairF64(dst, dst2, s, s, 1.5)
-		AxpyCplxF64(dst, dst2, s, s, 0.5, -0.25)
-		AddPairScaledF64(dst, s, dst2, 0.125)
-		FusePair4F64(dst, s, s, s, s, s, s, s, s, 1, 2, 3, 4)
-		FuseSingle8F64(dst, s, s, s, s, s, s, s, s, 1, 2, 3, 4)
-	}); a != 0 {
-		t.Errorf("SIMD kernels allocate %.0f times per round, want 0", a)
+	rng := rand.New(rand.NewSource(9))
+	dst, src := colsBlock(rng, 67, 1), colsBlock(rng, 67, 1) // vector body + tail
+	if a := testing.AllocsPerRun(10, func() { AxpyRows(dst, src, 0, 0, 67, 0.5, -0.25) }); a != 0 {
+		t.Errorf("AxpyRows allocates %.0f times per call, want 0", a)
 	}
 }

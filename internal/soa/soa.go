@@ -1,19 +1,25 @@
 // Package soa provides the split-complex storage layout of the blocked hot
-// path: a block of nb column vectors over n grid points is held as two
-// parallel float planes Re and Im, both indexed exactly like the row-major
-// []complex128 block they mirror (element (i, k) at position i*nb+k). The
-// interleaved split keeps the stencil's per-grid-point streaming pattern
-// while turning every inner loop into contiguous *real* arithmetic: the
-// complex multiply-adds of the AoS kernels decompose into independent
-// same-shape passes over the two planes, which the compiler turns into
-// straight-line float code with half the register pressure per lane.
+// path and the kernels that run on it: a block of nb column vectors over n
+// grid points is held as two parallel float planes Re and Im, both indexed
+// exactly like the row-major []complex128 block they mirror (element (i, k)
+// at position i*nb+k). The interleaved split keeps the stencil's
+// per-grid-point streaming pattern while turning every inner loop into
+// contiguous *real* arithmetic on one plane.
+//
+// The kernels own the loops over grid points, so a caller dispatches once
+// per unit of work, not once per point: StencilRow writes a whole output
+// row of the FD stencil, GatherDot and ScatterAxpy walk a whole projector
+// support, AxpyRows adds whole coupled planes, and AxpyCols, XpayCols and
+// DotCols run the per-column Krylov recurrences over a whole block. Each
+// has an AVX2 arm (amd64, dispatched on HasAVX2) and a scalar sibling with
+// the same per-element arithmetic in the same order.
 //
 // The planes hold float64, so plane arithmetic is bit-identical to the
 // interleaved complex128 arithmetic; pack/unpack shims convert at the
 // []complex128 API boundary only. Kernels elsewhere must not re-box plane
-// elements into complex values inside hot loops and must not
-// re-slice the planes independently — both invariants are policed by the
-// soalayout vet analyzer.
+// elements into complex values inside hot loops and must not rebind the
+// plane headers — both invariants are policed by the soalayout vet
+// analyzer.
 package soa
 
 // Float is the element type of a split-complex plane.
