@@ -26,7 +26,8 @@ test: test-noavx2
 # answering.
 test-noavx2:
 	CBS_NO_AVX2=1 $(GO) test -count=1 ./internal/soa ./internal/hamiltonian \
-		./internal/qep ./internal/linsolve ./internal/core
+		./internal/qep ./internal/linsolve ./internal/core ./internal/tb \
+		./internal/dist
 
 race:
 	$(GO) test -race -short ./...

@@ -18,6 +18,7 @@ import (
 	"cbs/internal/cluster"
 	"cbs/internal/linsolve"
 	"cbs/internal/qep"
+	"cbs/internal/soa"
 	"cbs/internal/units"
 )
 
@@ -166,24 +167,22 @@ func BenchmarkStep1BlockedSolve(b *testing.B) {
 	n := q.Dim()
 	const nb = 8
 	z := cmplx.Exp(complex(0, 0.3))
-	apply := func(v, out []complex128, nbv int) { q.ApplyBlock(z, v, out, nbv) }
-	applyD := func(v, out []complex128, nbv int) { q.ApplyDaggerBlock(z, v, out, nbv) }
-	rhs := make([]complex128, n*nb)
-	x := make([]complex128, n*nb)
-	xd := make([]complex128, n*nb)
-	for i := range rhs {
-		rhs[i] = complex(float64(i%11)-5, float64(i%3)-1)
+	apply := func(v, out *soa.Block[float64]) { qep.ApplyBlockSoA(q, q.B, z, v, out) }
+	applyD := func(v, out *soa.Block[float64]) { qep.ApplyDaggerBlockSoA(q, q.B, z, v, out) }
+	rhs := soa.NewBlock[float64](n, nb)
+	x := soa.NewBlock[float64](n, nb)
+	xd := soa.NewBlock[float64](n, nb)
+	for i := range rhs.Re {
+		rhs.Re[i], rhs.Im[i] = float64(i%11)-5, float64(i%3)-1
 	}
-	ws := linsolve.NewWorkspace(n, nb)
+	ws := linsolve.NewWorkspaceSoA[float64](n, nb)
 	opts := linsolve.Options{Tol: 1e-9}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for j := range x {
-			x[j] = 0
-			xd[j] = 0
-		}
-		rs := linsolve.BlockBiCGDual(apply, applyD, rhs, rhs, x, xd, nb, opts, nil, ws)
+		x.Zero()
+		xd.Zero()
+		rs := linsolve.BlockBiCGDualSoA(apply, applyD, rhs, rhs, x, xd, opts, nil, ws)
 		for c := range rs {
 			if rs[c].Breakdown {
 				b.Fatalf("column %d broke down", c)

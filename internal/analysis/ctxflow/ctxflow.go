@@ -1,6 +1,6 @@
 // Package ctxflow enforces the cancellation-plumbing discipline that PR 3
 // threaded through the solve stack (Solve -> solveAll -> solvePoints ->
-// dist.SolveDual): once a context enters a call chain it must flow to the
+// dist.SolveBlock): once a context enters a call chain it must flow to the
 // leaf, because the first fatal fault cancels all workers through it and a
 // dropped context silently detaches a subtree from that signal.
 //

@@ -41,13 +41,13 @@ func TestEncodeListEmpty(t *testing.T) {
 // decode back exactly; values may contain spaces (positions do).
 func TestEncodeTableRoundTrip(t *testing.T) {
 	in := map[string]string{
-		"bicg.breakdown": "Breakdown linsolve.go:126",
-		"dist.breakdown": "Breakdown dist.go:222",
-		"journal.ckpt":   "CheckpointFault journal.go:88",
+		"bicg.block-breakdown": "Breakdown block.go:103",
+		"bicg.breakdown":       "Breakdown linsolve.go:126",
+		"journal.ckpt":         "CheckpointFault journal.go:88",
 	}
 	blob := EncodeTable(in)
-	want := "bicg.breakdown\tBreakdown linsolve.go:126\n" +
-		"dist.breakdown\tBreakdown dist.go:222\n" +
+	want := "bicg.block-breakdown\tBreakdown block.go:103\n" +
+		"bicg.breakdown\tBreakdown linsolve.go:126\n" +
 		"journal.ckpt\tCheckpointFault journal.go:88\n"
 	if blob != want {
 		t.Errorf("EncodeTable blob = %q, want %q", blob, want)

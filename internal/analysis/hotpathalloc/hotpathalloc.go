@@ -1,6 +1,6 @@
 // Package hotpathalloc enforces the zero-allocation contract of functions
 // annotated with //cbs:hotpath: the contour-solve kernels (blocked stencil
-// applies, BlockBiCGDual recurrence bodies, moment accumulators) must not
+// applies, the block dual-BiCG step kernels, moment accumulators) must not
 // allocate, lock, or escape into the runtime, because the paper's
 // scalability rests on the steady-state solve loop touching only
 // preallocated per-worker state.

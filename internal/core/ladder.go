@@ -7,6 +7,7 @@ import (
 	"cbs/internal/chaos"
 	"cbs/internal/linsolve"
 	"cbs/internal/qep"
+	"cbs/internal/soa"
 	"cbs/internal/zlinalg"
 )
 
@@ -124,16 +125,16 @@ func perturbIterates(x, xd, b []complex128, seed int64, j, col, attempt int) {
 }
 
 // recoverBlockColumns runs the ladder over every failed column of one
-// blocked solve (the serial/bottom-layer-free path): column cb of the
-// row-major interleaved blocks b, x, xd. Recovered solutions are scattered
+// blocked solve: column cb of the right-hand-side planes b and of the
+// row-major interleaved solutions x, xd. Recovered solutions are scattered
 // back in place; dropped columns are zeroed so the accumulator never sees
 // them. Worker-local scratch (bcol, xcol, xdcol; length n each) is supplied
 // by the caller so the per-point loop stays allocation-free. The outcome is
 // folded into local (the worker's per-point statistics); the dropped column
 // list and the recovery operator applications are returned for the caller's
 // once-per-point merge.
-func recoverBlockColumns(q *qep.Problem, z complex128, b, x, xd []complex128, nb int, j, c0 int, groups []*linsolve.GroupStop, rs []linsolve.Result, opts Options, local *PointStats, bcol, xcol, xdcol []complex128) (droppedCols []int, matVecs int) {
-	n := len(b) / nb
+func recoverBlockColumns(q *qep.Problem, z complex128, b *soa.Block[float64], x, xd []complex128, j, c0 int, groups []*linsolve.GroupStop, rs []linsolve.Result, opts Options, local *PointStats, bcol, xcol, xdcol []complex128) (droppedCols []int, matVecs int) {
+	n, nb := b.N(), b.NB()
 	for cb := 0; cb < nb; cb++ {
 		r := rs[cb]
 		if r.Breakdown {
@@ -146,7 +147,7 @@ func recoverBlockColumns(q *qep.Problem, z complex128, b, x, xd []complex128, nb
 			continue
 		}
 		for i := 0; i < n; i++ {
-			bcol[i] = b[i*nb+cb]
+			bcol[i] = complex(b.Re[i*nb+cb], b.Im[i*nb+cb])
 			xcol[i] = x[i*nb+cb]
 			xdcol[i] = xd[i*nb+cb]
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cbs/internal/dist"
 	"cbs/internal/qep"
 )
 
@@ -21,19 +22,18 @@ func MemoryEstimate(q *qep.Problem, opts Options) int64 {
 	b += 2 * nmm * n * nrh * 16 // moment accumulator
 	b += n * nrh * 16           // probe block V
 	b += 3 * m * m * 16         // Hankel pair + SVD work
-	// Point-loop state: each (top, mid) worker owns one blockWorker, and each
-	// top block shares its interleaved right-hand-side block (plus, on the
-	// plane layout, the planar copy the plane solver reads) across its mid
-	// workers.
+	// Point-loop state: each (top, mid) worker owns one blockWorker and runs
+	// one block solve at a time, and each top block shares its
+	// right-hand-side planes across its mid workers.
 	top := int64(opts.Parallel.Top)
-	nbBlk := (nrh + top - 1) / top // columns per top block
-	distributed := opts.Parallel.Ndm > 1
-	planes := q.Op != nil && !distributed
-	b += top * int64(opts.Parallel.Mid) * blockWorkerBytes(n, nbBlk, planes, distributed)
-	rhs := n * nbBlk * 16
-	if planes {
-		rhs *= 2
+	nb := (nrh + top - 1) / top // columns per top block
+	solve := 6 * n * nb * 16    // the workspace's six Krylov planes
+	if ndm := opts.Parallel.Ndm; ndm > 1 {
+		if ds, err := dist.NewSolver(q, ndm); err == nil {
+			solve = ds.MemoryBytes(int(nb))
+		}
 	}
-	b += top * rhs
+	b += top * int64(opts.Parallel.Mid) * (blockWorkerBytes(n, nb) + solve)
+	b += top * n * nb * 16
 	return b
 }

@@ -18,8 +18,8 @@ import (
 	"cbs/internal/chaos"
 	"cbs/internal/contour"
 	"cbs/internal/dist"
-	"cbs/internal/hamiltonian"
 	"cbs/internal/linsolve"
+	"cbs/internal/operator"
 	"cbs/internal/qep"
 	"cbs/internal/soa"
 	"cbs/internal/ssm"
@@ -317,19 +317,14 @@ func solveAll(ctx context.Context, q *qep.Problem, ring *contour.Ring, v *zlinal
 		topWG.Add(1)
 		go func(c0, c1 int) {
 			defer topWG.Done()
+			// The block's right-hand sides, packed into planes once and
+			// shared read-only by this block's workers.
 			nb := c1 - c0
-			// The block's right-hand sides, shared read-only by this block's
-			// workers: interleaved row-major, plus the same block packed once
-			// into split planes where the plane layout iterates on it.
-			b := make([]complex128, n*nb)
+			b := soa.NewBlock[float64](n, nb)
 			for i := 0; i < n; i++ {
-				row := v.Data[i*v.Cols : i*v.Cols+v.Cols]
-				copy(b[i*nb:i*nb+nb], row[c0:c1])
-			}
-			var bSoA *soa.Block[float64]
-			if q.Op != nil && distSolver == nil {
-				bSoA = soa.NewBlock[float64](n, nb)
-				soa.Pack(bSoA, b)
+				for c, e := range v.Data[i*v.Cols+c0 : i*v.Cols+c1] {
+					b.Re[i*nb+c], b.Im[i*nb+c] = real(e), imag(e)
+				}
 			}
 			// Middle layer: quadrature points from a shared queue.
 			points := make(chan int, nint)
@@ -342,7 +337,7 @@ func solveAll(ctx context.Context, q *qep.Problem, ring *contour.Ring, v *zlinal
 				midWG.Add(1)
 				go func() {
 					defer midWG.Done()
-					bw := newBlockWorker(q, b, bSoA, distSolver, nb)
+					bw := newBlockWorker(q, b, distSolver)
 					if err := solvePoints(cctx, bw, ring, points, acc, groups[c0:c1], c0, opts, sh); err != nil {
 						setErr(err)
 					}
@@ -393,121 +388,69 @@ type pointMerge struct {
 
 // blockWorker is one middle-layer worker's solve state, allocated once and
 // reused across its quadrature points so the steady-state loop is
-// allocation-free: the interleaved solution blocks that feed the recovery
-// ladder and the moment accumulator, the column scratch, and the Krylov
-// state of the worker's layout. The layout is observed, not configured:
-// with Ndm > 1 the block's columns go one by one through the domain-
-// decomposed solver; otherwise an FD-grid backend (bSoA != nil) iterates on
-// split-complex float64 planes against the operator's coefficient tables
-// and unpacks the solutions once per point, and every other backend
-// iterates on the interleaved blocks directly. The last two produce
-// identical bits. MemoryEstimate counts exactly these buffers
-// (blockWorkerBytes).
+// allocation-free: the solution planes the block solve writes, the same
+// solutions interleaved for the recovery ladder and the moment
+// accumulator, the column scratch, and the Krylov workspace. Every backend
+// iterates on the same planes through its operator.Planes applies; with
+// Ndm > 1 the block goes to the domain-decomposed solver instead, whose
+// ranks run the same recurrence over their slab rows. MemoryEstimate counts
+// exactly these buffers.
 type blockWorker struct {
 	q                 *qep.Problem
+	planes            operator.Planes     // q.B's plane applies
 	z                 complex128          // the point being solved; the applies read it
-	b                 []complex128        // the top block's interleaved right-hand sides
-	bSoA              *soa.Block[float64] // the same block in planes; nil off the plane layout
+	b                 *soa.Block[float64] // the top block's right-hand sides
+	xb, xdb           *soa.Block[float64]
 	x, xd             []complex128
 	bcol, xcol, xdcol []complex128
 
-	ws            *linsolve.Workspace // interleaved layout
-	apply, applyD linsolve.BlockApply
-
-	t64                 *hamiltonian.SoATables[float64] // plane layout
-	xb, xdb             *soa.Block[float64]
-	wsSoA               *linsolve.WorkspaceSoA[float64]
-	applySoA, applyDSoA linsolve.BlockApplySoA[float64]
-
-	dist *dist.Solver // distributed layout
-	rs   []linsolve.Result
+	ws            *linsolve.WorkspaceSoA[float64] // nil under Ndm > 1
+	apply, applyD linsolve.BlockApplySoA[float64]
+	dist          *dist.Solver
 }
 
-func newBlockWorker(q *qep.Problem, b []complex128, bSoA *soa.Block[float64], distSolver *dist.Solver, nb int) *blockWorker {
-	n := q.Dim()
+func newBlockWorker(q *qep.Problem, b *soa.Block[float64], distSolver *dist.Solver) *blockWorker {
+	n, nb := b.N(), b.NB()
 	w := &blockWorker{
-		q: q, b: b, bSoA: bSoA, dist: distSolver,
+		q: q, planes: q.B, b: b, dist: distSolver,
+		xb: soa.NewBlock[float64](n, nb), xdb: soa.NewBlock[float64](n, nb),
 		x: make([]complex128, n*nb), xd: make([]complex128, n*nb),
 		bcol: make([]complex128, n), xcol: make([]complex128, n), xdcol: make([]complex128, n),
 	}
-	switch {
-	case distSolver != nil:
-		w.rs = make([]linsolve.Result, nb)
-	case bSoA != nil:
-		w.t64 = q.Op.SoA64()
-		w.xb = soa.NewBlock[float64](n, nb)
-		w.xdb = soa.NewBlock[float64](n, nb)
-		w.wsSoA = linsolve.NewWorkspaceSoA[float64](n, nb)
-		w.applySoA = func(v, out *soa.Block[float64]) { qep.ApplyBlockSoA(w.q, w.t64, w.z, v, out) }
-		w.applyDSoA = func(v, out *soa.Block[float64]) { qep.ApplyDaggerBlockSoA(w.q, w.t64, w.z, v, out) }
-	default:
-		w.ws = linsolve.NewWorkspace(n, nb)
-		w.apply = func(v, out []complex128, nb int) { w.q.ApplyBlock(w.z, v, out, nb) }
-		w.applyD = func(v, out []complex128, nb int) { w.q.ApplyDaggerBlock(w.z, v, out, nb) }
+	if distSolver == nil {
+		w.ws = linsolve.NewWorkspaceSoA[float64](n, nb)
+		w.apply = func(v, out *soa.Block[float64]) { qep.ApplyBlockSoA(w.q, w.planes, w.z, v, out) }
+		w.applyD = func(v, out *soa.Block[float64]) { qep.ApplyDaggerBlockSoA(w.q, w.planes, w.z, v, out) }
 	}
 	return w
 }
 
-// blockWorkerBytes is the resident size of one blockWorker's n-scaled
-// buffers: x, xd and the three column scratch vectors on every layout, plus
-// six Krylov blocks on the interleaved layout and those six with the two
-// plane solution blocks on the plane layout. The distributed layout's
-// Krylov vectors are per-solve rank-local slices of one column.
-func blockWorkerBytes(n, nb int64, planes, distributed bool) int64 {
-	blocks := int64(8)
-	switch {
-	case distributed:
-		blocks = 2
-	case planes:
-		blocks = 10
-	}
-	return (blocks*n*nb + 3*n) * 16
-}
+// blockWorkerBytes is the resident size of the n-scaled buffers one
+// blockWorker holds itself: x, xd, their planes and the three column
+// vectors. The block solve's Krylov planes come on top (MemoryEstimate).
+func blockWorkerBytes(n, nb int64) int64 { return (4*n*nb + 3*n) * 16 }
 
 // solve runs the dual block solve P(z) X = B, P(z)^dagger Xd = B from a zero
-// guess and leaves the interleaved solutions in w.x and w.xd. commBytes is
-// the distributed layout's bottom-layer traffic; err is fatal to the
-// contour (a rank world failure or a cancellation inside a distributed
-// solve), never a per-column solver outcome.
+// guess and leaves the solutions in w.xb, w.xdb and, interleaved, in w.x and
+// w.xd. commBytes is the decomposed solver's bottom-layer traffic; err is
+// fatal to the contour (a rank world failure or a cancellation inside a
+// decomposed solve), never a per-column solver outcome.
 func (w *blockWorker) solve(ctx context.Context, z complex128, lopts linsolve.Options, groups []*linsolve.GroupStop) (rs []linsolve.Result, commBytes int64, err error) {
 	w.z = z
-	switch {
-	case w.dist != nil:
-		n, nb := len(w.bcol), len(groups)
-		for c := 0; c < nb; c++ {
-			for i := 0; i < n; i++ {
-				w.bcol[i] = w.b[i*nb+c]
-			}
-			lo := lopts
-			lo.Group = groups[c]
-			lo.History = lopts.History && c == 0
-			lo.ChaosSite.Col += c
-			var stats dist.Stats
-			w.rs[c], stats, err = w.dist.SolveDual(ctx, z, w.bcol, w.bcol, w.xcol, w.xdcol, lo)
-			if err != nil {
-				return nil, commBytes, err
-			}
-			commBytes += stats.Bytes
-			for i := 0; i < n; i++ {
-				w.x[i*nb+c] = w.xcol[i]
-				w.xd[i*nb+c] = w.xdcol[i]
-			}
+	w.xb.Zero()
+	w.xdb.Zero()
+	if w.dist != nil {
+		var stats dist.Stats
+		if rs, stats, err = w.dist.SolveBlock(ctx, z, w.b, w.xb, w.xdb, lopts, groups); err != nil {
+			return nil, 0, err
 		}
-		return w.rs, commBytes, nil
-	case w.bSoA != nil:
-		w.xb.Zero()
-		w.xdb.Zero()
-		rs = linsolve.BlockBiCGDualSoA(w.applySoA, w.applyDSoA, w.bSoA, w.bSoA, w.xb, w.xdb, lopts, groups, w.wsSoA)
-		soa.Unpack(w.x, w.xb)
-		soa.Unpack(w.xd, w.xdb)
-		return rs, 0, nil
-	default:
-		for i := range w.x {
-			w.x[i] = 0
-			w.xd[i] = 0
-		}
-		return linsolve.BlockBiCGDual(w.apply, w.applyD, w.b, w.b, w.x, w.xd, len(groups), lopts, groups, w.ws), 0, nil
+		commBytes = stats.Bytes
+	} else {
+		rs = linsolve.BlockBiCGDualSoA(w.apply, w.applyD, w.b, w.b, w.xb, w.xdb, lopts, groups, w.ws)
 	}
+	soa.Unpack(w.x, w.xb)
+	soa.Unpack(w.xd, w.xdb)
+	return rs, commBytes, nil
 }
 
 // solvePoints is the one quadrature-point loop: it drains the point queue
@@ -546,7 +489,7 @@ func solvePoints(ctx context.Context, w *blockWorker, ring *contour.Ring, points
 		// accumulation: dropped columns are zeroed in place so the
 		// accumulator never sees them.
 		var local PointStats
-		dropped, recMV := recoverBlockColumns(w.q, zOut, w.b, w.x, w.xd, nb, j, c0, colGroups, rs, opts, &local, w.bcol, w.xcol, w.xdcol)
+		dropped, recMV := recoverBlockColumns(w.q, zOut, w.b, w.x, w.xd, j, c0, colGroups, rs, opts, &local, w.bcol, w.xcol, w.xdcol)
 		// Accumulate: primal -> outer node, dual -> the paired inner node
 		// (P(zOut)^dagger = P(zIn)).
 		acc.AddInterleaved(zOut, wOut, c0, nb, w.x)

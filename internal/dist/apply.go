@@ -1,177 +1,181 @@
 package dist
 
 import (
+	"fmt"
+
 	"cbs/internal/comm"
+	"cbs/internal/soa"
 )
 
-// applyCtx holds the per-rank scratch buffers of the distributed operator
-// application out = P(z) v.
-type applyCtx struct {
+// rankApply is one rank's scratch for the rank-local P(z) apply of an
+// n x nb block on its slab rows: the halo-extended planes the stencil rows
+// read and write, the halo message, and the projector coefficients of all
+// nb columns. err keeps the first communication failure: the solver's apply
+// callback cannot return one, so the rank's next reduction reports it.
+type rankApply struct {
 	s    *Solver
-	rank int
 	rs   *rankState
+	c    *comm.Communicator
+	rank int
 
-	plane int
-	halo  int // halo points per side: Nf * plane
+	ext, extOut    *soa.Block[float64] // [lower halo | slab rows | upper halo]
+	halo           []complex128        // one halo message: Nf planes x nb columns
+	csum           []complex128        // per (projector, cell offset, column)
+	sumRe, sumIm   []float64
+	coefRe, coefIm []float64
+	red            []complex128 // one reduction step plus the cancel flag
 
-	ext  []complex128 // [lower halo | local planes | upper halo]
-	csum []complex128 // projector coefficient workspace (3 per projector)
+	err error
 }
 
-func newApplyCtx(s *Solver, rank int) *applyCtx {
-	g := s.Q.Op.G
-	plane := g.PlaneSize()
-	nf := s.Q.Op.St.Nf
+func (s *Solver) newRankApply(rank int, c *comm.Communicator, nb int) *rankApply {
 	rs := s.ranks[rank]
-	return &applyCtx{
-		s: s, rank: rank, rs: rs,
-		plane: plane,
-		halo:  nf * plane,
-		ext:   make([]complex128, rs.n+2*nf*plane),
-		csum:  make([]complex128, 3*len(s.Q.Op.Projs)),
+	h := s.halo
+	return &rankApply{
+		s: s, rs: rs, c: c, rank: rank,
+		ext:    soa.NewBlock[float64](rs.n+2*h, nb),
+		extOut: soa.NewBlock[float64](rs.n+2*h, nb),
+		halo:   make([]complex128, h*nb),
+		csum:   make([]complex128, 3*len(s.projH)*nb),
+		sumRe:  make([]float64, nb), sumIm: make([]float64, nb),
+		coefRe: make([]float64, nb), coefIm: make([]float64, nb),
+		red: make([]complex128, 0, 3*nb+1),
 	}
 }
 
-// apply computes out = P(z) v for the local slab, exchanging halos with the
-// ring neighbours (Bloch twist z at the cell seam) and allreducing the
-// nonlocal projector coefficients. A communication failure aborts the
-// application; out is unspecified then.
-func (a *applyCtx) apply(c *comm.Communicator, z complex128, v, out []complex128) error {
-	s := a.s
-	op := s.Q.Op
-	g := op.G
-	nf := op.St.Nf
-	plane := a.plane
-	n := a.rs.n
-	ndm := s.Ndm
+// applyTo is the solver's apply callback: out = P(z) v on the slab rows,
+// unless an earlier communication failure already doomed the solve.
+func (a *rankApply) applyTo(z complex128, v, out *soa.Block[float64]) {
+	if a.err == nil {
+		a.err = a.apply(z, v, out)
+	}
+}
 
-	// --- halo exchange ---------------------------------------------------
-	// ext = [lower halo (nf planes) | v | upper halo (nf planes)].
-	copy(a.ext[a.halo:a.halo+n], v)
-	up := (a.rank + 1) % ndm
-	down := (a.rank - 1 + ndm) % ndm
-	if ndm == 1 {
-		// Self-wrap: both halos come from this rank's own data across the
-		// cell seam.
-		copy(a.ext[a.halo+n:], v[:a.halo]) // upper halo = bottom planes
-		copy(a.ext[:a.halo], v[n-a.halo:]) // lower halo = top planes
-		scale(a.ext[a.halo+n:], z)         // crossing up: factor z
-		scale(a.ext[:a.halo], 1/z)         // crossing down: factor 1/z
-	} else {
-		// My lower halo is the top planes of the rank below; my upper halo
-		// the bottom planes of the rank above. Both ranks issue the sends
-		// in the same order, which keeps the channel pairing consistent
-		// even when up == down (two domains).
-		lowerHalo, err := c.SendRecv(up, v[n-a.halo:], down) // send my top up, recv down's top
-		if err != nil {
-			return err
-		}
-		upperHalo, err := c.SendRecv(down, v[:a.halo], up) // send my bottom down, recv up's bottom
-		if err != nil {
-			return err
-		}
-		copy(a.ext[:a.halo], lowerHalo)
-		copy(a.ext[a.halo+n:], upperHalo)
-		if a.rank == ndm-1 {
-			scale(a.ext[a.halo+n:], z) // my up link crosses the seam
-		}
-		if a.rank == 0 {
-			scale(a.ext[:a.halo], 1/z) // my down link crosses the seam
+// apply computes out = P(z) v for the slab: one halo exchange with the ring
+// neighbours (Bloch twist z at the cell seam), the stencil on the extended
+// planes, and one allreduce of every column's projector coefficients. A
+// communication failure aborts the apply; out is unspecified then.
+func (a *rankApply) apply(z complex128, v, out *soa.Block[float64]) error {
+	h, n, ndm := a.s.halo, a.rs.n, a.s.Ndm
+	copy(a.ext.Re[h*v.NB():], v.Re)
+	copy(a.ext.Im[h*v.NB():], v.Im)
+	// My lower halo is the top planes of the rank below, my upper halo the
+	// bottom planes of the rank above. Every rank sends in the same order,
+	// which keeps the links' FIFO pairing when up == down (two domains) or
+	// both are this rank (one domain).
+	up, down := (a.rank+1)%ndm, (a.rank-1+ndm)%ndm
+	twistDown, twistUp := complex(1, 0), complex(1, 0)
+	if a.rank == 0 {
+		twistDown = 1 / z // my down link crosses the seam
+	}
+	if a.rank == ndm-1 {
+		twistUp = z // my up link crosses the seam
+	}
+	packRows(a.halo, v, n-h)
+	lower, err := a.c.SendRecv(up, a.halo, down)
+	if err != nil {
+		return fmt.Errorf("dist: rank %d halo exchange: %w", a.rank, err)
+	}
+	unpackRows(a.ext, 0, lower, twistDown)
+	packRows(a.halo, v, 0)
+	upper, err := a.c.SendRecv(down, a.halo, up)
+	if err != nil {
+		return fmt.Errorf("dist: rank %d halo exchange: %w", a.rank, err)
+	}
+	unpackRows(a.ext, h+n, upper, twistUp)
+
+	a.stencil(out)
+	a.gather(v)
+	coefs, err := a.c.AllreduceSum(a.csum)
+	if err != nil {
+		return fmt.Errorf("dist: rank %d projector reduction: %w", a.rank, err)
+	}
+	a.scatter(z, coefs, out)
+	return nil
+}
+
+// packRows copies len(buf)/nb rows of v from row r0 into a halo message.
+//
+//cbs:hotpath
+func packRows(buf []complex128, v *soa.Block[float64], r0 int) {
+	re, im := v.Re[r0*v.NB():], v.Im[r0*v.NB():]
+	re, im = re[:len(buf)], im[:len(buf)]
+	for k := range buf {
+		buf[k] = complex(re[k], im[k])
+	}
+}
+
+// unpackRows writes a halo message, times the Bloch twist f, into the rows
+// of ext from row r0.
+//
+//cbs:hotpath
+func unpackRows(ext *soa.Block[float64], r0 int, buf []complex128, f complex128) {
+	re, im := ext.Re[r0*ext.NB():], ext.Im[r0*ext.NB():]
+	re, im = re[:len(buf)], im[:len(buf)]
+	for k, e := range buf {
+		e *= f
+		re[k], im[k] = real(e), imag(e)
+	}
+}
+
+// stencil writes (E - H0loc) of the slab rows into out: the row kernel runs
+// over the extended planes, whose halos hold every z neighbour, and the
+// slab rows of its output are copied out.
+//
+//cbs:hotpath
+func (a *rankApply) stencil(out *soa.Block[float64]) {
+	s, rs := a.s, a.rs
+	for iz := s.nf; iz < s.nf+rs.planes; iz++ {
+		for iy := 0; iy < s.ny; iy++ {
+			soa.StencilRow(rs.stencil, &s.coef, rs.vloc, a.ext, a.extOut, iz, iy)
 		}
 	}
+	o := s.halo * out.NB()
+	copy(out.Re, a.extOut.Re[o:])
+	copy(out.Im, a.extOut.Im[o:])
+}
 
-	// --- diagonal + local potential ---------------------------------------
-	e := s.Q.E
-	vloc := op.VLoc[a.rs.offset : a.rs.offset+n]
-	for i := 0; i < n; i++ {
-		out[i] = complex(e-vloc[i]-op.Diag(), 0) * v[i]
-	}
-
-	// --- x and y stencil tails (local planes) -----------------------------
-	nx, ny := g.Nx, g.Ny
-	planes := a.rs.slab.NPlanes()
-	for iz := 0; iz < planes; iz++ {
-		for iy := 0; iy < ny; iy++ {
-			base := (iz*ny + iy) * nx
-			row := v[base : base+nx]
-			orow := out[base : base+nx]
-			for d := 1; d <= nf; d++ {
-				kc := complex(-op.Kx(d), 0)
-				xp, xm := op.NeighborX(d)
-				for ix := 0; ix < nx; ix++ {
-					orow[ix] += kc * (row[xp[ix]] + row[xm[ix]])
-				}
-			}
-		}
-		planeBase := iz * ny * nx
-		for d := 1; d <= nf; d++ {
-			kc := complex(-op.Ky(d), 0)
-			yp, ym := op.NeighborY(d)
-			for iy := 0; iy < ny; iy++ {
-				base := planeBase + iy*nx
-				bp := planeBase + int(yp[iy])*nx
-				bm := planeBase + int(ym[iy])*nx
-				for ix := 0; ix < nx; ix++ {
-					out[base+ix] += kc * (v[bp+ix] + v[bm+ix])
-				}
-			}
-		}
-	}
-
-	// --- z stencil tails using the halo-extended array --------------------
-	for d := 1; d <= nf; d++ {
-		kc := complex(-op.Kz(d), 0)
-		off := d * plane
-		for i := 0; i < n; i++ {
-			out[i] += kc * (a.ext[a.halo+i+off] + a.ext[a.halo+i-off])
-		}
-	}
-
-	// --- nonlocal projectors ----------------------------------------------
+// gather sums every column's projector dots over the slab's share of each
+// support into csum, the partials the allreduce completes.
+//
+//cbs:hotpath
+func (a *rankApply) gather(v *soa.Block[float64]) {
+	nb := v.NB()
 	for i := range a.csum {
 		a.csum[i] = 0
 	}
 	for _, seg := range a.rs.segs {
-		var sum complex128
-		for i, idx := range seg.idx {
-			sum += complex(seg.val[i], 0) * v[idx]
+		soa.GatherDot(a.sumRe, a.sumIm, v, 0, seg.idx, seg.val)
+		sums := a.csum[(3*seg.proj+seg.off)*nb:][:nb]
+		for c := range sums {
+			sums[c] = complex(a.sumRe[c], a.sumIm[c])
 		}
-		a.csum[3*seg.proj+seg.off] += sum
 	}
-	coefs, err := c.AllreduceSum(a.csum)
-	if err != nil {
-		return err
-	}
+}
+
+// scatter adds the nonlocal part of P(z) through the slab's share of each
+// row support: for the support at cell offset j the coefficient is
+// -h (C_j + z C_{j+1} + C_{j-1} / z) with the global dots C.
+//
+//cbs:hotpath
+func (a *rankApply) scatter(z complex128, coefs []complex128, out *soa.Block[float64]) {
+	nb := out.NB()
 	zi := 1 / z
 	for _, seg := range a.rs.segs {
-		j := seg.off - 1 // cell offset of the row-side support
-		h := complex(op.Projs[seg.proj].H, 0)
-		coef := coefs[3*seg.proj+seg.off]
-		if j <= 0 {
-			coef += z * coefs[3*seg.proj+seg.off+1]
+		j := seg.off - 1
+		h := complex(a.s.projH[seg.proj], 0)
+		base := 3 * seg.proj * nb
+		for c := 0; c < nb; c++ {
+			coef := coefs[base+seg.off*nb+c]
+			if j <= 0 {
+				coef += z * coefs[base+(seg.off+1)*nb+c]
+			}
+			if j >= 0 {
+				coef += zi * coefs[base+(seg.off-1)*nb+c]
+			}
+			coef = -h * coef
+			a.coefRe[c], a.coefIm[c] = real(coef), imag(coef)
 		}
-		if j >= 0 {
-			coef += zi * coefs[3*seg.proj+seg.off-1]
-		}
-		coef = -h * coef
-		if coef == 0 {
-			continue
-		}
-		for i, idx := range seg.idx {
-			out[idx] += coef * complex(seg.val[i], 0)
-		}
-	}
-	return nil
-}
-
-// applyDagger computes out = P(z)^dagger v = P(1/conj(z)) v; zd must be
-// 1/conj(z).
-func (a *applyCtx) applyDagger(c *comm.Communicator, zd complex128, v, out []complex128) error {
-	return a.apply(c, zd, v, out)
-}
-
-func scale(v []complex128, f complex128) {
-	for i := range v {
-		v[i] *= f
+		soa.ScatterAxpy(out, 0, seg.idx, seg.val, a.coefRe, a.coefIm)
 	}
 }

@@ -88,6 +88,26 @@ func (op *Operator) SoA64() *SoATables[float64] {
 	return op.soa64
 }
 
+// The operator.Planes methods of the FD-grid backend dispatch to the
+// float64 tables. They are not //cbs:hotpath themselves: the first call
+// builds the tables under a sync.Once, and the body rules apply at the
+// SoATables kernels they forward to.
+
+// ApplyShiftedH0Planes computes out = (shift*I - H0)*V on split planes.
+func (op *Operator) ApplyShiftedH0Planes(shift float64, v, out *soa.Block[float64]) {
+	op.SoA64().ApplyShiftedH0Planes(shift, v, out)
+}
+
+// AccumHpPlanes accumulates out += coef * H+ * V on split planes.
+func (op *Operator) AccumHpPlanes(coefRe, coefIm float64, v, out *soa.Block[float64]) {
+	op.SoA64().AccumHpPlanes(coefRe, coefIm, v, out)
+}
+
+// AccumHmPlanes accumulates out += coef * H- * V on split planes.
+func (op *Operator) AccumHmPlanes(coefRe, coefIm float64, v, out *soa.Block[float64]) {
+	op.SoA64().AccumHmPlanes(coefRe, coefIm, v, out)
+}
+
 // soaCache carries the lazily built tables; it is embedded in Operator so
 // every solve layer shares one conversion.
 type soaCache struct {
@@ -114,11 +134,11 @@ func (t *SoATables[F]) ApplyH0Block(v, out *soa.Block[F]) {
 	t.accumNonlocalBlock(1, 0, v, out, 0)
 }
 
-// ApplyShiftedH0Block computes out = (shift*I - H0)*V on split planes,
+// ApplyShiftedH0Planes computes out = (shift*I - H0)*V on split planes,
 // bit-identical (at F = float64) to the AoS ApplyShiftedH0Block.
 //
 //cbs:hotpath
-func (t *SoATables[F]) ApplyShiftedH0Block(shift F, v, out *soa.Block[F]) {
+func (t *SoATables[F]) ApplyShiftedH0Planes(shift F, v, out *soa.Block[F]) {
 	t.checkBlockShape(v, out)
 	t.applyH0BlockImpl(shift, -1, v, out)
 	t.accumNonlocalBlock(-1, 0, v, out, 0)
@@ -145,13 +165,13 @@ func (t *SoATables[F]) applyH0BlockImpl(shift, sign F, v, out *soa.Block[F]) {
 	}
 }
 
-// AccumHpBlock accumulates out += coef * H+ * V on split planes: the top nf
+// AccumHpPlanes accumulates out += coef * H+ * V on split planes: the top nf
 // z-planes couple to the next cell, plus the boundary-crossing projectors.
 // coef is split (coefRe, coefIm); at F = float64 the result is
 // bit-identical to the AoS AccumHpBlock.
 //
 //cbs:hotpath
-func (t *SoATables[F]) AccumHpBlock(coefRe, coefIm F, v, out *soa.Block[F]) {
+func (t *SoATables[F]) AccumHpPlanes(coefRe, coefIm F, v, out *soa.Block[F]) {
 	t.checkBlockShape(v, out)
 	g := t.op.G
 	plane := g.Nx * g.Ny
@@ -164,10 +184,10 @@ func (t *SoATables[F]) AccumHpBlock(coefRe, coefIm F, v, out *soa.Block[F]) {
 	t.accumNonlocalBlock(coefRe, coefIm, v, out, 1)
 }
 
-// AccumHmBlock accumulates out += coef * H- * V on split planes.
+// AccumHmPlanes accumulates out += coef * H- * V on split planes.
 //
 //cbs:hotpath
-func (t *SoATables[F]) AccumHmBlock(coefRe, coefIm F, v, out *soa.Block[F]) {
+func (t *SoATables[F]) AccumHmPlanes(coefRe, coefIm F, v, out *soa.Block[F]) {
 	t.checkBlockShape(v, out)
 	g := t.op.G
 	plane := g.Nx * g.Ny

@@ -91,14 +91,14 @@ func TestSoAKernelsBitIdentical(t *testing.T) {
 			copy(want, prior)
 			tc.op.ApplyShiftedH0Block(shift, v, want, nb)
 			got = soaRoundTrip(tc.op, v, prior, nb,
-				func(tb *SoATables[float64], vb, ob *soa.Block[float64]) { tb.ApplyShiftedH0Block(shift, vb, ob) })
+				func(tb *SoATables[float64], vb, ob *soa.Block[float64]) { tb.ApplyShiftedH0Planes(shift, vb, ob) })
 			expectBitIdentical(t, tc.name+"/ShiftedH0", nb, got, want)
 
 			copy(want, prior)
 			tc.op.AccumHpBlock(coefP, v, want, nb)
 			got = soaRoundTrip(tc.op, v, prior, nb,
 				func(tb *SoATables[float64], vb, ob *soa.Block[float64]) {
-					tb.AccumHpBlock(real(coefP), imag(coefP), vb, ob)
+					tb.AccumHpPlanes(real(coefP), imag(coefP), vb, ob)
 				})
 			expectBitIdentical(t, tc.name+"/AccumHp", nb, got, want)
 
@@ -106,7 +106,7 @@ func TestSoAKernelsBitIdentical(t *testing.T) {
 			tc.op.AccumHmBlock(coefM, v, want, nb)
 			got = soaRoundTrip(tc.op, v, prior, nb,
 				func(tb *SoATables[float64], vb, ob *soa.Block[float64]) {
-					tb.AccumHmBlock(real(coefM), imag(coefM), vb, ob)
+					tb.AccumHmPlanes(real(coefM), imag(coefM), vb, ob)
 				})
 			expectBitIdentical(t, tc.name+"/AccumHm", nb, got, want)
 		}
@@ -121,14 +121,13 @@ func TestSoAApplyZeroAlloc(t *testing.T) {
 	for _, nb := range []int{4, blockStackCols + 16} {
 		v64 := soa.NewBlock[float64](n, nb)
 		o64 := soa.NewBlock[float64](n, nb)
-		t64 := op.SoA64()
 		kernels := []struct {
 			name string
 			fn   func()
 		}{
-			{"ApplyShiftedH0Block64", func() { t64.ApplyShiftedH0Block(0.5, v64, o64) }},
-			{"AccumHpBlock64", func() { t64.AccumHpBlock(0.3, -0.2, v64, o64) }},
-			{"AccumHmBlock64", func() { t64.AccumHmBlock(-0.1, 0.4, v64, o64) }},
+			{"ApplyShiftedH0Planes", func() { op.ApplyShiftedH0Planes(0.5, v64, o64) }},
+			{"AccumHpPlanes", func() { op.AccumHpPlanes(0.3, -0.2, v64, o64) }},
+			{"AccumHmPlanes", func() { op.AccumHmPlanes(-0.1, 0.4, v64, o64) }},
 		}
 		for _, k := range kernels {
 			if allocs := testing.AllocsPerRun(5, k.fn); allocs != 0 {

@@ -4,14 +4,33 @@ import (
 	"math/rand"
 	"testing"
 
+	"cbs/internal/soa"
 	"cbs/internal/zlinalg"
 )
 
+// columnwise lifts a single-vector apply to a plane block apply that runs it
+// column by column (unpack, apply, repack), so a block solve and per-column
+// BiCGDual solves see bit-identical matvecs.
+func columnwise(ap Apply, n int) BlockApplySoA[float64] {
+	col := make([]complex128, n)
+	res := make([]complex128, n)
+	return func(v, out *soa.Block[float64]) {
+		nb := v.NB()
+		for c := 0; c < nb; c++ {
+			for i := 0; i < n; i++ {
+				col[i] = complex(v.Re[i*nb+c], v.Im[i*nb+c])
+			}
+			ap(col, res)
+			for i := 0; i < n; i++ {
+				out.Re[i*nb+c], out.Im[i*nb+c] = real(res[i]), imag(res[i])
+			}
+		}
+	}
+}
+
 // randOperator builds a well-conditioned random dense operator and its
-// adjoint as Apply closures plus BlockApply wrappers that perform exactly
-// the same per-column arithmetic (deinterleave, apply, reinterleave), so
-// blocked and per-column solves follow bit-identical floating-point paths.
-func randOperator(n int, seed int64) (a, ad Apply, ab, abd BlockApply) {
+// adjoint as Apply closures plus their columnwise plane block applies.
+func randOperator(n int, seed int64) (a, ad Apply, ab, abd BlockApplySoA[float64]) {
 	rng := rand.New(rand.NewSource(seed))
 	m := zlinalg.NewMatrix(n, n)
 	for i := 0; i < n; i++ {
@@ -34,40 +53,54 @@ func randOperator(n int, seed int64) (a, ad Apply, ab, abd BlockApply) {
 		}
 	}
 	a, ad = mul(m), mul(mh)
-	wrap := func(ap Apply) BlockApply {
-		col := make([]complex128, n)
-		res := make([]complex128, n)
-		return func(v, out []complex128, nb int) {
-			for c := 0; c < nb; c++ {
-				for i := 0; i < n; i++ {
-					col[i] = v[i*nb+c]
-				}
-				ap(col, res)
-				for i := 0; i < n; i++ {
-					out[i*nb+c] = res[i]
-				}
-			}
-		}
-	}
-	return a, ad, wrap(a), wrap(ad)
+	return a, ad, columnwise(a, n), columnwise(ad, n)
 }
 
-func interleave(cols [][]complex128) []complex128 {
-	nb := len(cols)
-	n := len(cols[0])
-	out := make([]complex128, n*nb)
+// packCols builds the n x len(cols) plane block whose columns are cols.
+func packCols(cols [][]complex128) *soa.Block[float64] {
+	nb, n := len(cols), len(cols[0])
+	b := soa.NewBlock[float64](n, nb)
 	for c, col := range cols {
 		for i, v := range col {
-			out[i*nb+c] = v
+			b.Re[i*nb+c], b.Im[i*nb+c] = real(v), imag(v)
 		}
+	}
+	return b
+}
+
+// blockCol returns column c of a plane block.
+func blockCol(b *soa.Block[float64], c int) []complex128 {
+	nb := b.NB()
+	out := make([]complex128, b.N())
+	for i := range out {
+		out[i] = complex(b.Re[i*nb+c], b.Im[i*nb+c])
 	}
 	return out
 }
 
+// randBlock fills an n x nb plane block deterministically.
+func randBlock(n, nb int, seed int64) *soa.Block[float64] {
+	b := soa.NewBlock[float64](n, nb)
+	rng := rand.New(rand.NewSource(seed))
+	for i := range b.Re {
+		b.Re[i] = rng.Float64()*2 - 1
+		b.Im[i] = rng.Float64()*2 - 1
+	}
+	return b
+}
+
+// sameResult compares every field of two results but the history.
+func sameResult(a, b Result) bool {
+	a.History, b.History = nil, nil
+	return a.Iterations == b.Iterations && a.Converged == b.Converged && a.StoppedEarly == b.StoppedEarly &&
+		a.Breakdown == b.Breakdown && a.Residual == b.Residual && a.DualResidual == b.DualResidual &&
+		a.MatVecApplied == b.MatVecApplied
+}
+
 // TestBlockBiCGDualMatchesPerColumn: for random operators and nb in
-// {1, 3, 8}, the blocked solver must reproduce the per-column BiCGDual
-// solutions, iteration counts and convergence flags (including a trivially
-// converged zero column, which exercises the masking).
+// {1, 3, 8}, the block solver must reproduce the per-column BiCGDual
+// solutions, iteration counts and convergence flags exactly (including a
+// trivially converged zero column, which exercises the masking).
 func TestBlockBiCGDualMatchesPerColumn(t *testing.T) {
 	n := 40
 	for _, nb := range []int{1, 3, 8} {
@@ -87,37 +120,21 @@ func TestBlockBiCGDualMatchesPerColumn(t *testing.T) {
 			}
 		}
 		opts := Options{Tol: 1e-10}
-
-		b := interleave(bc)
-		bd := interleave(bdc)
-		x := make([]complex128, n*nb)
-		xd := make([]complex128, n*nb)
-		rs := BlockBiCGDual(ab, abd, b, bd, x, xd, nb, opts, nil, nil)
+		x, xd := soa.NewBlock[float64](n, nb), soa.NewBlock[float64](n, nb)
+		rs := BlockBiCGDualSoA(ab, abd, packCols(bc), packCols(bdc), x, xd, opts, nil, nil)
 
 		for c := 0; c < nb; c++ {
 			xc := make([]complex128, n)
 			xdc := make([]complex128, n)
 			want := BiCGDual(a, ad, bc[c], bdc[c], xc, xdc, opts)
-			if rs[c].Iterations != want.Iterations {
-				t.Errorf("nb=%d col %d: %d iterations, per-column took %d", nb, c, rs[c].Iterations, want.Iterations)
+			if !sameResult(rs[c], want) {
+				t.Errorf("nb=%d col %d: block %+v, per-column %+v", nb, c, rs[c], want)
 			}
-			if rs[c].Converged != want.Converged || rs[c].Breakdown != want.Breakdown {
-				t.Errorf("nb=%d col %d: flags (conv %v, bkdn %v) vs (%v, %v)",
-					nb, c, rs[c].Converged, rs[c].Breakdown, want.Converged, want.Breakdown)
-			}
-			if rs[c].MatVecApplied != want.MatVecApplied {
-				t.Errorf("nb=%d col %d: %d matvecs, per-column %d", nb, c, rs[c].MatVecApplied, want.MatVecApplied)
-			}
-			var d, nrm float64
+			gx, gxd := blockCol(x, c), blockCol(xd, c)
 			for i := 0; i < n; i++ {
-				d += cabs2(x[i*nb+c]-xc[i]) + cabs2(xd[i*nb+c]-xdc[i])
-				nrm += cabs2(xc[i]) + cabs2(xdc[i])
-			}
-			if nrm == 0 {
-				nrm = 1
-			}
-			if d/nrm > 1e-26 { // squared norms: ~1e-13 relative
-				t.Errorf("nb=%d col %d: solution deviation %g", nb, c, d/nrm)
+				if gx[i] != xc[i] || gxd[i] != xdc[i] {
+					t.Fatalf("nb=%d col %d: solution element %d differs: (%v, %v) vs (%v, %v)", nb, c, i, gx[i], gxd[i], xc[i], xdc[i])
+				}
 			}
 		}
 	}
@@ -137,10 +154,9 @@ func TestBlockBiCGDualHistory(t *testing.T) {
 		}
 	}
 	opts := Options{Tol: 1e-10, History: true}
-	b := interleave(bc)
-	x := make([]complex128, n*nb)
-	xd := make([]complex128, n*nb)
-	rs := BlockBiCGDual(ab, abd, b, b, x, xd, nb, opts, nil, nil)
+	b := packCols(bc)
+	x, xd := soa.NewBlock[float64](n, nb), soa.NewBlock[float64](n, nb)
+	rs := BlockBiCGDualSoA(ab, abd, b, b, x, xd, opts, nil, nil)
 
 	xc := make([]complex128, n)
 	xdc := make([]complex128, n)
@@ -161,11 +177,7 @@ func TestBlockBiCGDualHistory(t *testing.T) {
 func TestBlockBiCGDualGroupStop(t *testing.T) {
 	n, nb := 40, 4
 	_, _, ab, abd := randOperator(n, 21)
-	rng := rand.New(rand.NewSource(2))
-	b := make([]complex128, n*nb)
-	for i := range b {
-		b[i] = complex(rng.Float64()*2-1, rng.Float64()*2-1)
-	}
+	b := randBlock(n, nb, 2)
 	groups := make([]*GroupStop, nb)
 	for c := range groups {
 		groups[c] = NewGroupStop(4, true)
@@ -176,9 +188,8 @@ func TestBlockBiCGDualGroupStop(t *testing.T) {
 	groups[2].MarkConverged()
 	groups[2].MarkConverged()
 	opts := Options{Tol: 1e-10, LooseTol: 1e30}
-	x := make([]complex128, n*nb)
-	xd := make([]complex128, n*nb)
-	rs := BlockBiCGDual(ab, abd, b, b, x, xd, nb, opts, groups, NewWorkspace(n, nb))
+	x, xd := soa.NewBlock[float64](n, nb), soa.NewBlock[float64](n, nb)
+	rs := BlockBiCGDualSoA(ab, abd, b, b, x, xd, opts, groups, NewWorkspaceSoA[float64](n, nb))
 	if !rs[2].StoppedEarly || rs[2].Iterations != 0 {
 		t.Errorf("column 2 not stopped early: %+v", rs[2])
 	}
@@ -194,8 +205,8 @@ func TestBlockBiCGDualGroupStop(t *testing.T) {
 		}
 	}
 	// The stopped column's solution froze at the initial guess (zero).
-	for i := 0; i < n; i++ {
-		if x[i*nb+2] != 0 {
+	for _, v := range blockCol(x, 2) {
+		if v != 0 {
 			t.Fatal("stopped column was updated")
 		}
 	}
@@ -216,21 +227,14 @@ func TestBlockBiCGDualGroupStop(t *testing.T) {
 func TestBlockBiCGDualZeroAlloc(t *testing.T) {
 	n, nb := 32, 4
 	_, _, ab, abd := randOperator(n, 33)
-	rng := rand.New(rand.NewSource(3))
-	b := make([]complex128, n*nb)
-	for i := range b {
-		b[i] = complex(rng.Float64()*2-1, rng.Float64()*2-1)
-	}
-	x := make([]complex128, n*nb)
-	xd := make([]complex128, n*nb)
-	ws := NewWorkspace(n, nb)
+	b := randBlock(n, nb, 3)
+	x, xd := soa.NewBlock[float64](n, nb), soa.NewBlock[float64](n, nb)
+	ws := NewWorkspaceSoA[float64](n, nb)
 	opts := Options{Tol: 1e-10}
 	allocs := testing.AllocsPerRun(10, func() {
-		for i := range x {
-			x[i] = 0
-			xd[i] = 0
-		}
-		BlockBiCGDual(ab, abd, b, b, x, xd, nb, opts, nil, ws)
+		x.Zero()
+		xd.Zero()
+		BlockBiCGDualSoA(ab, abd, b, b, x, xd, opts, nil, ws)
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state blocked solve allocates %.1f times per call, want 0", allocs)
@@ -240,18 +244,13 @@ func TestBlockBiCGDualZeroAlloc(t *testing.T) {
 // TestWorkspaceReuseAcrossWidths: a workspace must survive alternating
 // block widths and problem sizes.
 func TestWorkspaceReuseAcrossWidths(t *testing.T) {
-	ws := NewWorkspace(16, 2)
+	ws := NewWorkspaceSoA[float64](16, 2)
 	for _, dims := range [][2]int{{16, 2}, {8, 8}, {40, 3}, {16, 1}} {
 		n, nb := dims[0], dims[1]
 		_, _, ab, abd := randOperator(n, int64(n+nb))
-		rng := rand.New(rand.NewSource(int64(nb)))
-		b := make([]complex128, n*nb)
-		for i := range b {
-			b[i] = complex(rng.Float64()*2-1, rng.Float64()*2-1)
-		}
-		x := make([]complex128, n*nb)
-		xd := make([]complex128, n*nb)
-		rs := BlockBiCGDual(ab, abd, b, b, x, xd, nb, Options{Tol: 1e-10}, nil, ws)
+		b := randBlock(n, nb, int64(nb))
+		x, xd := soa.NewBlock[float64](n, nb), soa.NewBlock[float64](n, nb)
+		rs := BlockBiCGDualSoA(ab, abd, b, b, x, xd, Options{Tol: 1e-10}, nil, ws)
 		for c, r := range rs {
 			if !r.Converged {
 				t.Errorf("n=%d nb=%d col %d did not converge (residual %g)", n, nb, c, r.Residual)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cbs/internal/chaos"
+	"cbs/internal/soa"
 	"cbs/internal/zlinalg"
 )
 
@@ -151,23 +152,18 @@ func TestInjectedBreakdownBiCGDual(t *testing.T) {
 	}
 }
 
-// TestInjectedBreakdownBlocked: per-column injection in BlockBiCGDual must
-// break exactly the targeted columns and leave the rest converging.
+// TestInjectedBreakdownBlocked: per-column injection in the block solver
+// must break exactly the targeted columns and leave the rest converging.
 func TestInjectedBreakdownBlocked(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	n, nb := 30, 4
 	a := randDiagDominant(rng, n)
-	ah := a.ConjTranspose()
-	apply := func(v, out []complex128, w int) { blockApplyDense(a, v, out, w) }
-	applyD := func(v, out []complex128, w int) { blockApplyDense(ah, v, out, w) }
-	b := make([]complex128, n*nb)
-	for i := range b {
-		b[i] = complex(rng.Float64()*2-1, rng.Float64()*2-1)
-	}
-	x := make([]complex128, n*nb)
-	xd := make([]complex128, n*nb)
+	apply := columnwise(matApply(a), n)
+	applyD := columnwise(matApply(a.ConjTranspose()), n)
+	b := randBlock(n, nb, 17)
+	x, xd := soa.NewBlock[float64](n, nb), soa.NewBlock[float64](n, nb)
 	inj := chaos.New(1, chaos.Config{Breakdown: 1, Columns: []int{1, 3}})
-	rs := BlockBiCGDual(apply, applyD, b, b, x, xd, nb,
+	rs := BlockBiCGDualSoA(apply, applyD, b, b, x, xd,
 		Options{Tol: 1e-11, Chaos: inj, ChaosSite: chaos.Site{Point: 0, Col: 0}}, nil, nil)
 	for c, r := range rs {
 		targeted := c == 1 || c == 3
@@ -176,22 +172,6 @@ func TestInjectedBreakdownBlocked(t *testing.T) {
 		}
 		if !targeted && !r.Converged {
 			t.Errorf("column %d: clean column did not converge: %+v", c, r)
-		}
-	}
-}
-
-// blockApplyDense applies a dense matrix to a row-major interleaved block.
-func blockApplyDense(m *zlinalg.Matrix, v, out []complex128, nb int) {
-	n := m.Rows
-	col := make([]complex128, n)
-	res := make([]complex128, n)
-	for c := 0; c < nb; c++ {
-		for i := 0; i < n; i++ {
-			col[i] = v[i*nb+c]
-		}
-		copy(res, zlinalg.MulVec(m, col))
-		for i := 0; i < n; i++ {
-			out[i*nb+c] = res[i]
 		}
 	}
 }
@@ -209,12 +189,9 @@ func TestGroupStopStragglerUnderInjectedNonConvergence(t *testing.T) {
 	nPoints := 5
 	a := randDiagDominant(rng, n)
 	ah := a.ConjTranspose()
-	apply := func(v, out []complex128, w int) { blockApplyDense(a, v, out, w) }
-	applyD := func(v, out []complex128, w int) { blockApplyDense(ah, v, out, w) }
-	b := make([]complex128, n*nb)
-	for i := range b {
-		b[i] = complex(rng.Float64()*2-1, rng.Float64()*2-1)
-	}
+	apply := columnwise(matApply(a), n)
+	applyD := columnwise(matApply(ah), n)
+	b := randBlock(n, nb, 18)
 	// Column 1 breaks down at every point and every attempt.
 	inj := chaos.New(5, chaos.Config{Breakdown: 1, RestartBreakdown: 1, Columns: []int{1}})
 	groups := make([]*GroupStop, nb)
@@ -222,9 +199,8 @@ func TestGroupStopStragglerUnderInjectedNonConvergence(t *testing.T) {
 		groups[c] = NewGroupStop(nPoints, true)
 	}
 	for j := 0; j < nPoints; j++ {
-		x := make([]complex128, n*nb)
-		xd := make([]complex128, n*nb)
-		rs := BlockBiCGDual(apply, applyD, b, b, x, xd, nb,
+		x, xd := soa.NewBlock[float64](n, nb), soa.NewBlock[float64](n, nb)
+		rs := BlockBiCGDualSoA(apply, applyD, b, b, x, xd,
 			Options{Tol: 1e-11, MaxIter: 500, Chaos: inj, ChaosSite: chaos.Site{Point: j}},
 			groups, nil)
 		for c, r := range rs {
@@ -269,7 +245,8 @@ func TestGroupStopStragglerUnderInjectedNonConvergence(t *testing.T) {
 	half.MarkConverged()
 	x := make([]complex128, n)
 	xd := make([]complex128, n)
-	res := BiCGDual(matApply(a), matApply(ah), b[:n], b[:n], x, xd,
+	b0 := blockCol(b, 0)
+	res := BiCGDual(matApply(a), matApply(ah), b0, b0, x, xd,
 		Options{Tol: 1e-30, LooseTol: 1e30, MaxIter: 8, Group: half})
 	if res.StoppedEarly {
 		t.Error("exactly half converged must not stop the straggler (strictly-over-half rule)")

@@ -10,14 +10,20 @@ import (
 // carried by the soa.Block).
 type BlockApplySoA[F soa.Float] func(v, out *soa.Block[F])
 
-// WorkspaceSoA is the split-complex counterpart of Workspace: the Krylov
-// block vectors live as float planes and the per-column recurrence scalars
-// stay complex128. Each iteration splits them once into plane-typed
-// per-column coefficient arrays (alpha and beta with their conjugate and
-// negated parts) and lane masks, which is all the soa column-lane kernels
-// need to run the updates with one vector lane per column. One workspace
-// per worker is reused across all quadrature points; the steady-state
-// solve allocates nothing.
+// Reduce completes one reduction step of a domain-decomposed block solve:
+// sums holds this rank's per-column partial sums on entry and must hold the
+// global sums, bit-identical on every rank, on return. An error ends the
+// solve at that step; the reduction must then fail on every rank alike (a
+// closed world, a canceled context), so no rank is left in a collective.
+type Reduce func(sums []complex128) error
+
+// WorkspaceSoA holds the Krylov blocks of the block solver as split-complex
+// planes and the per-column recurrence scalars as complex128. Each
+// iteration splits the scalars once into plane-typed per-column coefficient
+// arrays (alpha and beta with their conjugate and negated parts) and lane
+// masks, which is all the soa column-lane kernels need to run the updates
+// with one vector lane per column. One workspace per worker is reused
+// across all quadrature points; the steady-state solve allocates nothing.
 type WorkspaceSoA[F soa.Float] struct {
 	n, nb int
 
@@ -26,11 +32,13 @@ type WorkspaceSoA[F soa.Float] struct {
 	// The operands of the solve in progress.
 	a, ad        BlockApplySoA[F]
 	b, bd, x, xd *soa.Block[F]
+	reduce       Reduce // nil: this workspace holds every row
 
-	coRe, coIm   []F      // alpha or beta split per column
-	negRe, negIm []F      // the same parts negated
-	dRe, dIm     []F      // column-dot accumulators
-	live         []uint64 // lane masks: all-ones = update the column
+	coRe, coIm   []F          // alpha or beta split per column
+	negRe, negIm []F          // the same parts negated
+	dRe, dIm     []F          // column-dot accumulators
+	live         []uint64     // lane masks: all-ones = update the column
+	sums         []complex128 // one reduction step's per-column sums
 
 	dualRecurrence
 }
@@ -42,7 +50,8 @@ func NewWorkspaceSoA[F soa.Float](n, nb int) *WorkspaceSoA[F] {
 	return w
 }
 
-// Reserve grows the workspace to hold an n x nb solve, reusing capacity.
+// Reserve grows the workspace to hold an n x nb solve, reusing capacity, so
+// alternating block widths does not thrash.
 func (w *WorkspaceSoA[F]) Reserve(n, nb int) {
 	w.n, w.nb = n, nb
 	if w.r == nil {
@@ -66,68 +75,106 @@ func (w *WorkspaceSoA[F]) Reserve(n, nb int) {
 		w.negRe, w.negIm = co[2*nb:3*nb:3*nb], co[3*nb:4*nb:4*nb]
 		w.dRe, w.dIm = co[4*nb:5*nb:5*nb], co[5*nb:6*nb:6*nb]
 		w.live = make([]uint64, nb)
+		w.sums = make([]complex128, 3*nb)
 	}
 	w.reserve(nb)
 }
 
 // MemoryBytes reports the workspace's resident bytes: the six Krylov blocks,
 // the per-column recurrence state and, per column, the six coefficient/dot
-// planes and the lane mask.
+// planes, the lane mask and the three reduction sums.
 func (w *WorkspaceSoA[F]) MemoryBytes() int64 {
-	return w.r.MemoryBytes()*6 + w.memoryBytes() + int64(cap(w.live))*(6*8+8)
+	return w.r.MemoryBytes()*6 + w.memoryBytes() + int64(cap(w.live))*(6*8+8+3*16)
 }
 
-// blockDotsSoA computes dots[c] = <x_c, y_c> on split planes, reproducing
-// blockDots bit-for-bit (the sign-flip of the conjugate is exact).
+// BlockBiCGDualSoA solves the nb independent primal systems A x_c = b_c and
+// their duals A^dagger xd_c = bd_c with the masked dual-BiCG recurrence
+// (WorkspaceSoA.run) on split-complex planes: each iteration applies A and
+// A^dagger once to the whole block, so the operator tables stream through
+// memory once per iteration instead of once per column. Every column's
+// solution bits, residuals and iteration counts are those of a per-column
+// BiCGDual.
 //
-//cbs:hotpath
-func (w *WorkspaceSoA[F]) blockDotsSoA(dots []complex128, x, y *soa.Block[F]) {
-	dRe, dIm := w.dRe[:w.nb], w.dIm[:w.nb]
-	soa.DotCols(dRe, dIm, x, y)
-	for c := range dots {
-		dots[c] = complex(float64(dRe[c]), float64(dIm[c]))
-	}
-}
-
-// blockNormsSoA computes nrm[c] = ||x_c|| on split planes (bit-identical
-// to blockNorms): the real part of <x_c, x_c> is the same row-ordered sum
-// of re*re + im*im.
-//
-//cbs:hotpath
-func (w *WorkspaceSoA[F]) blockNormsSoA(nrm []float64, x *soa.Block[F]) {
-	dRe, dIm := w.dRe[:w.nb], w.dIm[:w.nb]
-	soa.DotCols(dRe, dIm, x, x)
-	for c := range nrm {
-		nrm[c] = math.Sqrt(float64(dRe[c]))
-	}
-}
-
-// BlockBiCGDualSoA is BlockBiCGDual on split-complex planes: the same
-// recurrence (dualRecurrence.run) with the block vectors stored as
-// soa.Block planes. Every result (solution bits, residuals, iteration
-// counts) is identical to the interleaved solver. The returned slice
-// aliases the workspace; ws may be nil.
+// x and xd hold the initial guesses and are overwritten with the solutions.
+// With opts.History set the residual history of column 0 is recorded. The
+// returned slice (one Result per column) aliases the workspace and is valid
+// until the next solve on ws; ws may be nil.
 func BlockBiCGDualSoA[F soa.Float](a, ad BlockApplySoA[F], b, bd, x, xd *soa.Block[F], opts Options, groups []*GroupStop, ws *WorkspaceSoA[F]) []Result {
-	n, nb := b.N(), b.NB()
-	if nb < 1 {
-		panic("linsolve: BlockBiCGDualSoA bad block width")
+	if ws == nil {
+		ws = NewWorkspaceSoA[F](b.N(), b.NB())
 	}
-	if bd.N() != n || bd.NB() != nb || x.N() != n || x.NB() != nb || xd.N() != n || xd.NB() != nb {
+	rs, _ := ws.SolveRank(a, ad, b, bd, x, xd, b.N(), opts, groups, nil) // no reduction, no error
+	return rs
+}
+
+// SolveRank is BlockBiCGDualSoA on one rank's rows of a domain-decomposed
+// block solve of global dimension n: a and ad apply the operator to the
+// rank's rows (exchanging halos as they must), and reduce completes every
+// column dot and norm across the ranks, so each rank takes the steps of the
+// undivided solve. Only the rank that holds groups polls and marks them. A
+// nil reduce is the undivided solve. The first reduction error is returned
+// with the results so far.
+func (w *WorkspaceSoA[F]) SolveRank(a, ad BlockApplySoA[F], b, bd, x, xd *soa.Block[F], n int, opts Options, groups []*GroupStop, reduce Reduce) ([]Result, error) {
+	rows, nb := b.N(), b.NB()
+	if bd.N() != rows || bd.NB() != nb || x.N() != rows || x.NB() != nb || xd.N() != rows || xd.NB() != nb {
 		panic("linsolve: BlockBiCGDualSoA shape mismatch")
 	}
 	if groups != nil && len(groups) != nb {
 		panic("linsolve: BlockBiCGDualSoA groups length mismatch")
 	}
-	if ws == nil {
-		ws = NewWorkspaceSoA[F](n, nb)
-	} else {
-		ws.Reserve(n, nb)
-	}
-	ws.a, ws.ad, ws.b, ws.bd, ws.x, ws.xd = a, ad, b, bd, x, xd
-	return ws.run(ws, n, nb, opts, groups)
+	w.Reserve(rows, nb)
+	w.a, w.ad, w.b, w.bd, w.x, w.xd, w.reduce = a, ad, b, bd, x, xd, reduce
+	return w.run(n, nb, opts, groups)
 }
 
-func (w *WorkspaceSoA[F]) start(nrmB, nrmBD []float64) {
+// complete reduces sums across the ranks when the solve is divided.
+func (w *WorkspaceSoA[F]) complete(sums []complex128) error {
+	if w.reduce == nil {
+		return nil
+	}
+	return w.reduce(sums)
+}
+
+// colDots computes the conjugated column dots <x_c, y_c> into sums.
+//
+//cbs:hotpath
+func (w *WorkspaceSoA[F]) colDots(sums []complex128, x, y *soa.Block[F]) {
+	dRe, dIm := w.dRe[:w.nb], w.dIm[:w.nb]
+	soa.DotCols(dRe, dIm, x, y)
+	for c := range sums {
+		sums[c] = complex(float64(dRe[c]), float64(dIm[c]))
+	}
+}
+
+// colNorms2 packs the squared column norms of x and y as (|x_c|^2, |y_c|^2):
+// the real part of <x_c, x_c> is the row-ordered sum of re*re + im*im.
+//
+//cbs:hotpath
+func (w *WorkspaceSoA[F]) colNorms2(sums []complex128, x, y *soa.Block[F]) {
+	dRe, dIm := w.dRe[:w.nb], w.dIm[:w.nb]
+	soa.DotCols(dRe, dIm, x, x)
+	for c := range sums {
+		sums[c] = complex(float64(dRe[c]), 0)
+	}
+	soa.DotCols(dRe, dIm, y, y)
+	for c := range sums {
+		sums[c] = complex(real(sums[c]), float64(dRe[c]))
+	}
+}
+
+// unpackNorms takes the square roots of packed squared norms.
+//
+//cbs:hotpath
+func unpackNorms(nrm, nrmD []float64, sums []complex128) {
+	for c, s := range sums {
+		nrm[c] = math.Sqrt(real(s))
+		nrmD[c] = math.Sqrt(imag(s))
+	}
+}
+
+// start binds r = b - A x, rd = bd - A^dagger xd, p = r, pd = rd, and
+// returns the column norms of b and bd.
+func (w *WorkspaceSoA[F]) start(nrmB, nrmBD []float64) error {
 	w.a(w.x, w.q)
 	w.ad(w.xd, w.qd)
 	subPlanes(w.r.Re, w.b.Re, w.q.Re)
@@ -138,23 +185,56 @@ func (w *WorkspaceSoA[F]) start(nrmB, nrmBD []float64) {
 	copy(w.p.Im, w.r.Im)
 	copy(w.pd.Re, w.rd.Re)
 	copy(w.pd.Im, w.rd.Im)
-	w.blockNormsSoA(nrmB, w.b)
-	w.blockNormsSoA(nrmBD, w.bd)
+	sums := w.sums[:w.nb]
+	w.colNorms2(sums, w.b, w.bd)
+	if err := w.complete(sums); err != nil {
+		return err
+	}
+	unpackNorms(nrmB, nrmBD, sums)
+	return nil
 }
 
+// apply computes q = A p, qd = A^dagger pd.
 func (w *WorkspaceSoA[F]) apply() {
 	w.a(w.p, w.q)
 	w.ad(w.pd, w.qd)
 }
 
-func (w *WorkspaceSoA[F]) residualNorms(nrm, nrmD []float64) {
-	w.blockNormsSoA(nrm, w.r)
-	w.blockNormsSoA(nrmD, w.rd)
+// directionDots computes dots[c] = <pd_c, q_c>.
+func (w *WorkspaceSoA[F]) directionDots(dots []complex128) error {
+	sums := w.sums[:w.nb]
+	w.colDots(sums, w.pd, w.q)
+	if err := w.complete(sums); err != nil {
+		return err
+	}
+	copy(dots, sums)
+	return nil
 }
 
-func (w *WorkspaceSoA[F]) residualDots(dots []complex128) { w.blockDotsSoA(dots, w.rd, w.r) }
-
-func (w *WorkspaceSoA[F]) directionDots(dots []complex128) { w.blockDotsSoA(dots, w.pd, w.q) }
+// residuals computes dots[c] = <rd_c, r_c>, nrm[c] = ||r_c||,
+// nrmD[c] = ||rd_c|| and completes the group-stop polls in stop, all in one
+// reduction.
+func (w *WorkspaceSoA[F]) residuals(dots []complex128, nrm, nrmD []float64, stop []bool) error {
+	nb := w.nb
+	sums := w.sums[:3*nb]
+	w.colDots(sums[:nb], w.rd, w.r)
+	w.colNorms2(sums[nb:2*nb], w.r, w.rd)
+	for c, s := range stop {
+		sums[2*nb+c] = 0
+		if s {
+			sums[2*nb+c] = 1
+		}
+	}
+	if err := w.complete(sums); err != nil {
+		return err
+	}
+	copy(dots, sums[:nb])
+	unpackNorms(nrm, nrmD, sums[nb:2*nb])
+	for c := range stop {
+		stop[c] = sums[2*nb+c] != 0
+	}
+	return nil
+}
 
 // subPlanes computes dst = a - b over one plane.
 //
@@ -192,13 +272,13 @@ func lane(on bool) uint64 {
 	return 0
 }
 
-// alphaStep is the alpha-step on split planes: x += alpha*p,
-// xd += conj(alpha)*pd, r -= alpha*q, rd -= conj(alpha)*qd, each one masked
-// column-lane pass with the conjugation and the subtraction folded into the
-// coefficient's signs (exact; see the soa column-lane kernels). Per element
-// the multiplies and adds are those of updateSolutions in the same order,
-// so the iterates are bit-identical. alpha = 0 freezes a column exactly as
-// in the AoS path: its lane is masked off and nothing is stored to it.
+// alphaStep is x += alpha*p, xd += conj(alpha)*pd, r -= alpha*q,
+// rd -= conj(alpha)*qd, each one masked column-lane pass with the
+// conjugation and the subtraction folded into the coefficient's signs
+// (exact; see the soa column-lane kernels), so every element sees the
+// multiplies and adds of the per-column BiCGDual update in the same order.
+// alpha = 0 freezes a column: its lane is masked off and nothing is stored
+// to it.
 //
 //cbs:hotpath
 func (w *WorkspaceSoA[F]) alphaStep(alpha []complex128) {
@@ -212,8 +292,8 @@ func (w *WorkspaceSoA[F]) alphaStep(alpha []complex128) {
 	soa.AxpyCols(w.rd, w.qd, negRe, im, live)
 }
 
-// betaStep is the beta-step on split planes: p = r + beta*p and
-// its dual with conj(beta), frozen columns masked off.
+// betaStep is p = r + beta*p and its dual with conj(beta), frozen columns
+// masked off.
 //
 //cbs:hotpath
 func (w *WorkspaceSoA[F]) betaStep(beta []complex128, active []bool) {

@@ -9,12 +9,13 @@ import (
 	"cbs/internal/lattice"
 	"cbs/internal/qep"
 	"cbs/internal/soa"
+	"cbs/internal/tb"
 )
 
 // benchAlPz builds the fixture of the two layer benchmarks below: the
 // Al(100) 10x10x10 FD operator (n = 1000) with P(z) and its adjoint at the
 // first outer quadrature point of the paper's ring.
-func benchAlPz(b *testing.B) (n int, apply, applyD func(v, out *soa.Block[float64])) {
+func benchAlPz(b *testing.B) (n int, apply, applyD BlockApplySoA[float64]) {
 	st, err := lattice.AlBulk100(1)
 	if err != nil {
 		b.Fatal(err)
@@ -44,7 +45,7 @@ func BenchmarkApplyBlockSoA(b *testing.B) {
 	n, apply, _ := benchAlPz(b)
 	for _, nb := range []int{4, 16} {
 		b.Run(fmt.Sprintf("nb=%d", nb), func(b *testing.B) {
-			v := randomSoABlock(n, nb, 1)
+			v := randBlock(n, nb, 1)
 			out := soa.NewBlock[float64](n, nb)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -59,30 +60,49 @@ func BenchmarkApplyBlockSoA(b *testing.B) {
 // BenchmarkBlockBiCGDualSoA is the layer benchmark behind the harness's
 // linsolve.ns_per_iter_col: one blocked dual solve of P(z) X = V on the
 // same operator and quadrature point, at the same two block widths,
-// reusing one workspace. ns/iter-col is wall time per Krylov iteration per
-// column; CBS_NO_AVX2=1 times the scalar arm.
+// reusing one workspace; and the same solve on the tight-binding slab of
+// transport_tb (8 x 7 sites, nb 8, E = -5.2 Ha). ns/iter-col is wall time
+// per Krylov iteration per column; CBS_NO_AVX2=1 times the scalar arm.
 func BenchmarkBlockBiCGDualSoA(b *testing.B) {
 	n, apply, applyD := benchAlPz(b)
 	for _, nb := range []int{4, 16} {
 		b.Run(fmt.Sprintf("nb=%d", nb), func(b *testing.B) {
-			v := randomSoABlock(n, nb, 1)
-			x, xd := soa.NewBlock[float64](n, nb), soa.NewBlock[float64](n, nb)
-			ws := NewWorkspaceSoA[float64](n, nb)
-			opts := Options{Tol: 1e-10}
-			iterCols := 0
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				x.Zero()
-				xd.Zero()
-				for _, r := range BlockBiCGDualSoA(apply, applyD, v, v, x, xd, opts, nil, ws) {
-					if !r.Converged {
-						b.Fatalf("column did not converge: %+v", r)
-					}
-					iterCols += r.Iterations
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(iterCols), "ns/iter-col")
+			benchBlockSolve(b, n, nb, apply, applyD)
 		})
 	}
+	b.Run("tb-slab-8x7/nb=8", func(b *testing.B) {
+		slab, err := tb.NewSlab(tb.SlabConfig{Nx: 8, Ny: 7, Hopping: -1, A: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ring, err := contour.NewRing(0.5, 32)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p, z := qep.NewBackend(slab, -5.2), ring.Outer[0].Z
+		benchBlockSolve(b, slab.N(), 8,
+			func(v, out *soa.Block[float64]) { qep.ApplyBlockSoA(p, slab, z, v, out) },
+			func(v, out *soa.Block[float64]) { qep.ApplyDaggerBlockSoA(p, slab, z, v, out) })
+	})
+}
+
+func benchBlockSolve(b *testing.B, n, nb int, apply, applyD BlockApplySoA[float64]) {
+	v := randBlock(n, nb, 1)
+	x, xd := soa.NewBlock[float64](n, nb), soa.NewBlock[float64](n, nb)
+	ws := NewWorkspaceSoA[float64](n, nb)
+	opts := Options{Tol: 1e-10}
+	iterCols := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x.Zero()
+		xd.Zero()
+		for _, r := range BlockBiCGDualSoA(apply, applyD, v, v, x, xd, opts, nil, ws) {
+			if !r.Converged {
+				b.Fatalf("column did not converge: %+v", r)
+			}
+			iterCols += r.Iterations
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(iterCols), "ns/iter-col")
 }

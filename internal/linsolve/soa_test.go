@@ -9,11 +9,11 @@ import (
 )
 
 // testOp is a synthetic operator (complex diagonal + real nearest-neighbour
-// coupling on a ring) whose AoS and SoA applications are the same
-// arithmetic operation for operation, so BlockBiCGDual and
-// BlockBiCGDualSoA see bit-identical matvecs. The diagonal dominates, so
-// BiCG converges quickly; dual = conjugate diagonal (the operator is
-// complex-symmetric under this coupling).
+// coupling on a ring) whose single-vector and plane applications are the
+// same arithmetic operation for operation, so BiCGDual and BlockBiCGDualSoA
+// see bit-identical matvecs. The diagonal dominates, so BiCG converges
+// quickly; dual = conjugate diagonal (the operator is complex-symmetric
+// under this coupling).
 type testOp struct {
 	dRe, dIm []float64
 	c        float64
@@ -29,19 +29,15 @@ func newTestOp(n int, seed int64) *testOp {
 	return op
 }
 
-func (t *testOp) applyAoS(dagger bool) BlockApply {
-	return func(v, out []complex128, nb int) {
+func (t *testOp) apply(dagger bool) Apply {
+	return func(v, out []complex128) {
 		n := len(t.dRe)
 		for i := 0; i < n; i++ {
 			di := complex(t.dRe[i], t.dIm[i])
 			if dagger {
 				di = conj(di)
 			}
-			ip := (i + 1) % n
-			im := (i - 1 + n) % n
-			for k := 0; k < nb; k++ {
-				out[i*nb+k] = di*v[i*nb+k] + complex(t.c, 0)*(v[ip*nb+k]+v[im*nb+k])
-			}
+			out[i] = di*v[i] + complex(t.c, 0)*(v[(i+1)%n]+v[(i-1+n)%n])
 		}
 	}
 }
@@ -62,7 +58,7 @@ func (t *testOp) applySoA(dagger bool) BlockApplySoA[float64] {
 				vr, vi := v.Re[j], v.Im[j]
 				pr := v.Re[ip*nb+k] + v.Re[im*nb+k]
 				pi := v.Im[ip*nb+k] + v.Im[im*nb+k]
-				// Same operation order as the AoS complex expression:
+				// Same operation order as the complex expression:
 				// d*v (4 mults, 2 adds), then c*(p+m), then the sum.
 				out.Re[j] = (dr*vr - di*vi) + t.c*pr
 				out.Im[j] = (dr*vi + di*vr) + t.c*pi
@@ -71,23 +67,21 @@ func (t *testOp) applySoA(dagger bool) BlockApplySoA[float64] {
 	}
 }
 
-// TestBlockBiCGDualSoAParity: the SoA solver on the column-lane kernels must
-// reproduce the AoS solver by exact equality — solutions, residuals,
-// iteration and matvec counts, flags, history — on every block width the
-// kernels distinguish (whole vectors, scalar-lane tails, both) and random
-// n, with one column broken down by the chaos injector at the start (frozen
-// at its initial guess) and one stopped mid-solve by its group's majority
-// (frozen with live data) while the rest run to convergence.
+// TestBlockBiCGDualSoAParity: the block solver on the column-lane kernels
+// must reproduce per-column BiCGDual by exact equality — solutions,
+// residuals, iteration and matvec counts, flags, history — on every block
+// width the kernels distinguish (whole vectors, scalar-lane tails, both)
+// and random n, with one column broken down by the chaos injector at the
+// start (frozen at its initial guess; the reference draws at the matching
+// ChaosSite.Col) and one stopped mid-solve by its group's majority (frozen
+// with live data; the reference stops through Options.Group) while the rest
+// run to convergence.
 func TestBlockBiCGDualSoAParity(t *testing.T) {
 	sizes := rand.New(rand.NewSource(5))
 	for _, nb := range []int{1, 2, 3, 4, 5, 7, 8, 16, 17} {
 		n := 20 + sizes.Intn(180)
 		op := newTestOp(n, int64(3+nb))
-		rng := rand.New(rand.NewSource(int64(50 + nb)))
-		b := make([]complex128, n*nb)
-		for i := range b {
-			b[i] = complex(rng.Float64()*2-1, rng.Float64()*2-1)
-		}
+		b := randBlock(n, nb, int64(50+nb))
 		opts := Options{Tol: 1e-12, LooseTol: 1e-4, MaxIter: 500, History: true}
 		broken, stopped := -1, -1
 		if nb >= 2 {
@@ -111,18 +105,20 @@ func TestBlockBiCGDualSoAParity(t *testing.T) {
 			return groups
 		}
 
-		x := make([]complex128, n*nb)
-		xd := make([]complex128, n*nb)
-		rs := BlockBiCGDual(op.applyAoS(false), op.applyAoS(true), b, b, x, xd, nb, opts, newGroups(), nil)
-
-		bb := soa.NewBlock[float64](n, nb)
-		soa.Pack(bb, b)
 		xs := soa.NewBlock[float64](n, nb)
 		xds := soa.NewBlock[float64](n, nb)
-		srs := BlockBiCGDualSoA(op.applySoA(false), op.applySoA(true), bb, bb, xs, xds, opts, newGroups(), nil)
+		rs := BlockBiCGDualSoA(op.applySoA(false), op.applySoA(true), b, b, xs, xds, opts, newGroups(), nil)
 
-		for c := range rs {
-			want, got := rs[c], srs[c]
+		refGroups := newGroups()
+		for c, got := range rs {
+			bc := blockCol(b, c)
+			xc, xdc := make([]complex128, n), make([]complex128, n)
+			copts := opts
+			copts.Group = refGroups[c]
+			copts.ChaosSite.Col += c
+			copts.History = c == 0
+			want := BiCGDual(op.apply(false), op.apply(true), bc, bc, xc, xdc, copts)
+
 			if c == broken && !(got.Breakdown && got.Iterations == 0) {
 				t.Errorf("nb=%d: column %d did not break down at the start: %+v", nb, c, got)
 			}
@@ -132,42 +128,38 @@ func TestBlockBiCGDualSoAParity(t *testing.T) {
 			if c != broken && c != stopped && !got.Converged {
 				t.Errorf("nb=%d: column %d did not converge: %+v", nb, c, got)
 			}
-			wh, gh := want.History, got.History
-			want.History, got.History = nil, nil
-			if want.Iterations != got.Iterations || want.MatVecApplied != got.MatVecApplied ||
-				want.Converged != got.Converged || want.StoppedEarly != got.StoppedEarly || want.Breakdown != got.Breakdown ||
-				want.Residual != got.Residual || want.DualResidual != got.DualResidual {
-				t.Fatalf("nb=%d n=%d col %d: result mismatch: aos %+v, soa %+v", nb, n, c, want, got)
+			if !sameResult(got, want) {
+				t.Fatalf("nb=%d n=%d col %d: result mismatch: per-column %+v, block %+v", nb, n, c, want, got)
 			}
-			if len(wh) != len(gh) {
-				t.Fatalf("nb=%d: history length mismatch %d vs %d", nb, len(wh), len(gh))
-			}
-			for i := range wh {
-				if wh[i] != gh[i] {
-					t.Fatalf("nb=%d: history[%d] differs: %g vs %g", nb, i, wh[i], gh[i])
+			if c == 0 {
+				wh, gh := want.History, got.History
+				if len(wh) != len(gh) {
+					t.Fatalf("nb=%d: history length mismatch %d vs %d", nb, len(wh), len(gh))
+				}
+				for i := range wh {
+					if wh[i] != gh[i] {
+						t.Fatalf("nb=%d: history[%d] differs: %g vs %g", nb, i, wh[i], gh[i])
+					}
 				}
 			}
-		}
-		gx := make([]complex128, n*nb)
-		gxd := make([]complex128, n*nb)
-		soa.Unpack(gx, xs)
-		soa.Unpack(gxd, xds)
-		for i := range x {
-			if x[i] != gx[i] || xd[i] != gxd[i] {
-				t.Fatalf("nb=%d n=%d: solution element %d differs: aos (%v,%v), soa (%v,%v)", nb, n, i, x[i], xd[i], gx[i], gxd[i])
+			gx, gxd := blockCol(xs, c), blockCol(xds, c)
+			for i := range xc {
+				if xc[i] != gx[i] || xdc[i] != gxd[i] {
+					t.Fatalf("nb=%d n=%d col %d: solution element %d differs: per-column (%v,%v), block (%v,%v)", nb, n, c, i, xc[i], xdc[i], gx[i], gxd[i])
+				}
 			}
 		}
 	}
 }
 
 // TestSoASolverZeroAlloc pins the steady-state zero-allocation contract of
-// the SoA solver with a reused workspace, on a whole-vector width and on
+// the block solver with a reused workspace, on a whole-vector width and on
 // one with a scalar-lane tail.
 func TestSoASolverZeroAlloc(t *testing.T) {
 	for _, nb := range []int{4, 7} {
 		n := 64
 		op := newTestOp(n, 9)
-		b := randomSoABlock(n, nb, 70)
+		b := randBlock(n, nb, 70)
 		x := soa.NewBlock[float64](n, nb)
 		xd := soa.NewBlock[float64](n, nb)
 		a, ad := op.applySoA(false), op.applySoA(true)
@@ -184,28 +176,19 @@ func TestSoASolverZeroAlloc(t *testing.T) {
 	}
 }
 
-func randomSoABlock(n, nb int, seed int64) *soa.Block[float64] {
-	b := soa.NewBlock[float64](n, nb)
-	rng := rand.New(rand.NewSource(seed))
-	for i := range b.Re {
-		b.Re[i] = rng.Float64()*2 - 1
-		b.Im[i] = rng.Float64()*2 - 1
-	}
-	return b
-}
-
 // TestWorkspaceSoAMemoryBytes: the reported size is the sum of what Reserve
-// allocates, the per-column coefficient, dot and lane-mask scratch included.
+// allocates, the per-column coefficient, dot, lane-mask and reduction
+// scratch included.
 func TestWorkspaceSoAMemoryBytes(t *testing.T) {
 	w := NewWorkspaceSoA[float64](10, 5)
 	want := int64(0)
 	for _, b := range []*soa.Block[float64]{w.r, w.rd, w.p, w.pd, w.q, w.qd} {
 		want += b.MemoryBytes()
 	}
-	want += int64(cap(w.rho)+cap(w.alpha)+cap(w.beta)+cap(w.dots)) * 16
+	want += int64(cap(w.rho)+cap(w.alpha)+cap(w.beta)+cap(w.dots)+cap(w.sums)) * 16
 	want += int64(cap(w.coRe)+cap(w.coIm)+cap(w.negRe)+cap(w.negIm)+cap(w.dRe)+cap(w.dIm)+cap(w.live)) * 8
 	want += int64(cap(w.nrmB)+cap(w.nrmBD)+cap(w.rel)+cap(w.relD)+cap(w.nrm2)+cap(w.nrm2d)) * 8
-	want += int64(cap(w.active))
+	want += int64(cap(w.active) + cap(w.stop))
 	if got := w.MemoryBytes(); got != want {
 		t.Errorf("MemoryBytes = %d, allocated buffers sum to %d", got, want)
 	}

@@ -12,12 +12,14 @@
 // Two implementations exist: the FD-grid Kohn-Sham operator
 // (internal/hamiltonian, the paper's workload) and the nearest-neighbor
 // tight-binding operator (internal/tb, closed-form dispersions for
-// property tests and cheap interactive transport serving). The solver has
-// one quadrature-point loop for both; a worker observes which it was handed
-// and picks its block-solve layout once (split-complex planes or the Ndm > 1
-// domain decomposition for a *hamiltonian.Operator, interleaved blocks for
-// every other backend).
+// property tests and cheap interactive transport serving). Every block
+// solve iterates on split-complex planes through the Planes method set, so
+// the solver has one layout and one Krylov step set for both; the
+// interleaved and single-vector applies serve the recovery ladder, the
+// residual checks and the tests' references.
 package operator
+
+import "cbs/internal/soa"
 
 // Backend is a matrix-free z-periodic operator in the QEP block form
 // H0 = H_{n,n}, H+ = H_{n,n+1}, H- = H_{n,n-1} = H+^dagger. The dual
@@ -25,9 +27,8 @@ package operator
 // H0 = H0^dagger and H- = H+^dagger; every implementation must preserve
 // it.
 //
-// Blocked applies use the interleaved row-major block layout of the hot
-// path: an n x nb block stored as nb contiguous column values per grid
-// point (v[i*nb+c]).
+// Blocked applies use the interleaved row-major block layout: an n x nb
+// block stored as nb contiguous column values per grid point (v[i*nb+c]).
 type Backend interface {
 	// N is the per-cell dimension of the operator.
 	N() int
@@ -46,12 +47,13 @@ type Backend interface {
 	ApplyHp(v, out []complex128)
 	ApplyHm(v, out []complex128)
 
-	// Blocked applies (the contour hot path). ApplyShiftedH0Block computes
+	// Interleaved blocked applies (the recovery ladder's column solves and
+	// the plane kernels' reference). ApplyShiftedH0Block computes
 	// out = (shift - H0) V; the Accum forms compute out += coef * H± V.
 	// The //cbs:hotpath directives are contracts, not checks: hotpathalloc
 	// admits calls through these methods inside hot kernels, and every
 	// implementation must annotate (and therefore pass the body rules on)
-	// its own methods.
+	// its own kernels.
 	//
 	//cbs:hotpath
 	ApplyShiftedH0Block(shift float64, v, out []complex128, nb int)
@@ -59,4 +61,20 @@ type Backend interface {
 	AccumHpBlock(coef complex128, v, out []complex128, nb int)
 	//cbs:hotpath
 	AccumHmBlock(coef complex128, v, out []complex128, nb int)
+
+	Planes
+}
+
+// Planes is the contour hot path: the same three applies on a split-complex
+// block (soa.Block), with the complex coefficient of H± split into its real
+// and imaginary parts at this boundary. Per element each must perform the
+// multiplies and adds of the interleaved apply in the same order, so a
+// solve's bits do not depend on the layout it ran on.
+type Planes interface {
+	//cbs:hotpath
+	ApplyShiftedH0Planes(shift float64, v, out *soa.Block[float64])
+	//cbs:hotpath
+	AccumHpPlanes(coefRe, coefIm float64, v, out *soa.Block[float64])
+	//cbs:hotpath
+	AccumHmPlanes(coefRe, coefIm float64, v, out *soa.Block[float64])
 }

@@ -19,31 +19,21 @@ import (
 	"cbs/internal/zlinalg"
 )
 
-// Problem is the QEP at one fixed real energy E (hartree). B is the
-// operator backend every solve path drives; Op is the concrete FD-grid
-// operator when (and only when) B is one — the handle the FD-only fast
-// paths (SoA kernel tables, the Ndm > 1 domain decomposition) need, nil
-// for any other backend.
+// Problem is the QEP at one fixed real energy E (hartree) on the operator
+// backend B that every solve path drives.
 type Problem struct {
-	B  operator.Backend
-	Op *hamiltonian.Operator
-	E  float64
+	B operator.Backend
+	E float64
 }
 
 // New builds the QEP for the FD-grid Hamiltonian at energy E.
 func New(op *hamiltonian.Operator, e float64) *Problem {
-	return &Problem{B: op, Op: op, E: e}
+	return &Problem{B: op, E: e}
 }
 
-// NewBackend builds the QEP for any operator backend at energy E. An
-// FD-grid backend keeps its concrete handle so the SoA and distributed
-// fast paths stay reachable.
+// NewBackend builds the QEP for any operator backend at energy E.
 func NewBackend(b operator.Backend, e float64) *Problem {
-	p := &Problem{B: b, E: e}
-	if op, ok := b.(*hamiltonian.Operator); ok {
-		p.Op = op
-	}
-	return p
+	return &Problem{B: b, E: e}
 }
 
 // Dim returns the problem dimension N.

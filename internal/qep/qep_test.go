@@ -12,7 +12,7 @@ import (
 	"cbs/internal/zlinalg"
 )
 
-func testProblem(t *testing.T) *Problem {
+func testOperator(t *testing.T) *hamiltonian.Operator {
 	t.Helper()
 	st, err := lattice.AlBulk100(1)
 	if err != nil {
@@ -22,7 +22,12 @@ func testProblem(t *testing.T) *Problem {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(op, 0.3)
+	return op
+}
+
+func testProblem(t *testing.T) *Problem {
+	t.Helper()
+	return New(testOperator(t), 0.3)
 }
 
 // TestDaggerIdentity verifies the paper's halving identity P(z)^dagger =
@@ -54,21 +59,21 @@ func TestDaggerIdentity(t *testing.T) {
 // TestResidualZeroForEigenpair: solving P(z) x = 0 approximately via dense
 // eigenpairs of the Bloch matrix gives a tiny residual.
 func TestResidualConsistency(t *testing.T) {
-	p := testProblem(t)
+	op := testOperator(t)
 	// H(lambda) psi = E psi  <=>  P(lambda) psi = 0 for that E. Take a real
 	// k, diagonalize H(k), and use one eigenpair.
 	lam := cmplx.Exp(complex(0, 0.7))
-	h := p.Op.BlochMatrix(lam)
+	h := op.BlochMatrix(lam)
 	vals, vecs, err := zlinalg.EigHermitian(h)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2 := New(p.Op, vals[3])
+	p2 := New(op, vals[3])
 	if r := p2.Residual(lam, vecs.Col(3)); r > 1e-9 {
 		t.Errorf("residual of an exact eigenpair = %g", r)
 	}
 	// Wrong energy: residual is large.
-	p3 := New(p.Op, vals[3]+0.5)
+	p3 := New(op, vals[3]+0.5)
 	if r := p3.Residual(lam, vecs.Col(3)); r < 1e-3 {
 		t.Errorf("residual at the wrong energy is suspiciously small: %g", r)
 	}

@@ -63,6 +63,16 @@ func (b *Block[F]) Reserve(n, nb int) {
 	b.Im = b.Im[:need]
 }
 
+// Rows returns rows [r0, r1) of b as a block sharing b's planes: writes
+// through it are writes to b.
+func (b *Block[F]) Rows(r0, r1 int) *Block[F] {
+	if r0 < 0 || r1 > b.n || r0 >= r1 {
+		panic("soa: Rows out of range")
+	}
+	lo, hi := r0*b.nb, r1*b.nb
+	return &Block[F]{Re: b.Re[lo:hi:hi], Im: b.Im[lo:hi:hi], n: r1 - r0, nb: b.nb}
+}
+
 // N returns the row count.
 //
 //cbs:hotpath

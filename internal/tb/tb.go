@@ -20,6 +20,8 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+
+	"cbs/internal/soa"
 )
 
 // hop is one directed hopping matrix element t between site i of a cell and
@@ -263,6 +265,76 @@ func (b *Backend) AccumHmBlock(coef complex128, v, out []complex128, nb int) {
 		for c := 0; c < nb; c++ {
 			out[rj+c] += ct * v[ri+c]
 		}
+	}
+}
+
+// checkPlanes guards the plane-apply shapes (indexing plus a cold panic).
+//
+//cbs:hotpath
+func (b *Backend) checkPlanes(v, out *soa.Block[float64]) {
+	if v.N() != b.n || out.N() != b.n || v.NB() != out.NB() {
+		panic("tb: plane block shape mismatch")
+	}
+}
+
+// ApplyShiftedH0Planes is ApplyShiftedH0Block on split planes: the same hop
+// list walked in the same order, each real coefficient applied to both
+// planes, so every element sees the interleaved kernel's operations.
+//
+//cbs:hotpath
+func (b *Backend) ApplyShiftedH0Planes(shift float64, v, out *soa.Block[float64]) {
+	b.checkPlanes(v, out)
+	nb := v.NB()
+	vr, vi, or, oi := v.Re, v.Im, out.Re, out.Im
+	for i, e := range b.onsite {
+		d := shift - e
+		for k := i * nb; k < i*nb+nb; k++ {
+			or[k] = d * vr[k]
+			oi[k] = d * vi[k]
+		}
+	}
+	for _, h := range b.intra {
+		ri, rj := h.i*nb, h.j*nb
+		for c := 0; c < nb; c++ {
+			or[ri+c] -= h.t * vr[rj+c]
+			oi[ri+c] -= h.t * vi[rj+c]
+			or[rj+c] -= h.t * vr[ri+c]
+			oi[rj+c] -= h.t * vi[ri+c]
+		}
+	}
+}
+
+// AccumHpPlanes is AccumHpBlock on split planes, coef = coefRe + i*coefIm.
+//
+//cbs:hotpath
+func (b *Backend) AccumHpPlanes(coefRe, coefIm float64, v, out *soa.Block[float64]) {
+	b.checkPlanes(v, out)
+	for _, h := range b.inter {
+		accumHopPlanes(out, v, h.i, h.j, coefRe*h.t, coefIm*h.t)
+	}
+}
+
+// AccumHmPlanes is AccumHmBlock on split planes, coef = coefRe + i*coefIm.
+//
+//cbs:hotpath
+func (b *Backend) AccumHmPlanes(coefRe, coefIm float64, v, out *soa.Block[float64]) {
+	b.checkPlanes(v, out)
+	for _, h := range b.inter {
+		accumHopPlanes(out, v, h.j, h.i, coefRe*h.t, coefIm*h.t)
+	}
+}
+
+// accumHopPlanes performs out[dst,:] += (cr + i*ci) * v[src,:], the complex
+// multiply-add of the interleaved kernel written out on the two planes.
+//
+//cbs:hotpath
+func accumHopPlanes(out, v *soa.Block[float64], dst, src int, cr, ci float64) {
+	nb := v.NB()
+	or, oi := out.Re[dst*nb:dst*nb+nb], out.Im[dst*nb:dst*nb+nb]
+	vr, vi := v.Re[src*nb:][:nb], v.Im[src*nb:][:nb]
+	for c := range or {
+		or[c] += cr*vr[c] - ci*vi[c]
+		oi[c] += cr*vi[c] + ci*vr[c]
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"cbs/internal/core"
 	"cbs/internal/qep"
+	"cbs/internal/soa"
 	"cbs/internal/tb"
 )
 
@@ -153,6 +154,66 @@ func checkBackendConsistency(t *testing.T, b *tb.Backend) {
 		for i := range want {
 			if cmplx.Abs(gc[i]-want[i]) > 1e-12 {
 				t.Fatalf("blocked apply col %d row %d: got %v want %v", c, i, gc[i], want[i])
+			}
+		}
+	}
+}
+
+// TestPlaneAppliesMatchInterleaved: the plane kernels reproduce the
+// interleaved blocked applies by exact equality — same hop order, same
+// per-element operations — on chains and slabs, on every block width the
+// solver hands them, and allocate nothing.
+func TestPlaneAppliesMatchInterleaved(t *testing.T) {
+	chain, err := tb.NewChain(tb.ChainConfig{Sites: 7, Onsite: 0.3, Hopping: -1.1, A: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slab, err := tb.NewSlab(tb.SlabConfig{Nx: 8, Ny: 7, Onsite: -0.2, Hopping: 0.7, A: 1.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const shift = 0.37
+	coefP := complex(0.4, -1.2)
+	coefM := complex(-0.9, 0.3)
+	for _, b := range []*tb.Backend{chain, slab} {
+		n := b.N()
+		for _, nb := range []int{1, 2, 3, 4, 5, 7, 8, 16, 17} {
+			rng := rand.New(rand.NewSource(int64(n*100 + nb)))
+			v := make([]complex128, n*nb)
+			prior := make([]complex128, n*nb)
+			for i := range v {
+				v[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+				prior[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+			}
+			vb, ob := soa.NewBlock[float64](n, nb), soa.NewBlock[float64](n, nb)
+			soa.Pack(vb, v)
+			got := make([]complex128, n*nb)
+			want := make([]complex128, n*nb)
+			for _, k := range []struct {
+				name   string
+				aos    func(out []complex128)
+				planes func()
+			}{
+				{"ShiftedH0", func(out []complex128) { b.ApplyShiftedH0Block(shift, v, out, nb) },
+					func() { b.ApplyShiftedH0Planes(shift, vb, ob) }},
+				{"AccumHp", func(out []complex128) { b.AccumHpBlock(coefP, v, out, nb) },
+					func() { b.AccumHpPlanes(real(coefP), imag(coefP), vb, ob) }},
+				{"AccumHm", func(out []complex128) { b.AccumHmBlock(coefM, v, out, nb) },
+					func() { b.AccumHmPlanes(real(coefM), imag(coefM), vb, ob) }},
+			} {
+				copy(want, prior)
+				k.aos(want)
+				soa.Pack(ob, prior)
+				k.planes()
+				soa.Unpack(got, ob)
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s n=%d nb=%d: element %d planes %v, interleaved %v", k.name, n, nb, i, got[i], want[i])
+					}
+				}
+				if allocs := testing.AllocsPerRun(5, k.planes); allocs != 0 {
+					t.Errorf("%s n=%d nb=%d: %.0f allocations per call, want 0", k.name, n, nb, allocs)
+				}
 			}
 		}
 	}
