@@ -90,24 +90,24 @@ serve-chaos:
 serve-smoke:
 	$(GO) test -count=1 -tags servesmoke -run TestServeSmoke ./cmd/cbsd
 
-# net-smoke exercises both message layers end to end under -race: wire
-# framing, the reliable link (reconnect, backoff, NAK retransmit, ack) on a
-# two-ended RConn pair, the channel rank world and the SPMD solver on it in
-# dist, and the fleet suite — lying and silent workers, and the real SIGKILL
-# multi-process kill-and-reshard acceptance test.
+# net-smoke exercises both message layers end to end under -race: the
+# channel rank world and the SPMD solver on it in dist, and the fleet suite
+# — the CRC-framed link (framing, size bound, heartbeat, horizon), lying and
+# silent workers, and the real SIGKILL multi-process kill-and-reshard
+# acceptance test.
 net-smoke:
-	$(GO) test -race -count=1 ./internal/wire ./internal/comm ./internal/dist ./internal/fleet
+	$(GO) test -race -count=1 ./internal/comm ./internal/dist ./internal/fleet
 
-# net-chaos is the network-fault matrix: the comm link suite and the fleet
-# kill-and-reshard acceptance with the net.* chaos sites (drop, delay,
-# reorder, dup, partition, conn) armed. The suites arm explicit per-site
-# rates in-test; the link suite runs its own seeds (1/7/42), the fleet
-# reads CBS_CHAOS_SEED, so each matrix entry faults a different pattern of
-# writes and dials; -count=2 defeats the test cache.
+# net-chaos is the network-fault matrix: the fleet kill-and-reshard
+# acceptance with the two net chaos sites armed, net.reset (a link write
+# closes the conn instead) and net.conn (a worker dial fails). The suite
+# arms explicit per-site rates in-test and reads CBS_CHAOS_SEED, so each
+# matrix entry faults a different pattern of writes and dials; -count=2
+# defeats the test cache.
 net-chaos:
 	for seed in 1 2 3; do \
 		CBS_CHAOS=1 CBS_CHAOS_SEED=$$seed \
-		$(GO) test -race -count=2 ./internal/comm ./internal/fleet || exit 1; \
+		$(GO) test -race -count=2 ./internal/fleet || exit 1; \
 	done
 
 # negf-smoke is the transport subsystem's acceptance gate: the NEGF and
@@ -130,8 +130,11 @@ negf-smoke:
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzCSRBuild -fuzztime=30s ./internal/sparse
 	$(GO) test -run=NONE -fuzz=FuzzLUSolve -fuzztime=30s ./internal/zlinalg
-	$(GO) test -run=NONE -fuzz=FuzzWireRead -fuzztime=30s ./internal/wire
+	$(GO) test -run=NONE -fuzz=FuzzLinkRead -fuzztime=30s ./internal/fleet
 	$(GO) test -run=NONE -fuzz=FuzzFleetMsg -fuzztime=30s ./internal/fleet
+	$(GO) test -run=NONE -fuzz=FuzzJournalParse -fuzztime=30s ./internal/sweep
+	$(GO) test -run=NONE -fuzz=FuzzOpenStore -fuzztime=30s ./internal/jobs
+	$(GO) test -run=NONE -fuzz=FuzzPostBodies -fuzztime=30s ./cmd/cbsd
 	$(GO) test -run=NONE -fuzz=FuzzStencilRow -fuzztime=30s ./internal/soa
 
 # bench-smoke is the CI gate on the one benchmark (bench/, BENCHMARK.json):

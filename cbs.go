@@ -327,7 +327,7 @@ func (m *Model) SweepCBS(ctx context.Context, es []float64, opts Options, cfg Sw
 
 // CoordinateFleet runs a durable sweep across OS processes: it listens on
 // cfg.Addr, shards the energies over registered workers by rendezvous
-// hash, re-dispatches the share of any worker that dies or partitions,
+// hash, re-dispatches the share of any worker whose link is lost,
 // and journals completed energies exactly like SweepCBS — the report is
 // bit-identical to a single-process sweep of the same energies. If
 // cfg.OperatorDesc is empty it is filled from OperatorDesc; workers whose
@@ -341,7 +341,9 @@ func (m *Model) CoordinateFleet(ctx context.Context, es []float64, opts Options,
 
 // ServeFleet runs this model as a fleet worker: dial the coordinator at
 // cfg.Addr, register under cfg.Name, and solve assigned energies until
-// the sweep finishes (nil), the context dies, or the link fails typed.
+// the sweep finishes (nil) or the context dies; a lost link is redialed,
+// and the error wraps fleet.ErrLinkLost only when the first registration
+// is refused or the coordinator stays unreachable.
 // If cfg.OperatorDesc is empty it is filled from OperatorDesc — the
 // coordinator verifies the digest before admitting the worker.
 func (m *Model) ServeFleet(ctx context.Context, cfg FleetWorkerConfig) error {

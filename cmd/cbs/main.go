@@ -16,7 +16,7 @@
 //
 // With -fleet-listen the scan is served to cbsw worker processes over TCP
 // instead of solved locally: energies shard across the fleet, a worker
-// that dies or partitions has its share re-dispatched to survivors, and
+// whose link is lost has its share re-dispatched to survivors, and
 // the result is identical to the single-process sweep. Per-energy retries
 // then live worker-side (cbsw -retries); -scan-workers is ignored.
 package main
@@ -165,6 +165,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, "fleet: %d/%d energies complete (E-EF = %+.3f eV: %s)\n",
 					solved.Add(1), len(energies), units.HartreeToEV(er.Energy-ef), er.Status)
 			},
+			Chaos: opts.Chaos,
 		})
 	} else {
 		report, sweepErr = model.SweepCBS(ctx, energies, opts, cbs.SweepConfig{

@@ -5,10 +5,12 @@
 // fingerprint before any arithmetic runs, so a worker built with the
 // wrong flags refuses work instead of contributing wrong physics.
 //
-// A worker that loses the coordinator exits with the typed link error;
-// restarting it (same -name) re-registers and wins back its rendezvous
-// share. Killing a worker mid-solve is safe: the coordinator re-dispatches
-// its outstanding energies to the survivors.
+// A worker that loses its link to the coordinator redials and registers
+// again under the same -name, winning back its rendezvous share; it exits
+// with an error wrapping fleet.ErrLinkLost when its first registration is
+// refused or the coordinator stays unreachable. Killing a worker mid-solve
+// is safe: the coordinator re-dispatches its outstanding energies to the
+// survivors.
 //
 // Example (against `cbs -scan -fleet-listen :9740`):
 //
@@ -27,7 +29,6 @@ import (
 
 	"cbs"
 	"cbs/internal/chaos"
-	"cbs/internal/comm"
 	"cbs/internal/modelflags"
 )
 
@@ -41,9 +42,6 @@ func main() {
 	top := flag.Int("top", 1, "top-layer workers (right-hand sides)")
 	mid := flag.Int("mid", 1, "middle-layer workers (quadrature points)")
 	ndm := flag.Int("ndm", 1, "bottom-layer domains")
-
-	ioTimeout := flag.Duration("io-timeout", 0, "per-read link deadline (0 = transport default)")
-	retryBudget := flag.Int("retry-budget", 0, "link timeouts/reconnects before the coordinator is declared lost (0 = transport default)")
 	flag.Parse()
 
 	if *coordinator == "" {
@@ -73,7 +71,6 @@ func main() {
 	cfg := cbs.FleetWorkerConfig{
 		Addr:  *coordinator,
 		Name:  *name,
-		TCP:   comm.TCPOptions{IOTimeout: *ioTimeout, RetryBudget: *retryBudget},
 		Sweep: cbs.SweepConfig{MaxAttempts: *retries},
 		// The coordinator ships the physics options; the parallel layout
 		// is this worker's own (it is scheduling, not identity, so the

@@ -75,11 +75,7 @@ var methodConfigFields = map[string][]string{
 	"JobLogFault":     {"JobLogFault"},
 	"AdoptFault":      {"AdoptFault"},
 	"NEGFFault":       {"NEGFFault"},
-	"NetDrop":         {"NetDrop"},
-	"NetDelay":        {"NetDelay"},
-	"NetReorder":      {"NetReorder"},
-	"NetDup":          {"NetDup"},
-	"NetPartition":    {"NetPartition"},
+	"NetReset":        {"NetReset"},
 	"NetConn":         {"NetConn"},
 }
 
@@ -97,11 +93,7 @@ var methodEnvKeys = map[string]string{
 	"JobLogFault":     "CBS_CHAOS_JOBLOG",
 	"AdoptFault":      "CBS_CHAOS_ADOPT",
 	"NEGFFault":       "CBS_CHAOS_NEGF",
-	"NetDrop":         "CBS_CHAOS_NET_DROP",
-	"NetDelay":        "CBS_CHAOS_NET_DELAY",
-	"NetReorder":      "CBS_CHAOS_NET_REORDER",
-	"NetDup":          "CBS_CHAOS_NET_DUP",
-	"NetPartition":    "CBS_CHAOS_NET_PARTITION",
+	"NetReset":        "CBS_CHAOS_NET_RESET",
 	"NetConn":         "CBS_CHAOS_NET_CONN",
 }
 

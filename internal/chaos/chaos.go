@@ -97,31 +97,14 @@ type Config struct {
 	// transmission sweep completes.
 	NEGFFault float64
 
-	// NetDrop is the probability that one framed write of a reliable TCP
-	// link is silently discarded instead of hitting the socket. The frame
-	// stays in the sender's outbox, so the link's NAK/retransmit machinery
-	// must recover it losslessly.
-	NetDrop float64
-	// NetDelay is the probability that one framed write is delayed a few
-	// milliseconds before hitting the socket — latency jitter that shakes
-	// out timing assumptions without changing delivery.
-	NetDelay float64
-	// NetReorder is the probability that one framed write is held back and
-	// emitted after the following write, swapping two frames on the wire;
-	// the receiver's sequence numbers must put them back in order.
-	NetReorder float64
-	// NetDup is the probability that one framed write is emitted twice;
-	// the receiver must drop the duplicate by sequence number.
-	NetDup float64
-	// NetPartition is the probability that one link operation starts a
-	// partition window: the connection drops and the next few
-	// dial/attach attempts fail, so the link must heal through its
-	// reconnect backoff (or surface ErrPartition once the budget is
-	// spent).
-	NetPartition float64
-	// NetConn is the probability that one dial attempt of a reliable link
+	// NetReset is the probability that one write of a fleet link closes
+	// the conn instead of writing: both ends see the link die mid-session,
+	// so the coordinator must re-dispatch the worker's energies and the
+	// worker must redial and register again.
+	NetReset float64
+	// NetConn is the probability that one dial attempt of a fleet worker
 	// fails outright (connection refused / unreachable stand-in), forcing
-	// a backoff-and-retry round.
+	// a redial.
 	NetConn float64
 
 	// Columns, when non-empty, restricts the column-scoped injections
@@ -174,12 +157,8 @@ func (in *Injector) Seed() int64 {
 //	CBS_CHAOS_JOBLOG=<p>         torn/failed job-log append rate (default 0)
 //	CBS_CHAOS_ADOPT=<p>          restart re-adoption fault rate (default 0)
 //	CBS_CHAOS_NEGF=<p>           lead self-energy construction fault rate (default 0)
-//	CBS_CHAOS_NET_DROP=<p>       dropped frame rate on reliable links (default 0)
-//	CBS_CHAOS_NET_DELAY=<p>      delayed frame rate (default 0)
-//	CBS_CHAOS_NET_REORDER=<p>    reordered frame rate (default 0)
-//	CBS_CHAOS_NET_DUP=<p>        duplicated frame rate (default 0)
-//	CBS_CHAOS_NET_PARTITION=<p>  partition-window start rate (default 0)
-//	CBS_CHAOS_NET_CONN=<p>       failed dial-attempt rate (default 0)
+//	CBS_CHAOS_NET_RESET=<p>      fleet link write-turned-reset rate (default 0)
+//	CBS_CHAOS_NET_CONN=<p>       failed fleet dial-attempt rate (default 0)
 func FromEnv() *Injector {
 	if os.Getenv("CBS_CHAOS") == "" {
 		return nil
@@ -215,11 +194,7 @@ func FromEnv() *Injector {
 		JobLogFault:      rate("CBS_CHAOS_JOBLOG", 0),
 		AdoptFault:       rate("CBS_CHAOS_ADOPT", 0),
 		NEGFFault:        rate("CBS_CHAOS_NEGF", 0),
-		NetDrop:          rate("CBS_CHAOS_NET_DROP", 0),
-		NetDelay:         rate("CBS_CHAOS_NET_DELAY", 0),
-		NetReorder:       rate("CBS_CHAOS_NET_REORDER", 0),
-		NetDup:           rate("CBS_CHAOS_NET_DUP", 0),
-		NetPartition:     rate("CBS_CHAOS_NET_PARTITION", 0),
+		NetReset:         rate("CBS_CHAOS_NET_RESET", 0),
 		NetConn:          rate("CBS_CHAOS_NET_CONN", 0),
 	})
 }
@@ -275,11 +250,7 @@ const (
 	kindJobLog    = 0x6a6c // "jl"
 	kindAdopt     = 0x6164 // "ad"
 	kindNEGF      = 0x6e67 // "ng"
-	kindNetDrop   = 0x6e64 // "nd"
-	kindNetDelay  = 0x6e6c // "nl"
-	kindNetReord  = 0x6e72 // "nr"
-	kindNetDup    = 0x6e75 // "nu"
-	kindNetPart   = 0x6e70 // "np"
+	kindNetReset  = 0x6e72 // "nr"
 	kindNetConn   = 0x6e63 // "nc"
 )
 
@@ -469,63 +440,24 @@ func (in *Injector) TornRecord(index int) bool {
 	return in.hit(in.cfg.TornRecord, kindTorn, index, 0, 0)
 }
 
-// The network sites are keyed by (src, dst, op) where op is the link's
-// monotonically increasing operation counter — write index for the frame
-// faults, attempt index for the dial faults — never the data sequence
-// number: a retransmission of the same frame is a fresh write with a fresh
-// draw, so a deterministic injector cannot doom one frame forever.
+// The network sites are keyed by an operation counter — the write index on
+// one link, the dial attempt of one worker — so a fresh link or a redial
+// draws fresh, and a deterministic injector cannot doom one message forever.
 
-// NetDrop reports whether the op-th framed write on the (src, dst) link
-// should be discarded instead of written.
-func (in *Injector) NetDrop(src, dst int, op int64) bool {
+// NetReset reports whether the op-th write on fleet link number link should
+// close the conn instead.
+func (in *Injector) NetReset(link int, op int64) bool {
 	if in == nil {
 		return false
 	}
-	return in.hit(in.cfg.NetDrop, kindNetDrop, src, dst, int(op))
+	return in.hit(in.cfg.NetReset, kindNetReset, link, int(op), 0)
 }
 
-// NetDelay reports whether the op-th framed write on the (src, dst) link
-// should be delayed before hitting the socket.
-func (in *Injector) NetDelay(src, dst int, op int64) bool {
+// NetConn reports whether the attempt-th dial of a fleet worker should fail
+// outright.
+func (in *Injector) NetConn(attempt int64) bool {
 	if in == nil {
 		return false
 	}
-	return in.hit(in.cfg.NetDelay, kindNetDelay, src, dst, int(op))
-}
-
-// NetReorder reports whether the op-th framed write on the (src, dst) link
-// should be held back and emitted after the following write.
-func (in *Injector) NetReorder(src, dst int, op int64) bool {
-	if in == nil {
-		return false
-	}
-	return in.hit(in.cfg.NetReorder, kindNetReord, src, dst, int(op))
-}
-
-// NetDup reports whether the op-th framed write on the (src, dst) link
-// should be emitted twice.
-func (in *Injector) NetDup(src, dst int, op int64) bool {
-	if in == nil {
-		return false
-	}
-	return in.hit(in.cfg.NetDup, kindNetDup, src, dst, int(op))
-}
-
-// NetPartition reports whether the op-th link operation on (src, dst)
-// should start a partition window (the connection drops and the next few
-// reconnect attempts fail before the link heals).
-func (in *Injector) NetPartition(src, dst int, op int64) bool {
-	if in == nil {
-		return false
-	}
-	return in.hit(in.cfg.NetPartition, kindNetPart, src, dst, int(op))
-}
-
-// NetConn reports whether the attempt-th dial of the (src, dst) link
-// should fail outright.
-func (in *Injector) NetConn(src, dst int, attempt int64) bool {
-	if in == nil {
-		return false
-	}
-	return in.hit(in.cfg.NetConn, kindNetConn, src, dst, int(attempt))
+	return in.hit(in.cfg.NetConn, kindNetConn, int(attempt), 0, 0)
 }

@@ -5,11 +5,8 @@
 // of one process and channels carry the messages (the DESIGN §2
 // substitution for MPI): a World is the only rank fabric, and internal/dist
 // holds it by concrete type. Traffic statistics are recorded so experiments
-// can report communication volume.
-//
-// The package's second half (rconn.go) is unrelated to ranks: the reliable
-// framed link over TCP that carries the fleet's coordinator/worker protocol
-// across OS processes.
+// can report communication volume. Sockets live one level up, in the
+// fleet's link between OS processes (internal/fleet).
 package comm
 
 import (

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"cbs/internal/chaos"
-	"cbs/internal/comm"
 	"cbs/internal/core"
 	"cbs/internal/fingerprint"
 	"cbs/internal/sweep"
@@ -28,11 +27,6 @@ type CoordinatorConfig struct {
 	// this many workers have registered (default 1). Later departures do
 	// not re-raise the gate — survivors keep the sweep moving.
 	MinWorkers int
-	// TCP tunes the reliable links; IOTimeout*RetryBudget is the worker
-	// failure-detection horizon: a worker whose link answers nothing for
-	// that long is declared dead, one that is merely busy never is (its
-	// link acks the coordinator's Naks while the solve runs).
-	TCP comm.TCPOptions
 
 	// OperatorDesc identifies the physics; it feeds every assignment's
 	// solve fingerprint and the journal fingerprint.
@@ -49,15 +43,19 @@ type CoordinatorConfig struct {
 	OnEnergy func(sweep.EnergyResult)
 
 	// Chaos, when non-nil, arms the coordinator side of every worker link
-	// with injected network faults (testing only).
+	// with the net.reset fault site (testing only).
 	Chaos *chaos.Injector
 }
 
-// remote is the coordinator's proxy for one registered worker.
+// drainTimeout bounds how long a finished sweep waits for its workers to
+// read the done message and hang up before their links are closed.
+const drainTimeout = 2 * time.Second
+
+// remote is the coordinator's proxy for one worker session.
 type remote struct {
-	id       byte
-	name     string
-	rc       *comm.RConn
+	id       int    // session number: admission order, never reused
+	name     string // set once the registration is accepted
+	link     *link
 	assigned map[int]bool // outstanding energy indices
 }
 
@@ -73,9 +71,9 @@ type coordinator struct {
 	closed     bool
 	open       bool // MinWorkers satisfied at least once
 	seen       int  // registrations ever
-	nextID     byte
-	workers    map[byte]*remote
-	assignedTo []int         // worker id per energy, -1 if unowned
+	nextID     int
+	workers    map[int]*remote
+	assignedTo []int         // session id per energy, -1 if unowned
 	report     *sweep.Report // an energy is done once its Status leaves Skipped
 	journal    *sweep.Journal
 	remaining  int
@@ -106,8 +104,7 @@ func Coordinate(ctx context.Context, es []float64, opts core.Options, cfg Coordi
 		es:         es,
 		opts:       shipped,
 		keys:       make([]string, len(es)),
-		nextID:     1,
-		workers:    make(map[byte]*remote),
+		workers:    make(map[int]*remote),
 		assignedTo: make([]int, len(es)),
 		report:     sweep.NewReport(es),
 		finished:   make(chan struct{}),
@@ -166,8 +163,8 @@ func Coordinate(ctx context.Context, es []float64, opts core.Options, cfg Coordi
 		if w.name == "" {
 			// Mid-registration link: it was never welcomed (and may yet be
 			// refused), so it gets a hangup, not the done broadcast — an
-			// unvalidated peer must only ever observe a typed link
-			// failure, never sweep state.
+			// unvalidated peer must only ever observe a lost link, never
+			// sweep state.
 			pending = append(pending, w)
 			continue
 		}
@@ -177,22 +174,17 @@ func Coordinate(ctx context.Context, es []float64, opts core.Options, cfg Coordi
 	co.mu.Unlock()
 	ln.Close()
 	for _, w := range pending {
-		w.rc.Close()
+		w.link.close()
 	}
 	for _, w := range ws {
-		sendMsg(w.rc, msg{Type: msgDone}) // best effort
+		w.link.send(msg{Type: msgDone}) // best effort
 	}
-	// Drain: let workers read the done frame and hang up on their own —
+	// Drain: let workers read the done message and hang up on their own —
 	// their serve loops retire them as the links die — before force-closing
 	// whatever is left. Without the pause, closing a link with a worker
-	// frame still unread (a Nak, a late result) can reset the conn under
-	// the done frame.
-	o := cfg.TCP.WithDefaults()
-	drain := o.IOTimeout * time.Duration(o.RetryBudget) * 2
-	if drain > 2*time.Second {
-		drain = 2 * time.Second
-	}
-	deadline := time.Now().Add(drain)
+	// frame still unread (a heartbeat, a late result) can reset the conn
+	// under the done message.
+	deadline := time.Now().Add(drainTimeout)
 	for time.Now().Before(deadline) {
 		co.mu.Lock()
 		n := len(co.workers)
@@ -203,7 +195,7 @@ func Coordinate(ctx context.Context, es []float64, opts core.Options, cfg Coordi
 		time.Sleep(5 * time.Millisecond)
 	}
 	for _, w := range ws {
-		w.rc.Close()
+		w.link.close()
 	}
 	co.wg.Wait()
 
@@ -261,61 +253,29 @@ func (co *coordinator) acceptLoop(ln net.Listener) {
 	}
 }
 
-// admit routes one accepted conn: a wildcard hello is a fresh registration,
-// a known worker id is a reconnect of its existing link, and anything else
-// is a stale identity (a worker already declared dead) and is refused so
-// the process fails fast and can rejoin fresh.
+// admit runs one accepted conn as a worker session: its first message must
+// register a named worker solving this operator, or the conn is hung up. An
+// accepted worker is welcomed with the solve options, takes its share of the
+// energies and is served until its link is lost.
 func (co *coordinator) admit(c net.Conn) {
-	o := co.cfg.TCP.WithDefaults()
-	peer, expected, err := comm.AcceptHello(c, o.ConnectTimeout, o.MaxFrame)
-	if err != nil {
-		c.Close()
-		return
-	}
-
-	if peer != comm.WildcardID {
-		co.mu.Lock()
-		w := co.workers[peer]
-		co.mu.Unlock()
-		if w == nil {
-			c.Close()
-			return
-		}
-		w.rc.Attach(c, expected) // errors surface via the link's pump
-		return
-	}
-
 	co.mu.Lock()
 	if co.closed {
 		co.mu.Unlock()
 		c.Close()
 		return
 	}
-	id, ok := co.allocIDLocked()
-	if !ok {
-		co.mu.Unlock()
-		c.Close()
-		return
-	}
-	rc := comm.AcceptLink(0, id, co.cfg.TCP)
-	rc.SetChaos(co.cfg.Chaos)
-	w := &remote{id: id, rc: rc, assigned: make(map[int]bool)}
-	co.workers[id] = w
+	co.nextID++
+	w := &remote{id: co.nextID, assigned: make(map[int]bool)}
+	w.link = newLink(c, co.cfg.Chaos, w.id)
+	co.workers[w.id] = w
 	co.mu.Unlock()
 
-	if err := rc.Attach(c, expected); err != nil {
-		co.drop(w)
-		return
-	}
-	m, err := recvMsg(rc)
+	m, err := w.link.recv()
 	if err != nil || m.Type != msgRegister || m.Name == "" || m.Operator != co.opDigest {
 		co.drop(w)
 		return
 	}
-	if err := sendMsg(rc, msg{Type: msgWelcome, ID: id, Operator: co.opDigest, Opts: &co.opts}); err != nil {
-		co.drop(w)
-		return
-	}
+	w.link.send(msg{Type: msgWelcome, Operator: co.opDigest, Opts: &co.opts})
 
 	co.mu.Lock()
 	if co.closed {
@@ -331,27 +291,7 @@ func (co *coordinator) admit(c net.Conn) {
 	co.dispatchLocked()
 	co.mu.Unlock()
 
-	co.wg.Add(1)
-	go func() {
-		defer co.wg.Done()
-		co.serve(w)
-	}()
-}
-
-// allocIDLocked hands out worker slots 1..254 (0 is the coordinator, 255
-// the wildcard).
-func (co *coordinator) allocIDLocked() (byte, bool) {
-	for n := 0; n < 254; n++ {
-		id := co.nextID
-		co.nextID++
-		if co.nextID == comm.WildcardID {
-			co.nextID = 1
-		}
-		if _, used := co.workers[id]; !used {
-			return id, true
-		}
-	}
-	return 0, false
+	co.serve(w)
 }
 
 // dispatchLocked assigns every unowned incomplete energy to the live
@@ -379,29 +319,26 @@ func (co *coordinator) dispatchLocked() {
 		if best == nil {
 			return // no live workers; the next registration redispatches
 		}
-		// Buffered-send semantics: a dead conn does not block dispatch,
-		// and the link replays the assignment after any reconnect. A link
-		// already failed typed is handled by its serve loop.
-		sendMsg(best.rc, msg{Type: msgAssign, Index: i, Energy: co.es[i], Key: co.keys[i]})
+		// send only queues for the link's writer, so no conn write happens
+		// under co.mu; a lost link is its serve loop's to drop.
+		best.link.send(msg{Type: msgAssign, Index: i, Energy: co.es[i], Key: co.keys[i]})
 		best.assigned[i] = true
-		co.assignedTo[i] = int(best.id)
+		co.assignedTo[i] = best.id
 	}
 }
 
-// serve consumes one worker's messages until its link dies or the worker
-// breaks the protocol. While it blocks in Recv the link Naks the worker once
-// per IOTimeout; the worker's link answers (with an ack while it has nothing
-// to send), so a worker busy in a long solve stays alive here and one that
-// answers nothing for IOTimeout*RetryBudget fails the link typed.
+// serve consumes one worker's messages until its link is lost or the worker
+// breaks the protocol. The worker's writer heartbeats while it solves, so a
+// worker busy in a long solve stays alive here, and one from which nothing
+// arrives for the horizon is lost.
 func (co *coordinator) serve(w *remote) {
 	for {
-		m, err := recvMsg(w.rc)
+		m, err := w.link.recv()
 		if err != nil {
 			co.drop(w)
 			return
 		}
-		// Message types this build does not know (an older peer's
-		// keepalives) are ignored.
+		// Message types this build does not know are ignored.
 		if m.Type == msgResult && !co.onResult(w, m) {
 			co.drop(w) // its energies, this one included, return to the pool
 			return
@@ -470,39 +407,21 @@ func (co *coordinator) onResult(w *remote, m msg) bool {
 	return true
 }
 
-// drop declares a worker dead: its link is torn down, its identity is
-// retired (a late reconnect is refused), and its outstanding energies are
-// re-dispatched over the survivors.
+// drop declares a worker session dead: its link is torn down and its
+// outstanding energies are re-dispatched over the survivors. A worker that
+// is still alive comes back as a new session.
 func (co *coordinator) drop(w *remote) {
 	co.mu.Lock()
-	if co.workers[w.id] == w {
-		delete(co.workers, w.id)
-	}
+	delete(co.workers, w.id)
 	for i := range w.assigned {
-		if co.assignedTo[i] == int(w.id) {
+		if co.assignedTo[i] == w.id {
 			co.assignedTo[i] = -1
 		}
 	}
 	w.assigned = make(map[int]bool)
 	co.dispatchLocked()
 	co.mu.Unlock()
-	w.rc.Close()
-}
-
-func sendMsg(rc *comm.RConn, m msg) error {
-	b, err := json.Marshal(m)
-	if err != nil {
-		return err
-	}
-	return rc.Send(b)
-}
-
-func recvMsg(rc *comm.RConn) (msg, error) {
-	body, err := rc.Recv()
-	if err != nil {
-		return msg{}, err
-	}
-	return decodeMsg(body)
+	w.link.close()
 }
 
 // decodeMsg parses one link payload from the peer.

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -12,45 +13,28 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"cbs/internal/chaos"
-	"cbs/internal/comm"
 	"cbs/internal/core"
 	"cbs/internal/fingerprint"
+	"cbs/internal/journal"
 	"cbs/internal/sweep"
-	"cbs/internal/wire"
 )
 
 const testOperator = "fleet-test-op: Al(100) stand-in"
 
-// fleetTCP tunes links for fast in-test failure detection: the horizon
-// (IOTimeout*RetryBudget) is ~360ms.
-func fleetTCP() comm.TCPOptions {
-	return comm.TCPOptions{
-		ConnectTimeout: 500 * time.Millisecond,
-		IOTimeout:      60 * time.Millisecond,
-		RetryBudget:    6,
-		BackoffBase:    time.Millisecond,
-		BackoffMax:     10 * time.Millisecond,
-	}
-}
-
-// procTCP relaxes the failure horizon to ~10s for the multi-process test:
-// race-instrumented worker processes start slowly and contend for CPU, so
-// the in-process horizon (~360ms) misreads startup lag as a partition.
-func procTCP() comm.TCPOptions {
-	return comm.TCPOptions{
-		ConnectTimeout: 2 * time.Second,
-		IOTimeout:      250 * time.Millisecond,
-		RetryBudget:    40,
-		BackoffBase:    time.Millisecond,
-		BackoffMax:     20 * time.Millisecond,
-	}
-}
+// In-process tests run every link on a short horizon so that failure
+// detection takes a fraction of a second (TestMain sets it); the
+// multi-process test restores the defaults its worker processes run.
+const (
+	testHeartbeat = 25 * time.Millisecond
+	testHorizon   = 400 * time.Millisecond
+)
 
 // fleetResult derives a deterministic fake solve result from the energy
 // and the options, so a fleet sweep and a single-process sweep agree iff
@@ -172,7 +156,6 @@ func TestFleetSweepMatchesSingleProcess(t *testing.T) {
 	addr, join := startCoordinator(ctx, es, opts, CoordinatorConfig{
 		Addr:         "127.0.0.1:0",
 		MinWorkers:   3,
-		TCP:          fleetTCP(),
 		OperatorDesc: testOperator,
 	})
 
@@ -185,7 +168,6 @@ func TestFleetSweepMatchesSingleProcess(t *testing.T) {
 				Addr:         addr,
 				Name:         fmt.Sprintf("w%d", i),
 				OperatorDesc: testOperator,
-				TCP:          fleetTCP(),
 			})
 			if err != nil {
 				t.Errorf("worker %d: %v", i, err)
@@ -215,12 +197,29 @@ func chaosSeed() int64 {
 	return 0
 }
 
+// linkChaos arms net.reset and net.conn from the first seed at or after s
+// whose resets spare the first two writes of links 0..7. A worker cannot
+// tell a first registration lost to a reset from a refusal, so by design
+// it gives up, and MinWorkers would never be met.
+func linkChaos(s int64) *chaos.Injector {
+	for ; ; s++ {
+		inj := chaos.New(s, chaos.Config{NetReset: 0.05, NetConn: 0.05})
+		spared := true
+		for link := 0; link < 8; link++ {
+			spared = spared && !inj.NetReset(link, 0) && !inj.NetReset(link, 1)
+		}
+		if spared {
+			return inj
+		}
+	}
+}
+
 // TestFleetKillAndReshard is the self-healing acceptance: three workers,
-// network chaos armed on both link ends, one worker killed mid-sweep. The
-// coordinator must detect the death, re-dispatch the dead worker's
-// energies to the survivors, and converge to the single-process golden.
-// Survivors whose links the chaos kills outright rejoin like restarted
-// processes — under any seed the sweep must still finish golden.
+// net.reset and net.conn armed on both link ends, one worker killed
+// mid-sweep. The coordinator must detect the death, re-dispatch the dead
+// worker's energies to the survivors, and converge to the single-process
+// golden. Survivors whose links the chaos resets redial and register again
+// inside Work — under any seed the sweep must still finish golden.
 func TestFleetKillAndReshard(t *testing.T) {
 	for _, seed := range []int64{3, 11, 42} {
 		seed += chaosSeed() * 1000
@@ -230,21 +229,10 @@ func TestFleetKillAndReshard(t *testing.T) {
 			es := fleetEnergies(10)
 			opts := fleetOptions()
 
-			linkChaos := func(s int64) *chaos.Injector {
-				return chaos.New(s, chaos.Config{
-					NetDrop:      0.05,
-					NetReorder:   0.05,
-					NetDup:       0.05,
-					NetPartition: 0.002,
-					NetConn:      0.05,
-				})
-			}
-
 			var solved atomic.Int32
 			addr, join := startCoordinator(ctx, es, opts, CoordinatorConfig{
 				Addr:         "127.0.0.1:0",
 				MinWorkers:   3,
-				TCP:          fleetTCP(),
 				OperatorDesc: testOperator,
 				Chaos:        linkChaos(seed),
 				OnEnergy:     func(sweep.EnergyResult) { solved.Add(1) },
@@ -252,7 +240,6 @@ func TestFleetKillAndReshard(t *testing.T) {
 
 			victimCtx, kill := context.WithCancel(ctx)
 			defer kill()
-			var swept atomic.Bool
 			var wg sync.WaitGroup
 			errs := make([]error, 3)
 			for i := 0; i < 3; i++ {
@@ -263,25 +250,12 @@ func TestFleetKillAndReshard(t *testing.T) {
 					if i == 0 {
 						wctx = victimCtx
 					}
-					// A survivor whose link dies under chaos rejoins with a
-					// fresh registration (same name, so it wins back its
-					// rendezvous share) — the test's stand-in for a process
-					// supervisor restarting a crashed worker.
-					attempt := int64(0)
-					for {
-						errs[i] = Work(wctx, fleetSolve(10*time.Millisecond), WorkerConfig{
-							Addr:         addr,
-							Name:         fmt.Sprintf("w%d", i),
-							OperatorDesc: testOperator,
-							TCP:          fleetTCP(),
-							Chaos:        linkChaos(seed + int64(i) + 1 + 97*attempt),
-						})
-						if errs[i] == nil || wctx.Err() != nil || swept.Load() {
-							return
-						}
-						attempt++
-						time.Sleep(10 * time.Millisecond)
-					}
+					errs[i] = Work(wctx, fleetSolve(10*time.Millisecond), WorkerConfig{
+						Addr:         addr,
+						Name:         fmt.Sprintf("w%d", i),
+						OperatorDesc: testOperator,
+						Chaos:        linkChaos(seed + int64(i) + 1),
+					})
 				}(i)
 			}
 
@@ -296,7 +270,6 @@ func TestFleetKillAndReshard(t *testing.T) {
 			kill()
 
 			rep, err := join()
-			swept.Store(true)
 			wg.Wait()
 			if err != nil {
 				t.Fatalf("coordinate: %v", err)
@@ -304,15 +277,11 @@ func TestFleetKillAndReshard(t *testing.T) {
 			if !errors.Is(errs[0], context.Canceled) {
 				t.Errorf("killed worker returned %v, want context.Canceled", errs[0])
 			}
-			// Survivors either saw the sweep out (nil) or were last cut
-			// down by a typed link failure mid-rejoin; anything untyped is
-			// a transport bug.
+			// Survivors either saw the sweep out (nil) or were cut off
+			// mid-rejoin when the finished coordinator stopped listening;
+			// anything but ErrLinkLost is a transport bug.
 			for i := 1; i < 3; i++ {
-				if errs[i] == nil {
-					continue
-				}
-				if !errors.Is(errs[i], comm.ErrPartition) && !errors.Is(errs[i], comm.ErrPeerLost) &&
-					!errors.Is(errs[i], comm.ErrClosed) && !errors.Is(errs[i], comm.ErrFrameCorrupt) {
+				if errs[i] != nil && !errors.Is(errs[i], ErrLinkLost) {
 					t.Errorf("survivor %d: error not typed: %v", i, errs[i])
 				}
 			}
@@ -325,8 +294,9 @@ func TestFleetKillAndReshard(t *testing.T) {
 }
 
 // TestFleetOperatorMismatch: a worker solving different physics must be
-// refused at registration and fail typed, and the sweep must complete on
-// the workers that match.
+// refused at registration and give up at once with ErrLinkLost (a refused
+// first registration is not redialed), and the sweep must complete on the
+// workers that match.
 func TestFleetOperatorMismatch(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -335,7 +305,6 @@ func TestFleetOperatorMismatch(t *testing.T) {
 
 	addr, join := startCoordinator(ctx, es, opts, CoordinatorConfig{
 		Addr:         "127.0.0.1:0",
-		TCP:          fleetTCP(),
 		OperatorDesc: testOperator,
 	})
 
@@ -345,7 +314,6 @@ func TestFleetOperatorMismatch(t *testing.T) {
 			Addr:         addr,
 			Name:         "imposter",
 			OperatorDesc: "a different crystal entirely",
-			TCP:          fleetTCP(),
 		})
 	}()
 	var wg sync.WaitGroup
@@ -356,7 +324,6 @@ func TestFleetOperatorMismatch(t *testing.T) {
 			Addr:         addr,
 			Name:         "honest",
 			OperatorDesc: testOperator,
-			TCP:          fleetTCP(),
 		}); err != nil {
 			t.Errorf("honest worker: %v", err)
 		}
@@ -375,8 +342,8 @@ func TestFleetOperatorMismatch(t *testing.T) {
 		if werr == nil {
 			t.Fatal("imposter worker completed; want a typed refusal")
 		}
-		if !errors.Is(werr, comm.ErrPartition) && !errors.Is(werr, comm.ErrPeerLost) && !errors.Is(werr, comm.ErrClosed) {
-			t.Errorf("imposter error not typed: %v", werr)
+		if !errors.Is(werr, ErrLinkLost) || !strings.Contains(werr.Error(), "registration refused") {
+			t.Errorf("imposter returned %v, want a refused registration wrapping ErrLinkLost", werr)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("imposter worker never returned")
@@ -393,7 +360,6 @@ func TestFleetResume(t *testing.T) {
 
 	addr, join := startCoordinator(ctx, es, opts, CoordinatorConfig{
 		Addr:           "127.0.0.1:0",
-		TCP:            fleetTCP(),
 		OperatorDesc:   testOperator,
 		CheckpointPath: path,
 	})
@@ -402,7 +368,7 @@ func TestFleetResume(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		if err := Work(ctx, fleetSolve(0), WorkerConfig{
-			Addr: addr, Name: "w0", OperatorDesc: testOperator, TCP: fleetTCP(),
+			Addr: addr, Name: "w0", OperatorDesc: testOperator,
 		}); err != nil {
 			t.Errorf("worker: %v", err)
 		}
@@ -417,7 +383,6 @@ func TestFleetResume(t *testing.T) {
 	// dials, no listener is even opened past the restore.
 	rep2, err := Coordinate(ctx, es, opts, CoordinatorConfig{
 		Addr:           "127.0.0.1:0",
-		TCP:            fleetTCP(),
 		OperatorDesc:   testOperator,
 		CheckpointPath: path,
 		Resume:         true,
@@ -435,23 +400,24 @@ func TestFleetResume(t *testing.T) {
 
 // TestMain doubles as the worker executable: when CBS_FLEET_WORKER_ADDR is
 // set, the test binary runs one fleet worker and exits, so the SIGKILL
-// acceptance below can kill a real OS process mid-sweep.
+// acceptance below can kill a real OS process mid-sweep. A worker process
+// runs the default heartbeat and horizon.
 func TestMain(m *testing.M) {
 	addr := os.Getenv("CBS_FLEET_WORKER_ADDR")
 	if addr == "" {
+		linkTiming.heartbeat, linkTiming.horizon = testHeartbeat, testHorizon
 		os.Exit(m.Run())
 	}
 	delay, _ := time.ParseDuration(os.Getenv("CBS_FLEET_SOLVE_DELAY"))
 	var inj *chaos.Injector
 	if s := os.Getenv("CBS_FLEET_CHAOS_SEED"); s != "" {
 		seed, _ := strconv.ParseInt(s, 10, 64)
-		inj = chaos.New(seed, chaos.Config{NetDrop: 0.05, NetReorder: 0.05, NetPartition: 0.002, NetConn: 0.05})
+		inj = chaos.New(seed, chaos.Config{NetConn: 0.2})
 	}
 	err := Work(context.Background(), fleetSolve(delay), WorkerConfig{
 		Addr:         addr,
 		Name:         os.Getenv("CBS_FLEET_WORKER_NAME"),
 		OperatorDesc: testOperator,
-		TCP:          procTCP(),
 		Chaos:        inj,
 	})
 	if err != nil {
@@ -462,10 +428,12 @@ func TestMain(m *testing.M) {
 }
 
 // TestFleetProcessKillAndReshard is the end-to-end acceptance from the
-// issue: three worker OS processes over real localhost TCP with network
-// chaos armed, one of them SIGKILLed mid-sweep; the surviving processes
-// absorb the re-dispatched energies and the report is identical to the
-// single-process golden.
+// issue: three worker OS processes over real localhost TCP, their dials
+// under net.conn chaos, one of them SIGKILLed mid-sweep; the surviving
+// processes absorb the re-dispatched energies, the report is identical to
+// the single-process golden, and the survivors exit 0. Both ends run the
+// default heartbeat and horizon: race-instrumented worker processes start
+// slowly and contend for CPU.
 func TestFleetProcessKillAndReshard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes")
@@ -474,6 +442,9 @@ func TestFleetProcessKillAndReshard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fast := linkTiming
+	linkTiming.heartbeat, linkTiming.horizon = heartbeatPeriod, linkHorizon
+	defer func() { linkTiming = fast }()
 	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
 	defer cancel()
 	es := fleetEnergies(12)
@@ -483,9 +454,7 @@ func TestFleetProcessKillAndReshard(t *testing.T) {
 	addr, join := startCoordinator(ctx, es, opts, CoordinatorConfig{
 		Addr:         "127.0.0.1:0",
 		MinWorkers:   3,
-		TCP:          procTCP(),
 		OperatorDesc: testOperator,
-		Chaos:        chaos.New(42, chaos.Config{NetDrop: 0.05, NetReorder: 0.05, NetDup: 0.05}),
 		OnEnergy:     func(sweep.EnergyResult) { solved.Add(1) },
 	})
 
@@ -545,18 +514,19 @@ func TestFleetProcessKillAndReshard(t *testing.T) {
 // rawRegister is a hand-rolled worker's front half: a bare link to the
 // coordinator, the register/welcome exchange, and nothing else — whatever the
 // caller does with the link afterwards is the misbehaviour under test.
-func rawRegister(t *testing.T, addr, name string) *comm.RConn {
+func rawRegister(t *testing.T, addr, name string) *link {
 	t.Helper()
-	rc := comm.DialLink(comm.WildcardID, 0, addr, fleetTCP())
-	if err := sendMsg(rc, msg{Type: msgRegister, Name: name, Operator: fingerprint.Operator(testOperator)}); err != nil {
-		t.Fatalf("%s: register: %v", name, err)
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
 	}
-	welcome, err := recvMsg(rc)
+	l := newLink(c, nil, 0)
+	l.send(msg{Type: msgRegister, Name: name, Operator: fingerprint.Operator(testOperator)})
+	welcome, err := l.recv()
 	if err != nil || welcome.Type != msgWelcome {
 		t.Fatalf("%s: welcome: %+v, %v", name, welcome, err)
 	}
-	rc.SetLocalID(welcome.ID)
-	return rc
+	return l
 }
 
 // goodRecord is the record an honest worker would ship for energy i.
@@ -626,27 +596,26 @@ func TestFleetLyingWorkerRejected(t *testing.T) {
 	var seen atomic.Int32
 	addr, join := startCoordinator(ctx, es, opts, CoordinatorConfig{
 		Addr:           "127.0.0.1:0",
-		TCP:            fleetTCP(),
 		OperatorDesc:   testOperator,
 		CheckpointPath: path,
 		OnEnergy:       func(sweep.EnergyResult) { seen.Add(1) },
 	})
 
 	for k, lie := range resultLies(es, opts) {
-		rc := rawRegister(t, addr, fmt.Sprintf("liar%d", k))
-		assign, err := recvMsg(rc)
+		l := rawRegister(t, addr, fmt.Sprintf("liar%d", k))
+		assign, err := l.recv()
 		if err != nil || assign.Type != msgAssign {
 			t.Fatalf("%s: expected an assignment, got %+v, %v", lie.name, assign, err)
 		}
-		if err := sendMsg(rc, lie.forge(assign)); err != nil {
+		if err := l.send(lie.forge(assign)); err != nil {
 			t.Fatalf("%s: send: %v", lie.name, err)
 		}
-		// The coordinator hangs up and retires the identity: after the
-		// assignments already queued on the link, Recv must fail typed.
+		// The coordinator hangs up: after the assignments already queued on
+		// the link, recv must fail with ErrLinkLost.
 		dead := make(chan error, 1)
 		go func() {
 			for {
-				if _, err := recvMsg(rc); err != nil {
+				if _, err := l.recv(); err != nil {
 					dead <- err
 					return
 				}
@@ -654,20 +623,20 @@ func TestFleetLyingWorkerRejected(t *testing.T) {
 		}()
 		select {
 		case err := <-dead:
-			if !errors.Is(err, comm.ErrPartition) && !errors.Is(err, comm.ErrPeerLost) {
-				t.Errorf("%s: liar's link ended with %v, want a typed link failure", lie.name, err)
+			if !errors.Is(err, ErrLinkLost) {
+				t.Errorf("%s: liar's link ended with %v, want ErrLinkLost", lie.name, err)
 			}
 		case <-time.After(10 * time.Second):
 			t.Fatalf("%s: the coordinator kept the lying worker", lie.name)
 		}
-		rc.Close()
+		l.close()
 		if n := seen.Load(); n != 0 {
 			t.Fatalf("%s: %d energies reached a terminal state from a lying worker", lie.name, n)
 		}
 	}
 
 	if err := Work(ctx, fleetSolve(0), WorkerConfig{
-		Addr: addr, Name: "honest", OperatorDesc: testOperator, TCP: fleetTCP(),
+		Addr: addr, Name: "honest", OperatorDesc: testOperator,
 	}); err != nil {
 		t.Fatalf("honest worker: %v", err)
 	}
@@ -697,41 +666,25 @@ func TestFleetLyingWorkerRejected(t *testing.T) {
 	}
 }
 
-// TestFleetSilentWorkerSurvives pins the link as the fleet's only liveness
-// mechanism. A worker whose every solve outlasts the failure horizon
-// (IOTimeout*RetryBudget) several times over, sending nothing at the
-// application level meanwhile, is neither dropped nor has its energies
-// re-dispatched: its link acks the coordinator's Naks on its own. A peer
-// that has stopped answering at the link level — a SIGSTOPped process: the
-// conn stays open, nothing ever comes back — is still declared dead within
-// the horizon and its energies move to the survivor.
+// TestFleetSilentWorkerSurvives pins the heartbeat as the fleet's only
+// liveness mechanism. A worker whose every solve outlasts the horizon three
+// times over, sending no message meanwhile, is neither dropped nor has its
+// energies re-dispatched: its link's writer heartbeats on its own. A peer
+// that has stopped sending at all — a SIGSTOPped process: the conn stays
+// open, nothing ever comes back — is dropped within the horizon and its
+// energies move to the survivor.
 func TestFleetSilentWorkerSurvives(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	es := fleetEnergies(4)
 	opts := fleetOptions()
-	tcp := fleetTCP()
-	tcp.IOTimeout, tcp.RetryBudget = 40*time.Millisecond, 5
-	horizon := tcp.IOTimeout * time.Duration(tcp.RetryBudget)
+	horizon := linkTiming.horizon
 
 	addr, join := startCoordinator(ctx, es, opts, CoordinatorConfig{
 		Addr:         "127.0.0.1:0",
 		MinWorkers:   2,
-		TCP:          tcp,
 		OperatorDesc: testOperator,
 	})
-
-	// The frozen peer speaks raw frames over a bare conn so that nothing
-	// (no link pump) answers for it once it stops: hello, register, read
-	// until its first assignment, then silence with the conn left open.
-	frozen, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer frozen.Close()
-	register, _ := json.Marshal(msg{Type: msgRegister, Name: "frozen", Operator: fingerprint.Operator(testOperator)})
-	wire.Write(frozen, wire.Frame{Kind: wire.KindHello, Src: comm.WildcardID, Dst: 0})
-	wire.Write(frozen, wire.Frame{Kind: wire.KindData, Src: comm.WildcardID, Dst: 0, Seq: 0, Payload: register})
 
 	solves := make([]atomic.Int32, len(es))
 	slow := func(ctx context.Context, e float64, o core.Options) (*core.Result, error) {
@@ -749,19 +702,40 @@ func TestFleetSilentWorkerSurvives(t *testing.T) {
 	}
 	busyErr := make(chan error, 1)
 	go func() {
-		busyErr <- Work(ctx, slow, WorkerConfig{Addr: addr, Name: "busy", OperatorDesc: testOperator, TCP: tcp})
+		busyErr <- Work(ctx, slow, WorkerConfig{Addr: addr, Name: "busy", OperatorDesc: testOperator})
 	}()
 
+	// The frozen peer writes one raw frame over a bare conn, so nothing (no
+	// link writer) heartbeats for it: register, read until its first
+	// assignment, then silence with the conn left open. Its reads send
+	// nothing, and time how long the coordinator keeps it.
+	frozen, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer frozen.Close()
+	register, _ := json.Marshal(msg{Type: msgRegister, Name: "frozen", Operator: fingerprint.Operator(testOperator)})
+	if _, err := frozen.Write(journal.Frame(register)); err != nil {
+		t.Fatal(err)
+	}
 	frozen.SetReadDeadline(time.Now().Add(10 * time.Second))
+	in := bufio.NewReader(frozen)
 	for assigned := false; !assigned; {
-		f, err := wire.Read(frozen, 1<<20)
+		payload, err := readFrame(in, maxLine)
 		if err != nil {
 			t.Fatalf("frozen peer never saw an assignment: %v", err)
 		}
-		if f.Kind == wire.KindData {
-			m, _ := decodeMsg(f.Payload)
-			assigned = m.Type == msgAssign
+		m, _ := decodeMsg(payload)
+		assigned = m.Type == msgAssign
+	}
+	silent := time.Now()
+	for {
+		if _, err := readFrame(in, maxLine); err != nil {
+			break
 		}
+	}
+	if kept := time.Since(silent); kept > 2*horizon {
+		t.Errorf("the frozen peer was dropped %v after its last frame, want within the horizon %v", kept, horizon)
 	}
 
 	rep, err := join()
@@ -824,14 +798,14 @@ func TestResumeLastRecordWinsInBothEngines(t *testing.T) {
 				werr error
 			)
 			rep, err := Coordinate(ctx, es, opts, CoordinatorConfig{
-				Addr: "127.0.0.1:0", TCP: fleetTCP(), OperatorDesc: testOperator,
+				Addr: "127.0.0.1:0", OperatorDesc: testOperator,
 				CheckpointPath: path, Resume: true, RetryFailed: retryFailed, OnEnergy: onEnergy,
 				// A listener is only opened when something is left to solve.
 				OnListen: func(addr string) {
 					wg.Add(1)
 					go func() {
 						defer wg.Done()
-						werr = Work(ctx, fleetSolve(0), WorkerConfig{Addr: addr, Name: "w", OperatorDesc: testOperator, TCP: fleetTCP()})
+						werr = Work(ctx, fleetSolve(0), WorkerConfig{Addr: addr, Name: "w", OperatorDesc: testOperator})
 					}()
 				},
 			})
@@ -911,7 +885,7 @@ func FuzzFleetMsg(f *testing.F) {
 		f.Add(b)
 	}
 	seed(msg{Type: msgRegister, Name: "w1", Operator: fingerprint.Operator(testOperator)})
-	seed(msg{Type: msgWelcome, ID: 3, Operator: fingerprint.Operator(testOperator), Opts: &opts})
+	seed(msg{Type: msgWelcome, Operator: fingerprint.Operator(testOperator), Opts: &opts})
 	seed(msg{Type: msgAssign, Index: 1, Energy: es[1], Key: "k"})
 	seed(msg{Type: msgDone})
 	for i := range es {
@@ -947,7 +921,7 @@ func FuzzFleetMsg(f *testing.F) {
 		}
 		co := &coordinator{
 			es:         es,
-			workers:    make(map[byte]*remote),
+			workers:    make(map[int]*remote),
 			assignedTo: []int{1, 1, 1},
 			report:     sweep.NewReport(es),
 			journal:    journal,

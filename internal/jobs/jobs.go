@@ -721,10 +721,21 @@ func (m *Manager) run(j *job) {
 		out Outcome
 		err error
 	)
+	// tick orders the progress callbacks of concurrent sweep workers: each
+	// takes its seq, journals and publishes as one step, so the log and the
+	// stream see seqs in order, and a tick overtaken by a later one is
+	// dropped, so Done never goes backwards.
+	var tick sync.Mutex
 	//cbs:chaossite jobs.run
 	if err = m.cfg.Chaos.JobFault(j.seq); err == nil {
 		out, err = j.task(j.ctx, func(done, total int) {
+			tick.Lock()
+			defer tick.Unlock()
 			j.mu.Lock()
+			if done < j.done {
+				j.mu.Unlock()
+				return
+			}
 			j.done, j.total = done, total
 			j.mu.Unlock()
 			pseq := j.events.next()

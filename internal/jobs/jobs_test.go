@@ -2,8 +2,10 @@ package jobs
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
+	"path/filepath"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -12,6 +14,7 @@ import (
 
 	"cbs/internal/chaos"
 	"cbs/internal/core"
+	"cbs/internal/journal"
 )
 
 // submit is shorthand for the plain single-task submissions of these
@@ -344,4 +347,107 @@ func waitState(t *testing.T, m *Manager, id string, want State) {
 	}
 	snap, _ := m.Get(id)
 	t.Fatalf("job %s stuck in %s, want %s", id, snap.State, want)
+}
+
+// TestConcurrentProgressInOrder: a task whose energies finish on several
+// goroutines at once ticks progress concurrently, as a sweep with more than
+// one worker does. Each tick's seq, journal record and published event must
+// come out in one order and Done must never go backwards: the watched
+// stream has strictly increasing seqs and non-decreasing Done, and the job
+// log replays in seq order.
+func TestConcurrentProgressInOrder(t *testing.T) {
+	const tickers, ticks = 8, 25
+	path := filepath.Join(t.TempDir(), "jobs.log")
+	st, _ := openStore(t, path, "op-v1")
+	m := New(Config{Workers: 1, QueueDepth: 4, Store: st})
+	release := make(chan struct{})
+	id, err := submit(m, KindSweep, func(ctx context.Context, progress func(int, int)) (Outcome, error) {
+		<-release
+		var done atomic.Int64
+		var wg sync.WaitGroup
+		for g := 0; g < tickers; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := 0; k < ticks; k++ {
+					progress(int(done.Add(1)), tickers*ticks)
+				}
+			}()
+		}
+		wg.Wait()
+		return Outcome{}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, live, cancel, err := m.Watch(id, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	// A subscriber that falls subBuffer events behind is cut off; resume
+	// from the last seen seq as an SSE client would.
+	deadline := time.After(10 * time.Second)
+	for live != nil {
+		select {
+		case ev, ok := <-live:
+			if ok {
+				events = append(events, ev)
+				continue
+			}
+			cancel()
+			var past []Event
+			past, live, cancel, err = m.Watch(id, events[len(events)-1].Seq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			events = append(events, past...)
+		case <-deadline:
+			t.Fatal("the event stream never ended")
+		}
+	}
+	cancel()
+
+	check := func(where string, evs []Event) {
+		t.Helper()
+		lastDone := 0
+		for i, ev := range evs {
+			if i > 0 && ev.Seq <= evs[i-1].Seq {
+				t.Fatalf("%s: seq %d after %d", where, ev.Seq, evs[i-1].Seq)
+			}
+			if ev.Ev == evProgress {
+				if ev.Done < lastDone {
+					t.Fatalf("%s: done went back from %d to %d at seq %d", where, lastDone, ev.Done, ev.Seq)
+				}
+				lastDone = ev.Done
+			}
+		}
+		if lastDone != tickers*ticks {
+			t.Errorf("%s: last progress done=%d, want %d", where, lastDone, tickers*ticks)
+		}
+	}
+	check("stream", events)
+	if snap, _ := m.Get(id); snap.Done != tickers*ticks {
+		t.Errorf("job done=%d, want %d", snap.Done, tickers*ticks)
+	}
+	ctx, cancelDrain := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancelDrain()
+	if err := m.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logged []Event
+	for _, line := range journal.Lines(data)[1:] {
+		var rec logRecord
+		if err := json.Unmarshal(line.Payload, &rec); err != nil {
+			t.Fatal(err)
+		}
+		logged = append(logged, Event{Seq: rec.Seq, Ev: rec.Ev, Done: rec.Done})
+	}
+	check("job log", logged)
 }

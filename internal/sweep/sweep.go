@@ -29,8 +29,7 @@
 // Krylov breakdown or stagnation never leaves core.Solve as an error —
 // core's own ladder (restart, GMRES, drop the pair) consumes it and only
 // the overflow reaches this one, as contour.ErrTooManyDropped; a dead
-// worker link is the fleet's to re-dispatch; frame loss, reordering and
-// corruption are healed inside comm.RConn.
+// worker link is the fleet's to re-dispatch.
 package sweep
 
 import (
@@ -468,18 +467,9 @@ func runEnergy(ctx context.Context, solve SolveFunc, i int, e float64, base core
 			// shape. The decomposition is deterministic, so a retry
 			// reproduces the same disagreement: terminal.
 			return fail(err)
-		case errors.Is(err, comm.ErrClosed),
-			errors.Is(err, comm.ErrPeerLost),
-			errors.Is(err, comm.ErrPartition),
-			errors.Is(err, comm.ErrFrameCorrupt):
-			// Of comm's sentinels only ErrShapeMismatch (above) and
-			// ErrClosed — a rank world torn down under a blocked rank —
-			// can come out of a solve: ranks are goroutines on channels.
-			// The other three are failures of the fleet's TCP link, which
-			// the coordinator answers by re-dispatching the energy and a
-			// solve never sees; they are named here only because the
-			// errladder check wants every comm sentinel classified. The
-			// rank world is rebuilt on every attempt: plain retry.
+		case errors.Is(err, comm.ErrClosed):
+			// A rank world torn down under a blocked rank. The world is
+			// rebuilt on every attempt: plain retry.
 			er.Escalations = append(er.Escalations, fmt.Sprintf("fabric rebuilt, attempt %d (transport failure)", er.Attempts))
 		default:
 			// Unclassified (chaos faults, operator errors): plain retry.

@@ -483,10 +483,9 @@ func TestSweepOnEnergyProgress(t *testing.T) {
 // TestSweepTransportRetry: comm.ErrClosed means the rank world died under
 // the solve, not that the physics failed — the ladder retries plainly (the
 // world is rebuilt on every attempt) and a clean second attempt is OK, not
-// Degraded. The three link sentinels share the arm because the errladder
-// check wants every comm sentinel classified; no solve produces them.
+// Degraded.
 func TestSweepTransportRetry(t *testing.T) {
-	for _, transient := range []error{comm.ErrPeerLost, comm.ErrPartition, comm.ErrFrameCorrupt, comm.ErrClosed} {
+	for _, transient := range []error{comm.ErrClosed} {
 		var calls atomic.Int64
 		solve := func(ctx context.Context, e float64, opts core.Options) (*core.Result, error) {
 			if calls.Add(1) == 1 {
