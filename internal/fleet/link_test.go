@@ -45,20 +45,24 @@ func linkPair(t *testing.T) (a, b *link) {
 	return a, b
 }
 
-// TestLinkRoundTrip: messages cross a link whole and in order in both
-// directions, heartbeats in between never surface, and each message is one
-// journal.Frame line on the wire.
-func TestLinkRoundTrip(t *testing.T) {
-	a, b := linkPair(t)
+// sampleMsgs returns one message of each type the fleet protocol sends.
+func sampleMsgs() []msg {
 	opts := fleetOptions()
 	es := fleetEnergies(4)
-	sent := []msg{
+	return []msg{
 		{Type: msgRegister, Name: "w1", Operator: "digest"},
 		{Type: msgWelcome, Operator: "digest", Opts: &opts},
 		{Type: msgAssign, Index: 3, Energy: es[3], Key: "k"},
 		{Type: msgResult, Index: 3, Record: goodRecord(es, 3, opts)},
 		{Type: msgDone},
 	}
+}
+
+// TestLinkSendRecv: messages cross a link whole and in order in both
+// directions, and heartbeats in between never surface.
+func TestLinkSendRecv(t *testing.T) {
+	a, b := linkPair(t)
+	sent := sampleMsgs()
 	for _, m := range sent {
 		if err := a.send(m); err != nil {
 			t.Fatal(err)
@@ -82,12 +86,31 @@ func TestLinkRoundTrip(t *testing.T) {
 	if got, err := a.recv(); err != nil || got.Type != msgDone {
 		t.Fatalf("reverse direction: %+v, %v", got, err)
 	}
+}
 
-	payload, _ := json.Marshal(sent[2])
-	line := journal.Frame(payload)
-	got, err := readFrame(bufio.NewReader(bytes.NewReader(line)), maxLine)
-	if err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("frame %q read back as %q, %v", line, got, err)
+// TestLinkFrameRoundTrip: each message is one journal.Frame line on the
+// wire, and a stream of such lines, a heartbeat after each, reads back
+// payload by payload and then ends with ErrLinkLost.
+func TestLinkFrameRoundTrip(t *testing.T) {
+	var stream []byte
+	var payloads [][]byte
+	for _, m := range sampleMsgs() {
+		p, _ := json.Marshal(m)
+		line := journal.Frame(p)
+		if bytes.IndexByte(line, '\n') != len(line)-1 {
+			t.Fatalf("frame %q is not one line", line)
+		}
+		payloads = append(payloads, p, []byte("{}"))
+		stream = append(append(stream, line...), heartbeatLine...)
+	}
+	r := bufio.NewReader(bytes.NewReader(stream))
+	for i, p := range payloads {
+		if got, err := readFrame(r, maxLine); err != nil || !bytes.Equal(got, p) {
+			t.Fatalf("frame %d read back as %q, %v; want %q", i, got, err, p)
+		}
+	}
+	if got, err := readFrame(r, maxLine); !errors.Is(err, ErrLinkLost) {
+		t.Fatalf("end of stream read as %q, %v; want ErrLinkLost", got, err)
 	}
 }
 
