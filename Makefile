@@ -27,7 +27,7 @@ test: test-noavx2
 test-noavx2:
 	CBS_NO_AVX2=1 $(GO) test -count=1 ./internal/soa ./internal/hamiltonian \
 		./internal/qep ./internal/linsolve ./internal/core ./internal/tb \
-		./internal/dist
+		./internal/dist ./internal/zlinalg ./internal/ssm ./internal/negf
 
 race:
 	$(GO) test -race -short ./...
@@ -136,6 +136,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzOpenStore -fuzztime=30s ./internal/jobs
 	$(GO) test -run=NONE -fuzz=FuzzPostBodies -fuzztime=30s ./cmd/cbsd
 	$(GO) test -run=NONE -fuzz=FuzzStencilRow -fuzztime=30s ./internal/soa
+	$(GO) test -run=NONE -fuzz=FuzzLaneKernels -fuzztime=30s ./internal/soa
 
 # bench-smoke is the CI gate on the one benchmark (bench/, BENCHMARK.json):
 # all five workloads at tiny sizes with a one-second timed part each, every
@@ -144,10 +145,14 @@ fuzz-smoke:
 bench-smoke:
 	$(GO) run ./bench -workload all -smoke -seconds 1
 
-# layer-bench-smoke runs the two layer benchmarks under bench/'s
-# qep.pz_block_ns_per_col and linsolve.ns_per_iter_col once each, on both
-# arms of the kernel dispatch, so they cannot rot; the timings of a single
-# iteration mean nothing.
+# layer-bench-smoke runs the layer benchmarks — the P(z) block apply and
+# the block solve under bench/'s qep.pz_block_ns_per_col and
+# linsolve.ns_per_iter_col, one Krylov iteration's vector work, and the
+# Hankel SVD under core.extract_ms — once each, on both arms of the kernel
+# dispatch, so they cannot rot; the timings of a single iteration mean
+# nothing.
 layer-bench-smoke:
-	$(GO) test -run=NONE -bench='ApplyBlockSoA|BlockBiCGDualSoA' -benchtime=1x ./internal/linsolve
-	CBS_NO_AVX2=1 $(GO) test -run=NONE -bench='ApplyBlockSoA|BlockBiCGDualSoA' -benchtime=1x ./internal/linsolve
+	$(GO) test -run=NONE -bench='ApplyBlockSoA|BlockBiCGDualSoA|KrylovStep' -benchtime=1x ./internal/linsolve
+	CBS_NO_AVX2=1 $(GO) test -run=NONE -bench='ApplyBlockSoA|BlockBiCGDualSoA|KrylovStep' -benchtime=1x ./internal/linsolve
+	$(GO) test -run=NONE -bench=JacobiSVD -benchtime=1x ./internal/zlinalg
+	CBS_NO_AVX2=1 $(GO) test -run=NONE -bench=JacobiSVD -benchtime=1x ./internal/zlinalg

@@ -166,6 +166,7 @@ func (w *WorkspaceSoA[F]) run(n, nb int, opts Options, groups []*GroupStop) ([]R
 		w.alphaStep(alpha)
 		pollStops()
 		if err := w.residuals(dots, nrm2, nrm2d, stop); err != nil {
+			w.finishAlpha()
 			return results, err
 		}
 		for c := 0; c < nb; c++ {

@@ -19,11 +19,12 @@ type Reduce func(sums []complex128) error
 
 // WorkspaceSoA holds the Krylov blocks of the block solver as split-complex
 // planes and the per-column recurrence scalars as complex128. Each
-// iteration splits the scalars once into plane-typed per-column coefficient
-// arrays (alpha and beta with their conjugate and negated parts) and lane
-// masks, which is all the soa column-lane kernels need to run the updates
-// with one vector lane per column. One workspace per worker is reused
-// across all quadrature points; the steady-state solve allocates nothing.
+// iteration splits alpha and beta into plane-typed soa.ColCoefs (the
+// parts and the lane masks), which is all the soa column-lane kernels need
+// to run the updates with one vector lane per column: three passes over the blocks per iteration, <pd, q>, the residual
+// update fused with the residual sums, and the solution update fused with
+// the direction update. One workspace per worker is reused across all
+// quadrature points; the steady-state solve allocates nothing.
 type WorkspaceSoA[F soa.Float] struct {
 	n, nb int
 
@@ -34,11 +35,10 @@ type WorkspaceSoA[F soa.Float] struct {
 	b, bd, x, xd *soa.Block[F]
 	reduce       Reduce // nil: this workspace holds every row
 
-	coRe, coIm   []F          // alpha or beta split per column
-	negRe, negIm []F          // the same parts negated
-	dRe, dIm     []F          // column-dot accumulators
-	live         []uint64     // lane masks: all-ones = update the column
-	sums         []complex128 // one reduction step's per-column sums
+	alphaCo, betaCo soa.ColCoef[F] // alpha and beta split per column
+	dRe, dIm        []F            // column-dot accumulators
+	n2, n2d         []F            // squared-norm accumulators of r and rd
+	sums            []complex128   // one reduction step's per-column sums
 
 	dualRecurrence
 }
@@ -69,22 +69,24 @@ func (w *WorkspaceSoA[F]) Reserve(n, nb int) {
 		w.q.Reserve(n, nb)
 		w.qd.Reserve(n, nb)
 	}
-	if cap(w.live) < nb {
-		co := make([]F, 6*nb) // one backing array for the six per-column planes
-		w.coRe, w.coIm = co[0*nb:1*nb:1*nb], co[1*nb:2*nb:2*nb]
-		w.negRe, w.negIm = co[2*nb:3*nb:3*nb], co[3*nb:4*nb:4*nb]
-		w.dRe, w.dIm = co[4*nb:5*nb:5*nb], co[5*nb:6*nb:6*nb]
-		w.live = make([]uint64, nb)
+	if cap(w.sums) < 3*nb {
+		co := make([]F, 8*nb) // one backing array for the eight per-column planes
+		part := func(i int) []F { return co[i*nb : (i+1)*nb : (i+1)*nb] }
+		w.alphaCo = soa.ColCoef[F]{Re: part(0), Im: part(1)}
+		w.betaCo = soa.ColCoef[F]{Re: part(2), Im: part(3)}
+		w.dRe, w.dIm, w.n2, w.n2d = part(4), part(5), part(6), part(7)
+		masks := make([]uint64, 2*nb)
+		w.alphaCo.Mask, w.betaCo.Mask = masks[:nb:nb], masks[nb:]
 		w.sums = make([]complex128, 3*nb)
 	}
 	w.reserve(nb)
 }
 
 // MemoryBytes reports the workspace's resident bytes: the six Krylov blocks,
-// the per-column recurrence state and, per column, the six coefficient/dot
-// planes, the lane mask and the three reduction sums.
+// the per-column recurrence state and, per column, the eight coefficient,
+// dot and norm planes, the two lane masks and the three reduction sums.
 func (w *WorkspaceSoA[F]) MemoryBytes() int64 {
-	return w.r.MemoryBytes()*6 + w.memoryBytes() + int64(cap(w.live))*(6*8+8+3*16)
+	return w.r.MemoryBytes()*6 + w.memoryBytes() + int64(cap(w.alphaCo.Mask))*(8*8+2*8+3*16)
 }
 
 // BlockBiCGDualSoA solves the nb independent primal systems A x_c = b_c and
@@ -135,30 +137,31 @@ func (w *WorkspaceSoA[F]) complete(sums []complex128) error {
 	return w.reduce(sums)
 }
 
-// colDots computes the conjugated column dots <x_c, y_c> into sums.
+// krylov binds the workspace's blocks and the solve's x, xd for the soa
+// column-lane kernels.
 //
 //cbs:hotpath
-func (w *WorkspaceSoA[F]) colDots(sums []complex128, x, y *soa.Block[F]) {
-	dRe, dIm := w.dRe[:w.nb], w.dIm[:w.nb]
-	soa.DotCols(dRe, dIm, x, y)
+func (w *WorkspaceSoA[F]) krylov() soa.Krylov[F] {
+	return soa.Krylov[F]{X: w.x, XD: w.xd, R: w.r, RD: w.rd, P: w.p, PD: w.pd, Q: w.q, QD: w.qd}
+}
+
+// packDots packs the column dots in dRe, dIm into sums.
+//
+//cbs:hotpath
+func (w *WorkspaceSoA[F]) packDots(sums []complex128) {
+	dRe, dIm := w.dRe[:len(sums)], w.dIm[:len(sums)]
 	for c := range sums {
 		sums[c] = complex(float64(dRe[c]), float64(dIm[c]))
 	}
 }
 
-// colNorms2 packs the squared column norms of x and y as (|x_c|^2, |y_c|^2):
-// the real part of <x_c, x_c> is the row-ordered sum of re*re + im*im.
+// packNorms2 packs squared column norms as (|x_c|^2, |y_c|^2).
 //
 //cbs:hotpath
-func (w *WorkspaceSoA[F]) colNorms2(sums []complex128, x, y *soa.Block[F]) {
-	dRe, dIm := w.dRe[:w.nb], w.dIm[:w.nb]
-	soa.DotCols(dRe, dIm, x, x)
+func packNorms2[F soa.Float](sums []complex128, nx, ny []F) {
+	nx, ny = nx[:len(sums)], ny[:len(sums)]
 	for c := range sums {
-		sums[c] = complex(float64(dRe[c]), 0)
-	}
-	soa.DotCols(dRe, dIm, y, y)
-	for c := range sums {
-		sums[c] = complex(real(sums[c]), float64(dRe[c]))
+		sums[c] = complex(float64(nx[c]), float64(ny[c]))
 	}
 }
 
@@ -172,8 +175,10 @@ func unpackNorms(nrm, nrmD []float64, sums []complex128) {
 	}
 }
 
-// start binds r = b - A x, rd = bd - A^dagger xd, p = r, pd = rd, and
-// returns the column norms of b and bd.
+// start binds r = b - A x, rd = bd - A^dagger xd, p = r, pd = rd, returns
+// the column norms of b and bd, and leaves the local residual sums of r and
+// rd (DotCols, the sums AlphaCols returns on later iterations) in dRe, dIm,
+// n2, n2d.
 func (w *WorkspaceSoA[F]) start(nrmB, nrmBD []float64) error {
 	w.a(w.x, w.q)
 	w.ad(w.xd, w.qd)
@@ -185,12 +190,18 @@ func (w *WorkspaceSoA[F]) start(nrmB, nrmBD []float64) error {
 	copy(w.p.Im, w.r.Im)
 	copy(w.pd.Re, w.rd.Re)
 	copy(w.pd.Im, w.rd.Im)
-	sums := w.sums[:w.nb]
-	w.colNorms2(sums, w.b, w.bd)
+	nb := w.nb
+	sums := w.sums[:nb]
+	soa.DotCols(w.n2[:nb], w.dIm[:nb], w.b, w.b)
+	soa.DotCols(w.n2d[:nb], w.dIm[:nb], w.bd, w.bd)
+	packNorms2(sums, w.n2, w.n2d)
 	if err := w.complete(sums); err != nil {
 		return err
 	}
 	unpackNorms(nrmB, nrmBD, sums)
+	soa.DotCols(w.n2[:nb], w.dIm[:nb], w.r, w.r)
+	soa.DotCols(w.n2d[:nb], w.dIm[:nb], w.rd, w.rd)
+	soa.DotCols(w.dRe[:nb], w.dIm[:nb], w.rd, w.r)
 	return nil
 }
 
@@ -203,7 +214,8 @@ func (w *WorkspaceSoA[F]) apply() {
 // directionDots computes dots[c] = <pd_c, q_c>.
 func (w *WorkspaceSoA[F]) directionDots(dots []complex128) error {
 	sums := w.sums[:w.nb]
-	w.colDots(sums, w.pd, w.q)
+	soa.DotCols(w.dRe[:w.nb], w.dIm[:w.nb], w.pd, w.q)
+	w.packDots(sums)
 	if err := w.complete(sums); err != nil {
 		return err
 	}
@@ -211,14 +223,14 @@ func (w *WorkspaceSoA[F]) directionDots(dots []complex128) error {
 	return nil
 }
 
-// residuals computes dots[c] = <rd_c, r_c>, nrm[c] = ||r_c||,
-// nrmD[c] = ||rd_c|| and completes the group-stop polls in stop, all in one
-// reduction.
+// residuals completes the local residual sums left by start or alphaStep
+// into dots[c] = <rd_c, r_c>, nrm[c] = ||r_c||, nrmD[c] = ||rd_c|| and the
+// group-stop polls in stop, all in one reduction.
 func (w *WorkspaceSoA[F]) residuals(dots []complex128, nrm, nrmD []float64, stop []bool) error {
 	nb := w.nb
 	sums := w.sums[:3*nb]
-	w.colDots(sums[:nb], w.rd, w.r)
-	w.colNorms2(sums[nb:2*nb], w.r, w.rd)
+	w.packDots(sums[:nb])
+	packNorms2(sums[nb:2*nb], w.n2, w.n2d)
 	for c, s := range stop {
 		sums[2*nb+c] = 0
 		if s {
@@ -247,18 +259,17 @@ func subPlanes[F soa.Float](dst, a, b []F) {
 	}
 }
 
-// splitCoefs splits the per-column scalars z into the workspace's (re, im)
-// coefficient arrays and their negations, once per update step.
+// split splits the per-column scalars z into co's (re, im) parts, once
+// per update step, and sizes co's mask to match.
 //
 //cbs:hotpath
-func (w *WorkspaceSoA[F]) splitCoefs(z []complex128) (re, im, negRe, negIm []F, live []uint64) {
+func split[F soa.Float](co *soa.ColCoef[F], z []complex128) *soa.ColCoef[F] {
 	nb := len(z)
-	re, im, negRe, negIm = w.coRe[:nb], w.coIm[:nb], w.negRe[:nb], w.negIm[:nb]
+	co.Re, co.Im, co.Mask = co.Re[:nb], co.Im[:nb], co.Mask[:nb]
 	for c, v := range z {
-		re[c], im[c] = F(real(v)), F(imag(v))
-		negRe[c], negIm[c] = -re[c], -im[c]
+		co.Re[c], co.Im[c] = F(real(v)), F(imag(v))
 	}
-	return re, im, negRe, negIm, w.live[:nb]
+	return co
 }
 
 // lane is one column's mask for the soa column-lane kernels: all-ones
@@ -272,35 +283,51 @@ func lane(on bool) uint64 {
 	return 0
 }
 
-// alphaStep is x += alpha*p, xd += conj(alpha)*pd, r -= alpha*q,
-// rd -= conj(alpha)*qd, each one masked column-lane pass with the
-// conjugation and the subtraction folded into the coefficient's signs
+// alphaStep is the residual half of the alpha step, r -= alpha*q and
+// rd -= conj(alpha)*qd, in one masked column-lane pass that also leaves the
+// local sums of <rd, r>, ||r||^2 and ||rd||^2 for residuals. The kernels
+// fold the conjugation and the subtraction into the coefficient's signs
 // (exact; see the soa column-lane kernels), so every element sees the
 // multiplies and adds of the per-column BiCGDual update in the same order.
-// alpha = 0 freezes a column: its lane is masked off and nothing is stored
-// to it.
+// The split alpha is kept for the solution half, x += alpha*p and
+// xd += conj(alpha)*pd, which betaStep or finishAlpha runs. alpha = 0
+// freezes a column: its lane is masked off and nothing is stored to it.
 //
 //cbs:hotpath
 func (w *WorkspaceSoA[F]) alphaStep(alpha []complex128) {
-	re, im, negRe, negIm, live := w.splitCoefs(alpha)
+	co := split(&w.alphaCo, alpha)
 	for c, al := range alpha {
-		live[c] = lane(al != 0)
+		co.Mask[c] = lane(al != 0)
 	}
-	soa.AxpyCols(w.x, w.p, re, im, live)
-	soa.AxpyCols(w.xd, w.pd, re, negIm, live)
-	soa.AxpyCols(w.r, w.q, negRe, negIm, live)
-	soa.AxpyCols(w.rd, w.qd, negRe, im, live)
+	k := w.krylov()
+	nb := len(alpha)
+	soa.AlphaCols(&k, co, w.dRe[:nb], w.dIm[:nb], w.n2[:nb], w.n2d[:nb])
 }
 
-// betaStep is p = r + beta*p and its dual with conj(beta), frozen columns
+// betaStep ends the iteration in one pass: the solution half of the alpha
+// step, then p = r + beta*p and its dual with conj(beta), frozen columns
 // masked off.
 //
 //cbs:hotpath
 func (w *WorkspaceSoA[F]) betaStep(beta []complex128, active []bool) {
-	re, im, _, negIm, live := w.splitCoefs(beta)
+	co := split(&w.betaCo, beta)
 	for c, on := range active {
-		live[c] = lane(on)
+		co.Mask[c] = lane(on)
 	}
-	soa.XpayCols(w.p, w.r, re, im, live)
-	soa.XpayCols(w.pd, w.rd, re, negIm, live)
+	k := w.krylov()
+	soa.BetaCols(&k, &w.alphaCo, co)
+}
+
+// finishAlpha runs the solution half of the alpha step alone, a beta pass
+// with every direction lane off, so x and xd hold the iteration's update
+// when the solve ends between alphaStep and betaStep.
+//
+//cbs:hotpath
+func (w *WorkspaceSoA[F]) finishAlpha() {
+	co := split(&w.betaCo, w.beta[:w.nb])
+	for c := range co.Mask {
+		co.Mask[c] = 0
+	}
+	k := w.krylov()
+	soa.BetaCols(&k, &w.alphaCo, co)
 }

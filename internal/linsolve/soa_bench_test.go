@@ -39,11 +39,12 @@ func benchAlPz(b *testing.B) (n int, apply, applyD BlockApplySoA[float64]) {
 // BenchmarkApplyBlockSoA is the layer benchmark behind the harness's
 // qep.pz_block_ns_per_col: one P(z) block apply on split planes (row
 // stencil kernel, cell couplings, projector gather/scatter) at the sweep's
-// block width (4) and the paper's (16). ns/col is wall time per apply per
-// column; CBS_NO_AVX2=1 times the scalar arm.
+// block width (4), the TB slab's (8), the paper's (16) and twice that: the
+// stencil's four-point, two-point, one- and two-tile rows. ns/col is wall
+// time per apply per column; CBS_NO_AVX2=1 times the scalar arm.
 func BenchmarkApplyBlockSoA(b *testing.B) {
 	n, apply, _ := benchAlPz(b)
-	for _, nb := range []int{4, 16} {
+	for _, nb := range []int{4, 8, 16, 32} {
 		b.Run(fmt.Sprintf("nb=%d", nb), func(b *testing.B) {
 			v := randBlock(n, nb, 1)
 			out := soa.NewBlock[float64](n, nb)
@@ -105,4 +106,46 @@ func benchBlockSolve(b *testing.B, n, nb int, apply, applyD BlockApplySoA[float6
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(iterCols), "ns/iter-col")
+}
+
+// BenchmarkKrylovStep is the layer benchmark of one block dual-BiCG
+// iteration's vector work outside the two applies: <pd, q>, the alpha
+// update with the residual sums, their reduction bookkeeping and the beta
+// update, on n = 1000 rows (the Al(100) 10x10x10 grid) at block widths 4, 8
+// and 16. ns/col is wall time per iteration per column; CBS_NO_AVX2=1 times
+// the scalar arm.
+func BenchmarkKrylovStep(b *testing.B) {
+	const n = 1000
+	for _, nb := range []int{4, 8, 16} {
+		b.Run(fmt.Sprintf("nb=%d", nb), func(b *testing.B) {
+			w := NewWorkspaceSoA[float64](n, nb)
+			w.x, w.xd = randBlock(n, nb, 1), randBlock(n, nb, 2)
+			for i, blk := range []*soa.Block[float64]{w.r, w.rd, w.p, w.pd, w.q, w.qd} {
+				src := randBlock(n, nb, int64(3+i))
+				copy(blk.Re, src.Re)
+				copy(blk.Im, src.Im)
+			}
+			alpha, beta, dots := make([]complex128, nb), make([]complex128, nb), make([]complex128, nb)
+			nrm, nrmD := make([]float64, nb), make([]float64, nb)
+			active, stop := make([]bool, nb), make([]bool, nb)
+			for c := range alpha {
+				// |beta| < 1 keeps the repeated direction update bounded.
+				alpha[c], beta[c] = complex(0.01, -0.02), complex(0.3, 0.2)
+				active[c] = true
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := w.directionDots(dots); err != nil {
+					b.Fatal(err)
+				}
+				w.alphaStep(alpha)
+				if err := w.residuals(dots, nrm, nrmD, stop); err != nil {
+					b.Fatal(err)
+				}
+				w.betaStep(beta, active)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nb), "ns/col")
+		})
+	}
 }

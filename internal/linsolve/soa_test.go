@@ -1,6 +1,8 @@
 package linsolve
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -186,10 +188,56 @@ func TestWorkspaceSoAMemoryBytes(t *testing.T) {
 		want += b.MemoryBytes()
 	}
 	want += int64(cap(w.rho)+cap(w.alpha)+cap(w.beta)+cap(w.dots)+cap(w.sums)) * 16
-	want += int64(cap(w.coRe)+cap(w.coIm)+cap(w.negRe)+cap(w.negIm)+cap(w.dRe)+cap(w.dIm)+cap(w.live)) * 8
+	for _, co := range []soa.ColCoef[float64]{w.alphaCo, w.betaCo} {
+		want += int64(cap(co.Re)+cap(co.Im)+cap(co.Mask)) * 8
+	}
+	want += int64(cap(w.dRe)+cap(w.dIm)+cap(w.n2)+cap(w.n2d)) * 8
 	want += int64(cap(w.nrmB)+cap(w.nrmBD)+cap(w.rel)+cap(w.relD)+cap(w.nrm2)+cap(w.nrm2d)) * 8
 	want += int64(cap(w.active) + cap(w.stop))
 	if got := w.MemoryBytes(); got != want {
 		t.Errorf("MemoryBytes = %d, allocated buffers sum to %d", got, want)
+	}
+}
+
+// TestReduceErrorKeepsSolutionUpdate: a reduction that fails at the
+// residual step of the first iteration ends the solve with x and xd
+// holding that iteration's update — the bits a solve capped at one
+// iteration leaves — though the update's second half runs after the
+// reduction.
+func TestReduceErrorKeepsSolutionUpdate(t *testing.T) {
+	const n, nb = 23, 6
+	op := newTestOp(n, 7)
+	a, ad := op.applySoA(false), op.applySoA(true)
+	b := randBlock(n, nb, 8)
+	solve := func(maxIter, failAt int) (*soa.Block[float64], *soa.Block[float64], error) {
+		x, xd := soa.NewBlock[float64](n, nb), soa.NewBlock[float64](n, nb)
+		calls := 0
+		reduce := func([]complex128) error {
+			calls++
+			if calls == failAt {
+				return errors.New("reduce failed")
+			}
+			return nil
+		}
+		_, err := NewWorkspaceSoA[float64](n, nb).SolveRank(a, ad, b, b, x, xd, n,
+			Options{Tol: 1e-14, MaxIter: maxIter}, nil, reduce)
+		return x, xd, err
+	}
+	wantX, wantXD, err := solve(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Reductions: the norms of b, the initial residuals, then per
+	// iteration the direction dots and the residuals.
+	gotX, gotXD, err := solve(100, 4)
+	if err == nil {
+		t.Fatal("the failed reduction was not returned")
+	}
+	for _, pl := range [][2][]float64{{gotX.Re, wantX.Re}, {gotX.Im, wantX.Im}, {gotXD.Re, wantXD.Re}, {gotXD.Im, wantXD.Im}} {
+		for i := range pl[1] {
+			if math.Float64bits(pl[0][i]) != math.Float64bits(pl[1][i]) {
+				t.Fatalf("element %d = %g after the failed reduction, %g after one full iteration", i, pl[0][i], pl[1][i])
+			}
+		}
 	}
 }

@@ -8,7 +8,7 @@ package soa
 // dispatched at runtime (HasAVX2) with a scalar sibling of each as the
 // portable arm: the cell-coupling axpy and the column-lane Krylov kernels
 // in this file, the stencil row and the projector gather/scatter in
-// stencil.go.
+// stencil.go, the Jacobi pair kernels in jacobi.go.
 //
 // Bit-exactness contract: every asm kernel performs, per element, exactly
 // the multiplies and adds of its scalar sibling in the same order. VMULPD /
@@ -57,111 +57,229 @@ func axpyCplxScalar[F Float](dstRe, dstIm, srcRe, srcIm []F, cr, ci F) {
 
 // ---- column-lane kernels ------------------------------------------------
 //
-// The three kernels below run the per-column Krylov recurrences of the
-// block solver over whole n x nb blocks. A block row Re[i*nb : (i+1)*nb]
+// The kernels below run the per-column Krylov recurrences of the block
+// solver over whole n x nb blocks, three passes per iteration: DotCols for
+// <PD, Q>, AlphaCols for the residual update fused with the residual sums
+// of its result, BetaCols for the solution update fused with the direction
+// update (the old P it reads serves both). A block row Re[i*nb : (i+1)*nb]
 // holds the nb columns contiguously, so one vector spans four columns and
 // the per-column coefficients a[c] ride in the matching lanes: lane =
 // column. Every element still sees exactly the multiplies and adds of the
 // scalar body in the same order, and every column's sum runs through its
 // own accumulator in row order, so the kernels are bit-identical to the
-// scalar siblings on any nb (whole vectors for nb&^3 columns, the same
-// arithmetic one lane at a time for the rest).
+// scalar siblings on any nb. The asm walks the block one column chunk at a
+// time (16, 4 or 1 columns for DotCols; for the fused steps 8, 4 or 1 in
+// row tiles of about 1 KiB per plane) with the chunk's sums in registers
+// down the rows; the scalar bodies walk rows outermost. Both orders give
+// each column the same sequence of operations. No pass touches more than
+// twelve planes: the planes of a solve share their 4 KiB offsets, so more
+// would overflow the L1 set their rows map to.
 //
-// mask[c] is all-ones for a live column and zero for a frozen one. A frozen
+// Mask[c] is all-ones for a live column and zero for a frozen one. A frozen
 // column is never written with a computed value: the asm blends the old
 // element back (VBLENDVPD), the scalar bodies skip it, so a column holding
 // Inf/NaN after a breakdown stays bit-unchanged — a multiply by zero would
 // not do that.
 //
-// A conjugated or negated coefficient is passed as such by the caller:
-// (-a)*b is the exact negation of a*b and x-(-y) is x+y in IEEE arithmetic,
-// so dst += conj(a)*src costs no extra rounding. dst -= a*src, run as
-// dst += (-a)*src, likewise rounds identically; the one representable
-// difference is the sign of an exactly cancelling product sum landing on a
-// -0 destination (+0 instead of -0), which the block solver cannot observe:
-// no comparison tells the zeros apart and every divisor passes the
-// breakdown test first.
+// A conjugated or negated coefficient is formed by negating its parts
+// (exact: the sign bit flips), once per chunk in the asm, per element in
+// the scalar bodies: (-a)*b is the exact negation of a*b and x-(-y) is x+y
+// in IEEE arithmetic, so dst += conj(a)*src costs no extra rounding.
+// dst -= a*src, run as dst += (-a)*src, likewise rounds identically; the
+// one representable difference is the sign of an exactly cancelling
+// product sum landing on a -0 destination (+0 instead of -0), which the
+// block solver cannot observe: no comparison tells the zeros apart and
+// every divisor passes the breakdown test first.
 
-// AxpyCols performs dst[:,c] += (aRe[c] + i*aIm[c]) * src[:,c] on every
-// column c whose mask lane is set.
+// Krylov is the block set of one dual-BiCG solve, all n x nb: the solutions
+// X and XD, the residuals R and RD, the directions P and PD and their
+// images Q = A P and QD = A^dagger PD. The blocks must be distinct.
+type Krylov[F Float] struct {
+	X, XD, R, RD, P, PD, Q, QD *Block[F]
+}
+
+// ColCoef is one column-lane step's per-column coefficient
+// a[c] = Re[c] + i*Im[c] and lane Mask, each of nb entries.
+type ColCoef[F Float] struct {
+	Re, Im []F
+	Mask   []uint64
+}
+
+// The blocks of a Krylov set in check's order; written names them by bit.
+const (
+	kX = 1 << iota
+	kXD
+	kR
+	kRD
+	kP
+	kPD
+)
+
+// check panics unless every block of k is n x nb with nb = len(a.Mask),
+// a's parts hold nb entries, and no block whose bit is set in written (X,
+// XD, R, RD, P, PD from bit 0) shares its first element with another block
+// of k.
 //
 //cbs:hotpath
-func AxpyCols[F Float](dst, src *Block[F], aRe, aIm []F, mask []uint64) {
-	nb := dst.nb
-	if src.n != dst.n || src.nb != nb || len(aRe) != nb || len(aIm) != nb || len(mask) != nb {
-		panic("soa: AxpyCols shape mismatch")
+func (k *Krylov[F]) check(a *ColCoef[F], written uint) {
+	nb := len(a.Mask)
+	bl := [8]*Block[F]{k.X, k.XD, k.R, k.RD, k.P, k.PD, k.Q, k.QD}
+	n := bl[0].n
+	for _, b := range bl {
+		if b.n != n || b.nb != nb {
+			panic("soa: Krylov block shape mismatch")
+		}
 	}
+	if len(a.Re) != nb || len(a.Im) != nb {
+		panic("soa: ColCoef length mismatch")
+	}
+	if n == 0 {
+		return
+	}
+	for i, w := range bl {
+		if written&(1<<i) == 0 {
+			continue
+		}
+		for j, b := range bl {
+			if i != j && &w.Re[0] == &b.Re[0] {
+				panic("soa: Krylov blocks alias")
+			}
+		}
+	}
+}
+
+// AlphaCols is the residual half of the alpha step of the block dual-BiCG
+// recurrence and the residual sums that follow it, in one pass over R, RD,
+// Q and QD. On every column c whose mask lane is set, with
+// a = a.Re[c] + i*a.Im[c]:
+//
+//	R -= a*Q, RD -= conj(a)*QD
+//
+// run as R += (-a)*Q, RD += (-conj(a))*QD (see above), each element as
+// dst += cr*sr - ci*si, dst += cr*si + ci*sr. Then, over every column,
+// frozen ones included, dotRe[c] + i*dotIm[c] is <RD_c, R_c>,
+// nr[c] = ||R_c||^2 and nrd[c] = ||RD_c||^2 of the updated blocks: the
+// sums DotCols(RD, R), DotCols(R, R) and DotCols(RD, RD) return.
+//
+//cbs:hotpath
+func AlphaCols[F Float](k *Krylov[F], a *ColCoef[F], dotRe, dotIm, nr, nrd []F) {
+	k.check(a, kR|kRD)
+	nb := len(a.Mask)
+	if len(dotRe) != nb || len(dotIm) != nb || len(nr) != nb || len(nrd) != nb {
+		panic("soa: AlphaCols sums length mismatch")
+	}
+	pl := [8][]F{k.R.Re, k.R.Im, k.RD.Re, k.RD.Im, k.Q.Re, k.Q.Im, k.QD.Re, k.QD.Im}
+	co := [2][]F{a.Re, a.Im}
+	sums := [4][]F{dotRe, dotIm, nr, nrd}
 	if HasAVX2 {
-		if dr, ok := any(dst.Re).([]float64); ok {
-			axpyColsAVX2(dr, any(dst.Im).([]float64), any(src.Re).([]float64), any(src.Im).([]float64),
-				any(aRe).([]float64), any(aIm).([]float64), mask)
+		if p64, ok := any(&pl).(*[8][]float64); ok {
+			alphaColsAVX2(p64, any(&co).(*[2][]float64), a.Mask, any(&sums).(*[4][]float64))
 			return
 		}
 	}
-	axpyColsScalar(dst.Re, dst.Im, src.Re, src.Im, aRe, aIm, mask)
+	alphaColsScalar(&pl, &co, a.Mask, &sums)
 }
 
+// alphaColsScalar: pl holds the planes of R, RD, Q, QD (re, im each), co
+// the coefficient parts Re, Im, sums receives dotRe, dotIm, nr, nrd.
+//
 //cbs:hotpath
-func axpyColsScalar[F Float](dstRe, dstIm, srcRe, srcIm, aRe, aIm []F, mask []uint64) {
-	nb := len(aRe)
-	aIm = aIm[:nb]
-	mask = mask[:nb]
-	for o := 0; o+nb <= len(dstRe); o += nb {
-		dr := dstRe[o:][:nb]
-		di := dstIm[o:][:nb]
-		sr := srcRe[o:][:nb]
-		si := srcIm[o:][:nb]
-		for c, ar := range aRe {
-			if mask[c] == 0 {
-				continue
+func alphaColsScalar[F Float](pl *[8][]F, co *[2][]F, mask []uint64, sums *[4][]F) {
+	nb := len(mask)
+	aRe, aIm := co[0][:nb], co[1][:nb]
+	dRe, dIm, sr, srd := sums[0][:nb], sums[1][:nb], sums[2][:nb], sums[3][:nb]
+	for c := range dRe {
+		dRe[c], dIm[c], sr[c], srd[c] = 0, 0, 0, 0
+	}
+	for o := 0; o+nb <= len(pl[0]); o += nb {
+		rr, ri := pl[0][o:][:nb], pl[1][o:][:nb]
+		rdr, rdi := pl[2][o:][:nb], pl[3][o:][:nb]
+		qr, qi := pl[4][o:][:nb], pl[5][o:][:nb]
+		qdr, qdi := pl[6][o:][:nb], pl[7][o:][:nb]
+		for c, m := range mask {
+			if m != 0 {
+				axpyLane(&rr[c], &ri[c], qr[c], qi[c], -aRe[c], -aIm[c])
+				axpyLane(&rdr[c], &rdi[c], qdr[c], qdi[c], -aRe[c], aIm[c])
 			}
-			ai := aIm[c]
-			vr, vi := sr[c], si[c]
-			dr[c] += ar*vr - ai*vi
-			di[c] += ar*vi + ai*vr
+			ar, ai, br, bi := rdr[c], rdi[c], rr[c], ri[c]
+			dRe[c] += ar*br + ai*bi
+			dIm[c] += ar*bi - ai*br
+			sr[c] += br*br + bi*bi
+			srd[c] += ar*ar + ai*ai
 		}
 	}
 }
 
-// XpayCols performs p[:,c] = r[:,c] + (bRe[c] + i*bIm[c]) * p[:,c] on every
-// column c whose mask lane is set.
+// axpyLane performs d += (cr + i*ci) * (vr + i*vi) on one element.
 //
 //cbs:hotpath
-func XpayCols[F Float](p, r *Block[F], bRe, bIm []F, mask []uint64) {
-	nb := p.nb
-	if r.n != p.n || r.nb != nb || len(bRe) != nb || len(bIm) != nb || len(mask) != nb {
-		panic("soa: XpayCols shape mismatch")
-	}
+func axpyLane[F Float](dr, di *F, vr, vi, cr, ci F) {
+	*dr += cr*vr - ci*vi
+	*di += cr*vi + ci*vr
+}
+
+// BetaCols ends an iteration of the block dual-BiCG recurrence in one pass
+// over X, XD, P, PD, R and RD: the solution half of the alpha step on every
+// column a.Mask selects, then the direction update on every column b.Mask
+// selects, both from the P and PD the pass reads,
+//
+//	X += a*P, XD += conj(a)*PD, P = R + b*P, PD = RD + conj(b)*PD
+//
+// each element as x += ar*pr - ai*pi, x += ar*pi + ai*pr and
+// p = r + (br*pr - bi*pi), p = r + (br*pi + bi*pr). Q and QD are not
+// touched. An all-zero b.Mask leaves P and PD bit-unchanged.
+//
+//cbs:hotpath
+func BetaCols[F Float](k *Krylov[F], a, b *ColCoef[F]) {
+	k.check(a, kX|kXD|kP|kPD)
+	k.check(b, 0)
+	pl := [12][]F{k.P.Re, k.P.Im, k.PD.Re, k.PD.Im, k.R.Re, k.R.Im, k.RD.Re, k.RD.Im,
+		k.X.Re, k.X.Im, k.XD.Re, k.XD.Im}
+	co := [4][]F{a.Re, a.Im, b.Re, b.Im}
 	if HasAVX2 {
-		if pr, ok := any(p.Re).([]float64); ok {
-			xpayColsAVX2(pr, any(p.Im).([]float64), any(r.Re).([]float64), any(r.Im).([]float64),
-				any(bRe).([]float64), any(bIm).([]float64), mask)
+		if p64, ok := any(&pl).(*[12][]float64); ok {
+			betaColsAVX2(p64, any(&co).(*[4][]float64), a.Mask, b.Mask)
 			return
 		}
 	}
-	xpayColsScalar(p.Re, p.Im, r.Re, r.Im, bRe, bIm, mask)
+	betaColsScalar(&pl, &co, a.Mask, b.Mask)
 }
 
+// betaColsScalar: pl holds the planes of P, PD, R, RD, X, XD (re, im
+// each), co the coefficient parts Re, Im of a, then of b.
+//
 //cbs:hotpath
-func xpayColsScalar[F Float](pRe, pIm, rRe, rIm, bRe, bIm []F, mask []uint64) {
-	nb := len(bRe)
-	bIm = bIm[:nb]
-	mask = mask[:nb]
-	for o := 0; o+nb <= len(pRe); o += nb {
-		pr := pRe[o:][:nb]
-		pi := pIm[o:][:nb]
-		rr := rRe[o:][:nb]
-		ri := rIm[o:][:nb]
-		for c, br := range bRe {
-			if mask[c] == 0 {
-				continue
+func betaColsScalar[F Float](pl *[12][]F, co *[4][]F, maskA, maskB []uint64) {
+	nb := len(maskA)
+	aRe, aIm, bRe, bIm := co[0][:nb], co[1][:nb], co[2][:nb], co[3][:nb]
+	maskB = maskB[:nb]
+	for o := 0; o+nb <= len(pl[0]); o += nb {
+		pr, pi := pl[0][o:][:nb], pl[1][o:][:nb]
+		pdr, pdi := pl[2][o:][:nb], pl[3][o:][:nb]
+		rr, ri := pl[4][o:][:nb], pl[5][o:][:nb]
+		rdr, rdi := pl[6][o:][:nb], pl[7][o:][:nb]
+		xr, xi := pl[8][o:][:nb], pl[9][o:][:nb]
+		xdr, xdi := pl[10][o:][:nb], pl[11][o:][:nb]
+		for c, m := range maskA {
+			if m != 0 {
+				axpyLane(&xr[c], &xi[c], pr[c], pi[c], aRe[c], aIm[c])
+				axpyLane(&xdr[c], &xdi[c], pdr[c], pdi[c], aRe[c], -aIm[c])
 			}
-			bi := bIm[c]
-			vr, vi := pr[c], pi[c]
-			pr[c] = rr[c] + (br*vr - bi*vi)
-			pi[c] = ri[c] + (br*vi + bi*vr)
+			if maskB[c] != 0 {
+				xpayLane(&pr[c], &pi[c], rr[c], ri[c], bRe[c], bIm[c])
+				xpayLane(&pdr[c], &pdi[c], rdr[c], rdi[c], bRe[c], -bIm[c])
+			}
 		}
 	}
+}
+
+// xpayLane performs p = r + (br + i*bi) * p on one element.
+//
+//cbs:hotpath
+func xpayLane[F Float](pr, pi *F, rr, ri, br, bi F) {
+	vr, vi := *pr, *pi
+	*pr = rr + (br*vr - bi*vi)
+	*pi = ri + (br*vi + bi*vr)
 }
 
 // DotCols computes the conjugated column dots

@@ -58,12 +58,20 @@ func scatterAxpyAVX2(oRe, oIm []float64, n, nb int, idx []int32, val, sumsRe, su
 
 //cbs:hotpath
 //go:noescape
-func axpyColsAVX2(dstRe, dstIm, srcRe, srcIm, aRe, aIm []float64, mask []uint64)
+func alphaColsAVX2(pl *[8][]float64, co *[2][]float64, mask []uint64, sums *[4][]float64)
 
 //cbs:hotpath
 //go:noescape
-func xpayColsAVX2(pRe, pIm, rRe, rIm, bRe, bIm []float64, mask []uint64)
+func betaColsAVX2(pl *[12][]float64, co *[4][]float64, maskA, maskB []uint64)
 
 //cbs:hotpath
 //go:noescape
 func dotColsAVX2(dRe, dIm, xRe, xIm, yRe, yIm []float64)
+
+//cbs:hotpath
+//go:noescape
+func jacobiDotsAVX2(re, im []float64, nb int, quads *JacobiQuad, nq int)
+
+//cbs:hotpath
+//go:noescape
+func jacobiRotateAVX2(re, im []float64, nb int, quads *JacobiQuad, nq int)

@@ -35,16 +35,26 @@ func scatterAxpyAVX2(oRe, oIm []float64, n, nb int, idx []int32, val, sumsRe, su
 }
 
 //cbs:hotpath
-func axpyColsAVX2(dstRe, dstIm, srcRe, srcIm, aRe, aIm []float64, mask []uint64) {
+func alphaColsAVX2(pl *[8][]float64, co *[2][]float64, mask []uint64, sums *[4][]float64) {
 	panic("soa: no AVX2 kernels on this architecture")
 }
 
 //cbs:hotpath
-func xpayColsAVX2(pRe, pIm, rRe, rIm, bRe, bIm []float64, mask []uint64) {
+func betaColsAVX2(pl *[12][]float64, co *[4][]float64, maskA, maskB []uint64) {
 	panic("soa: no AVX2 kernels on this architecture")
 }
 
 //cbs:hotpath
 func dotColsAVX2(dRe, dIm, xRe, xIm, yRe, yIm []float64) {
+	panic("soa: no AVX2 kernels on this architecture")
+}
+
+//cbs:hotpath
+func jacobiDotsAVX2(re, im []float64, nb int, quads *JacobiQuad, nq int) {
+	panic("soa: no AVX2 kernels on this architecture")
+}
+
+//cbs:hotpath
+func jacobiRotateAVX2(re, im []float64, nb int, quads *JacobiQuad, nq int) {
 	panic("soa: no AVX2 kernels on this architecture")
 }

@@ -8,11 +8,14 @@
 //
 // The kernels own the loops over grid points, so a caller dispatches once
 // per unit of work, not once per point: StencilRow writes a whole output
-// row of the FD stencil, GatherDot and ScatterAxpy walk a whole projector
-// support, AxpyRows adds whole coupled planes, and AxpyCols, XpayCols and
-// DotCols run the per-column Krylov recurrences over a whole block. Each
-// has an AVX2 arm (amd64, dispatched on HasAVX2) and a scalar sibling with
-// the same per-element arithmetic in the same order.
+// row of the FD stencil, 16 elements per term pass; GatherDot and
+// ScatterAxpy walk a whole projector support; AxpyRows adds whole coupled
+// planes; DotCols, AlphaCols and BetaCols run the per-column Krylov
+// recurrences over a whole block in three passes per iteration; and
+// JacobiDots and JacobiRotate run the pairs of one anti-diagonal of a
+// one-sided Jacobi SVD sweep, four per vector. Each has an AVX2 arm
+// (amd64, dispatched on HasAVX2) and a scalar sibling with the same
+// per-element arithmetic in the same order.
 //
 // The planes hold float64, so plane arithmetic is bit-identical to the
 // interleaved complex128 arithmetic; pack/unpack shims convert at the

@@ -1,5 +1,7 @@
 package soa
 
+import "math"
+
 // Row-resident kernels of the FD plane path: the loop over grid points runs
 // inside the kernel, so one dispatch produces a whole output row of the
 // stencil (StencilRow) or consumes a whole projector support (GatherDot,
@@ -11,6 +13,10 @@ package soa
 
 // MaxHalfWidth is the largest stencil half-width the row kernel takes.
 const MaxHalfWidth = 8
+
+// maxRowElems bounds the elements of one stencil row the asm takes: its
+// in-row byte offsets are int32.
+const maxRowElems = math.MaxInt32 / 8
 
 // Stencil is the immutable shape the row kernel walks: the grid extents,
 // the half-width nf, and the periodic x and y neighbour tables flattened
@@ -34,11 +40,13 @@ func NewStencil(nx, ny, nz, nf int, xp, xm, yp, ym [][]int32) *Stencil {
 		xnb: flattenNeighbours(nx, nf, xp, xm), ynb: flattenNeighbours(ny, nf, yp, ym)}
 }
 
+// flattenNeighbours pads the flat table with 2*MaxHalfWidth zero entries:
+// the asm reads every point's indices as one 2*MaxHalfWidth-entry block.
 func flattenNeighbours(n, nf int, plus, minus [][]int32) []int32 {
 	if len(plus) != nf || len(minus) != nf {
 		panic("soa: NewStencil neighbour table count mismatch")
 	}
-	flat := make([]int32, n*nf*2)
+	flat := make([]int32, n*nf*2+2*MaxHalfWidth)
 	for d := 0; d < nf; d++ {
 		if len(plus[d]) != n || len(minus[d]) != n {
 			panic("soa: NewStencil neighbour table length mismatch")
@@ -76,7 +84,11 @@ func StencilRow[F Float](s *Stencil, c *StencilCoef, vloc []F, v, out *Block[F],
 		uint(iz) >= uint(s.nz) || uint(iy) >= uint(s.ny) {
 		panic("soa: StencilRow shape mismatch")
 	}
-	if HasAVX2 {
+	if len(v.Re) > 0 && &v.Re[0] == &out.Re[0] {
+		panic("soa: StencilRow out aliases v")
+	}
+	// The asm keeps in-row x offsets as int32.
+	if HasAVX2 && s.nx*v.nb <= maxRowElems {
 		if vr, ok := any(v.Re).([]float64); ok {
 			stencilRowAVX2(s, c, any(vloc).([]float64), vr, any(v.Im).([]float64),
 				any(out.Re).([]float64), any(out.Im).([]float64), v.nb, iz, iy)

@@ -8,35 +8,66 @@
 #include "go_asm.h"
 
 // Frame of stencilRowAVX2, relative to the hardware SP.
-#define ROW_YOFF   0   // 2*nf byte offsets of the y neighbour rows (+d, -d per d)
-#define ROW_ZOFF   128 // byte offsets of the present in-cell z neighbour rows
-#define ROW_ZCOEF  256 // their coefficients
-#define ROW_NZ     384 // number of z terms
-#define ROW_NF     392
-#define ROW_NF2    400 // 2*nf
-#define ROW_BYTES  408 // nx*nb*8
-#define ROW_NVEC   416 // nb/4 whole vectors per point
-#define ROW_NTAIL  424 // nb%4 trailing columns per point
+#define ROW_YOFF  0   // 2*nf byte offsets of the y neighbour rows (+d, -d per d)
+#define ROW_ZOFF  128 // byte offsets of the present in-cell z neighbour rows
+#define ROW_ZCOEF 256 // their coefficients
+#define ROW_NZ    384 // number of z terms
+#define ROW_NF    392
+#define ROW_NF2   400 // 2*nf
+#define ROW_BYTES 408 // nx*nb*8
+#define ROW_NB    416 // nb
+#define ROW_XOFF  424 // per point of a group: 2*nf int32 x offsets, 64 bytes a point
+#define ROW_DIAG  680 // per point of a group: its diagonal coefficient
+
+// XBUILD fills the x offset table at TAB for the point whose neighbour
+// indices DX points at: (neighbour*nb*8 - R10) as int32 (exact: a row's
+// bytes fit int32), R10 the byte offset of the group's first point, so that
+// (R8)(offset*1) is the neighbour's element for any point of the group. Y13
+// holds nb*8 and Y14 R10 in every int32 lane. All 16 slots are written; the
+// neighbour table is padded so the loads stay inside it. Leaves DX at the
+// next point's indices. Clobbers AX, Y11, Y12.
+#define XBUILD(TAB) \
+	VMOVDQU (DX), Y11; \
+	VMOVDQU 32(DX), Y12; \
+	VPMULLD Y13, Y11, Y11; \
+	VPMULLD Y13, Y12, Y12; \
+	VPSUBD  Y14, Y11, Y11; \
+	VPSUBD  Y14, Y12, Y12; \
+	VMOVDQU Y11, TAB(SP); \
+	VMOVDQU Y12, TAB+32(SP); \
+	MOVQ    ROW_NF(SP), AX; \
+	LEAQ    (DX)(AX*8), DX
+
+// XGROUP starts a group at the point R12 points at: DX its neighbour
+// indices, Y14 the group's byte offset R10.
+#define XGROUP \
+	MOVQ         R12, DX; \
+	VMOVQ        R10, X14; \
+	VPBROADCASTD X14, Y14
+
+// DBUILD stores the diagonal coefficient Shift + Sign*(Diag + vloc) of the
+// group's point K (vloc at K*8(R11)) to ROW_DIAG + K*8.
+#define DBUILD(K8) \
+	VMOVSD K8(R11), X6; \
+	VADDSD StencilCoef_Diag(R15), X6, X6; \
+	VMULSD StencilCoef_Sign(R15), X6, X6; \
+	VADDSD StencilCoef_Shift(R15), X6, X6; \
+	VMOVSD X6, ROW_DIAG+K8(SP)
 
 // ROWCHUNK accumulates every term of the elements at (R8)/(R9) — one vector
 // of four columns, or one scalar column — into A0 (re) and A1 (im), in the
 // order diagonal, x pairs, y pairs, z singles, and stores them to (DI)/(SI).
-// R8/R9 point at the current element of the v row, R10 is the byte offset
-// of the current point in the row, R12 its 2*nf x neighbours, R13 the point
-// stride nb*8, R15 the coefficients, D5 the diagonal coefficient. Clobbers
-// AX, BX, DX.
+// R8/R9 point at the current element of the v row, the x offsets of its
+// point are at ROW_XOFF, R15 holds the coefficients, D5 the diagonal
+// coefficient. Clobbers AX, BX, DX.
 #define ROWCHUNK(MOV, ADD, MUL, LDC, A0, A1, T2, T3, C4, D5, XL, YL, ZL, ZD) \
 	MUL     (R8), D5, A0; \
 	MUL     (R9), D5, A1; \
 	XORQ    BX, BX; \
 XL: \
-	MOVLQSX (R12)(BX*8), AX; \
-	MOVLQSX 4(R12)(BX*8), DX; \
-	IMULQ   R13, AX; \
-	IMULQ   R13, DX; \
-	SUBQ    R10, AX; \
-	SUBQ    R10, DX; \
-	LDC     StencilCoef_Cx(R15)(BX*8), C4; \
+	MOVLQSX ROW_XOFF(SP)(BX*4), AX; \
+	MOVLQSX ROW_XOFF+4(SP)(BX*4), DX; \
+	LDC     StencilCoef_Cx(R15)(BX*4), C4; \
 	MOV     (R8)(AX*1), T2; \
 	MOV     (R9)(AX*1), T3; \
 	ADD     (R8)(DX*1), T2, T2; \
@@ -45,8 +76,8 @@ XL: \
 	MUL     C4, T3, T3; \
 	ADD     T2, A0, A0; \
 	ADD     T3, A1, A1; \
-	INCQ    BX; \
-	CMPQ    BX, ROW_NF(SP); \
+	ADDQ    $2, BX; \
+	CMPQ    BX, ROW_NF2(SP); \
 	JLT     XL; \
 	XORQ    BX, BX; \
 YL: \
@@ -81,8 +112,117 @@ ZD: \
 	MOV     A0, (DI); \
 	MOV     A1, (SI)
 
+// Tile terms. A tile is four vectors: vector j's element is at 32j(R8) and
+// 32j(R9), its sums are in Y(j) (re) and Y(4+j) (im), its x offsets are
+// the table at XTj and its x neighbours at XDj past them (the column of the
+// vector within its point). Y8 holds the term's coefficient.
+
+// TILEX adds the x pair at table slot BX of one vector.
+#define TILEX(XT, XD, ARE, AIM) \
+	MOVLQSX XT(SP)(BX*4), AX; \
+	MOVLQSX XT+4(SP)(BX*4), DX; \
+	VMOVUPD XD(R8)(AX*1), Y9; \
+	VMOVUPD XD(R9)(AX*1), Y10; \
+	VADDPD  XD(R8)(DX*1), Y9, Y9; \
+	VADDPD  XD(R9)(DX*1), Y10, Y10; \
+	VMULPD  Y8, Y9, Y9; \
+	VMULPD  Y8, Y10, Y10; \
+	VADDPD  Y9, ARE, ARE; \
+	VADDPD  Y10, AIM, AIM
+
+// TILEP adds the pair at offsets AX and DX from the element at OFF.
+#define TILEP(OFF, ARE, AIM) \
+	VMOVUPD OFF(R8)(AX*1), Y9; \
+	VMOVUPD OFF(R9)(AX*1), Y10; \
+	VADDPD  OFF(R8)(DX*1), Y9, Y9; \
+	VADDPD  OFF(R9)(DX*1), Y10, Y10; \
+	VMULPD  Y8, Y9, Y9; \
+	VMULPD  Y8, Y10, Y10; \
+	VADDPD  Y9, ARE, ARE; \
+	VADDPD  Y10, AIM, AIM
+
+// TILEZ adds the single at offset AX from the element at OFF.
+#define TILEZ(OFF, ARE, AIM) \
+	VMULPD OFF(R8)(AX*1), Y8, Y9; \
+	VMULPD OFF(R9)(AX*1), Y8, Y10; \
+	VADDPD Y9, ARE, ARE; \
+	VADDPD Y10, AIM, AIM
+
+// TILE accumulates all terms of the four vectors, diagonal (coefficient at
+// DGj), x pairs, y pairs, z singles, term by term across the vectors — four
+// independent chains per term — and stores the sums. Clobbers AX, BX, DX,
+// Y0..Y10.
+#define TILE(XT0, XT1, XT2, XT3, XD0, XD1, XD2, XD3, DG0, DG1, DG2, DG3, XL, YL, ZL, ZD) \
+	VBROADCASTSD DG0(SP), Y8; \
+	VMULPD       0(R8), Y8, Y0; \
+	VMULPD       0(R9), Y8, Y4; \
+	VBROADCASTSD DG1(SP), Y8; \
+	VMULPD       32(R8), Y8, Y1; \
+	VMULPD       32(R9), Y8, Y5; \
+	VBROADCASTSD DG2(SP), Y8; \
+	VMULPD       64(R8), Y8, Y2; \
+	VMULPD       64(R9), Y8, Y6; \
+	VBROADCASTSD DG3(SP), Y8; \
+	VMULPD       96(R8), Y8, Y3; \
+	VMULPD       96(R9), Y8, Y7; \
+	XORQ         BX, BX; \
+XL: \
+	VBROADCASTSD StencilCoef_Cx(R15)(BX*4), Y8; \
+	TILEX(XT0, XD0, Y0, Y4); \
+	TILEX(XT1, XD1, Y1, Y5); \
+	TILEX(XT2, XD2, Y2, Y6); \
+	TILEX(XT3, XD3, Y3, Y7); \
+	ADDQ         $2, BX; \
+	CMPQ         BX, ROW_NF2(SP); \
+	JLT          XL; \
+	XORQ         BX, BX; \
+YL: \
+	MOVQ         ROW_YOFF(SP)(BX*8), AX; \
+	MOVQ         ROW_YOFF+8(SP)(BX*8), DX; \
+	VBROADCASTSD StencilCoef_Cy(R15)(BX*4), Y8; \
+	TILEP(0, Y0, Y4); \
+	TILEP(32, Y1, Y5); \
+	TILEP(64, Y2, Y6); \
+	TILEP(96, Y3, Y7); \
+	ADDQ         $2, BX; \
+	CMPQ         BX, ROW_NF2(SP); \
+	JLT          YL; \
+	XORQ         BX, BX; \
+	CMPQ         BX, ROW_NZ(SP); \
+	JGE          ZD; \
+ZL: \
+	MOVQ         ROW_ZOFF(SP)(BX*8), AX; \
+	VBROADCASTSD ROW_ZCOEF(SP)(BX*8), Y8; \
+	TILEZ(0, Y0, Y4); \
+	TILEZ(32, Y1, Y5); \
+	TILEZ(64, Y2, Y6); \
+	TILEZ(96, Y3, Y7); \
+	INCQ         BX; \
+	CMPQ         BX, ROW_NZ(SP); \
+	JLT          ZL; \
+ZD: \
+	VMOVUPD      Y0, (DI); \
+	VMOVUPD      Y1, 32(DI); \
+	VMOVUPD      Y2, 64(DI); \
+	VMOVUPD      Y3, 96(DI); \
+	VMOVUPD      Y4, (SI); \
+	VMOVUPD      Y5, 32(SI); \
+	VMOVUPD      Y6, 64(SI); \
+	VMOVUPD      Y7, 96(SI)
+
+// ADVANCE moves the four element pointers BYTES on.
+#define ADVANCE(BYTES) \
+	ADDQ $BYTES, DI; \
+	ADDQ $BYTES, SI; \
+	ADDQ $BYTES, R8; \
+	ADDQ $BYTES, R9
+
 // func stencilRowAVX2(s *Stencil, c *StencilCoef, vloc, vRe, vIm, oRe, oIm []float64, nb, iz, iy int)
-TEXT ·stencilRowAVX2(SB), NOSPLIT, $432-160
+// The row's points run in groups: four at nb = 4 and two at nb = 8, one
+// 16-element tile per group; one at a time otherwise (and for a short last
+// group), as 16-column tiles of the point, then single vectors, then
+// scalar columns. Each group's x offsets are built once.
+TEXT ·stencilRowAVX2(SB), NOSPLIT, $712-160
 	MOVQ  s+0(FP), R12
 	MOVQ  c+8(FP), R15
 	MOVQ  nb+136(FP), R13
@@ -92,13 +232,10 @@ TEXT ·stencilRowAVX2(SB), NOSPLIT, $432-160
 	MOVQ  DX, ROW_NF(SP)
 	LEAQ  (DX)(DX*1), CX
 	MOVQ  CX, ROW_NF2(SP)
-	MOVQ  R13, R8
-	SHRQ  $2, R8
-	MOVQ  R8, ROW_NVEC(SP)
-	MOVQ  R13, R8
-	ANDQ  $3, R8
-	MOVQ  R8, ROW_NTAIL(SP)
+	MOVQ  R13, ROW_NB(SP)
 	SHLQ  $3, R13               // point stride nb*8
+	VMOVQ R13, X13
+	VPBROADCASTD X13, Y13
 	MOVQ  Stencil_nx(R12), R10
 	IMULQ R13, R10              // row bytes
 	MOVQ  R10, ROW_BYTES(SP)
@@ -176,46 +313,92 @@ rowznext:
 	MOVQ  Stencil_xnb(R12), R12
 	XORQ  R10, R10
 
+rowgroup:
+	CMPQ R10, ROW_BYTES(SP)
+	JGE  rowdone
+	XGROUP
+	CMPQ R13, $32
+	JEQ  rowfour
+	CMPQ R13, $64
+	JEQ  rowtwo
+	JMP  rowpoint
+
+rowfour:
+	LEAQ   128(R10), AX
+	CMPQ   AX, ROW_BYTES(SP)
+	JGT    rowpoint
+	XBUILD(ROW_XOFF)
+	XBUILD(ROW_XOFF+64)
+	XBUILD(ROW_XOFF+128)
+	XBUILD(ROW_XOFF+192)
+	MOVQ   DX, R12
+	DBUILD(0)
+	DBUILD(8)
+	DBUILD(16)
+	DBUILD(24)
+	TILE(ROW_XOFF, ROW_XOFF+64, ROW_XOFF+128, ROW_XOFF+192, 0, 0, 0, 0, ROW_DIAG, ROW_DIAG+8, ROW_DIAG+16, ROW_DIAG+24, rowfourx, rowfoury, rowfourz, rowfourzd)
+	ADVANCE(128)
+	ADDQ   $128, R10
+	ADDQ   $32, R11
+	JMP    rowgroup
+
+rowtwo:
+	LEAQ   128(R10), AX
+	CMPQ   AX, ROW_BYTES(SP)
+	JGT    rowpoint
+	XBUILD(ROW_XOFF)
+	XBUILD(ROW_XOFF+64)
+	MOVQ   DX, R12
+	DBUILD(0)
+	DBUILD(8)
+	TILE(ROW_XOFF, ROW_XOFF, ROW_XOFF+64, ROW_XOFF+64, 0, 32, 0, 32, ROW_DIAG, ROW_DIAG, ROW_DIAG+8, ROW_DIAG+8, rowtwox, rowtwoy, rowtwoz, rowtwozd)
+	ADVANCE(128)
+	ADDQ   $128, R10
+	ADDQ   $16, R11
+	JMP    rowgroup
+
 rowpoint:
-	VMOVSD       (R11), X6
-	VADDSD       StencilCoef_Diag(R15), X6, X6
-	VMULSD       StencilCoef_Sign(R15), X6, X6
-	VADDSD       StencilCoef_Shift(R15), X6, X6
-	VBROADCASTSD X6, Y5
-	MOVQ         ROW_NVEC(SP), CX
-	TESTQ        CX, CX
-	JZ           rowtail
+	XBUILD(ROW_XOFF)
+	MOVQ DX, R12
+	DBUILD(0)
+	MOVQ ROW_NB(SP), CX
+
+rowtile:
+	CMPQ CX, $16
+	JLT  rowvecs
+	TILE(ROW_XOFF, ROW_XOFF, ROW_XOFF, ROW_XOFF, 0, 32, 64, 96, ROW_DIAG, ROW_DIAG, ROW_DIAG, ROW_DIAG, rowtilex, rowtiley, rowtilez, rowtilezd)
+	ADVANCE(128)
+	SUBQ $16, CX
+	JMP  rowtile
+
+rowvecs:
+	VBROADCASTSD ROW_DIAG(SP), Y5
 
 rowvec:
+	CMPQ CX, $4
+	JLT  rowscalars
 	ROWCHUNK(VMOVUPD, VADDPD, VMULPD, VBROADCASTSD, Y0, Y1, Y2, Y3, Y4, Y5, rowvx, rowvy, rowvz, rowvzd)
-	ADDQ $32, DI
-	ADDQ $32, SI
-	ADDQ $32, R8
-	ADDQ $32, R9
-	DECQ CX
-	JNZ  rowvec
+	ADVANCE(32)
+	SUBQ $4, CX
+	JMP  rowvec
 
-rowtail:
-	MOVQ  ROW_NTAIL(SP), CX
-	TESTQ CX, CX
-	JZ    rownext
+rowscalars:
+	VMOVSD ROW_DIAG(SP), X5
 
 rowscalar:
+	TESTQ CX, CX
+	JZ    rownext
 	ROWCHUNK(VMOVSD, VADDSD, VMULSD, VMOVSD, X0, X1, X2, X3, X4, X5, rowsx, rowsy, rowsz, rowszd)
-	ADDQ $8, DI
-	ADDQ $8, SI
-	ADDQ $8, R8
-	ADDQ $8, R9
-	DECQ CX
-	JNZ  rowscalar
+	ADVANCE(8)
+	DECQ  CX
+	JMP   rowscalar
 
 rownext:
-	ADDQ $8, R11
-	MOVQ ROW_NF(SP), AX
-	LEAQ (R12)(AX*8), R12
 	ADDQ R13, R10
-	CMPQ R10, ROW_BYTES(SP)
-	JLT  rowpoint
+	ADDQ $8, R11
+	JMP  rowgroup
+
+rowdone:
 	VZEROUPPER
 	RET
 

@@ -109,17 +109,22 @@ func checkStencilRow(t *testing.T, name string, rng *rand.Rand, s *Stencil, c *S
 }
 
 // TestStencilRowBitIdentical: every row of a spread of shapes — the bench
-// grid, axes shorter than the half-width, Nz = Nf, every supported nf, block
-// widths of whole vectors, tails and both — on periodic and on arbitrary
-// tables, with some z coefficients zeroed.
+// grid, every row length from 1 to 7 points and 10, axes shorter than the
+// half-width, Nz = Nf, every supported nf — at block widths that run every
+// tile shape and remainder (four-point tiles at 4, two-point tiles at 8,
+// one or two 16-column tiles with vector and scalar-lane remainders at 16,
+// 17, 20 and 32, and the plain per-point path at the rest), on periodic and
+// on arbitrary tables, with some z coefficients zeroed.
 func TestStencilRowBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	shapes := []struct{ nx, ny, nz, nf int }{
 		{10, 10, 10, 4}, {3, 5, 4, 4}, {1, 1, 1, 1}, {2, 1, 3, 2}, {7, 3, 5, 3},
-		{5, 4, 6, 5}, {6, 2, 6, 6}, {9, 2, 8, 7}, {4, 3, 9, 8},
+		{5, 4, 6, 5}, {6, 2, 6, 6}, {9, 2, 8, 7}, {4, 3, 9, 8}, {1, 3, 4, 2},
+		{2, 2, 3, 4}, {3, 1, 2, 1}, {4, 2, 3, 3}, {5, 1, 4, 8}, {6, 3, 2, 2},
+		{7, 1, 3, 4}, {10, 2, 3, 4},
 	}
 	for _, sh := range shapes {
-		for _, nb := range []int{1, 3, 4, 5, 7, 8, 16, 17} {
+		for _, nb := range []int{1, 3, 4, 5, 8, 12, 16, 17, 20, 32} {
 			if sh.nx*sh.ny*sh.nz*nb > 20000 {
 				continue // the bench grid runs at the sweep's and the paper's widths below
 			}
@@ -144,7 +149,7 @@ func TestStencilRowBitIdentical(t *testing.T) {
 	}
 	xp, xm := periodicTables(10, 4)
 	bench := NewStencil(10, 10, 10, 4, xp, xm, xp, xm)
-	for _, nb := range []int{4, 16} {
+	for _, nb := range []int{4, 8, 16} {
 		for iz := 0; iz < 10; iz++ {
 			checkStencilRow(t, fmt.Sprintf("bench grid nb=%d iz=%d", nb, iz), rng, bench, randomCoef(rng, 0), nb, iz, iz)
 		}
@@ -161,8 +166,8 @@ func expectPanic(t *testing.T, name string, fn func()) {
 	fn()
 }
 
-// TestStencilGuards: a table entry, a row or a block outside the shape is
-// refused before any kernel runs.
+// TestStencilGuards: a table entry, a row or a block outside the shape, and
+// an output block aliasing the input, are refused before any kernel runs.
 func TestStencilGuards(t *testing.T) {
 	xp, xm := periodicTables(4, 2)
 	yp, ym := periodicTables(3, 2)
@@ -185,6 +190,8 @@ func TestStencilGuards(t *testing.T) {
 	expectPanic(t, "vloc", func() { StencilRow(s, c, vloc[:23], v, out, 0, 0) })
 	expectPanic(t, "block rows", func() { StencilRow(s, c, vloc, NewBlock[float64](23, 3), out, 0, 0) })
 	expectPanic(t, "block width", func() { StencilRow(s, c, vloc, v, NewBlock[float64](24, 2), 0, 0) })
+	expectPanic(t, "out aliases v", func() { StencilRow(s, c, vloc, v, v, 0, 0) })
+	expectPanic(t, "out aliases v rows", func() { StencilRow(s, c, vloc, v, v.Rows(0, 24), 0, 0) })
 }
 
 // randomSupport draws a support of the given length over n rows; repeat
@@ -340,8 +347,13 @@ func FuzzStencilRow(f *testing.F) {
 	f.Add(uint8(10), uint8(10), uint8(10), uint8(4), uint8(16), uint8(5), uint8(9), int64(0), uint8(0)) // paper width, interior plane
 	f.Add(uint8(3), uint8(5), uint8(4), uint8(4), uint8(5), uint8(3), uint8(4), int64(0), uint8(2))     // wraps more than once, Nz = Nf
 	f.Add(uint8(6), uint8(2), uint8(9), uint8(8), uint8(17), uint8(4), uint8(1), int64(7), uint8(0x81)) // arbitrary tables
+	f.Add(uint8(6), uint8(3), uint8(4), uint8(3), uint8(3), uint8(1), uint8(2), int64(0), uint8(0))     // nb 4: a four-point tile, three single points
+	f.Add(uint8(4), uint8(2), uint8(5), uint8(1), uint8(7), uint8(2), uint8(1), int64(0), uint8(4))     // nb 8: two-point tiles and a single point
+	f.Add(uint8(0), uint8(2), uint8(3), uint8(3), uint8(11), uint8(0), uint8(1), int64(3), uint8(0))    // nb 12: vectors only, one point
+	f.Add(uint8(9), uint8(1), uint8(6), uint8(4), uint8(19), uint8(5), uint8(0), int64(9), uint8(0x22)) // nb 20: a tile and a vector
+	f.Add(uint8(1), uint8(4), uint8(2), uint8(5), uint8(31), uint8(1), uint8(3), int64(0), uint8(0))    // nb 32: two tiles a point
 	f.Fuzz(func(t *testing.T, nx, ny, nz, nf, nb, iz, iy uint8, tables int64, zeroCz uint8) {
-		sh := [5]int{int(nx%12) + 1, int(ny%6) + 1, int(nz%12) + 1, int(nf%MaxHalfWidth) + 1, int(nb%20) + 1}
+		sh := [5]int{int(nx%12) + 1, int(ny%6) + 1, int(nz%12) + 1, int(nf%MaxHalfWidth) + 1, int(nb%40) + 1}
 		rng := rand.New(rand.NewSource(tables))
 		xp, xm := periodicTables(sh[0], sh[3])
 		yp, ym := periodicTables(sh[1], sh[3])

@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/cmplx"
 	"sort"
+
+	"cbs/internal/soa"
 )
 
 // SVDResult holds a singular value decomposition A = U * diag(S) * V†,
@@ -22,6 +24,15 @@ const maxJacobiSweeps = 60
 // one-sided Jacobi method, which delivers high relative accuracy even for
 // tiny singular values -- important because the Sakurai-Sugiura rank filter
 // thresholds at delta = 1e-10 relative to sigma_1.
+//
+// Each sweep visits the pairs (p, q), p < q, of the row-cyclic order, on
+// split re/im planes of W and V. In that order pair (p, q) depends only on
+// (p, q-1) and (p-1, q), so the sweep runs it anti-diagonal by
+// anti-diagonal (p+q = 1, 2, ...): the diagonal's pairs are independent,
+// so soa.JacobiDots and soa.JacobiRotate take all of them in one pass over
+// the rows, four at a time in vector lanes. Every column sees the rotations
+// of the row-cyclic sweep in the same order, so S, U and V are
+// bit-identical to it.
 func SVD(a *Matrix) (*SVDResult, error) {
 	m, n := a.Rows, a.Cols
 	if m < n {
@@ -32,61 +43,46 @@ func SVD(a *Matrix) (*SVDResult, error) {
 		}
 		return &SVDResult{U: r.V, S: r.S, V: r.U}, nil
 	}
-	// Work matrix W: columns are rotated in place until mutually orthogonal.
-	w := a.Clone()
-	v := Identity(n)
+	// W: columns are rotated in place until mutually orthogonal.
+	w := soa.NewBlock[float64](m, n)
+	soa.Pack(w, a.Data)
+	v := soa.NewBlock[float64](n, n)
+	for j := 0; j < n; j++ {
+		v.Re[j*n+j] = 1
+	}
 	eps := 2.220446049250313e-16
 	tol := math.Sqrt(float64(m)) * eps
 
-	cols := make([][]complex128, n) // column-major copies for cache locality
-	for j := 0; j < n; j++ {
-		cols[j] = w.Col(j)
-	}
-	vcols := make([][]complex128, n)
-	for j := 0; j < n; j++ {
-		vcols[j] = v.Col(j)
-	}
-
+	// One anti-diagonal holds at most n/2 pairs.
+	quads := make([]soa.JacobiQuad, n/8+1)
+	turn := make([]soa.JacobiQuad, 0, len(quads))
 	for sweep := 0; sweep < maxJacobiSweeps; sweep++ {
 		off := 0
-		for p := 0; p < n-1; p++ {
-			for q := p + 1; q < n; q++ {
-				cp, cq := cols[p], cols[q]
-				var app, aqq float64
-				var apq complex128
-				for i := 0; i < m; i++ {
-					app += real(cp[i])*real(cp[i]) + imag(cp[i])*imag(cp[i])
-					aqq += real(cq[i])*real(cq[i]) + imag(cq[i])*imag(cq[i])
-					apq += cmplx.Conj(cp[i]) * cq[i]
+		for s := 1; s <= 2*n-3; s++ {
+			last := (s - 1) / 2 // pairs (p, s-p) for max(0, s-n+1) <= p <= last
+			nq := 0
+			for p := max(0, s-n+1); p <= last; p += 4 {
+				quads[nq] = soa.JacobiQuad{P: p, Q: s - p, Lanes: min(4, last-p+1)}
+				nq++
+			}
+			soa.JacobiDots(w, quads[:nq])
+			turn = turn[:0]
+			for j := range quads[:nq] {
+				q := &quads[j]
+				rotate := false
+				for k := 0; k < q.Lanes; k++ {
+					if jacobiRotation(q, k, tol) {
+						off++
+						q.Mask[k] = ^uint64(0)
+						rotate = true
+					}
 				}
-				if cmplx.Abs(apq) <= tol*math.Sqrt(app*aqq) || apq == 0 {
-					continue
-				}
-				off++
-				// Diagonalize the 2x2 Gram block [[app, apq],[conj(apq), aqq]].
-				absApq := cmplx.Abs(apq)
-				phase := apq / complex(absApq, 0)
-				zeta := (aqq - app) / (2 * absApq)
-				t := math.Copysign(1, zeta) / (math.Abs(zeta) + math.Sqrt(1+zeta*zeta))
-				cs := 1 / math.Sqrt(1+t*t)
-				snMag := cs * t
-				sn := complex(snMag, 0) * phase
-				// Rotate columns p, q of W and V:
-				//   cp' = cs*cp - conj(sn)*cq ;  cq' = sn*cp + cs*cq
-				csC := complex(cs, 0)
-				snConj := cmplx.Conj(sn)
-				for i := 0; i < m; i++ {
-					t1, t2 := cp[i], cq[i]
-					cp[i] = csC*t1 - snConj*t2
-					cq[i] = sn*t1 + csC*t2
-				}
-				vp, vq := vcols[p], vcols[q]
-				for i := 0; i < n; i++ {
-					t1, t2 := vp[i], vq[i]
-					vp[i] = csC*t1 - snConj*t2
-					vq[i] = sn*t1 + csC*t2
+				if rotate {
+					turn = append(turn, *q)
 				}
 			}
+			soa.JacobiRotate(w, turn)
+			soa.JacobiRotate(v, turn)
 		}
 		if off == 0 {
 			break
@@ -97,13 +93,15 @@ func SVD(a *Matrix) (*SVDResult, error) {
 	}
 
 	// Singular values are the column norms; U columns the normalized columns.
+	norm2, junk := make([]float64, n), make([]float64, n)
+	soa.DotCols(norm2, junk, w, w) // per column, sum of re*re + im*im in row order
 	type sv struct {
 		s   float64
 		idx int
 	}
 	svs := make([]sv, n)
 	for j := 0; j < n; j++ {
-		svs[j] = sv{Norm2(cols[j]), j}
+		svs[j] = sv{math.Sqrt(norm2[j]), j}
 	}
 	sort.Slice(svs, func(i, j int) bool { return svs[i].s > svs[j].s })
 
@@ -112,19 +110,38 @@ func SVD(a *Matrix) (*SVDResult, error) {
 	s := make([]float64, n)
 	for k, e := range svs {
 		s[k] = e.s
-		cj := cols[e.idx]
+		j := e.idx
 		if e.s > 0 {
 			inv := complex(1/e.s, 0)
 			for i := 0; i < m; i++ {
-				u.Set(i, k, cj[i]*inv)
+				u.Set(i, k, complex(w.Re[i*n+j], w.Im[i*n+j])*inv)
 			}
 		}
-		vj := vcols[e.idx]
 		for i := 0; i < n; i++ {
-			vOut.Set(i, k, vj[i])
+			vOut.Set(i, k, complex(v.Re[i*n+j], v.Im[i*n+j]))
 		}
 	}
 	return &SVDResult{U: u, S: s, V: vOut}, nil
+}
+
+// jacobiRotation decides lane k of q from its sums: false when the pair is
+// already orthogonal to tolerance, else it stores the rotation that
+// diagonalizes the 2x2 Gram block [[app, apq], [conj(apq), aqq]].
+func jacobiRotation(q *soa.JacobiQuad, k int, tol float64) bool {
+	app, aqq := q.App[k], q.Aqq[k]
+	apq := complex(q.ApqRe[k], q.ApqIm[k])
+	if cmplx.Abs(apq) <= tol*math.Sqrt(app*aqq) || apq == 0 {
+		return false
+	}
+	absApq := cmplx.Abs(apq)
+	phase := apq / complex(absApq, 0)
+	zeta := (aqq - app) / (2 * absApq)
+	t := math.Copysign(1, zeta) / (math.Abs(zeta) + math.Sqrt(1+zeta*zeta))
+	cs := 1 / math.Sqrt(1+t*t)
+	snMag := cs * t
+	sn := complex(snMag, 0) * phase
+	q.Cs[k], q.SnRe[k], q.SnIm[k] = cs, real(sn), imag(sn)
+	return true
 }
 
 // Rank returns the number of singular values greater than delta relative to
