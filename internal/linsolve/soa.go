@@ -177,8 +177,8 @@ func unpackNorms(nrm, nrmD []float64, sums []complex128) {
 
 // start binds r = b - A x, rd = bd - A^dagger xd, p = r, pd = rd, returns
 // the column norms of b and bd, and leaves the local residual sums of r and
-// rd (DotCols, the sums AlphaCols returns on later iterations) in dRe, dIm,
-// n2, n2d.
+// rd in dRe, dIm, n2, n2d: an AlphaCols pass with every lane off, the same
+// source as on every later iteration.
 func (w *WorkspaceSoA[F]) start(nrmB, nrmBD []float64) error {
 	w.a(w.x, w.q)
 	w.ad(w.xd, w.qd)
@@ -199,9 +199,13 @@ func (w *WorkspaceSoA[F]) start(nrmB, nrmBD []float64) error {
 		return err
 	}
 	unpackNorms(nrmB, nrmBD, sums)
-	soa.DotCols(w.n2[:nb], w.dIm[:nb], w.r, w.r)
-	soa.DotCols(w.n2d[:nb], w.dIm[:nb], w.rd, w.rd)
-	soa.DotCols(w.dRe[:nb], w.dIm[:nb], w.rd, w.r)
+	co := &w.alphaCo
+	co.Re, co.Im, co.Mask = co.Re[:nb], co.Im[:nb], co.Mask[:nb]
+	for c := range co.Mask {
+		co.Mask[c] = 0
+	}
+	k := w.krylov()
+	soa.AlphaCols(&k, co, w.dRe[:nb], w.dIm[:nb], w.n2[:nb], w.n2d[:nb])
 	return nil
 }
 

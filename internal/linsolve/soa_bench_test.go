@@ -39,9 +39,10 @@ func benchAlPz(b *testing.B) (n int, apply, applyD BlockApplySoA[float64]) {
 // BenchmarkApplyBlockSoA is the layer benchmark behind the harness's
 // qep.pz_block_ns_per_col: one P(z) block apply on split planes (row
 // stencil kernel, cell couplings, projector gather/scatter) at the sweep's
-// block width (4), the TB slab's (8), the paper's (16) and twice that: the
-// stencil's four-point, two-point, one- and two-tile rows. ns/col is wall
-// time per apply per column; CBS_NO_AVX2=1 times the scalar arm.
+// block width (4), 8, the paper's (16) and twice that: the stencil's
+// four-point tiles, two vectors a point, and one and two 16-column tiles a
+// point. ns/col is wall time per apply per column; CBS_NO_AVX2=1 times the
+// scalar arm.
 func BenchmarkApplyBlockSoA(b *testing.B) {
 	n, apply, _ := benchAlPz(b)
 	for _, nb := range []int{4, 8, 16, 32} {

@@ -290,8 +290,8 @@ func TestColsKernelsZeroAlloc(t *testing.T) {
 }
 
 // benchCols times one column-lane kernel on the Al-shaped blocks of the
-// layer benchmarks: n = 1000 grid points, nb = 4 (sweep), 8 (TB slab) and
-// 16 (paper Nrh) columns, every lane live, |coefficients| < 1 so repeated
+// layer benchmarks: n = 1000 grid points, nb = 4 (sweep), 8 (the tight-binding
+// transport solve) and 16 (paper Nrh) columns, every lane live, |coefficients| < 1 so repeated
 // steps stay bounded. CBS_NO_AVX2=1 times the scalar arm.
 func benchCols(b *testing.B, run func(k *Krylov[float64], a, c *ColCoef[float64], sums []float64)) {
 	for _, nb := range []int{4, 8, 16} {

@@ -218,10 +218,10 @@ ZD: \
 	ADDQ $BYTES, R9
 
 // func stencilRowAVX2(s *Stencil, c *StencilCoef, vloc, vRe, vIm, oRe, oIm []float64, nb, iz, iy int)
-// The row's points run in groups: four at nb = 4 and two at nb = 8, one
-// 16-element tile per group; one at a time otherwise (and for a short last
-// group), as 16-column tiles of the point, then single vectors, then
-// scalar columns. Each group's x offsets are built once.
+// At nb = 4 the row's points run in groups of four, one 16-element tile per
+// group; otherwise (and for a short last group) one at a time, as 16-column
+// tiles of the point, then single vectors, then scalar columns. Each
+// group's x offsets are built once.
 TEXT ·stencilRowAVX2(SB), NOSPLIT, $712-160
 	MOVQ  s+0(FP), R12
 	MOVQ  c+8(FP), R15
@@ -318,10 +318,7 @@ rowgroup:
 	JGE  rowdone
 	XGROUP
 	CMPQ R13, $32
-	JEQ  rowfour
-	CMPQ R13, $64
-	JEQ  rowtwo
-	JMP  rowpoint
+	JNE  rowpoint
 
 rowfour:
 	LEAQ   128(R10), AX
@@ -340,21 +337,6 @@ rowfour:
 	ADVANCE(128)
 	ADDQ   $128, R10
 	ADDQ   $32, R11
-	JMP    rowgroup
-
-rowtwo:
-	LEAQ   128(R10), AX
-	CMPQ   AX, ROW_BYTES(SP)
-	JGT    rowpoint
-	XBUILD(ROW_XOFF)
-	XBUILD(ROW_XOFF+64)
-	MOVQ   DX, R12
-	DBUILD(0)
-	DBUILD(8)
-	TILE(ROW_XOFF, ROW_XOFF, ROW_XOFF+64, ROW_XOFF+64, 0, 32, 0, 32, ROW_DIAG, ROW_DIAG, ROW_DIAG+8, ROW_DIAG+8, rowtwox, rowtwoy, rowtwoz, rowtwozd)
-	ADVANCE(128)
-	ADDQ   $128, R10
-	ADDQ   $16, R11
 	JMP    rowgroup
 
 rowpoint:

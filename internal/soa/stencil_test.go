@@ -111,10 +111,11 @@ func checkStencilRow(t *testing.T, name string, rng *rand.Rand, s *Stencil, c *S
 // TestStencilRowBitIdentical: every row of a spread of shapes — the bench
 // grid, every row length from 1 to 7 points and 10, axes shorter than the
 // half-width, Nz = Nf, every supported nf — at block widths that run every
-// tile shape and remainder (four-point tiles at 4, two-point tiles at 8,
-// one or two 16-column tiles with vector and scalar-lane remainders at 16,
-// 17, 20 and 32, and the plain per-point path at the rest), on periodic and
-// on arbitrary tables, with some z coefficients zeroed.
+// tile shape and remainder (four-point tiles at 4, one or two 16-column
+// tiles with vector and scalar-lane remainders at 16, 17, 20 and 32, and
+// the per-point vectors and scalar lanes at the rest, one vector and a
+// three-lane tail at 7), on periodic and on arbitrary tables, with some z
+// coefficients zeroed.
 func TestStencilRowBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	shapes := []struct{ nx, ny, nz, nf int }{
@@ -124,7 +125,7 @@ func TestStencilRowBitIdentical(t *testing.T) {
 		{7, 1, 3, 4}, {10, 2, 3, 4},
 	}
 	for _, sh := range shapes {
-		for _, nb := range []int{1, 3, 4, 5, 8, 12, 16, 17, 20, 32} {
+		for _, nb := range []int{1, 3, 4, 5, 7, 8, 12, 16, 17, 20, 32} {
 			if sh.nx*sh.ny*sh.nz*nb > 20000 {
 				continue // the bench grid runs at the sweep's and the paper's widths below
 			}
@@ -348,7 +349,7 @@ func FuzzStencilRow(f *testing.F) {
 	f.Add(uint8(3), uint8(5), uint8(4), uint8(4), uint8(5), uint8(3), uint8(4), int64(0), uint8(2))     // wraps more than once, Nz = Nf
 	f.Add(uint8(6), uint8(2), uint8(9), uint8(8), uint8(17), uint8(4), uint8(1), int64(7), uint8(0x81)) // arbitrary tables
 	f.Add(uint8(6), uint8(3), uint8(4), uint8(3), uint8(3), uint8(1), uint8(2), int64(0), uint8(0))     // nb 4: a four-point tile, three single points
-	f.Add(uint8(4), uint8(2), uint8(5), uint8(1), uint8(7), uint8(2), uint8(1), int64(0), uint8(4))     // nb 8: two-point tiles and a single point
+	f.Add(uint8(4), uint8(2), uint8(5), uint8(1), uint8(7), uint8(2), uint8(1), int64(0), uint8(4))     // nb 8: two vectors a point
 	f.Add(uint8(0), uint8(2), uint8(3), uint8(3), uint8(11), uint8(0), uint8(1), int64(3), uint8(0))    // nb 12: vectors only, one point
 	f.Add(uint8(9), uint8(1), uint8(6), uint8(4), uint8(19), uint8(5), uint8(0), int64(9), uint8(0x22)) // nb 20: a tile and a vector
 	f.Add(uint8(1), uint8(4), uint8(2), uint8(5), uint8(31), uint8(1), uint8(3), int64(0), uint8(0))    // nb 32: two tiles a point
