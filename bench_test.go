@@ -346,15 +346,15 @@ func benchLayer(b *testing.B, cfg cbs.Parallel) {
 	}
 }
 
-func BenchmarkFig8TopLayer1(b *testing.B)    { benchLayer(b, cbs.Parallel{Top: 1}) }
-func BenchmarkFig8TopLayer4(b *testing.B)    { benchLayer(b, cbs.Parallel{Top: 4}) }
-func BenchmarkFig8TopLayer8(b *testing.B)    { benchLayer(b, cbs.Parallel{Top: 8}) }
-func BenchmarkFig8MidLayer1(b *testing.B)    { benchLayer(b, cbs.Parallel{Mid: 1}) }
-func BenchmarkFig8MidLayer4(b *testing.B)    { benchLayer(b, cbs.Parallel{Mid: 4}) }
-func BenchmarkFig8MidLayer8(b *testing.B)    { benchLayer(b, cbs.Parallel{Mid: 8}) }
-func BenchmarkFig8BottomLayer1(b *testing.B) { benchLayer(b, cbs.Parallel{Ndm: 1}) }
-func BenchmarkFig8BottomLayer2(b *testing.B) { benchLayer(b, cbs.Parallel{Ndm: 2}) }
-func BenchmarkFig8BottomLayer4(b *testing.B) { benchLayer(b, cbs.Parallel{Ndm: 4}) }
+func BenchmarkFig8TopLayer1(b *testing.B)    { benchLayer(b, cbs.Parallel{Top: 1, Mid: 1, Ndm: 1}) }
+func BenchmarkFig8TopLayer4(b *testing.B)    { benchLayer(b, cbs.Parallel{Top: 4, Mid: 1, Ndm: 1}) }
+func BenchmarkFig8TopLayer8(b *testing.B)    { benchLayer(b, cbs.Parallel{Top: 8, Mid: 1, Ndm: 1}) }
+func BenchmarkFig8MidLayer1(b *testing.B)    { benchLayer(b, cbs.Parallel{Top: 1, Mid: 1, Ndm: 1}) }
+func BenchmarkFig8MidLayer4(b *testing.B)    { benchLayer(b, cbs.Parallel{Top: 1, Mid: 4, Ndm: 1}) }
+func BenchmarkFig8MidLayer8(b *testing.B)    { benchLayer(b, cbs.Parallel{Top: 1, Mid: 8, Ndm: 1}) }
+func BenchmarkFig8BottomLayer1(b *testing.B) { benchLayer(b, cbs.Parallel{Top: 1, Mid: 1, Ndm: 1}) }
+func BenchmarkFig8BottomLayer2(b *testing.B) { benchLayer(b, cbs.Parallel{Top: 1, Mid: 1, Ndm: 2}) }
+func BenchmarkFig8BottomLayer4(b *testing.B) { benchLayer(b, cbs.Parallel{Top: 1, Mid: 1, Ndm: 4}) }
 
 // ---- Fig. 9 / Fig. 10: medium and large systems (machine model) ------------------
 

@@ -67,7 +67,7 @@ func main() {
 	nrh := flag.Int("nrh", 16, "right-hand sides")
 	lmin := flag.Float64("lambda-min", 0.5, "annulus inner radius")
 	top := flag.Int("top", 1, "top-layer workers (right-hand sides)")
-	mid := flag.Int("mid", 1, "middle-layer workers (quadrature points)")
+	mid := flag.Int("mid", 0, "middle-layer workers (quadrature points; 0: GOMAXPROCS/top, at most nint)")
 	ndm := flag.Int("ndm", 1, "bottom-layer domains")
 	balance := flag.Bool("balance", false, "enable the majority early-stop rule")
 	scfFlag := flag.Bool("scf", false, "run a small SCF before the CBS")

@@ -62,7 +62,7 @@ func main() {
 	drainGrace := flag.Duration("drain-grace", 10*time.Second, "how long SIGTERM lets in-flight jobs finish before canceling them")
 
 	top := flag.Int("top", 1, "top-layer workers per solve (right-hand sides)")
-	mid := flag.Int("mid", 1, "middle-layer workers per solve (quadrature points)")
+	mid := flag.Int("mid", 1, "middle-layer workers per solve (quadrature points; 1 because -workers already spreads jobs over the cores)")
 	ndm := flag.Int("ndm", 1, "bottom-layer domains per solve")
 	flag.Parse()
 

@@ -40,7 +40,7 @@ func main() {
 
 	retries := flag.Int("retries", 3, "failed solve attempts per assigned energy")
 	top := flag.Int("top", 1, "top-layer workers (right-hand sides)")
-	mid := flag.Int("mid", 1, "middle-layer workers (quadrature points)")
+	mid := flag.Int("mid", 0, "middle-layer workers (quadrature points; 0: GOMAXPROCS/top, at most nint)")
 	ndm := flag.Int("ndm", 1, "bottom-layer domains")
 	flag.Parse()
 

@@ -143,9 +143,9 @@ func measuredLayers(model *cbs.Model) {
 		cfg  func(w int) cbs.Parallel
 		caps int
 	}{
-		{"top (right-hand sides)", func(w int) cbs.Parallel { return cbs.Parallel{Top: w} }, 8},
-		{"middle (quadrature)", func(w int) cbs.Parallel { return cbs.Parallel{Mid: w} }, 8},
-		{"bottom (domains)", func(w int) cbs.Parallel { return cbs.Parallel{Ndm: w} }, 4},
+		{"top (right-hand sides)", func(w int) cbs.Parallel { return cbs.Parallel{Top: w, Mid: 1, Ndm: 1} }, 8},
+		{"middle (quadrature)", func(w int) cbs.Parallel { return cbs.Parallel{Top: 1, Mid: w, Ndm: 1} }, 8},
+		{"bottom (domains)", func(w int) cbs.Parallel { return cbs.Parallel{Top: 1, Mid: 1, Ndm: w} }, 4},
 	}
 	opts := cbs.DefaultOptions()
 	opts.Nint = 8

@@ -11,7 +11,7 @@ import (
 // the small dense Hankel work. This is the quantity compared against the
 // OBM baseline in Fig. 4(b).
 func MemoryEstimate(q *qep.Problem, opts Options) int64 {
-	opts.Parallel = opts.Parallel.normalize()
+	opts.Parallel = opts.Parallel.resolve(opts.Nrh, opts.Nint)
 	n := int64(q.Dim())
 	nrh := int64(opts.Nrh)
 	nmm := int64(opts.Nmm)
@@ -22,9 +22,10 @@ func MemoryEstimate(q *qep.Problem, opts Options) int64 {
 	b += 2 * nmm * n * nrh * 16 // moment accumulator
 	b += n * nrh * 16           // probe block V
 	b += 3 * m * m * 16         // Hankel pair + SVD work
-	// Point-loop state: each (top, mid) worker owns one blockWorker and runs
-	// one block solve at a time, and each top block shares its
-	// right-hand-side planes across its mid workers.
+	// Point-loop state: each (top, mid) worker of the resolved layout (the
+	// one solveAll starts) owns one blockWorker and runs one block solve at
+	// a time, and each top block shares its right-hand-side planes across
+	// its mid workers.
 	top := int64(opts.Parallel.Top)
 	nb := (nrh + top - 1) / top // columns per top block
 	solve := 6 * n * nb * 16    // the workspace's six Krylov planes

@@ -9,9 +9,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -27,24 +30,29 @@ import (
 )
 
 // Parallel configures the three layers of the hierarchy. Each field is a
-// worker count; 1 means serial at that layer.
+// worker count; 1 means serial at that layer. A Mid of 0 is derived from
+// the host: GOMAXPROCS/Top, at most Nint. Top and Mid only reschedule the
+// same arithmetic (each top block commits its points in point order), so
+// every Top/Mid layout returns the bits of the serial one, unless
+// LoadBalanceStop with Mid > 1 lets timing decide when columns stop.
 type Parallel struct {
 	Top int // concurrent right-hand-side blocks (no communication)
-	Mid int // concurrent quadrature points (no communication)
+	Mid int // concurrent quadrature points (no communication; 0: derived)
 	Ndm int // domains of the z-slab decomposition (halo + allreduce traffic)
 }
 
-// normalize fills zero fields with 1.
-func (p Parallel) normalize() Parallel {
-	if p.Top < 1 {
-		p.Top = 1
+// resolve returns the layout a solve with nrh columns and nint points runs:
+// Top and Ndm below 1 mean 1, Top is capped at nrh, a Mid of 0 becomes
+// GOMAXPROCS/Top, and Mid is capped at nint, so no worker is started (or
+// counted by MemoryEstimate) that could never get a column block or a
+// point.
+func (p Parallel) resolve(nrh, nint int) Parallel {
+	p.Top = max(min(p.Top, nrh), 1)
+	if p.Mid == 0 {
+		p.Mid = runtime.GOMAXPROCS(0) / p.Top
 	}
-	if p.Mid < 1 {
-		p.Mid = 1
-	}
-	if p.Ndm < 1 {
-		p.Ndm = 1
-	}
+	p.Mid = max(min(p.Mid, nint), 1)
+	p.Ndm = max(p.Ndm, 1)
 	return p
 }
 
@@ -100,7 +108,7 @@ func DefaultOptions() Options {
 		BiCGTol:     1e-10,
 		ResidualTol: 1e-5,
 		Seed:        1,
-		Parallel:    Parallel{Top: 1, Mid: 1, Ndm: 1},
+		Parallel:    Parallel{Top: 1, Ndm: 1},
 	}
 }
 
@@ -195,7 +203,7 @@ func SolveContext(ctx context.Context, q *qep.Problem, opts Options) (*Result, e
 
 // solveOnce is a single pass of Algorithm 1.
 func solveOnce(ctx context.Context, q *qep.Problem, opts Options) (*Result, error) {
-	opts.Parallel = opts.Parallel.normalize()
+	opts.Parallel = opts.Parallel.resolve(opts.Nrh, opts.Nint)
 	if opts.Nint < 1 || opts.Nmm < 1 || opts.Nrh < 1 {
 		return nil, fmt.Errorf("%w: Nint/Nmm/Nrh must be positive, got %d/%d/%d", ErrBadOptions, opts.Nint, opts.Nmm, opts.Nrh)
 	}
@@ -282,7 +290,9 @@ func probeBlock(n, nrh int, seed int64) *zlinalg.Matrix {
 // right-hand sides. Per-point statistics are accumulated worker-locally and
 // merged under the global mutex once per (worker, point) instead of once
 // per column; the moment accumulator is likewise fed one interleaved block
-// per point.
+// per point. Those commits go in point order within a top block (top
+// blocks own disjoint columns), so every Top/Mid layout adds the moments
+// up in the serial order and returns the serial bits.
 func solveAll(ctx context.Context, q *qep.Problem, ring *contour.Ring, v *zlinalg.Matrix, acc *ssm.Accumulator, distSolver *dist.Solver, opts Options, res *Result) error {
 	n := q.Dim()
 	nint := opts.Nint
@@ -326,19 +336,21 @@ func solveAll(ctx context.Context, q *qep.Problem, ring *contour.Ring, v *zlinal
 					b.Re[i*nb+c], b.Im[i*nb+c] = real(e), imag(e)
 				}
 			}
-			// Middle layer: quadrature points from a shared queue.
+			// Middle layer: quadrature points from a shared queue,
+			// committed in point order.
 			points := make(chan int, nint)
 			for j := 0; j < nint; j++ {
 				points <- j
 			}
 			close(points)
+			turns := newPointTurns(nint)
 			var midWG sync.WaitGroup
 			for w := 0; w < par.Mid; w++ {
 				midWG.Add(1)
 				go func() {
 					defer midWG.Done()
 					bw := newBlockWorker(q, b, distSolver)
-					if err := solvePoints(cctx, bw, ring, points, acc, groups[c0:c1], c0, opts, sh); err != nil {
+					if err := solvePoints(cctx, bw, ring, points, turns, acc, groups[c0:c1], c0, opts, sh); err != nil {
 						setErr(err)
 					}
 				}()
@@ -367,6 +379,11 @@ func solveAll(ctx context.Context, q *qep.Problem, ring *contour.Ring, v *zlinal
 			factors[c] = f
 		}
 		acc.ScaleColumns(factors)
+		// Top blocks append in the order they finish; the ledger goes out
+		// (and into journal records) in (point, column) order.
+		slices.SortFunc(sh.droppedPairs, func(a, b DroppedPair) int {
+			return cmp.Or(cmp.Compare(a.Point, b.Point), cmp.Compare(a.Col, b.Col))
+		})
 		res.Diagnostics.DroppedPairs = sh.droppedPairs
 		res.Diagnostics.RenormFactors = factors
 	}
@@ -385,6 +402,37 @@ type pointMerge struct {
 	droppedByCol []int
 	droppedPairs []DroppedPair
 }
+
+// pointTurns orders one top block's commits: turns[j] is closed once
+// point j may commit, which is when point j-1 has. The commit is the only
+// floating-point step whose order the schedule could change (the moment
+// sums), so ordering it makes every Mid return the bits of Mid 1. A worker
+// waiting for its turn holds nothing beyond its own blockWorker.
+type pointTurns []chan struct{}
+
+func newPointTurns(nint int) pointTurns {
+	t := make(pointTurns, nint+1)
+	for j := range t {
+		t[j] = make(chan struct{})
+	}
+	close(t[0])
+	return t
+}
+
+// wait blocks until point j may commit. It reports false when ctx ends
+// first: every path that abandons a point (a fatal error, the caller's
+// cancel) cancels ctx, so no waiter outlives a point that never commits.
+func (t pointTurns) wait(ctx context.Context, j int) bool {
+	select {
+	case <-t[j]:
+		return true
+	case <-ctx.Done():
+		return false
+	}
+}
+
+// pass hands the turn from point j to point j+1.
+func (t pointTurns) pass(j int) { close(t[j+1]) }
 
 // blockWorker is one middle-layer worker's solve state, allocated once and
 // reused across its quadrature points so the steady-state loop is
@@ -457,8 +505,9 @@ func (w *blockWorker) solve(ctx context.Context, z complex128, lopts linsolve.Op
 // with the worker's layout — one dual block solve per point, the recovery
 // ladder on its failed columns (local-serial on every layout: recovery is
 // rare, and a breakdown is a property of the Krylov sequence, not of the
-// decomposition), one accumulator feed and one locked merge per point.
-func solvePoints(ctx context.Context, w *blockWorker, ring *contour.Ring, points <-chan int, acc *ssm.Accumulator, colGroups []*linsolve.GroupStop, c0 int, opts Options, sh *pointMerge) error {
+// decomposition), then, on the point's turn, one accumulator feed and one
+// locked merge.
+func solvePoints(ctx context.Context, w *blockWorker, ring *contour.Ring, points <-chan int, turns pointTurns, acc *ssm.Accumulator, colGroups []*linsolve.GroupStop, c0 int, opts Options, sh *pointMerge) error {
 	nb := len(colGroups)
 	for j := range points {
 		if ctx.Err() != nil {
@@ -490,10 +539,6 @@ func solvePoints(ctx context.Context, w *blockWorker, ring *contour.Ring, points
 		// accumulator never sees them.
 		var local PointStats
 		dropped, recMV := recoverBlockColumns(w.q, zOut, w.b, w.x, w.xd, j, c0, colGroups, rs, opts, &local, w.bcol, w.xcol, w.xdcol)
-		// Accumulate: primal -> outer node, dual -> the paired inner node
-		// (P(zOut)^dagger = P(zIn)).
-		acc.AddInterleaved(zOut, wOut, c0, nb, w.x)
-		acc.AddInterleaved(zIn, wIn, c0, nb, w.xd)
 		matVecs := recMV
 		for _, r := range rs {
 			local.Iterations += r.Iterations
@@ -508,6 +553,13 @@ func solvePoints(ctx context.Context, w *blockWorker, ring *contour.Ring, points
 		if lopts.History {
 			local.History = rs[0].History
 		}
+		if !turns.wait(ctx, j) {
+			return nil // canceled: reported as at the top of the loop
+		}
+		// Accumulate: primal -> outer node, dual -> the paired inner node
+		// (P(zOut)^dagger = P(zIn)).
+		acc.AddInterleaved(zOut, wOut, c0, nb, w.x)
+		acc.AddInterleaved(zIn, wIn, c0, nb, w.xd)
 		sh.mu.Lock()
 		mergePointStats(&sh.res.Points[j], &local)
 		for _, c := range dropped {
@@ -517,6 +569,7 @@ func solvePoints(ctx context.Context, w *blockWorker, ring *contour.Ring, points
 		sh.res.MatVecs += matVecs
 		sh.res.CommBytes += commBytes
 		sh.mu.Unlock()
+		turns.pass(j)
 	}
 	return nil
 }

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
+	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -122,8 +125,80 @@ func TestSpectrumPairing(t *testing.T) {
 	}
 }
 
+// layoutDiff reports the first difference between two solves in what a
+// Top/Mid layout must not change: the bits of every AllPairs eigenvalue and
+// Hankel singular value, the operator-application count and the per-point
+// statistics. It returns "" when there is none.
+func layoutDiff(got, want *Result) string {
+	if len(got.AllPairs) != len(want.AllPairs) {
+		return fmt.Sprintf("%d eigenvalues, serial %d", len(got.AllPairs), len(want.AllPairs))
+	}
+	for i := range want.AllPairs {
+		g, w := got.AllPairs[i].Lambda, want.AllPairs[i].Lambda
+		if math.Float64bits(real(g)) != math.Float64bits(real(w)) || math.Float64bits(imag(g)) != math.Float64bits(imag(w)) {
+			return fmt.Sprintf("eigenvalue %d: %v, serial %v (moved by %g)", i, g, w, cmplx.Abs(g-w))
+		}
+	}
+	if len(got.Sigma) != len(want.Sigma) {
+		return fmt.Sprintf("%d singular values, serial %d", len(got.Sigma), len(want.Sigma))
+	}
+	for i := range want.Sigma {
+		if math.Float64bits(got.Sigma[i]) != math.Float64bits(want.Sigma[i]) {
+			return fmt.Sprintf("singular value %d: %g, serial %g", i, got.Sigma[i], want.Sigma[i])
+		}
+	}
+	if got.MatVecs != want.MatVecs {
+		return fmt.Sprintf("MatVecs %d, serial %d", got.MatVecs, want.MatVecs)
+	}
+	if !reflect.DeepEqual(got.Points, want.Points) {
+		return "per-point statistics differ from the serial run"
+	}
+	return ""
+}
+
+// TestParallelLayersBitIdentical: the top and middle layers only reschedule
+// the same arithmetic (each top block commits its quadrature points in point
+// order), so every Top/Mid layout, the derived Mid 0 included, returns the
+// bits of the serial solve on both backends, run after run. Small enough for
+// -short, so the race job drives the ordered commit.
+func TestParallelLayersBitIdentical(t *testing.T) {
+	slab, err := tb.NewSlab(tb.SlabConfig{Nx: 6, Ny: 6, Hopping: -1, A: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		q    *qep.Problem
+	}{
+		{"fd", chaosProblem(t)},
+		{"tb", qep.NewBackend(slab, -4.5)},
+	} {
+		opts := chaosOptions()
+		opts.Parallel = Parallel{Top: 1, Mid: 1, Ndm: 1}
+		serial, err := Solve(tc.q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, top := range []int{1, 2, 3} {
+			for _, mid := range []int{0, 1, 2, 4} {
+				opts.Parallel = Parallel{Top: top, Mid: mid, Ndm: 1}
+				for rep := 0; rep < 3; rep++ {
+					r, err := Solve(tc.q, opts)
+					if err != nil {
+						t.Fatalf("%s %+v: %v", tc.name, opts.Parallel, err)
+					}
+					if d := layoutDiff(r, serial); d != "" {
+						t.Errorf("%s %+v rep %d: %s", tc.name, opts.Parallel, rep, d)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestParallelLayersAgree: every parallel configuration must produce the
-// same spectrum as the serial run.
+// same spectrum as the serial run: bit for bit on the Top/Mid layouts, to
+// 1e-4 with the bottom layer decomposed.
 func TestParallelLayersAgree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long multi-config solve; TestGroupStopConcurrentBlocked covers concurrency in -short runs")
@@ -138,6 +213,7 @@ func TestParallelLayersAgree(t *testing.T) {
 	opts.Nint = 8
 	opts.Nmm = 4
 	opts.Nrh = 6
+	opts.Parallel = Parallel{Top: 1, Mid: 1, Ndm: 1}
 
 	serial, err := Solve(q, opts)
 	if err != nil {
@@ -156,20 +232,26 @@ func TestParallelLayersAgree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%+v: %v", cfg, err)
 		}
+		if cfg.Ndm == 1 {
+			if d := layoutDiff(r, serial); d != "" {
+				t.Errorf("%+v: %s", cfg, d)
+			}
+			continue
+		}
 		got := lambdaSet(r)
 		if len(got) != len(want) {
 			t.Errorf("%+v: %d eigenvalues, serial found %d", cfg, len(got), len(want))
 			continue
 		}
-		// Different parallel paths take different floating-point routes
-		// through BiCG (reduction order) and the coarse Nint=8 extraction
-		// amplifies that; 1e-4 is well below any physical scale here.
+		// The decomposed bottom layer sums its inner products in another
+		// order, and the coarse Nint=8 extraction amplifies that; 1e-4 is
+		// well below any physical scale here.
 		for i := range want {
 			if cmplx.Abs(got[i]-want[i]) > 1e-4 {
 				t.Errorf("%+v: eigenvalue %d: %v vs serial %v", cfg, i, got[i], want[i])
 			}
 		}
-		if cfg.Ndm > 1 && r.CommBytes == 0 {
+		if r.CommBytes == 0 {
 			t.Errorf("%+v: no bottom-layer traffic recorded", cfg)
 		}
 	}
@@ -297,24 +379,28 @@ func TestMemoryEstimateScalesLinearly(t *testing.T) {
 // bottom layer decomposed: the capacities of one worker's buffers and of
 // one top block's right-hand-side planes are summed and scaled by the
 // worker and block counts; under Ndm > 1 the block solve's planes are the
-// decomposed solver's (pinned to the ranks' buffers in package dist).
+// decomposed solver's (pinned to the ranks' buffers in package dist). A Mid
+// of 0 counts the workers the host derives, GOMAXPROCS/Top.
 func TestMemoryEstimateCountsAllocatedBuffers(t *testing.T) {
 	slab, err := tb.NewSlab(tb.SlabConfig{Nx: 8, Ny: 8, Hopping: -1, A: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	derived := max(min(runtime.GOMAXPROCS(0)/2, testOptions().Nint), 1)
 	for _, tc := range []struct {
-		name string
-		q    *qep.Problem
-		ndm  int
+		name          string
+		q             *qep.Problem
+		mid, ndm      int
+		workersPerTop int
 	}{
-		{"fd", qep.New(smallAl(t, 8), 0), 1},
-		{"fd-dist", qep.New(smallAl(t, 8), 0), 2},
-		{"tb", qep.NewBackend(slab, 0), 1},
+		{"fd", qep.New(smallAl(t, 8), 0), 2, 1, 2},
+		{"fd-derived", qep.New(smallAl(t, 8), 0), 0, 1, derived},
+		{"fd-dist", qep.New(smallAl(t, 8), 0), 2, 2, 2},
+		{"tb", qep.NewBackend(slab, 0), 2, 1, 2},
 	} {
 		q := tc.q
 		opts := testOptions()
-		opts.Parallel = Parallel{Top: 2, Mid: 2, Ndm: tc.ndm}
+		opts.Parallel = Parallel{Top: 2, Mid: tc.mid, Ndm: tc.ndm}
 		n, nb := q.Dim(), opts.Nrh/opts.Parallel.Top
 		b := soa.NewBlock[float64](n, nb)
 		var distSolver *dist.Solver
@@ -338,12 +424,32 @@ func TestMemoryEstimateCountsAllocatedBuffers(t *testing.T) {
 		m := int64(opts.Nrh * opts.Nmm)
 		want := q.B.MemoryBytes() + acc.MemoryBytesUsed() +
 			int64(cap(probeBlock(n, opts.Nrh, opts.Seed).Data))*16 + 3*m*m*16 +
-			4*worker + 2*b.MemoryBytes()
+			int64(2*tc.workersPerTop)*worker + 2*b.MemoryBytes()
 		got := MemoryEstimate(q, opts)
 		// The estimate leaves out only the O(nb) per-column recurrence
 		// scalars of the four workspaces.
 		if slack := 4 * int64(nb) * 250; got > want || want-got > slack {
 			t.Errorf("%s: MemoryEstimate = %d bytes, allocated buffers sum to %d (allowed shortfall %d)", tc.name, got, want, slack)
+		}
+	}
+}
+
+// TestMemoryEstimateCountsStartedWorkers: solveAll starts no worker that
+// could never get a point or a column block, and MemoryEstimate counts none:
+// Mid is capped at Nint and Top at Nrh.
+func TestMemoryEstimateCountsStartedWorkers(t *testing.T) {
+	q := qep.New(smallAl(t, 8), 0)
+	opts := testOptions()
+	opts.Nint = 8
+	for _, tc := range []struct{ over, capped Parallel }{
+		{Parallel{Top: 1, Mid: 64}, Parallel{Top: 1, Mid: 8}},
+		{Parallel{Top: 2, Mid: 9}, Parallel{Top: 2, Mid: 8}},
+		{Parallel{Top: 64, Mid: 1}, Parallel{Top: opts.Nrh, Mid: 1}},
+	} {
+		over, capped := opts, opts
+		over.Parallel, capped.Parallel = tc.over, tc.capped
+		if got, want := MemoryEstimate(q, over), MemoryEstimate(q, capped); got != want {
+			t.Errorf("%+v: MemoryEstimate = %d, want the %+v estimate %d", tc.over, got, tc.capped, want)
 		}
 	}
 }

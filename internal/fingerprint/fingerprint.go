@@ -7,10 +7,15 @@
 // served solve of the same physics always agree on identity.
 //
 // The parallel layout (Options.Parallel) and the chaos injector are
-// deliberately excluded: worker counts only reschedule the same
-// arithmetic, so a sweep checkpointed on 8 workers may resume on 2, and
-// fault injection is a test-harness concern, not part of the
-// computation's identity.
+// deliberately excluded: worker counts only reschedule the arithmetic, so a
+// sweep checkpointed on 8 workers may resume on 2, and fault injection is a
+// test-harness concern, not part of the computation's identity. Exactly
+// which layouts return identical bits: every Top and Mid (each top block
+// commits its quadrature points in point order), but not Ndm > 1 (the
+// ranks' reductions sum in another order) and not LoadBalanceStop with
+// Mid > 1 (its majority rule reads how many points have converged so far,
+// which depends on timing). Those agree with the serial solve to solver
+// accuracy, not to the bit.
 //
 // Stability contract: the digest of a given (descriptor, energies,
 // options) triple is pinned by golden tests and must never change for the

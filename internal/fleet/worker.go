@@ -32,7 +32,9 @@ type WorkerConfig struct {
 	// Parallel, when non-zero, overrides the parallel layout of the
 	// shipped options for solves on this worker. The layout is
 	// scheduling, not identity — fingerprint verification is unaffected —
-	// so each worker sizes the three layers to its own cores.
+	// so each worker sizes the three layers to its own cores. A Mid of 0,
+	// here or in the shipped options, is resolved on the worker:
+	// GOMAXPROCS/Top of its own host, at most Nint.
 	Parallel core.Parallel
 	// Chaos, when non-nil, arms the worker's links with the net.reset and
 	// net.conn fault sites (testing only).

@@ -1,12 +1,15 @@
 package sweep
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
 	"math/cmplx"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strconv"
 	"sync/atomic"
@@ -265,5 +268,50 @@ func TestSweepRealSolverPartialSemantics(t *testing.T) {
 	}
 	if got := len(report.Completed()); got != 2 {
 		t.Errorf("Completed() = %d results, want 2", got)
+	}
+}
+
+// TestChaosDropLayoutIndependent: with the recovery ladder sabotaged in
+// both top blocks, the {Top: 2, Mid: 2} layout drops the same
+// (point, column) pairs as the serial one and reports them in (point,
+// column) order, so the Diagnostics and the journal record are the serial
+// ones byte for byte, whichever top block finishes first.
+func TestChaosDropLayoutIndependent(t *testing.T) {
+	solve := realSolve(t)
+	cfg := Config{Chaos: chaos.New(chaosSeed(), chaos.Config{
+		Breakdown:        0.2,
+		RestartBreakdown: 1,
+		FallbackFail:     1,
+	})}
+	var want EnergyResult
+	var wantRec []byte
+	for i, par := range []core.Parallel{{Top: 1, Mid: 1, Ndm: 1}, {Top: 2, Mid: 2, Ndm: 1}} {
+		opts := realOptions()
+		opts.Parallel = par
+		er := SolveOne(context.Background(), solve, 0, 0.05, opts, cfg)
+		if er.Result == nil {
+			t.Fatalf("%+v: %s: %v", par, er.Status, er.Err)
+		}
+		rec, err := json.Marshal(RecordOf(er))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			want, wantRec = er, rec
+			var blocks [2]bool // drops in each half of the probe columns
+			for _, dp := range er.Result.Diagnostics.DroppedPairs {
+				blocks[2*dp.Col/er.Result.Expanded] = true
+			}
+			if !blocks[0] || !blocks[1] {
+				t.Fatalf("seed %d drops %+v: not in both top blocks", chaosSeed(), er.Result.Diagnostics.DroppedPairs)
+			}
+			continue
+		}
+		if !reflect.DeepEqual(er.Result.Diagnostics, want.Result.Diagnostics) {
+			t.Errorf("%+v: Diagnostics %+v, serial %+v", par, er.Result.Diagnostics, want.Result.Diagnostics)
+		}
+		if !bytes.Equal(rec, wantRec) {
+			t.Errorf("%+v: journal record differs from the serial one", par)
+		}
 	}
 }
