@@ -25,7 +25,8 @@ func MemoryEstimate(q *qep.Problem, opts Options) int64 {
 	// Point-loop state: each (top, mid) worker of the resolved layout (the
 	// one solveAll starts) owns one blockWorker and runs one block solve at
 	// a time, and each top block shares its right-hand-side planes across
-	// its mid workers.
+	// its mid workers and keeps the spare solution buffers its workers park
+	// out-of-turn points with.
 	top := int64(opts.Parallel.Top)
 	nb := (nrh + top - 1) / top // columns per top block
 	solve := 6 * n * nb * 16    // the workspace's six Krylov planes
@@ -36,5 +37,6 @@ func MemoryEstimate(q *qep.Problem, opts Options) int64 {
 	}
 	b += top * int64(opts.Parallel.Mid) * (blockWorkerBytes(n, nb) + solve)
 	b += top * n * nb * 16
+	b += top * int64(pointSpares(opts.Parallel.Mid)) * 2 * n * nb * 16
 	return b
 }

@@ -343,14 +343,20 @@ func solveAll(ctx context.Context, q *qep.Problem, ring *contour.Ring, v *zlinal
 				points <- j
 			}
 			close(points)
-			turns := newPointTurns(nint)
+			order := newPointOrder(nint, par.Mid, n*nb, func(p *solvedPoint) {
+				// Accumulate: primal -> outer node, dual -> the paired
+				// inner node (P(zOut)^dagger = P(zIn)).
+				acc.AddInterleaved(ring.Outer[p.j].Z, ring.Outer[p.j].W, c0, nb, p.x)
+				acc.AddInterleaved(ring.Inner[p.j].Z, ring.Inner[p.j].W, c0, nb, p.xd)
+				sh.merge(p)
+			})
 			var midWG sync.WaitGroup
 			for w := 0; w < par.Mid; w++ {
 				midWG.Add(1)
 				go func() {
 					defer midWG.Done()
 					bw := newBlockWorker(q, b, distSolver)
-					if err := solvePoints(cctx, bw, ring, points, turns, acc, groups[c0:c1], c0, opts, sh); err != nil {
+					if err := solvePoints(cctx, bw, ring, points, order, groups[c0:c1], c0, opts); err != nil {
 						setErr(err)
 					}
 				}()
@@ -403,36 +409,107 @@ type pointMerge struct {
 	droppedPairs []DroppedPair
 }
 
-// pointTurns orders one top block's commits: turns[j] is closed once
-// point j may commit, which is when point j-1 has. The commit is the only
-// floating-point step whose order the schedule could change (the moment
-// sums), so ordering it makes every Mid return the bits of Mid 1. A worker
-// waiting for its turn holds nothing beyond its own blockWorker.
-type pointTurns []chan struct{}
-
-func newPointTurns(nint int) pointTurns {
-	t := make(pointTurns, nint+1)
-	for j := range t {
-		t[j] = make(chan struct{})
+// merge folds one committed point's statistics and dropped pairs into the
+// shared result.
+func (sh *pointMerge) merge(p *solvedPoint) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	mergePointStats(&sh.res.Points[p.j], &p.stats)
+	for _, c := range p.dropped {
+		sh.droppedByCol[c]++
+		sh.droppedPairs = append(sh.droppedPairs, DroppedPair{Point: p.j, Col: c})
 	}
-	close(t[0])
-	return t
+	sh.res.MatVecs += p.matVecs
+	sh.res.CommBytes += p.commBytes
 }
 
-// wait blocks until point j may commit. It reports false when ctx ends
-// first: every path that abandons a point (a fatal error, the caller's
-// cancel) cancels ctx, so no waiter outlives a point that never commits.
-func (t pointTurns) wait(ctx context.Context, j int) bool {
-	select {
-	case <-t[j]:
-		return true
-	case <-ctx.Done():
-		return false
-	}
+// solvedPoint is one quadrature point's contribution, solved and through
+// the recovery ladder, until it commits: the interleaved primal and dual
+// solutions the accumulator reads and the worker-local statistics the
+// merge folds in. Its x and xd are a worker's solution buffers, which
+// travel with it when it is parked.
+type solvedPoint struct {
+	j         int
+	x, xd     []complex128
+	stats     PointStats
+	dropped   []int
+	matVecs   int
+	commBytes int64
 }
 
-// pass hands the turn from point j to point j+1.
-func (t pointTurns) pass(j int) { close(t[j+1]) }
+// pointOrder commits one top block's points in point order. The commit is
+// the only floating-point step whose order the schedule could change (the
+// moment sums), so ordering it makes every Mid return the bits of Mid 1.
+// A worker whose point is not next does not wait for it: it parks the
+// point and goes on with a spare pair of solution buffers, and whoever
+// commits the point before a parked one commits that one too and frees its
+// buffers. A worker that is slow (descheduled, or on a costly point) thus
+// holds the others up only once they have run Mid points ahead of it.
+type pointOrder struct {
+	apply  func(*solvedPoint) // one commit; called in point order, one at a time
+	mu     sync.Mutex
+	next   int            // the lowest point not committed yet
+	parked []*solvedPoint // by point: solved out of turn, not committed yet
+	spares chan *solvedPoint
+}
+
+// newPointOrder allocates the spares up front: Mid of them, none for a lone
+// worker, which always holds the next point. The spares channel has room
+// for every buffer pair of the block, so a commit never blocks freeing one.
+func newPointOrder(nint, mid, size int, apply func(*solvedPoint)) *pointOrder {
+	o := &pointOrder{apply: apply, parked: make([]*solvedPoint, nint), spares: make(chan *solvedPoint, 2*mid)}
+	for range pointSpares(mid) {
+		o.spares <- &solvedPoint{x: make([]complex128, size), xd: make([]complex128, size)}
+	}
+	return o
+}
+
+// pointSpares is the number of spare solution-buffer pairs of one top
+// block with mid workers.
+func pointSpares(mid int) int {
+	if mid < 2 {
+		return 0
+	}
+	return mid
+}
+
+// commit commits p if its point is next, then every parked point that
+// follows it, and hands p back for the next point. Otherwise it parks p
+// and hands back a spare, waiting for one to be freed if need be. It
+// reports false when ctx ends first: every path that abandons a point (a
+// fatal error, the caller's cancel) cancels ctx. The worker holding the
+// next point never waits here, so the block always moves. Only that
+// worker applies, one point at a time, and outside mu, so a worker that
+// parks meanwhile does not wait for the accumulator.
+func (o *pointOrder) commit(ctx context.Context, p *solvedPoint) (*solvedPoint, bool) {
+	o.mu.Lock()
+	o.parked[p.j] = p
+	if p.j != o.next {
+		o.mu.Unlock()
+		select {
+		case s := <-o.spares:
+			return s, true
+		case <-ctx.Done():
+			return nil, false
+		}
+	}
+	for q := p; q != nil; {
+		o.parked[q.j] = nil
+		o.mu.Unlock()
+		o.apply(q)
+		if q != p {
+			o.spares <- q
+		}
+		o.mu.Lock()
+		o.next++
+		q = nil
+		if o.next < len(o.parked) {
+			q = o.parked[o.next]
+		}
+	}
+	o.mu.Unlock()
+	return p, true
+}
 
 // blockWorker is one middle-layer worker's solve state, allocated once and
 // reused across its quadrature points so the steady-state loop is
@@ -505,10 +582,10 @@ func (w *blockWorker) solve(ctx context.Context, z complex128, lopts linsolve.Op
 // with the worker's layout — one dual block solve per point, the recovery
 // ladder on its failed columns (local-serial on every layout: recovery is
 // rare, and a breakdown is a property of the Krylov sequence, not of the
-// decomposition), then, on the point's turn, one accumulator feed and one
-// locked merge.
-func solvePoints(ctx context.Context, w *blockWorker, ring *contour.Ring, points <-chan int, turns pointTurns, acc *ssm.Accumulator, colGroups []*linsolve.GroupStop, c0 int, opts Options, sh *pointMerge) error {
-	nb := len(colGroups)
+// decomposition), then the point's commit in point order (one accumulator
+// feed and one locked merge).
+func solvePoints(ctx context.Context, w *blockWorker, ring *contour.Ring, points <-chan int, order *pointOrder, colGroups []*linsolve.GroupStop, c0 int, opts Options) error {
+	p := &solvedPoint{x: w.x, xd: w.xd}
 	for j := range points {
 		if ctx.Err() != nil {
 			// Canceled by another worker's fatal error (which reports it)
@@ -520,9 +597,6 @@ func solvePoints(ctx context.Context, w *blockWorker, ring *contour.Ring, points
 			return fmt.Errorf("core: fatal fault at quadrature point %d: %w", j, injErr)
 		}
 		zOut := ring.Outer[j].Z
-		wOut := ring.Outer[j].W
-		zIn := ring.Inner[j].Z
-		wIn := ring.Inner[j].W
 		lopts := linsolve.Options{
 			Tol:       opts.BiCGTol,
 			MaxIter:   opts.MaxIter,
@@ -553,23 +627,12 @@ func solvePoints(ctx context.Context, w *blockWorker, ring *contour.Ring, points
 		if lopts.History {
 			local.History = rs[0].History
 		}
-		if !turns.wait(ctx, j) {
+		*p = solvedPoint{j: j, x: w.x, xd: w.xd, stats: local, dropped: dropped, matVecs: matVecs, commBytes: commBytes}
+		var ok bool
+		if p, ok = order.commit(ctx, p); !ok {
 			return nil // canceled: reported as at the top of the loop
 		}
-		// Accumulate: primal -> outer node, dual -> the paired inner node
-		// (P(zOut)^dagger = P(zIn)).
-		acc.AddInterleaved(zOut, wOut, c0, nb, w.x)
-		acc.AddInterleaved(zIn, wIn, c0, nb, w.xd)
-		sh.mu.Lock()
-		mergePointStats(&sh.res.Points[j], &local)
-		for _, c := range dropped {
-			sh.droppedByCol[c]++
-			sh.droppedPairs = append(sh.droppedPairs, DroppedPair{Point: j, Col: c})
-		}
-		sh.res.MatVecs += matVecs
-		sh.res.CommBytes += commBytes
-		sh.mu.Unlock()
-		turns.pass(j)
+		w.x, w.xd = p.x, p.xd
 	}
 	return nil
 }

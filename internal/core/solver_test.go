@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/cmplx"
@@ -8,6 +9,7 @@ import (
 	"runtime"
 	"sort"
 	"testing"
+	"time"
 
 	"cbs/internal/bandstructure"
 	"cbs/internal/dist"
@@ -379,8 +381,9 @@ func TestMemoryEstimateScalesLinearly(t *testing.T) {
 // bottom layer decomposed: the capacities of one worker's buffers and of
 // one top block's right-hand-side planes are summed and scaled by the
 // worker and block counts; under Ndm > 1 the block solve's planes are the
-// decomposed solver's (pinned to the ranks' buffers in package dist). A Mid
-// of 0 counts the workers the host derives, GOMAXPROCS/Top.
+// decomposed solver's (pinned to the ranks' buffers in package dist), and
+// each block keeps its point order's spare solution buffers. A Mid of 0
+// counts the workers the host derives, GOMAXPROCS/Top.
 func TestMemoryEstimateCountsAllocatedBuffers(t *testing.T) {
 	slab, err := tb.NewSlab(tb.SlabConfig{Nx: 8, Ny: 8, Hopping: -1, A: 1})
 	if err != nil {
@@ -417,6 +420,12 @@ func TestMemoryEstimateCountsAllocatedBuffers(t *testing.T) {
 		} else {
 			worker += w.ws.MemoryBytes()
 		}
+		order := newPointOrder(opts.Nint, tc.workersPerTop, n*nb, nil)
+		var spares int64
+		for range len(order.spares) {
+			s := <-order.spares
+			spares += int64(cap(s.x)+cap(s.xd)) * 16
+		}
 		acc, err := ssm.NewAccumulator(n, opts.Nrh, opts.Nmm)
 		if err != nil {
 			t.Fatal(err)
@@ -424,13 +433,62 @@ func TestMemoryEstimateCountsAllocatedBuffers(t *testing.T) {
 		m := int64(opts.Nrh * opts.Nmm)
 		want := q.B.MemoryBytes() + acc.MemoryBytesUsed() +
 			int64(cap(probeBlock(n, opts.Nrh, opts.Seed).Data))*16 + 3*m*m*16 +
-			int64(2*tc.workersPerTop)*worker + 2*b.MemoryBytes()
+			int64(2*tc.workersPerTop)*worker + 2*(b.MemoryBytes()+spares)
 		got := MemoryEstimate(q, opts)
 		// The estimate leaves out only the O(nb) per-column recurrence
 		// scalars of the four workspaces.
 		if slack := 4 * int64(nb) * 250; got > want || want-got > slack {
 			t.Errorf("%s: MemoryEstimate = %d bytes, allocated buffers sum to %d (allowed shortfall %d)", tc.name, got, want, slack)
 		}
+	}
+}
+
+// TestPointOrderParksOutOfTurnPoints drives one top block's commit order
+// directly: points solved before their turn are parked and their workers
+// go on with spares; with the spares used up a worker waits until a commit
+// frees one (or its context ends); and every point is applied once, in
+// point order.
+func TestPointOrderParksOutOfTurnPoints(t *testing.T) {
+	var applied []int
+	o := newPointOrder(6, 2, 3, func(p *solvedPoint) { applied = append(applied, p.j) })
+	point := func(j int) *solvedPoint {
+		return &solvedPoint{j: j, x: make([]complex128, 3), xd: make([]complex128, 3)}
+	}
+	ctx := context.Background()
+	for _, j := range []int{2, 1} {
+		p := point(j)
+		if s, ok := o.commit(ctx, p); !ok || s == p || len(s.x) != 3 || len(s.xd) != 3 {
+			t.Fatalf("point %d out of turn: got (%p, %v), want a spare in place of %p", j, s, ok, p)
+		}
+	}
+	short, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
+	defer cancel()
+	if _, ok := o.commit(short, point(5)); ok {
+		t.Fatal("point 5 got a spare with none left")
+	}
+	done := make(chan bool)
+	go func() {
+		_, ok := o.commit(ctx, point(4))
+		done <- ok
+	}()
+	p0 := point(0)
+	if s, ok := o.commit(ctx, p0); !ok || s != p0 {
+		t.Fatalf("point 0 in turn: got (%p, %v), want its own buffers back", s, ok)
+	}
+	if ok := <-done; !ok {
+		t.Fatal("the point 4 worker was not handed a freed spare")
+	}
+	p3 := point(3)
+	if s, ok := o.commit(ctx, p3); !ok || s != p3 {
+		t.Fatalf("point 3 in turn: got (%p, %v), want its own buffers back", s, ok)
+	}
+	if want := []int{0, 1, 2, 3, 4, 5}; !reflect.DeepEqual(applied, want) {
+		t.Errorf("applied %v, want %v", applied, want)
+	}
+	// Committed parked points return their buffers to the pool: the two
+	// spares, plus point 5's, whose worker gave up without taking one.
+	if want := pointSpares(2) + 1; len(o.spares) != want {
+		t.Errorf("%d spares back in the pool, want %d", len(o.spares), want)
 	}
 }
 
