@@ -113,7 +113,9 @@ net-chaos:
 # negf-smoke is the transport subsystem's acceptance gate: the NEGF and
 # tight-binding suites plus the end-to-end /v1/transport goldens (quantized
 # plateaus, barrier tunneling, cache hit on resubmission, restart resume)
-# and the backend-isolation pins, all under -race; then the negf.selfenergy
+# and the backend-isolation pins, all under -race (the NEGF suite includes
+# the post-processing fan-out: bit-identical points at GOMAXPROCS 1 and 4,
+# and no goroutine left by a cancel); then the negf.selfenergy
 # chaos site across a deterministic seed matrix. The chaos suite arms the
 # explicit rate in-test and derives its injector seed from CBS_CHAOS_SEED,
 # so each entry faults a different subset of energies; -count=2 defeats
@@ -149,10 +151,12 @@ bench-smoke:
 # the block solve under bench/'s qep.pz_block_ns_per_col and
 # linsolve.ns_per_iter_col, one Krylov iteration's vector work, and the
 # Hankel SVD under core.extract_ms — once each, on both arms of the kernel
-# dispatch, so they cannot rot; the timings of a single iteration mean
-# nothing.
+# dispatch, and the NEGF wave matching and device transmission under
+# negf.ms_per_energy once, so they cannot rot; the timings of a single
+# iteration mean nothing.
 layer-bench-smoke:
 	$(GO) test -run=NONE -bench='ApplyBlockSoA|BlockBiCGDualSoA|KrylovStep' -benchtime=1x ./internal/linsolve
 	CBS_NO_AVX2=1 $(GO) test -run=NONE -bench='ApplyBlockSoA|BlockBiCGDualSoA|KrylovStep' -benchtime=1x ./internal/linsolve
 	$(GO) test -run=NONE -bench=JacobiSVD -benchtime=1x ./internal/zlinalg
 	CBS_NO_AVX2=1 $(GO) test -run=NONE -bench=JacobiSVD -benchtime=1x ./internal/zlinalg
+	$(GO) test -run=NONE -bench='Transmission|LeadSelfEnergies' -benchtime=1x ./internal/negf

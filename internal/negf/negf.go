@@ -245,61 +245,86 @@ type Leads struct {
 	NFill          int             // orthogonal-complement fills (O(lambda_min) approximation)
 }
 
+// leadCell is the energy-independent half of the NEGF algebra for one lead
+// crystal: its dense cell blocks and the null spaces of the couplings that
+// complete the wave-matching bases. It is read-only once built, so
+// TransmissionSweep builds one and shares it across energies; the exported
+// per-energy functions build their own.
+type leadCell struct {
+	h0, hp, hm *zlinalg.Matrix
+	// nullHp holds the lambda -> inf modes, null(H+); nullHm the
+	// lambda -> 0 modes, null(H-). A failed SVD is kept and reported by
+	// the first basis that needs it.
+	nullHp, nullHm       [][]complex128
+	nullHpErr, nullHmErr error
+}
+
+func newLeadCell(b operator.Backend) *leadCell {
+	c := &leadCell{}
+	c.h0, c.hp, c.hm = Blocks(b)
+	c.nullHp, c.nullHpErr = nullSpace(c.hp)
+	c.nullHm, c.nullHmErr = nullSpace(c.hm)
+	return c
+}
+
 // LeadSelfEnergies builds Sigma_L and Sigma_R from one CBS result via wave
 // matching. Both leads are the same periodic crystal (the backend), as in
 // a two-probe junction with identical contacts.
 func LeadSelfEnergies(b operator.Backend, r *core.Result, opts Options) (*Leads, error) {
+	return newLeadCell(b).selfEnergies(b, r, opts)
+}
+
+func (c *leadCell) selfEnergies(b operator.Backend, r *core.Result, opts Options) (*Leads, error) {
 	n := b.N()
-	_, hp, hm := Blocks(b)
 	chans := Classify(b, r, opts.tol())
 
 	l := &Leads{}
 	var rightPsi, leftPsi [][]complex128
 	var rightL, leftLinv []complex128
-	for _, c := range chans {
-		if c.Propagating {
-			if c.Right {
+	for _, ch := range chans {
+		if ch.Propagating {
+			if ch.Right {
 				l.NOpen++
 			}
 		} else {
 			l.NEvanescent++
 		}
-		if c.Right {
-			rightPsi = append(rightPsi, c.Psi)
-			rightL = append(rightL, c.Lambda)
+		if ch.Right {
+			rightPsi = append(rightPsi, ch.Psi)
+			rightL = append(rightL, ch.Lambda)
 		} else {
-			leftPsi = append(leftPsi, c.Psi)
-			leftLinv = append(leftLinv, 1/c.Lambda)
+			leftPsi = append(leftPsi, ch.Psi)
+			leftLinv = append(leftLinv, 1/ch.Lambda)
 		}
 	}
 
 	// Right lead: complete with the exact lambda -> 0 modes (null(H-)),
-	// then orthogonal fill. F_+ = Phi Lambda Phi^{-1}, Sigma_R = H+ F_+.
-	fPlus, nullR, fillR, err := surfaceResponse(n, rightPsi, rightL, hm)
+	// then orthogonal fill. Sigma_R = H+ F_+ with F_+ = Phi Lambda Phi^{-1}.
+	sigmaR, nullR, fillR, err := surfaceSelfEnergy(n, rightPsi, rightL, c.hp, c.nullHm, c.nullHmErr)
 	if err != nil {
 		return nil, fmt.Errorf("right lead: %w", err)
 	}
 	// Left lead: lambda -> inf modes are null(H+), entering at
-	// Lambda^{-1} = 0. F_-^{-} = Phi Lambda^{-1} Phi^{-1}, Sigma_L = H- F_-^{-}.
-	fMinus, nullL, fillL, err := surfaceResponse(n, leftPsi, leftLinv, hp)
+	// Lambda^{-1} = 0. Sigma_L = H- F_-^{-} with F_-^{-} = Phi Lambda^{-1} Phi^{-1}.
+	sigmaL, nullL, fillL, err := surfaceSelfEnergy(n, leftPsi, leftLinv, c.hm, c.nullHp, c.nullHpErr)
 	if err != nil {
 		return nil, fmt.Errorf("left lead: %w", err)
 	}
 	l.NNull = nullR + nullL
 	l.NFill = fillR + fillL
 
-	l.SigmaR = zlinalg.Mul(hp, fPlus)
-	l.SigmaL = zlinalg.Mul(hm, fMinus)
+	l.SigmaR = sigmaR
+	l.SigmaL = sigmaL
 	l.GammaL = broadening(l.SigmaL)
 	l.GammaR = broadening(l.SigmaR)
 	return l, nil
 }
 
-// surfaceResponse assembles Phi diag(factors) Phi^{-1} from the matched
-// modes, completing the basis with the null space of the opposite coupling
-// block (exact factor-0 modes) and, as a last resort, the orthogonal
-// complement of the collected columns.
-func surfaceResponse(n int, psis [][]complex128, factors []complex128, nullOf *zlinalg.Matrix) (f *zlinalg.Matrix, nNull, nFill int, err error) {
+// surfaceSelfEnergy returns H Phi diag(factors) Phi^{-1} for the matched
+// modes, completing the basis with nulls, the null space of the opposite
+// coupling block (exact factor-0 modes), and, as a last resort, the
+// orthogonal complement of the collected columns.
+func surfaceSelfEnergy(n int, psis [][]complex128, factors []complex128, h *zlinalg.Matrix, nulls [][]complex128, nullErr error) (sigma *zlinalg.Matrix, nNull, nFill int, err error) {
 	if len(psis) > n {
 		return nil, 0, 0, fmt.Errorf("%w: %d matched modes exceed cell dimension %d", ErrDeficientBasis, len(psis), n)
 	}
@@ -312,9 +337,8 @@ func surfaceResponse(n int, psis [][]complex128, factors []complex128, nullOf *z
 		col++
 	}
 	if col < n {
-		nulls, err := nullSpace(nullOf)
-		if err != nil {
-			return nil, 0, 0, err
+		if nullErr != nil {
+			return nil, 0, 0, nullErr
 		}
 		for _, v := range nulls {
 			if col == n {
@@ -338,21 +362,20 @@ func surfaceResponse(n int, psis [][]complex128, factors []complex128, nullOf *z
 	if col < n {
 		return nil, 0, 0, fmt.Errorf("%w: completed only %d of %d columns", ErrDeficientBasis, col, n)
 	}
-	lu, err := zlinalg.FactorLU(phi)
+	// Sigma = C Phi^{-1} with C = H Phi Lambda, taken as the solve
+	// Phi^dagger Sigma^dagger = C^dagger: one factorization, no inverse.
+	scaled := phi.Clone()
+	for i := 0; i < n; i++ {
+		row := scaled.Row(i)
+		for j, lj := range lam {
+			row[j] *= lj
+		}
+	}
+	lu, err := zlinalg.FactorLU(phi.ConjTranspose())
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("%w: mode matrix is singular: %w", ErrDeficientBasis, err)
 	}
-	phiInv := lu.Inverse()
-	// F = Phi diag(lam) Phi^{-1}: scale the rows of Phi^{-1} by lam, then
-	// one matrix product.
-	scaled := zlinalg.NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		li := lam[i]
-		for j := 0; j < n; j++ {
-			scaled.Set(i, j, li*phiInv.At(i, j))
-		}
-	}
-	return zlinalg.Mul(phi, scaled), nNull, nFill, nil
+	return lu.Solve(zlinalg.Mul(h, scaled).ConjTranspose()).ConjTranspose(), nNull, nFill, nil
 }
 
 // nullTol is the relative singular-value threshold below which a direction
@@ -436,73 +459,94 @@ func (d Device) Validate() error {
 // Transmission computes the Caroli / Fisher-Lee transmission
 // T(E) = Tr[Gamma_L G_{1,nd} Gamma_R G_{1,nd}^dagger] for the device at
 // the result's energy, with leads described by the backend. The device
-// Green function block G_{1,nd} comes from one dense block-tridiagonal LU
-// solve on the last-block columns.
+// Green function block G_{1,nd} comes from block-tridiagonal elimination
+// over the cells (see leadCell.transmission); no device-sized matrix is
+// formed.
 func Transmission(b operator.Backend, r *core.Result, dev Device, leads *Leads, opts Options) (float64, error) {
+	c := &leadCell{} // the device needs the cell blocks only
+	c.h0, c.hp, c.hm = Blocks(b)
+	return c.transmission(r.Energy, dev, leads, opts)
+}
+
+// transmission eliminates the device from its last cell to its first. The
+// device matrix A = (E + i eta) I - H_device - Sigma is block tridiagonal
+// with diagonal blocks D_c, upper blocks -H+ and lower blocks -H-, and
+// G_{1,nd} is the first block of the solution X of A X = e_nd (the last
+// block column of the identity). Row c of that system reads
+//
+//	-H- X_{c-1} + S_c X_c = R_c,   S_nd = D_nd, R_nd = I,
+//
+// and eliminating X_c into row c-1 gives
+//
+//	S_{c-1} = D_{c-1} - H+ S_c^{-1} H-,   R_{c-1} = H+ S_c^{-1} R_c,
+//
+// so each cell costs one n x n factorization and one solve against the
+// 2n columns [H- | R_c], and G_{1,nd} = S_1^{-1} R_1. Sigma_L enters D_1
+// and Sigma_R enters D_nd; a one-cell device carries both.
+func (c *leadCell) transmission(e float64, dev Device, leads *Leads, opts Options) (float64, error) {
 	if err := dev.Validate(); err != nil {
 		return 0, err
 	}
-	n := b.N()
+	n := c.h0.Rows
 	nd := dev.Cells
-	h0, hp, hm := Blocks(b)
-
-	// A = (E + i eta) I - H_device - Sigma.
-	dim := nd * n
-	a := zlinalg.NewMatrix(dim, dim)
-	z := complex(r.Energy, opts.eta())
-	for c := 0; c < nd; c++ {
+	z := complex(e, opts.eta())
+	diag := func(cell int) *zlinalg.Matrix {
+		d := zlinalg.Scale(-1, c.h0)
 		shift := 0.0
 		if dev.Barrier != nil {
-			shift = dev.Barrier[c]
+			shift = dev.Barrier[cell]
 		}
-		r0 := c * n
 		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				v := -h0.At(i, j)
-				if i == j {
-					v += z - complex(shift, 0)
-				}
-				a.Set(r0+i, r0+j, v)
-			}
+			d.Set(i, i, d.At(i, i)+z-complex(shift, 0))
 		}
-		if c+1 < nd {
-			for i := 0; i < n; i++ {
-				for j := 0; j < n; j++ {
-					a.Set(r0+i, r0+n+j, -hp.At(i, j))
-					a.Set(r0+n+i, r0+j, -hm.At(i, j))
-				}
-			}
+		if cell == 0 {
+			d = zlinalg.Sub(d, leads.SigmaL)
 		}
+		if cell == nd-1 {
+			d = zlinalg.Sub(d, leads.SigmaR)
+		}
+		return d
 	}
-	last := (nd - 1) * n
+	singular := func(err error) error {
+		return fmt.Errorf("negf: device Green function is singular at E = %g: %w", e, err)
+	}
+
+	s := diag(nd - 1)
+	rhs := zlinalg.NewMatrix(n, 2*n) // [H- | R_c]
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			a.Set(i, j, a.At(i, j)-leads.SigmaL.At(i, j))
-			a.Set(last+i, last+j, a.At(last+i, last+j)-leads.SigmaR.At(i, j))
+		copy(rhs.Row(i)[:n], c.hm.Row(i))
+		rhs.Set(i, n+i, 1)
+	}
+	for cell := nd - 1; cell > 0; cell-- {
+		lu, err := zlinalg.FactorLU(s)
+		if err != nil {
+			return 0, singular(err)
 		}
-	}
-
-	lu, err := zlinalg.FactorLU(a)
-	if err != nil {
-		return 0, fmt.Errorf("negf: device Green function is singular at E = %g: %w", r.Energy, err)
-	}
-	// G_{1,nd}: first-block rows of the solves against last-block columns.
-	g1n := zlinalg.NewMatrix(n, n)
-	rhs := make([]complex128, dim)
-	for j := 0; j < n; j++ {
-		rhs[last+j] = 1
-		x := lu.SolveVec(rhs)
+		w := zlinalg.Mul(c.hp, lu.Solve(rhs)) // H+ S_c^{-1} [H- | R_c]
+		s = diag(cell - 1)
 		for i := 0; i < n; i++ {
-			g1n.Set(i, j, x[i])
+			si, wi, ri := s.Row(i), w.Row(i), rhs.Row(i)
+			for j := 0; j < n; j++ {
+				si[j] -= wi[j]
+			}
+			copy(ri[n:], wi[n:])
 		}
-		rhs[last+j] = 0
 	}
+	lu, err := zlinalg.FactorLU(s)
+	if err != nil {
+		return 0, singular(err)
+	}
+	g := lu.Solve(rhs.Slice(0, n, n, 2*n))
 
-	// T = Re Tr[Gamma_L G Gamma_R G^dagger].
-	m := zlinalg.Mul(zlinalg.Mul(leads.GammaL, g1n), zlinalg.Mul(leads.GammaR, g1n.ConjTranspose()))
+	// T = Re Tr[Gamma_L G Gamma_R G^dagger] = Re sum_ij P_ij Q_ji with
+	// P = Gamma_L G and Q = Gamma_R G^dagger.
+	p := zlinalg.Mul(leads.GammaL, g)
+	q := zlinalg.Mul(leads.GammaR, g.ConjTranspose())
 	var tr complex128
 	for i := 0; i < n; i++ {
-		tr += m.At(i, i)
+		for j, pij := range p.Row(i) {
+			tr += pij * q.At(j, i)
+		}
 	}
 	t := real(tr)
 	if t < 0 && t > -1e-12 {

@@ -3,12 +3,18 @@ package negf_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/cmplx"
+	"math/rand"
 	"os"
+	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"cbs/internal/chaos"
 	"cbs/internal/core"
@@ -16,6 +22,7 @@ import (
 	"cbs/internal/qep"
 	"cbs/internal/sweep"
 	"cbs/internal/tb"
+	"cbs/internal/zlinalg"
 )
 
 func chainBackend(t *testing.T, sites int) *tb.Backend {
@@ -353,5 +360,368 @@ func TestDeviceValidation(t *testing.T) {
 	}
 	if _, err := negf.LeadSelfEnergies(b, r2, negf.Options{}); !errors.Is(err, negf.ErrDeficientBasis) {
 		t.Errorf("over-complete basis error = %v, want ErrDeficientBasis", err)
+	}
+}
+
+// slabConfig is the 8x7 tight-binding slab of the transport benchmark;
+// Nx != Ny lifts the transverse degeneracy.
+var slabConfig = tb.SlabConfig{Nx: 8, Ny: 7, Onsite: 0, Hopping: -1, A: 1}
+
+func slabBackend(t testing.TB) *tb.Backend {
+	t.Helper()
+	b, err := tb.NewSlab(slabConfig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+func slabOptions() core.Options {
+	o := core.DefaultOptions()
+	o.Nrh, o.Nmm = 8, 7
+	return o
+}
+
+// slabOpen is the analytic open-channel count of the slab at e: the
+// transverse modes whose cosine band contains e.
+func slabOpen(e float64) int {
+	n := 0
+	for _, m := range tb.SlabModeEnergies(slabConfig) {
+		if math.Abs(e-m) < 2*math.Abs(slabConfig.Hopping) {
+			n++
+		}
+	}
+	return n
+}
+
+// denseTransmission is the reference the block recursion is checked
+// against: it assembles the whole (nd n) x (nd n) device matrix
+// A = (E + i eta) I - H_device - Sigma, factors it, and reads G_{1,nd}
+// off the solves against the last-block columns.
+func denseTransmission(b *tb.Backend, e float64, dev negf.Device, leads *negf.Leads, eta float64) (float64, error) {
+	n := b.N()
+	nd := dev.Cells
+	h0, hp, hm := negf.Blocks(b)
+	dim := nd * n
+	a := zlinalg.NewMatrix(dim, dim)
+	z := complex(e, eta)
+	for c := 0; c < nd; c++ {
+		shift := 0.0
+		if dev.Barrier != nil {
+			shift = dev.Barrier[c]
+		}
+		r0 := c * n
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				v := -h0.At(i, j)
+				if i == j {
+					v += z - complex(shift, 0)
+				}
+				a.Set(r0+i, r0+j, v)
+			}
+		}
+		if c+1 < nd {
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					a.Set(r0+i, r0+n+j, -hp.At(i, j))
+					a.Set(r0+n+i, r0+j, -hm.At(i, j))
+				}
+			}
+		}
+	}
+	last := (nd - 1) * n
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			a.Set(i, j, a.At(i, j)-leads.SigmaL.At(i, j))
+			a.Set(last+i, last+j, a.At(last+i, last+j)-leads.SigmaR.At(i, j))
+		}
+	}
+	lu, err := zlinalg.FactorLU(a)
+	if err != nil {
+		return 0, err
+	}
+	g1n := zlinalg.NewMatrix(n, n)
+	rhs := make([]complex128, dim)
+	for j := 0; j < n; j++ {
+		rhs[last+j] = 1
+		x := lu.SolveVec(rhs)
+		for i := 0; i < n; i++ {
+			g1n.Set(i, j, x[i])
+		}
+		rhs[last+j] = 0
+	}
+	m := zlinalg.Mul(zlinalg.Mul(leads.GammaL, g1n), zlinalg.Mul(leads.GammaR, g1n.ConjTranspose()))
+	var tr complex128
+	for i := 0; i < n; i++ {
+		tr += m.At(i, i)
+	}
+	return real(tr), nil
+}
+
+// randomBarrier draws a per-cell onsite profile in [0, vmax).
+func randomBarrier(rng *rand.Rand, cells int, vmax float64) []float64 {
+	out := make([]float64, cells)
+	for i := range out {
+		out[i] = vmax * rng.Float64()
+	}
+	return out
+}
+
+// transportCase is one solved lead: a backend, an energy's CBS result and
+// its self-energies.
+type transportCase struct {
+	name  string
+	b     *tb.Backend
+	r     *core.Result
+	leads *negf.Leads
+	vmax  float64 // barrier heights drawn from [0, vmax)
+	// mirror maps site i of the cell to its mirror image along the
+	// transport direction: M H0 M = H0 and M H+ M = H-.
+	mirror []int
+}
+
+func transportCases(t *testing.T) []transportCase {
+	t.Helper()
+	var out []transportCase
+	add := func(name string, b *tb.Backend, e float64, opts core.Options, vmax float64, mirror []int) {
+		r := solveAt(t, b, e, opts)
+		leads, err := negf.LeadSelfEnergies(b, r, negf.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		out = append(out, transportCase{name: name, b: b, r: r, leads: leads, vmax: vmax, mirror: mirror})
+	}
+	chain := chainBackend(t, 4)
+	reversed := []int{3, 2, 1, 0} // the chain cell's sites run along z
+	add("chain E=0.3", chain, 0.3, chainOptions(), 3, reversed)
+	add("chain E=-1.2", chain, -1.2, chainOptions(), 2, reversed)
+	slab := slabBackend(t)
+	layer := make([]int, slab.N()) // the slab cell is one transverse layer
+	for i := range layer {
+		layer[i] = i
+	}
+	add("slab E=-5.3", slab, -5.3, slabOptions(), 0.5, layer)
+	add("slab E=-4.9", slab, -4.9, slabOptions(), 0.5, layer)
+	return out
+}
+
+// TestTransmissionMatchesDense checks the block recursion against the
+// dense device LU for Cells 1-5 with random barrier profiles, on the chain
+// and the 8x7 slab. Cells 1 puts Sigma_L and Sigma_R on the same block.
+func TestTransmissionMatchesDense(t *testing.T) {
+	const eta = 1e-9
+	rng := rand.New(rand.NewSource(3))
+	for _, tc := range transportCases(t) {
+		for cells := 1; cells <= 5; cells++ {
+			for trial := 0; trial < 3; trial++ {
+				dev := negf.Device{Cells: cells}
+				if trial > 0 {
+					dev.Barrier = randomBarrier(rng, cells, tc.vmax)
+				}
+				got, err := negf.Transmission(tc.b, tc.r, dev, tc.leads, negf.Options{Eta: eta})
+				if err != nil {
+					t.Fatalf("%s cells %d: %v", tc.name, cells, err)
+				}
+				want, err := denseTransmission(tc.b, tc.r.Energy, dev, tc.leads, eta)
+				if err != nil {
+					t.Fatalf("%s cells %d: dense: %v", tc.name, cells, err)
+				}
+				if d := math.Abs(got - want); d > 1e-12*math.Abs(want) {
+					t.Errorf("%s cells %d barrier %v: T = %.17g, dense %.17g (rel %.3g)",
+						tc.name, cells, dev.Barrier, got, want, d/math.Abs(want))
+				}
+			}
+		}
+	}
+}
+
+// mirrored returns M s M for the site permutation M.
+func mirrored(s *zlinalg.Matrix, m []int) *zlinalg.Matrix {
+	out := zlinalg.NewMatrix(s.Rows, s.Cols)
+	for i := range m {
+		for j := range m {
+			out.Set(m[i], m[j], s.At(i, j))
+		}
+	}
+	return out
+}
+
+// swapLeads returns the leads of the mirrored device: the mirror image of
+// Sigma_R attaches on the left and that of Sigma_L on the right.
+func swapLeads(l *negf.Leads, m []int) *negf.Leads {
+	s := *l
+	s.SigmaL, s.SigmaR = mirrored(l.SigmaR, m), mirrored(l.SigmaL, m)
+	s.GammaL, s.GammaR = mirrored(l.GammaR, m), mirrored(l.GammaL, m)
+	return &s
+}
+
+// TestTransmissionPhysicalBounds checks two properties every transmission
+// must have, on asymmetric barrier devices: 0 <= T <= NOpen, and lead-swap
+// symmetry. Mirroring the whole device reverses the barrier profile and
+// swaps the leads, and it maps T_LR onto T_RL, which current conservation
+// makes equal; so T(barrier) with the leads as solved equals T(reversed
+// barrier) with the mirrored leads swapped, whatever the accuracy of the
+// lead modes. (With the leads left as solved, the two agree only to the
+// accuracy of the CBS eigenvectors: about 1e-7 on the slab at the
+// benchmark's solver options.)
+func TestTransmissionPhysicalBounds(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, tc := range transportCases(t) {
+		h0, hp, hm := negf.Blocks(tc.b)
+		if !reflect.DeepEqual(mirrored(h0, tc.mirror), h0) || !reflect.DeepEqual(mirrored(hp, tc.mirror), hm) {
+			t.Fatalf("%s: the site map is not a mirror of the cell", tc.name)
+		}
+		swapped := swapLeads(tc.leads, tc.mirror)
+		for cells := 1; cells <= 5; cells++ {
+			for trial := 0; trial < 3; trial++ {
+				barrier := randomBarrier(rng, cells, tc.vmax)
+				reversed := make([]float64, cells)
+				for i, v := range barrier {
+					reversed[cells-1-i] = v
+				}
+				tf, err := negf.Transmission(tc.b, tc.r, negf.Device{Cells: cells, Barrier: barrier}, tc.leads, negf.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				tr, err := negf.Transmission(tc.b, tc.r, negf.Device{Cells: cells, Barrier: reversed}, swapped, negf.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tf < 0 || tf > float64(tc.leads.NOpen)+1e-9 {
+					t.Errorf("%s barrier %v: T = %g outside [0, NOpen = %d]", tc.name, barrier, tf, tc.leads.NOpen)
+				}
+				if d := math.Abs(tf - tr); d > 1e-9 {
+					t.Errorf("%s barrier %v: T = %.12g, mirrored %.12g (|diff| %.3g)", tc.name, barrier, tf, tr, d)
+				}
+			}
+		}
+	}
+}
+
+// TestTransmissionSweepFanOutBitIdentical runs the pipeline with half the
+// energies faulted at GOMAXPROCS 1 and 4: the points — values, status and
+// error text — must not depend on how many goroutines post-process them.
+func TestTransmissionSweepFanOutBitIdentical(t *testing.T) {
+	b := chainBackend(t, 4)
+	var es []float64
+	for e := -1.9; e < 2.3; e += 0.3 {
+		es = append(es, e)
+	}
+	spec := negf.Spec{
+		Energies: es,
+		Device:   negf.Device{Cells: 3, Barrier: []float64{0.4, 1.1, 0.2}},
+		Chaos:    chaos.New(100*chaosSeed()+11, chaos.Config{NEGFFault: 0.5}),
+	}
+	run := func(procs int) []negf.Point {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		curve, err := negf.TransmissionSweep(context.Background(), b, solveFunc(b), spec, chainOptions(), sweep.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return curve.Points
+	}
+	serial, fanned := run(1), run(4)
+	var ok, failed int
+	for _, p := range serial {
+		if p.Status == negf.PointOK {
+			ok++
+		} else {
+			failed++
+		}
+	}
+	if ok == 0 || failed == 0 {
+		t.Fatalf("fault pattern is not mixed: %d ok, %d failed", ok, failed)
+	}
+	if !reflect.DeepEqual(serial, fanned) {
+		for i := range serial {
+			if !reflect.DeepEqual(serial[i], fanned[i]) {
+				t.Errorf("point %d: GOMAXPROCS 1 %+v, GOMAXPROCS 4 %+v", i, serial[i], fanned[i])
+			}
+		}
+	}
+}
+
+// cancelOnClassify wraps a backend and cancels a context on the first H+
+// apply after the dense lead blocks are built — that is, inside the
+// channel classification of the first post-processed energy.
+type cancelOnClassify struct {
+	*tb.Backend
+	cancel context.CancelFunc
+	calls  atomic.Int64
+}
+
+func (c *cancelOnClassify) ApplyHp(v, out []complex128) {
+	if c.calls.Add(1) > int64(c.N()) {
+		c.cancel()
+	}
+	c.Backend.ApplyHp(v, out)
+}
+
+// TestTransmissionSweepCancelDuringPostProcessing cancels the context
+// after the sweep, while the energies are being post-processed: the
+// pipeline must return ctx.Err() and leave no goroutine behind.
+func TestTransmissionSweepCancelDuringPostProcessing(t *testing.T) {
+	raw := chainBackend(t, 4)
+	es := []float64{-1.5, -1.0, -0.5, 0, 0.5, 1.0, 1.5}
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			b := &cancelOnClassify{Backend: raw, cancel: cancel}
+			before := runtime.NumGoroutine()
+			curve, err := negf.TransmissionSweep(ctx, b, solveFunc(raw), negf.Spec{Energies: es, Device: negf.Device{Cells: 2}}, chainOptions(), sweep.Config{})
+			if !errors.Is(err, context.Canceled) || curve != nil {
+				t.Fatalf("got curve %v, err %v; want nil, context.Canceled", curve, err)
+			}
+			if b.calls.Load() <= int64(raw.N()) {
+				t.Fatal("the context was never cancelled")
+			}
+			for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines before, %d after", before, runtime.NumGoroutine())
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
+	}
+}
+
+// slabBenchCase solves the 8x7 slab once at an energy with two open
+// channels and returns it with its self-energies.
+func slabBenchCase(b *testing.B) (*tb.Backend, *core.Result, *negf.Leads) {
+	be := slabBackend(b)
+	r, err := core.Solve(qep.NewBackend(be, -5.3), slabOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	leads, err := negf.LeadSelfEnergies(be, r, negf.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return be, r, leads
+}
+
+// BenchmarkLeadSelfEnergies times the wave matching of one energy on the
+// 8x7 slab, lead blocks and null spaces included.
+func BenchmarkLeadSelfEnergies(b *testing.B) {
+	be, r, _ := slabBenchCase(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := negf.LeadSelfEnergies(be, r, negf.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTransmission times T(E) of a 4-cell device on the 8x7 slab.
+func BenchmarkTransmission(b *testing.B) {
+	be, r, leads := slabBenchCase(b)
+	dev := negf.Device{Cells: 4}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := negf.Transmission(be, r, dev, leads, negf.Options{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

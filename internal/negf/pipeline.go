@@ -8,8 +8,11 @@ package negf
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"cbs/internal/chaos"
 	"cbs/internal/core"
@@ -94,6 +97,11 @@ func (c *Curve) OK() []Point {
 // reserved for sweep infrastructure failures (journal, fingerprint
 // mismatch, cancellation), mirroring sweep.Run.
 //
+// The post-processing starts after sweep.Run returns. The energy-independent
+// lead data is built once, and the energies are shared out over
+// min(GOMAXPROCS, #energies) goroutines, each point written by its index,
+// so the curve does not depend on the goroutine count.
+//
 //cbs:cancellable
 func TransmissionSweep(ctx context.Context, b operator.Backend, solve sweep.SolveFunc, spec Spec, coreOpts core.Options, cfg sweep.Config) (*Curve, error) {
 	if err := spec.Device.Validate(); err != nil {
@@ -103,21 +111,33 @@ func TransmissionSweep(ctx context.Context, b operator.Backend, solve sweep.Solv
 	if err != nil {
 		return nil, err
 	}
-	curve := &Curve{Report: rep, Points: make([]Point, 0, len(rep.Results))}
-	for i, er := range rep.Results {
-		// The post-processing is dense per-energy algebra (self-energies +
-		// a device LU); honor cancellation between energies.
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
-		curve.Points = append(curve.Points, transmissionPoint(b, i, er, spec))
+	points := make([]Point, len(rep.Results))
+	lead := newLeadCell(b)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(points)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(points) || ctx.Err() != nil {
+					return
+				}
+				points[i] = lead.point(b, i, rep.Results[i], spec)
+			}
+		}()
 	}
-	sort.Slice(curve.Points, func(i, j int) bool { return curve.Points[i].E < curve.Points[j].E })
-	return curve, nil
+	wg.Wait()
+	if cerr := ctx.Err(); cerr != nil {
+		return nil, cerr
+	}
+	sort.Slice(points, func(i, j int) bool { return points[i].E < points[j].E })
+	return &Curve{Report: rep, Points: points}, nil
 }
 
-// transmissionPoint post-processes one terminal energy outcome.
-func transmissionPoint(b operator.Backend, index int, er sweep.EnergyResult, spec Spec) Point {
+// point post-processes one terminal energy outcome.
+func (c *leadCell) point(b operator.Backend, index int, er sweep.EnergyResult, spec Spec) Point {
 	p := Point{E: er.Energy, Status: PointFailed}
 	if er.Result == nil {
 		if er.Err != nil {
@@ -132,13 +152,15 @@ func transmissionPoint(b operator.Backend, index int, er sweep.EnergyResult, spe
 		p.Err = err.Error()
 		return p
 	}
-	t, leads, err := transmitOne(b, er.Result, spec)
+	leads, err := c.selfEnergies(b, er.Result, spec.Options)
+	if err == nil {
+		p.T, err = c.transmission(er.Result.Energy, spec.Device, leads, spec.Options)
+	}
 	if err != nil {
 		p.Err = err.Error()
 		return p
 	}
 	p.Status = PointOK
-	p.T = t
 	p.NOpen = leads.NOpen
 	p.NFill = leads.NFill
 	prof := transport.DecayProfileWith([]*core.Result{er.Result},
@@ -147,16 +169,4 @@ func transmissionPoint(b operator.Backend, index int, er sweep.EnergyResult, spe
 		p.Beta = prof[0].Beta
 	}
 	return p
-}
-
-func transmitOne(b operator.Backend, r *core.Result, spec Spec) (float64, *Leads, error) {
-	leads, err := LeadSelfEnergies(b, r, spec.Options)
-	if err != nil {
-		return 0, nil, err
-	}
-	t, err := Transmission(b, r, spec.Device, leads, spec.Options)
-	if err != nil {
-		return 0, nil, err
-	}
-	return t, leads, nil
 }

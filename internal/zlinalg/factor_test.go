@@ -25,6 +25,34 @@ func TestLUSolveResidual(t *testing.T) {
 	}
 }
 
+// TestLUSolveBitsMatchSolveVec pins the row-oriented multi-column Solve to
+// SolveVec column by column, bit for bit, on matrices with zero entries.
+func TestLUSolveBitsMatchSolveVec(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, n := range []int{1, 3, 17, 56} {
+		a := randMatrix(rng, n, n)
+		for i := range a.Data {
+			if rng.Intn(4) == 0 {
+				a.Data[i] = 0
+			}
+		}
+		b := randMatrix(rng, n, 2*n+1)
+		f, err := FactorLU(a)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		x := f.Solve(b)
+		for j := 0; j < b.Cols; j++ {
+			want := f.SolveVec(b.Col(j))
+			for i, w := range want {
+				if got := x.At(i, j); got != w {
+					t.Fatalf("n=%d: X[%d][%d] = %v, SolveVec gives %v", n, i, j, got, w)
+				}
+			}
+		}
+	}
+}
+
 func TestLUInverse(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	a := randMatrix(rng, 8, 8)

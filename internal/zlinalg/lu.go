@@ -91,14 +91,42 @@ func (f *LU) SolveVec(b []complex128) []complex128 {
 	return x
 }
 
-// Solve solves A*X = B column by column.
+// Solve solves A*X = B for all columns of B at once. It runs the same
+// substitutions as SolveVec, in the same order per entry, so every column
+// is bit-identical to SolveVec on that column; working on whole rows of X
+// keeps every inner loop on contiguous memory.
 func (f *LU) Solve(b *Matrix) *Matrix {
-	if b.Rows != f.lu.Rows {
+	n := f.lu.Rows
+	if b.Rows != n {
 		panic("zlinalg: LU Solve shape mismatch")
 	}
-	x := NewMatrix(b.Rows, b.Cols)
-	for j := 0; j < b.Cols; j++ {
-		x.SetCol(j, f.SolveVec(b.Col(j)))
+	x := NewMatrix(n, b.Cols)
+	// Apply permutation and forward-substitute L*Y = P*B.
+	for i := 0; i < n; i++ {
+		xi := x.Row(i)
+		copy(xi, b.Row(f.piv[i]))
+		ri := f.lu.Row(i)
+		for j, l := range ri[:i] {
+			xj := x.Row(j)[:len(xi)]
+			for k := range xi {
+				xi[k] -= l * xj[k]
+			}
+		}
+	}
+	// Back-substitute U*X = Y.
+	for i := n - 1; i >= 0; i-- {
+		xi := x.Row(i)
+		ri := f.lu.Row(i)
+		for j := i + 1; j < n; j++ {
+			u, xj := ri[j], x.Row(j)[:len(xi)]
+			for k := range xi {
+				xi[k] -= u * xj[k]
+			}
+		}
+		d := ri[i]
+		for k := range xi {
+			xi[k] /= d
+		}
 	}
 	return x
 }
