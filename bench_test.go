@@ -133,10 +133,9 @@ func BenchmarkFig4aRuntimeOBM_CNT66(b *testing.B) {
 
 // ---- Blocked multi-RHS kernels -----------------------------------------------
 
-// BenchmarkBlockedApply measures the fused P(z) block apply against nb
-// repetitions of the single-vector path: the operator tables stream through
-// memory once per block instead of once per column, so ns/op should grow
-// sublinearly in nb.
+// BenchmarkBlockedApply measures the fused P(z) plane block apply across
+// block widths: the operator tables stream through memory once per block
+// instead of once per column, so ns/op should grow sublinearly in nb.
 func BenchmarkBlockedApply(b *testing.B) {
 	f := alFixture(b)
 	q := qep.New(f.model.Op, f.ef)
@@ -144,15 +143,15 @@ func BenchmarkBlockedApply(b *testing.B) {
 	z := cmplx.Exp(complex(0, 0.3))
 	for _, nb := range []int{1, 4, 8, 16} {
 		b.Run(fmt.Sprintf("nb=%d", nb), func(b *testing.B) {
-			v := make([]complex128, n*nb)
-			out := make([]complex128, n*nb)
-			for i := range v {
-				v[i] = complex(float64(i%7)-3, float64(i%5)-2)
+			v := soa.NewBlock[float64](n, nb)
+			out := soa.NewBlock[float64](n, nb)
+			for i := range v.Re {
+				v.Re[i], v.Im[i] = float64(i%7)-3, float64(i%5)-2
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				q.ApplyBlock(z, v, out, nb)
+				qep.ApplyBlockSoA(q, q.B, z, v, out)
 			}
 		})
 	}

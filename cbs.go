@@ -103,8 +103,8 @@ type (
 	// SCFResult is its outcome.
 	SCFResult = scf.Result
 	// OperatorBackend is the operator contract a CBS solve needs: the
-	// cell-periodic block applies H0/H+/H- plus identity metadata (see
-	// internal/operator). The FD-grid Hamiltonian and the tight-binding
+	// cell-periodic applies of H0/H+/H-, single-vector and on split-complex
+	// planes, plus identity metadata (see internal/operator). The FD-grid Hamiltonian and the tight-binding
 	// backends both satisfy it.
 	OperatorBackend = operator.Backend
 	// TBChainConfig parameterizes the 1D nearest-neighbor tight-binding

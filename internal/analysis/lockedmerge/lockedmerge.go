@@ -10,7 +10,7 @@
 //   - mutex acquisition (any .Lock/.RLock/.Unlock/.RUnlock call)
 //   - channel sends, receives, and select statements
 //   - calls into the known internally-locking merge APIs:
-//     ssm.Accumulator.{Add,AddInterleaved,AddBlock} and
+//     ssm.Accumulator.{Add,AddPlanes,AddBlock} and
 //     linsolve.GroupStop.{MarkConverged,ShouldStop,Converged}
 //
 // Depth 1 is deliberately legal: pulling a point off the shared queue and
@@ -61,9 +61,9 @@ var lockMethodNames = map[string]bool{
 // per defining package name.
 var lockingAPIs = map[string]map[string]bool{
 	"ssm": {
-		"Accumulator.Add":            true,
-		"Accumulator.AddInterleaved": true,
-		"Accumulator.AddBlock":       true,
+		"Accumulator.Add":       true,
+		"Accumulator.AddPlanes": true,
+		"Accumulator.AddBlock":  true,
 	},
 	"linsolve": {
 		"GroupStop.MarkConverged": true,

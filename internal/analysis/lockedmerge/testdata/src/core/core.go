@@ -87,7 +87,7 @@ func pointMerge(points [][]complex128, buf []complex128, acc *ssm.Accumulator) {
 		for c, v := range p {
 			buf[c] = v
 		}
-		acc.AddInterleaved(buf[:len(p)])
+		acc.AddPlanes(buf[:len(p)])
 	}
 }
 

@@ -18,8 +18,8 @@ func (a *Accumulator) Add(col int, v complex128) {
 	a.mu.Unlock()
 }
 
-// AddInterleaved merges one point's worth of columns in one acquisition.
-func (a *Accumulator) AddInterleaved(vals []complex128) {
+// AddPlanes merges one point's worth of columns in one acquisition.
+func (a *Accumulator) AddPlanes(vals []complex128) {
 	a.mu.Lock()
 	for i, v := range vals {
 		a.sum[i] += v

@@ -6,9 +6,7 @@ import (
 
 	"cbs/internal/chaos"
 	"cbs/internal/linsolve"
-	"cbs/internal/qep"
 	"cbs/internal/soa"
-	"cbs/internal/zlinalg"
 )
 
 // ladderRestarts bounds the perturbed-restart rung of the recovery ladder.
@@ -26,14 +24,18 @@ type ladderOutcome struct {
 }
 
 // recoverColumn is the per-column recovery ladder of a failed dual solve at
-// quadrature point j (outer node z): P(z) x = b and P(z)^dagger xd = b.
+// quadrature point j (the worker's outer node w.z): P(z) x = b and
+// P(z)^dagger xd = b on the worker's one-column planes w.bcol, w.xcol,
+// w.xdcol.
 //
 // Rung 1 -- perturbed restart: a Krylov breakdown (vanishing <rd,r> or
 // <pd,Aq>) is a property of the shadow sequence, not of the system, so the
 // solve is restarted from the current iterates nudged by small seeded noise.
 // Both systems keep their true solutions as fixed points; the perturbation
-// only re-seeds the two-sided Lanczos recurrence. At most ladderRestarts
-// attempts, each a distinct deterministic chaos site (Attempt = 1, 2, ...).
+// only re-seeds the two-sided Lanczos recurrence. Each restart is a
+// one-column block solve through the worker's plane applies, at most
+// ladderRestarts of them, each a distinct deterministic chaos site
+// (Attempt = 1, 2, ...).
 //
 // Rung 2 -- breakdown-free fallback: restarted GMRES(m) on the primal and
 // dual systems from a zero guess. GMRES has no shadow vector and cannot
@@ -49,9 +51,8 @@ type ladderOutcome struct {
 // recovery solves run ungrouped: a fresh restart sits far above the loose
 // straggler tolerance, and the ladder must not be halted by the majority it
 // is trying to rejoin).
-func recoverColumn(q *qep.Problem, z complex128, b, x, xd []complex128, j, col int, group *linsolve.GroupStop, initial linsolve.Result, opts Options) ladderOutcome {
-	apply := func(v, out []complex128) { q.ApplyBlock(z, v, out, 1) }
-	applyD := func(v, out []complex128) { q.ApplyDaggerBlock(z, v, out, 1) }
+func (w *blockWorker) recoverColumn(j, col int, group *linsolve.GroupStop, initial linsolve.Result, opts Options) ladderOutcome {
+	b, x, xd := w.bcol, w.xcol, w.xdcol
 	lopts := linsolve.Options{Tol: opts.BiCGTol, MaxIter: opts.MaxIter, Chaos: opts.Chaos}
 	var out ladderOutcome
 	out.residual = initial.Residual
@@ -60,7 +61,7 @@ func recoverColumn(q *qep.Problem, z complex128, b, x, xd []complex128, j, col i
 		for attempt := 1; attempt <= ladderRestarts; attempt++ {
 			perturbIterates(x, xd, b, opts.Seed, j, col, attempt)
 			lopts.ChaosSite = chaos.Site{Point: j, Col: col, Attempt: attempt}
-			r := linsolve.BiCGDual(apply, applyD, b, b, x, xd, lopts)
+			r := linsolve.BlockBiCGDualSoA(w.apply, w.applyD, b, b, x, xd, lopts, nil, nil)[0]
 			out.restarts++
 			out.iterations += r.Iterations
 			out.matVecs += r.MatVecApplied
@@ -77,19 +78,7 @@ func recoverColumn(q *qep.Problem, z complex128, b, x, xd []complex128, j, col i
 
 	//cbs:chaossite ladder.fallback
 	if !opts.Chaos.FallbackFail(j, col) {
-		for i := range x {
-			x[i] = 0
-			xd[i] = 0
-		}
-		gopts := linsolve.Options{Tol: opts.BiCGTol, MaxIter: opts.MaxIter}
-		// Restarted GMRES with a short cycle stalls on the indefinite
-		// shifted systems P(z); the last solver rung pays for a wide cycle
-		// (memory O(restart) vectors) rather than lose the contribution.
-		restart := 4 * linsolve.DefaultGMRESRestart
-		if n := len(b); restart > n {
-			restart = n
-		}
-		pr, dr := linsolve.GMRESDual(apply, applyD, b, b, x, xd, restart, gopts)
+		pr, dr := w.gmresColumn(opts)
 		out.fallbacks++
 		out.iterations += pr.Iterations + dr.Iterations
 		out.matVecs += pr.MatVecApplied
@@ -107,36 +96,73 @@ func recoverColumn(q *qep.Problem, z complex128, b, x, xd []complex128, j, col i
 	return out
 }
 
+// gmresColumn is rung 2 on the worker's one-column planes: GMRESDual from a
+// zero guess on complex vectors, each apply copying its vector into one
+// column of planes and back, and the solutions left in w.xcol, w.xdcol.
+func (w *blockWorker) gmresColumn(opts Options) (primal, dual linsolve.Result) {
+	n := w.bcol.N()
+	b, x, xd := make([]complex128, n), make([]complex128, n), make([]complex128, n)
+	for i := range b {
+		b[i] = complex(w.bcol.Re[i], w.bcol.Im[i])
+	}
+	in, res := soa.NewBlock[float64](n, 1), soa.NewBlock[float64](n, 1)
+	through := func(apply linsolve.BlockApplySoA[float64]) linsolve.Apply {
+		return func(v, out []complex128) {
+			for i, e := range v {
+				in.Re[i], in.Im[i] = real(e), imag(e)
+			}
+			apply(in, res)
+			for i := range out {
+				out[i] = complex(res.Re[i], res.Im[i])
+			}
+		}
+	}
+	// Restarted GMRES with a short cycle stalls on the indefinite shifted
+	// systems P(z); the last solver rung pays for a wide cycle (memory
+	// O(restart) vectors) rather than lose the contribution.
+	restart := min(4*linsolve.DefaultGMRESRestart, n)
+	gopts := linsolve.Options{Tol: opts.BiCGTol, MaxIter: opts.MaxIter}
+	primal, dual = linsolve.GMRESDual(through(w.apply), through(w.applyD), b, b, x, xd, restart, gopts)
+	for i := range x {
+		w.xcol.Re[i], w.xcol.Im[i] = real(x[i]), imag(x[i])
+		w.xdcol.Re[i], w.xdcol.Im[i] = real(xd[i]), imag(xd[i])
+	}
+	return primal, dual
+}
+
 // perturbIterates nudges the current iterates with seeded noise scaled to
 // the right-hand side: ~1e-6 * rms(b) per element. The noise depends only
 // on (seed, point, column, attempt), so restarts are reproducible under any
 // worker scheduling.
-func perturbIterates(x, xd, b []complex128, seed int64, j, col, attempt int) {
+func perturbIterates(x, xd, b *soa.Block[float64], seed int64, j, col, attempt int) {
 	mix := seed ^ int64(j)*1_000_003 ^ int64(col)*7_919 ^ int64(attempt)*104_729
 	rng := rand.New(rand.NewSource(mix))
-	scale := 1e-6 * zlinalg.Norm2(b) / math.Sqrt(float64(len(b)))
+	var s float64
+	for i, re := range b.Re {
+		im := b.Im[i]
+		s += re*re + im*im
+	}
+	scale := 1e-6 * math.Sqrt(s) / math.Sqrt(float64(b.N()))
 	if scale == 0 {
 		scale = 1e-6
 	}
-	for i := range x {
-		x[i] += complex((rng.Float64()*2-1)*scale, (rng.Float64()*2-1)*scale)
-		xd[i] += complex((rng.Float64()*2-1)*scale, (rng.Float64()*2-1)*scale)
+	for i := range x.Re {
+		x.Re[i] += (rng.Float64()*2 - 1) * scale
+		x.Im[i] += (rng.Float64()*2 - 1) * scale
+		xd.Re[i] += (rng.Float64()*2 - 1) * scale
+		xd.Im[i] += (rng.Float64()*2 - 1) * scale
 	}
 }
 
-// recoverBlockColumns runs the ladder over every failed column of one
-// blocked solve: column cb of the right-hand-side planes b and of the
-// row-major interleaved solutions x, xd. Recovered solutions are scattered
-// back in place; dropped columns are zeroed so the accumulator never sees
-// them. Worker-local scratch (bcol, xcol, xdcol; length n each) is supplied
-// by the caller so the per-point loop stays allocation-free. The outcome is
-// folded into local (the worker's per-point statistics); the dropped column
-// list and the recovery operator applications are returned for the caller's
-// once-per-point merge.
-func recoverBlockColumns(q *qep.Problem, z complex128, b *soa.Block[float64], x, xd []complex128, j, c0 int, groups []*linsolve.GroupStop, rs []linsolve.Result, opts Options, local *PointStats, bcol, xcol, xdcol []complex128) (droppedCols []int, matVecs int) {
-	n, nb := b.N(), b.NB()
-	for cb := 0; cb < nb; cb++ {
-		r := rs[cb]
+// recoverColumns runs the ladder over every failed column of the point's
+// block solve, one column of w.b, w.x and w.xd at a time through the
+// worker's one-column planes. Recovered solutions are written back in
+// place; dropped columns are zeroed so the accumulator never sees them.
+// The outcome is folded into local (the worker's per-point statistics);
+// the dropped column list and the recovery operator applications are
+// returned for the caller's once-per-point merge.
+func (w *blockWorker) recoverColumns(j, c0 int, groups []*linsolve.GroupStop, rs []linsolve.Result, opts Options, local *PointStats) (droppedCols []int, matVecs int) {
+	for cb, r := range rs {
 		if r.Breakdown {
 			local.Breakdowns++
 		}
@@ -146,33 +172,35 @@ func recoverBlockColumns(q *qep.Problem, z complex128, b *soa.Block[float64], x,
 			}
 			continue
 		}
-		for i := 0; i < n; i++ {
-			bcol[i] = complex(b.Re[i*nb+cb], b.Im[i*nb+cb])
-			xcol[i] = x[i*nb+cb]
-			xdcol[i] = xd[i*nb+cb]
-		}
-		out := recoverColumn(q, z, bcol, xcol, xdcol, j, c0+cb, groups[cb], r, opts)
+		copyColumn(w.bcol, 0, w.b, cb)
+		copyColumn(w.xcol, 0, w.x, cb)
+		copyColumn(w.xdcol, 0, w.xd, cb)
+		out := w.recoverColumn(j, c0+cb, groups[cb], r, opts)
 		local.Restarts += out.restarts
 		local.Fallbacks += out.fallbacks
 		local.Iterations += out.iterations
 		if out.dropped {
 			local.Dropped++
 			droppedCols = append(droppedCols, c0+cb)
-			for i := 0; i < n; i++ {
-				x[i*nb+cb] = 0
-				xd[i*nb+cb] = 0
-			}
+			w.xcol.Zero()
+			w.xdcol.Zero()
 		} else {
 			local.Converged++
 			if out.residual > local.MaxResidual {
 				local.MaxResidual = out.residual
 			}
-			for i := 0; i < n; i++ {
-				x[i*nb+cb] = xcol[i]
-				xd[i*nb+cb] = xdcol[i]
-			}
 		}
+		copyColumn(w.x, cb, w.xcol, 0)
+		copyColumn(w.xd, cb, w.xdcol, 0)
 		matVecs += out.matVecs
 	}
 	return droppedCols, matVecs
+}
+
+// copyColumn copies column sc of src into column dc of dst (same rows).
+func copyColumn(dst *soa.Block[float64], dc int, src *soa.Block[float64], sc int) {
+	dnb, snb := dst.NB(), src.NB()
+	for i := range dst.N() {
+		dst.Re[i*dnb+dc], dst.Im[i*dnb+dc] = src.Re[i*snb+sc], src.Im[i*snb+sc]
+	}
 }

@@ -25,7 +25,7 @@ func MemoryEstimate(q *qep.Problem, opts Options) int64 {
 	// Point-loop state: each (top, mid) worker of the resolved layout (the
 	// one solveAll starts) owns one blockWorker and runs one block solve at
 	// a time, and each top block shares its right-hand-side planes across
-	// its mid workers and keeps the spare solution buffers its workers park
+	// its mid workers and keeps the spare solution planes its workers park
 	// out-of-turn points with.
 	top := int64(opts.Parallel.Top)
 	nb := (nrh + top - 1) / top // columns per top block

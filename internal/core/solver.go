@@ -289,10 +289,10 @@ func probeBlock(n, nrh int, seed int64) *zlinalg.Matrix {
 // operator tables stream through memory once per BiCG iteration for all nb
 // right-hand sides. Per-point statistics are accumulated worker-locally and
 // merged under the global mutex once per (worker, point) instead of once
-// per column; the moment accumulator is likewise fed one interleaved block
-// per point. Those commits go in point order within a top block (top
-// blocks own disjoint columns), so every Top/Mid layout adds the moments
-// up in the serial order and returns the serial bits.
+// per column; the moment accumulator is likewise fed the point's solution
+// planes in one call. Those commits go in point order within a top block
+// (top blocks own disjoint columns), so every Top/Mid layout adds the
+// moments up in the serial order and returns the serial bits.
 func solveAll(ctx context.Context, q *qep.Problem, ring *contour.Ring, v *zlinalg.Matrix, acc *ssm.Accumulator, distSolver *dist.Solver, opts Options, res *Result) error {
 	n := q.Dim()
 	nint := opts.Nint
@@ -343,11 +343,11 @@ func solveAll(ctx context.Context, q *qep.Problem, ring *contour.Ring, v *zlinal
 				points <- j
 			}
 			close(points)
-			order := newPointOrder(nint, par.Mid, n*nb, func(p *solvedPoint) {
+			order := newPointOrder(nint, par.Mid, n, nb, func(p *solvedPoint) {
 				// Accumulate: primal -> outer node, dual -> the paired
 				// inner node (P(zOut)^dagger = P(zIn)).
-				acc.AddInterleaved(ring.Outer[p.j].Z, ring.Outer[p.j].W, c0, nb, p.x)
-				acc.AddInterleaved(ring.Inner[p.j].Z, ring.Inner[p.j].W, c0, nb, p.xd)
+				acc.AddPlanes(ring.Outer[p.j].Z, ring.Outer[p.j].W, c0, p.x)
+				acc.AddPlanes(ring.Inner[p.j].Z, ring.Inner[p.j].W, c0, p.xd)
 				sh.merge(p)
 			})
 			var midWG sync.WaitGroup
@@ -424,13 +424,13 @@ func (sh *pointMerge) merge(p *solvedPoint) {
 }
 
 // solvedPoint is one quadrature point's contribution, solved and through
-// the recovery ladder, until it commits: the interleaved primal and dual
-// solutions the accumulator reads and the worker-local statistics the
-// merge folds in. Its x and xd are a worker's solution buffers, which
-// travel with it when it is parked.
+// the recovery ladder, until it commits: the primal and dual solution
+// planes the accumulator reads and the worker-local statistics the merge
+// folds in. Its x and xd are a worker's solution planes, which travel with
+// it when it is parked.
 type solvedPoint struct {
 	j         int
-	x, xd     []complex128
+	x, xd     *soa.Block[float64]
 	stats     PointStats
 	dropped   []int
 	matVecs   int
@@ -441,9 +441,9 @@ type solvedPoint struct {
 // the only floating-point step whose order the schedule could change (the
 // moment sums), so ordering it makes every Mid return the bits of Mid 1.
 // A worker whose point is not next does not wait for it: it parks the
-// point and goes on with a spare pair of solution buffers, and whoever
+// point and goes on with a spare pair of solution planes, and whoever
 // commits the point before a parked one commits that one too and frees its
-// buffers. A worker that is slow (descheduled, or on a costly point) thus
+// planes. A worker that is slow (descheduled, or on a costly point) thus
 // holds the others up only once they have run Mid points ahead of it.
 type pointOrder struct {
 	apply  func(*solvedPoint) // one commit; called in point order, one at a time
@@ -453,19 +453,20 @@ type pointOrder struct {
 	spares chan *solvedPoint
 }
 
-// newPointOrder allocates the spares up front: Mid of them, none for a lone
-// worker, which always holds the next point. The spares channel has room
-// for every buffer pair of the block, so a commit never blocks freeing one.
-func newPointOrder(nint, mid, size int, apply func(*solvedPoint)) *pointOrder {
+// newPointOrder allocates the spares up front, n x nb plane pairs: Mid of
+// them, none for a lone worker, which always holds the next point. The
+// spares channel has room for every plane pair of the block, so a commit
+// never blocks freeing one.
+func newPointOrder(nint, mid, n, nb int, apply func(*solvedPoint)) *pointOrder {
 	o := &pointOrder{apply: apply, parked: make([]*solvedPoint, nint), spares: make(chan *solvedPoint, 2*mid)}
 	for range pointSpares(mid) {
-		o.spares <- &solvedPoint{x: make([]complex128, size), xd: make([]complex128, size)}
+		o.spares <- &solvedPoint{x: soa.NewBlock[float64](n, nb), xd: soa.NewBlock[float64](n, nb)}
 	}
 	return o
 }
 
-// pointSpares is the number of spare solution-buffer pairs of one top
-// block with mid workers.
+// pointSpares is the number of spare solution-plane pairs of one top block
+// with mid workers.
 func pointSpares(mid int) int {
 	if mid < 2 {
 		return 0
@@ -513,21 +514,19 @@ func (o *pointOrder) commit(ctx context.Context, p *solvedPoint) (*solvedPoint, 
 
 // blockWorker is one middle-layer worker's solve state, allocated once and
 // reused across its quadrature points so the steady-state loop is
-// allocation-free: the solution planes the block solve writes, the same
-// solutions interleaved for the recovery ladder and the moment
-// accumulator, the column scratch, and the Krylov workspace. Every backend
-// iterates on the same planes through its operator.Planes applies; with
-// Ndm > 1 the block goes to the domain-decomposed solver instead, whose
-// ranks run the same recurrence over their slab rows. MemoryEstimate counts
-// exactly these buffers.
+// allocation-free: the solution planes the block solve writes and the
+// accumulator reads, the recovery ladder's one-column planes, and the
+// Krylov workspace. Every backend iterates on the same planes through its
+// operator.Planes applies; with Ndm > 1 the block goes to the
+// domain-decomposed solver instead, whose ranks run the same recurrence
+// over their slab rows. MemoryEstimate counts exactly these buffers.
 type blockWorker struct {
 	q                 *qep.Problem
 	planes            operator.Planes     // q.B's plane applies
 	z                 complex128          // the point being solved; the applies read it
 	b                 *soa.Block[float64] // the top block's right-hand sides
-	xb, xdb           *soa.Block[float64]
-	x, xd             []complex128
-	bcol, xcol, xdcol []complex128
+	x, xd             *soa.Block[float64]
+	bcol, xcol, xdcol *soa.Block[float64] // n x 1: one column through the ladder
 
 	ws            *linsolve.WorkspaceSoA[float64] // nil under Ndm > 1
 	apply, applyD linsolve.BlockApplySoA[float64]
@@ -538,44 +537,40 @@ func newBlockWorker(q *qep.Problem, b *soa.Block[float64], distSolver *dist.Solv
 	n, nb := b.N(), b.NB()
 	w := &blockWorker{
 		q: q, planes: q.B, b: b, dist: distSolver,
-		xb: soa.NewBlock[float64](n, nb), xdb: soa.NewBlock[float64](n, nb),
-		x: make([]complex128, n*nb), xd: make([]complex128, n*nb),
-		bcol: make([]complex128, n), xcol: make([]complex128, n), xdcol: make([]complex128, n),
+		x: soa.NewBlock[float64](n, nb), xd: soa.NewBlock[float64](n, nb),
+		bcol: soa.NewBlock[float64](n, 1), xcol: soa.NewBlock[float64](n, 1), xdcol: soa.NewBlock[float64](n, 1),
 	}
+	w.apply = func(v, out *soa.Block[float64]) { qep.ApplyBlockSoA(w.q, w.planes, w.z, v, out) }
+	w.applyD = func(v, out *soa.Block[float64]) { qep.ApplyDaggerBlockSoA(w.q, w.planes, w.z, v, out) }
 	if distSolver == nil {
 		w.ws = linsolve.NewWorkspaceSoA[float64](n, nb)
-		w.apply = func(v, out *soa.Block[float64]) { qep.ApplyBlockSoA(w.q, w.planes, w.z, v, out) }
-		w.applyD = func(v, out *soa.Block[float64]) { qep.ApplyDaggerBlockSoA(w.q, w.planes, w.z, v, out) }
 	}
 	return w
 }
 
 // blockWorkerBytes is the resident size of the n-scaled buffers one
-// blockWorker holds itself: x, xd, their planes and the three column
-// vectors. The block solve's Krylov planes come on top (MemoryEstimate).
-func blockWorkerBytes(n, nb int64) int64 { return (4*n*nb + 3*n) * 16 }
+// blockWorker holds itself: the solution planes x, xd and the three
+// one-column blocks. The block solve's Krylov planes come on top
+// (MemoryEstimate).
+func blockWorkerBytes(n, nb int64) int64 { return (2*n*nb + 3*n) * 16 }
 
 // solve runs the dual block solve P(z) X = B, P(z)^dagger Xd = B from a zero
-// guess and leaves the solutions in w.xb, w.xdb and, interleaved, in w.x and
-// w.xd. commBytes is the decomposed solver's bottom-layer traffic; err is
-// fatal to the contour (a rank world failure or a cancellation inside a
-// decomposed solve), never a per-column solver outcome.
+// guess and leaves the solutions in w.x, w.xd. commBytes is the decomposed
+// solver's bottom-layer traffic; err is fatal to the contour (a rank world
+// failure or a cancellation inside a decomposed solve), never a per-column
+// solver outcome.
 func (w *blockWorker) solve(ctx context.Context, z complex128, lopts linsolve.Options, groups []*linsolve.GroupStop) (rs []linsolve.Result, commBytes int64, err error) {
 	w.z = z
-	w.xb.Zero()
-	w.xdb.Zero()
+	w.x.Zero()
+	w.xd.Zero()
 	if w.dist != nil {
 		var stats dist.Stats
-		if rs, stats, err = w.dist.SolveBlock(ctx, z, w.b, w.xb, w.xdb, lopts, groups); err != nil {
+		if rs, stats, err = w.dist.SolveBlock(ctx, z, w.b, w.x, w.xd, lopts, groups); err != nil {
 			return nil, 0, err
 		}
-		commBytes = stats.Bytes
-	} else {
-		rs = linsolve.BlockBiCGDualSoA(w.apply, w.applyD, w.b, w.b, w.xb, w.xdb, lopts, groups, w.ws)
+		return rs, stats.Bytes, nil
 	}
-	soa.Unpack(w.x, w.xb)
-	soa.Unpack(w.xd, w.xdb)
-	return rs, commBytes, nil
+	return linsolve.BlockBiCGDualSoA(w.apply, w.applyD, w.b, w.b, w.x, w.xd, lopts, groups, w.ws), 0, nil
 }
 
 // solvePoints is the one quadrature-point loop: it drains the point queue
@@ -612,7 +607,7 @@ func solvePoints(ctx context.Context, w *blockWorker, ring *contour.Ring, points
 		// accumulation: dropped columns are zeroed in place so the
 		// accumulator never sees them.
 		var local PointStats
-		dropped, recMV := recoverBlockColumns(w.q, zOut, w.b, w.x, w.xd, j, c0, colGroups, rs, opts, &local, w.bcol, w.xcol, w.xdcol)
+		dropped, recMV := w.recoverColumns(j, c0, colGroups, rs, opts, &local)
 		matVecs := recMV
 		for _, r := range rs {
 			local.Iterations += r.Iterations

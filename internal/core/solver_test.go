@@ -413,18 +413,18 @@ func TestMemoryEstimateCountsAllocatedBuffers(t *testing.T) {
 			}
 		}
 		w := newBlockWorker(q, b, distSolver)
-		worker := int64(cap(w.x)+cap(w.xd)+cap(w.bcol)+cap(w.xcol)+cap(w.xdcol))*16 +
-			w.xb.MemoryBytes() + w.xdb.MemoryBytes()
+		worker := w.x.MemoryBytes() + w.xd.MemoryBytes() +
+			w.bcol.MemoryBytes() + w.xcol.MemoryBytes() + w.xdcol.MemoryBytes()
 		if distSolver != nil {
 			worker += distSolver.MemoryBytes(nb)
 		} else {
 			worker += w.ws.MemoryBytes()
 		}
-		order := newPointOrder(opts.Nint, tc.workersPerTop, n*nb, nil)
+		order := newPointOrder(opts.Nint, tc.workersPerTop, n, nb, nil)
 		var spares int64
 		for range len(order.spares) {
 			s := <-order.spares
-			spares += int64(cap(s.x)+cap(s.xd)) * 16
+			spares += s.x.MemoryBytes() + s.xd.MemoryBytes()
 		}
 		acc, err := ssm.NewAccumulator(n, opts.Nrh, opts.Nmm)
 		if err != nil {
@@ -450,14 +450,14 @@ func TestMemoryEstimateCountsAllocatedBuffers(t *testing.T) {
 // point order.
 func TestPointOrderParksOutOfTurnPoints(t *testing.T) {
 	var applied []int
-	o := newPointOrder(6, 2, 3, func(p *solvedPoint) { applied = append(applied, p.j) })
+	o := newPointOrder(6, 2, 3, 1, func(p *solvedPoint) { applied = append(applied, p.j) })
 	point := func(j int) *solvedPoint {
-		return &solvedPoint{j: j, x: make([]complex128, 3), xd: make([]complex128, 3)}
+		return &solvedPoint{j: j, x: soa.NewBlock[float64](3, 1), xd: soa.NewBlock[float64](3, 1)}
 	}
 	ctx := context.Background()
 	for _, j := range []int{2, 1} {
 		p := point(j)
-		if s, ok := o.commit(ctx, p); !ok || s == p || len(s.x) != 3 || len(s.xd) != 3 {
+		if s, ok := o.commit(ctx, p); !ok || s == p || s.x.Len() != 3 || s.xd.Len() != 3 {
 			t.Fatalf("point %d out of turn: got (%p, %v), want a spare in place of %p", j, s, ok, p)
 		}
 	}

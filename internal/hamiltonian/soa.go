@@ -2,25 +2,28 @@ package hamiltonian
 
 // Split-complex (SoA) application of the Hamiltonian blocks.
 //
-// These entry points are the planar counterparts of applyblock.go: the
-// block is held as two float planes (soa.Block) indexed exactly like the
-// row-major []complex128 block, and every coefficient of H0/H+/H- is real,
-// so each complex stencil update is the same real update on both planes.
-// The loops over grid points live inside three row-resident kernels of
-// internal/soa, and this file only walks rows and projectors:
+// A block of nb vectors is held as two float planes (soa.Block), row-major
+// by grid point: the nb column values of grid point i sit at
+// Re[i*nb:(i+1)*nb] and Im[i*nb:(i+1)*nb]. One pass of the stencil then
+// reads each neighbour table entry, local-potential value and projector
+// sample once for all nb columns, and every coefficient of H0/H+/H- is
+// real, so each complex stencil update is the same real update on both
+// planes. The loops over grid points live inside three row-resident
+// kernels of internal/soa, and this file only walks rows and projectors:
 //
 //   - soa.StencilRow writes one output row (fixed iz, iy) per call: each
 //     element once, its diagonal, x, y and in-cell z terms accumulated in a
-//     register. The three AoS sweeps are one sweep and out is never
-//     read-modified-written;
+//     register, so out is never read-modified-written;
 //   - soa.GatherDot and soa.ScatterAxpy each walk one projector support
 //     per call with the column sums in registers;
 //   - soa.AxpyRows adds the coupled z planes of H+ and H-.
 //
 // The per-element accumulation order (diag, x d=1..nf pair-grouped, y
 // d=1..nf pair-grouped, z d=1..nf with +d then -d as separate terms; a
-// support's samples in list order) is the AoS order, so float64 results are
-// bit-identical to applyblock.go on both arms of the kernels' dispatch.
+// support's samples in list order) does not depend on nb or on the arm of
+// the kernels' dispatch, so a column's bits are the same in every block
+// width, and the unshifted H0 block apply is bit-identical to the
+// single-vector ApplyH0 column by column.
 //
 // The entry points are generic over the plane element type F (soa.Float,
 // i.e. float64): the coefficient tables are converted once at construction
@@ -108,6 +111,11 @@ func (op *Operator) AccumHmPlanes(coefRe, coefIm float64, v, out *soa.Block[floa
 	op.SoA64().AccumHmPlanes(coefRe, coefIm, v, out)
 }
 
+// blockStackCols is the width of the stack-resident per-projector reduction
+// buffers; wider blocks are processed in column chunks of this size, so the
+// nonlocal accumulation never allocates regardless of nb.
+const blockStackCols = 64
+
 // soaCache carries the lazily built tables; it is embedded in Operator so
 // every solve layer shares one conversion.
 type soaCache struct {
@@ -125,7 +133,7 @@ func (t *SoATables[F]) checkBlockShape(v, out *soa.Block[F]) {
 }
 
 // ApplyH0Block computes out = H0*V on split planes, bit-identical (at
-// F = float64) to the AoS ApplyH0Block.
+// F = float64) to ApplyH0 on each column.
 //
 //cbs:hotpath
 func (t *SoATables[F]) ApplyH0Block(v, out *soa.Block[F]) {
@@ -135,7 +143,8 @@ func (t *SoATables[F]) ApplyH0Block(v, out *soa.Block[F]) {
 }
 
 // ApplyShiftedH0Planes computes out = (shift*I - H0)*V on split planes,
-// bit-identical (at F = float64) to the AoS ApplyShiftedH0Block.
+// the H0 part of P(z) = E - H0 - zH+ - z^-1 H-: folding the shift-and-
+// negate into the stencil pass saves the separate "out = E*v - out" sweep.
 //
 //cbs:hotpath
 func (t *SoATables[F]) ApplyShiftedH0Planes(shift F, v, out *soa.Block[F]) {
@@ -146,8 +155,8 @@ func (t *SoATables[F]) ApplyShiftedH0Planes(shift F, v, out *soa.Block[F]) {
 
 // applyH0BlockImpl computes the kinetic + local part of
 // out = shift*V + sign*H0loc*V, one row kernel call per output row. The
-// sign is folded into the tail coefficients here, as the AoS kernel folds
-// it (sign*k[d], then the multiply by the neighbour sum).
+// sign is folded into the tail coefficients here (sign*k[d], then the
+// multiply by the neighbour sum).
 //
 //cbs:hotpath
 func (t *SoATables[F]) applyH0BlockImpl(shift, sign F, v, out *soa.Block[F]) {
@@ -167,8 +176,9 @@ func (t *SoATables[F]) applyH0BlockImpl(shift, sign F, v, out *soa.Block[F]) {
 
 // AccumHpPlanes accumulates out += coef * H+ * V on split planes: the top nf
 // z-planes couple to the next cell, plus the boundary-crossing projectors.
-// coef is split (coefRe, coefIm); at F = float64 the result is
-// bit-identical to the AoS AccumHpBlock.
+// coef is split (coefRe, coefIm). Because H+ only couples boundary planes,
+// folding the coefficient in saves a full-length scratch block and its
+// axpy pass.
 //
 //cbs:hotpath
 func (t *SoATables[F]) AccumHpPlanes(coefRe, coefIm F, v, out *soa.Block[F]) {
@@ -201,8 +211,9 @@ func (t *SoATables[F]) AccumHmPlanes(coefRe, coefIm F, v, out *soa.Block[F]) {
 }
 
 // accumNonlocalBlock accumulates the separable projector term with cell
-// offset l on split planes, mirroring the AoS accumNonlocalBlock: columns
-// in stack-resident chunks, one gather per (projector, offset pair) into
+// offset l on split planes, out += coef * sum_j p^j h <p^{j+l}, V>: columns
+// in stack-resident chunks (columns are independent here, so chunking
+// keeps each column's order), one gather per (projector, offset pair) into
 // the sums, scaled by the complex channel coefficient h*coef, then one
 // scatter back through the row support.
 //

@@ -12,11 +12,12 @@
 // Two implementations exist: the FD-grid Kohn-Sham operator
 // (internal/hamiltonian, the paper's workload) and the nearest-neighbor
 // tight-binding operator (internal/tb, closed-form dispersions for
-// property tests and cheap interactive transport serving). Every block
-// solve iterates on split-complex planes through the Planes method set, so
-// the solver has one layout and one Krylov step set for both; the
-// interleaved and single-vector applies serve the recovery ladder, the
-// residual checks and the tests' references.
+// property tests and cheap interactive transport serving). Every solve —
+// the block solves, the recovery ladder's one-column restarts and its
+// GMRES fallback — applies P(z) on split-complex planes through the Planes
+// method set, so the solver has one block layout and one Krylov step set
+// for both; the single-vector applies serve the residual checks, the dense
+// assemblies and the tests' per-column reference.
 package operator
 
 import "cbs/internal/soa"
@@ -26,9 +27,6 @@ import "cbs/internal/soa"
 // contour identity P(z)^dagger = P(1/conj z) the solver relies on requires
 // H0 = H0^dagger and H- = H+^dagger; every implementation must preserve
 // it.
-//
-// Blocked applies use the interleaved row-major block layout: an n x nb
-// block stored as nb contiguous column values per grid point (v[i*nb+c]).
 type Backend interface {
 	// N is the per-cell dimension of the operator.
 	N() int
@@ -42,34 +40,27 @@ type Backend interface {
 	// MemoryBytes estimates the backend's resident footprint.
 	MemoryBytes() int64
 
-	// Single-vector applies (reference path and residual checks).
+	// Single-vector applies: the residual checks, the OBM baseline's and
+	// NEGF's operator probes, and the plane kernels' test reference.
 	ApplyH0(v, out []complex128)
 	ApplyHp(v, out []complex128)
 	ApplyHm(v, out []complex128)
 
-	// Interleaved blocked applies (the recovery ladder's column solves and
-	// the plane kernels' reference). ApplyShiftedH0Block computes
-	// out = (shift - H0) V; the Accum forms compute out += coef * H± V.
-	// The //cbs:hotpath directives are contracts, not checks: hotpathalloc
-	// admits calls through these methods inside hot kernels, and every
-	// implementation must annotate (and therefore pass the body rules on)
-	// its own kernels.
-	//
-	//cbs:hotpath
-	ApplyShiftedH0Block(shift float64, v, out []complex128, nb int)
-	//cbs:hotpath
-	AccumHpBlock(coef complex128, v, out []complex128, nb int)
-	//cbs:hotpath
-	AccumHmBlock(coef complex128, v, out []complex128, nb int)
-
 	Planes
 }
 
-// Planes is the contour hot path: the same three applies on a split-complex
-// block (soa.Block), with the complex coefficient of H± split into its real
-// and imaginary parts at this boundary. Per element each must perform the
-// multiplies and adds of the interleaved apply in the same order, so a
-// solve's bits do not depend on the layout it ran on.
+// Planes is the contour hot path: the shifted H0 and the H± accumulations
+// of P(z) on a split-complex n x nb block (soa.Block; element (i, c) at
+// Re[i*nb+c], Im[i*nb+c]), out = (shift - H0) V and out += coef * H± V,
+// with the complex coefficient of H± split into its real and imaginary
+// parts at this boundary. Columns are independent: column c of the result
+// depends only on column c of V, and its bits do not depend on nb, so a
+// one-column solve reproduces its column of a block solve.
+//
+// The //cbs:hotpath directives are contracts, not checks: hotpathalloc
+// admits calls through these methods inside hot kernels, and every
+// implementation must annotate (and therefore pass the body rules on) its
+// own kernels.
 type Planes interface {
 	//cbs:hotpath
 	ApplyShiftedH0Planes(shift float64, v, out *soa.Block[float64])

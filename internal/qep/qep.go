@@ -16,6 +16,7 @@ import (
 
 	"cbs/internal/hamiltonian"
 	"cbs/internal/operator"
+	"cbs/internal/soa"
 	"cbs/internal/zlinalg"
 )
 
@@ -65,27 +66,16 @@ func (p *Problem) ApplyDagger(z complex128, v, out, scratch []complex128) {
 	p.Apply(1/cmplx.Conj(z), v, out, scratch)
 }
 
-// ApplyBlock computes out = P(z) V for an n x nb block stored row-major by
-// grid point (hamiltonian block layout). Unlike the single-vector Apply,
-// which makes three full-length passes ((E-H0)v, then two scratch+Axpy
-// passes for the z*H+ and z^{-1}*H- terms), the blocked path computes
-// (E - H0)V in one fused stencil sweep and folds the contour shift into the
-// boundary-only accumulate kernels: O(surface) extra work and no scratch
-// buffer at all.
-//
-//cbs:hotpath
+// ApplyBlock computes out = P(z) V for an n x nb block stored row-major
+// as []complex128 (v[i*nb+c]): it packs V into planes, applies
+// ApplyBlockSoA and unpacks the result, with the bits of the plane apply.
+// It is a boundary adapter for callers holding complex vectors, not a
+// solve path; every solve applies P(z) on planes.
 func (p *Problem) ApplyBlock(z complex128, v, out []complex128, nb int) {
-	p.B.ApplyShiftedH0Block(p.E, v, out, nb)
-	p.B.AccumHpBlock(-z, v, out, nb)
-	p.B.AccumHmBlock(-1/z, v, out, nb)
-}
-
-// ApplyDaggerBlock computes out = P(z)^dagger V = P(1/conj(z)) V on a
-// row-major block.
-//
-//cbs:hotpath
-func (p *Problem) ApplyDaggerBlock(z complex128, v, out []complex128, nb int) {
-	p.ApplyBlock(1/cmplx.Conj(z), v, out, nb)
+	vb, ob := soa.NewBlock[float64](p.Dim(), nb), soa.NewBlock[float64](p.Dim(), nb)
+	soa.Pack(vb, v) // Pack and Unpack panic on a length mismatch
+	ApplyBlockSoA(p, p.B, z, vb, ob)
+	soa.Unpack(out, ob)
 }
 
 // Residual returns the relative QEP residual ||P(lambda) psi|| / ||psi||

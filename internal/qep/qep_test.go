@@ -9,6 +9,7 @@ import (
 
 	"cbs/internal/hamiltonian"
 	"cbs/internal/lattice"
+	"cbs/internal/soa"
 	"cbs/internal/zlinalg"
 )
 
@@ -79,46 +80,54 @@ func TestResidualConsistency(t *testing.T) {
 	}
 }
 
-// TestApplyBlockMatchesApply: the fused blocked apply must reproduce the
-// per-column single-vector apply (primal and dagger) for nb in {1, 3, 8}.
+// TestApplyBlockMatchesApply: the plane P(z) block apply must reproduce the
+// per-column single-vector apply (primal and dagger) for nb in {1, 3, 8},
+// and the complex-vector ApplyBlock adapter must return its bits.
 func TestApplyBlockMatchesApply(t *testing.T) {
 	p := testProblem(t)
 	n := p.Dim()
 	z := complex(1.7, -0.4)
 	for _, nb := range []int{1, 3, 8} {
 		rng := rand.New(rand.NewSource(int64(7 + nb)))
-		v := make([]complex128, n*nb)
-		for i := range v {
-			v[i] = complex(rng.Float64()*2-1, rng.Float64()*2-1)
+		v := soa.NewBlock[float64](n, nb)
+		for i := range v.Re {
+			v.Re[i], v.Im[i] = rng.Float64()*2-1, rng.Float64()*2-1
 		}
-		out := make([]complex128, n*nb)
-		outD := make([]complex128, n*nb)
-		p.ApplyBlock(z, v, out, nb)
-		p.ApplyDaggerBlock(z, v, outD, nb)
+		out := soa.NewBlock[float64](n, nb)
+		outD := soa.NewBlock[float64](n, nb)
+		ApplyBlockSoA(p, p.B, z, v, out)
+		ApplyDaggerBlockSoA(p, p.B, z, v, outD)
 		col := make([]complex128, n)
 		ref := make([]complex128, n)
 		scratch := make([]complex128, n)
-		for c := 0; c < nb; c++ {
-			for i := 0; i < n; i++ {
-				col[i] = v[i*nb+c]
-			}
-			p.Apply(z, col, ref, scratch)
+		deviation := func(got *soa.Block[float64], c int) float64 {
 			var d, nrm float64
 			for i := 0; i < n; i++ {
-				d += cmplx.Abs(out[i*nb+c] - ref[i])
+				d += cmplx.Abs(complex(got.Re[i*nb+c], got.Im[i*nb+c]) - ref[i])
 				nrm += cmplx.Abs(ref[i])
 			}
-			if d/nrm > 1e-13 {
-				t.Errorf("ApplyBlock nb=%d col %d: relative deviation %g", nb, c, d/nrm)
+			return d / nrm
+		}
+		for c := 0; c < nb; c++ {
+			for i := range col {
+				col[i] = complex(v.Re[i*nb+c], v.Im[i*nb+c])
+			}
+			p.Apply(z, col, ref, scratch)
+			if d := deviation(out, c); d > 1e-13 {
+				t.Errorf("ApplyBlockSoA nb=%d col %d: relative deviation %g", nb, c, d)
 			}
 			p.ApplyDagger(z, col, ref, scratch)
-			d, nrm = 0, 0
-			for i := 0; i < n; i++ {
-				d += cmplx.Abs(outD[i*nb+c] - ref[i])
-				nrm += cmplx.Abs(ref[i])
+			if d := deviation(outD, c); d > 1e-13 {
+				t.Errorf("ApplyDaggerBlockSoA nb=%d col %d: relative deviation %g", nb, c, d)
 			}
-			if d/nrm > 1e-13 {
-				t.Errorf("ApplyDaggerBlock nb=%d col %d: relative deviation %g", nb, c, d/nrm)
+		}
+
+		vi, oi := make([]complex128, n*nb), make([]complex128, n*nb)
+		soa.Unpack(vi, v)
+		p.ApplyBlock(z, vi, oi, nb)
+		for i, e := range oi {
+			if e != complex(out.Re[i], out.Im[i]) {
+				t.Fatalf("ApplyBlock nb=%d element %d: %v, planes %v", nb, i, e, complex(out.Re[i], out.Im[i]))
 			}
 		}
 	}

@@ -1,10 +1,10 @@
 package qep
 
-// Split-complex (SoA) application of P(z): the planar counterpart of
-// ApplyBlock/ApplyDaggerBlock on any backend's plane method set. The contour
-// coefficients -z and -1/z are the only complex scalars in the operator;
-// they are split into (re, im) pairs at this boundary and everything below
-// runs on float planes; the result is bit-identical to the interleaved path.
+// Split-complex (SoA) application of P(z) on any backend's plane method
+// set: the one block apply every solve runs. The contour coefficients -z
+// and -1/z are the only complex scalars in the operator; they are split
+// into (re, im) pairs at this boundary and everything below runs on float
+// planes.
 
 import (
 	"math/cmplx"

@@ -14,8 +14,8 @@ package soa
 // the multiplies and adds of its scalar sibling in the same order. VMULPD /
 // VADDPD round identically to the scalar instructions lane by lane, and no
 // FMA contraction is used anywhere (a fused multiply-add skips the
-// intermediate rounding and would break the SoA==AoS bitwise parity the
-// solver tests pin).
+// intermediate rounding and would break the bit goldens the solver tests
+// pin).
 
 // AxpyRows performs the complex axpy of whole block rows,
 // dst[d0+i, :] += (cr + i*ci) * src[s0+i, :] for i < rows: the cell

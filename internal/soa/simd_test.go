@@ -7,7 +7,7 @@ import (
 )
 
 // The SIMD kernels must be bit-identical to their scalar siblings: the
-// solver's SoA==AoS parity rests on it. Every length from 0 through a few
+// solver's bit goldens rest on it. Every length from 0 through a few
 // vectors plus tails is checked, with denormals, negative zeros and mixed
 // magnitudes in the data.
 func simdFill(rng *rand.Rand, n int) []float64 {

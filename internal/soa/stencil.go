@@ -6,10 +6,10 @@ import "math"
 // inside the kernel, so one dispatch produces a whole output row of the
 // stencil (StencilRow) or consumes a whole projector support (GatherDot,
 // ScatterAxpy). The accumulators live in registers across every term of an
-// element, in the per-element order of the interleaved kernels — diagonal,
-// x d = 1..nf, y d = 1..nf, z d = 1..nf with +d before -d — so the results
-// are bit-identical to them under the contract of simd.go: the asm arm is
-// the exact transcription of the scalar sibling, VMULPD/VADDPD only.
+// element, in the per-element order of the single-vector ApplyH0 —
+// diagonal, x d = 1..nf, y d = 1..nf, z d = 1..nf with +d before -d — and
+// the asm arm is the exact transcription of the scalar sibling under the
+// contract of simd.go, VMULPD/VADDPD only, so both arms give those bits.
 
 // MaxHalfWidth is the largest stencil half-width the row kernel takes.
 const MaxHalfWidth = 8

@@ -42,29 +42,6 @@ func (m *CSR) Apply(v, out []complex128) {
 	}
 }
 
-// ApplyBlock computes out = A*V for an n x nb block stored row-major (the
-// nb column values of row i at v[i*nb:(i+1)*nb]): each stored entry is read
-// once for all nb columns, turning nb SpMV sweeps over the index arrays
-// into one SpMM-like sweep.
-func (m *CSR) ApplyBlock(v, out []complex128, nb int) {
-	if nb < 1 || len(v) != m.N*nb || len(out) != m.N*nb {
-		panic("sparse: ApplyBlock length/width mismatch")
-	}
-	for i := 0; i < m.N; i++ {
-		oo := out[i*nb : i*nb+nb]
-		for k := range oo {
-			oo[k] = 0
-		}
-		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
-			a := m.Val[p]
-			vo := v[int(m.Col[p])*nb : int(m.Col[p])*nb+nb]
-			for k := range oo {
-				oo[k] += a * vo[k]
-			}
-		}
-	}
-}
-
 // NNZ returns the number of stored entries.
 func (m *CSR) NNZ() int { return len(m.Val) }
 

@@ -116,38 +116,6 @@ func TestCSRStructure(t *testing.T) {
 	}
 }
 
-// TestApplyBlockMatchesApply: the blocked CSR apply must reproduce the
-// per-column apply for nb in {1, 3, 8}.
-func TestApplyBlockMatchesApply(t *testing.T) {
-	op := testOperator(t)
-	blocks, err := FromOperator(op)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := op.N()
-	for _, m := range []*CSR{blocks.H0, blocks.HP, blocks.HM} {
-		for _, nb := range []int{1, 3, 8} {
-			rng := rand.New(rand.NewSource(int64(nb)))
-			v := randVec(rng, n*nb)
-			out := make([]complex128, n*nb)
-			m.ApplyBlock(v, out, nb)
-			col := make([]complex128, n)
-			ref := make([]complex128, n)
-			for c := 0; c < nb; c++ {
-				for i := 0; i < n; i++ {
-					col[i] = v[i*nb+c]
-				}
-				m.Apply(col, ref)
-				for i := 0; i < n; i++ {
-					if cmplx.Abs(out[i*nb+c]-ref[i]) > 1e-13 {
-						t.Fatalf("nb=%d col %d row %d: %v vs %v", nb, c, i, out[i*nb+c], ref[i])
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestNNZOverflowGuard: assembly must fail cleanly (not wrap int32 indices)
 // when the entry count exceeds the index range. The ceiling is lowered so
 // the regression test does not need 2^31 entries.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"cbs/internal/soa"
 	"cbs/internal/zlinalg"
 )
 
@@ -59,39 +60,44 @@ func accumColumn(dst, y []complex128, zk complex128, col, nrh int) {
 	}
 }
 
-// AddInterleaved accumulates nb solved columns at once from a row-major
-// interleaved block y (the blocked-solver layout: the nb values of grid
-// point i at y[i*nb:(i+1)*nb]), covering probe columns col0..col0+nb-1:
-// S_k[:,col0+c] += w * z^k * y[:,c]. One call takes the accumulator mutex
-// once per quadrature point instead of once per column, which removes the
-// lock contention of the per-column Add path under the parallel layers.
-func (a *Accumulator) AddInterleaved(z, w complex128, col0, nb int, y []complex128) {
-	if nb < 1 || len(y) != a.n*nb {
-		panic("ssm: AddInterleaved length mismatch")
+// AddPlanes accumulates nb solved columns at once from the split-complex
+// planes of y (the blocked-solver layout: the nb values of grid point i at
+// y.Re[i*nb:(i+1)*nb] and y.Im[i*nb:(i+1)*nb]), covering probe columns
+// col0..col0+nb-1: S_k[:,col0+c] += w * z^k * y[:,c]. One call takes the
+// accumulator mutex once per quadrature point instead of once per column,
+// which removes the lock contention of the per-column Add path under the
+// parallel layers.
+func (a *Accumulator) AddPlanes(z, w complex128, col0 int, y *soa.Block[float64]) {
+	nb := y.NB()
+	if y.N() != a.n {
+		panic("ssm: AddPlanes length mismatch")
 	}
 	if col0 < 0 || col0+nb > a.nrh {
-		panic("ssm: AddInterleaved columns out of range")
+		panic("ssm: AddPlanes columns out of range")
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	zk := w
 	for k := 0; k < 2*a.nmm; k++ {
-		accumInterleaved(a.moments[k].Data, y, zk, col0, nb, a.nrh)
+		accumPlanes(a.moments[k].Data, y.Re, y.Im, zk, col0, nb, a.nrh)
 		zk *= z
 	}
 }
 
-// accumInterleaved is the locked inner kernel of AddInterleaved:
-// dst[:,col0+c] += zk * y[:,c] for the nb interleaved columns of y.
+// accumPlanes is the locked inner kernel of AddPlanes: dst[:,col0+c] +=
+// zk * y[:,c] for the nb columns of the planes yRe, yIm. The complex
+// multiply is written out on the parts as complex128 arithmetic performs
+// it, so every moment entry gets the bits of Add on the same column.
 //
 //cbs:hotpath
-func accumInterleaved(dst, y []complex128, zk complex128, col0, nb, nrh int) {
-	n := len(y) / nb
+func accumPlanes(dst []complex128, yRe, yIm []float64, zk complex128, col0, nb, nrh int) {
+	zr, zi := real(zk), imag(zk)
+	n := len(yRe) / nb
 	for i := 0; i < n; i++ {
 		row := dst[i*nrh+col0 : i*nrh+col0+nb]
-		yi := y[i*nb : i*nb+nb]
+		re, im := yRe[i*nb:i*nb+nb], yIm[i*nb:i*nb+nb]
 		for c := range row {
-			row[c] += zk * yi[c]
+			row[c] += complex(zr*re[c]-zi*im[c], zr*im[c]+zi*re[c])
 		}
 	}
 }

@@ -4,17 +4,19 @@ import (
 	"math/cmplx"
 	"math/rand"
 	"testing"
+
+	"cbs/internal/soa"
 )
 
-// TestAddInterleavedMatchesAdd: accumulating an interleaved sub-block must
-// equal accumulating its columns one at a time with Add.
-func TestAddInterleavedMatchesAdd(t *testing.T) {
+// TestAddPlanesMatchesAdd: accumulating a sub-block from split planes must
+// equal accumulating its columns one at a time with Add, bit for bit.
+func TestAddPlanesMatchesAdd(t *testing.T) {
 	n, nrh, nmm := 13, 6, 3
 	col0, nb := 2, 3
 	rng := rand.New(rand.NewSource(4))
-	y := make([]complex128, n*nb)
-	for i := range y {
-		y[i] = complex(rng.Float64()*2-1, rng.Float64()*2-1)
+	y := soa.NewBlock[float64](n, nb)
+	for i := range y.Re {
+		y.Re[i], y.Im[i] = rng.Float64()*2-1, rng.Float64()*2-1
 	}
 	z := complex(1.2, -0.7)
 	w := complex(0.3, 0.9)
@@ -23,7 +25,7 @@ func TestAddInterleavedMatchesAdd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocked.AddInterleaved(z, w, col0, nb, y)
+	blocked.AddPlanes(z, w, col0, y)
 
 	serial, err := NewAccumulator(n, nrh, nmm)
 	if err != nil {
@@ -32,7 +34,7 @@ func TestAddInterleavedMatchesAdd(t *testing.T) {
 	col := make([]complex128, n)
 	for c := 0; c < nb; c++ {
 		for i := 0; i < n; i++ {
-			col[i] = y[i*nb+c]
+			col[i] = complex(y.Re[i*nb+c], y.Im[i*nb+c])
 		}
 		serial.Add(z, w, col0+c, col)
 	}
@@ -41,28 +43,28 @@ func TestAddInterleavedMatchesAdd(t *testing.T) {
 	ms := serial.Moments()
 	for k := range mb {
 		for i := range mb[k].Data {
-			if d := cmplx.Abs(mb[k].Data[i] - ms[k].Data[i]); d > 1e-14 {
-				t.Fatalf("moment %d entry %d deviates by %g", k, i, d)
+			if mb[k].Data[i] != ms[k].Data[i] {
+				t.Fatalf("moment %d entry %d: planes %v, per column %v", k, i, mb[k].Data[i], ms[k].Data[i])
 			}
 		}
 	}
 }
 
-// TestAddInterleavedValidation: shape errors must panic, matching Add.
-func TestAddInterleavedValidation(t *testing.T) {
+// TestAddPlanesValidation: shape errors must panic, matching Add.
+func TestAddPlanesValidation(t *testing.T) {
 	a, err := NewAccumulator(5, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, bad := range []func(){
-		func() { a.AddInterleaved(1, 1, 0, 2, make([]complex128, 9)) },  // wrong length
-		func() { a.AddInterleaved(1, 1, 3, 2, make([]complex128, 10)) }, // columns out of range
-		func() { a.AddInterleaved(1, 1, -1, 2, make([]complex128, 10)) },
+		func() { a.AddPlanes(1, 1, 0, soa.NewBlock[float64](4, 2)) }, // wrong length
+		func() { a.AddPlanes(1, 1, 3, soa.NewBlock[float64](5, 2)) }, // columns out of range
+		func() { a.AddPlanes(1, 1, -1, soa.NewBlock[float64](5, 2)) },
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Error("invalid AddInterleaved did not panic")
+					t.Error("invalid AddPlanes did not panic")
 				}
 			}()
 			bad()

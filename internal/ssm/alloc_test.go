@@ -3,6 +3,7 @@ package ssm
 import (
 	"testing"
 
+	"cbs/internal/soa"
 	"cbs/internal/zlinalg"
 )
 
@@ -21,9 +22,9 @@ func TestAccumulatorZeroAlloc(t *testing.T) {
 		y[i] = complex(float64(i%5)-2, float64(i%3)-1)
 	}
 	const nb = 4
-	blk := make([]complex128, n*nb)
-	for i := range blk {
-		blk[i] = complex(float64(i%7)-3, float64(i%4)-2)
+	blk := soa.NewBlock[float64](n, nb)
+	for i := range blk.Re {
+		blk.Re[i], blk.Im[i] = float64(i%7)-3, float64(i%4)-2
 	}
 	m := zlinalg.NewMatrix(n, nrh)
 	for i := range m.Data {
@@ -33,8 +34,8 @@ func TestAccumulatorZeroAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(5, func() { acc.Add(z, w, 2, y) }); allocs != 0 {
 		t.Errorf("Add allocates %.0f times per call, want 0", allocs)
 	}
-	if allocs := testing.AllocsPerRun(5, func() { acc.AddInterleaved(z, w, 1, nb, blk) }); allocs != 0 {
-		t.Errorf("AddInterleaved allocates %.0f times per call, want 0", allocs)
+	if allocs := testing.AllocsPerRun(5, func() { acc.AddPlanes(z, w, 1, blk) }); allocs != 0 {
+		t.Errorf("AddPlanes allocates %.0f times per call, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(5, func() { acc.AddBlock(z, w, m) }); allocs != 0 {
 		t.Errorf("AddBlock allocates %.0f times per call, want 0", allocs)

@@ -172,16 +172,6 @@ func (b *Backend) checkLen(v, out []complex128) {
 	}
 }
 
-// checkBlockLen guards the blocked-apply shapes; callers are hot-path
-// kernels, and the guard itself is indexing plus a cold panic.
-//
-//cbs:hotpath
-func (b *Backend) checkBlockLen(v, out []complex128, nb int) {
-	if nb < 1 || len(v) != b.n*nb || len(out) != b.n*nb {
-		panic("tb: block length mismatch")
-	}
-}
-
 // ApplyH0 computes out = H0 v.
 func (b *Backend) ApplyH0(v, out []complex128) {
 	b.checkLen(v, out)
@@ -217,57 +207,6 @@ func (b *Backend) ApplyHm(v, out []complex128) {
 	}
 }
 
-// ApplyShiftedH0Block computes out = (shift - H0) V on a row-major n x nb
-// block (v[i*nb+c]).
-//
-//cbs:hotpath
-func (b *Backend) ApplyShiftedH0Block(shift float64, v, out []complex128, nb int) {
-	b.checkBlockLen(v, out, nb)
-	for i := 0; i < b.n; i++ {
-		d := complex(shift-b.onsite[i], 0)
-		row := i * nb
-		for c := 0; c < nb; c++ {
-			out[row+c] = d * v[row+c]
-		}
-	}
-	for _, h := range b.intra {
-		t := complex(h.t, 0)
-		ri, rj := h.i*nb, h.j*nb
-		for c := 0; c < nb; c++ {
-			out[ri+c] -= t * v[rj+c]
-			out[rj+c] -= t * v[ri+c]
-		}
-	}
-}
-
-// AccumHpBlock accumulates out += coef * H+ V.
-//
-//cbs:hotpath
-func (b *Backend) AccumHpBlock(coef complex128, v, out []complex128, nb int) {
-	b.checkBlockLen(v, out, nb)
-	for _, h := range b.inter {
-		ct := coef * complex(h.t, 0)
-		ri, rj := h.i*nb, h.j*nb
-		for c := 0; c < nb; c++ {
-			out[ri+c] += ct * v[rj+c]
-		}
-	}
-}
-
-// AccumHmBlock accumulates out += coef * H- V.
-//
-//cbs:hotpath
-func (b *Backend) AccumHmBlock(coef complex128, v, out []complex128, nb int) {
-	b.checkBlockLen(v, out, nb)
-	for _, h := range b.inter {
-		ct := coef * complex(h.t, 0)
-		ri, rj := h.i*nb, h.j*nb
-		for c := 0; c < nb; c++ {
-			out[rj+c] += ct * v[ri+c]
-		}
-	}
-}
-
 // checkPlanes guards the plane-apply shapes (indexing plus a cold panic).
 //
 //cbs:hotpath
@@ -277,9 +216,9 @@ func (b *Backend) checkPlanes(v, out *soa.Block[float64]) {
 	}
 }
 
-// ApplyShiftedH0Planes is ApplyShiftedH0Block on split planes: the same hop
-// list walked in the same order, each real coefficient applied to both
-// planes, so every element sees the interleaved kernel's operations.
+// ApplyShiftedH0Planes computes out = (shift - H0) V on split planes
+// (element (i, c) at index i*nb+c): the onsite term first, then the intra
+// hops in list order, each real coefficient applied to both planes.
 //
 //cbs:hotpath
 func (b *Backend) ApplyShiftedH0Planes(shift float64, v, out *soa.Block[float64]) {
@@ -304,7 +243,8 @@ func (b *Backend) ApplyShiftedH0Planes(shift float64, v, out *soa.Block[float64]
 	}
 }
 
-// AccumHpPlanes is AccumHpBlock on split planes, coef = coefRe + i*coefIm.
+// AccumHpPlanes accumulates out += coef * H+ V on split planes,
+// coef = coefRe + i*coefIm.
 //
 //cbs:hotpath
 func (b *Backend) AccumHpPlanes(coefRe, coefIm float64, v, out *soa.Block[float64]) {
@@ -314,7 +254,7 @@ func (b *Backend) AccumHpPlanes(coefRe, coefIm float64, v, out *soa.Block[float6
 	}
 }
 
-// AccumHmPlanes is AccumHmBlock on split planes, coef = coefRe + i*coefIm.
+// AccumHmPlanes accumulates out += coef * H- V on split planes.
 //
 //cbs:hotpath
 func (b *Backend) AccumHmPlanes(coefRe, coefIm float64, v, out *soa.Block[float64]) {
@@ -325,7 +265,7 @@ func (b *Backend) AccumHmPlanes(coefRe, coefIm float64, v, out *soa.Block[float6
 }
 
 // accumHopPlanes performs out[dst,:] += (cr + i*ci) * v[src,:], the complex
-// multiply-add of the interleaved kernel written out on the two planes.
+// multiply-add written out on the two planes.
 //
 //cbs:hotpath
 func accumHopPlanes(out, v *soa.Block[float64], dst, src int, cr, ci float64) {

@@ -78,7 +78,7 @@ func TestSlabBlockedAppliesMatchReference(t *testing.T) {
 	checkBackendConsistency(t, b)
 }
 
-// checkBackendConsistency verifies the blocked applies against the
+// checkBackendConsistency verifies the blocked plane applies against the
 // single-vector reference and the structural identities the dual contour
 // needs: H0 = H0^dagger and H- = H+^dagger.
 func checkBackendConsistency(t *testing.T, b *tb.Backend) {
@@ -116,26 +116,22 @@ func checkBackendConsistency(t *testing.T, b *tb.Backend) {
 	}
 
 	const nb = 3
-	vb := make([]complex128, n*nb)
-	for i := range vb {
-		vb[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-	}
-	col := func(blk []complex128, c int) []complex128 {
-		out := make([]complex128, n)
-		for i := 0; i < n; i++ {
-			out[i] = blk[i*nb+c]
-		}
-		return out
+	vb := soa.NewBlock[float64](n, nb)
+	for i := range vb.Re {
+		vb.Re[i], vb.Im[i] = rng.NormFloat64(), rng.NormFloat64()
 	}
 	const shift = 0.37
 	coefP := complex(0.4, -1.2)
 	coefM := complex(-0.9, 0.3)
-	out := make([]complex128, n*nb)
-	b.ApplyShiftedH0Block(shift, vb, out, nb)
-	b.AccumHpBlock(coefP, vb, out, nb)
-	b.AccumHmBlock(coefM, vb, out, nb)
+	out := soa.NewBlock[float64](n, nb)
+	b.ApplyShiftedH0Planes(shift, vb, out)
+	b.AccumHpPlanes(real(coefP), imag(coefP), vb, out)
+	b.AccumHmPlanes(real(coefM), imag(coefM), vb, out)
 	for c := 0; c < nb; c++ {
-		vc := col(vb, c)
+		vc := make([]complex128, n)
+		for i := range vc {
+			vc[i] = complex(vb.Re[i*nb+c], vb.Im[i*nb+c])
+		}
 		want := make([]complex128, n)
 		tmp := make([]complex128, n)
 		b.ApplyH0(vc, tmp)
@@ -150,19 +146,21 @@ func checkBackendConsistency(t *testing.T, b *tb.Backend) {
 		for i := range want {
 			want[i] += coefM * tmp[i]
 		}
-		gc := col(out, c)
 		for i := range want {
-			if cmplx.Abs(gc[i]-want[i]) > 1e-12 {
-				t.Fatalf("blocked apply col %d row %d: got %v want %v", c, i, gc[i], want[i])
+			if g := complex(out.Re[i*nb+c], out.Im[i*nb+c]); cmplx.Abs(g-want[i]) > 1e-12 {
+				t.Fatalf("blocked apply col %d row %d: got %v want %v", c, i, g, want[i])
 			}
 		}
 	}
 }
 
 // TestPlaneAppliesMatchInterleaved: the plane kernels reproduce the
-// interleaved blocked applies by exact equality — same hop order, same
-// per-element operations — on chains and slabs, on every block width the
-// solver hands them, and allocate nothing.
+// single-vector applies on interleaved complex128 vectors column by column
+// — (shift - H0)V against shift*v - ApplyH0 v, prior + coef*H±V against
+// prior + coef*ApplyH± v, to 1e-13 per element (the coefficient enters
+// per hop in the plane kernels, once per vector in the reference) — on
+// chains and slabs, on every block width the solver hands them, and
+// allocate nothing.
 func TestPlaneAppliesMatchInterleaved(t *testing.T) {
 	chain, err := tb.NewChain(tb.ChainConfig{Sites: 7, Onsite: 0.3, Hopping: -1.1, A: 7})
 	if err != nil {
@@ -172,43 +170,62 @@ func TestPlaneAppliesMatchInterleaved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const shift = 0.37
+	const shift, tol = 0.37, 1e-13
 	coefP := complex(0.4, -1.2)
 	coefM := complex(-0.9, 0.3)
 	for _, b := range []*tb.Backend{chain, slab} {
 		n := b.N()
+		ref := make([]complex128, n)
 		for _, nb := range []int{1, 2, 3, 4, 5, 7, 8, 16, 17} {
 			rng := rand.New(rand.NewSource(int64(n*100 + nb)))
-			v := make([]complex128, n*nb)
-			prior := make([]complex128, n*nb)
-			for i := range v {
-				v[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-				prior[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+			vb, pb, ob := soa.NewBlock[float64](n, nb), soa.NewBlock[float64](n, nb), soa.NewBlock[float64](n, nb)
+			for i := range vb.Re {
+				vb.Re[i], vb.Im[i] = rng.NormFloat64(), rng.NormFloat64()
+				pb.Re[i], pb.Im[i] = rng.NormFloat64(), rng.NormFloat64()
 			}
-			vb, ob := soa.NewBlock[float64](n, nb), soa.NewBlock[float64](n, nb)
-			soa.Pack(vb, v)
-			got := make([]complex128, n*nb)
-			want := make([]complex128, n*nb)
+			col := func(blk *soa.Block[float64], c int) []complex128 {
+				out := make([]complex128, n)
+				for i := range out {
+					out[i] = complex(blk.Re[i*nb+c], blk.Im[i*nb+c])
+				}
+				return out
+			}
 			for _, k := range []struct {
 				name   string
-				aos    func(out []complex128)
+				want   func(v, prior []complex128) []complex128
 				planes func()
 			}{
-				{"ShiftedH0", func(out []complex128) { b.ApplyShiftedH0Block(shift, v, out, nb) },
-					func() { b.ApplyShiftedH0Planes(shift, vb, ob) }},
-				{"AccumHp", func(out []complex128) { b.AccumHpBlock(coefP, v, out, nb) },
-					func() { b.AccumHpPlanes(real(coefP), imag(coefP), vb, ob) }},
-				{"AccumHm", func(out []complex128) { b.AccumHmBlock(coefM, v, out, nb) },
-					func() { b.AccumHmPlanes(real(coefM), imag(coefM), vb, ob) }},
+				{"ShiftedH0", func(v, _ []complex128) []complex128 {
+					b.ApplyH0(v, ref)
+					for i := range v {
+						v[i] = complex(shift, 0)*v[i] - ref[i]
+					}
+					return v
+				}, func() { b.ApplyShiftedH0Planes(shift, vb, ob) }},
+				{"AccumHp", func(v, prior []complex128) []complex128 {
+					b.ApplyHp(v, ref)
+					for i := range prior {
+						prior[i] += coefP * ref[i]
+					}
+					return prior
+				}, func() { b.AccumHpPlanes(real(coefP), imag(coefP), vb, ob) }},
+				{"AccumHm", func(v, prior []complex128) []complex128 {
+					b.ApplyHm(v, ref)
+					for i := range prior {
+						prior[i] += coefM * ref[i]
+					}
+					return prior
+				}, func() { b.AccumHmPlanes(real(coefM), imag(coefM), vb, ob) }},
 			} {
-				copy(want, prior)
-				k.aos(want)
-				soa.Pack(ob, prior)
+				copy(ob.Re, pb.Re)
+				copy(ob.Im, pb.Im)
 				k.planes()
-				soa.Unpack(got, ob)
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("%s n=%d nb=%d: element %d planes %v, interleaved %v", k.name, n, nb, i, got[i], want[i])
+				for c := 0; c < nb; c++ {
+					want := k.want(col(vb, c), col(pb, c))
+					for i, g := range col(ob, c) {
+						if cmplx.Abs(g-want[i]) > tol {
+							t.Fatalf("%s n=%d nb=%d: col %d row %d planes %v, per column %v", k.name, n, nb, c, i, g, want[i])
+						}
 					}
 				}
 				if allocs := testing.AllocsPerRun(5, k.planes); allocs != 0 {
