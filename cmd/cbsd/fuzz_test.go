@@ -41,7 +41,7 @@ func FuzzPostBodies(f *testing.F) {
 		s, err := newServer(serverConfig{
 			backend: backend{
 				desc: "fake|grid=2x2x2|N=8|a=1", ef: 0.1, a: 7.5,
-				solve: fb.solve, sweep: fb.sweepRun,
+				solve: fb.solve,
 				transport: func(context.Context, sweep.SolveFunc, negf.Spec, core.Options, sweep.Config) (*negf.Curve, error) {
 					return &negf.Curve{}, nil
 				},

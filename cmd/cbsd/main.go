@@ -141,11 +141,7 @@ func modelBackend(model *cbs.Model, ef float64) backend {
 		ef:    ef,
 		a:     model.CellLength(),
 		solve: model.SolveCBSContext,
-		sweep: model.SweepCBS,
 		transport: func(ctx context.Context, solve sweep.SolveFunc, spec negf.Spec, opts core.Options, cfg sweep.Config) (*negf.Curve, error) {
-			if cfg.OperatorDesc == "" {
-				cfg.OperatorDesc = model.OperatorDesc()
-			}
 			return negf.TransmissionSweep(ctx, model.Backend(), solve, spec, opts, cfg)
 		},
 	}

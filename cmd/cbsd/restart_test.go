@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"cbs/internal/jobs"
+	"cbs/internal/sweep"
 )
 
 // TestKillRestartAcceptance is the crash-safety acceptance run: a server
@@ -220,5 +221,61 @@ func TestKillRestartAcceptance(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("drained successor healthz: HTTP %d, want 503", resp.StatusCode)
+	}
+}
+
+// TestReadoptionRefusesDriftedFingerprint: a successor whose defaults
+// changed (here Nint) re-plans every journaled spec to another
+// fingerprint. Running the queued jobs anyway would serve different
+// physics under their old IDs — and a sweep re-adopted before its journal
+// exists would write the new fingerprint into <dir>/<old fp>.journal — so
+// each one fails typed: ErrLostToRestart wrapping ErrFingerprintMismatch.
+func TestReadoptionRefusesDriftedFingerprint(t *testing.T) {
+	dir := t.TempDir()
+	gate := make(chan struct{})
+	fb := &fakeBackend{gate: gate, perGate: func(e float64) bool { return e < 0 }}
+	s1, ts1 := newTestServer(t, fb, func(cfg *serverConfig) {
+		cfg.workers = 1
+		cfg.checkpointDir = dir
+	})
+
+	// The one worker blocks on a gated solve; a solve and a sweep queue
+	// behind it.
+	var blocker, queuedSolve, queuedSweep submitResponse
+	postJSON(t, ts1.URL+"/v1/solve", `{"energy_ev": -5}`, &blocker)
+	deadline := time.Now().Add(10 * time.Second)
+	for getJob(t, ts1.URL, blocker.ID).State != "running" {
+		if time.Now().After(deadline) {
+			t.Fatal("gated solve never started")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	postJSON(t, ts1.URL+"/v1/solve", `{"energy_ev": 0.4}`, &queuedSolve)
+	postJSON(t, ts1.URL+"/v1/sweep", `{"energies_ev": [0.3, 0.5]}`, &queuedSweep)
+
+	s1.mgr.Kill()
+	ts1.Close()
+
+	fb2 := &fakeBackend{}
+	s2, _ := newTestServer(t, fb2, func(cfg *serverConfig) {
+		cfg.checkpointDir = dir
+		cfg.defaults.Nint *= 2
+	})
+	for _, id := range []string{queuedSolve.ID, queuedSweep.ID} {
+		snap, err := s2.mgr.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.State != jobs.StateFailed || !errors.Is(snap.Err, jobs.ErrLostToRestart) ||
+			!errors.Is(snap.Err, sweep.ErrFingerprintMismatch) {
+			t.Errorf("job %s re-adopted under drifted defaults as %s / %v, want failed / ErrLostToRestart wrapping ErrFingerprintMismatch",
+				id, snap.State, snap.Err)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, queuedSweep.Fingerprint+".journal")); !os.IsNotExist(err) {
+		t.Errorf("refused sweep left a journal under its old fingerprint (stat: %v)", err)
+	}
+	if n := fb2.calls.Load(); n != 0 {
+		t.Errorf("successor ran %d solves for refused jobs", n)
 	}
 }

@@ -32,8 +32,9 @@ import (
 )
 
 // backend is what the HTTP layer needs from the physics: the operator's
-// identity and the two context-aware entry points of the public cbs API.
-// main wires a real cbs.Model; tests wire fakes.
+// identity, the per-energy solve of the public cbs API (sweeps drive it
+// through sweep.Run) and the transport pipeline. main wires a real
+// cbs.Model; tests wire fakes.
 type backend struct {
 	// desc is the operator descriptor (cbs.Model.OperatorDesc) that keys
 	// every fingerprint this server derives.
@@ -46,8 +47,6 @@ type backend struct {
 	a float64
 	// solve is cbs.Model.SolveCBSContext (or a test fake).
 	solve func(ctx context.Context, e float64, opts core.Options) (*core.Result, error)
-	// sweep is cbs.Model.SweepCBS (or a test fake).
-	sweep func(ctx context.Context, es []float64, opts core.Options, cfg sweep.Config) (*sweep.Report, error)
 	// transport runs the CBS -> NEGF pipeline with the supplied per-energy
 	// solve — the server passes a cache-wrapped solve so a repeated
 	// transport request (or a later /v1/solve at a shared energy) never
@@ -228,8 +227,6 @@ type optionsJSON struct {
 	ResidualTol *float64 `json:"residual_tol,omitempty"`
 	Balance     *bool    `json:"balance,omitempty"`
 	Seed        *int64   `json:"seed,omitempty"`
-	AutoExpand  *bool    `json:"auto_expand,omitempty"`
-	MaxExpand   *int     `json:"max_expand,omitempty"`
 }
 
 // apply overlays the request options on the server defaults.
@@ -247,8 +244,6 @@ func (oj *optionsJSON) apply(base core.Options) core.Options {
 	overlay(&base.ResidualTol, oj.ResidualTol)
 	overlay(&base.LoadBalanceStop, oj.Balance)
 	overlay(&base.Seed, oj.Seed)
-	overlay(&base.AutoExpand, oj.AutoExpand)
-	overlay(&base.MaxExpand, oj.MaxExpand)
 	return base
 }
 
@@ -314,9 +309,9 @@ type transportRequest struct {
 // jobSpec is the journaled form of a request: everything needed to
 // rebuild the job's task after a restart, in server units (hartree) with
 // the client's option overlay — the overlay is replayed onto the current
-// defaults, and the fingerprint guard catches any drift.
+// defaults, and the fingerprint guard catches any drift (plan).
 type jobSpec struct {
-	Type            string       `json:"type"` // solve | sweep | bands | transport
+	Type            jobs.Kind    `json:"type"` // solve | sweep | bands | transport
 	EnergyHartree   float64      `json:"energy_hartree,omitempty"`
 	EnergiesHartree []float64    `json:"energies_hartree,omitempty"`
 	KmaxIm          float64      `json:"kmax_im,omitempty"`
@@ -565,16 +560,21 @@ func clientWeight(r *http.Request) int {
 	return 1
 }
 
-// submit journals and enqueues a job built from spec, answering 202 with
+// submit plans, journals and enqueues the job of spec, answering 202 with
 // the job ID or the mapped error.
-func (s *server) submit(w http.ResponseWriter, r *http.Request, kind jobs.Kind, fp string, spec jobSpec, task jobs.Task) {
+func (s *server) submit(w http.ResponseWriter, r *http.Request, spec jobSpec) {
+	fp, task, err := s.plan(spec)
+	if err != nil {
+		writeError(w, err)
+		return
+	}
 	raw, err := json.Marshal(spec)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
 	id, err := s.mgr.Submit(jobs.Submission{
-		Kind:        kind,
+		Kind:        spec.Type,
 		Client:      clientID(r),
 		Weight:      clientWeight(r),
 		Fingerprint: fp,
@@ -615,10 +615,7 @@ func (s *server) solveTask(e float64, opts core.Options, fp string) jobs.Task {
 // energies: per-energy progress ticks and, with a checkpoint directory, a
 // journal keyed by the job's fingerprint — resubmitting the same job after
 // a crash or restart resumes instead of re-solving (Resume creates the file
-// if it does not exist). For a re-adopted job fp is the journaled
-// fingerprint, so a drifted server fails the resume (typed
-// ErrFingerprintMismatch) instead of passing off different physics under
-// an old job ID.
+// if it does not exist).
 func (s *server) sweepConfig(fp string, n int, progress func(int, int)) sweep.Config {
 	var done atomic.Int64
 	scfg := sweep.Config{
@@ -642,13 +639,15 @@ func (s *server) sweepTask(es []float64, opts core.Options, fp string) jobs.Task
 		scfg.OnEnergy = func(er sweep.EnergyResult) {
 			tick(er)
 			// Cross-pollinate the solve cache: a sweep energy is a
-			// one-element sweep by fingerprint construction, so a
-			// later POST /v1/solve at this energy is a cache hit.
-			if er.Result != nil {
+			// one-element sweep by fingerprint construction, so a later
+			// POST /v1/solve at this energy is a cache hit — but only
+			// when the ladder escalated nothing, so the result is the
+			// one the request's options compute.
+			if er.Result != nil && len(er.Escalations) == 0 {
 				s.cache.Put(fingerprint.Solve(s.cfg.backend.desc, er.Energy, opts), er.Result)
 			}
 		}
-		report, err := s.cfg.backend.sweep(ctx, es, opts, scfg)
+		report, err := sweep.Run(ctx, s.cfg.backend.solve, es, opts, scfg)
 		return jobs.Outcome{Report: report}, err
 	}
 }
@@ -670,37 +669,57 @@ func (s *server) transportTask(spec negf.Spec, opts core.Options, fp string) job
 	}
 }
 
+// plan maps a job spec to its fingerprint and its task: the one
+// spec-to-job path, taken by the four POST handlers and by the restart
+// re-adoption of a journaled spec. The option overlay applies to the
+// current defaults.
+func (s *server) plan(spec jobSpec) (string, jobs.Task, error) {
+	opts := spec.Options.apply(s.cfg.defaults)
+	desc, es := s.cfg.backend.desc, spec.EnergiesHartree
+	if spec.Type != jobs.KindSolve && len(es) == 0 {
+		return "", nil, errors.New("job spec has no energies")
+	}
+	switch spec.Type {
+	case jobs.KindSolve:
+		fp := fingerprint.Solve(desc, spec.EnergyHartree, opts)
+		return fp, s.solveTask(spec.EnergyHartree, opts, fp), nil
+	case jobs.KindSweep, jobs.KindBands:
+		fp := fingerprint.Key(desc, es, opts)
+		return fp, s.sweepTask(es, opts, fp), nil
+	case jobs.KindTransport:
+		if s.cfg.backend.transport == nil {
+			return "", nil, errors.New("this server has no transport backend")
+		}
+		nspec := spec.negfSpec(es)
+		if err := nspec.Device.Validate(); err != nil {
+			return "", nil, err
+		}
+		fp := fingerprint.Transport(desc, es, opts, nspec.PostDesc())
+		return fp, s.transportTask(nspec, opts, fp), nil
+	default:
+		return "", nil, fmt.Errorf("unknown job spec type %q", spec.Type)
+	}
+}
+
 // rebuildTask reconstructs a replayed job's task from its journaled spec
-// (the restart re-adoption path). The option overlay replays onto the
-// *current* defaults; sweeps resume against the journaled fingerprint, so
-// any drift in defaults or operator fails the resume rather than serving
-// changed physics under the old ID.
+// (the restart re-adoption path). The spec is decoded first, so a retired
+// option fails naming it; a spec that now plans to another fingerprint —
+// drifted defaults or operator — is refused rather than run as changed
+// physics under the old ID and journal.
 func (s *server) rebuildTask(rj jobs.ReplayedJob) (jobs.Task, error) {
 	var spec jobSpec
 	if err := decodeStrict(bytes.NewReader(rj.Spec), &spec); err != nil {
 		return nil, fmt.Errorf("unreadable job spec: %w", err)
 	}
-	opts := spec.Options.apply(s.cfg.defaults)
-	switch spec.Type {
-	case "solve":
-		fp := fingerprint.Solve(s.cfg.backend.desc, spec.EnergyHartree, opts)
-		return s.solveTask(spec.EnergyHartree, opts, fp), nil
-	case "sweep", "bands":
-		if len(spec.EnergiesHartree) == 0 {
-			return nil, errors.New("job spec has no energies")
-		}
-		return s.sweepTask(spec.EnergiesHartree, opts, rj.Fingerprint), nil
-	case "transport":
-		if len(spec.EnergiesHartree) == 0 {
-			return nil, errors.New("job spec has no energies")
-		}
-		if s.cfg.backend.transport == nil {
-			return nil, errors.New("this server has no transport backend")
-		}
-		return s.transportTask(spec.negfSpec(spec.EnergiesHartree), opts, rj.Fingerprint), nil
-	default:
-		return nil, fmt.Errorf("unknown job spec type %q", spec.Type)
+	fp, task, err := s.plan(spec)
+	if err != nil {
+		return nil, err
 	}
+	if fp != rj.Fingerprint {
+		return nil, fmt.Errorf("%w: job %s was journaled as %s, its spec now plans to %s",
+			sweep.ErrFingerprintMismatch, rj.ID, rj.Fingerprint, fp)
+	}
+	return task, nil
 }
 
 func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
@@ -713,10 +732,7 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	opts := req.Options.apply(s.cfg.defaults)
-	fp := fingerprint.Solve(s.cfg.backend.desc, e, opts)
-	spec := jobSpec{Type: "solve", EnergyHartree: e, Options: req.Options}
-	s.submit(w, r, jobs.KindSolve, fp, spec, s.solveTask(e, opts, fp))
+	s.submit(w, r, jobSpec{Type: jobs.KindSolve, EnergyHartree: e, Options: req.Options})
 }
 
 // sweepEnergies expands an energy window to its hartree energy list, at
@@ -749,7 +765,7 @@ func (s *server) sweepEnergies(req energyWindow) ([]float64, error) {
 func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req sweepRequest
 	if decodeRequest(w, r, &req) {
-		s.submitSweep(w, r, jobs.KindSweep, req.energyWindow, jobSpec{Type: "sweep", Options: req.Options})
+		s.submitWindow(w, r, req.energyWindow, jobSpec{Type: jobs.KindSweep, Options: req.Options})
 	}
 }
 
@@ -767,21 +783,19 @@ func (s *server) handleBands(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errors.New("kmax_im must be >= 0"))
 		return
 	}
-	s.submitSweep(w, r, jobs.KindBands, req.energyWindow, jobSpec{Type: "bands", KmaxIm: req.KmaxIm, Options: req.Options})
+	s.submitWindow(w, r, req.energyWindow, jobSpec{Type: jobs.KindBands, KmaxIm: req.KmaxIm, Options: req.Options})
 }
 
-// submitSweep expands the window and submits the sweep task of a sweep or
-// bands job; spec arrives with everything but its energies.
-func (s *server) submitSweep(w http.ResponseWriter, r *http.Request, kind jobs.Kind, win energyWindow, spec jobSpec) {
+// submitWindow expands the energy window of a multi-energy request into
+// its spec and submits it; spec arrives with everything but its energies.
+func (s *server) submitWindow(w http.ResponseWriter, r *http.Request, win energyWindow, spec jobSpec) {
 	es, err := s.sweepEnergies(win)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	opts := spec.Options.apply(s.cfg.defaults)
-	fp := fingerprint.Key(s.cfg.backend.desc, es, opts)
 	spec.EnergiesHartree = es
-	s.submit(w, r, kind, fp, spec, s.sweepTask(es, opts, fp))
+	s.submit(w, r, spec)
 }
 
 // handleTransport is the CBS -> NEGF endpoint: one request sweeps an
@@ -795,33 +809,16 @@ func (s *server) handleTransport(w http.ResponseWriter, r *http.Request) {
 	if !decodeRequest(w, r, &req) {
 		return
 	}
-	if s.cfg.backend.transport == nil {
-		writeError(w, errors.New("this server has no transport backend"))
-		return
-	}
-	es, err := s.sweepEnergies(req.energyWindow)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
 	if req.Cells < 1 {
 		req.Cells = 1
 	}
-	spec := jobSpec{
-		Type: "transport", EnergiesHartree: es,
+	s.submitWindow(w, r, req.energyWindow, jobSpec{
+		Type:  jobs.KindTransport,
 		Cells: req.Cells, BarrierHartree: req.BarrierHartree,
 		Eta: req.Eta, PropagatingTol: req.PropagatingTol,
 		BiasHartree: req.BiasHartree, KTHartree: req.KTHartree,
 		Options: req.Options,
-	}
-	nspec := spec.negfSpec(es)
-	if err := nspec.Device.Validate(); err != nil {
-		writeError(w, err)
-		return
-	}
-	opts := req.Options.apply(s.cfg.defaults)
-	fp := fingerprint.Transport(s.cfg.backend.desc, es, opts, nspec.PostDesc())
-	s.submit(w, r, jobs.KindTransport, fp, spec, s.transportTask(nspec, opts, fp))
+	})
 }
 
 // stripVectors drops the eigenvector payload (the dominant weight of a

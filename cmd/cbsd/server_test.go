@@ -20,12 +20,13 @@ import (
 )
 
 // fakeBackend is a controllable physics stand-in: solve counts calls and
-// can be gated; sweep runs the real sweep engine over the fake solve, so
+// can be gated; sweeps run the real sweep engine over the fake solve, so
 // journaling, resume, and progress behave exactly as in production.
 type fakeBackend struct {
-	calls   atomic.Int64         // underlying solve executions
-	gate    chan struct{}        // when non-nil, solve blocks until closed
-	perGate func(e float64) bool // which energies block (nil: all, when gate set)
+	calls       atomic.Int64         // underlying solve executions
+	gate        chan struct{}        // when non-nil, solve blocks until closed
+	perGate     func(e float64) bool // which energies block (nil: all, when gate set)
+	saturateNrh int                  // when non-zero, solves at this Nrh saturate the rank
 }
 
 func (f *fakeBackend) solve(ctx context.Context, e float64, opts core.Options) (*core.Result, error) {
@@ -37,18 +38,19 @@ func (f *fakeBackend) solve(ctx context.Context, e float64, opts core.Options) (
 			return nil, ctx.Err()
 		}
 	}
+	rank := 2
+	if opts.Nrh == f.saturateNrh {
+		rank = opts.Nrh * opts.Nmm
+	}
 	return &core.Result{
-		Energy: e,
-		Rank:   2,
+		Energy:   e,
+		Rank:     rank,
+		Expanded: opts.Nrh,
 		Pairs: []core.Eigenpair{
 			{Lambda: complex(0.8, 0.1), K: complex(0.3, 0.05), Residual: 1e-11,
 				Psi: []complex128{complex(1, 0), complex(0, 1)}},
 		},
 	}, nil
-}
-
-func (f *fakeBackend) sweepRun(ctx context.Context, es []float64, opts core.Options, cfg sweep.Config) (*sweep.Report, error) {
-	return sweep.Run(ctx, f.solve, es, opts, cfg)
 }
 
 // newTestServer stands a server on the fake backend.
@@ -60,7 +62,6 @@ func newTestServer(t *testing.T, fb *fakeBackend, mut func(*serverConfig)) (*ser
 			ef:    0.1,
 			a:     7.5,
 			solve: fb.solve,
-			sweep: fb.sweepRun,
 		},
 		workers:      4,
 		queueDepth:   32,
@@ -402,6 +403,36 @@ func TestSweepWarmsTheSolveCache(t *testing.T) {
 	}
 	if fb.calls.Load() != callsAfterSweep {
 		t.Fatal("solve after sweep re-executed the solver")
+	}
+}
+
+// TestEscalatedSweepEnergyNotCached: a sweep energy the ladder escalated
+// (nrh 16->32 on a saturated rank) was computed with other options than
+// the request's, so it must not warm the cache under the request's key: a
+// later /v1/solve at that energy misses and computes at the base Nrh.
+func TestEscalatedSweepEnergyNotCached(t *testing.T) {
+	fb := &fakeBackend{saturateNrh: 16}
+	_, ts := newTestServer(t, fb, nil)
+	var sub submitResponse
+	postJSON(t, ts.URL+"/v1/sweep", `{"energies_ev": [0.2], "options": {"nrh": 16}}`, &sub)
+	j := waitJob(t, ts.URL, sub.ID)
+	if j.State != "done" || j.Sweep == nil || len(j.Sweep.Energies) != 1 ||
+		len(j.Sweep.Energies[0].Escalations) == 0 {
+		t.Fatalf("sweep did not escalate: %+v", j)
+	}
+	callsAfterSweep := fb.calls.Load()
+
+	var solveSub submitResponse
+	postJSON(t, ts.URL+"/v1/solve", `{"energy_ev": 0.2, "options": {"nrh": 16}}`, &solveSub)
+	js := waitJob(t, ts.URL, solveSub.ID)
+	if js.State != "done" || js.CacheOutcome != "miss" {
+		t.Fatalf("solve after escalated sweep: state %s cache %s, want done/miss", js.State, js.CacheOutcome)
+	}
+	if js.Result == nil || js.Result.Expanded != 16 {
+		t.Errorf("solve answered with a result computed at Nrh %v, want the request's 16", js.Result)
+	}
+	if fb.calls.Load() != callsAfterSweep+1 {
+		t.Errorf("solve after escalated sweep ran %d solves, want 1", fb.calls.Load()-callsAfterSweep)
 	}
 }
 

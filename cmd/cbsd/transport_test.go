@@ -193,8 +193,8 @@ func TestTransportRequestValidation(t *testing.T) {
 
 // TestUnknownRequestFieldRejected: every POST endpoint answers 400 naming
 // the field when a body carries one the request schema does not declare — a
-// retired option (precision) or a misspelt one must not silently run under
-// the defaults — and submits nothing.
+// retired option (precision, auto_expand) or a misspelt one must not
+// silently run under the defaults — and submits nothing.
 func TestUnknownRequestFieldRejected(t *testing.T) {
 	s, ts := newTBServer(t)
 	for _, tc := range []struct{ path, body, field string }{
@@ -202,6 +202,7 @@ func TestUnknownRequestFieldRejected(t *testing.T) {
 		{"/v1/sweep", `{"energies_ev": [0], "options": {"kernels": "aos"}}`, "kernels"},
 		{"/v1/bands", `{"energies_ev": [0], "kmax": 1}`, "kmax"},
 		{"/v1/transport", `{"energies_ev": [0], "cells": 2, "options": {"precision": "mixed"}}`, "precision"},
+		{"/v1/sweep", `{"energies_ev": [0], "options": {"auto_expand": true}}`, "auto_expand"},
 	} {
 		var body errorResponse
 		resp := postJSON(t, ts.URL+tc.path, tc.body, &body)

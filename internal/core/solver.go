@@ -82,14 +82,6 @@ type Options struct {
 	Seed     int64 // probe block seed (deterministic runs)
 	Parallel Parallel
 
-	// AutoExpand re-runs the solve with doubled Nrh when the Hankel rank
-	// saturates the subspace (rank == Nrh*Nmm), which signals that more
-	// eigenvalues live in the annulus than the moment space can represent
-	// and some are being missed. At most MaxExpand doublings (default 2
-	// when AutoExpand is set).
-	AutoExpand bool
-	MaxExpand  int
-
 	// Chaos optionally injects deterministic faults into the contour solve
 	// (Krylov breakdowns, fallback failures, fatal point faults, halo
 	// corruption); nil in production. See internal/chaos and the
@@ -156,53 +148,30 @@ type Result struct {
 	Timings   Timings
 	MatVecs   int   // operator applications across all solves
 	CommBytes int64 // bottom-layer traffic (0 when Ndm = 1)
-	Expanded  int   // the Nrh actually used (grows under AutoExpand)
+	Expanded  int   // the Nrh the solve ran with (the sweep ladder grows it on rank saturation)
 
 	// Diagnostics summarizes recovery-ladder activity and graceful
 	// degradation (JSON-ready; exported by cmd/cbs --diagnostics).
 	Diagnostics Diagnostics
 }
 
-// Solve computes the CBS eigenpairs of the QEP at its energy. With
-// AutoExpand set it retries with a larger probe block when the moment
-// subspace saturates.
+// Solve computes the CBS eigenpairs of the QEP at its energy.
 func Solve(q *qep.Problem, opts Options) (*Result, error) {
 	//cbs:ctxescape public pre-context wrapper: callers without a ctx get the root by definition
 	return SolveContext(context.Background(), q, opts)
 }
 
-// SolveContext is Solve under a context: cancellation or an expired
-// deadline stops the in-flight contour workers promptly (each worker
-// re-checks the context before taking the next quadrature point, and the
-// distributed bottom layer folds the cancellation into its per-iteration
-// reduction) and the returned error wraps ctx.Err().
+// SolveContext is one pass of Algorithm 1 under a context: cancellation or
+// an expired deadline stops the in-flight contour workers promptly (each
+// worker re-checks the context before taking the next quadrature point, and
+// the distributed bottom layer folds the cancellation into its
+// per-iteration reduction) and the returned error wraps ctx.Err(). A
+// rank-saturated subspace is returned as-is; growing the probe block is
+// the sweep ladder's decision (internal/sweep).
 func SolveContext(ctx context.Context, q *qep.Problem, opts Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	expands := opts.MaxExpand
-	if opts.AutoExpand && expands <= 0 {
-		expands = 2
-	}
-	for {
-		res, err := solveOnce(ctx, q, opts)
-		if err != nil {
-			return nil, err
-		}
-		res.Expanded = opts.Nrh
-		if !opts.AutoExpand || expands == 0 || res.Rank < opts.Nrh*opts.Nmm {
-			return res, nil
-		}
-		if 2*opts.Nrh*opts.Nmm > q.Dim() {
-			return res, nil // cannot grow further
-		}
-		opts.Nrh *= 2
-		expands--
-	}
-}
-
-// solveOnce is a single pass of Algorithm 1.
-func solveOnce(ctx context.Context, q *qep.Problem, opts Options) (*Result, error) {
 	opts.Parallel = opts.Parallel.resolve(opts.Nrh, opts.Nint)
 	if opts.Nint < 1 || opts.Nmm < 1 || opts.Nrh < 1 {
 		return nil, fmt.Errorf("%w: Nint/Nmm/Nrh must be positive, got %d/%d/%d", ErrBadOptions, opts.Nint, opts.Nmm, opts.Nrh)
@@ -229,7 +198,7 @@ func solveOnce(ctx context.Context, q *qep.Problem, opts Options) (*Result, erro
 		}
 		distSolver.SetChaos(opts.Chaos)
 	}
-	res := &Result{Energy: q.E}
+	res := &Result{Energy: q.E, Expanded: opts.Nrh}
 	res.Points = make([]PointStats, opts.Nint)
 	for j := range res.Points {
 		res.Points[j].Z = ring.Outer[j].Z

@@ -41,10 +41,12 @@ func Key(operatorDesc string, es []float64, opts core.Options) string {
 	sb.WriteString("cbs-sweep/v1\x00")
 	sb.WriteString(operatorDesc)
 	sb.WriteByte(0)
-	fmt.Fprintf(&sb, "nint=%d nmm=%d nrh=%d delta=%.17g lmin=%.17g tol=%.17g maxiter=%d rtol=%.17g balance=%t seed=%d expand=%t maxexpand=%d",
+	// The trailing pair is retired in-solve Nrh growth, kept as a literal
+	// so pinned digests and existing journals still match.
+	fmt.Fprintf(&sb, "nint=%d nmm=%d nrh=%d delta=%.17g lmin=%.17g tol=%.17g maxiter=%d rtol=%.17g balance=%t seed=%d expand=false maxexpand=0",
 		opts.Nint, opts.Nmm, opts.Nrh, opts.Delta, opts.LambdaMin,
 		opts.BiCGTol, opts.MaxIter, opts.ResidualTol, opts.LoadBalanceStop,
-		opts.Seed, opts.AutoExpand, opts.MaxExpand)
+		opts.Seed)
 	sb.WriteByte(0)
 	for _, e := range es {
 		fmt.Fprintf(&sb, "%.17g,", e)

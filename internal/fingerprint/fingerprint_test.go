@@ -98,8 +98,6 @@ func TestFieldSensitivity(t *testing.T) {
 		{"ResidualTol", Key(desc, es, with(base, func(o *core.Options) { o.ResidualTol = 1e-6 }))},
 		{"LoadBalanceStop", Key(desc, es, with(base, func(o *core.Options) { o.LoadBalanceStop = true }))},
 		{"Seed", Key(desc, es, with(base, func(o *core.Options) { o.Seed = 2 }))},
-		{"AutoExpand", Key(desc, es, with(base, func(o *core.Options) { o.AutoExpand = true }))},
-		{"MaxExpand", Key(desc, es, with(base, func(o *core.Options) { o.MaxExpand = 3 }))},
 	}
 	seen := map[string]string{ref: "base"}
 	for _, m := range mutants {

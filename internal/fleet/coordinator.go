@@ -114,23 +114,20 @@ func Coordinate(ctx context.Context, es []float64, opts core.Options, cfg Coordi
 		co.assignedTo[i] = -1
 	}
 
-	if cfg.CheckpointPath != "" {
-		fp := sweep.Fingerprint(cfg.OperatorDesc, es, shipped)
-		var (
-			recs []sweep.Record
-			err  error
-		)
-		if cfg.Resume {
-			co.journal, recs, err = sweep.Resume(cfg.CheckpointPath, fp)
-		} else {
-			co.journal, err = sweep.Create(cfg.CheckpointPath, fp)
-		}
-		if err != nil {
-			return co.tally(), err
-		}
-		defer co.journal.Close()
-		co.report.Restore(recs, cfg.RetryFailed, cfg.OnEnergy)
+	// The checkpoint opens exactly as sweep.Run opens it; the fleet
+	// journal is not armed for chaos.
+	journal, err := co.report.OpenJournal(es, shipped, sweep.Config{
+		CheckpointPath: cfg.CheckpointPath,
+		Resume:         cfg.Resume,
+		OperatorDesc:   cfg.OperatorDesc,
+		RetryFailed:    cfg.RetryFailed,
+		OnEnergy:       cfg.OnEnergy,
+	})
+	if err != nil {
+		return co.tally(), err
 	}
+	co.journal = journal
+	defer journal.Close()
 	for i := range es {
 		if !co.doneLocked(i) {
 			co.remaining++

@@ -25,9 +25,9 @@ type WorkerConfig struct {
 	// OperatorDesc must describe the same physics as the coordinator's;
 	// registration and every assignment are verified against it.
 	OperatorDesc string
-	// Sweep supplies the escalation-ladder knobs (MaxAttempts, Backoff,
-	// MaxNrhDoublings, Chaos for injected solve faults). Journal and
-	// worker-pool fields are ignored: the coordinator owns those.
+	// Sweep supplies the escalation-ladder knobs (MaxAttempts, Chaos for
+	// injected solve faults). Journal and worker-pool fields are ignored:
+	// the coordinator owns those.
 	Sweep sweep.Config
 	// Parallel, when non-zero, overrides the parallel layout of the
 	// shipped options for solves on this worker. The layout is

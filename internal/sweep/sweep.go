@@ -13,7 +13,8 @@
 //
 //   - Hankel rank saturation (rank == Nrh*Nmm): the moment subspace is too
 //     small for the annulus spectrum — re-run with doubled Nrh, up to
-//     MaxNrhDoublings, generalizing core's AutoExpand to the sweep layer.
+//     two doublings (maxNrhDoublings). This rung is the only place Nrh
+//     grows: core.Solve is one pass of Algorithm 1 at the Nrh it is given.
 //     If the doubling overflows the problem dimension the saturated result
 //     is kept and the energy marked Degraded.
 //   - contour.ErrTooManyDropped: graceful degradation discarded too many
@@ -22,8 +23,8 @@
 //   - core.ErrBadOptions / contour.ErrBadParams / first-attempt
 //     core.ErrSubspaceTooLarge / comm.ErrShapeMismatch: the parameterization
 //     itself is wrong — terminal, no retry.
-//   - anything else (including injected chaos faults): plain retry under
-//     deterministic exponential backoff until MaxAttempts is spent.
+//   - anything else (including injected chaos faults): immediate plain
+//     retry until MaxAttempts is spent.
 //
 // What is not on this ladder is owned elsewhere (DESIGN §8): a column's
 // Krylov breakdown or stagnation never leaves core.Solve as an error —
@@ -37,7 +38,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"cbs/internal/chaos"
 	"cbs/internal/comm"
@@ -92,7 +92,8 @@ type Report struct {
 
 // NewReport returns the report of a sweep nothing has happened to yet: every
 // energy Skipped. Run and fleet.Coordinate both start from it, restore the
-// journal into it, fill it as energies finish and Tally it once at the end.
+// journal into it (OpenJournal), fill it as energies finish and Tally it
+// once at the end.
 func NewReport(es []float64) *Report {
 	r := &Report{Results: make([]EnergyResult, len(es))}
 	for i, e := range es {
@@ -101,13 +102,38 @@ func NewReport(es []float64) *Report {
 	return r
 }
 
-// Restore replays a resumed journal into the report: for each energy the
-// last intact record wins (a RetryFailed run appends an OK record after the
-// Failed one it re-solved), records whose index is outside the energy list
-// are ignored, and with retryFailed a last record that is Failed is left
-// out so the energy is solved again. A restored energy carries Attempts 0
-// and FromJournal; onEnergy, when non-nil, observes each exactly once.
-func (r *Report) Restore(recs []Record, retryFailed bool, onEnergy func(EnergyResult)) {
+// OpenJournal opens the checkpoint of a sweep of es under opts, as cfg
+// asks: with no CheckpointPath there is none (nil, nil); with Resume the
+// journal at CheckpointPath is resumed (created if absent), otherwise a
+// fresh one is created, either way under the sweep Fingerprint, so a
+// journal written for other physics is refused (ErrFingerprintMismatch).
+// The journal is armed with cfg.Chaos. A resumed journal is replayed into
+// the report: for each energy the last intact record wins (a RetryFailed
+// run appends an OK record after the Failed one it re-solved), records
+// whose index is outside the energy list are ignored, and with RetryFailed
+// a last record that is Failed is left out so the energy is solved again.
+// A restored energy carries Attempts 0 and FromJournal; cfg.OnEnergy, when
+// non-nil, observes each exactly once. Run and fleet.Coordinate both open
+// their checkpoint here; the caller closes the journal.
+func (r *Report) OpenJournal(es []float64, opts core.Options, cfg Config) (*Journal, error) {
+	if cfg.CheckpointPath == "" {
+		return nil, nil
+	}
+	fp := Fingerprint(cfg.OperatorDesc, es, opts)
+	var (
+		journal *Journal
+		recs    []Record
+		err     error
+	)
+	if cfg.Resume {
+		journal, recs, err = Resume(cfg.CheckpointPath, fp)
+	} else {
+		journal, err = Create(cfg.CheckpointPath, fp)
+	}
+	if err != nil {
+		return nil, err
+	}
+	journal.SetChaos(cfg.Chaos)
 	last := make([]*Record, len(r.Results)) // per energy, its last record
 	for k := range recs {
 		if i := recs[k].Index; i >= 0 && i < len(last) {
@@ -115,17 +141,18 @@ func (r *Report) Restore(recs []Record, retryFailed bool, onEnergy func(EnergyRe
 		}
 	}
 	for i, rec := range last {
-		if rec == nil || (retryFailed && rec.Status == StatusFailed) {
+		if rec == nil || (cfg.RetryFailed && rec.Status == StatusFailed) {
 			continue
 		}
 		er := rec.Restore()
 		er.Attempts = 0 // restored, not re-solved
 		er.FromJournal = true
 		r.Results[i] = er
-		if onEnergy != nil {
-			onEnergy(er)
+		if cfg.OnEnergy != nil {
+			cfg.OnEnergy(er)
 		}
 	}
+	return journal, nil
 }
 
 // Tally recomputes the report's counts from its Results.
@@ -172,6 +199,10 @@ func (r *Report) Failures() []EnergyResult {
 	return out
 }
 
+// maxNrhDoublings bounds the rank-saturation escalation of one energy:
+// its own budget, separate from MaxAttempts.
+const maxNrhDoublings = 2
+
 // SolveFunc is the per-energy solve the engine drives; cbs.Model adapts
 // core.SolveContext, tests substitute fakes.
 type SolveFunc func(ctx context.Context, e float64, opts core.Options) (*core.Result, error)
@@ -182,16 +213,9 @@ type Config struct {
 	Workers int
 	// MaxAttempts bounds the failed solve attempts per energy (default 3);
 	// rank-saturation escalations are budgeted separately by
-	// MaxNrhDoublings because a saturated solve is progress, not failure.
+	// maxNrhDoublings because a saturated solve is progress, not failure.
+	// Retries are immediate.
 	MaxAttempts int
-	// Backoff is the base of the deterministic exponential backoff
-	// between retry attempts: attempt k waits Backoff * 2^(k-1). Zero
-	// (the default) retries immediately.
-	Backoff time.Duration
-	// MaxNrhDoublings bounds the rank-saturation escalation (default 2);
-	// it is a separate budget from MaxAttempts because a saturated solve
-	// is progress, not failure.
-	MaxNrhDoublings int
 
 	// CheckpointPath, when non-empty, journals every completed energy to
 	// this file. With Resume set an existing journal is loaded first and
@@ -227,11 +251,6 @@ func (c Config) normalize() Config {
 	if c.MaxAttempts < 1 {
 		c.MaxAttempts = 3
 	}
-	if c.MaxNrhDoublings < 0 {
-		c.MaxNrhDoublings = 0
-	} else if c.MaxNrhDoublings == 0 {
-		c.MaxNrhDoublings = 2
-	}
 	return c
 }
 
@@ -252,25 +271,11 @@ func Run(ctx context.Context, solve SolveFunc, es []float64, opts core.Options, 
 	cfg = cfg.normalize()
 	report := NewReport(es)
 
-	var journal *Journal
-	if cfg.CheckpointPath != "" {
-		fp := Fingerprint(cfg.OperatorDesc, es, opts)
-		var (
-			recs []Record
-			err  error
-		)
-		if cfg.Resume {
-			journal, recs, err = Resume(cfg.CheckpointPath, fp)
-		} else {
-			journal, err = Create(cfg.CheckpointPath, fp)
-		}
-		if err != nil {
-			return report, err
-		}
-		defer journal.Close()
-		journal.SetChaos(cfg.Chaos)
-		report.Restore(recs, cfg.RetryFailed, cfg.OnEnergy)
+	journal, err := report.OpenJournal(es, opts, cfg)
+	if err != nil {
+		return report, err
 	}
+	defer journal.Close()
 
 	// The work list: every energy without a restored record.
 	var todo []int
@@ -427,12 +432,14 @@ func runEnergy(ctx context.Context, solve SolveFunc, i int, e float64, base core
 		}
 		if err == nil {
 			sat := res.Rank >= aopts.Nrh*aopts.Nmm
-			if sat && nrhDoublings < cfg.MaxNrhDoublings {
+			if sat && nrhDoublings < maxNrhDoublings {
 				// Rank saturation: the annulus holds at least as many
 				// states as the moment space can represent, so some may
-				// be missing. Keep the result and grow the probe block;
-				// the escalation has its own budget (MaxNrhDoublings),
-				// separate from the failure budget.
+				// be missing. Keep the result and grow the probe block —
+				// the one place Nrh grows; core.SolveContext is one pass
+				// at the Nrh it is given. The escalation has its own
+				// budget (maxNrhDoublings), separate from the failure
+				// budget.
 				saturated = res
 				er.Escalations = append(er.Escalations, fmt.Sprintf("nrh %d->%d (rank saturated)", aopts.Nrh, 2*aopts.Nrh))
 				aopts.Nrh *= 2
@@ -478,11 +485,6 @@ func runEnergy(ctx context.Context, solve SolveFunc, i int, e float64, base core
 		if failures >= cfg.MaxAttempts {
 			break
 		}
-		if cfg.Backoff > 0 {
-			if !sleepCtx(ctx, cfg.Backoff<<uint(failures-1)) {
-				return skip(ctx.Err())
-			}
-		}
 	}
 	if saturated != nil {
 		// Retries after a saturation escalation all failed; the saturated
@@ -504,17 +506,4 @@ func SolveOne(ctx context.Context, solve SolveFunc, index int, e float64, base c
 		ctx = context.Background()
 	}
 	return runEnergy(ctx, solve, index, e, base, cfg.normalize())
-}
-
-// sleepCtx waits d or until the context dies; it reports whether the full
-// wait elapsed.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
-	}
 }

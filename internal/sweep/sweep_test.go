@@ -13,6 +13,8 @@ import (
 	"cbs/internal/comm"
 	"cbs/internal/contour"
 	"cbs/internal/core"
+	"cbs/internal/qep"
+	"cbs/internal/tb"
 )
 
 // testOptions are small, recognizable solver parameters for the fake-solver
@@ -126,6 +128,36 @@ func TestSweepRankSaturationEscalation(t *testing.T) {
 	}
 }
 
+// TestNrhRungGrowsSaturatedProbeBlock: on a real backend — a 3x3
+// tight-binding slab at the band centre, many open channels — a probe
+// block of one column with two moments saturates the Hankel rank, and the
+// ladder's nrh rung, the only place Nrh grows, re-solves with a larger
+// block.
+func TestNrhRungGrowsSaturatedProbeBlock(t *testing.T) {
+	b, err := tb.NewSlab(tb.SlabConfig{Nx: 3, Ny: 3, Onsite: 0, Hopping: -1, A: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	solve := func(ctx context.Context, e float64, opts core.Options) (*core.Result, error) {
+		return core.SolveContext(ctx, qep.NewBackend(b, e), opts)
+	}
+	opts := core.DefaultOptions()
+	opts.Nint = 16
+	opts.Nrh = 1
+	opts.Nmm = 2
+	report, err := Run(context.Background(), solve, []float64{0}, opts, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	er := report.Results[0]
+	if er.Result == nil || len(er.Escalations) == 0 || er.Escalations[0] != "nrh 1->2 (rank saturated)" {
+		t.Fatalf("escalations = %v (status %s, err %v), want an nrh 1->2 rung first", er.Escalations, er.Status, er.Err)
+	}
+	if er.Result.Expanded <= 1 {
+		t.Errorf("kept result ran with Nrh %d, want the grown probe block", er.Result.Expanded)
+	}
+}
+
 // TestSweepSaturationExhausted: an energy that saturates at every Nrh rung
 // keeps the last saturated result and reports Degraded — data with a caveat
 // beats no data.
@@ -138,7 +170,7 @@ func TestSweepSaturationExhausted(t *testing.T) {
 		return res, nil
 	}
 	base := testOptions()
-	report, err := Run(context.Background(), solve, testEnergies(1), base, Config{MaxNrhDoublings: 2})
+	report, err := Run(context.Background(), solve, testEnergies(1), base, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
