@@ -1,7 +1,7 @@
 GO ?= go
 CBSCHECK := bin/cbscheck
 
-.PHONY: all build loc test test-noavx2 race lint cbscheck fuzz-smoke chaos-smoke sweep-smoke serve-smoke serve-chaos net-smoke net-chaos negf-smoke bench-smoke layer-bench-smoke
+.PHONY: all build loc test test-noavx2 test-cpus race lint cbscheck fuzz-smoke chaos-smoke sweep-smoke serve-smoke serve-chaos net-smoke net-chaos negf-smoke bench-smoke layer-bench-smoke
 
 all: build test
 
@@ -28,6 +28,13 @@ test-noavx2:
 	CBS_NO_AVX2=1 $(GO) test -count=1 ./internal/soa ./internal/hamiltonian \
 		./internal/qep ./internal/linsolve ./internal/core ./internal/tb \
 		./internal/dist ./internal/zlinalg ./internal/ssm ./internal/negf
+
+# test-cpus runs the core-share tests at 1, 2 and 4 procs: the resolver
+# sizes a derived Mid and the NEGF fan-out from GOMAXPROCS, so the layout
+# a sweep, a cbsd job or a transport curve gets must hold on any runner.
+test-cpus:
+	$(GO) test -count=1 -cpu 1,2,4 -run 'TheShare|FanOutBitIdentical' \
+		./internal/core ./internal/sweep ./internal/negf ./cmd/cbsd
 
 race:
 	$(GO) test -race -short ./...
@@ -114,9 +121,9 @@ net-chaos:
 # tight-binding suites plus the end-to-end /v1/transport goldens (quantized
 # plateaus, barrier tunneling, cache hit on resubmission, restart resume)
 # and the backend-isolation pins, all under -race (the NEGF suite includes
-# the post-processing fan-out: bit-identical points at GOMAXPROCS 1 and 4,
-# and no goroutine left by a cancel); then the negf.selfenergy
-# chaos site across a deterministic seed matrix. The chaos suite arms the
+# the post-processing fan-out: bit-identical points at GOMAXPROCS 1 and 4
+# and at a share split to 1, and no goroutine left by a cancel); then the
+# negf.selfenergy chaos site across a deterministic seed matrix. The chaos suite arms the
 # explicit rate in-test and derives its injector seed from CBS_CHAOS_SEED,
 # so each entry faults a different subset of energies; -count=2 defeats
 # the test cache.

@@ -114,7 +114,7 @@ func emit(prefix string, st *cbs.Structure, cfg cbs.GridConfig, nE int, window f
 	opts.Nint = 16
 	opts.Nmm = 6
 	opts.Nrh = 8
-	opts.Parallel = cbs.Parallel{Top: 2, Mid: 4}
+	opts.Parallel = cbs.Parallel{Top: 2}
 	var es []float64
 	for i := 0; i < nE; i++ {
 		es = append(es, ef+units.EVToHartree(-window+2*window*float64(i)/math.Max(1, float64(nE-1))))

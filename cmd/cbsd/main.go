@@ -27,7 +27,10 @@
 // period, then context cancellation — the journal already holds every
 // completed energy); a killed server replays the job log on restart and
 // re-adopts every unfinished job, resuming sweeps from their journals or
-// failing them with a typed "lost to restart" error.
+// failing them with a typed "lost to restart" error. Cores: the -workers
+// pool splits the host's cores among its jobs (core.Parallel.Split), each
+// solve runs at Top 1, Ndm 1 and a Mid derived from its job's share, and a
+// sweep job splits that share again over its -sweep-workers energies.
 package main
 
 import (
@@ -54,16 +57,12 @@ func main() {
 	addr := flag.String("addr", ":8344", "listen address")
 	buildModel := modelflags.Register(flag.CommandLine, "dope-seed")
 
-	workers := flag.Int("workers", 2, "concurrent jobs (worker pool size)")
+	workers := flag.Int("workers", 2, "concurrent jobs (worker pool size; the jobs split the host's cores)")
 	queueDepth := flag.Int("queue-depth", 16, "accepted-but-unstarted job bound (overflow returns 429)")
 	cacheEntries := flag.Int("cache-entries", 256, "result cache capacity (LRU entries)")
 	sweepWorkers := flag.Int("sweep-workers", 1, "concurrent energies within one sweep job")
 	checkpointDir := flag.String("checkpoint-dir", "", "journal sweeps under <dir>/<fingerprint>.journal (resumable)")
 	drainGrace := flag.Duration("drain-grace", 10*time.Second, "how long SIGTERM lets in-flight jobs finish before canceling them")
-
-	top := flag.Int("top", 1, "top-layer workers per solve (right-hand sides)")
-	mid := flag.Int("mid", 1, "middle-layer workers per solve (quadrature points; 1 because -workers already spreads jobs over the cores)")
-	ndm := flag.Int("ndm", 1, "bottom-layer domains per solve")
 	flag.Parse()
 
 	model, err := buildModel()
@@ -83,7 +82,6 @@ func main() {
 		}
 	}
 	defaults := cbs.DefaultOptions()
-	defaults.Parallel = cbs.Parallel{Top: *top, Mid: *mid, Ndm: *ndm}
 	// Fault injection is env-gated (CBS_CHAOS, CBS_CHAOS_JOB,
 	// CBS_CHAOS_CACHE, ...): nil in normal operation.
 	inj := chaos.FromEnv()

@@ -63,7 +63,7 @@ type serverConfig struct {
 	queueDepth int
 	// cacheEntries bounds the result cache.
 	cacheEntries int
-	// sweepWorkers is the per-sweep energy concurrency.
+	// sweepWorkers is the per-sweep energy concurrency (below 1: 1).
 	sweepWorkers int
 	// checkpointDir, when non-empty, makes the server crash-safe: every
 	// sweep journals under <dir>/<fingerprint>.journal, every job event
@@ -121,9 +121,9 @@ func newServer(cfg serverConfig) (*server, error) {
 	if cfg.cacheEntries < 1 {
 		cfg.cacheEntries = 256
 	}
-	if cfg.sweepWorkers < 1 {
-		cfg.sweepWorkers = 1
-	}
+	// The pool's jobs share the cores; a sweep splits its job's share
+	// again over its energies (sweep.Run).
+	cfg.defaults.Parallel = cfg.defaults.Parallel.Split(cfg.workers)
 
 	var store *jobs.Store
 	var replayed []jobs.ReplayedJob

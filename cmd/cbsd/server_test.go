@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -380,6 +381,40 @@ func TestSweepDrainLeavesResumableJournal(t *testing.T) {
 	}
 	if restored != 2 {
 		t.Errorf("per-energy rows show %d restored, want 2", restored)
+	}
+}
+
+// TestJobsSplitTheShare: the job pool splits the host's cores among
+// its workers, so at GOMAXPROCS 4 every solve — a solve job's or a sweep
+// job's — runs on a share of 4/workers, and its derived Mid follows.
+func TestJobsSplitTheShare(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, tc := range []struct{ workers, share int }{{2, 2}, {4, 1}} {
+		fb := &fakeBackend{}
+		var mu sync.Mutex
+		shares := map[int]int{}
+		_, ts := newTestServer(t, fb, func(c *serverConfig) {
+			c.workers = tc.workers
+			c.backend.solve = func(ctx context.Context, e float64, opts core.Options) (*core.Result, error) {
+				mu.Lock()
+				shares[opts.Parallel.Cores()]++
+				mu.Unlock()
+				return fb.solve(ctx, e, opts)
+			}
+		})
+		var solve, sweep submitResponse
+		postJSON(t, ts.URL+"/v1/solve", `{"energy_ev": 0.3}`, &solve)
+		postJSON(t, ts.URL+"/v1/sweep", `{"energies_ev": [0.1, 0.2]}`, &sweep)
+		for _, id := range []string{solve.ID, sweep.ID} {
+			if j := waitJob(t, ts.URL, id); j.State != "done" {
+				t.Fatalf("workers %d: job %s %s", tc.workers, id, j.State)
+			}
+		}
+		mu.Lock()
+		if len(shares) != 1 || shares[tc.share] != 3 {
+			t.Errorf("workers %d: solves by share %v, want all 3 at share %d", tc.workers, shares, tc.share)
+		}
+		mu.Unlock()
 	}
 }
 

@@ -9,7 +9,7 @@ import "errors"
 // them: this package's ladder owns it and only its overflow leaves Solve.
 var (
 	// ErrBadOptions is an invalid solver parameterization (non-positive
-	// Nint/Nmm/Nrh, bad contour radii).
+	// Nint/Nmm/Nrh, bad contour radii, an Ndm the operator cannot take).
 	ErrBadOptions = errors.New("core: invalid solver options")
 	// ErrSubspaceTooLarge means Nrh*Nmm exceeds the problem dimension: the
 	// moment subspace cannot be larger than the space it probes.

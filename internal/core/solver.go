@@ -31,25 +31,39 @@ import (
 
 // Parallel configures the three layers of the hierarchy. Each field is a
 // worker count; 1 means serial at that layer. A Mid of 0 is derived from
-// the host: GOMAXPROCS/Top, at most Nint. Top and Mid only reschedule the
-// same arithmetic (each top block commits its points in point order), so
-// every Top/Mid layout returns the bits of the serial one, unless
-// LoadBalanceStop with Mid > 1 lets timing decide when columns stop.
+// the core share: share/Top, at most Nint. The share (GOMAXPROCS unless
+// Split divided it) is not serialized, so a shipped layout resolves on its
+// own host. Top and Mid only reschedule the same arithmetic (each top block
+// commits its points in point order), so every Top/Mid layout returns the
+// bits of the serial one, unless LoadBalanceStop with Mid > 1 lets timing
+// decide when columns stop.
 type Parallel struct {
-	Top int // concurrent right-hand-side blocks (no communication)
-	Mid int // concurrent quadrature points (no communication; 0: derived)
-	Ndm int // domains of the z-slab decomposition (halo + allreduce traffic)
+	Top   int // concurrent right-hand-side blocks (no communication)
+	Mid   int // concurrent quadrature points (no communication; 0: derived)
+	Ndm   int // domains of the z-slab decomposition (halo + allreduce traffic)
+	share int // cores this work may use (0: GOMAXPROCS)
+}
+
+// Cores returns the goroutines this work may keep busy: its share, or
+// GOMAXPROCS when no Split gave it one.
+func (p Parallel) Cores() int { return cmp.Or(p.share, runtime.GOMAXPROCS(0)) }
+
+// Split returns the layout of one of k solves that run at once: each gets
+// Cores()/k, at least 1.
+func (p Parallel) Split(k int) Parallel {
+	p.share = max(p.Cores()/max(k, 1), 1)
+	return p
 }
 
 // resolve returns the layout a solve with nrh columns and nint points runs:
 // Top and Ndm below 1 mean 1, Top is capped at nrh, a Mid of 0 becomes
-// GOMAXPROCS/Top, and Mid is capped at nint, so no worker is started (or
+// Cores()/Top, and Mid is capped at nint, so no worker is started (or
 // counted by MemoryEstimate) that could never get a column block or a
 // point.
 func (p Parallel) resolve(nrh, nint int) Parallel {
 	p.Top = max(min(p.Top, nrh), 1)
 	if p.Mid == 0 {
-		p.Mid = runtime.GOMAXPROCS(0) / p.Top
+		p.Mid = p.Cores() / p.Top
 	}
 	p.Mid = max(min(p.Mid, nint), 1)
 	p.Ndm = max(p.Ndm, 1)
@@ -194,7 +208,7 @@ func SolveContext(ctx context.Context, q *qep.Problem, opts Options) (*Result, e
 	if opts.Parallel.Ndm > 1 {
 		distSolver, err = dist.NewSolver(q, opts.Parallel.Ndm)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%w: %w", ErrBadOptions, err)
 		}
 		distSolver.SetChaos(opts.Chaos)
 	}

@@ -540,3 +540,59 @@ func TestSaturatedSolveKeepsNrh(t *testing.T) {
 		t.Errorf("saturated solve changed Nrh to %d", res.Expanded)
 	}
 }
+
+// TestResolveSplitsTheShare pins the one resolver over share × Top × Mid ×
+// Nint: a Mid of 0 becomes share/Top (at least 1, at most Nint), and an
+// explicit layout is left as the caller set it, up to the Nrh and Nint caps.
+func TestResolveSplitsTheShare(t *testing.T) {
+	for _, tc := range []struct {
+		share     int
+		in        Parallel
+		nrh, nint int
+		want      Parallel
+	}{
+		{4, Parallel{Top: 1}, 8, 16, Parallel{Top: 1, Mid: 4, Ndm: 1}},
+		{4, Parallel{Top: 2}, 8, 16, Parallel{Top: 2, Mid: 2, Ndm: 1}},
+		{2, Parallel{Top: 2}, 8, 16, Parallel{Top: 2, Mid: 1, Ndm: 1}},
+		{1, Parallel{Top: 2}, 8, 16, Parallel{Top: 2, Mid: 1, Ndm: 1}},   // floor at 1
+		{1, Parallel{Top: 3}, 8, 16, Parallel{Top: 3, Mid: 1, Ndm: 1}},   // 1/3 floors to 1
+		{16, Parallel{Top: 1}, 8, 4, Parallel{Top: 1, Mid: 4, Ndm: 1}},   // Nint cap
+		{16, Parallel{Top: 64}, 4, 16, Parallel{Top: 4, Mid: 4, Ndm: 1}}, // Nrh cap, then share/Top
+		{1, Parallel{Top: 2, Mid: 3, Ndm: 2}, 8, 16, Parallel{Top: 2, Mid: 3, Ndm: 2}},
+		{8, Parallel{Top: 1, Mid: 1}, 8, 16, Parallel{Top: 1, Mid: 1, Ndm: 1}},
+		{1, Parallel{Mid: 6}, 8, 4, Parallel{Top: 1, Mid: 4, Ndm: 1}},
+	} {
+		in := tc.in
+		in.share = tc.share
+		got := in.resolve(tc.nrh, tc.nint)
+		got.share = 0
+		if got != tc.want {
+			t.Errorf("share %d, %+v, nrh %d, nint %d: resolved %+v, want %+v",
+				tc.share, tc.in, tc.nrh, tc.nint, got, tc.want)
+		}
+	}
+}
+
+// TestSplitDividesTheShare: an unsplit layout holds GOMAXPROCS, Split(k)
+// divides whatever share it holds by k, and no share falls below 1.
+func TestSplitDividesTheShare(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	var p Parallel
+	for _, tc := range []struct {
+		p    Parallel
+		want int
+	}{
+		{p, 4},
+		{p.Split(0), 4},
+		{p.Split(1), 4},
+		{p.Split(2), 2},
+		{p.Split(3), 1},
+		{p.Split(2).Split(2), 1},
+		{p.Split(8), 1},
+		{p.Split(8).Split(2), 1},
+	} {
+		if got := tc.p.Cores(); got != tc.want {
+			t.Errorf("%+v: Cores() = %d, want %d", tc.p, got, tc.want)
+		}
+	}
+}

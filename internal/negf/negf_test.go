@@ -599,8 +599,9 @@ func TestTransmissionPhysicalBounds(t *testing.T) {
 }
 
 // TestTransmissionSweepFanOutBitIdentical runs the pipeline with half the
-// energies faulted at GOMAXPROCS 1 and 4: the points — values, status and
-// error text — must not depend on how many goroutines post-process them.
+// energies faulted at GOMAXPROCS 1 and 4, and at GOMAXPROCS 4 with the
+// options split to a share of 1: the points — values, status and error
+// text — must not depend on how many goroutines post-process them.
 func TestTransmissionSweepFanOutBitIdentical(t *testing.T) {
 	b := chainBackend(t, 4)
 	var es []float64
@@ -612,15 +613,17 @@ func TestTransmissionSweepFanOutBitIdentical(t *testing.T) {
 		Device:   negf.Device{Cells: 3, Barrier: []float64{0.4, 1.1, 0.2}},
 		Chaos:    chaos.New(100*chaosSeed()+11, chaos.Config{NEGFFault: 0.5}),
 	}
-	run := func(procs int) []negf.Point {
+	run := func(procs, split int) []negf.Point {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		curve, err := negf.TransmissionSweep(context.Background(), b, solveFunc(b), spec, chainOptions(), sweep.Config{})
+		opts := chainOptions()
+		opts.Parallel = opts.Parallel.Split(split)
+		curve, err := negf.TransmissionSweep(context.Background(), b, solveFunc(b), spec, opts, sweep.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return curve.Points
 	}
-	serial, fanned := run(1), run(4)
+	serial := run(1, 1)
 	var ok, failed int
 	for _, p := range serial {
 		if p.Status == negf.PointOK {
@@ -632,10 +635,13 @@ func TestTransmissionSweepFanOutBitIdentical(t *testing.T) {
 	if ok == 0 || failed == 0 {
 		t.Fatalf("fault pattern is not mixed: %d ok, %d failed", ok, failed)
 	}
-	if !reflect.DeepEqual(serial, fanned) {
-		for i := range serial {
-			if !reflect.DeepEqual(serial[i], fanned[i]) {
-				t.Errorf("point %d: GOMAXPROCS 1 %+v, GOMAXPROCS 4 %+v", i, serial[i], fanned[i])
+	for _, tc := range []struct{ procs, split int }{{4, 1}, {4, 4}} {
+		fanned := run(tc.procs, tc.split)
+		if !reflect.DeepEqual(serial, fanned) {
+			for i := range serial {
+				if !reflect.DeepEqual(serial[i], fanned[i]) {
+					t.Errorf("point %d: GOMAXPROCS 1 %+v, GOMAXPROCS %d split %d %+v", i, serial[i], tc.procs, tc.split, fanned[i])
+				}
 			}
 		}
 	}

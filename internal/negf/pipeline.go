@@ -8,7 +8,6 @@ package negf
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -99,8 +98,9 @@ func (c *Curve) OK() []Point {
 //
 // The post-processing starts after sweep.Run returns. The energy-independent
 // lead data is built once, and the energies are shared out over
-// min(GOMAXPROCS, #energies) goroutines, each point written by its index,
-// so the curve does not depend on the goroutine count.
+// min(coreOpts.Parallel.Cores(), #energies) goroutines — the whole share,
+// because every solve has finished — each point written by its index, so
+// the curve does not depend on the goroutine count.
 //
 //cbs:cancellable
 func TransmissionSweep(ctx context.Context, b operator.Backend, solve sweep.SolveFunc, spec Spec, coreOpts core.Options, cfg sweep.Config) (*Curve, error) {
@@ -115,7 +115,7 @@ func TransmissionSweep(ctx context.Context, b operator.Backend, solve sweep.Solv
 	lead := newLeadCell(b)
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := min(runtime.GOMAXPROCS(0), len(points)); w > 0; w-- {
+	for w := min(coreOpts.Parallel.Cores(), len(points)); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

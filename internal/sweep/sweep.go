@@ -209,7 +209,8 @@ type SolveFunc func(ctx context.Context, e float64, opts core.Options) (*core.Re
 
 // Config parameterizes the engine.
 type Config struct {
-	// Workers is the number of concurrent energies (default 1).
+	// Workers is the number of concurrent energies (default 1); they
+	// split the options' core share (core.Parallel.Split).
 	Workers int
 	// MaxAttempts bounds the failed solve attempts per energy (default 3);
 	// rank-saturation escalations are budgeted separately by
@@ -294,6 +295,7 @@ func Run(ctx context.Context, solve SolveFunc, es []float64, opts core.Options, 
 		mu      sync.Mutex // guards ckptErr
 		ckptErr error
 	)
+	opts.Parallel = opts.Parallel.Split(cfg.Workers)
 	jobs := make(chan int, len(todo))
 	for _, i := range todo {
 		jobs <- i

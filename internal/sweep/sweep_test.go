@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -558,5 +559,71 @@ func TestSweepShapeMismatchTerminal(t *testing.T) {
 	}
 	if calls.Load() != 1 {
 		t.Errorf("solver called %d times, want 1 (terminal)", calls.Load())
+	}
+}
+
+// TestSweepSplitsTheShare: the energies in flight share the host. At
+// GOMAXPROCS 4 a Workers 2 sweep at Top 2 hands each solve a share of 2,
+// so the derived Mid is 1 and the sweep holds 4 point workers, not 8; a
+// Workers 1 sweep keeps the whole host and Mid 2. The layout is read back
+// through MemoryEstimate, which counts exactly the workers solveAll starts.
+func TestSweepSplitsTheShare(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	b, err := tb.NewSlab(tb.SlabConfig{Nx: 3, Ny: 3, Onsite: 0, Hopping: -1, A: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := core.DefaultOptions()
+	opts.Nint = 8
+	opts.Nmm = 2
+	opts.Nrh = 2
+	opts.Parallel = core.Parallel{Top: 2}
+	for _, tc := range []struct{ workers, mid int }{{2, 1}, {1, 2}} {
+		var calls, wrong atomic.Int64
+		solve := func(ctx context.Context, e float64, o core.Options) (*core.Result, error) {
+			q := qep.NewBackend(b, e)
+			want := o
+			want.Parallel = core.Parallel{Top: 2, Mid: tc.mid}
+			calls.Add(1)
+			if core.MemoryEstimate(q, o) != core.MemoryEstimate(q, want) {
+				wrong.Add(1)
+			}
+			return core.SolveContext(ctx, q, o)
+		}
+		if _, err := Run(context.Background(), solve, []float64{-3, -1, 1, 3}, opts, Config{Workers: tc.workers}); err != nil {
+			t.Fatal(err)
+		}
+		if calls.Load() == 0 || wrong.Load() != 0 {
+			t.Errorf("Workers %d: %d of %d solves not laid out as {Top: 2, Mid: %d}",
+				tc.workers, wrong.Load(), calls.Load(), tc.mid)
+		}
+	}
+}
+
+// TestSweepImpossibleDecompositionTerminal: a domain decomposition the
+// backend cannot take (the tight-binding slab has no FD slab geometry) is
+// a bad parameterization, not a transient fault: the energy fails at the
+// first attempt, typed.
+func TestSweepImpossibleDecompositionTerminal(t *testing.T) {
+	b, err := tb.NewSlab(tb.SlabConfig{Nx: 3, Ny: 3, Onsite: 0, Hopping: -1, A: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	solve := func(ctx context.Context, e float64, opts core.Options) (*core.Result, error) {
+		return core.SolveContext(ctx, qep.NewBackend(b, e), opts)
+	}
+	opts := core.DefaultOptions()
+	opts.Nint = 8
+	opts.Nmm = 2
+	opts.Nrh = 2
+	opts.Parallel = core.Parallel{Ndm: 2}
+	report, err := Run(context.Background(), solve, []float64{0}, opts, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	er := report.Results[0]
+	if er.Status != StatusFailed || er.Attempts != 1 || !errors.Is(er.Err, core.ErrBadOptions) {
+		t.Errorf("status %s after %d attempts (err %v), want failed at the first attempt wrapping core.ErrBadOptions",
+			er.Status, er.Attempts, er.Err)
 	}
 }
