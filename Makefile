@@ -31,10 +31,12 @@ test-noavx2:
 
 # test-cpus runs the core-share tests at 1, 2 and 4 procs: the resolver
 # sizes a derived Mid and the NEGF fan-out from GOMAXPROCS, so the layout
-# a sweep, a cbsd job or a transport curve gets must hold on any runner.
+# a sweep, a cbsd job or a transport curve gets must hold on any runner;
+# the Hankel SVD's V replay, inline or on a second goroutine, must give the
+# reference bits at every proc count.
 test-cpus:
-	$(GO) test -count=1 -cpu 1,2,4 -run 'TheShare|FanOutBitIdentical' \
-		./internal/core ./internal/sweep ./internal/negf ./cmd/cbsd
+	$(GO) test -count=1 -cpu 1,2,4 -run 'TheShare|FanOutBitIdentical|SVDReplay' \
+		./internal/core ./internal/sweep ./internal/negf ./cmd/cbsd ./internal/zlinalg
 
 race:
 	$(GO) test -race -short ./...
@@ -146,6 +148,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzPostBodies -fuzztime=30s ./cmd/cbsd
 	$(GO) test -run=NONE -fuzz=FuzzStencilRow -fuzztime=30s ./internal/soa
 	$(GO) test -run=NONE -fuzz=FuzzLaneKernels -fuzztime=30s ./internal/soa
+	$(GO) test -run=NONE -fuzz=FuzzCSRKernels -fuzztime=30s ./internal/soa
 
 # bench-smoke is the CI gate on the one benchmark (bench/, BENCHMARK.json):
 # all five workloads at tiny sizes with a one-second timed part each, every
@@ -156,9 +159,10 @@ bench-smoke:
 
 # layer-bench-smoke runs the layer benchmarks — the P(z) block apply and
 # the block solve under bench/'s qep.pz_block_ns_per_col and
-# linsolve.ns_per_iter_col, one Krylov iteration's vector work, and the
-# Hankel SVD under core.extract_ms — once each, on both arms of the kernel
-# dispatch, and the NEGF wave matching and device transmission under
+# linsolve.ns_per_iter_col, one Krylov iteration's vector work, the
+# Hankel SVD under core.extract_ms and the tight-binding plane applies
+# under qep.portable_block_ns_per_col — once each, on both arms of the
+# kernel dispatch, and the NEGF wave matching and device transmission under
 # negf.ms_per_energy once, so they cannot rot; the timings of a single
 # iteration mean nothing.
 layer-bench-smoke:
@@ -166,4 +170,6 @@ layer-bench-smoke:
 	CBS_NO_AVX2=1 $(GO) test -run=NONE -bench='ApplyBlockSoA|BlockBiCGDualSoA|KrylovStep' -benchtime=1x ./internal/linsolve
 	$(GO) test -run=NONE -bench=JacobiSVD -benchtime=1x ./internal/zlinalg
 	CBS_NO_AVX2=1 $(GO) test -run=NONE -bench=JacobiSVD -benchtime=1x ./internal/zlinalg
+	$(GO) test -run=NONE -bench=TBPlanes -benchtime=1x ./internal/tb
+	CBS_NO_AVX2=1 $(GO) test -run=NONE -bench=TBPlanes -benchtime=1x ./internal/tb
 	$(GO) test -run=NONE -bench='Transmission|LeadSelfEnergies' -benchtime=1x ./internal/negf

@@ -3,13 +3,14 @@ package core
 import (
 	"cbs/internal/dist"
 	"cbs/internal/qep"
+	"cbs/internal/zlinalg"
 )
 
 // MemoryEstimate returns the resident bytes of a CBS solve with the given
 // options: the matrix-free operator (O(N)), the moment accumulator
 // (O(M*N), M = Nrh*Nmm), the probe block, the per-worker Krylov vectors and
-// the small dense Hankel work. This is the quantity compared against the
-// OBM baseline in Fig. 4(b).
+// the small dense Hankel pair and SVD work. This is the quantity compared
+// against the OBM baseline in Fig. 4(b).
 func MemoryEstimate(q *qep.Problem, opts Options) int64 {
 	opts.Parallel = opts.Parallel.resolve(opts.Nrh, opts.Nint)
 	n := int64(q.Dim())
@@ -21,7 +22,10 @@ func MemoryEstimate(q *qep.Problem, opts Options) int64 {
 	b += q.B.MemoryBytes()      // operator (potential + projectors + tables)
 	b += 2 * nmm * n * nrh * 16 // moment accumulator
 	b += n * nrh * 16           // probe block V
-	b += 3 * m * m * 16         // Hankel pair + SVD work
+	b += 2 * m * m * 16         // Hankel pair
+	// SVD work: its W and V planes and rotation logs, at the core share
+	// the solve hands the extraction.
+	b += zlinalg.SVDWorkBytes(int(m), int(m), opts.Parallel.Cores())
 	// Point-loop state: each (top, mid) worker of the resolved layout (the
 	// one solveAll starts) owns one blockWorker and runs one block solve at
 	// a time, and each top block shares its right-hand-side planes across

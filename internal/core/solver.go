@@ -228,7 +228,7 @@ func SolveContext(ctx context.Context, q *qep.Problem, opts Options) (*Result, e
 
 	// ---- Steps 2-3: extraction -------------------------------------------
 	tExtract := time.Now()
-	ext, err := ssm.ExtractFromMoments(acc.Moments(), v, ssm.Options{Nmm: opts.Nmm, Delta: opts.Delta})
+	ext, err := ssm.ExtractFromMoments(acc.Moments(), v, ssm.Options{Nmm: opts.Nmm, Delta: opts.Delta, Cores: opts.Parallel.Cores()})
 	if err != nil {
 		return nil, err
 	}

@@ -19,6 +19,7 @@ import (
 	"cbs/internal/soa"
 	"cbs/internal/ssm"
 	"cbs/internal/tb"
+	"cbs/internal/zlinalg"
 )
 
 // smallAl builds the test system: bulk Al(100) on a coarse grid.
@@ -383,7 +384,8 @@ func TestMemoryEstimateScalesLinearly(t *testing.T) {
 // worker and block counts; under Ndm > 1 the block solve's planes are the
 // decomposed solver's (pinned to the ranks' buffers in package dist), and
 // each block keeps its point order's spare solution buffers. A Mid of 0
-// counts the workers the host derives, GOMAXPROCS/Top.
+// counts the workers the host derives, GOMAXPROCS/Top. The Hankel SVD's
+// work is zlinalg.SVDWorkBytes, pinned to the SVD's allocations there.
 func TestMemoryEstimateCountsAllocatedBuffers(t *testing.T) {
 	slab, err := tb.NewSlab(tb.SlabConfig{Nx: 8, Ny: 8, Hopping: -1, A: 1})
 	if err != nil {
@@ -432,7 +434,8 @@ func TestMemoryEstimateCountsAllocatedBuffers(t *testing.T) {
 		}
 		m := int64(opts.Nrh * opts.Nmm)
 		want := q.B.MemoryBytes() + acc.MemoryBytesUsed() +
-			int64(cap(probeBlock(n, opts.Nrh, opts.Seed).Data))*16 + 3*m*m*16 +
+			int64(cap(probeBlock(n, opts.Nrh, opts.Seed).Data))*16 + 2*m*m*16 +
+			zlinalg.SVDWorkBytes(int(m), int(m), opts.Parallel.Cores()) +
 			int64(2*tc.workersPerTop)*worker + 2*(b.MemoryBytes()+spares)
 		got := MemoryEstimate(q, opts)
 		// The estimate leaves out only the O(nb) per-column recurrence

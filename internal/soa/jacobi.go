@@ -7,17 +7,19 @@ package soa
 // are independent: the SVD takes them four at a time as JacobiQuads, lane
 // k holding the pair (P+k, Q-k), and runs all quads of a diagonal in one
 // pass over the rows. In a row, columns P..P+3 and Q-3..Q load as vectors
-// (the second reversed into lane order). Every column sees the same
-// rotations in the same order as in the scalar sweep, and every element
-// the same multiplies and adds as Go's complex128 arithmetic on it, each
-// sum in row order, so the results are bits of the scalar sweep.
+// (the second reversed into lane order); a diagonal's last quad of one to
+// three pairs loads and stores them under lane masks. Every column sees
+// the same rotations in the same order as in the scalar sweep, and every
+// element the same multiplies and adds as Go's complex128 arithmetic on
+// it, each sum in row order, so the results are bits of the scalar sweep.
 
 // JacobiQuad carries up to four column pairs of one anti-diagonal through
 // JacobiDots and JacobiRotate: lane k < Lanes is the pair (P+k, Q-k).
 type JacobiQuad struct {
 	// Set by JacobiDots: the squared norms of columns P+k and Q-k and their
 	// dot <w_{P+k}, w_{Q-k}> (the first conjugated), each summed in row
-	// order exactly as the scalar sweep sums it.
+	// order exactly as the scalar sweep sums it (lanes k >= Lanes carry
+	// nothing).
 	App, Aqq, ApqRe, ApqIm [4]float64
 	// Read by JacobiRotate: each lane's rotation, cs real and
 	// sn = SnRe + i*SnIm, and its mask (all-ones rotates the pair, zero
@@ -27,13 +29,12 @@ type JacobiQuad struct {
 	P, Q, Lanes    int
 }
 
-// splitQuads panics unless the quads' columns are in range, each quad's
+// checkQuads panics unless the quads' columns are in range, each quad's
 // two column groups are disjoint, and only the last quad has fewer than
-// four lanes; it returns the full quads (the asm's) and the partial one,
-// if any.
+// four lanes.
 //
 //cbs:hotpath
-func splitQuads(w *Block[float64], quads []JacobiQuad) (full, part []JacobiQuad) {
+func checkQuads(w *Block[float64], quads []JacobiQuad) {
 	for i := range quads {
 		q := &quads[i]
 		if q.Lanes < 1 || q.Lanes > 4 || q.Lanes < 4 && i != len(quads)-1 ||
@@ -41,10 +42,6 @@ func splitQuads(w *Block[float64], quads []JacobiQuad) (full, part []JacobiQuad)
 			panic("soa: Jacobi quad out of range")
 		}
 	}
-	if n := len(quads); n > 0 && quads[n-1].Lanes < 4 {
-		return quads[:n-1], quads[n-1:]
-	}
-	return quads, nil
 }
 
 // JacobiDots computes every quad's sums from w's columns: per row, in row
@@ -54,15 +51,15 @@ func splitQuads(w *Block[float64], quads []JacobiQuad) (full, part []JacobiQuad)
 //
 //cbs:hotpath
 func JacobiDots(w *Block[float64], quads []JacobiQuad) {
-	full, part := splitQuads(w, quads)
-	if HasAVX2 {
-		if len(full) > 0 {
-			jacobiDotsAVX2(w.Re, w.Im, w.nb, &full[0], len(full))
-		}
-		full = nil
+	checkQuads(w, quads)
+	if len(quads) == 0 {
+		return
 	}
-	jacobiDotsScalar(w.Re, w.Im, w.nb, full)
-	jacobiDotsScalar(w.Re, w.Im, w.nb, part)
+	if HasAVX2 {
+		jacobiDotsAVX2(w.Re, w.Im, w.nb, &quads[0], len(quads))
+		return
+	}
+	jacobiDotsScalar(w.Re, w.Im, w.nb, quads)
 }
 
 //cbs:hotpath
@@ -99,15 +96,15 @@ func jacobiDotsScalar(re, im []float64, nb int, quads []JacobiQuad) {
 //
 //cbs:hotpath
 func JacobiRotate(w *Block[float64], quads []JacobiQuad) {
-	full, part := splitQuads(w, quads)
-	if HasAVX2 {
-		if len(full) > 0 {
-			jacobiRotateAVX2(w.Re, w.Im, w.nb, &full[0], len(full))
-		}
-		full = nil
+	checkQuads(w, quads)
+	if len(quads) == 0 {
+		return
 	}
-	jacobiRotateScalar(w.Re, w.Im, w.nb, full)
-	jacobiRotateScalar(w.Re, w.Im, w.nb, part)
+	if HasAVX2 {
+		jacobiRotateAVX2(w.Re, w.Im, w.nb, &quads[0], len(quads))
+		return
+	}
+	jacobiRotateScalar(w.Re, w.Im, w.nb, quads)
 }
 
 //cbs:hotpath

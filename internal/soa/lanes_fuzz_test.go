@@ -8,10 +8,14 @@ import (
 )
 
 // jacobiQuadsArms runs JacobiDots and JacobiRotate over quads through the
-// scalar bodies or the asm from the same block, returning the block and the
-// quads after both.
-func jacobiQuadsArms(w0 *Block[float64], quads0 []JacobiQuad, asm bool) (*Block[float64], []JacobiQuad) {
-	w, quads := cloneBlock(w0), append([]JacobiQuad(nil), quads0...)
+// scalar bodies or the asm from a copy of w0 whose planes sit inside NaN
+// margins, returning the block, the quads after both and the planes with
+// their margins.
+func jacobiQuadsArms(w0 *Block[float64], quads0 []JacobiQuad, asm bool) (*Block[float64], []JacobiQuad, [2][]float64) {
+	w, back := guardedBlock(rand.New(rand.NewSource(0)), w0.n, w0.nb, jacobiMargin)
+	copy(w.Re, w0.Re)
+	copy(w.Im, w0.Im)
+	quads := append([]JacobiQuad(nil), quads0...)
 	if asm {
 		jacobiDotsAVX2(w.Re, w.Im, w.nb, &quads[0], len(quads))
 		jacobiRotateAVX2(w.Re, w.Im, w.nb, &quads[0], len(quads))
@@ -19,19 +23,24 @@ func jacobiQuadsArms(w0 *Block[float64], quads0 []JacobiQuad, asm bool) (*Block[
 		jacobiDotsScalar(w.Re, w.Im, w.nb, quads)
 		jacobiRotateScalar(w.Re, w.Im, w.nb, quads)
 	}
-	return w, quads
+	return w, quads, back
 }
 
-// checkJacobiLanes builds the full quads of anti-diagonal s of an m x nc
-// block of simdFill data with random rotations and masks, freezes one lane
-// with its two columns poisoned, and requires both arms to agree bit for
-// bit on the sums of the finite lanes and on the whole block, the frozen
-// columns coming back bit-unchanged.
+// jacobiMargin is the NaN margin around the planes of jacobiQuadsArms: a
+// quad's vector reaches at most three columns past its group.
+const jacobiMargin = 4
+
+// checkJacobiLanes builds the quads of anti-diagonal s of an m x nc block
+// of simdFill data, the last one partial when the diagonal's pair count is
+// not a multiple of four, with random rotations and masks, freezes one
+// lane with its two columns poisoned, and requires both arms to agree bit
+// for bit on the sums of the finite lanes and on the whole block, the
+// frozen columns coming back bit-unchanged.
 func checkJacobiLanes(t *testing.T, name string, rng *rand.Rand, m, nc, s int) {
 	t.Helper()
 	var quads []JacobiQuad
-	for p := max(0, s-nc+1); p+3 <= (s-1)/2; p += 4 {
-		q := JacobiQuad{P: p, Q: s - p, Lanes: 4}
+	for p, last := max(0, s-nc+1), (s-1)/2; p <= last; p += 4 {
+		q := JacobiQuad{P: p, Q: s - p, Lanes: min(4, last-p+1)}
 		for k := range q.Mask {
 			th, ph := rng.Float64()*math.Pi, rng.Float64()*2*math.Pi
 			q.Cs[k], q.SnRe[k], q.SnIm[k] = math.Cos(th), math.Sin(th)*math.Cos(ph), math.Sin(th)*math.Sin(ph)
@@ -45,15 +54,17 @@ func checkJacobiLanes(t *testing.T, name string, rng *rand.Rand, m, nc, s int) {
 		return
 	}
 	w := colsBlock(rng, m, nc)
-	fq, fk := rng.Intn(len(quads)), rng.Intn(4)
+	fq := rng.Intn(len(quads))
+	fk := rng.Intn(quads[fq].Lanes)
 	quads[fq].Mask[fk] = 0
 	poisonCol(quads[fq].P+fk, w)
 	poisonCol(quads[fq].Q-fk, w)
 
-	want, wq := jacobiQuadsArms(w, quads, false)
-	got, gq := jacobiQuadsArms(w, quads, true)
+	want, wq, _ := jacobiQuadsArms(w, quads, false)
+	got, gq, back := jacobiQuadsArms(w, quads, true)
 	eqBits(t, name+" W/re", got.Re, want.Re)
 	eqBits(t, name+" W/im", got.Im, want.Im)
+	checkMargins(t, name, back, jacobiMargin)
 	for _, c := range []int{quads[fq].P + fk, quads[fq].Q - fk} {
 		for i := 0; i < m; i++ {
 			if math.Float64bits(got.Re[i*nc+c]) != math.Float64bits(w.Re[i*nc+c]) ||
@@ -63,7 +74,7 @@ func checkJacobiLanes(t *testing.T, name string, rng *rand.Rand, m, nc, s int) {
 		}
 	}
 	for j := range gq {
-		for k := 0; k < 4; k++ {
+		for k := 0; k < gq[j].Lanes; k++ {
 			if j == fq && k == fk {
 				continue // NaN sums of the poisoned pair
 			}
@@ -101,17 +112,18 @@ func FuzzLaneKernels(f *testing.F) {
 			eqBits(t, name+" dotCols/re", gotRe, wantRe)
 			eqBits(t, name+" dotCols/im", gotIm, wantIm)
 		}
-		m, nc := rows%150+1, cols+8
+		m, nc := rows%150+1, cols+1
 		checkJacobiLanes(t, name+" jacobi", rng, m, nc, rng.Intn(2*nc-3)+1)
 	})
 }
 
 // TestJacobiLanesBitIdentical: the Jacobi pair kernels against their
 // scalar siblings on every anti-diagonal of the solve_al and transport_tb
-// Hankel widths, and on a wide short block.
+// Hankel widths, on a wide short block, and on blocks narrower than two
+// quads, whose partial quads' vectors reach past the planes.
 func TestJacobiLanesBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
-	for _, sh := range [][2]int{{128, 128}, {56, 56}, {3, 40}} {
+	for _, sh := range [][2]int{{128, 128}, {56, 56}, {3, 40}, {2, 2}, {1, 3}, {5, 5}, {4, 7}, {9, 9}} {
 		for s := 1; s <= 2*sh[1]-3; s++ {
 			checkJacobiLanes(t, fmt.Sprintf("%dx%d s=%d", sh[0], sh[1], s), rng, sh[0], sh[1], s)
 		}

@@ -58,3 +58,13 @@ func jacobiDotsAVX2(re, im []float64, nb int, quads *JacobiQuad, nq int) {
 func jacobiRotateAVX2(re, im []float64, nb int, quads *JacobiQuad, nq int) {
 	panic("soa: no AVX2 kernels on this architecture")
 }
+
+//cbs:hotpath
+func csrShiftedAVX2(oRe, oIm, vRe, vIm []float64, nb int, shift float64, d []float64, a *CSR) {
+	panic("soa: no AVX2 kernels on this architecture")
+}
+
+//cbs:hotpath
+func csrAccumAVX2(oRe, oIm, vRe, vIm []float64, nb int, cr, ci float64, a *CSR) {
+	panic("soa: no AVX2 kernels on this architecture")
+}

@@ -26,6 +26,9 @@ type Options struct {
 	// whose scale is otherwise invisible to the relative Delta filter.
 	// Downstream residual filtering makes this optional.
 	AbsTol float64
+	// Cores is the caller's core share; above 1 the Hankel SVD replays its
+	// V rotations on a second goroutine (zlinalg.SVD). 0 counts as 1.
+	Cores int
 }
 
 // Result holds the extracted (approximate) eigenpairs.
@@ -95,7 +98,7 @@ func extract(moments []*zlinalg.Matrix, v *zlinalg.Matrix, opt Options) (*Result
 	}
 
 	// Step 3a: SVD low-rank filter.
-	svd, err := zlinalg.SVD(hank)
+	svd, err := zlinalg.SVD(hank, opt.Cores)
 	if err != nil {
 		return nil, fmt.Errorf("%w: Hankel SVD: %w", ErrRankDeficient, err)
 	}

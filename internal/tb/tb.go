@@ -44,6 +44,11 @@ type Backend struct {
 	onsite []float64
 	intra  []hop // i < j; applied to both (i,j) and (j,i)
 	inter  []hop // <i, cell n | H | j, cell n+1> = t
+
+	// The plane applies' tables, compiled from intra and inter by
+	// compile: each row lists its hops in the order the single-vector hop
+	// loops reach that row, so every element sees the same arithmetic.
+	h0, hp, hm *soa.CSR
 }
 
 // ChainConfig describes a 1D chain supercell: Sites sites per periodic
@@ -84,6 +89,7 @@ func NewChain(cfg ChainConfig) (*Backend, error) {
 	}
 	// Last site of cell n couples to first site of cell n+1.
 	b.inter = append(b.inter, hop{cfg.Sites - 1, 0, cfg.Hopping})
+	b.compile()
 	return b, nil
 }
 
@@ -134,7 +140,23 @@ func NewSlab(cfg SlabConfig) (*Backend, error) {
 	for i := 0; i < n; i++ {
 		b.inter = append(b.inter, hop{i, i, cfg.Hopping})
 	}
+	b.compile()
 	return b, nil
+}
+
+// compile builds the plane applies' tables: H0's off-diagonal, hop (i, j)
+// entering row i at column j and then row j at column i; H+ with hop (i, j)
+// in row i at column j; H- = H+^T with it in row j at column i.
+func (b *Backend) compile() {
+	var h0, hp, hm []soa.CSREntry
+	for _, h := range b.intra {
+		h0 = append(h0, soa.CSREntry{Row: h.i, Col: h.j, Val: h.t}, soa.CSREntry{Row: h.j, Col: h.i, Val: h.t})
+	}
+	for _, h := range b.inter {
+		hp = append(hp, soa.CSREntry{Row: h.i, Col: h.j, Val: h.t})
+		hm = append(hm, soa.CSREntry{Row: h.j, Col: h.i, Val: h.t})
+	}
+	b.h0, b.hp, b.hm = soa.NewCSR(b.n, h0), soa.NewCSR(b.n, hp), soa.NewCSR(b.n, hm)
 }
 
 // N returns the per-cell dimension.
@@ -161,9 +183,11 @@ func (b *Backend) FermiGuess() float64 {
 	return s / float64(len(b.onsite))
 }
 
-// MemoryBytes estimates the backend's resident footprint.
+// MemoryBytes estimates the backend's resident footprint: the onsite
+// energies, the hop lists and the three plane-apply tables.
 func (b *Backend) MemoryBytes() int64 {
-	return int64(len(b.onsite))*8 + int64(len(b.intra)+len(b.inter))*24
+	return int64(len(b.onsite))*8 + int64(len(b.intra)+len(b.inter))*24 +
+		b.h0.MemoryBytes() + b.hp.MemoryBytes() + b.hm.MemoryBytes()
 }
 
 func (b *Backend) checkLen(v, out []complex128) {
@@ -207,75 +231,29 @@ func (b *Backend) ApplyHm(v, out []complex128) {
 	}
 }
 
-// checkPlanes guards the plane-apply shapes (indexing plus a cold panic).
-//
-//cbs:hotpath
-func (b *Backend) checkPlanes(v, out *soa.Block[float64]) {
-	if v.N() != b.n || out.N() != b.n || v.NB() != out.NB() {
-		panic("tb: plane block shape mismatch")
-	}
-}
-
 // ApplyShiftedH0Planes computes out = (shift - H0) V on split planes
-// (element (i, c) at index i*nb+c): the onsite term first, then the intra
-// hops in list order, each real coefficient applied to both planes.
+// (element (i, c) at index i*nb+c): per row the onsite term, then the
+// row's intra hops in list order, each real coefficient applied to both
+// planes.
 //
 //cbs:hotpath
 func (b *Backend) ApplyShiftedH0Planes(shift float64, v, out *soa.Block[float64]) {
-	b.checkPlanes(v, out)
-	nb := v.NB()
-	vr, vi, or, oi := v.Re, v.Im, out.Re, out.Im
-	for i, e := range b.onsite {
-		d := shift - e
-		for k := i * nb; k < i*nb+nb; k++ {
-			or[k] = d * vr[k]
-			oi[k] = d * vi[k]
-		}
-	}
-	for _, h := range b.intra {
-		ri, rj := h.i*nb, h.j*nb
-		for c := 0; c < nb; c++ {
-			or[ri+c] -= h.t * vr[rj+c]
-			oi[ri+c] -= h.t * vi[rj+c]
-			or[rj+c] -= h.t * vr[ri+c]
-			oi[rj+c] -= h.t * vi[ri+c]
-		}
-	}
+	soa.ShiftedCSR(out, v, shift, b.onsite, b.h0)
 }
 
 // AccumHpPlanes accumulates out += coef * H+ V on split planes,
-// coef = coefRe + i*coefIm.
+// coef = coefRe + i*coefIm, each hop's coefficient coef*t.
 //
 //cbs:hotpath
 func (b *Backend) AccumHpPlanes(coefRe, coefIm float64, v, out *soa.Block[float64]) {
-	b.checkPlanes(v, out)
-	for _, h := range b.inter {
-		accumHopPlanes(out, v, h.i, h.j, coefRe*h.t, coefIm*h.t)
-	}
+	soa.AccumCSR(out, v, coefRe, coefIm, b.hp)
 }
 
 // AccumHmPlanes accumulates out += coef * H- V on split planes.
 //
 //cbs:hotpath
 func (b *Backend) AccumHmPlanes(coefRe, coefIm float64, v, out *soa.Block[float64]) {
-	b.checkPlanes(v, out)
-	for _, h := range b.inter {
-		accumHopPlanes(out, v, h.j, h.i, coefRe*h.t, coefIm*h.t)
-	}
-}
-
-// accumHopPlanes performs out[dst,:] += (cr + i*ci) * v[src,:], the complex
-// multiply-add written out on the two planes.
-//
-//cbs:hotpath
-func accumHopPlanes(out, v *soa.Block[float64], dst, src int, cr, ci float64) {
-	nb := v.NB()
-	or, oi := out.Re[dst*nb:dst*nb+nb], out.Im[dst*nb:dst*nb+nb]
-	vr, vi := v.Re[src*nb:][:nb], v.Im[src*nb:][:nb]
-	for c := range or {
-		or[c] += cr*vr[c] - ci*vi[c]
-		oi[c] += cr*vi[c] + ci*vr[c]
-	}
+	soa.AccumCSR(out, v, coefRe, coefIm, b.hm)
 }
 
 // ChainDispersion is the analytic band of the single-site chain:

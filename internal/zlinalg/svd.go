@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/cmplx"
 	"sort"
+	"sync"
+	"unsafe"
 
 	"cbs/internal/soa"
 )
@@ -33,11 +35,17 @@ const maxJacobiSweeps = 60
 // the rows, four at a time in vector lanes. Every column sees the rotations
 // of the row-cyclic sweep in the same order, so S, U and V are
 // bit-identical to it.
-func SVD(a *Matrix) (*SVDResult, error) {
+//
+// The rotations are decided on W alone, and V never feeds back into W, so
+// a sweep logs its rotating quads and replays the log on V afterwards:
+// with cores > 1 on a goroutine that overlaps W's next sweep, otherwise
+// inline before it. V sees the same rotations in the same order either
+// way, and no goroutine outlives the call.
+func SVD(a *Matrix, cores int) (*SVDResult, error) {
 	m, n := a.Rows, a.Cols
 	if m < n {
 		// Work on the transpose and swap U <-> V.
-		r, err := SVD(a.ConjTranspose())
+		r, err := SVD(a.ConjTranspose(), cores)
 		if err != nil {
 			return nil, err
 		}
@@ -55,8 +63,17 @@ func SVD(a *Matrix) (*SVDResult, error) {
 
 	// One anti-diagonal holds at most n/2 pairs.
 	quads := make([]soa.JacobiQuad, n/8+1)
-	turn := make([]soa.JacobiQuad, 0, len(quads))
+	// The log W records while V replays the previous one, or one log when
+	// the replay is inline.
+	logs := make([]rotationLog, rotationLogs(cores))
+	for i := range logs {
+		logs[i] = rotationLog{quads: make([]soa.JacobiQuad, 0, sweepQuads(n)), ends: make([]int, 0, 2*n)}
+	}
+	rep := &replayer{v: v, async: cores > 1}
+	defer rep.wait()
 	for sweep := 0; sweep < maxJacobiSweeps; sweep++ {
+		log := &logs[sweep%len(logs)]
+		log.quads, log.ends = log.quads[:0], log.ends[:0]
 		off := 0
 		for s := 1; s <= 2*n-3; s++ {
 			last := (s - 1) / 2 // pairs (p, s-p) for max(0, s-n+1) <= p <= last
@@ -66,7 +83,7 @@ func SVD(a *Matrix) (*SVDResult, error) {
 				nq++
 			}
 			soa.JacobiDots(w, quads[:nq])
-			turn = turn[:0]
+			start := len(log.quads)
 			for j := range quads[:nq] {
 				q := &quads[j]
 				rotate := false
@@ -78,12 +95,15 @@ func SVD(a *Matrix) (*SVDResult, error) {
 					}
 				}
 				if rotate {
-					turn = append(turn, *q)
+					log.quads = append(log.quads, *q)
 				}
 			}
-			soa.JacobiRotate(w, turn)
-			soa.JacobiRotate(v, turn)
+			if len(log.quads) > start {
+				soa.JacobiRotate(w, log.quads[start:])
+				log.ends = append(log.ends, len(log.quads))
+			}
 		}
+		rep.replay(log)
 		if off == 0 {
 			break
 		}
@@ -91,6 +111,7 @@ func SVD(a *Matrix) (*SVDResult, error) {
 			return nil, errors.New("zlinalg: Jacobi SVD failed to converge")
 		}
 	}
+	rep.wait()
 
 	// Singular values are the column norms; U columns the normalized columns.
 	norm2, junk := make([]float64, n), make([]float64, n)
@@ -130,10 +151,10 @@ func SVD(a *Matrix) (*SVDResult, error) {
 func jacobiRotation(q *soa.JacobiQuad, k int, tol float64) bool {
 	app, aqq := q.App[k], q.Aqq[k]
 	apq := complex(q.ApqRe[k], q.ApqIm[k])
-	if cmplx.Abs(apq) <= tol*math.Sqrt(app*aqq) || apq == 0 {
+	absApq := cmplx.Abs(apq)
+	if absApq <= tol*math.Sqrt(app*aqq) || apq == 0 {
 		return false
 	}
-	absApq := cmplx.Abs(apq)
 	phase := apq / complex(absApq, 0)
 	zeta := (aqq - app) / (2 * absApq)
 	t := math.Copysign(1, zeta) / (math.Abs(zeta) + math.Sqrt(1+zeta*zeta))
@@ -142,6 +163,72 @@ func jacobiRotation(q *soa.JacobiQuad, k int, tol float64) bool {
 	sn := complex(snMag, 0) * phase
 	q.Cs[k], q.SnRe[k], q.SnIm[k] = cs, real(sn), imag(sn)
 	return true
+}
+
+// rotationLog is one sweep's rotating quads in sweep order: anti-diagonal
+// d's are quads[ends[d-1]:ends[d]] (diagonals without a rotation left out).
+type rotationLog struct {
+	quads []soa.JacobiQuad
+	ends  []int
+}
+
+// apply rotates v's columns by the logged rotations, diagonal by diagonal.
+func (l *rotationLog) apply(v *soa.Block[float64]) {
+	start := 0
+	for _, end := range l.ends {
+		soa.JacobiRotate(v, l.quads[start:end])
+		start = end
+	}
+}
+
+// replayer applies each sweep's log to V: on a goroutine when async, which
+// the next replay or wait joins first, else inline.
+type replayer struct {
+	v     *soa.Block[float64]
+	async bool
+	wg    sync.WaitGroup
+}
+
+func (r *replayer) replay(l *rotationLog) {
+	r.wg.Wait()
+	if !r.async {
+		l.apply(r.v)
+		return
+	}
+	r.wg.Add(1)
+	go func() {
+		defer r.wg.Done()
+		l.apply(r.v)
+	}()
+}
+
+// wait returns once V holds every replayed sweep.
+func (r *replayer) wait() { r.wg.Wait() }
+
+// rotationLogs is the number of logs SVD keeps: two when V replays on a
+// goroutine (one replaying, one recording), else one.
+func rotationLogs(cores int) int {
+	if cores > 1 {
+		return 2
+	}
+	return 1
+}
+
+// sweepQuads is the number of quads in one sweep over n columns, the most a
+// sweep's log holds.
+func sweepQuads(n int) int {
+	q := 0
+	for s := 1; s <= 2*n-3; s++ {
+		q += ((s-1)/2 - max(0, s-n+1) + 4) / 4
+	}
+	return q
+}
+
+// SVDWorkBytes is the working memory of SVD on an m x n matrix (m >= n)
+// with the given core count: the W and V planes and the rotation logs.
+func SVDWorkBytes(m, n, cores int) int64 {
+	quad := int64(unsafe.Sizeof(soa.JacobiQuad{}))
+	return int64(m*n+n*n)*16 + int64(rotationLogs(cores))*(int64(sweepQuads(n))*quad+int64(2*n)*8)
 }
 
 // Rank returns the number of singular values greater than delta relative to
