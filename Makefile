@@ -21,13 +21,15 @@ test: test-noavx2
 # test-noavx2 runs the packages on top of the soa asm kernels with the
 # CBS_NO_AVX2 kill switch set, so the scalar arm of every dispatch (the only
 # arm off amd64) passes the same bit-identity and parity tests on an AVX2
-# host. The switch is read at package init, before the test log that keys
-# the result cache sees it, so -count=1 keeps a cached AVX2 run from
-# answering.
+# host; obm, bandstructure and scf apply the blocks through the same
+# kernels, so their bit goldens run on both arms too. The switch is read
+# at package init, before the test log that keys the result cache sees it,
+# so -count=1 keeps a cached AVX2 run from answering.
 test-noavx2:
 	CBS_NO_AVX2=1 $(GO) test -count=1 ./internal/soa ./internal/hamiltonian \
 		./internal/qep ./internal/linsolve ./internal/core ./internal/tb \
-		./internal/dist ./internal/zlinalg ./internal/ssm ./internal/negf
+		./internal/dist ./internal/zlinalg ./internal/ssm ./internal/negf \
+		./internal/obm ./internal/bandstructure ./internal/scf
 
 # test-cpus runs the core-share tests at 1, 2 and 4 procs: the resolver
 # sizes a derived Mid and the NEGF fan-out from GOMAXPROCS, so the layout
@@ -139,7 +141,6 @@ negf-smoke:
 	done
 
 fuzz-smoke:
-	$(GO) test -run=NONE -fuzz=FuzzCSRBuild -fuzztime=30s ./internal/sparse
 	$(GO) test -run=NONE -fuzz=FuzzLUSolve -fuzztime=30s ./internal/zlinalg
 	$(GO) test -run=NONE -fuzz=FuzzLinkRead -fuzztime=30s ./internal/fleet
 	$(GO) test -run=NONE -fuzz=FuzzFleetMsg -fuzztime=30s ./internal/fleet

@@ -138,7 +138,7 @@ func BenchmarkFig4aRuntimeOBM_CNT66(b *testing.B) {
 // instead of once per column, so ns/op should grow sublinearly in nb.
 func BenchmarkBlockedApply(b *testing.B) {
 	f := alFixture(b)
-	q := qep.New(f.model.Op, f.ef)
+	q := qep.NewBackend(f.model.Op, f.ef)
 	n := q.Dim()
 	z := cmplx.Exp(complex(0, 0.3))
 	for _, nb := range []int{1, 4, 8, 16} {
@@ -162,7 +162,7 @@ func BenchmarkBlockedApply(b *testing.B) {
 // metric is allocs/op: the hot path must report 0.
 func BenchmarkStep1BlockedSolve(b *testing.B) {
 	f := alFixture(b)
-	q := qep.New(f.model.Op, f.ef)
+	q := qep.NewBackend(f.model.Op, f.ef)
 	n := q.Dim()
 	const nb = 8
 	z := cmplx.Exp(complex(0, 0.3))

@@ -12,6 +12,7 @@ import (
 
 	"cbs/internal/eigsparse"
 	"cbs/internal/hamiltonian"
+	"cbs/internal/operator"
 	"cbs/internal/pseudo"
 	"cbs/internal/qep"
 	"cbs/internal/zlinalg"
@@ -19,13 +20,17 @@ import (
 
 // Bands diagonalizes H(k) at each k (in units of 1/bohr) and returns the
 // lowest nbands eigenvalues (hartree), ascending, per k. nbands <= 0 means
-// all.
+// all. The dense blocks are assembled once; H(k) adds lambda H+ and then
+// lambda^{-1} H- to H0 element by element.
 func Bands(op *hamiltonian.Operator, ks []float64, nbands int) ([][]float64, error) {
 	a := op.G.Lz()
+	h0, hp, hm := operator.DenseBlocks(op)
 	out := make([][]float64, len(ks))
 	for i, k := range ks {
 		lam := qep.LambdaFromK(complex(k, 0), a)
-		h := op.BlochMatrix(lam)
+		h := h0.Clone()
+		zlinalg.Axpy(lam, hp.Data, h.Data)
+		zlinalg.Axpy(1/lam, hm.Data, h.Data)
 		vals, _, err := zlinalg.EigHermitian(h)
 		if err != nil {
 			return nil, fmt.Errorf("bandstructure: k=%g: %w", k, err)
@@ -34,7 +39,6 @@ func Bands(op *hamiltonian.Operator, ks []float64, nbands int) ([][]float64, err
 			vals = vals[:nbands]
 		}
 		out[i] = vals
-		_ = i
 	}
 	return out, nil
 }
@@ -60,10 +64,10 @@ func LowestBands(op *hamiltonian.Operator, ks []float64, nev int) ([][]float64, 
 	a := op.G.Lz()
 	n := op.N()
 	out := make([][]float64, len(ks))
-	scratch := make([]complex128, n)
+	x := operator.NewVectors(op)
 	for i, k := range ks {
 		lam := qep.LambdaFromK(complex(k, 0), a)
-		apply := func(v, o []complex128) { op.ApplyBloch(lam, v, o, scratch) }
+		apply := func(v, o []complex128) { x.Bloch(lam, v, o) }
 		// Chebyshev-filtered subspace iteration (the production real-space
 		// DFT eigensolver). Ritz values converge quadratically in the
 		// residual, so a modest target already gives band energies far

@@ -38,7 +38,7 @@ func chaosProblem(t *testing.T) *qep.Problem {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return qep.New(op, bands[0][2])
+	return qep.NewBackend(op, bands[0][2])
 }
 
 // chaosOptions are fast settings for the resilience tests.
@@ -309,7 +309,7 @@ func TestSolveContextCanceled(t *testing.T) {
 // sentinels.
 func TestCoreTypedSentinels(t *testing.T) {
 	op := smallAl(t, 8)
-	q := qep.New(op, 0.1)
+	q := qep.NewBackend(op, 0.1)
 	bad := DefaultOptions()
 	bad.Nint = 0
 	if _, err := Solve(q, bad); !errors.Is(err, ErrBadOptions) {

@@ -31,7 +31,7 @@ type fdGoldenCase struct {
 // the ladder's solvers and the moment sums may change underneath, but not
 // one bit of what the solve returns.
 func TestFDBitsGolden(t *testing.T) {
-	q := qep.New(smallAl(t, 8), fdGoldenEnergy)
+	q := qep.NewBackend(smallAl(t, 8), fdGoldenEnergy)
 	var got strings.Builder
 	for _, tc := range fdGoldenCases {
 		for _, par := range []Parallel{{Top: 1, Mid: 1}, {Top: 2, Mid: 2}} {

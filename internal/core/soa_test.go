@@ -23,7 +23,7 @@ func TestPointLoopZeroAlloc(t *testing.T) {
 		name string
 		q    *qep.Problem
 	}{
-		{"fd", qep.New(smallAl(t, 8), 0.1)},
+		{"fd", qep.NewBackend(smallAl(t, 8), 0.1)},
 		{"tb", qep.NewBackend(slab, -5.2)},
 	} {
 		const nb = 4

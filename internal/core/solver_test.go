@@ -58,7 +58,7 @@ func TestCBSMatchesBandStructure(t *testing.T) {
 	}
 	// Pick a low-lying band (valence-like state, well separated).
 	e := bands[0][2]
-	q := qep.New(op, e)
+	q := qep.NewBackend(op, e)
 	res, err := Solve(q, testOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestSpectrumPairing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := qep.New(op, ef)
+	q := qep.NewBackend(op, ef)
 	res, err := Solve(q, testOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -211,7 +211,7 @@ func TestParallelLayersAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := qep.New(op, ef)
+	q := qep.NewBackend(op, ef)
 	opts := testOptions()
 	opts.Nint = 8
 	opts.Nmm = 4
@@ -273,7 +273,7 @@ func TestGroupStopConcurrentBlocked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := qep.New(op, ef)
+	q := qep.NewBackend(op, ef)
 	opts := testOptions()
 	opts.Nint = 8
 	opts.Nmm = 4
@@ -330,7 +330,7 @@ func firstFew(s []float64) []float64 {
 
 func TestSolveValidation(t *testing.T) {
 	op := smallAl(t, 8)
-	q := qep.New(op, 0.1)
+	q := qep.NewBackend(op, 0.1)
 	bad := DefaultOptions()
 	bad.Nint = 0
 	if _, err := Solve(q, bad); err == nil {
@@ -346,7 +346,7 @@ func TestSolveValidation(t *testing.T) {
 
 func TestHistoriesRecorded(t *testing.T) {
 	op := smallAl(t, 8)
-	q := qep.New(op, 0.1)
+	q := qep.NewBackend(op, 0.1)
 	opts := testOptions()
 	opts.Nint = 4
 	opts.Nmm = 2
@@ -369,8 +369,8 @@ func TestMemoryEstimateScalesLinearly(t *testing.T) {
 	op8 := smallAl(t, 8)
 	op16 := smallAl(t, 16)
 	opts := testOptions()
-	m8 := MemoryEstimate(qep.New(op8, 0), opts)
-	m16 := MemoryEstimate(qep.New(op16, 0), opts)
+	m8 := MemoryEstimate(qep.NewBackend(op8, 0), opts)
+	m16 := MemoryEstimate(qep.NewBackend(op16, 0), opts)
 	ratio := float64(m16) / float64(m8)
 	if ratio < 1.5 || ratio > 2.5 {
 		t.Errorf("memory estimate ratio %g for doubled N, want about 2 (O(MN))", ratio)
@@ -398,9 +398,9 @@ func TestMemoryEstimateCountsAllocatedBuffers(t *testing.T) {
 		mid, ndm      int
 		workersPerTop int
 	}{
-		{"fd", qep.New(smallAl(t, 8), 0), 2, 1, 2},
-		{"fd-derived", qep.New(smallAl(t, 8), 0), 0, 1, derived},
-		{"fd-dist", qep.New(smallAl(t, 8), 0), 2, 2, 2},
+		{"fd", qep.NewBackend(smallAl(t, 8), 0), 2, 1, 2},
+		{"fd-derived", qep.NewBackend(smallAl(t, 8), 0), 0, 1, derived},
+		{"fd-dist", qep.NewBackend(smallAl(t, 8), 0), 2, 2, 2},
 		{"tb", qep.NewBackend(slab, 0), 2, 1, 2},
 	} {
 		q := tc.q
@@ -499,7 +499,7 @@ func TestPointOrderParksOutOfTurnPoints(t *testing.T) {
 // could never get a point or a column block, and MemoryEstimate counts none:
 // Mid is capped at Nint and Top at Nrh.
 func TestMemoryEstimateCountsStartedWorkers(t *testing.T) {
-	q := qep.New(smallAl(t, 8), 0)
+	q := qep.NewBackend(smallAl(t, 8), 0)
 	opts := testOptions()
 	opts.Nint = 8
 	for _, tc := range []struct{ over, capped Parallel }{
@@ -528,7 +528,7 @@ func TestSaturatedSolveKeepsNrh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := qep.New(op, ef)
+	q := qep.NewBackend(op, ef)
 	opts := testOptions()
 	opts.Nrh = 1
 	opts.Nmm = 2 // subspace of 2: certainly saturated at EF

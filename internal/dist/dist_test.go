@@ -28,7 +28,7 @@ func testProblem(t *testing.T) *qep.Problem {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return qep.New(op, 0.25)
+	return qep.NewBackend(op, 0.25)
 }
 
 func randBlock(n, nb int, seed int64) *soa.Block[float64] {

@@ -303,3 +303,102 @@ func (op *Operator) sampleProjector(at lattice.Atom, sp pseudo.Species, ch pseud
 	}
 	return proj, nil
 }
+
+// InterfaceThickness returns the number of boundary z planes through which
+// H+ (equivalently H-) reads its neighbour-cell input: the FD stencil
+// half-width plus any projector support that crosses a cell boundary. The
+// OBM baseline's interface blocks must span this many planes to capture the
+// full coupling.
+func (op *Operator) InterfaceThickness() int {
+	g := op.G
+	plane := g.PlaneSize()
+	t := op.St.Nf
+	grow := func(p int) {
+		if p+1 > t {
+			t = p + 1
+		}
+	}
+	for _, pr := range op.Projs {
+		hasM := len(pr.Supp[0].Idx) > 0 // offset -1
+		hasP := len(pr.Supp[2].Idx) > 0 // offset +1
+		// Columns of B_R: p^{+1} supports (measured from the cell bottom)
+		// and, when p^{-1} exists, the home support p^0 from the bottom.
+		for _, idx := range pr.Supp[2].Idx {
+			grow(int(idx) / plane)
+		}
+		if hasM {
+			for _, idx := range pr.Supp[1].Idx {
+				grow(int(idx) / plane)
+			}
+		}
+		// Columns of B_L: p^{-1} supports measured from the cell top and,
+		// when p^{+1} exists, the home support from the top.
+		for _, idx := range pr.Supp[0].Idx {
+			grow(g.Nz - 1 - int(idx)/plane)
+		}
+		if hasP {
+			for _, idx := range pr.Supp[1].Idx {
+				grow(g.Nz - 1 - int(idx)/plane)
+			}
+		}
+	}
+	if t > g.Nz {
+		t = g.Nz
+	}
+	return t
+}
+
+// Diag returns the kinetic diagonal (the d=0 stencil term of all three
+// directions), exposed for the distributed operator in package dist.
+func (op *Operator) Diag() float64 { return op.diag }
+
+// Kx, Ky, Kz return the signed kinetic tail coefficient -0.5*C[d]/h^2 of
+// offset d in the given direction.
+func (op *Operator) Kx(d int) float64 { return op.kx[d] }
+func (op *Operator) Ky(d int) float64 { return op.ky[d] }
+func (op *Operator) Kz(d int) float64 { return op.kz[d] }
+
+// NeighborX returns the periodic wrapped index tables (ix+d, ix-d) for
+// offset d.
+func (op *Operator) NeighborX(d int) (plus, minus []int32) {
+	return op.xp[d-1], op.xm[d-1]
+}
+
+// NeighborY returns the periodic wrapped index tables (iy+d, iy-d) for
+// offset d.
+func (op *Operator) NeighborY(d int) (plus, minus []int32) {
+	return op.yp[d-1], op.ym[d-1]
+}
+
+// MemoryBytes estimates the resident bytes of the matrix-free operator:
+// local potential, neighbour tables and projector supports. This is the
+// O(N) footprint the paper contrasts with the OBM baseline's O(N^2).
+func (op *Operator) MemoryBytes() int64 {
+	var b int64
+	b += int64(len(op.VLoc)) * 8
+	for _, p := range op.Projs {
+		for _, s := range p.Supp {
+			b += int64(len(s.Idx))*4 + int64(len(s.Val))*8
+		}
+	}
+	for d := range op.xp {
+		b += int64(len(op.xp[d])+len(op.xm[d])+len(op.yp[d])+len(op.ym[d])) * 4
+	}
+	b += int64(len(op.kx)+len(op.ky)+len(op.kz)) * 8
+	return b
+}
+
+// FlopsPerApply estimates floating-point operations of one H0 application
+// (used by the cluster performance model): stencil tails in 3 directions
+// plus projector work.
+func (op *Operator) FlopsPerApply() float64 {
+	n := float64(op.N())
+	nf := float64(op.St.Nf)
+	fl := n * (3*nf*2*8 + 8) // complex mul-add per tail pair, diag
+	for _, p := range op.Projs {
+		for _, s := range p.Supp {
+			fl += float64(len(s.Idx)) * 16
+		}
+	}
+	return fl
+}

@@ -23,7 +23,8 @@ package hamiltonian
 // support's samples in list order) does not depend on nb or on the arm of
 // the kernels' dispatch, so a column's bits are the same in every block
 // width, and the unshifted H0 block apply is bit-identical to the
-// single-vector ApplyH0 column by column.
+// complex128 stencil loop column by column (the loop is kept as the test
+// oracle in oracle_test.go).
 //
 // The entry points are generic over the plane element type F (soa.Float,
 // i.e. float64): the coefficient tables are converted once at construction
@@ -39,7 +40,10 @@ import (
 // plane element type F, and the grid shape with its neighbour tables in the
 // form the row kernel walks. Building the tables is a one-time setup cost;
 // they are immutable afterwards and shared by concurrent workers, so the
-// apply kernels keep every scratch value on their own stack.
+// apply kernels keep every scratch value on their own stack. At
+// F = float64 the tables share the operator's slices instead of copying
+// them, so a local potential updated in place between applies (the SCF
+// loop's mixing of op.VLoc) reaches the next apply.
 type SoATables[F soa.Float] struct {
 	op      *Operator
 	stencil *soa.Stencil
@@ -57,17 +61,17 @@ func NewSoATables[F soa.Float](op *Operator) *SoATables[F] {
 	g := op.G
 	t := &SoATables[F]{op: op,
 		stencil: soa.NewStencil(g.Nx, g.Ny, g.Nz, op.St.Nf, op.xp, op.xm, op.yp, op.ym)}
-	t.vloc = make([]F, len(op.VLoc))
-	for i, v := range op.VLoc {
-		t.vloc[i] = F(v)
-	}
 	conv := func(src []float64) []F {
+		if same, ok := any(src).([]F); ok {
+			return same
+		}
 		out := make([]F, len(src))
 		for i, v := range src {
 			out[i] = F(v)
 		}
 		return out
 	}
+	t.vloc = conv(op.VLoc)
 	t.kx, t.ky, t.kz = conv(op.kx), conv(op.ky), conv(op.kz)
 	t.diag = F(op.diag)
 	t.projH = make([]F, len(op.Projs))
@@ -133,7 +137,7 @@ func (t *SoATables[F]) checkBlockShape(v, out *soa.Block[F]) {
 }
 
 // ApplyH0Block computes out = H0*V on split planes, bit-identical (at
-// F = float64) to ApplyH0 on each column.
+// F = float64) to the complex128 stencil loop on each column.
 //
 //cbs:hotpath
 func (t *SoATables[F]) ApplyH0Block(v, out *soa.Block[F]) {

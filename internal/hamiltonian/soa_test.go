@@ -75,13 +75,13 @@ func kernelCases(t *testing.T) []kernelCase {
 
 // fusedTol bounds |plane - reference| per element for the fused plane
 // kernels, whose shift or coefficient enters before the sum over stencil
-// and projector terms where the single-vector reference applies it after.
+// and projector terms where the single-vector oracle applies it after.
 // The worst difference on the kernelCases matrix is about 1e-14.
 const fusedTol = 1e-13
 
 // checkFused runs a fused plane kernel on every case and width of the
 // matrix, from a random prior block in out, and compares each column with
-// want(v_c, prior_c) computed by the single-vector applies.
+// want(v_c, prior_c) computed by the single-vector oracle loops.
 func checkFused(t *testing.T, name string, kernel func(tab *SoATables[float64], v, out *soa.Block[float64]), want func(op *Operator, v, prior []complex128) []complex128) {
 	t.Helper()
 	for _, tc := range kernelCases(t) {
@@ -106,7 +106,7 @@ func checkFused(t *testing.T, name string, kernel func(tab *SoATables[float64], 
 }
 
 // TestSoAKernelsBitIdentical: the unshifted H0 plane apply must equal the
-// single-vector ApplyH0 bit for bit, column by column, on every case and
+// single-vector oracle loop oracleH0 bit for bit, column by column, on every case and
 // width of the kernel matrix and on whichever arm of the kernel dispatch
 // this run has (make test-noavx2 runs the other).
 func TestSoAKernelsBitIdentical(t *testing.T) {
@@ -118,10 +118,10 @@ func TestSoAKernelsBitIdentical(t *testing.T) {
 			out := soa.NewBlock[float64](n, nb)
 			tc.op.SoA64().ApplyH0Block(v, out)
 			for c := 0; c < nb; c++ {
-				tc.op.ApplyH0(planeCol(v, c), ref)
+				oracleH0(tc.op, planeCol(v, c), ref)
 				for i, g := range planeCol(out, c) {
 					if g != ref[i] {
-						t.Fatalf("%s nb=%d col %d row %d: planes %v, ApplyH0 %v", tc.name, nb, c, i, g, ref[i])
+						t.Fatalf("%s nb=%d col %d row %d: planes %v, oracle %v", tc.name, nb, c, i, g, ref[i])
 					}
 				}
 			}
@@ -130,7 +130,7 @@ func TestSoAKernelsBitIdentical(t *testing.T) {
 }
 
 // TestApplyBlockMatchesPerColumn: the shifted H0 plane apply, the H0 part of
-// P(z), must reproduce shift*v - ApplyH0 v column by column to fusedTol on
+// P(z), must reproduce shift*v - H0 v (the oracle loop) column by column to fusedTol on
 // the kernel matrix.
 func TestApplyBlockMatchesPerColumn(t *testing.T) {
 	const shift = 0.37
@@ -138,7 +138,7 @@ func TestApplyBlockMatchesPerColumn(t *testing.T) {
 		tab.ApplyShiftedH0Planes(shift, v, out)
 	}, func(op *Operator, v, _ []complex128) []complex128 {
 		h0v := make([]complex128, len(v))
-		op.ApplyH0(v, h0v)
+		oracleH0(op, v, h0v)
 		for i := range v {
 			v[i] = complex(shift, 0)*v[i] - h0v[i]
 		}
@@ -148,7 +148,7 @@ func TestApplyBlockMatchesPerColumn(t *testing.T) {
 
 // TestAccumBlockMatchesAxpy: the fused accumulate plane kernels,
 // out += coef * H± V, must equal "apply then axpy" with the single-vector
-// ApplyHp/ApplyHm and the same coefficient, column by column to fusedTol on
+// oracle loops and the same coefficient, column by column to fusedTol on
 // the kernel matrix.
 func TestAccumBlockMatchesAxpy(t *testing.T) {
 	for _, k := range []struct {
@@ -157,8 +157,8 @@ func TestAccumBlockMatchesAxpy(t *testing.T) {
 		kernel func(tab *SoATables[float64], cr, ci float64, v, out *soa.Block[float64])
 		single func(op *Operator, v, out []complex128)
 	}{
-		{"AccumHp", complex(0.3, -0.8), (*SoATables[float64]).AccumHpPlanes, (*Operator).ApplyHp},
-		{"AccumHm", complex(-0.45, 0.15), (*SoATables[float64]).AccumHmPlanes, (*Operator).ApplyHm},
+		{"AccumHp", complex(0.3, -0.8), (*SoATables[float64]).AccumHpPlanes, oracleHp},
+		{"AccumHm", complex(-0.45, 0.15), (*SoATables[float64]).AccumHmPlanes, oracleHm},
 	} {
 		checkFused(t, k.name, func(tab *SoATables[float64], v, out *soa.Block[float64]) {
 			k.kernel(tab, real(k.coef), imag(k.coef), v, out)

@@ -30,7 +30,7 @@ func benchAlPz(b *testing.B) (n int, apply, applyD BlockApplySoA[float64]) {
 		b.Fatal(err)
 	}
 	z := ring.Outer[0].Z
-	p, t := qep.New(op, eAl), op.SoA64()
+	p, t := qep.NewBackend(op, eAl), op.SoA64()
 	apply = func(v, out *soa.Block[float64]) { qep.ApplyBlockSoA(p, t, z, v, out) }
 	applyD = func(v, out *soa.Block[float64]) { qep.ApplyDaggerBlockSoA(p, t, z, v, out) }
 	return op.N(), apply, applyD

@@ -80,34 +80,12 @@ type Channel struct {
 	Right       bool // carries amplitude toward +z (v > 0, or decaying |lambda| < 1)
 }
 
-// Blocks extracts the dense H0, H+, H- blocks of a backend by applying it
-// to unit vectors: O(N) applies, O(N^2) storage. Transport cells are small
+// Blocks returns the dense H0, H+, H- blocks of a backend
+// (operator.DenseBlocks): O(N^2) storage. Transport cells are small
 // (tight-binding leads, or one FD cell), so dense assembly is the right
 // tool for the wave matching and the device Green function.
 func Blocks(b operator.Backend) (h0, hp, hm *zlinalg.Matrix) {
-	n := b.N()
-	h0 = zlinalg.NewMatrix(n, n)
-	hp = zlinalg.NewMatrix(n, n)
-	hm = zlinalg.NewMatrix(n, n)
-	e := make([]complex128, n)
-	out := make([]complex128, n)
-	for j := 0; j < n; j++ {
-		e[j] = 1
-		b.ApplyH0(e, out)
-		for i := 0; i < n; i++ {
-			h0.Set(i, j, out[i])
-		}
-		b.ApplyHp(e, out)
-		for i := 0; i < n; i++ {
-			hp.Set(i, j, out[i])
-		}
-		b.ApplyHm(e, out)
-		for i := 0; i < n; i++ {
-			hm.Set(i, j, out[i])
-		}
-		e[j] = 0
-	}
-	return h0, hp, hm
+	return operator.DenseBlocks(b)
 }
 
 // lambdaGroupTol clusters propagating Bloch factors into degenerate
@@ -133,8 +111,8 @@ const lambdaGroupTol = 1e-6
 // movers with definite velocity — replace the solver's arbitrary mixtures.
 func Classify(b operator.Backend, r *core.Result, tol float64) []Channel {
 	a := b.CellLength()
-	n := b.N()
-	scratch := make([]complex128, n)
+	x := operator.NewVectors(b)
+	scratch := make([]complex128, b.N())
 	out := make([]Channel, 0, len(r.Pairs))
 	var propIdx []int
 	for _, p := range r.Pairs {
@@ -162,12 +140,12 @@ func Classify(b operator.Backend, r *core.Result, tol float64) []Channel {
 		propIdx = rest
 		if len(group) == 1 {
 			c := &out[group[0]]
-			b.ApplyHp(c.Psi, scratch)
+			x.Hp(c.Psi, scratch)
 			c.Velocity = -2 * a * imag(c.Lambda*zlinalg.Dot(c.Psi, scratch))
 			c.Right = c.Velocity > 0
 			continue
 		}
-		resolveDegenerate(b, a, out, group)
+		resolveDegenerate(x, b.N(), a, out, group)
 	}
 	return out
 }
@@ -177,8 +155,7 @@ func Classify(b operator.Backend, r *core.Result, tol float64) []Channel {
 // solver's degenerate eigenvectors need not be orthogonal), then the
 // Hermitian velocity matrix V_ij = i a (lambda A_ij - conj(lambda A_ji)),
 // A_ij = psi_i^dagger H+ psi_j, is diagonalized.
-func resolveDegenerate(b operator.Backend, a float64, chans []Channel, group []int) {
-	n := b.N()
+func resolveDegenerate(x *operator.Vectors, n int, a float64, chans []Channel, group []int) {
 	m := len(group)
 	span := zlinalg.NewMatrix(n, m)
 	for j, gi := range group {
@@ -187,14 +164,14 @@ func resolveDegenerate(b operator.Backend, a float64, chans []Channel, group []i
 	q, err := zlinalg.OrthonormalizeColumns(span)
 	if err != nil {
 		// Dependent columns: fall back to the scalar classification.
-		scalarVelocity(b, a, chans, group)
+		scalarVelocity(x, n, a, chans, group)
 		return
 	}
 	lambda := chans[group[0]].Lambda
 	hpq := zlinalg.NewMatrix(n, m)
 	scratch := make([]complex128, n)
 	for j := 0; j < m; j++ {
-		b.ApplyHp(q.Col(j), scratch)
+		x.Hp(q.Col(j), scratch)
 		hpq.SetCol(j, scratch)
 	}
 	v := zlinalg.NewMatrix(m, m)
@@ -208,7 +185,7 @@ func resolveDegenerate(b operator.Backend, a float64, chans []Channel, group []i
 	}
 	vals, vecs, err := zlinalg.EigHermitian(v)
 	if err != nil {
-		scalarVelocity(b, a, chans, group)
+		scalarVelocity(x, n, a, chans, group)
 		return
 	}
 	for k, gi := range group {
@@ -224,11 +201,11 @@ func resolveDegenerate(b operator.Backend, a float64, chans []Channel, group []i
 }
 
 // scalarVelocity is the non-degenerate per-mode classification.
-func scalarVelocity(b operator.Backend, a float64, chans []Channel, group []int) {
-	scratch := make([]complex128, b.N())
+func scalarVelocity(x *operator.Vectors, n int, a float64, chans []Channel, group []int) {
+	scratch := make([]complex128, n)
 	for _, gi := range group {
 		c := &chans[gi]
-		b.ApplyHp(c.Psi, scratch)
+		x.Hp(c.Psi, scratch)
 		c.Velocity = -2 * a * imag(c.Lambda*zlinalg.Dot(c.Psi, scratch))
 		c.Right = c.Velocity > 0
 	}

@@ -20,6 +20,7 @@ import (
 	"cbs/internal/core"
 	"cbs/internal/negf"
 	"cbs/internal/qep"
+	"cbs/internal/soa"
 	"cbs/internal/sweep"
 	"cbs/internal/tb"
 	"cbs/internal/zlinalg"
@@ -649,18 +650,19 @@ func TestTransmissionSweepFanOutBitIdentical(t *testing.T) {
 
 // cancelOnClassify wraps a backend and cancels a context on the first H+
 // apply after the dense lead blocks are built — that is, inside the
-// channel classification of the first post-processed energy.
+// channel classification of the first post-processed energy. The dense
+// blocks of a cell of at most 64 sites take one H+ plane apply.
 type cancelOnClassify struct {
 	*tb.Backend
 	cancel context.CancelFunc
 	calls  atomic.Int64
 }
 
-func (c *cancelOnClassify) ApplyHp(v, out []complex128) {
-	if c.calls.Add(1) > int64(c.N()) {
+func (c *cancelOnClassify) AccumHpPlanes(coefRe, coefIm float64, v, out *soa.Block[float64]) {
+	if c.calls.Add(1) > 1 {
 		c.cancel()
 	}
-	c.Backend.ApplyHp(v, out)
+	c.Backend.AccumHpPlanes(coefRe, coefIm, v, out)
 }
 
 // TestTransmissionSweepCancelDuringPostProcessing cancels the context
@@ -680,7 +682,7 @@ func TestTransmissionSweepCancelDuringPostProcessing(t *testing.T) {
 			if !errors.Is(err, context.Canceled) || curve != nil {
 				t.Fatalf("got curve %v, err %v; want nil, context.Canceled", curve, err)
 			}
-			if b.calls.Load() <= int64(raw.N()) {
+			if b.calls.Load() <= 1 {
 				t.Fatal("the context was never cancelled")
 			}
 			for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; {

@@ -33,6 +33,7 @@ import (
 
 	"cbs/internal/hamiltonian"
 	"cbs/internal/linsolve"
+	"cbs/internal/operator"
 	"cbs/internal/qep"
 	"cbs/internal/zlinalg"
 )
@@ -95,8 +96,9 @@ func Solve(op *hamiltonian.Operator, e float64, opts Options) (*Result, error) {
 	// We need X_L = G*B_L and X_R = G*B_R where G = (E - H00)^{-1}. B_L and
 	// B_R map interface vectors into the cell, so each needs q solves.
 	tInv := time.Now()
+	h := operator.NewVectors(op)
 	apply := func(v, out []complex128) {
-		op.ApplyH0(v, out)
+		h.H0(v, out)
 		for i := range out {
 			out[i] = complex(e, 0)*v[i] - out[i]
 		}
@@ -120,7 +122,6 @@ func Solve(op *hamiltonian.Operator, e float64, opts Options) (*Result, error) {
 	// Interface selectors: bottom = first Nf planes, top = last Nf planes.
 	bottomIdx := make([]int, q)
 	topIdx := make([]int, q)
-	plane := g.PlaneSize()
 	for i := 0; i < q; i++ {
 		bottomIdx[i] = i
 		topIdx[i] = n - q + i
@@ -136,7 +137,7 @@ func Solve(op *hamiltonian.Operator, e float64, opts Options) (*Result, error) {
 	for i := 0; i < q; i++ {
 		// B_L acts on psi_{n-1}: only its top-plane values matter.
 		ei[topIdx[i]] = 1
-		op.ApplyHm(ei, col)
+		h.Hm(ei, col)
 		ei[topIdx[i]] = 0
 		x, mv, err := solveCol(col)
 		if err != nil {
@@ -147,7 +148,7 @@ func Solve(op *hamiltonian.Operator, e float64, opts Options) (*Result, error) {
 
 		// B_R acts on psi_{n+1}: only its bottom-plane values matter.
 		ei[bottomIdx[i]] = 1
-		op.ApplyHp(ei, col)
+		h.Hp(ei, col)
 		ei[bottomIdx[i]] = 0
 		x, mv, err = solveCol(col)
 		if err != nil {
@@ -157,7 +158,6 @@ func Solve(op *hamiltonian.Operator, e float64, opts Options) (*Result, error) {
 		xr.SetCol(i, x)
 	}
 	res.Timings.Inversion = time.Since(tInv)
-	_ = plane
 
 	// ---- dense pencil ------------------------------------------------------
 	tEig := time.Now()
@@ -192,7 +192,7 @@ func Solve(op *hamiltonian.Operator, e float64, opts Options) (*Result, error) {
 	res.Timings.Eigen = time.Since(tEig)
 
 	// ---- reconstruct and filter -------------------------------------------
-	qp := qep.New(op, e)
+	qp := qep.NewBackend(op, e)
 	a := g.Lz()
 	for j := range gep.Values {
 		if gep.IsInf[j] {

@@ -81,7 +81,7 @@ func TestOBMAgreesWithSakuraiSugiura(t *testing.T) {
 	ssOpts.Nint = 24
 	ssOpts.Nmm = 8
 	ssOpts.Nrh = 8
-	ssRes, err := core.Solve(qep.New(op, e), ssOpts)
+	ssRes, err := core.Solve(qep.NewBackend(op, e), ssOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestOBMClusterAgreementAtBandEdge(t *testing.T) {
 	ssOpts.Nint = 24
 	ssOpts.Nmm = 8
 	ssOpts.Nrh = 8
-	ssRes, err := core.Solve(qep.New(op, ef), ssOpts)
+	ssRes, err := core.Solve(qep.NewBackend(op, ef), ssOpts)
 	if err != nil {
 		t.Fatal(err)
 	}

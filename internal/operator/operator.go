@@ -12,12 +12,13 @@
 // Two implementations exist: the FD-grid Kohn-Sham operator
 // (internal/hamiltonian, the paper's workload) and the nearest-neighbor
 // tight-binding operator (internal/tb, closed-form dispersions for
-// property tests and cheap interactive transport serving). Every solve —
-// the block solves, the recovery ladder's one-column restarts and its
-// GMRES fallback — applies P(z) on split-complex planes through the Planes
-// method set, so the solver has one block layout and one Krylov step set
-// for both; the single-vector applies serve the residual checks, the dense
-// assemblies and the tests' per-column reference.
+// property tests and cheap interactive transport serving). A backend is
+// its three Planes kernels and nothing else applies its blocks: every
+// solve — the block solves, the recovery ladder's one-column restarts and
+// its GMRES fallback — applies P(z) on split-complex planes through them,
+// and the residual checks, the dense assemblies, the OBM baseline, the
+// band structure, SCF and NEGF's channel probes reach them through
+// Vectors and DenseBlocks, so the whole program runs one kernel set.
 package operator
 
 import "cbs/internal/soa"
@@ -39,12 +40,6 @@ type Backend interface {
 	Descriptor() string
 	// MemoryBytes estimates the backend's resident footprint.
 	MemoryBytes() int64
-
-	// Single-vector applies: the residual checks, the OBM baseline's and
-	// NEGF's operator probes, and the plane kernels' test reference.
-	ApplyH0(v, out []complex128)
-	ApplyHp(v, out []complex128)
-	ApplyHm(v, out []complex128)
 
 	Planes
 }

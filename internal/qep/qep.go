@@ -14,7 +14,6 @@ import (
 	"math"
 	"math/cmplx"
 
-	"cbs/internal/hamiltonian"
 	"cbs/internal/operator"
 	"cbs/internal/soa"
 	"cbs/internal/zlinalg"
@@ -25,11 +24,6 @@ import (
 type Problem struct {
 	B operator.Backend
 	E float64
-}
-
-// New builds the QEP for the FD-grid Hamiltonian at energy E.
-func New(op *hamiltonian.Operator, e float64) *Problem {
-	return &Problem{B: op, E: e}
 }
 
 // NewBackend builds the QEP for any operator backend at energy E.
@@ -43,27 +37,28 @@ func (p *Problem) Dim() int { return p.B.N() }
 // CellLength returns the backend's 1D lattice constant a (bohr).
 func (p *Problem) CellLength() float64 { return p.B.CellLength() }
 
-// Apply computes out = P(z) v, using scratch (length N).
-func (p *Problem) Apply(z complex128, v, out, scratch []complex128) {
+// Apply computes out = P(z) v with x's single-vector applies (x applies
+// p.B), using scratch (length N).
+func (p *Problem) Apply(x *operator.Vectors, z complex128, v, out, scratch []complex128) {
 	if len(v) != len(out) || len(scratch) != len(out) {
 		panic("qep: Apply length mismatch")
 	}
 	// out = (E - H0) v
-	p.B.ApplyH0(v, out)
+	x.H0(v, out)
 	for i := range out {
 		out[i] = complex(p.E, 0)*v[i] - out[i]
 	}
 	// out -= z H+ v
-	p.B.ApplyHp(v, scratch)
+	x.Hp(v, scratch)
 	zlinalg.Axpy(-z, scratch, out)
 	// out -= z^{-1} H- v
-	p.B.ApplyHm(v, scratch)
+	x.Hm(v, scratch)
 	zlinalg.Axpy(-1/z, scratch, out)
 }
 
 // ApplyDagger computes out = P(z)^dagger v = P(1/conj(z)) v.
-func (p *Problem) ApplyDagger(z complex128, v, out, scratch []complex128) {
-	p.Apply(1/cmplx.Conj(z), v, out, scratch)
+func (p *Problem) ApplyDagger(x *operator.Vectors, z complex128, v, out, scratch []complex128) {
+	p.Apply(x, 1/cmplx.Conj(z), v, out, scratch)
 }
 
 // ApplyBlock computes out = P(z) V for an n x nb block stored row-major
@@ -84,7 +79,7 @@ func (p *Problem) Residual(lambda complex128, psi []complex128) float64 {
 	n := p.Dim()
 	out := make([]complex128, n)
 	scratch := make([]complex128, n)
-	p.Apply(lambda, psi, out, scratch)
+	p.Apply(operator.NewVectors(p.B), lambda, psi, out, scratch)
 	den := zlinalg.Norm2(psi)
 	if den == 0 {
 		return math.Inf(1)

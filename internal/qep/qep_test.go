@@ -9,6 +9,7 @@ import (
 
 	"cbs/internal/hamiltonian"
 	"cbs/internal/lattice"
+	"cbs/internal/operator"
 	"cbs/internal/soa"
 	"cbs/internal/zlinalg"
 )
@@ -28,7 +29,7 @@ func testOperator(t *testing.T) *hamiltonian.Operator {
 
 func testProblem(t *testing.T) *Problem {
 	t.Helper()
-	return New(testOperator(t), 0.3)
+	return NewBackend(testOperator(t), 0.3)
 }
 
 // TestDaggerIdentity verifies the paper's halving identity P(z)^dagger =
@@ -37,6 +38,7 @@ func TestDaggerIdentity(t *testing.T) {
 	p := testProblem(t)
 	n := p.Dim()
 	z := complex(1.4, 0.6)
+	x := operator.NewVectors(p.B)
 	dense := func(apply func(v, out, scratch []complex128)) *zlinalg.Matrix {
 		m := zlinalg.NewMatrix(n, n)
 		v := make([]complex128, n)
@@ -50,8 +52,8 @@ func TestDaggerIdentity(t *testing.T) {
 		}
 		return m
 	}
-	pz := dense(func(v, out, s []complex128) { p.Apply(z, v, out, s) })
-	pd := dense(func(v, out, s []complex128) { p.ApplyDagger(z, v, out, s) })
+	pz := dense(func(v, out, s []complex128) { p.Apply(x, z, v, out, s) })
+	pd := dense(func(v, out, s []complex128) { p.ApplyDagger(x, z, v, out, s) })
 	if d := zlinalg.Sub(pd, pz.ConjTranspose()).MaxAbs(); d > 1e-11 {
 		t.Errorf("||P(z)^dagger - P(1/conj z)|| = %g", d)
 	}
@@ -64,17 +66,18 @@ func TestResidualConsistency(t *testing.T) {
 	// H(lambda) psi = E psi  <=>  P(lambda) psi = 0 for that E. Take a real
 	// k, diagonalize H(k), and use one eigenpair.
 	lam := cmplx.Exp(complex(0, 0.7))
-	h := op.BlochMatrix(lam)
+	h0, hp, hm := operator.DenseBlocks(op)
+	h := zlinalg.Add(zlinalg.Add(h0, zlinalg.Scale(lam, hp)), zlinalg.Scale(1/lam, hm))
 	vals, vecs, err := zlinalg.EigHermitian(h)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2 := New(op, vals[3])
+	p2 := NewBackend(op, vals[3])
 	if r := p2.Residual(lam, vecs.Col(3)); r > 1e-9 {
 		t.Errorf("residual of an exact eigenpair = %g", r)
 	}
 	// Wrong energy: residual is large.
-	p3 := New(op, vals[3]+0.5)
+	p3 := NewBackend(op, vals[3]+0.5)
 	if r := p3.Residual(lam, vecs.Col(3)); r < 1e-3 {
 		t.Errorf("residual at the wrong energy is suspiciously small: %g", r)
 	}
@@ -87,6 +90,7 @@ func TestApplyBlockMatchesApply(t *testing.T) {
 	p := testProblem(t)
 	n := p.Dim()
 	z := complex(1.7, -0.4)
+	x := operator.NewVectors(p.B)
 	for _, nb := range []int{1, 3, 8} {
 		rng := rand.New(rand.NewSource(int64(7 + nb)))
 		v := soa.NewBlock[float64](n, nb)
@@ -112,11 +116,11 @@ func TestApplyBlockMatchesApply(t *testing.T) {
 			for i := range col {
 				col[i] = complex(v.Re[i*nb+c], v.Im[i*nb+c])
 			}
-			p.Apply(z, col, ref, scratch)
+			p.Apply(x, z, col, ref, scratch)
 			if d := deviation(out, c); d > 1e-13 {
 				t.Errorf("ApplyBlockSoA nb=%d col %d: relative deviation %g", nb, c, d)
 			}
-			p.ApplyDagger(z, col, ref, scratch)
+			p.ApplyDagger(x, z, col, ref, scratch)
 			if d := deviation(outD, c); d > 1e-13 {
 				t.Errorf("ApplyDaggerBlockSoA nb=%d col %d: relative deviation %g", nb, c, d)
 			}

@@ -18,6 +18,7 @@ import (
 	"cbs/internal/density"
 	"cbs/internal/eigsparse"
 	"cbs/internal/hamiltonian"
+	"cbs/internal/operator"
 	"cbs/internal/poisson"
 	"cbs/internal/xc"
 )
@@ -109,7 +110,10 @@ func Run(op *hamiltonian.Operator, opts Options) (*Result, error) {
 	res := &Result{}
 	vxc := make([]float64, g.N())
 	n := g.N()
-	apply := func(v, out []complex128) { op.ApplyBlochGamma(v, out) }
+	// The plane tables read op.VLoc in place, so one helper sees each
+	// iteration's mixed potential.
+	x := operator.NewVectors(op)
+	apply := func(v, out []complex128) { x.Bloch(1, v, out) }
 	for iter := 0; iter < opts.MaxIter; iter++ {
 		res.Iterations = iter + 1
 		// Density of the lowest Gamma-point states of the current

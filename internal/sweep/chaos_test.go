@@ -47,7 +47,7 @@ func realSolve(t *testing.T) SolveFunc {
 		t.Fatal(err)
 	}
 	return func(ctx context.Context, e float64, opts core.Options) (*core.Result, error) {
-		return core.SolveContext(ctx, qep.New(op, e), opts)
+		return core.SolveContext(ctx, qep.NewBackend(op, e), opts)
 	}
 }
 

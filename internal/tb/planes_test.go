@@ -6,11 +6,44 @@ import (
 	"math/rand"
 	"testing"
 
+	"cbs/internal/operator"
 	"cbs/internal/soa"
+	"cbs/internal/zlinalg"
 )
 
 // The hop loops the plane applies replaced, kept as their oracle: the CSR
-// tables must give every element the bits these loops give it.
+// tables must give every element the bits these loops give it, and
+// operator.Vectors and operator.DenseBlocks, which derive the single-vector
+// applies and dense blocks from the tables, the bits of the complex128
+// loops below.
+
+// hopH0 computes out = H0 v on complex vectors.
+func hopH0(b *Backend, v, out []complex128) {
+	for i := range out {
+		out[i] = complex(b.onsite[i], 0) * v[i]
+	}
+	for _, h := range b.intra {
+		t := complex(h.t, 0)
+		out[h.i] += t * v[h.j]
+		out[h.j] += t * v[h.i]
+	}
+}
+
+// hopHp computes out = H+ v on complex vectors.
+func hopHp(b *Backend, v, out []complex128) {
+	clear(out)
+	for _, h := range b.inter {
+		out[h.i] += complex(h.t, 0) * v[h.j]
+	}
+}
+
+// hopHm computes out = H- v = H+^T v on complex vectors.
+func hopHm(b *Backend, v, out []complex128) {
+	clear(out)
+	for _, h := range b.inter {
+		out[h.j] += complex(h.t, 0) * v[h.i]
+	}
+}
 
 func hopShiftedH0(b *Backend, shift float64, v, out *soa.Block[float64]) {
 	nb := v.NB()
@@ -55,10 +88,9 @@ func hopAccumHm(b *Backend, coefRe, coefIm float64, v, out *soa.Block[float64]) 
 	}
 }
 
-// TestPlaneAppliesMatchHopLoops: the three plane applies are bit-equal to
-// the hop loops on chains of 1, 3 and 8 sites and slabs of 8x7, 1x1 and 3x5
-// sites, at block widths 1..9 and 16, and allocate nothing.
-func TestPlaneAppliesMatchHopLoops(t *testing.T) {
+// oracleBackends are the chains of 1, 3 and 8 sites and the slabs of 8x7,
+// 1x1 and 3x5 sites the plane applies are checked on.
+func oracleBackends(t *testing.T) []*Backend {
 	var backends []*Backend
 	for _, nc := range []int{1, 3, 8} {
 		b, err := NewChain(ChainConfig{Sites: nc, Onsite: 0.3, Hopping: -1.1, A: float64(nc)})
@@ -74,9 +106,16 @@ func TestPlaneAppliesMatchHopLoops(t *testing.T) {
 		}
 		backends = append(backends, b)
 	}
+	return backends
+}
+
+// TestPlaneAppliesMatchHopLoops: the three plane applies are bit-equal to
+// the hop loops on the oracle backends, at block widths 1..9 and 16, and
+// allocate nothing.
+func TestPlaneAppliesMatchHopLoops(t *testing.T) {
 	const shift = 0.37
 	coefRe, coefIm := 0.4, -1.2
-	for _, b := range backends {
+	for _, b := range oracleBackends(t) {
 		n := b.N()
 		for _, nb := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16} {
 			rng := rand.New(rand.NewSource(int64(n*100 + nb)))
@@ -118,6 +157,64 @@ func TestPlaneAppliesMatchHopLoops(t *testing.T) {
 					t.Errorf("%s: %.0f allocations per call, want 0", name, allocs)
 				}
 			}
+		}
+	}
+}
+
+// TestVectorsMatchHopLoops: on the oracle backends operator.Vectors gives
+// the complex hop loops' bits for H0, H+, H- and H(lambda) on a random
+// vector, and every column of operator.DenseBlocks is the loop applied to
+// its unit vector, signed zeros included.
+func TestVectorsMatchHopLoops(t *testing.T) {
+	same := func(name string, got, want []complex128) {
+		t.Helper()
+		for i := range want {
+			if math.Float64bits(real(got[i])) != math.Float64bits(real(want[i])) ||
+				math.Float64bits(imag(got[i])) != math.Float64bits(imag(want[i])) {
+				t.Fatalf("%s: element %d = %v, hop loop %v", name, i, got[i], want[i])
+			}
+		}
+	}
+	for _, b := range oracleBackends(t) {
+		n := b.N()
+		x := operator.NewVectors(b)
+		rng := rand.New(rand.NewSource(int64(n)))
+		v := make([]complex128, n)
+		for i := range v {
+			v[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+		}
+		got, want, scratch := make([]complex128, n), make([]complex128, n), make([]complex128, n)
+		for _, k := range []struct {
+			name    string
+			derived func(v, out []complex128)
+			oracle  func(b *Backend, v, out []complex128)
+		}{{"H0", x.H0, hopH0}, {"H+", x.Hp, hopHp}, {"H-", x.Hm, hopHm}} {
+			k.derived(v, got)
+			k.oracle(b, v, want)
+			same(b.Descriptor()+" "+k.name, got, want)
+		}
+		lambda := complex(0.3, -0.8)
+		x.Bloch(lambda, v, got)
+		hopH0(b, v, want)
+		hopHp(b, v, scratch)
+		zlinalg.Axpy(lambda, scratch, want)
+		hopHm(b, v, scratch)
+		zlinalg.Axpy(1/lambda, scratch, want)
+		same(b.Descriptor()+" Bloch", got, want)
+
+		h0, hp, hm := operator.DenseBlocks(b)
+		e := make([]complex128, n)
+		for j := range e {
+			e[j] = 1
+			for _, k := range []struct {
+				name   string
+				dense  *zlinalg.Matrix
+				oracle func(b *Backend, v, out []complex128)
+			}{{"dense H0", h0, hopH0}, {"dense H+", hp, hopHp}, {"dense H-", hm, hopHm}} {
+				k.oracle(b, e, want)
+				same(fmt.Sprintf("%s %s col %d", b.Descriptor(), k.name, j), k.dense.Col(j), want)
+			}
+			e[j] = 0
 		}
 	}
 }

@@ -46,8 +46,8 @@ type Backend struct {
 	inter  []hop // <i, cell n | H | j, cell n+1> = t
 
 	// The plane applies' tables, compiled from intra and inter by
-	// compile: each row lists its hops in the order the single-vector hop
-	// loops reach that row, so every element sees the same arithmetic.
+	// compile: each row lists its hops in the order a loop over the hop
+	// lists reaches that row (the test oracle is such a loop).
 	h0, hp, hm *soa.CSR
 }
 
@@ -188,47 +188,6 @@ func (b *Backend) FermiGuess() float64 {
 func (b *Backend) MemoryBytes() int64 {
 	return int64(len(b.onsite))*8 + int64(len(b.intra)+len(b.inter))*24 +
 		b.h0.MemoryBytes() + b.hp.MemoryBytes() + b.hm.MemoryBytes()
-}
-
-func (b *Backend) checkLen(v, out []complex128) {
-	if len(v) != b.n || len(out) != b.n {
-		panic("tb: vector length mismatch")
-	}
-}
-
-// ApplyH0 computes out = H0 v.
-func (b *Backend) ApplyH0(v, out []complex128) {
-	b.checkLen(v, out)
-	for i := range out {
-		out[i] = complex(b.onsite[i], 0) * v[i]
-	}
-	for _, h := range b.intra {
-		t := complex(h.t, 0)
-		out[h.i] += t * v[h.j]
-		out[h.j] += t * v[h.i]
-	}
-}
-
-// ApplyHp computes out = H+ v.
-func (b *Backend) ApplyHp(v, out []complex128) {
-	b.checkLen(v, out)
-	for i := range out {
-		out[i] = 0
-	}
-	for _, h := range b.inter {
-		out[h.i] += complex(h.t, 0) * v[h.j]
-	}
-}
-
-// ApplyHm computes out = H- v = H+^T v (real hoppings).
-func (b *Backend) ApplyHm(v, out []complex128) {
-	b.checkLen(v, out)
-	for i := range out {
-		out[i] = 0
-	}
-	for _, h := range b.inter {
-		out[h.j] += complex(h.t, 0) * v[h.i]
-	}
 }
 
 // ApplyShiftedH0Planes computes out = (shift - H0) V on split planes

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"cbs/internal/core"
+	"cbs/internal/operator"
 	"cbs/internal/qep"
 	"cbs/internal/soa"
 	"cbs/internal/tb"
@@ -79,11 +80,13 @@ func TestSlabBlockedAppliesMatchReference(t *testing.T) {
 }
 
 // checkBackendConsistency verifies the blocked plane applies against the
-// single-vector reference and the structural identities the dual contour
-// needs: H0 = H0^dagger and H- = H+^dagger.
+// single-vector applies (operator.Vectors, one-column planes) and the
+// structural identities the dual contour needs: H0 = H0^dagger and
+// H- = H+^dagger.
 func checkBackendConsistency(t *testing.T, b *tb.Backend) {
 	t.Helper()
 	n := b.N()
+	x := operator.NewVectors(b)
 	rng := rand.New(rand.NewSource(7))
 	randVec := func() []complex128 {
 		v := make([]complex128, n)
@@ -102,12 +105,12 @@ func checkBackendConsistency(t *testing.T, b *tb.Backend) {
 	u, v := randVec(), randVec()
 	h0v, hpv, hmv := make([]complex128, n), make([]complex128, n), make([]complex128, n)
 	h0u, hpu, hmu := make([]complex128, n), make([]complex128, n), make([]complex128, n)
-	b.ApplyH0(v, h0v)
-	b.ApplyHp(v, hpv)
-	b.ApplyHm(v, hmv)
-	b.ApplyH0(u, h0u)
-	b.ApplyHp(u, hpu)
-	b.ApplyHm(u, hmu)
+	x.H0(v, h0v)
+	x.Hp(v, hpv)
+	x.Hm(v, hmv)
+	x.H0(u, h0u)
+	x.Hp(u, hpu)
+	x.Hm(u, hmu)
 	if d := cmplx.Abs(dot(u, h0v) - cmplx.Conj(dot(v, h0u))); d > 1e-12 {
 		t.Errorf("H0 not hermitian: defect %g", d)
 	}
@@ -134,15 +137,15 @@ func checkBackendConsistency(t *testing.T, b *tb.Backend) {
 		}
 		want := make([]complex128, n)
 		tmp := make([]complex128, n)
-		b.ApplyH0(vc, tmp)
+		x.H0(vc, tmp)
 		for i := range want {
 			want[i] = complex(shift, 0)*vc[i] - tmp[i]
 		}
-		b.ApplyHp(vc, tmp)
+		x.Hp(vc, tmp)
 		for i := range want {
 			want[i] += coefP * tmp[i]
 		}
-		b.ApplyHm(vc, tmp)
+		x.Hm(vc, tmp)
 		for i := range want {
 			want[i] += coefM * tmp[i]
 		}
@@ -155,12 +158,12 @@ func checkBackendConsistency(t *testing.T, b *tb.Backend) {
 }
 
 // TestPlaneAppliesMatchInterleaved: the plane kernels reproduce the
-// single-vector applies on interleaved complex128 vectors column by column
-// — (shift - H0)V against shift*v - ApplyH0 v, prior + coef*H±V against
-// prior + coef*ApplyH± v, to 1e-13 per element (the coefficient enters
-// per hop in the plane kernels, once per vector in the reference) — on
-// chains and slabs, on every block width the solver hands them, and
-// allocate nothing.
+// single-vector applies (operator.Vectors) on interleaved complex128
+// vectors column by column — (shift - H0)V against shift*v - H0 v,
+// prior + coef*H±V against prior + coef*(H± v), to 1e-13 per element (the
+// coefficient enters per hop in the plane kernels, once per vector in the
+// reference) — on chains and slabs, on every block width the solver hands
+// them, and allocate nothing.
 func TestPlaneAppliesMatchInterleaved(t *testing.T) {
 	chain, err := tb.NewChain(tb.ChainConfig{Sites: 7, Onsite: 0.3, Hopping: -1.1, A: 7})
 	if err != nil {
@@ -175,6 +178,7 @@ func TestPlaneAppliesMatchInterleaved(t *testing.T) {
 	coefM := complex(-0.9, 0.3)
 	for _, b := range []*tb.Backend{chain, slab} {
 		n := b.N()
+		x := operator.NewVectors(b)
 		ref := make([]complex128, n)
 		for _, nb := range []int{1, 2, 3, 4, 5, 7, 8, 16, 17} {
 			rng := rand.New(rand.NewSource(int64(n*100 + nb)))
@@ -196,21 +200,21 @@ func TestPlaneAppliesMatchInterleaved(t *testing.T) {
 				planes func()
 			}{
 				{"ShiftedH0", func(v, _ []complex128) []complex128 {
-					b.ApplyH0(v, ref)
+					x.H0(v, ref)
 					for i := range v {
 						v[i] = complex(shift, 0)*v[i] - ref[i]
 					}
 					return v
 				}, func() { b.ApplyShiftedH0Planes(shift, vb, ob) }},
 				{"AccumHp", func(v, prior []complex128) []complex128 {
-					b.ApplyHp(v, ref)
+					x.Hp(v, ref)
 					for i := range prior {
 						prior[i] += coefP * ref[i]
 					}
 					return prior
 				}, func() { b.AccumHpPlanes(real(coefP), imag(coefP), vb, ob) }},
 				{"AccumHm", func(v, prior []complex128) []complex128 {
-					b.ApplyHm(v, ref)
+					x.Hm(v, ref)
 					for i := range prior {
 						prior[i] += coefM * ref[i]
 					}
