@@ -103,9 +103,9 @@ type (
 	// SCFResult is its outcome.
 	SCFResult = scf.Result
 	// OperatorBackend is the operator contract a CBS solve needs: the
-	// cell-periodic applies of H0/H+/H-, single-vector and on split-complex
-	// planes, plus identity metadata (see internal/operator). The FD-grid Hamiltonian and the tight-binding
-	// backends both satisfy it.
+	// cell-periodic applies of H0/H+/H- on split-complex planes, plus
+	// identity metadata (see internal/operator). The FD-grid Hamiltonian
+	// and the tight-binding backends both satisfy it.
 	OperatorBackend = operator.Backend
 	// TBChainConfig parameterizes the 1D nearest-neighbor tight-binding
 	// chain backend (analytic dispersion E = eps + 2t cos ka).

@@ -20,18 +20,13 @@ import (
 
 // Bands diagonalizes H(k) at each k (in units of 1/bohr) and returns the
 // lowest nbands eigenvalues (hartree), ascending, per k. nbands <= 0 means
-// all. The dense blocks are assembled once; H(k) adds lambda H+ and then
-// lambda^{-1} H- to H0 element by element.
+// all.
 func Bands(op *hamiltonian.Operator, ks []float64, nbands int) ([][]float64, error) {
 	a := op.G.Lz()
-	h0, hp, hm := operator.DenseBlocks(op)
 	out := make([][]float64, len(ks))
 	for i, k := range ks {
 		lam := qep.LambdaFromK(complex(k, 0), a)
-		h := h0.Clone()
-		zlinalg.Axpy(lam, hp.Data, h.Data)
-		zlinalg.Axpy(1/lam, hm.Data, h.Data)
-		vals, _, err := zlinalg.EigHermitian(h)
+		vals, _, err := zlinalg.EigHermitian(operator.DenseBloch(op, lam))
 		if err != nil {
 			return nil, fmt.Errorf("bandstructure: k=%g: %w", k, err)
 		}

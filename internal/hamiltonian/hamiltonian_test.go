@@ -98,7 +98,7 @@ func TestBlocksHermitianStructure(t *testing.T) {
 	}
 	// Bloch Hamiltonian at |lambda| = 1 is Hermitian.
 	lam := cmplx.Exp(complex(0, 0.37))
-	hk := zlinalg.Add(zlinalg.Add(h0, zlinalg.Scale(lam, hp)), zlinalg.Scale(1/lam, hm))
+	hk := operator.DenseBloch(op, lam)
 	if !hk.IsHermitian(1e-10) {
 		t.Error("H(k) not Hermitian for |lambda| = 1")
 	}

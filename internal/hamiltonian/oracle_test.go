@@ -210,7 +210,8 @@ func sameBits(t *testing.T, name string, got, want []complex128) {
 // this run's arm of the kernel dispatch (make test-noavx2 runs the other),
 // operator.Vectors gives the oracle's bits for H0, H+, H- and H(lambda) on
 // random vectors, one with signed zeros among them, and every column of
-// operator.DenseBlocks is the oracle apply to its unit vector.
+// operator.DenseBlocks and operator.DenseBloch is the oracle apply to its
+// unit vector.
 func TestVectorsMatchOracle(t *testing.T) {
 	for _, tc := range kernelCases(t) {
 		op := tc.op
@@ -250,6 +251,7 @@ func TestVectorsMatchOracle(t *testing.T) {
 		}
 
 		h0, hp, hm := operator.DenseBlocks(op)
+		hk := operator.DenseBloch(op, lambda)
 		e := make([]complex128, n)
 		for j := 0; j < n; j++ {
 			e[j] = 1
@@ -259,6 +261,7 @@ func TestVectorsMatchOracle(t *testing.T) {
 				oracle func(op *Operator, v, out []complex128)
 			}{
 				{"dense H0", h0, oracleH0}, {"dense H+", hp, oracleHp}, {"dense H-", hm, oracleHm},
+				{"dense H(lambda)", hk, func(op *Operator, v, out []complex128) { oracleBloch(op, lambda, v, out, scratch) }},
 			} {
 				k.oracle(op, e, want)
 				sameBits(t, tc.name+" "+k.name, k.dense.Col(j), want)

@@ -76,48 +76,61 @@ func (x *Vectors) accum(plus bool, out []complex128) {
 	soa.Unpack(out, x.out)
 }
 
-// denseCols is the widest identity block DenseBlocks applies at once: its
-// two plane blocks hold 32 n denseCols bytes.
+// denseCols is the widest identity block the dense assemblies apply at
+// once: its four plane blocks hold 64 n denseCols bytes.
 const denseCols = 64
 
-// DenseBlocks assembles H0, H+ and H- of b densely: one plane apply of
-// each kernel per denseCols-wide slice of the identity, so column j holds
-// the Vectors apply to the unit vector e_j bit for bit. O(n^2) storage,
-// for small cells (transport leads, conventional bands).
+// DenseBlocks assembles H0, H+ and H- of b densely, so column j holds the
+// Vectors apply to the unit vector e_j bit for bit. O(n^2) storage, for
+// small cells (transport leads).
 func DenseBlocks(b Backend) (h0, hp, hm *zlinalg.Matrix) {
 	n := b.N()
 	h0, hp, hm = zlinalg.NewMatrix(n, n), zlinalg.NewMatrix(n, n), zlinalg.NewMatrix(n, n)
-	v, out := soa.NewBlock[float64](n, min(n, denseCols)), soa.NewBlock[float64](n, min(n, denseCols))
-	for c0 := 0; c0 < n; c0 += denseCols {
-		w := min(denseCols, n-c0)
-		v.Reserve(n, w)
-		out.Reserve(n, w)
-		v.Zero()
-		for c := 0; c < w; c++ {
-			v.Re[(c0+c)*w+c] = 1
-		}
-		b.ApplyShiftedH0Planes(0, v, out)
-		for i := range out.Re {
-			out.Re[i], out.Im[i] = 0-out.Re[i], 0-out.Im[i]
-		}
-		setCols(h0, out, c0)
-		out.Zero()
-		b.AccumHpPlanes(1, 0, v, out)
-		setCols(hp, out, c0)
-		out.Zero()
-		b.AccumHmPlanes(1, 0, v, out)
-		setCols(hm, out, c0)
-	}
+	denseChunks(b, func(i, j int, z0, zp, zm complex128) {
+		h0.Set(i, j, z0)
+		hp.Set(i, j, zp)
+		hm.Set(i, j, zm)
+	})
 	return h0, hp, hm
 }
 
-// setCols copies the columns of blk into m's columns c0, c0+1, ...
-func setCols(m *zlinalg.Matrix, blk *soa.Block[float64], c0 int) {
-	w := blk.NB()
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols+c0:][:w]
-		for c := range row {
-			row[c] = complex(blk.Re[i*w+c], blk.Im[i*w+c])
+// DenseBloch assembles H(lambda) = H0 + lambda H+ + lambda^{-1} H- of b
+// densely for a nonzero lambda, so column j holds Vectors.Bloch applied to
+// e_j bit for bit (conventional bands). Only the result is n x n.
+func DenseBloch(b Backend, lambda complex128) *zlinalg.Matrix {
+	n := b.N()
+	h := zlinalg.NewMatrix(n, n)
+	il := 1 / lambda
+	denseChunks(b, func(i, j int, z0, zp, zm complex128) {
+		z := z0 + lambda*zp
+		h.Set(i, j, z+il*zm)
+	})
+	return h
+}
+
+// denseChunks applies the three kernels to the identity denseCols columns
+// at a time and hands every element (i, j) of H0, H+ and H- to set.
+func denseChunks(b Backend, set func(i, j int, z0, zp, zm complex128)) {
+	n := b.N()
+	w := min(n, denseCols)
+	v, o0, op, om := soa.NewBlock[float64](n, w), soa.NewBlock[float64](n, w), soa.NewBlock[float64](n, w), soa.NewBlock[float64](n, w)
+	for c0 := 0; c0 < n; c0 += denseCols {
+		w = min(denseCols, n-c0)
+		for _, blk := range []*soa.Block[float64]{v, o0, op, om} {
+			blk.Reserve(n, w)
+			blk.Zero()
+		}
+		for c := 0; c < w; c++ {
+			v.Re[(c0+c)*w+c] = 1
+		}
+		b.ApplyShiftedH0Planes(0, v, o0)
+		b.AccumHpPlanes(1, 0, v, op)
+		b.AccumHmPlanes(1, 0, v, om)
+		for i := 0; i < n; i++ {
+			for c := 0; c < w; c++ {
+				k := i*w + c
+				set(i, c0+c, complex(0-o0.Re[k], 0-o0.Im[k]), complex(op.Re[k], op.Im[k]), complex(om.Re[k], om.Im[k]))
+			}
 		}
 	}
 }

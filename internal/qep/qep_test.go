@@ -66,8 +66,7 @@ func TestResidualConsistency(t *testing.T) {
 	// H(lambda) psi = E psi  <=>  P(lambda) psi = 0 for that E. Take a real
 	// k, diagonalize H(k), and use one eigenpair.
 	lam := cmplx.Exp(complex(0, 0.7))
-	h0, hp, hm := operator.DenseBlocks(op)
-	h := zlinalg.Add(zlinalg.Add(h0, zlinalg.Scale(lam, hp)), zlinalg.Scale(1/lam, hm))
+	h := operator.DenseBloch(op, lam)
 	vals, vecs, err := zlinalg.EigHermitian(h)
 	if err != nil {
 		t.Fatal(err)

@@ -6,7 +6,7 @@ import "math"
 // inside the kernel, so one dispatch produces a whole output row of the
 // stencil (StencilRow) or consumes a whole projector support (GatherDot,
 // ScatterAxpy). The accumulators live in registers across every term of an
-// element, in the per-element order of the single-vector ApplyH0 —
+// element, in the per-element order of the complex128 stencil loop —
 // diagonal, x d = 1..nf, y d = 1..nf, z d = 1..nf with +d before -d — and
 // the asm arm is the exact transcription of the scalar sibling under the
 // contract of simd.go, VMULPD/VADDPD only, so both arms give those bits.

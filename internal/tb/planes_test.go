@@ -163,8 +163,8 @@ func TestPlaneAppliesMatchHopLoops(t *testing.T) {
 
 // TestVectorsMatchHopLoops: on the oracle backends operator.Vectors gives
 // the complex hop loops' bits for H0, H+, H- and H(lambda) on a random
-// vector, and every column of operator.DenseBlocks is the loop applied to
-// its unit vector, signed zeros included.
+// vector, and every column of operator.DenseBlocks and operator.DenseBloch
+// is the loops applied to its unit vector, signed zeros included.
 func TestVectorsMatchHopLoops(t *testing.T) {
 	same := func(name string, got, want []complex128) {
 		t.Helper()
@@ -194,15 +194,19 @@ func TestVectorsMatchHopLoops(t *testing.T) {
 			same(b.Descriptor()+" "+k.name, got, want)
 		}
 		lambda := complex(0.3, -0.8)
+		bloch := func(b *Backend, v, out []complex128) {
+			hopH0(b, v, out)
+			hopHp(b, v, scratch)
+			zlinalg.Axpy(lambda, scratch, out)
+			hopHm(b, v, scratch)
+			zlinalg.Axpy(1/lambda, scratch, out)
+		}
 		x.Bloch(lambda, v, got)
-		hopH0(b, v, want)
-		hopHp(b, v, scratch)
-		zlinalg.Axpy(lambda, scratch, want)
-		hopHm(b, v, scratch)
-		zlinalg.Axpy(1/lambda, scratch, want)
+		bloch(b, v, want)
 		same(b.Descriptor()+" Bloch", got, want)
 
 		h0, hp, hm := operator.DenseBlocks(b)
+		hk := operator.DenseBloch(b, lambda)
 		e := make([]complex128, n)
 		for j := range e {
 			e[j] = 1
@@ -210,7 +214,7 @@ func TestVectorsMatchHopLoops(t *testing.T) {
 				name   string
 				dense  *zlinalg.Matrix
 				oracle func(b *Backend, v, out []complex128)
-			}{{"dense H0", h0, hopH0}, {"dense H+", hp, hopHp}, {"dense H-", hm, hopHm}} {
+			}{{"dense H0", h0, hopH0}, {"dense H+", hp, hopHp}, {"dense H-", hm, hopHm}, {"dense H(lambda)", hk, bloch}} {
 				k.oracle(b, e, want)
 				same(fmt.Sprintf("%s %s col %d", b.Descriptor(), k.name, j), k.dense.Col(j), want)
 			}
