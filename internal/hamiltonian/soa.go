@@ -56,7 +56,8 @@ type SoATables[F soa.Float] struct {
 	projVal [][3][]F // per projector, per cell offset: dV-weighted samples
 }
 
-// NewSoATables converts the operator's coefficient tables to F.
+// NewSoATables converts the operator's coefficient tables to F, or shares
+// them where F is float64.
 func NewSoATables[F soa.Float](op *Operator) *SoATables[F] {
 	g := op.G
 	t := &SoATables[F]{op: op,
