@@ -11,9 +11,10 @@ import (
 )
 
 // The single-vector complex128 loops the plane kernels replaced, kept as
-// their oracle: operator.Vectors and operator.DenseBlocks, which derive
-// every single-vector apply and dense block from the plane kernels, must
-// give each element the bits these loops give it, signed zeros included.
+// their oracle: operator.Vectors, operator.DenseBlocks and
+// operator.DenseBloch, which derive every single-vector apply and dense
+// block from the plane kernels, must give each element the bits these
+// loops give it (up to the sign of a zero, see sameBits).
 
 // mulRe computes (c+0i)*z for a real coefficient c in two real multiplies.
 func mulRe(c float64, z complex128) complex128 {
