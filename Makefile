@@ -150,6 +150,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzStencilRow -fuzztime=30s ./internal/soa
 	$(GO) test -run=NONE -fuzz=FuzzLaneKernels -fuzztime=30s ./internal/soa
 	$(GO) test -run=NONE -fuzz=FuzzCSRKernels -fuzztime=30s ./internal/soa
+	$(GO) test -run=NONE -fuzz=FuzzRowKernels -fuzztime=30s ./internal/soa
 
 # bench-smoke is the CI gate on the one benchmark (bench/, BENCHMARK.json):
 # all five workloads at tiny sizes with a one-second timed part each, every
@@ -161,16 +162,17 @@ bench-smoke:
 # layer-bench-smoke runs the layer benchmarks — the P(z) block apply and
 # the block solve under bench/'s qep.pz_block_ns_per_col and
 # linsolve.ns_per_iter_col, one Krylov iteration's vector work, the
-# Hankel SVD under core.extract_ms and the tight-binding plane applies
-# under qep.portable_block_ns_per_col — once each, on both arms of the
-# kernel dispatch, and the NEGF wave matching and device transmission under
-# negf.ms_per_energy once, so they cannot rot; the timings of a single
-# iteration mean nothing.
+# Hankel SVD under core.extract_ms, one transport cell's LU factor and
+# solve, the tight-binding plane applies under qep.portable_block_ns_per_col,
+# and the NEGF wave matching and device transmission under
+# negf.ms_per_energy — once each, on both arms of the kernel dispatch, so
+# they cannot rot; the timings of a single iteration mean nothing.
 layer-bench-smoke:
 	$(GO) test -run=NONE -bench='ApplyBlockSoA|BlockBiCGDualSoA|KrylovStep' -benchtime=1x ./internal/linsolve
 	CBS_NO_AVX2=1 $(GO) test -run=NONE -bench='ApplyBlockSoA|BlockBiCGDualSoA|KrylovStep' -benchtime=1x ./internal/linsolve
-	$(GO) test -run=NONE -bench=JacobiSVD -benchtime=1x ./internal/zlinalg
-	CBS_NO_AVX2=1 $(GO) test -run=NONE -bench=JacobiSVD -benchtime=1x ./internal/zlinalg
+	$(GO) test -run=NONE -bench='JacobiSVD|LUSolve' -benchtime=1x ./internal/zlinalg
+	CBS_NO_AVX2=1 $(GO) test -run=NONE -bench='JacobiSVD|LUSolve' -benchtime=1x ./internal/zlinalg
 	$(GO) test -run=NONE -bench=TBPlanes -benchtime=1x ./internal/tb
 	CBS_NO_AVX2=1 $(GO) test -run=NONE -bench=TBPlanes -benchtime=1x ./internal/tb
 	$(GO) test -run=NONE -bench='Transmission|LeadSelfEnergies' -benchtime=1x ./internal/negf
+	CBS_NO_AVX2=1 $(GO) test -run=NONE -bench='Transmission|LeadSelfEnergies' -benchtime=1x ./internal/negf

@@ -8,7 +8,8 @@ package soa
 // dispatched at runtime (HasAVX2) with a scalar sibling of each as the
 // portable arm: the cell-coupling axpy and the column-lane Krylov kernels
 // in this file, the stencil row and the projector gather/scatter in
-// stencil.go, the Jacobi pair kernels in jacobi.go.
+// stencil.go, the Jacobi pair kernels in jacobi.go, the interleaved
+// complex row kernels in zrow.go.
 //
 // Bit-exactness contract: every asm kernel performs, per element, exactly
 // the multiplies and adds of its scalar sibling in the same order. VMULPD /

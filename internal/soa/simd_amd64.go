@@ -35,11 +35,11 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 // xgetbv reads XCR0 (requires OSXSAVE).
 func xgetbv() (lo, hi uint32)
 
-// The AVX2 kernels; see simd_amd64.s, stencil_amd64.s, jacobi_amd64.s and
-// csr_amd64.s. Each is the exact vector transcription of its *Scalar
-// sibling: same per-element multiply/add order, no FMA. Plane arguments must
-// be equally long; the gather and the scatter return the position of the
-// first out-of-range sample, or -1.
+// The AVX2 kernels; see simd_amd64.s, stencil_amd64.s, jacobi_amd64.s,
+// csr_amd64.s and zrow_amd64.s. Each is the exact vector transcription of
+// its *Scalar sibling: same per-element multiply/add order, no FMA. Plane
+// and row arguments must be equally long; the gather and the scatter
+// return the position of the first out-of-range sample, or -1.
 
 //cbs:hotpath
 //go:noescape
@@ -84,3 +84,11 @@ func csrShiftedAVX2(oRe, oIm, vRe, vIm []float64, nb int, shift float64, d []flo
 //cbs:hotpath
 //go:noescape
 func csrAccumAVX2(oRe, oIm, vRe, vIm []float64, nb int, cr, ci float64, a *CSR)
+
+//cbs:hotpath
+//go:noescape
+func subMulRowAVX2(dst, src []complex128, ar, ai float64)
+
+//cbs:hotpath
+//go:noescape
+func addMulRowAVX2(dst, src []complex128, ar, ai float64)

@@ -68,3 +68,13 @@ func csrShiftedAVX2(oRe, oIm, vRe, vIm []float64, nb int, shift float64, d []flo
 func csrAccumAVX2(oRe, oIm, vRe, vIm []float64, nb int, cr, ci float64, a *CSR) {
 	panic("soa: no AVX2 kernels on this architecture")
 }
+
+//cbs:hotpath
+func subMulRowAVX2(dst, src []complex128, ar, ai float64) {
+	panic("soa: no AVX2 kernels on this architecture")
+}
+
+//cbs:hotpath
+func addMulRowAVX2(dst, src []complex128, ar, ai float64) {
+	panic("soa: no AVX2 kernels on this architecture")
+}

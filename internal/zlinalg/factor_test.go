@@ -25,8 +25,10 @@ func TestLUSolveResidual(t *testing.T) {
 	}
 }
 
-// TestLUSolveBitsMatchSolveVec pins the row-oriented multi-column Solve to
-// SolveVec column by column, bit for bit, on matrices with zero entries.
+// TestLUSolveBitsMatchSolveVec pins the row-oriented multi-column Solve,
+// whose updates run through the soa row kernels, to SolveVec's scalar
+// loops column by column: the IEEE bits of both parts of every entry, so a
+// swapped signed zero fails too, on matrices with zero entries.
 func TestLUSolveBitsMatchSolveVec(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for _, n := range []int{1, 3, 17, 56} {
@@ -45,7 +47,9 @@ func TestLUSolveBitsMatchSolveVec(t *testing.T) {
 		for j := 0; j < b.Cols; j++ {
 			want := f.SolveVec(b.Col(j))
 			for i, w := range want {
-				if got := x.At(i, j); got != w {
+				got := x.At(i, j)
+				if math.Float64bits(real(got)) != math.Float64bits(real(w)) ||
+					math.Float64bits(imag(got)) != math.Float64bits(imag(w)) {
 					t.Fatalf("n=%d: X[%d][%d] = %v, SolveVec gives %v", n, i, j, got, w)
 				}
 			}
@@ -278,5 +282,27 @@ func matchEigenvalues(t *testing.T, got, want []complex128, tol float64) {
 			return
 		}
 		used[best] = true
+	}
+}
+
+// BenchmarkLUSolve factors a 56 x 56 matrix and solves it against 112
+// columns into reused storage: one cell of the NEGF device elimination on
+// the 8x7 transport slab, [H- | R_c] on the right.
+func BenchmarkLUSolve(b *testing.B) {
+	rng := rand.New(rand.NewSource(13))
+	const n = 56
+	a, rhs := randMatrix(rng, n, n), randMatrix(rng, n, 2*n)
+	x := NewMatrix(n, 2*n)
+	var f LU
+	if err := f.Factor(a); err != nil { // sizes f's storage
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := f.Factor(a); err != nil {
+			b.Fatal(err)
+		}
+		f.SolveTo(x, rhs)
 	}
 }

@@ -3,6 +3,8 @@ package zlinalg
 import (
 	"errors"
 	"math/cmplx"
+
+	"cbs/internal/soa"
 )
 
 // ErrSingular is returned when a factorization meets an (numerically)
@@ -19,12 +21,27 @@ type LU struct {
 // FactorLU computes the LU factorization with partial pivoting of the square
 // matrix a. a is not modified.
 func FactorLU(a *Matrix) (*LU, error) {
+	f := &LU{}
+	if err := f.Factor(a); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// Factor computes the LU factorization with partial pivoting of the square
+// matrix a into f, reusing f's storage when it already has a's size (the
+// zero LU is ready for use). a is not modified. After an error f holds no
+// usable factorization.
+func (f *LU) Factor(a *Matrix) error {
 	if a.Rows != a.Cols {
-		return nil, errors.New("zlinalg: FactorLU needs a square matrix")
+		return errors.New("zlinalg: FactorLU needs a square matrix")
 	}
 	n := a.Rows
-	lu := a.Clone()
-	piv := make([]int, n)
+	if f.lu == nil || f.lu.Rows != n {
+		f.lu, f.piv = NewMatrix(n, n), make([]int, n)
+	}
+	lu, piv := f.lu, f.piv
+	copy(lu.Data, a.Data)
 	for i := range piv {
 		piv[i] = i
 	}
@@ -38,7 +55,7 @@ func FactorLU(a *Matrix) (*LU, error) {
 			}
 		}
 		if best == 0 {
-			return nil, ErrSingular
+			return ErrSingular
 		}
 		if p != k {
 			rk, rp := lu.Row(k), lu.Row(p)
@@ -54,13 +71,10 @@ func FactorLU(a *Matrix) (*LU, error) {
 			if m == 0 {
 				continue
 			}
-			ri, rk := lu.Row(i), lu.Row(k)
-			for j := k + 1; j < n; j++ {
-				ri[j] -= m * rk[j]
-			}
+			soa.SubMulRow(lu.Row(i)[k+1:], m, lu.Row(k)[k+1:])
 		}
 	}
-	return &LU{lu: lu, piv: piv}, nil
+	return nil
 }
 
 // SolveVec solves A*x = b for a single right-hand side.
@@ -91,26 +105,32 @@ func (f *LU) SolveVec(b []complex128) []complex128 {
 	return x
 }
 
-// Solve solves A*X = B for all columns of B at once. It runs the same
+// Solve solves A*X = B for all columns of B at once; see SolveTo.
+func (f *LU) Solve(b *Matrix) *Matrix {
+	x := NewMatrix(f.lu.Rows, b.Cols)
+	f.SolveTo(x, b)
+	return x
+}
+
+// SolveTo solves A*X = B for all columns of B at once into x, which must
+// have B's shape and share no storage with it. It runs the same
 // substitutions as SolveVec, in the same order per entry, so every column
 // is bit-identical to SolveVec on that column; working on whole rows of X
 // keeps every inner loop on contiguous memory.
-func (f *LU) Solve(b *Matrix) *Matrix {
+func (f *LU) SolveTo(x, b *Matrix) {
 	n := f.lu.Rows
-	if b.Rows != n {
+	if b.Rows != n || x.Rows != n || x.Cols != b.Cols {
 		panic("zlinalg: LU Solve shape mismatch")
 	}
-	x := NewMatrix(n, b.Cols)
+	if len(x.Data) > 0 && &x.Data[0] == &b.Data[0] {
+		panic("zlinalg: LU SolveTo output aliases the right-hand side")
+	}
 	// Apply permutation and forward-substitute L*Y = P*B.
 	for i := 0; i < n; i++ {
 		xi := x.Row(i)
 		copy(xi, b.Row(f.piv[i]))
-		ri := f.lu.Row(i)
-		for j, l := range ri[:i] {
-			xj := x.Row(j)[:len(xi)]
-			for k := range xi {
-				xi[k] -= l * xj[k]
-			}
+		for j, l := range f.lu.Row(i)[:i] {
+			soa.SubMulRow(xi, l, x.Row(j))
 		}
 	}
 	// Back-substitute U*X = Y.
@@ -118,17 +138,13 @@ func (f *LU) Solve(b *Matrix) *Matrix {
 		xi := x.Row(i)
 		ri := f.lu.Row(i)
 		for j := i + 1; j < n; j++ {
-			u, xj := ri[j], x.Row(j)[:len(xi)]
-			for k := range xi {
-				xi[k] -= u * xj[k]
-			}
+			soa.SubMulRow(xi, ri[j], x.Row(j))
 		}
 		d := ri[i]
 		for k := range xi {
 			xi[k] /= d
 		}
 	}
-	return x
 }
 
 // Inverse returns A^{-1} from the factorization.

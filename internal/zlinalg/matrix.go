@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+
+	"cbs/internal/soa"
 )
 
 // Matrix is a dense, row-major complex matrix.
@@ -115,13 +117,22 @@ func (m *Matrix) SetSlice(r0, c0 int, src *Matrix) {
 // ConjTranspose returns the Hermitian transpose of m.
 func (m *Matrix) ConjTranspose() *Matrix {
 	t := NewMatrix(m.Cols, m.Rows)
+	ConjTransposeTo(t, m)
+	return t
+}
+
+// ConjTransposeTo sets t to the Hermitian transpose of m; t must be
+// m.Cols x m.Rows and share no storage with m.
+func ConjTransposeTo(t, m *Matrix) {
+	if t.Rows != m.Cols || t.Cols != m.Rows {
+		panic(fmt.Sprintf("zlinalg: ConjTransposeTo shape mismatch %dx%d into %dx%d", m.Rows, m.Cols, t.Rows, t.Cols))
+	}
 	for i := 0; i < m.Rows; i++ {
 		ri := m.Row(i)
 		for j := 0; j < m.Cols; j++ {
 			t.Data[j*t.Cols+i] = cmplx.Conj(ri[j])
 		}
 	}
-	return t
 }
 
 // Add returns a + b.
@@ -136,44 +147,59 @@ func Add(a, b *Matrix) *Matrix {
 
 // Sub returns a - b.
 func Sub(a, b *Matrix) *Matrix {
-	checkSameShape(a, b)
 	c := NewMatrix(a.Rows, a.Cols)
+	SubTo(c, a, b)
+	return c
+}
+
+// SubTo sets c = a - b element by element; c may be a or b.
+func SubTo(c, a, b *Matrix) {
+	checkSameShape(a, b)
+	checkSameShape(c, a)
 	for i := range a.Data {
 		c.Data[i] = a.Data[i] - b.Data[i]
 	}
-	return c
 }
 
 // Scale returns s*a.
 func Scale(s complex128, a *Matrix) *Matrix {
 	c := NewMatrix(a.Rows, a.Cols)
-	for i := range a.Data {
-		c.Data[i] = s * a.Data[i]
-	}
+	ScaleTo(c, s, a)
 	return c
 }
 
-// Mul returns the matrix product a*b using a cache-friendly ikj loop.
-func Mul(a, b *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("zlinalg: Mul shape mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
+// ScaleTo sets c = s*a element by element; c may be a.
+func ScaleTo(c *Matrix, s complex128, a *Matrix) {
+	checkSameShape(c, a)
+	for i := range a.Data {
+		c.Data[i] = s * a.Data[i]
 	}
+}
+
+// Mul returns the matrix product a*b; see MulTo.
+func Mul(a, b *Matrix) *Matrix {
 	c := NewMatrix(a.Rows, b.Cols)
+	MulTo(c, a, b)
+	return c
+}
+
+// MulTo sets c = a*b with a cache-friendly ikj loop: row i of c starts at
+// zero and takes a[i][k]*b[k] for k in order, skipping zero a[i][k]. c must
+// be a.Rows x b.Cols and share no storage with a or b.
+func MulTo(c, a, b *Matrix) {
+	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
+		panic(fmt.Sprintf("zlinalg: Mul shape mismatch %dx%d * %dx%d into %dx%d", a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
+	}
+	clear(c.Data)
 	for i := 0; i < a.Rows; i++ {
 		ci := c.Row(i)
-		ai := a.Row(i)
-		for k := 0; k < a.Cols; k++ {
-			aik := ai[k]
+		for k, aik := range a.Row(i) {
 			if aik == 0 {
 				continue
 			}
-			bk := b.Row(k)
-			for j := range ci {
-				ci[j] += aik * bk[j]
-			}
+			soa.AddMulRow(ci, aik, b.Row(k))
 		}
 	}
-	return c
 }
 
 // MulVec returns the matrix-vector product a*x.
@@ -257,9 +283,7 @@ func Axpy(alpha complex128, x, y []complex128) {
 	if alpha == 0 {
 		return
 	}
-	for i := range x {
-		y[i] += alpha * x[i]
-	}
+	soa.AddMulRow(y, alpha, x)
 }
 
 // ScaleVec performs x *= alpha in place.
