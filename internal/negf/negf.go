@@ -248,14 +248,51 @@ func newLeadCell(b operator.Backend) *leadCell {
 // matching. Both leads are the same periodic crystal (the backend), as in
 // a two-probe junction with identical contacts.
 func LeadSelfEnergies(b operator.Backend, r *core.Result, opts Options) (*Leads, error) {
-	return newLeadCell(b).selfEnergies(b, r, opts)
+	return newLeadCell(b).selfEnergies(newWorkspace(b.N()), b, r, opts)
 }
 
-func (c *leadCell) selfEnergies(b operator.Backend, r *core.Result, opts Options) (*Leads, error) {
-	n := b.N()
+// workspace holds the dense buffers of one energy's post-processing: the
+// wave matching of both leads, the self-energies and broadenings it
+// returns in leads, and the device elimination. Every buffer is written in
+// full, or cleared, before it is read, so a workspace carries nothing from
+// one energy to the next. TransmissionSweep gives each post-processing
+// goroutine one and reuses it across that goroutine's energies; the
+// exported LeadSelfEnergies and Transmission, whose matrices go to the
+// caller, take a fresh one per call.
+type workspace struct {
+	leads Leads // its four matrices are owned here, overwritten per energy
+	// Wave matching (surfaceSelfEnergy): the mode matrix Phi, Phi Lambda,
+	// Phi^dagger, C = H Phi Lambda, C^dagger, the solve of
+	// Phi^dagger Sigma^dagger = C^dagger and orthogonalFill's scratch; lam
+	// holds Lambda's diagonal.
+	phi, scaled, phiH, c, cH, sol, basis *zlinalg.Matrix
+	lam                                  []complex128
+	// Device elimination (transmission): S_c, [H- | R_c], S_c^{-1} [H- | R_c]
+	// and H+ S_c^{-1} [H- | R_c]; then R_1, G_{1,nd}, its adjoint,
+	// P = Gamma_L G and Q = Gamma_R G^dagger.
+	s, rhs, x, w    *zlinalg.Matrix
+	r1, g, gH, p, q *zlinalg.Matrix
+	lu              zlinalg.LU
+}
+
+func newWorkspace(n int) *workspace {
+	sq := func() *zlinalg.Matrix { return zlinalg.NewMatrix(n, n) }
+	wide := func() *zlinalg.Matrix { return zlinalg.NewMatrix(n, 2*n) }
+	return &workspace{
+		leads: Leads{SigmaL: sq(), SigmaR: sq(), GammaL: sq(), GammaR: sq()},
+		phi:   sq(), scaled: sq(), phiH: sq(), c: sq(), cH: sq(), sol: sq(), basis: sq(),
+		lam: make([]complex128, 0, n),
+		s:   sq(), rhs: wide(), x: wide(), w: wide(),
+		r1: sq(), g: sq(), gH: sq(), p: sq(), q: sq(),
+	}
+}
+
+// selfEnergies returns the leads of one energy in ws.leads.
+func (c *leadCell) selfEnergies(ws *workspace, b operator.Backend, r *core.Result, opts Options) (*Leads, error) {
 	chans := Classify(b, r, opts.tol())
 
-	l := &Leads{}
+	l := &ws.leads
+	l.NOpen, l.NEvanescent, l.NNull, l.NFill = 0, 0, 0, 0
 	var rightPsi, leftPsi [][]complex128
 	var rightL, leftLinv []complex128
 	for _, ch := range chans {
@@ -277,36 +314,36 @@ func (c *leadCell) selfEnergies(b operator.Backend, r *core.Result, opts Options
 
 	// Right lead: complete with the exact lambda -> 0 modes (null(H-)),
 	// then orthogonal fill. Sigma_R = H+ F_+ with F_+ = Phi Lambda Phi^{-1}.
-	sigmaR, nullR, fillR, err := surfaceSelfEnergy(n, rightPsi, rightL, c.hp, c.nullHm, c.nullHmErr)
+	nullR, fillR, err := ws.surfaceSelfEnergy(l.SigmaR, rightPsi, rightL, c.hp, c.nullHm, c.nullHmErr)
 	if err != nil {
 		return nil, fmt.Errorf("right lead: %w", err)
 	}
 	// Left lead: lambda -> inf modes are null(H+), entering at
 	// Lambda^{-1} = 0. Sigma_L = H- F_-^{-} with F_-^{-} = Phi Lambda^{-1} Phi^{-1}.
-	sigmaL, nullL, fillL, err := surfaceSelfEnergy(n, leftPsi, leftLinv, c.hm, c.nullHp, c.nullHpErr)
+	nullL, fillL, err := ws.surfaceSelfEnergy(l.SigmaL, leftPsi, leftLinv, c.hm, c.nullHp, c.nullHpErr)
 	if err != nil {
 		return nil, fmt.Errorf("left lead: %w", err)
 	}
 	l.NNull = nullR + nullL
 	l.NFill = fillR + fillL
 
-	l.SigmaR = sigmaR
-	l.SigmaL = sigmaL
-	l.GammaL = broadening(l.SigmaL)
-	l.GammaR = broadening(l.SigmaR)
+	broadening(l.GammaL, l.SigmaL)
+	broadening(l.GammaR, l.SigmaR)
 	return l, nil
 }
 
-// surfaceSelfEnergy returns H Phi diag(factors) Phi^{-1} for the matched
-// modes, completing the basis with nulls, the null space of the opposite
-// coupling block (exact factor-0 modes), and, as a last resort, the
-// orthogonal complement of the collected columns.
-func surfaceSelfEnergy(n int, psis [][]complex128, factors []complex128, h *zlinalg.Matrix, nulls [][]complex128, nullErr error) (sigma *zlinalg.Matrix, nNull, nFill int, err error) {
+// surfaceSelfEnergy sets sigma = H Phi diag(factors) Phi^{-1} for the
+// matched modes, completing the basis with nulls, the null space of the
+// opposite coupling block (exact factor-0 modes), and, as a last resort,
+// the orthogonal complement of the collected columns.
+func (ws *workspace) surfaceSelfEnergy(sigma *zlinalg.Matrix, psis [][]complex128, factors []complex128, h *zlinalg.Matrix, nulls [][]complex128, nullErr error) (nNull, nFill int, err error) {
+	n := sigma.Rows
 	if len(psis) > n {
-		return nil, 0, 0, fmt.Errorf("%w: %d matched modes exceed cell dimension %d", ErrDeficientBasis, len(psis), n)
+		return 0, 0, fmt.Errorf("%w: %d matched modes exceed cell dimension %d", ErrDeficientBasis, len(psis), n)
 	}
-	phi := zlinalg.NewMatrix(n, n)
-	lam := make([]complex128, 0, n)
+	phi := ws.phi
+	clear(phi.Data)
+	lam := ws.lam[:0]
 	col := 0
 	for i, psi := range psis {
 		phi.SetCol(col, psi)
@@ -315,7 +352,7 @@ func surfaceSelfEnergy(n int, psis [][]complex128, factors []complex128, h *zlin
 	}
 	if col < n {
 		if nullErr != nil {
-			return nil, 0, 0, nullErr
+			return 0, 0, nullErr
 		}
 		for _, v := range nulls {
 			if col == n {
@@ -328,31 +365,34 @@ func surfaceSelfEnergy(n int, psis [][]complex128, factors []complex128, h *zlin
 		}
 	}
 	if col < n {
-		fills := orthogonalFill(phi, col)
-		for _, v := range fills {
-			phi.SetCol(col, v)
+		nFill = orthogonalFill(phi, ws.basis, col)
+		for range nFill {
 			lam = append(lam, 0)
-			col++
-			nFill++
 		}
+		col += nFill
 	}
 	if col < n {
-		return nil, 0, 0, fmt.Errorf("%w: completed only %d of %d columns", ErrDeficientBasis, col, n)
+		return 0, 0, fmt.Errorf("%w: completed only %d of %d columns", ErrDeficientBasis, col, n)
 	}
 	// Sigma = C Phi^{-1} with C = H Phi Lambda, taken as the solve
 	// Phi^dagger Sigma^dagger = C^dagger: one factorization, no inverse.
-	scaled := phi.Clone()
+	scaled := ws.scaled
+	copy(scaled.Data, phi.Data)
 	for i := 0; i < n; i++ {
 		row := scaled.Row(i)
 		for j, lj := range lam {
 			row[j] *= lj
 		}
 	}
-	lu, err := zlinalg.FactorLU(phi.ConjTranspose())
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("%w: mode matrix is singular: %w", ErrDeficientBasis, err)
+	zlinalg.ConjTransposeTo(ws.phiH, phi)
+	if err := ws.lu.Factor(ws.phiH); err != nil {
+		return 0, 0, fmt.Errorf("%w: mode matrix is singular: %w", ErrDeficientBasis, err)
 	}
-	return lu.Solve(zlinalg.Mul(h, scaled).ConjTranspose()).ConjTranspose(), nNull, nFill, nil
+	zlinalg.MulTo(ws.c, h, scaled)
+	zlinalg.ConjTransposeTo(ws.cH, ws.c)
+	ws.lu.SolveTo(ws.sol, ws.cH)
+	zlinalg.ConjTransposeTo(sigma, ws.sol)
+	return nNull, nFill, nil
 }
 
 // nullTol is the relative singular-value threshold below which a direction
@@ -373,44 +413,55 @@ func nullSpace(a *zlinalg.Matrix) ([][]complex128, error) {
 	return out, nil
 }
 
-// orthogonalFill returns vectors completing the first `have` columns of
-// phi to a basis of C^n: candidate unit vectors are orthogonalized against
-// the existing columns (and each other) and kept when anything survives.
-func orthogonalFill(phi *zlinalg.Matrix, have int) [][]complex128 {
+// orthogonalFill completes the first have columns of phi to a basis of
+// C^n: candidate unit vectors are orthogonalized against the existing
+// columns (and each other) and kept when anything survives. The kept
+// vectors go into phi's next columns; it returns how many. The rows of the
+// n x n basis are its scratch: the orthonormalized vectors so far, then
+// the candidate under test.
+func orthogonalFill(phi, basis *zlinalg.Matrix, have int) int {
 	n := phi.Rows
-	var out [][]complex128
-	basis := make([][]complex128, 0, have)
+	nb := 0
+	project := func(v []complex128) {
+		for k := 0; k < nb; k++ {
+			b := basis.Row(k)
+			zlinalg.Axpy(-zlinalg.Dot(b, v), b, v)
+		}
+	}
 	for j := 0; j < have; j++ {
-		v := phi.Col(j)
 		// Orthonormalize the existing (generally non-orthogonal) columns
 		// for projection purposes only.
-		for _, b := range basis {
-			zlinalg.Axpy(-zlinalg.Dot(b, v), b, v)
+		v := basis.Row(nb)
+		for i := range v {
+			v[i] = phi.At(i, j)
 		}
+		project(v)
 		if zlinalg.Norm2(v) > 1e-12 {
 			zlinalg.Normalize(v)
-			basis = append(basis, v)
+			nb++
 		}
 	}
-	for cand := 0; cand < n && have+len(out) < n; cand++ {
-		v := make([]complex128, n)
+	fills := 0
+	for cand := 0; cand < n && have+fills < n; cand++ {
+		v := basis.Row(nb)
+		clear(v)
 		v[cand] = 1
-		for _, b := range basis {
-			zlinalg.Axpy(-zlinalg.Dot(b, v), b, v)
-		}
+		project(v)
 		if zlinalg.Norm2(v) > 1e-6 {
 			zlinalg.Normalize(v)
-			basis = append(basis, v)
-			out = append(out, v)
+			phi.SetCol(have+fills, v)
+			nb++
+			fills++
 		}
 	}
-	return out
+	return fills
 }
 
-// broadening returns Gamma = i (Sigma - Sigma^dagger).
-func broadening(sigma *zlinalg.Matrix) *zlinalg.Matrix {
-	g := zlinalg.Sub(sigma, sigma.ConjTranspose())
-	return zlinalg.Scale(complex(0, 1), g)
+// broadening sets gamma = i (Sigma - Sigma^dagger).
+func broadening(gamma, sigma *zlinalg.Matrix) {
+	zlinalg.ConjTransposeTo(gamma, sigma)
+	zlinalg.SubTo(gamma, sigma, gamma)
+	zlinalg.ScaleTo(gamma, complex(0, 1), gamma)
 }
 
 // Device describes the scattering region: Cells principal layers of the
@@ -442,7 +493,7 @@ func (d Device) Validate() error {
 func Transmission(b operator.Backend, r *core.Result, dev Device, leads *Leads, opts Options) (float64, error) {
 	c := &leadCell{} // the device needs the cell blocks only
 	c.h0, c.hp, c.hm = Blocks(b)
-	return c.transmission(r.Energy, dev, leads, opts)
+	return c.transmission(newWorkspace(b.N()), r.Energy, dev, leads, opts)
 }
 
 // transmission eliminates the device from its last cell to its first. The
@@ -460,47 +511,49 @@ func Transmission(b operator.Backend, r *core.Result, dev Device, leads *Leads, 
 // so each cell costs one n x n factorization and one solve against the
 // 2n columns [H- | R_c], and G_{1,nd} = S_1^{-1} R_1. Sigma_L enters D_1
 // and Sigma_R enters D_nd; a one-cell device carries both.
-func (c *leadCell) transmission(e float64, dev Device, leads *Leads, opts Options) (float64, error) {
+func (c *leadCell) transmission(ws *workspace, e float64, dev Device, leads *Leads, opts Options) (float64, error) {
 	if err := dev.Validate(); err != nil {
 		return 0, err
 	}
 	n := c.h0.Rows
 	nd := dev.Cells
 	z := complex(e, opts.eta())
-	diag := func(cell int) *zlinalg.Matrix {
-		d := zlinalg.Scale(-1, c.h0)
+	s := ws.s
+	diag := func(cell int) { // s = D_cell
+		zlinalg.ScaleTo(s, -1, c.h0)
 		shift := 0.0
 		if dev.Barrier != nil {
 			shift = dev.Barrier[cell]
 		}
 		for i := 0; i < n; i++ {
-			d.Set(i, i, d.At(i, i)+z-complex(shift, 0))
+			s.Set(i, i, s.At(i, i)+z-complex(shift, 0))
 		}
 		if cell == 0 {
-			d = zlinalg.Sub(d, leads.SigmaL)
+			zlinalg.SubTo(s, s, leads.SigmaL)
 		}
 		if cell == nd-1 {
-			d = zlinalg.Sub(d, leads.SigmaR)
+			zlinalg.SubTo(s, s, leads.SigmaR)
 		}
-		return d
 	}
 	singular := func(err error) error {
 		return fmt.Errorf("negf: device Green function is singular at E = %g: %w", e, err)
 	}
 
-	s := diag(nd - 1)
-	rhs := zlinalg.NewMatrix(n, 2*n) // [H- | R_c]
+	diag(nd - 1)
+	rhs := ws.rhs // [H- | R_c]
+	clear(rhs.Data)
 	for i := 0; i < n; i++ {
 		copy(rhs.Row(i)[:n], c.hm.Row(i))
 		rhs.Set(i, n+i, 1)
 	}
 	for cell := nd - 1; cell > 0; cell-- {
-		lu, err := zlinalg.FactorLU(s)
-		if err != nil {
+		if err := ws.lu.Factor(s); err != nil {
 			return 0, singular(err)
 		}
-		w := zlinalg.Mul(c.hp, lu.Solve(rhs)) // H+ S_c^{-1} [H- | R_c]
-		s = diag(cell - 1)
+		ws.lu.SolveTo(ws.x, rhs)
+		w := ws.w
+		zlinalg.MulTo(w, c.hp, ws.x) // H+ S_c^{-1} [H- | R_c]
+		diag(cell - 1)
 		for i := 0; i < n; i++ {
 			si, wi, ri := s.Row(i), w.Row(i), rhs.Row(i)
 			for j := 0; j < n; j++ {
@@ -509,16 +562,21 @@ func (c *leadCell) transmission(e float64, dev Device, leads *Leads, opts Option
 			copy(ri[n:], wi[n:])
 		}
 	}
-	lu, err := zlinalg.FactorLU(s)
-	if err != nil {
+	if err := ws.lu.Factor(s); err != nil {
 		return 0, singular(err)
 	}
-	g := lu.Solve(rhs.Slice(0, n, n, 2*n))
+	for i := 0; i < n; i++ {
+		copy(ws.r1.Row(i), rhs.Row(i)[n:])
+	}
+	g := ws.g
+	ws.lu.SolveTo(g, ws.r1)
 
 	// T = Re Tr[Gamma_L G Gamma_R G^dagger] = Re sum_ij P_ij Q_ji with
 	// P = Gamma_L G and Q = Gamma_R G^dagger.
-	p := zlinalg.Mul(leads.GammaL, g)
-	q := zlinalg.Mul(leads.GammaR, g.ConjTranspose())
+	p, q := ws.p, ws.q
+	zlinalg.MulTo(p, leads.GammaL, g)
+	zlinalg.ConjTransposeTo(ws.gH, g)
+	zlinalg.MulTo(q, leads.GammaR, ws.gH)
 	var tr complex128
 	for i := 0; i < n; i++ {
 		for j, pij := range p.Row(i) {

@@ -733,3 +733,71 @@ func BenchmarkTransmission(b *testing.B) {
 		}
 	}
 }
+
+// warmBytesPerEnergy bounds the heap bytes one more slab energy costs a
+// transmission curve whose post-processing runs on one goroutine, so on
+// one warmed workspace: a tenth of the ~3 MB each energy allocated before
+// the dense buffers moved into the workspace. What is left is the sweep's
+// bookkeeping and the channel classification, sized by the result.
+const warmBytesPerEnergy = 300_000
+
+// TestTransmissionSweepWarmWorkspace post-processes solved slab energies
+// through TransmissionSweep at a core share of 1: one goroutine whose
+// workspace carries from energy to energy. Every point must have the bits
+// of the exported LeadSelfEnergies and Transmission, which take a fresh
+// workspace per call, and the curve's bytes must grow by at most
+// warmBytesPerEnergy per energy.
+func TestTransmissionSweepWarmWorkspace(t *testing.T) {
+	b := slabBackend(t)
+	es := []float64{-5.3, -4.9, -5.6, -5.1, -5.45, -4.95, -5.2, -5.0}
+	results := make(map[float64]*core.Result, len(es))
+	for _, e := range es {
+		results[e] = solveAt(t, b, e, slabOptions())
+	}
+	solved := func(_ context.Context, e float64, _ core.Options) (*core.Result, error) {
+		return results[e], nil
+	}
+	opts := slabOptions()
+	opts.Parallel = opts.Parallel.Split(runtime.GOMAXPROCS(0))
+	curve := func(n int) *negf.Curve {
+		spec := negf.Spec{Energies: es[:n], Device: negf.Device{Cells: 4, Barrier: []float64{0, 0.1, 0.05, 0}}}
+		c, err := negf.TransmissionSweep(context.Background(), b, solved, spec, opts, sweep.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+
+	c := curve(len(es))
+	for _, p := range c.Points {
+		r := results[p.E]
+		leads, err := negf.LeadSelfEnergies(b, r, negf.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := negf.Transmission(b, r, negf.Device{Cells: 4, Barrier: []float64{0, 0.1, 0.05, 0}}, leads, negf.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Status != negf.PointOK || math.Float64bits(p.T) != math.Float64bits(want) ||
+			p.NOpen != leads.NOpen || p.NFill != leads.NFill {
+			t.Errorf("E=%g: curve point %+v, exported path T = %.17g, NOpen %d, NFill %d",
+				p.E, p, want, leads.NOpen, leads.NFill)
+		}
+	}
+
+	bytes := func(n int) int64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		curve(n)
+		runtime.ReadMemStats(&after)
+		return int64(after.TotalAlloc - before.TotalAlloc)
+	}
+	half := len(es) / 2
+	per := (bytes(len(es)) - bytes(half)) / int64(len(es)-half)
+	if per > warmBytesPerEnergy {
+		t.Errorf("one more energy costs the curve %d B, want at most %d", per, warmBytesPerEnergy)
+	}
+	t.Logf("one more energy costs the curve %d B", per)
+}

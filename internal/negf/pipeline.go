@@ -119,12 +119,13 @@ func TransmissionSweep(ctx context.Context, b operator.Backend, solve sweep.Solv
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			ws := newWorkspace(b.N())
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(points) || ctx.Err() != nil {
 					return
 				}
-				points[i] = lead.point(b, i, rep.Results[i], spec)
+				points[i] = lead.point(ws, b, i, rep.Results[i], spec)
 			}
 		}()
 	}
@@ -136,8 +137,8 @@ func TransmissionSweep(ctx context.Context, b operator.Backend, solve sweep.Solv
 	return &Curve{Report: rep, Points: points}, nil
 }
 
-// point post-processes one terminal energy outcome.
-func (c *leadCell) point(b operator.Backend, index int, er sweep.EnergyResult, spec Spec) Point {
+// point post-processes one terminal energy outcome in ws.
+func (c *leadCell) point(ws *workspace, b operator.Backend, index int, er sweep.EnergyResult, spec Spec) Point {
 	p := Point{E: er.Energy, Status: PointFailed}
 	if er.Result == nil {
 		if er.Err != nil {
@@ -152,9 +153,9 @@ func (c *leadCell) point(b operator.Backend, index int, er sweep.EnergyResult, s
 		p.Err = err.Error()
 		return p
 	}
-	leads, err := c.selfEnergies(b, er.Result, spec.Options)
+	leads, err := c.selfEnergies(ws, b, er.Result, spec.Options)
 	if err == nil {
-		p.T, err = c.transmission(er.Result.Energy, spec.Device, leads, spec.Options)
+		p.T, err = c.transmission(ws, er.Result.Energy, spec.Device, leads, spec.Options)
 	}
 	if err != nil {
 		p.Err = err.Error()
