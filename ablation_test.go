@@ -26,7 +26,8 @@ import (
 // BiCG runs -- the paper's factor-2 saving on the ring contour.
 func BenchmarkAblationDualTrick(b *testing.B) {
 	f := alFixture(b)
-	q := qep.NewBackend(f.model.Op, f.ef)
+	ef := f.fermi(b)
+	q := qep.NewBackend(f.model.Op, ef)
 	vec := operator.NewVectors(q.B)
 	n := q.Dim()
 	ring, err := contour.NewRing(0.5, 8)
@@ -81,10 +82,11 @@ func BenchmarkAblationDualTrick(b *testing.B) {
 // middle-layer load balance.
 func BenchmarkAblationLoadBalanceStop(b *testing.B) {
 	f := alFixture(b)
+	ef := f.fermi(b)
 	run := func(stop bool) (int, int) {
 		opts := fastOpts()
 		opts.LoadBalanceStop = stop
-		res, err := f.model.SolveCBS(f.ef, opts)
+		res, err := f.model.SolveCBS(ef, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -159,13 +161,14 @@ func BenchmarkAblationRingVsCircle(b *testing.B) {
 // ones. The paper's 1e-10 sits on the plateau.
 func BenchmarkAblationSVDThreshold(b *testing.B) {
 	f := alFixture(b)
+	ef := f.fermi(b)
 	var plateau bool
 	var n6, n10, n2 int
 	for i := 0; i < b.N; i++ {
 		count := func(delta float64) int {
 			opts := fastOpts()
 			opts.Delta = delta
-			res, err := f.model.SolveCBS(f.ef, opts)
+			res, err := f.model.SolveCBS(ef, opts)
 			if err != nil {
 				b.Fatal(err)
 			}

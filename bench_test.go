@@ -26,30 +26,41 @@ import (
 
 type fixture struct {
 	model *cbs.Model
-	ef    float64
+
+	efOnce sync.Once
+	ef     float64
+	efErr  error
 }
 
 var fixtures sync.Map
 
-func getFixture(b *testing.B, name string, build func() (*cbs.Model, error)) fixture {
+// getFixture returns the named model, built once per test binary.
+func getFixture(b *testing.B, name string, build func() (*cbs.Model, error)) *fixture {
 	b.Helper()
 	if f, ok := fixtures.Load(name); ok {
-		return f.(fixture)
+		return f.(*fixture)
 	}
 	m, err := build()
 	if err != nil {
 		b.Fatal(err)
 	}
-	ef, err := m.FermiLevel(3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	f := fixture{model: m, ef: ef}
-	fixtures.Store(name, f)
-	return f
+	f, _ := fixtures.LoadOrStore(name, &fixture{model: m})
+	return f.(*fixture)
 }
 
-func alFixture(b *testing.B) fixture {
+// fermi returns the fixture's Fermi level, FermiLevel(3), computed on the
+// first call only: most benchmarks that share a model never read it, and
+// on the Al and CNT grids it costs tens of seconds.
+func (f *fixture) fermi(b *testing.B) float64 {
+	b.Helper()
+	f.efOnce.Do(func() { f.ef, f.efErr = f.model.FermiLevel(3) })
+	if f.efErr != nil {
+		b.Fatal(f.efErr)
+	}
+	return f.ef
+}
+
+func alFixture(b *testing.B) *fixture {
 	return getFixture(b, "al", func() (*cbs.Model, error) {
 		st, err := cbs.AlBulk100(1)
 		if err != nil {
@@ -59,7 +70,7 @@ func alFixture(b *testing.B) fixture {
 	})
 }
 
-func cnt66Fixture(b *testing.B) fixture {
+func cnt66Fixture(b *testing.B) *fixture {
 	// Sized so that the OBM baseline's O(N^3) pencil also finishes on the
 	// 2-core CI host; the paper-scale grids are exercised by cmd/serialperf.
 	return getFixture(b, "cnt66", func() (*cbs.Model, error) {
@@ -71,7 +82,7 @@ func cnt66Fixture(b *testing.B) fixture {
 	})
 }
 
-func cnt80Fixture(b *testing.B) fixture {
+func cnt80Fixture(b *testing.B) *fixture {
 	return getFixture(b, "cnt80", func() (*cbs.Model, error) {
 		st, err := cbs.CNT(8, 0, units.AngstromToBohr(3.0))
 		if err != nil {
@@ -93,9 +104,10 @@ func fastOpts() cbs.Options {
 
 func BenchmarkFig4aRuntimeSS_Al(b *testing.B) {
 	f := alFixture(b)
+	ef := f.fermi(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := f.model.SolveCBS(f.ef, fastOpts()); err != nil {
+		if _, err := f.model.SolveCBS(ef, fastOpts()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -103,9 +115,10 @@ func BenchmarkFig4aRuntimeSS_Al(b *testing.B) {
 
 func BenchmarkFig4aRuntimeOBM_Al(b *testing.B) {
 	f := alFixture(b)
+	ef := f.fermi(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := f.model.SolveOBM(f.ef, cbs.DefaultOBMOptions()); err != nil {
+		if _, err := f.model.SolveOBM(ef, cbs.DefaultOBMOptions()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -113,9 +126,10 @@ func BenchmarkFig4aRuntimeOBM_Al(b *testing.B) {
 
 func BenchmarkFig4aRuntimeSS_CNT66(b *testing.B) {
 	f := cnt66Fixture(b)
+	ef := f.fermi(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := f.model.SolveCBS(f.ef, fastOpts()); err != nil {
+		if _, err := f.model.SolveCBS(ef, fastOpts()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -123,9 +137,10 @@ func BenchmarkFig4aRuntimeSS_CNT66(b *testing.B) {
 
 func BenchmarkFig4aRuntimeOBM_CNT66(b *testing.B) {
 	f := cnt66Fixture(b)
+	ef := f.fermi(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := f.model.SolveOBM(f.ef, cbs.DefaultOBMOptions()); err != nil {
+		if _, err := f.model.SolveOBM(ef, cbs.DefaultOBMOptions()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -138,7 +153,8 @@ func BenchmarkFig4aRuntimeOBM_CNT66(b *testing.B) {
 // instead of once per column, so ns/op should grow sublinearly in nb.
 func BenchmarkBlockedApply(b *testing.B) {
 	f := alFixture(b)
-	q := qep.NewBackend(f.model.Op, f.ef)
+	ef := f.fermi(b)
+	q := qep.NewBackend(f.model.Op, ef)
 	n := q.Dim()
 	z := cmplx.Exp(complex(0, 0.3))
 	for _, nb := range []int{1, 4, 8, 16} {
@@ -162,7 +178,8 @@ func BenchmarkBlockedApply(b *testing.B) {
 // metric is allocs/op: the hot path must report 0.
 func BenchmarkStep1BlockedSolve(b *testing.B) {
 	f := alFixture(b)
-	q := qep.NewBackend(f.model.Op, f.ef)
+	ef := f.fermi(b)
+	q := qep.NewBackend(f.model.Op, ef)
 	n := q.Dim()
 	const nb = 8
 	z := cmplx.Exp(complex(0, 0.3))
@@ -228,9 +245,10 @@ func BenchmarkFig4bMemoryRatio(b *testing.B) {
 
 func BenchmarkTable1Breakdown(b *testing.B) {
 	f := alFixture(b)
+	ef := f.fermi(b)
 	var solveFrac float64
 	for i := 0; i < b.N; i++ {
-		res, err := f.model.SolveCBS(f.ef, fastOpts())
+		res, err := f.model.SolveCBS(ef, fastOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -248,11 +266,12 @@ func BenchmarkTable1Breakdown(b *testing.B) {
 
 func BenchmarkFig5ConvergenceSpread(b *testing.B) {
 	f := alFixture(b)
+	ef := f.fermi(b)
 	opts := fastOpts()
 	opts.TrackHistories = true
 	var spread float64
 	for i := 0; i < b.N; i++ {
-		res, err := f.model.SolveCBS(f.ef, opts)
+		res, err := f.model.SolveCBS(ef, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -332,6 +351,7 @@ func BenchmarkFig7Structures(b *testing.B) {
 
 func benchLayer(b *testing.B, cfg cbs.Parallel) {
 	f := cnt80Fixture(b)
+	ef := f.fermi(b)
 	opts := fastOpts()
 	opts.Nint = 8
 	opts.Nmm = 4
@@ -339,7 +359,7 @@ func benchLayer(b *testing.B, cfg cbs.Parallel) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := f.model.SolveCBS(f.ef, opts); err != nil {
+		if _, err := f.model.SolveCBS(ef, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -444,10 +464,11 @@ func BenchmarkFig11CrystallineBundle(b *testing.B) {
 		}
 		return cbs.NewModel(cr, cbs.GridConfig{Nx: 12, Ny: 20, Nz: 8, Nf: 4})
 	})
+	ef := f.fermi(b)
 	opts := fastOpts()
 	opts.Parallel = cbs.Parallel{Top: 2, Mid: 2}
 	for i := 0; i < b.N; i++ {
-		if _, err := f.model.SolveCBS(f.ef, opts); err != nil {
+		if _, err := f.model.SolveCBS(ef, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
