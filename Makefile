@@ -34,10 +34,10 @@ test-noavx2:
 # test-cpus runs the core-share tests at 1, 2 and 4 procs: the resolver
 # sizes a derived Mid and the NEGF fan-out from GOMAXPROCS, so the layout
 # a sweep, a cbsd job or a transport curve gets must hold on any runner;
-# the Hankel SVD's V replay, inline or on a second goroutine, must give the
-# reference bits at every proc count.
+# the QR-preconditioned Hankel SVD must give its reference bits and its
+# sweep count at every proc count.
 test-cpus:
-	$(GO) test -count=1 -cpu 1,2,4 -run 'TheShare|FanOutBitIdentical|SVDReplay' \
+	$(GO) test -count=1 -cpu 1,2,4 -run 'TheShare|FanOutBitIdentical|SVDBits|HankelSVDSweeps' \
 		./internal/core ./internal/sweep ./internal/negf ./cmd/cbsd ./internal/zlinalg
 
 race:

@@ -50,6 +50,9 @@ type Diagnostics struct {
 	// quadrature-data accuracy backing the extracted eigenpairs.
 	ResidualBudget float64 `json:"residual_budget"`
 
+	// SVDSweeps is the number of Jacobi sweeps the Hankel SVD ran.
+	SVDSweeps int `json:"svd_sweeps,omitempty"`
+
 	Points []PointDiag `json:"points"`
 }
 

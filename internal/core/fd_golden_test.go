@@ -79,11 +79,11 @@ const fdGoldenEnergy = 0.1
 
 var fdGoldenCases = []fdGoldenCase{
 	{name: "clean", matVecs: 8020,
-		bits: []uint64{0xc0c18451e7531cac, 0x409ce9d1f96fe778, 0x40a35fec49416790, 0xc06e8f6b4ee93604, 0xc090946015e1f9d1, 0x40849544c4bf5d23, 0xc08b174a17cc8a90, 0xc07cbaadd3b681cc, 0x4073cd1c97dba1a6, 0x405d5867e86d65c4, 0xc06e107a7ca54125, 0x4049efb826834288, 0xc04a407dc3036f4a, 0x406451b2e15336a4, 0x4057fd23fdb596d7, 0x403c2632eb16713b, 0x3fca6afdb414d9a8, 0xc04d509f93a37f0b, 0x4055b97428f88e35, 0xc02d6fcb26665073, 0x4045099ca06dd7a8, 0x4017219ed709e475, 0x403afbfe1c30bf1e, 0x4003e9db5e79e8d5, 0xbfd66fefb5551dd9, 0x3fedf7e01c8f36b7, 0xbfd66fac78bb29bb, 0xbfedf8299082a126}},
+		bits: []uint64{0xc0c18451e74748aa, 0x409ce9d1f9bbb4ee, 0x40a35fec493e0ca5, 0xc06e8f6b4f1c9c94, 0xc090946015e19cac, 0x40849544c4bf4b58, 0xc08b174a17cc9ad0, 0xc07cbaadd3b65284, 0x4073cd1c97dbe6ba, 0x405d5867e86e19ea, 0xc06e107a7ca56cd5, 0x4049efb82683032a, 0xc04a407dc304eb90, 0x406451b2e151e3a1, 0x4057fd23fdb4d617, 0x403c2632eb1849e4, 0x3fca6afdb90c0ac8, 0xc04d509f93a1b86a, 0x4055b97428f83fcb, 0xc02d6fcb2667baad, 0x4045099ca06de212, 0x4017219ed705d7fc, 0x403afbfe1c2e4668, 0x4003e9db5e8d7df5, 0xbfd66fefb5552be1, 0x3fedf7e01c8ebbad, 0xbfd66fac78bc6680, 0xbfedf8299082480e}},
 	{name: "restart+gmres", chaos: chaos.New(1, chaos.Config{Breakdown: 0.5, RestartBreakdown: 0.5}),
 		matVecs: 8060, breakdowns: 18, restarts: 28, fallbacks: 3,
-		bits: []uint64{0xc0c184d6683e3013, 0x409cefb6cc3f5352, 0x40a36016fb358f83, 0xc06e9219447a1014, 0xc0909463a1b0ab06, 0x40849550551424aa, 0xc08b174f9f3b347d, 0xc07cbacabfed0f81, 0x4073cd1f7c5a002f, 0x405d5883d19fc015, 0xc06e10789c683012, 0x4049efbe5a4ec08d, 0xc04a405c74904d71, 0x406451a5327c4190, 0x4057fd1e44a9e387, 0x403c263d56d04bab, 0x3fca7192aff2f8d9, 0xc04d5073cc1432fc, 0x4055b975c416b65a, 0xc02d700a10d1f134, 0x4045099f3d719198, 0x4017218e35fce560, 0x403afbe266d4b285, 0x4003e9d932d37a8a, 0xbfd66fefb47afca4, 0x3fedf7e01aeb6eb9, 0xbfd66fac7a4ba1bb, 0xbfedf82990f8a2e7}},
+		bits: []uint64{0xc0c184d66838601f, 0x409cefb6cc40134a, 0x40a36016fb3406aa, 0xc06e9219447ea250, 0xc0909463a1b02ddb, 0x4084955055134e2a, 0xc08b174f9f3b0358, 0xc07cbacabfec726c, 0x4073cd1f7c5a4d86, 0x405d5883d19e8c7b, 0xc06e10789c688f3a, 0x4049efbe5a5061b0, 0xc04a405c74968cb2, 0x406451a5327d113b, 0x4057fd1e44aa77e1, 0x403c263d56d369e2, 0x3fca7192b1995618, 0xc04d5073cc1af34a, 0x4055b975c4168063, 0xc02d700a10d14ebe, 0x4045099f3d70ffbc, 0x4017218e35fcc91e, 0x403afbe266d82d18, 0x4003e9d932e72916, 0xbfd66fefb479ed68, 0x3fedf7e01aed6320, 0xbfd66fac7a4b9a11, 0xbfedf82990f8426d}},
 	{name: "dropped", chaos: chaos.New(1, chaos.Config{Breakdown: 0.5, RestartBreakdown: 1, FallbackFail: 1, Columns: []int{2}}),
 		matVecs: 7548, breakdowns: 3, restarts: 6, fallbacks: 3, dropped: 3,
-		bits: []uint64{0xc0927ae68d8f0613, 0x4095b80f562cb0e2, 0x408e16d5022134e6, 0xc07479563cf23f52, 0xc08b2eddc0e5f3b0, 0xc072507534503e30, 0xc0718e025f44d3b6, 0x404f993d2fdb5191, 0x4060e63ac43f6237, 0xc0690accdc9c1b90, 0xc054a01d767078d9, 0x40666acbedb4dcc4, 0x40531b170bc8f7ae, 0xc04715b79d3c15df, 0xc043861bd7afa072, 0xc04c39538b01efc9, 0x404d952aa52e80b7, 0x402b90046cdfa55d, 0x404281cf97ad26df, 0x3fccdefcc8b0764f, 0x3fcfa6fb32d4451f, 0x4036495df2451ae1, 0x3fe3c6d217cc6367, 0xc004d9a387058285, 0x3ffb05301fe934c7, 0xbfdee2296c23f80b, 0xbffba29782b3be20, 0x3fedea0ea2d3d7aa, 0xbfd671bc9c8c202f, 0x3fedf7f9bf2fd546, 0xbfd67092bafbf9ba, 0xbfedf922f2090b63, 0xbff240c7340ca320, 0xbfe1ba917da8859b}},
+		bits: []uint64{0xc0927ae68d510b37, 0x4095b80f56baf846, 0x408e16d501ed2cd3, 0xc07479563de656ce, 0xc08b2eddc0433f9d, 0xc07250753420ccd8, 0xc0718e025ff8cbff, 0x404f993d2b06d945, 0x4060e63ac361369c, 0xc0690accdb6269e4, 0xc054a01d7307f747, 0x40666acbedc2185f, 0x40531b170c3d3d1e, 0xc04715b79d283919, 0xc043861bdb02c213, 0xc04c39538bfad9a7, 0x404d952aa44a6bd1, 0x402b90046bc8a57c, 0x404281cf97ab9211, 0x3fccdefcc87274d1, 0x3fcfa6f9a89b5b14, 0x4036495def31acb9, 0x3fe3c6d2140c7ce1, 0xc004d9a38693b93a, 0x3ffb05302052446c, 0xbfdee2296aee2448, 0xbffba2978220942c, 0x3fedea0ea3910940, 0xbfd671bc9c8cd44a, 0x3fedf7f9bf2f69f2, 0xbfd67092bafb7eca, 0xbfedf922f208bfb8, 0xbff240c73737a0c7, 0xbfe1ba917babc01a}},
 }

@@ -23,9 +23,9 @@ func MemoryEstimate(q *qep.Problem, opts Options) int64 {
 	b += 2 * nmm * n * nrh * 16 // moment accumulator
 	b += n * nrh * 16           // probe block V
 	b += 2 * m * m * 16         // Hankel pair
-	// SVD work: its W and V planes and rotation logs, at the core share
-	// the solve hands the extraction.
-	b += zlinalg.SVDWorkBytes(int(m), int(m), opts.Parallel.Cores())
+	// SVD work: the planes of R† and V_x of the preconditioned sweep and
+	// the buffer V is formed in before its rows go to the Hankel's order.
+	b += zlinalg.SVDWorkBytes(int(m))
 	// Point-loop state: each (top, mid) worker of the resolved layout (the
 	// one solveAll starts) owns one blockWorker and runs one block solve at
 	// a time, and each top block shares its right-hand-side planes across

@@ -228,12 +228,13 @@ func SolveContext(ctx context.Context, q *qep.Problem, opts Options) (*Result, e
 
 	// ---- Steps 2-3: extraction -------------------------------------------
 	tExtract := time.Now()
-	ext, err := ssm.ExtractFromMoments(acc.Moments(), v, ssm.Options{Nmm: opts.Nmm, Delta: opts.Delta, Cores: opts.Parallel.Cores()})
+	ext, err := ssm.ExtractFromMoments(acc.Moments(), v, ssm.Options{Nmm: opts.Nmm, Delta: opts.Delta})
 	if err != nil {
 		return nil, err
 	}
 	res.Rank = ext.Rank
 	res.Sigma = ext.SingularValues
+	res.Diagnostics.SVDSweeps = ext.SVDSweeps
 	a := q.CellLength()
 	for j, lam := range ext.Lambdas {
 		psi := ext.Vectors.Col(j)

@@ -435,7 +435,7 @@ func TestMemoryEstimateCountsAllocatedBuffers(t *testing.T) {
 		m := int64(opts.Nrh * opts.Nmm)
 		want := q.B.MemoryBytes() + acc.MemoryBytesUsed() +
 			int64(cap(probeBlock(n, opts.Nrh, opts.Seed).Data))*16 + 2*m*m*16 +
-			zlinalg.SVDWorkBytes(int(m), int(m), opts.Parallel.Cores()) +
+			zlinalg.SVDWorkBytes(int(m)) +
 			int64(2*tc.workersPerTop)*worker + 2*(b.MemoryBytes()+spares)
 		got := MemoryEstimate(q, opts)
 		// The estimate leaves out only the O(nb) per-column recurrence

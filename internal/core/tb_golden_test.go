@@ -89,18 +89,18 @@ var tbGoldenCases = []tbGoldenCase{
 		{e: 1.9, matVecs: 128, bits: []uint64{0xbffe666666666666, 0x3cb7e6f6b659b025}},
 	}},
 	{name: "tb-chain nc=4", backend: tbChain(4), nrh: 2, nmm: 2, points: []tbGoldenPoint{
-		{e: -1.3, matVecs: 640, bits: []uint64{0xbfee765fd8adab9e, 0xbfd399a83855fe8a, 0xbfee765fd8adab98, 0x3fd399a83855fe88}},
-		{e: 0.5, matVecs: 640, bits: []uint64{0x3fe1000000000011, 0xbfeb1c62db256516, 0x3fe1000000000032, 0x3feb1c62db256508}},
-		{e: 1.9, matVecs: 640, bits: []uint64{0x3fd2f27bb2fec512, 0x3fee90c5cd0cba68, 0x3fd2f27bb2fec52b, 0xbfee90c5cd0cba6d}},
+		{e: -1.3, matVecs: 640, bits: []uint64{0xbfee765fd8adab9e, 0xbfd399a83855fe8c, 0xbfee765fd8adab99, 0x3fd399a83855fe88}},
+		{e: 0.5, matVecs: 640, bits: []uint64{0x3fe1000000000013, 0xbfeb1c62db256515, 0x3fe1000000000032, 0x3feb1c62db256506}},
+		{e: 1.9, matVecs: 640, bits: []uint64{0x3fd2f27bb2fec510, 0x3fee90c5cd0cba6c, 0x3fd2f27bb2fec52b, 0xbfee90c5cd0cba71}},
 	}},
 	{name: "tb-slab 8x7", backend: tbSlab(8, 7), nrh: 8, nmm: 7, points: []tbGoldenPoint{
-		{e: -5.5, matVecs: 13380, bits: []uint64{0x40123c92feb12d92, 0xbf65fe3070e09f1d, 0x4011913b78044ff9, 0x3f5549c071f82cdf, 0x4011177e2e250f1c, 0x3f63c21ff570eff8, 0x4010b66cc6083c1d, 0x3f2d35bb300b5d45, 0x400f16975bad06e0, 0x3f40045e3aeb7236, 0x400df593a0674dd4, 0xbf113da4f1ef6942, 0x400090fa6b5df9d3, 0x3dd855f5ef849360, 0x400193a66296ba5a, 0x3e0657bbffb83393, 0x400cab188c9aa0fe, 0x3f1015f739937c1b, 0x400bb1d6a1f9cc8c, 0x3e8f22bb542ed5b7, 0x400a92ece1bbb597, 0x3eb23f86a3be4e63, 0x400392727478a165, 0x3e4dc376caf222ef, 0x4005be40e15a399d, 0xbe99d06a88ca8d3c, 0x4006d0d0821e9429, 0xbe60e266b649e6f5, 0x4007c008ff35d552, 0x3ebefd2837065231, 0x3ff91afc976b5b8e, 0xbdebccde01c5168a, 0x3ff697084b34ca52, 0x3dff4f4de7bcda01, 0x3fec5d9dce4cb82a, 0x3fdd9f9c2e7269e8, 0x3fec5d9dcdc27779, 0xbfdd9f9c2d3a0bf5, 0x3fe6aa37d0abb498, 0xbe36b4a833ec188d, 0x3fe464dcde25e902, 0x3e25ae26ebfc1e1c, 0x3fdee7ed53177590, 0xbe30002f7be6e313, 0x3fdd20e215d89017, 0xbe7372793b3d608f, 0x3fda249ac1e813bf, 0xbebe3de23f5bfe21, 0x3fd740f1af702ad7, 0x3f1d5be613562b1a, 0x3fd49ee250c95398, 0xbf098a190617c7a2}},
-		{e: -5.2, matVecs: 14024, bits: []uint64{0x4012c32cd61894ec, 0x3f748aed4c88b8e2, 0x4011d200471c52b6, 0x3f7e91a3d42f48e9, 0x40111ca640be3283, 0x3f54fd9bc7cb28ba, 0x4010631b4411956a, 0x3f593d492aaa972b, 0x40100779c16396a1, 0x3f253c9e1313774c, 0x400f2b97986706f5, 0x3f571a5ee504f0ca, 0x400eb78a44976c73, 0xbf14b573f1fb1246, 0x400bb42d35963fbb, 0x3f103cff1d1f1851, 0x400b091b243f9114, 0x3f3b4e1aac2ec749, 0x4007e3279eded8b1, 0x3ed8d395f2f30f17, 0x4008ef65ea764f20, 0x3f1825ff4f02729f, 0x4008fbdcd3427189, 0xbefe9a9df18c3f4e, 0x4004fdb6c3e2a447, 0xbea54e0a62dafe38, 0x40040634ac88727d, 0xbe3e96ee3f22f255, 0x4002e66c0020c7fa, 0xbe5213680e58114e, 0x4000951e2e0d48df, 0x3dee50f14a7c7668, 0x3ffcb9239105cc8b, 0x3e06b69c5f55a06b, 0x3ffa5714e0f6a659, 0xbddd3654199f03b3, 0x3fe790d10e8175d4, 0xbfe5a605350995f8, 0x3fe790d10eb6350f, 0x3fe5a605354596a2, 0x3fed1f571b5c3f5b, 0xbfda8634c6b9e6d0, 0x3fee809e192082a1, 0xbfd359837b1a6f90, 0x3fed1f571c8a486a, 0x3fda8634cfb7ea2a, 0x3fee809e1818ef7a, 0x3fd3598381b933d7, 0x3fe37020201ce556, 0x3e412b755b10df86, 0x3fe1d345fe649992, 0xbe06dab28c5fee1f, 0x3fdee00ac036d0ed, 0x3e8a42d75e123017, 0x3fdb0f71d91e1149, 0x3ee00f32b36ad9a8, 0x3fd983c210200123, 0x3ee742ba0f03a4d3, 0x3fd7bfb5f6c19871, 0x3f386849f5eb942c}},
-		{e: -4.9, matVecs: 14854, bits: []uint64{0x4011d5fe5502cc41, 0x3f3437de4de25d78, 0x401137fa71f637cf, 0xbf6c086cb783e920, 0x40102520d5a8d7da, 0xbf27e324f92a5ffe, 0x400f1aa7b2295c72, 0x3f35bfb40d31991d, 0x400dc095c80e42cb, 0x3f4413022e880afd, 0x400d3497cd2ce96f, 0x3f2c4774cabc8030, 0x400c7bc72e31b76c, 0xbee1192a21ba18d4, 0x400c12c09175e2b1, 0xbeaed9dd795b5351, 0x4008ab0a6b695e9b, 0x3f2297181bfb8eb2, 0x4008591babd4dfd5, 0x3ef0b121163d1a68, 0x400523344e50147c, 0x3e86410541323c4e, 0x40063bc62a3da461, 0xbec3b32f6755d828, 0x4006344ebda0e78e, 0x3ec5336f9bc5e837, 0x40021ac4a77b6745, 0x3e4ea6ac3fd9172d, 0x40011246cedcc3cc, 0xbe068e58b130b3f8, 0x3fffb2205bf98b2c, 0xbe1184e05bc13d37, 0x3fe2c404810ea641, 0x3fe9eb886d206cd4, 0x3fe2c4047fcd9738, 0xbfe9eb886dd7e023, 0x3ffa61230a59f7e9, 0x3e17f1ac5f9d9491, 0x3fe8528aa4e8b73a, 0x3fe4cb71936c5ece, 0x3fe9b3d1196c357e, 0x3fe3100c7687419e, 0x3fe8528aa4a9668f, 0xbfe4cb719577a37c, 0x3fe9b3d116c5c1c7, 0xbfe3100c740aa39d, 0x3ff41947c9c3cd5c, 0xbe080d85c6e81fb9, 0x3fef425783b179fe, 0xbfcb62135e9d1fe4, 0x3fef425787d7c2e7, 0x3fcb621353ab1a0f, 0x3fe9795dbb0ceb6d, 0x3e424b4919326b02, 0x3fe368aded93b2a0, 0x3e52b08078ef1b17, 0x3fe0273a3669b360, 0x3e642ad01f88acc6, 0x3fddfd8d4ca23a37, 0x3e76d81e7d82bceb, 0x3fdc4333ba9d6a6a, 0x3e99b2c701a2a49a, 0x3fd7b0bf54fee79f, 0x3f1611ada6c1596d}},
+		{e: -5.5, matVecs: 13380, bits: []uint64{0x40123c93012bbf13, 0xbf65fe31693c6e95, 0x4011913b771c7be7, 0x3f5549bae42d9006, 0x4011177e2eec5457, 0x3f63c21abb2abece, 0x4010b66cc68bfd9e, 0x3f2d35adfe98897f, 0x400f16975b3549b1, 0x3f400461eb81382e, 0x400df593a0cfa9f3, 0xbf113da6fe3b639e, 0x400090fa6b5df9e2, 0x3dd8564d54bced60, 0x400193a66296ba30, 0x3e06580b91653d24, 0x400cab188c783c48, 0x3f1015f8c498f149, 0x400bb1d6a2088af9, 0x3e8f26dd404db21c, 0x400a92ece1bff804, 0x3eb23fb9fcf90e82, 0x400392727478a075, 0x3e4dc37242ad7d44, 0x4005be40e15a402d, 0xbe99d075ccb995e3, 0x4006d0d0821e8582, 0xbe60e2d9c9f9012f, 0x4007c008ff35359c, 0x3ebefd2ded9ea153, 0x3ff91afc976b5b70, 0xbdebcc9efb8c2d38, 0x3ff697084b34ca54, 0x3dff4f3c068b08b7, 0x3fec5d9dce4cb7e5, 0x3fdd9f9c2e7269fc, 0x3fec5d9dcdc27783, 0xbfdd9f9c2d3a0b96, 0x3fe6aa37d0abb3cc, 0xbe36b4a258e4317e, 0x3fe464dcde25e978, 0x3e25ae27ec0c4d5e, 0x3fdee7ed531778d5, 0xbe3000293cc9496e, 0x3fdd20e215d86d1b, 0xbe73727837d1cf3f, 0x3fda249ac1df3dbe, 0xbebe3df7583ff95a, 0x3fd740f1af69184c, 0x3f1d5be6e8d5b39c, 0x3fd49ee24ee36846, 0xbf098a6782658f3e}},
+		{e: -5.2, matVecs: 14024, bits: []uint64{0x4012c32cd306bf66, 0x3f748ae187e6ab3c, 0x4011d20045cc1d6a, 0x3f7e91a9974e9250, 0x40111ca640fa8ec1, 0x3f54fdbf8bfe2285, 0x4010631b4483f404, 0x3f593d4c392a5024, 0x40100779c1d27b61, 0x3f253cadb44fbe09, 0x400f2b979867deeb, 0x3f571a6622c212d9, 0x400eb78a44b6eafe, 0xbf14b57cdfbc892b, 0x400bb42d34e954d0, 0x3f103cf50fd17e09, 0x400b091b23eaba82, 0x3f3b4e1e4b26b09c, 0x4007e3279edde909, 0x3ed8d3a062677b5f, 0x4008ef65ea549a03, 0x3f182604b793fb62, 0x4008fbdcd34c02b0, 0xbefe9a8b0e9502b4, 0x4004fdb6c3e283dc, 0xbea54e172c2f270e, 0x40040634ac88750c, 0xbe3e97184401e38b, 0x4002e66c0020c67c, 0xbe5213734a5163ea, 0x4000951e2e0d4965, 0x3dee510b620f0999, 0x3ffcb9239105cc7a, 0x3e06b6a963412a04, 0x3ffa5714e0f6a650, 0xbddd37b10cc29669, 0x3fe790d10e8175ea, 0xbfe5a60535099605, 0x3fe790d10eb634b2, 0x3fe5a605354596a9, 0x3fed1f571b5c3e8c, 0xbfda8634c6b9e64c, 0x3fee809e1920829e, 0xbfd359837b1a6e98, 0x3fed1f571c8a47a3, 0x3fda8634cfb7ea6a, 0x3fee809e1818ef2d, 0x3fd3598381b93451, 0x3fe37020201ce5d3, 0x3e412b7934dd046e, 0x3fe1d345fe649d21, 0xbe06daf96af0921f, 0x3fdee00ac0369c04, 0x3e8a42dccf7407bc, 0x3fdb0f71d922e4ec, 0x3ee00f37fad7ebbd, 0x3fd983c2101735b0, 0x3ee742bd868ed336, 0x3fd7bfb5f7013894, 0x3f38684e47cde3db}},
+		{e: -4.9, matVecs: 14854, bits: []uint64{0x4011d5fe5281ad03, 0x3f3437d940917630, 0x401137fa730eceac, 0xbf6c087027fc1caf, 0x40102520d5c8ff5d, 0xbf27e31569890224, 0x400f1aa7b38ee814, 0x3f35bfa1749bf8a6, 0x400dc095c8f9957a, 0x3f4412f2681648ee, 0x400d3497cdb95f91, 0x3f2c476d7480951a, 0x400c7bc72e4bd69e, 0xbee119523931d0f0, 0x400c12c0917059d1, 0xbeaedb1f2ddc8380, 0x4008ab0a6b8d8fda, 0x3f22971008397588, 0x4008591babd5bf5a, 0x3ef0b1134d97e473, 0x400523344e50280b, 0x3e8640eddebc2303, 0x40063bc62a3b08e0, 0xbec3b314239e90ee, 0x4006344ebd9ecb2b, 0x3ec5335637d03438, 0x40021ac4a77b6747, 0x3e4ea6b436b0a3d1, 0x40011246cedcc40d, 0xbe068e86a9138ea3, 0x3fffb2205bf98aaa, 0xbe11850561e3c7f1, 0x3fe2c404810ea691, 0x3fe9eb886d206cef, 0x3fe2c4047fcd97ad, 0xbfe9eb886dd7e059, 0x3ffa61230a59f85a, 0x3e17f1b948f6fba1, 0x3fe8528aa4e8b808, 0x3fe4cb71936c5d0c, 0x3fe9b3d1196c3712, 0x3fe3100c76873fd4, 0x3fe8528aa4a96635, 0xbfe4cb719577a27b, 0x3fe9b3d116c5c379, 0xbfe3100c740aa240, 0x3ff41947c9c3cd44, 0xbe080db105f1298e, 0x3fef425783b17906, 0xbfcb62135e9d233f, 0x3fef425787d7c4d1, 0x3fcb621353ab167f, 0x3fe9795dbb0cedba, 0x3e424b5415104c4a, 0x3fe368aded93aa5d, 0x3e52b08e8fbbb24d, 0x3fe0273a3669c014, 0x3e642acd7198299b, 0x3fddfd8d4ca1e021, 0x3e76d82d05f860cb, 0x3fdc4333baa3c78f, 0x3e99b2f4ac974ada, 0x3fd7b0bf55659da6, 0x3f1611a80a853a51}},
 	}},
 	{name: "tb-slab 3x2", backend: tbSlab(3, 2), nrh: 2, nmm: 3, points: []tbGoldenPoint{
-		{e: -3.3, matVecs: 896, bits: []uint64{0x3fdc57d56a7d4dd4, 0x3fecb0cd56bc8caa, 0x3ffb7c8227511d06, 0xbcfad6df858d2dde, 0x3fdc57d56a7d4ed0, 0xbfecb0cd56bc8cd0, 0x3fe2a071992cecca, 0x3d00647aee8c8800, 0x4003ef8e8761186e, 0x3d93e2146117dac0, 0x400b69263351c036, 0xbe33d29b4472f286}},
-		{e: -1, matVecs: 896, bits: []uint64{0x3fec7785b5d1f688, 0xc0034d23496c9533, 0x3fec7785b5d1f631, 0x40034d23496c951d, 0x3ff60a0362db2128, 0xbcea47575f68a000, 0x3fc3214bf59674d9, 0xbfe20e6855261916, 0xbfe0118b86fa0cbd, 0xbce1b77350900000, 0x3fc3214bf596742d, 0x3fe20e6855261923}},
-		{e: 0.7, matVecs: 896, bits: []uint64{0xbfd2f04b26a289c4, 0xbff6093e32d5b9a2, 0x3ff2eea648f24ea5, 0xbcda79318c69c854, 0xbfd2f04b26a28a31, 0x3ff6093e32d5b9e0, 0xbfe430376a6aa999, 0xbc71a0e41ef918d8, 0x3fb7b2f8af3ee41a, 0x3fe2d059394393b0, 0x3fb7b2f8af3ee328, 0xbfe2d059394393e2}},
+		{e: -3.3, matVecs: 896, bits: []uint64{0x3fdc57d56a7d4dbc, 0x3fecb0cd56bc8ca2, 0x3ffb7c8227511d07, 0xbd0594903d3a06aa, 0x3fdc57d56a7d4ea4, 0xbfecb0cd56bc8cd1, 0x3fe2a071992cece2, 0x3d0885b1697a0600, 0x4003ef8e87610c7e, 0x3d9510c5806e5cc0, 0x400b6926341aaa7e, 0xbe4f16c636eeb68b}},
+		{e: -1, matVecs: 896, bits: []uint64{0x3fec7785b5d1f688, 0xc0034d23496c9535, 0x3fec7785b5d1f628, 0x40034d23496c9523, 0x3ff60a0362db2130, 0xbce3156041ea5000, 0x3fc3214bf59674c5, 0xbfe20e6855261910, 0xbfe0118b86fa0cb9, 0xbce0e7799df80000, 0x3fc3214bf596743e, 0x3fe20e685526192c}},
+		{e: 0.7, matVecs: 896, bits: []uint64{0xbfd2f04b26a289a4, 0xbff6093e32d5b9a2, 0x3ff2eea648f24e9b, 0xbcc2d7294a7ab1f6, 0xbfd2f04b26a28a38, 0x3ff6093e32d5b9e6, 0xbfe430376a6aa99d, 0xbcc393fde106c35c, 0x3fb7b2f8af3ee40f, 0x3fe2d059394393b7, 0x3fb7b2f8af3ee320, 0xbfe2d059394393e9}},
 	}},
 }

@@ -401,7 +401,7 @@ const nullTol = 1e-10
 
 // nullSpace returns an orthonormal basis of the (right) null space of a.
 func nullSpace(a *zlinalg.Matrix) ([][]complex128, error) {
-	svd, err := zlinalg.SVD(a, 1)
+	svd, err := zlinalg.SVD(a)
 	if err != nil {
 		return nil, fmt.Errorf("negf: null-space SVD failed: %w", err)
 	}

@@ -26,9 +26,6 @@ type Options struct {
 	// whose scale is otherwise invisible to the relative Delta filter.
 	// Downstream residual filtering makes this optional.
 	AbsTol float64
-	// Cores is the caller's core share; above 1 the Hankel SVD replays its
-	// V rotations on a second goroutine (zlinalg.SVD). 0 counts as 1.
-	Cores int
 }
 
 // Result holds the extracted (approximate) eigenpairs.
@@ -37,6 +34,7 @@ type Result struct {
 	Vectors        *zlinalg.Matrix // N x m-hat eigenvectors (unit columns)
 	Rank           int             // numerical rank m-hat of the Hankel matrix
 	SingularValues []float64       // spectrum of the Hankel matrix (diagnostics)
+	SVDSweeps      int             // Jacobi sweeps of the Hankel SVD (diagnostics)
 }
 
 // Extract runs steps 2-3 of Algorithm 1. zs, ws are the quadrature nodes
@@ -98,7 +96,7 @@ func extract(moments []*zlinalg.Matrix, v *zlinalg.Matrix, opt Options) (*Result
 	}
 
 	// Step 3a: SVD low-rank filter.
-	svd, err := zlinalg.SVD(hank, opt.Cores)
+	svd, err := zlinalg.SVD(hank)
 	if err != nil {
 		return nil, fmt.Errorf("%w: Hankel SVD: %w", ErrRankDeficient, err)
 	}
@@ -106,7 +104,7 @@ func extract(moments []*zlinalg.Matrix, v *zlinalg.Matrix, opt Options) (*Result
 	if opt.AbsTol > 0 && (len(svd.S) == 0 || svd.S[0] < opt.AbsTol) {
 		rank = 0
 	}
-	res := &Result{Rank: rank, SingularValues: svd.S}
+	res := &Result{Rank: rank, SingularValues: svd.S, SVDSweeps: svd.Sweeps}
 	if rank == 0 {
 		res.Vectors = zlinalg.NewMatrix(n, 0)
 		return res, nil

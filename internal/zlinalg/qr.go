@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"math/cmplx"
+
+	"cbs/internal/soa"
 )
 
 // QR holds a Householder QR factorization A = Q*R with Q unitary (m-by-m,
@@ -19,13 +21,16 @@ type QR struct {
 // for a full-rank R; taller-than-wide and square both work). a is not
 // modified.
 func FactorQR(a *Matrix) (*QR, error) {
-	m, n := a.Rows, a.Cols
-	if m < n {
+	if a.Rows < a.Cols {
 		return nil, errors.New("zlinalg: FactorQR requires Rows >= Cols")
 	}
-	qr := a.Clone()
-	tau := make([]complex128, n)
-	diag := make([]complex128, n)
+	return factorQR(a.Clone()), nil
+}
+
+// factorQR factors qr (Rows >= Cols) in place.
+func factorQR(qr *Matrix) *QR {
+	m, n := qr.Rows, qr.Cols
+	tau, diag, s := make([]complex128, n), make([]complex128, n), make([]complex128, n)
 	for k := 0; k < n; k++ {
 		// Householder vector for column k, rows k..m-1.
 		var norm float64
@@ -33,8 +38,6 @@ func FactorQR(a *Matrix) (*QR, error) {
 			norm = math.Hypot(norm, cmplx.Abs(qr.At(i, k)))
 		}
 		if norm == 0 {
-			tau[k] = 0
-			diag[k] = 0
 			continue
 		}
 		akk := qr.At(k, k)
@@ -45,35 +48,40 @@ func FactorQR(a *Matrix) (*QR, error) {
 			phase = akk / complex(cmplx.Abs(akk), 0)
 		}
 		alpha := -phase * complex(norm, 0)
-		// v = x - alpha*e1, stored in place; tau = (alpha - akk)/alpha-ish.
-		v0 := akk - alpha
-		qr.Set(k, k, v0)
-		// beta = 2/(v†v). Compute v†v.
+		// v = x - alpha*e1, stored in place.
+		qr.Set(k, k, akk-alpha)
+		// tau = 2/(v†v). Compute v†v.
 		var vv float64
 		for i := k; i < m; i++ {
 			vv += real(qr.At(i, k) * cmplx.Conj(qr.At(i, k)))
 		}
+		diag[k] = alpha
 		if vv == 0 {
-			tau[k] = 0
-			diag[k] = alpha
 			continue
 		}
-		beta := complex(2/vv, 0)
-		tau[k] = beta
-		diag[k] = alpha
-		// Apply H = I - beta*v*v† to the trailing columns.
-		for j := k + 1; j < n; j++ {
-			var s complex128
-			for i := k; i < m; i++ {
-				s += cmplx.Conj(qr.At(i, k)) * qr.At(i, j)
-			}
-			s *= beta
-			for i := k; i < m; i++ {
-				qr.Set(i, j, qr.At(i, j)-s*qr.At(i, k))
-			}
-		}
+		tau[k] = complex(2/vv, 0)
+		// Apply H = I - tau*v*v† to the trailing columns.
+		reflect(qr, k+1, qr, k, tau[k], s)
 	}
-	return &QR{m: m, n: n, qr: qr, tau: tau, diag: diag}, nil
+	return &QR{m: m, n: n, qr: qr, tau: tau, diag: diag}
+}
+
+// reflect applies the reflector I - tau*v*v†, v = h[k:, k], to rows k.. of
+// x in the columns from c on; s is scratch for one such row. Per column it
+// sums conj(v_i)*x_ij in row order, scales the sum by tau and subtracts
+// v_i times it, a row at a time on the interleaved row kernels.
+func reflect(x *Matrix, c int, h *Matrix, k int, tau complex128, s []complex128) {
+	s = s[:x.Cols-c]
+	clear(s)
+	for i := k; i < x.Rows; i++ {
+		soa.AddMulRow(s, cmplx.Conj(h.At(i, k)), x.Row(i)[c:])
+	}
+	for j := range s {
+		s[j] *= tau
+	}
+	for i := k; i < x.Rows; i++ {
+		soa.SubMulRow(x.Row(i)[c:], h.At(i, k), s)
+	}
 }
 
 // R returns the n-by-n upper-triangular factor.
@@ -94,23 +102,19 @@ func (f *QR) Q() *Matrix {
 	for j := 0; j < f.n; j++ {
 		q.Set(j, j, 1)
 	}
-	// Accumulate reflectors in reverse order.
+	f.applyQ(q)
+	return q
+}
+
+// applyQ overwrites x (m rows) with Q*x, the reflectors applied in reverse
+// order.
+func (f *QR) applyQ(x *Matrix) {
+	s := make([]complex128, x.Cols)
 	for k := f.n - 1; k >= 0; k-- {
-		if f.tau[k] == 0 {
-			continue
-		}
-		for j := 0; j < f.n; j++ {
-			var s complex128
-			for i := k; i < f.m; i++ {
-				s += cmplx.Conj(f.qr.At(i, k)) * q.At(i, j)
-			}
-			s *= f.tau[k]
-			for i := k; i < f.m; i++ {
-				q.Set(i, j, q.At(i, j)-s*f.qr.At(i, k))
-			}
+		if f.tau[k] != 0 {
+			reflect(x, 0, f.qr, k, f.tau[k], s)
 		}
 	}
-	return q
 }
 
 // applyQT overwrites x (length m) with Q†*x.

@@ -5,75 +5,152 @@ import (
 	"math"
 	"math/cmplx"
 	"sort"
-	"sync"
-	"unsafe"
 
 	"cbs/internal/soa"
 )
 
 // SVDResult holds a singular value decomposition A = U * diag(S) * V†,
-// with U m-by-r, V n-by-r (r = min(m,n)) and S sorted descending.
+// with U m-by-r, V n-by-r (r = min(m,n)) and S sorted descending. The
+// columns of V are orthonormal, those of zero singular values included;
+// a column of U whose singular value is zero is zero.
 type SVDResult struct {
 	U *Matrix
 	S []float64
 	V *Matrix
+	// Sweeps is the number of one-sided Jacobi sweeps run, the last of
+	// which found every column pair orthogonal.
+	Sweeps int
 }
 
 // maxJacobiSweeps bounds the number of one-sided Jacobi sweeps.
 const maxJacobiSweeps = 60
 
-// SVD computes the thin singular value decomposition of a using the
-// one-sided Jacobi method, which delivers high relative accuracy even for
-// tiny singular values -- important because the Sakurai-Sugiura rank filter
+// SVD computes the thin singular value decomposition of a by QR-
+// preconditioned one-sided Jacobi (Drmač & Veselić, SIAM J. Matrix Anal.
+// Appl. 29, 2008), which delivers high relative accuracy even for tiny
+// singular values -- important because the Sakurai-Sugiura rank filter
 // thresholds at delta = 1e-10 relative to sigma_1.
 //
-// Each sweep visits the pairs (p, q), p < q, of the row-cyclic order, on
-// split re/im planes of W and V. In that order pair (p, q) depends only on
-// (p, q-1) and (p-1, q), so the sweep runs it anti-diagonal by
-// anti-diagonal (p+q = 1, 2, ...): the diagonal's pairs are independent,
-// so soa.JacobiDots and soa.JacobiRotate take all of them in one pass over
-// the rows, four at a time in vector lanes. Every column sees the rotations
-// of the row-cyclic sweep in the same order, so S, U and V are
-// bit-identical to it.
-//
-// The rotations are decided on W alone, and V never feeds back into W, so
-// a sweep logs its rotating quads and replays the log on V afterwards:
-// with cores > 1 on a goroutine that overlaps W's next sweep, otherwise
-// inline before it. V sees the same rotations in the same order either
-// way, and no goroutine outlives the call.
-func SVD(a *Matrix, cores int) (*SVDResult, error) {
+// For m <= n it orders a's rows (P) and columns (P_c) by norm, descending,
+// factors B = (P†*A*P_c)† = Q*R by Householder QR and runs the Jacobi sweep
+// on the m x m triangle X = R†: X = U_x*Σ*V_x†. Then U = P*U_x and
+// V = P_c*Q*[V_x; 0], Q's reflectors applied in place to V_x padded with
+// zero rows, so V is orthonormal whatever the rank: negf's null spaces are
+// its zero-sigma columns. The row order grades X's columns, on which the
+// sweep converges in about a third of the sweeps it needs on a itself;
+// the column order keeps the QR of B, whose rows are a's graded columns,
+// row-wise accurate. A taller a is first reduced to its square factor,
+// a = Q_0*R_0, and U = Q_0*[U_R; 0].
+func SVD(a *Matrix) (*SVDResult, error) {
 	m, n := a.Rows, a.Cols
-	if m < n {
-		// Work on the transpose and swap U <-> V.
-		r, err := SVD(a.ConjTranspose(), cores)
+	if m > n {
+		f, err := FactorQR(a)
 		if err != nil {
 			return nil, err
 		}
-		return &SVDResult{U: r.V, S: r.S, V: r.U}, nil
+		r, err := SVD(f.R())
+		if err != nil {
+			return nil, err
+		}
+		u := NewMatrix(m, n)
+		copy(u.Data, r.U.Data)
+		f.applyQ(u)
+		r.U = u
+		return r, nil
 	}
-	// W: columns are rotated in place until mutually orthogonal.
-	w := soa.NewBlock[float64](m, n)
-	soa.Pack(w, a.Data)
-	v := soa.NewBlock[float64](n, n)
-	for j := 0; j < n; j++ {
-		v.Re[j*n+j] = 1
-	}
-	eps := 2.220446049250313e-16
-	tol := math.Sqrt(float64(m)) * eps
 
+	rows, cols := make([]float64, m), make([]float64, n)
+	for i := range rows {
+		for j, z := range a.Row(i) {
+			q := real(z)*real(z) + imag(z)*imag(z)
+			rows[i] += q
+			cols[j] += q
+		}
+	}
+	perm, cperm := descending(rows), descending(cols)
+	b := NewMatrix(n, m)
+	for k, r := range perm {
+		row := a.Row(r)
+		for i, c := range cperm {
+			b.Data[i*m+k] = cmplx.Conj(row[c])
+		}
+	}
+	f := factorQR(b)
+
+	// W = R† (lower triangular) and V_x = I, on planes.
+	w := soa.NewBlock[float64](m, m)
+	for i := 0; i < m; i++ {
+		w.Re[i*m+i], w.Im[i*m+i] = real(f.diag[i]), -imag(f.diag[i])
+		for j := 0; j < i; j++ {
+			z := b.Data[j*m+i]
+			w.Re[i*m+j], w.Im[i*m+j] = real(z), -imag(z)
+		}
+	}
+	v := soa.NewBlock[float64](m, m)
+	for j := 0; j < m; j++ {
+		v.Re[j*m+j] = 1
+	}
+	sweeps, err := jacobi(w, v)
+	if err != nil {
+		return nil, err
+	}
+
+	// Singular values are the column norms; U columns the normalized columns.
+	sig, junk := make([]float64, m), make([]float64, m)
+	soa.DotCols(sig, junk, w, w) // per column, sum of re*re + im*im in row order
+	for j := range sig {
+		sig[j] = math.Sqrt(sig[j])
+	}
+	u, vOut, s := NewMatrix(m, m), NewMatrix(n, m), make([]float64, m)
+	for k, j := range descending(sig) {
+		s[k] = sig[j]
+		if s[k] > 0 {
+			inv := complex(1/s[k], 0)
+			for i := 0; i < m; i++ {
+				u.Set(perm[i], k, complex(w.Re[i*m+j], w.Im[i*m+j])*inv)
+			}
+		}
+		for i := 0; i < m; i++ {
+			vOut.Set(i, k, complex(v.Re[i*m+j], v.Im[i*m+j]))
+		}
+	}
+	f.applyQ(vOut)
+	// V's rows in a's column order; b's storage is free once Q is applied.
+	for i, c := range cperm {
+		copy(b.Row(c), vOut.Row(i))
+	}
+	return &SVDResult{U: u, S: s, V: b, Sweeps: sweeps}, nil
+}
+
+// descending returns the indices of x by value, descending; equal values
+// keep their order.
+func descending(x []float64) []int {
+	order := make([]int, len(x))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(i, j int) bool { return x[order[i]] > x[order[j]] })
+	return order
+}
+
+// jacobi runs one-sided Jacobi sweeps on w's columns until every pair is
+// orthogonal to tolerance, rotating v's columns alongside, and returns the
+// number of sweeps.
+//
+// Each sweep visits the pairs (p, q), p < q, of the row-cyclic order, on
+// split re/im planes. In that order pair (p, q) depends only on (p, q-1)
+// and (p-1, q), so the sweep runs it anti-diagonal by anti-diagonal
+// (p+q = 1, 2, ...): the diagonal's pairs are independent, so
+// soa.JacobiDots and soa.JacobiRotate take all of them in one pass over
+// the rows, four at a time in vector lanes, and the same rotations then
+// pass over v. Every column sees the rotations of the row-cyclic sweep in
+// the same order, so the result is bit-identical to it.
+func jacobi(w, v *soa.Block[float64]) (int, error) {
+	m, n := w.N(), w.NB()
+	tol := math.Sqrt(float64(m)) * 2.220446049250313e-16
 	// One anti-diagonal holds at most n/2 pairs.
 	quads := make([]soa.JacobiQuad, n/8+1)
-	// The log W records while V replays the previous one, or one log when
-	// the replay is inline.
-	logs := make([]rotationLog, rotationLogs(cores))
-	for i := range logs {
-		logs[i] = rotationLog{quads: make([]soa.JacobiQuad, 0, sweepQuads(n)), ends: make([]int, 0, 2*n)}
-	}
-	rep := &replayer{v: v, async: cores > 1}
-	defer rep.wait()
-	for sweep := 0; sweep < maxJacobiSweeps; sweep++ {
-		log := &logs[sweep%len(logs)]
-		log.quads, log.ends = log.quads[:0], log.ends[:0]
+	for sweep := 1; sweep <= maxJacobiSweeps; sweep++ {
 		off := 0
 		for s := 1; s <= 2*n-3; s++ {
 			last := (s - 1) / 2 // pairs (p, s-p) for max(0, s-n+1) <= p <= last
@@ -83,7 +160,8 @@ func SVD(a *Matrix, cores int) (*SVDResult, error) {
 				nq++
 			}
 			soa.JacobiDots(w, quads[:nq])
-			start := len(log.quads)
+			// The rotating quads, moved to the front in diagonal order.
+			nr := 0
 			for j := range quads[:nq] {
 				q := &quads[j]
 				rotate := false
@@ -95,54 +173,18 @@ func SVD(a *Matrix, cores int) (*SVDResult, error) {
 					}
 				}
 				if rotate {
-					log.quads = append(log.quads, *q)
+					quads[nr] = *q
+					nr++
 				}
 			}
-			if len(log.quads) > start {
-				soa.JacobiRotate(w, log.quads[start:])
-				log.ends = append(log.ends, len(log.quads))
-			}
+			soa.JacobiRotate(w, quads[:nr])
+			soa.JacobiRotate(v, quads[:nr])
 		}
-		rep.replay(log)
 		if off == 0 {
-			break
-		}
-		if sweep == maxJacobiSweeps-1 {
-			return nil, errors.New("zlinalg: Jacobi SVD failed to converge")
+			return sweep, nil
 		}
 	}
-	rep.wait()
-
-	// Singular values are the column norms; U columns the normalized columns.
-	norm2, junk := make([]float64, n), make([]float64, n)
-	soa.DotCols(norm2, junk, w, w) // per column, sum of re*re + im*im in row order
-	type sv struct {
-		s   float64
-		idx int
-	}
-	svs := make([]sv, n)
-	for j := 0; j < n; j++ {
-		svs[j] = sv{math.Sqrt(norm2[j]), j}
-	}
-	sort.Slice(svs, func(i, j int) bool { return svs[i].s > svs[j].s })
-
-	u := NewMatrix(m, n)
-	vOut := NewMatrix(n, n)
-	s := make([]float64, n)
-	for k, e := range svs {
-		s[k] = e.s
-		j := e.idx
-		if e.s > 0 {
-			inv := complex(1/e.s, 0)
-			for i := 0; i < m; i++ {
-				u.Set(i, k, complex(w.Re[i*n+j], w.Im[i*n+j])*inv)
-			}
-		}
-		for i := 0; i < n; i++ {
-			vOut.Set(i, k, complex(v.Re[i*n+j], v.Im[i*n+j]))
-		}
-	}
-	return &SVDResult{U: u, S: s, V: vOut}, nil
+	return 0, errors.New("zlinalg: Jacobi SVD failed to converge")
 }
 
 // jacobiRotation decides lane k of q from its sums: false when the pair is
@@ -165,70 +207,12 @@ func jacobiRotation(q *soa.JacobiQuad, k int, tol float64) bool {
 	return true
 }
 
-// rotationLog is one sweep's rotating quads in sweep order: anti-diagonal
-// d's are quads[ends[d-1]:ends[d]] (diagonals without a rotation left out).
-type rotationLog struct {
-	quads []soa.JacobiQuad
-	ends  []int
-}
-
-// apply rotates v's columns by the logged rotations, diagonal by diagonal.
-func (l *rotationLog) apply(v *soa.Block[float64]) {
-	start := 0
-	for _, end := range l.ends {
-		soa.JacobiRotate(v, l.quads[start:end])
-		start = end
-	}
-}
-
-// replayer applies each sweep's log to V: on a goroutine when async, which
-// the next replay or wait joins first, else inline.
-type replayer struct {
-	v     *soa.Block[float64]
-	async bool
-	wg    sync.WaitGroup
-}
-
-func (r *replayer) replay(l *rotationLog) {
-	r.wg.Wait()
-	if !r.async {
-		l.apply(r.v)
-		return
-	}
-	r.wg.Add(1)
-	go func() {
-		defer r.wg.Done()
-		l.apply(r.v)
-	}()
-}
-
-// wait returns once V holds every replayed sweep.
-func (r *replayer) wait() { r.wg.Wait() }
-
-// rotationLogs is the number of logs SVD keeps: two when V replays on a
-// goroutine (one replaying, one recording), else one.
-func rotationLogs(cores int) int {
-	if cores > 1 {
-		return 2
-	}
-	return 1
-}
-
-// sweepQuads is the number of quads in one sweep over n columns, the most a
-// sweep's log holds.
-func sweepQuads(n int) int {
-	q := 0
-	for s := 1; s <= 2*n-3; s++ {
-		q += ((s-1)/2 - max(0, s-n+1) + 4) / 4
-	}
-	return q
-}
-
-// SVDWorkBytes is the working memory of SVD on an m x n matrix (m >= n)
-// with the given core count: the W and V planes and the rotation logs.
-func SVDWorkBytes(m, n, cores int) int64 {
-	quad := int64(unsafe.Sizeof(soa.JacobiQuad{}))
-	return int64(m*n+n*n)*16 + int64(rotationLogs(cores))*(int64(sweepQuads(n))*quad+int64(2*n)*8)
+// SVDWorkBytes is the working memory of SVD on an n x n matrix, the shape
+// of every Hankel and coupling block it decomposes: the planes of R† and
+// V_x and Q*[V_x; 0] before its rows go to a's column order (the QR
+// storage of B, which takes them, is returned as V).
+func SVDWorkBytes(n int) int64 {
+	return 3 * int64(n) * int64(n) * 16
 }
 
 // Rank returns the number of singular values greater than delta relative to

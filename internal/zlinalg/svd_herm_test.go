@@ -13,7 +13,7 @@ func TestSVDReconstruction(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	for _, dims := range [][2]int{{1, 1}, {4, 4}, {10, 6}, {6, 10}, {30, 30}} {
 		a := randMatrix(rng, dims[0], dims[1])
-		res, err := SVD(a, 1)
+		res, err := SVD(a)
 		if err != nil {
 			t.Fatalf("%v: %v", dims, err)
 		}
@@ -44,7 +44,7 @@ func TestSVDKnownValues(t *testing.T) {
 	a.Set(0, 0, 3)
 	a.Set(1, 1, 2)
 	a.Set(2, 2, 1e-12)
-	res, err := SVD(a, 1)
+	res, err := SVD(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestSVDMatchesGramEigen(t *testing.T) {
 	// Squared singular values must be the eigenvalues of A†A.
 	rng := rand.New(rand.NewSource(21))
 	a := randMatrix(rng, 9, 5)
-	res, err := SVD(a, 1)
+	res, err := SVD(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestSVDRankDeficient(t *testing.T) {
 	u := randMatrix(rng, 8, 2)
 	v := randMatrix(rng, 6, 2)
 	a := Mul(u, v.ConjTranspose())
-	res, err := SVD(a, 1)
+	res, err := SVD(a)
 	if err != nil {
 		t.Fatal(err)
 	}
